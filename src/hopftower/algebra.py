@@ -14,9 +14,9 @@ from .linalg import (
     DimensionError,
     Matrix,
     basis_vector,
+    invert,
     kernel_basis,
     rref,
-    solve,
     stack,
     vec_eq,
     vec_is_zero,
@@ -208,14 +208,33 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
             unit_failures.append({"basis": i, "left": left, "right": right})
             if len(unit_failures) >= max_failures:
                 break
+    # both sides expand straight from the table, accumulating in mul_sparse's
+    # order: (e_i e_j) e_k = sum_l c_ij^l e_l e_k, e_i (e_j e_k) = sum_l c_jk^l e_i e_l
     assoc_failures = []
     table = alg.table
+    fadd, fmul, zero = f.add, f.mul, f.zero
     for i in range(alg.dim):
+        row_i = table[i]
         for j in range(alg.dim):
-            v = table[i][j]
+            ij_terms = row_i[j].items()
+            row_j = table[j]
             for k in range(alg.dim):
-                lhs = alg.mul_sparse(v, {k: f.one})
-                rhs = alg.mul_sparse({i: f.one}, table[j][k])
+                lhs: dict = {}
+                for l, c in ij_terms:
+                    for m, t in table[l][k].items():
+                        s = fadd(lhs.get(m, zero), fmul(c, t))
+                        if s:
+                            lhs[m] = s
+                        else:
+                            lhs.pop(m, None)
+                rhs: dict = {}
+                for l, c in row_j[k].items():
+                    for m, t in row_i[l].items():
+                        s = fadd(rhs.get(m, zero), fmul(c, t))
+                        if s:
+                            rhs[m] = s
+                        else:
+                            rhs.pop(m, None)
                 if lhs != rhs:
                     assoc_failures.append(
                         {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
@@ -237,6 +256,10 @@ class SubspaceBasis:
     Computed subspaces are canonicalised to RREF; user-supplied embeddings keep
     their original basis (coordinates of attached maps refer to it) and only
     the internal reduced form is canonical.
+
+    ``coords`` reads v[pivots], which fixes v in the span as the reduced rows are
+    fully reduced: with B the vectors restricted to the pivot columns, coords(v)
+    is (B^T)^-1 v[pivots]. The inverse is cached on first use: do not mutate ``vectors``.
     """
 
     def __init__(self, ambient: Algebra, vectors: list[list], canonicalize: bool = False):
@@ -249,7 +272,7 @@ class SubspaceBasis:
         self._rref_rows = red.data[: len(pivots)]
         self._pivots = pivots
         self.vectors = [list(r) for r in self._rref_rows] if canonicalize else [list(v) for v in vectors]
-        self._coord_solver: Optional[Matrix] = None
+        self._coord_map: Optional[Matrix] = None
 
     @property
     def dim(self) -> int:
@@ -269,16 +292,12 @@ class SubspaceBasis:
 
     def coords(self, v: list) -> Optional[list]:
         """Coordinates of v in self.vectors, or None when v is outside."""
-        f = self.ambient.field
         if not self.contains(v):
             return None
-        if self._coord_solver is None:
-            self._coord_solver = Matrix(
-                f, [[self.vectors[j][i] for j in range(self.dim)] for i in range(self.ambient.dim)]
-            )
-        res = solve(self._coord_solver, v)
-        assert res is not None
-        return res[0]
+        if self._coord_map is None:
+            b_transposed = [[x[p] for x in self.vectors] for p in self._pivots]
+            self._coord_map = invert(Matrix(self.ambient.field, b_transposed))
+        return self._coord_map.matvec([v[p] for p in self._pivots])
 
     def equals(self, other: "SubspaceBasis") -> bool:
         return (
@@ -511,7 +530,7 @@ class EndomorphismAlgebra:
 
     def coords_of_matrix(self, mat: Matrix) -> Optional[list]:
         """Coordinates of an endomorphism in the canonical basis, or None."""
-        f = self.algebra.field
+        f = mat.field
         flat = [x for row in mat.data for x in row]
         coords = [flat[p] for p in self._pivots]
         resid = list(flat)
@@ -579,12 +598,12 @@ def endomorphism_algebra(
     endo = EndomorphismAlgebra(None, mats, pivots, rows)  # type: ignore[arg-type]
 
     entries = []
-    unit_coords = endo_coords(field, rows, pivots, Matrix.identity(field, dim_v))
+    unit_coords = endo.coords_of_matrix(Matrix.identity(field, dim_v))
     if unit_coords is None:
         raise AlgebraError("identity endomorphism escaped the solved basis")
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
-            coords = endo_coords(field, rows, pivots, a.mul(b))
+            coords = endo.coords_of_matrix(a.mul(b))
             if coords is None:
                 raise AlgebraError("endomorphism product escaped the solved basis")
             for k, c in enumerate(coords):
@@ -592,19 +611,6 @@ def endomorphism_algebra(
                     entries.append((i, j, k, c))
     endo.algebra = Algebra.from_entries(field, len(mats), entries, unit_coords)
     return endo
-
-
-def endo_coords(field: Field, rref_rows: list[list], pivots: list[int], mat: Matrix) -> Optional[list]:
-    flat = [x for row in mat.data for x in row]
-    coords = [flat[p] for p in pivots]
-    resid = list(flat)
-    for c, row in zip(coords, rref_rows):
-        if field.is_zero(c):
-            continue
-        resid = [field.sub(a, field.mul(c, b)) for a, b in zip(resid, row)]
-    if not vec_is_zero(field, resid):
-        return None
-    return coords
 
 
 # ---------------------------------------------------------------------------

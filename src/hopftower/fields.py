@@ -39,6 +39,13 @@ def _int_token(tok: str) -> int:
     raise ValueError(f"not an integer token: {tok!r}")
 
 
+def integral(x) -> int:
+    """``int(x)``, but ValueError for a bool (JSON true/false) or a non-integral float."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
     if n < 2:
@@ -221,7 +228,7 @@ def field_from_spec(spec) -> Field:
         return RationalField()
     if kind == "prime":
         try:
-            modulus = int(spec["modulus"])
+            modulus = integral(spec["modulus"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldError(f"prime field needs an integer modulus: {exc}") from exc
         return PrimeField(modulus)

@@ -14,7 +14,7 @@ import json
 from typing import Optional
 
 from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis
-from .fields import Field, FieldError, field_from_spec, field_to_spec
+from .fields import Field, FieldError, field_from_spec, field_to_spec, integral
 from .frobenius import ExtensionSpec
 from .linalg import Matrix
 
@@ -41,7 +41,7 @@ def scalar_to_str(field: Field, x) -> str:
 
 
 def parse_scalar(field: Field, s) -> object:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return field.from_int(s)
     if not isinstance(s, str):
         raise InputError(f"scalar must be a string or integer, got {type(s).__name__}")
@@ -89,14 +89,14 @@ def parse_algebra(field: Field, data) -> Algebra:
     if not isinstance(data, dict):
         raise InputError("algebra must be an object")
     try:
-        dim = int(data["dim"])
+        dim = integral(data["dim"])
         unit = parse_vector(field, data["unit"], dim)
         entries = []
         for item in data["structure"]:
             if not isinstance(item, list) or len(item) != 4:
                 raise InputError("structure entries must be [i, j, k, scalar]")
             i, j, k, c = item
-            entries.append((int(i), int(j), int(k), parse_scalar(field, c)))
+            entries.append((integral(i), integral(j), integral(k), parse_scalar(field, c)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed algebra: {exc}") from exc
     try:

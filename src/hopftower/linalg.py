@@ -326,13 +326,6 @@ def vec_eq(field: Field, a: list, b: list) -> bool:
     return len(a) == len(b) and all(field.eq(x, y) for x, y in zip(a, b))
 
 
-def vec_add(field: Field, a: list, b: list) -> list:
-    return [field.add(x, y) for x, y in zip(a, b)]
-
-def vec_sub(field: Field, a: list, b: list) -> list:
-    return [field.sub(x, y) for x, y in zip(a, b)]
-
-
 def vec_scale(field: Field, c, a: list) -> list:
     return [field.mul(c, x) for x in a]
 

@@ -202,12 +202,6 @@ def evaluation_pairing(G: GroupPresentation, field: Field) -> Matrix:
     return Matrix.identity(field, G.order)
 
 
-def dual_closed_forms(G: GroupPresentation, field: Field) -> HopfStructure:
-    """Closed-form Hopf structure on k^G computed by brute force over the
-    group table (the oracle for the reconstruction machinery)."""
-    return group_hopf(G, field).H_dual
-
-
 # ---------------------------------------------------------------------------
 # module-algebra models
 # ---------------------------------------------------------------------------

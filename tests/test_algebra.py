@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hopftower.algebra import (
     Algebra,
@@ -8,11 +9,12 @@ from hopftower.algebra import (
     centralizer,
     check_morphism,
     endomorphism_algebra,
+    span_dim,
     tensor_over_subalgebra,
     verify_algebra,
 )
 from hopftower.fields import PrimeField, RationalField
-from hopftower.linalg import Matrix, basis_vector
+from hopftower.linalg import Matrix, basis_vector, vec_eq
 from hopftower.models import (
     cyclic_group,
     group_algebra,
@@ -23,6 +25,7 @@ from hopftower.models import (
 
 Q = RationalField()
 F2 = PrimeField(2)
+F5 = PrimeField(5)
 
 
 def test_verify_group_algebra():
@@ -46,6 +49,19 @@ def test_verify_detects_perturbed_table():
     assert not rep.ok
     assert rep.assoc_failures, "offending triple must be reported"
     assert "triple" in rep.assoc_failures[0]
+    # reference: both sides as products of sparse elements, (e_i e_j) e_k and
+    # e_i (e_j e_k), over the triples in the same order
+    one = Q.one
+    expected = [
+        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
+        for i in range(6)
+        for j in range(6)
+        for k in range(6)
+        for lhs, rhs in [(bad.mul_sparse(bad.table[i][j], {k: one}), bad.mul_sparse({i: one}, bad.table[j][k]))]
+        if lhs != rhs
+    ]
+    assert rep.assoc_failures[0] == expected[0]
+    assert rep.assoc_failures == expected[:5]
 
 
 def test_centralizer_of_matrix_algebra_is_center():
@@ -176,3 +192,42 @@ def test_subspace_membership_and_coords():
     assert [str(c) for c in coords] == ["2", "-3"]
     assert not sub.contains(basis_vector(Q, 6, 2))
     assert sub.coords(basis_vector(Q, 6, 2)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Q, F5]), st.integers(1, 5), st.data())
+def test_subspace_coords_on_noncanonical_bases(field, n, data):
+    # random bases have a pivot block far from the identity, so a transposed
+    # or uninverted coordinate map shows here
+    entry = st.builds(
+        lambda a, b: field.div(field.from_int(a), field.from_int(b)),
+        st.integers(-4, 4),
+        st.integers(1, 3),
+    )
+    vector = st.lists(entry, min_size=n, max_size=n)
+    k = data.draw(st.integers(0, n))
+    vectors = data.draw(st.lists(vector, min_size=k, max_size=k))
+    assume(span_dim(field, vectors) == k)
+    sub = SubspaceBasis(group_algebra(cyclic_group(n), field), vectors)
+    c = data.draw(st.lists(entry, min_size=k, max_size=k))
+    v = [field.zero] * n
+    for ci, vi in zip(c, vectors):
+        v = [field.add(a, field.mul(ci, b)) for a, b in zip(v, vi)]
+    assert vec_eq(field, sub.coords(v), c)
+    w = data.draw(vector)
+    coords = sub.coords(w)
+    if span_dim(field, vectors + [w]) > k:
+        assert coords is None
+    else:
+        back = [field.zero] * n
+        for ci, vi in zip(coords, vectors):
+            back = [field.add(a, field.mul(ci, b)) for a, b in zip(back, vi)]
+        assert vec_eq(field, back, w)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_zero_subspace_coords(field):
+    sub = SubspaceBasis(group_algebra(cyclic_group(3), field), [])
+    assert sub.dim == 0
+    assert sub.coords([field.zero] * 3) == []
+    assert sub.coords(basis_vector(field, 3, 1)) is None

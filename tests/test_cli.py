@@ -286,6 +286,20 @@ def test_loader_never_crashes_on_fuzzed_input(tmp_path):
         {**base, "cond_expectation": [["1", "2"]]},
         {**base, "dual_bases": [["1"]]},
         {**base, "dual_bases": [[["1"], ["1"], ["1"]]]},
+        # JSON booleans are ints in Python, and int() truncates floats: both
+        # must be refused where the format wants a scalar or an integer
+        {**base, "algebra": {"dim": 1, "unit": [True], "structure": [[0, 0, 0, "1"]]}},
+        {**base, "algebra": {"dim": 1, "unit": ["1"], "structure": [[0, 0, 0, True]]}},
+        {**base, "subalgebra": [[True]]},
+        {**base, "cond_expectation": [[True]]},
+        {**base, "algebra": {"dim": True, "unit": ["1"], "structure": [[0, 0, 0, "1"]]}},
+        {**base, "algebra": {"dim": 1.5, "unit": ["1"], "structure": [[0, 0, 0, "1"]]}},
+        {**base, "algebra": {"dim": float("inf"), "unit": ["1"], "structure": [[0, 0, 0, "1"]]}},
+        {**base, "algebra": {"dim": 1, "unit": ["1"], "structure": [[False, 0, 0, "1"]]}},
+        {**base, "algebra": {"dim": 1, "unit": ["1"], "structure": [[0, 0.5, 0, "1"]]}},
+        {**base, "algebra": {"dim": 1, "unit": ["1"], "structure": [[0, 0, float("nan"), "1"]]}},
+        {**base, "field": {"kind": "prime", "modulus": 7.5}},
+        {**base, "field": {"kind": "prime", "modulus": True}},
     ]
     parsed = 0
     for data in mutations:
