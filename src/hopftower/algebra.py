@@ -13,10 +13,12 @@ from .fields import Field
 from .linalg import (
     DimensionError,
     Matrix,
+    SparseSolver,
     basis_vector,
     invert,
     kernel_basis,
     rref,
+    sparse_add,
     stack,
     vec_eq,
     vec_is_zero,
@@ -93,14 +95,7 @@ class Algebra:
         for i, j, k, c in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AlgebraError(f"structure constant index out of range: {(i, j, k)}")
-            if field.is_zero(c):
-                continue
-            cell = table[i][j]
-            c = field.add(cell.get(k, field.zero), c)
-            if field.is_zero(c):
-                cell.pop(k, None)
-            else:
-                cell[k] = c
+            sparse_add(field, table[i][j], k, c)
         return cls(field, dim, table, list(unit))
 
     def entries(self) -> list[tuple[int, int, int, object]]:
@@ -122,6 +117,7 @@ class Algebra:
             row = table[i]
             for j, yj in y.items():
                 c = fmul(xi, yj)
+                # sparse_add inlined: this loop runs millions of times per pass
                 for k, t in row[j].items():
                     v = fadd(out.get(k, zero), fmul(c, t))
                     if v:
@@ -158,12 +154,6 @@ class Algebra:
         for j in range(self.dim):
             cols.append(self.to_dense(self.mul_sparse({j: f.one}, xs)))
         return Matrix(f, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
-
-    def power(self, x: list, n: int) -> list:
-        out = list(self.unit)
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
 
     def commutes(self, x: list, y: list) -> bool:
         return vec_eq(self.field, self.mul(x, y), self.mul(y, x))
@@ -209,7 +199,8 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
             if len(unit_failures) >= max_failures:
                 break
     # both sides expand straight from the table, accumulating in mul_sparse's
-    # order: (e_i e_j) e_k = sum_l c_ij^l e_l e_k, e_i (e_j e_k) = sum_l c_jk^l e_i e_l
+    # order: (e_i e_j) e_k = sum_l c_ij^l e_l e_k, e_i (e_j e_k) = sum_l c_jk^l e_i e_l;
+    # sparse_add is inlined as in mul_sparse, since this runs millions of times per pass
     assoc_failures = []
     table = alg.table
     fadd, fmul, zero = f.add, f.mul, f.zero
@@ -382,10 +373,10 @@ def centralizer(alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = Tru
 class TensorQuotient:
     """M tensor M over a unital subalgebra N, as a quotient of M tensor_k M.
 
-    The relation subspace span{mn (x) m' - m (x) nm'} is kept in sparse RREF;
-    the canonical quotient basis consists of the non-pivot coordinates e_i(x)e_j,
-    the projection reduces modulo the relations, and the section re-embeds
-    representatives. projection(section) = id by construction.
+    The relation subspace span{mn (x) m' - m (x) nm'} is kept in sparse RREF by
+    a SparseSolver; the canonical quotient basis consists of the non-pivot
+    coordinates e_i(x)e_j, the projection reduces modulo the relations, and the
+    section re-embeds representatives. projection(section) = id by construction.
     """
 
     def __init__(self, M: Algebra, N: SubspaceBasis):
@@ -394,91 +385,31 @@ class TensorQuotient:
         f = M.field
         d = M.dim
         self.amb_dim = d * d
-        pivot_rows: dict[int, dict] = {}
-
-        def reduce_row(row: dict) -> dict:
-            while row:
-                lead = min(row)
-                if lead not in pivot_rows:
-                    return row
-                c = row[lead]
-                piv = pivot_rows[lead]
-                for col, val in piv.items():
-                    v = f.sub(row.get(col, f.zero), f.mul(c, val))
-                    if f.is_zero(v):
-                        row.pop(col, None)
-                    else:
-                        row[col] = v
-            return row
-
+        relations = SparseSolver(f, self.amb_dim, reduce_fully=True)
         for x in range(d):
             ex = {x: f.one}
             for n in N.vectors:
                 ns = M.to_sparse(n)
                 xn = M.mul_sparse(ex, ns)
                 for y in range(d):
-                    ny = M.mul_sparse(ns, {y: f.one})
+                    # xn (x) y - x (x) ny
                     row: dict = {}
                     for l, c in xn.items():
-                        col = l * d + y
-                        v = f.add(row.get(col, f.zero), c)
-                        if f.is_zero(v):
-                            row.pop(col, None)
-                        else:
-                            row[col] = v
-                    for m, c in ny.items():
-                        col = x * d + m
-                        v = f.sub(row.get(col, f.zero), c)
-                        if f.is_zero(v):
-                            row.pop(col, None)
-                        else:
-                            row[col] = v
-                    row = reduce_row(row)
-                    if not row:
-                        continue
-                    lead = min(row)
-                    inv = f.inv(row[lead])
-                    row = {c: f.mul(inv, v) for c, v in row.items()}
-                    for other in pivot_rows.values():
-                        c = other.get(lead)
-                        if c is not None:
-                            for col, val in row.items():
-                                v = f.sub(other.get(col, f.zero), f.mul(c, val))
-                                if f.is_zero(v):
-                                    other.pop(col, None)
-                                else:
-                                    other[col] = v
-                    pivot_rows[lead] = row
+                        sparse_add(f, row, l * d + y, c)
+                    for m, c in M.mul_sparse(ns, {y: f.one}).items():
+                        sparse_add(f, row, x * d + m, f.neg(c))
+                    relations.add_row(row, f.zero)
 
-        self._pivot_rows = pivot_rows
-        pivset = set(pivot_rows)
-        self.pairs = [(i, j) for i in range(d) for j in range(d) if i * d + j not in pivset]
+        self._relations = relations
+        pivots = relations.pivots
+        self.pairs = [(i, j) for i in range(d) for j in range(d) if i * d + j not in pivots]
         self.dim = len(self.pairs)
         self._pair_index = {i * d + j: c for c, (i, j) in enumerate(self.pairs)}
 
     def project_sparse(self, tensor: dict) -> dict:
         """Quotient coordinates of a sparse element of M tensor_k M."""
-        f = self.M.field
-        work = dict(tensor)
-        out: dict = {}
-        for col in sorted(work):
-            c = work.get(col)
-            if c is None or f.is_zero(c):
-                continue
-            piv = self._pivot_rows.get(col)
-            if piv is None:
-                continue
-            for pcol, val in piv.items():
-                v = f.sub(work.get(pcol, f.zero), f.mul(c, val))
-                if f.is_zero(v):
-                    work.pop(pcol, None)
-                else:
-                    work[pcol] = v
-        for col, c in work.items():
-            if f.is_zero(c):
-                continue
-            out[self._pair_index[col]] = c
-        return out
+        index = self._pair_index
+        return {index[col]: c for col, c in self._relations.reduce(tensor).items()}
 
     def project(self, tensor: dict) -> list:
         v = [self.M.field.zero] * self.dim

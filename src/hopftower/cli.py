@@ -85,6 +85,13 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+def _reason(report, check_prefix: str):
+    """The first recorded reason among the report's checks with this id prefix."""
+    return next(
+        (r.reason for r in report.results if r.check_id.startswith(check_prefix) and r.reason), None
+    )
+
+
 def cmd_verify(args, upto: str) -> int:
     try:
         ext, _ = load_extension(args.path)
@@ -102,16 +109,10 @@ def cmd_verify(args, upto: str) -> int:
     _emit(report, args)
     dump_path = getattr(args, "dump", None)
     if dump_path:
-        from .frobenius import classify, normalize, solve_dual_bases
-        from .tower import build_tower
-
-        try:
-            sys_ = solve_dual_bases(ext)
-            classify(ext, sys_)
-            sys_ = normalize(sys_)
-            t = build_tower(sys_)
-        except Exception as exc:  # tower may be hypothesis-gated
-            print(f"tower dump unavailable: {exc}", file=sys.stderr)
+        t = report.state.tower
+        if t is None:
+            reason = _reason(report, "tower-level") or "the tower was not built"
+            print(f"tower dump unavailable: {reason}", file=sys.stderr)
         else:
             Path(dump_path).write_text(canonical_json(tower_to_dict(t)), encoding="utf-8")
     return report.exit_code()
@@ -137,39 +138,18 @@ def cmd_hopf(args) -> int:
     report = run_pipeline(ext, upto="hopf")
     status = {r.check_id: r.status for r in report.results}
     if status.get("hopf-axioms") != PASS or status.get("dual-hopf") != PASS:
-        reason = next(
-            (r.reason for r in report.results if r.check_id == "pairing" and r.reason), None
-        )
-        print(
-            f"reconstruction not reached: {reason or 'hypothesis-gated checks were skipped or failed'}",
-            file=sys.stderr,
-        )
+        reason = _reason(report, "pairing") or "hypothesis-gated checks were skipped or failed"
+        print(f"reconstruction not reached: {reason}", file=sys.stderr)
         return 1
-    # rebuild the state to dump (deterministic; the pipeline is pure)
-    from .depth2 import DepthTwoData, check_depth_two, second_centralizers
-    from .frobenius import classify, normalize, solve_dual_bases
-    from .hopf import HopfStructure, antipode, compute_pairing, comultiplication, dualize
-    from .tower import build_tower
-
-    sys_ = solve_dual_bases(ext)
-    classify(ext, sys_)
-    sys_ = normalize(sys_)
-    t = build_tower(sys_)
-    A, B, C = second_centralizers(t)
-    d2 = check_depth_two(t, DepthTwoData(A=A, B=B, C=C))
-    pairing, _ = compute_pairing(t, d2)
-    delta, eps, _ = comultiplication(pairing, t, d2)
-    S, _ = antipode(t, d2, pairing)
-    H_B = HopfStructure(pairing.B_alg, delta, eps, S)
-    H_A, _ = dualize(pairing, H_B, t, d2)
-    e2_int = d2.B.coords(t.e2)
-    e1_int = d2.A.coords(t.e1)
+    state = report.state
+    t, d2, pairing = state.tower, state.d2, state.pairing
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "hopf_B.json").write_text(
-        canonical_json(hopf_to_dict(H_B, pairing.P, e2_int)), encoding="utf-8"
+        canonical_json(hopf_to_dict(state.H_B, pairing.P, d2.B.coords(t.e2))), encoding="utf-8"
     )
     (outdir / "hopf_A.json").write_text(
-        canonical_json(hopf_to_dict(H_A, pairing.P.transpose(), e1_int)), encoding="utf-8"
+        canonical_json(hopf_to_dict(state.H_A, pairing.P.transpose(), d2.A.coords(t.e1))),
+        encoding="utf-8",
     )
     print(f"wrote {outdir / 'hopf_A.json'} and {outdir / 'hopf_B.json'}")
     return 0

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
 from .frobenius import CheckOutcome, scalar_of
-from .linalg import Matrix, basis_vector, invert, vec_eq, vec_scale
+from .linalg import Matrix, SparseSolver, basis_vector, invert, sparse_add, vec_eq, vec_scale
 
 
 @dataclass
@@ -364,8 +364,6 @@ def _find_free_basis(ctx: _LevelContext, n0: int, search_cap: int) -> Optional[l
 
 def _solve_w(ctx: _LevelContext, z: list) -> Optional[list]:
     """Solve sum_i z_i E(w_i x) = x for all basis x; unique when z is free."""
-    from .linalg import SparseSolver
-
     f = ctx.up.field
     up = ctx.up
     d = up.dim
@@ -383,12 +381,7 @@ def _solve_w(ctx: _LevelContext, z: list) -> Optional[list]:
                 term = up.mul_sparse(z_sparse[i], emb)
                 col = i * d + v
                 for r, val in term.items():
-                    blk = blocks[r]
-                    acc = f.add(blk.get(col, f.zero), val)
-                    if acc:
-                        blk[col] = acc
-                    else:
-                        blk.pop(col, None)
+                    sparse_add(f, blocks[r], col, val)
         for r in range(d):
             rhs = f.one if r == x else f.zero
             if not solver.add_row(blocks[r], rhs):
@@ -438,8 +431,6 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
     with both Frobenius contraction identities? Assembled entry by entry from
     the defining equations and solved from scratch (sparse incremental
     elimination with early inconsistency detection)."""
-    from .linalg import SparseSolver
-
     f = ctx.up.field
     up = ctx.up
     d = up.dim
@@ -461,22 +452,12 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
                 if lfac:
                     col = p * s + q
                     for r, val in up.mul_sparse(lfac, scope_sparse[q]).items():
-                        row = left_rows[r]
-                        acc = f.add(row.get(col, f.zero), val)
-                        if acc:
-                            row[col] = acc
-                        else:
-                            row.pop(col, None)
+                        sparse_add(f, left_rows[r], col, val)
                 # right identity: T_{qp'} with the scope element at slot q
                 col = q * s + p
                 if rfac:
                     for r, val in up.mul_sparse(scope_sparse[q], rfac).items():
-                        row = right_rows[r]
-                        acc = f.add(row.get(col, f.zero), val)
-                        if acc:
-                            row[col] = acc
-                        else:
-                            row.pop(col, None)
+                        sparse_add(f, right_rows[r], col, val)
         for r in range(d):
             rhs = f.one if r == x else f.zero
             if not solver.add_row(left_rows[r], rhs):

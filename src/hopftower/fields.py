@@ -25,8 +25,8 @@ class FieldError(ValueError):
     """Invalid field construction or scalar parse."""
 
 
-def _int_token(tok: str) -> int:
-    """Value of an integer token ``[+-]?digits`` with ASCII digits only.
+def digits_token(tok: str) -> int:
+    """Value of a token of ASCII digits only, with no sign.
 
     ``int()`` alone would also take ``_`` separators, surrounding whitespace and
     non-ASCII digits such as Arabic-Indic ones, so the token is checked first.
@@ -34,9 +34,15 @@ def _int_token(tok: str) -> int:
     """
     if tok.isdigit() and tok.isascii():
         return int(tok)
-    if tok[:1] in "+-" and tok[1:].isdigit() and tok.isascii():
-        return int(tok)
     raise ValueError(f"not an integer token: {tok!r}")
+
+
+def _int_token(tok: str) -> int:
+    """Value of an integer token ``[+-]?digits``, the digits as in ``digits_token``."""
+    if tok[:1] in ("+", "-"):
+        n = digits_token(tok[1:])
+        return -n if tok[0] == "-" else n
+    return digits_token(tok)
 
 
 def integral(x) -> int:

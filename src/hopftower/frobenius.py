@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     basis_vector,
     solve,
+    sparse_add,
     vec_eq,
     vec_is_zero,
     vec_scale,
@@ -296,11 +297,7 @@ def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple[list, 
     acc: dict = {}
     for x, y in pairs:
         for col, val in sys_tq.pure_tensor(x, y).items():
-            v = f.add(acc.get(col, f.zero), val)
-            if f.is_zero(v):
-                acc.pop(col, None)
-            else:
-                acc[col] = v
+            sparse_add(f, acc, col, val)
     return sys_tq.project(acc)
 
 
@@ -594,14 +591,7 @@ def separability_element_field(field, coeffs: list) -> SeparabilityElement:
             numer = [f.add(a, b) for a, b in zip(numer, term)]
         second = alg.mul(numer, inv_pow)
         for k, c in enumerate(second):
-            if f.is_zero(c):
-                continue
-            col = i * n + k
-            v = f.add(tensor.get(col, f.zero), c)
-            if f.is_zero(v):
-                tensor.pop(col, None)
-            else:
-                tensor[col] = v
+            sparse_add(f, tensor, i * n + k, c)
         inv_pow = alg.mul(inv_pow, inv_alpha)
     mu = _tensor_multiply_out(alg, tensor)
     central = _tensor_central(alg, tensor)
@@ -634,19 +624,9 @@ def _tensor_central(alg: Algebra, tensor: dict) -> bool:
         for col, c in tensor.items():
             i, k = divmod(col, n)
             for l, cv in alg.mul_sparse({m: f.one}, {i: c}).items():
-                key = l * n + k
-                v = f.add(lhs.get(key, f.zero), cv)
-                if f.is_zero(v):
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = v
+                sparse_add(f, lhs, l * n + k, cv)
             for l, cv in alg.mul_sparse({k: c}, {m: f.one}).items():
-                key = i * n + l
-                v = f.add(rhs.get(key, f.zero), cv)
-                if f.is_zero(v):
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = v
+                sparse_add(f, rhs, i * n + l, cv)
         if lhs != rhs:
             return False
     return True

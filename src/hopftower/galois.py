@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .frobenius import CheckOutcome, FrobeniusSystem
 from .hopf import HopfStructure, PairingData
-from .linalg import Matrix, basis_vector, rank, vec_eq, vec_scale
+from .linalg import Matrix, basis_vector, rank, sparse_add, vec_eq, vec_scale
 
 
 class GaloisError(ValueError):
@@ -145,12 +145,7 @@ def smash_product(X: Algebra, H: HopfStructure, act: ModuleAlgebraAction) -> Sma
                         xa = X.mul_sparse({x: f.one}, X.to_sparse(hx))
                         for hk, hc in H.algebra.table[v][h2].items():
                             for xk, xc in xa.items():
-                                idx = xk * dh + hk
-                                val = f.add(cell.get(idx, f.zero), f.mul(c, f.mul(hc, xc)))
-                                if f.is_zero(val):
-                                    cell.pop(idx, None)
-                                else:
-                                    cell[idx] = val
+                                sparse_add(f, cell, xk * dh + hk, f.mul(c, f.mul(hc, xc)))
                     table[p][q] = cell
     unit = [f.zero] * dim
     for x, cx in enumerate(X.unit):

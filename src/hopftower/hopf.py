@@ -52,16 +52,8 @@ class HopfStructure:
                 out.append((row // d, row % d, c))
         return out
 
-    def delta_apply(self, v: list) -> list:
-        return self.delta.matvec(v)
-
     def counit_apply(self, v: list):
         return self.counit.matvec(v)[0]
-
-    def antipode_apply(self, v: list) -> list:
-        if self.antipode is None:
-            raise HopfError("no antipode available")
-        return self.antipode.matvec(v)
 
 
 # ---------------------------------------------------------------------------

@@ -240,12 +240,16 @@ def invert(mat: Matrix) -> Optional[Matrix]:
 
 
 class SparseSolver:
-    """Incremental Gaussian elimination for tall sparse systems A x = b.
+    """Incremental sparse Gaussian elimination: the one sparse eliminator.
 
-    Rows arrive one at a time as sparse dicts; inconsistency is detected as
-    soon as a row reduces to zero with a nonzero right-hand side. With
-    reduce_fully=True the pivot rows are kept mutually reduced so a canonical
-    particular solution can be read off at the end.
+    Rows arrive one at a time as sparse dicts {col: scalar}. It serves the
+    tensor quotients, whose relation rows go in with a zero right-hand side
+    and whose quotient bases are the non-pivot columns, and the depth-2
+    systems A x = b, where inconsistency is detected as soon as a row reduces
+    to zero with a nonzero right-hand side. With reduce_fully=True every pivot
+    row is kept free of the other pivot columns (sparse RREF), so ``reduce``
+    gives the canonical normal form of a row modulo the row space and a
+    canonical particular solution can be read off at the end.
     """
 
     def __init__(self, field: Field, cols: int, reduce_fully: bool = False):
@@ -265,19 +269,26 @@ class SparseSolver:
             else:
                 work.pop(col, None)
 
+    def reduce(self, row: dict) -> dict:
+        """Copy of a sparse row with every pivot column cleared.
+
+        Requires reduce_fully=True: a pivot row then holds no other pivot
+        column, so clearing one pivot column never brings in another and one
+        pass over the row's pivot columns suffices.
+        """
+        work = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        for lead in [c for c in work if c in pivots]:
+            self._eliminate(work, lead)
+        return work
+
     def add_row(self, row: dict, rhs) -> bool:
         f = self.field
         work = dict(row)
         if rhs:
             work[self.cols] = rhs
         if self.reduce_fully:
-            # clear every pivot column (kept possible by the RREF invariant:
-            # pivot rows contain no other pivot columns)
-            while True:
-                hit = min((c for c in work if c in self.pivots), default=None)
-                if hit is None:
-                    break
-                self._eliminate(work, hit)
+            work = self.reduce(work)
         else:
             while work:
                 lead = min(work)
@@ -320,6 +331,15 @@ class SparseSolver:
         for lead, row in self.pivots.items():
             x[lead] = row.get(self.cols, f.zero)
         return x, self.cols - len(self.pivots)
+
+
+def sparse_add(field: Field, acc: dict, key, val) -> None:
+    """acc[key] += val on a sparse dict, dropping the key when the sum is zero."""
+    v = field.add(acc.get(key, field.zero), val)
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
 
 
 def vec_eq(field: Field, a: list, b: list) -> bool:

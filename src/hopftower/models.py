@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis
-from .fields import Field, FieldError, PrimeField, RationalField
+from .fields import Field, FieldError, PrimeField, RationalField, digits_token
 from .frobenius import (
     CheckOutcome,
     ExtensionSpec,
     FrobeniusSystem,
+    pairs_to_tensor,
     solve_dual_bases,
     verify_frobenius_identities,
 )
@@ -326,21 +327,10 @@ def hopf_image_in_m1(t, act: ModuleAlgebraAction) -> list:
     """h -> sum_i (h . x_i) (x) y_i, the embedding of the acting Hopf algebra
     into the basic construction."""
     sys = t.base_sys
-    tq = sys.tq
-    f = t.M.field
-    out = []
-    for g in range(act.hopf.dim):
-        acc: dict = {}
-        for x, y in sys.dual_pairs:
-            gx = act.mats[g].matvec(x)
-            for col, c in tq.pure_tensor(gx, y).items():
-                v = f.add(acc.get(col, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(col, None)
-                else:
-                    acc[col] = v
-        out.append(tq.project(acc))
-    return out
+    return [
+        pairs_to_tensor(sys.tq, t.M, [(act.mats[g].matvec(x), y) for x, y in sys.dual_pairs])
+        for g in range(act.hopf.dim)
+    ]
 
 
 def dual_action_on_m1(t, bundle: ModelBundle, a_vectors: list) -> ModuleAlgebraAction:
@@ -387,21 +377,11 @@ def model_tower(bundle: ModelBundle):
     out = verify_module_algebra(act_dual)
     if not out.ok:
         failures.append({"kind": "dual-action-invalid", "detail": out.failures[:1]})
-    level1 = t.levels[0]
-    sys1 = level1.sys
-    tq2 = sys1.tq
-    b_vecs = []
-    for phi in range(bundle.pair.G.order):
-        acc: dict = {}
-        for X_, Y_ in sys1.dual_pairs:
-            gx = act_dual.mats[phi].matvec(X_)
-            for col, c in tq2.pure_tensor(gx, Y_).items():
-                v = f.add(acc.get(col, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(col, None)
-                else:
-                    acc[col] = v
-        b_vecs.append(tq2.project(acc))
+    sys1 = t.levels[0].sys
+    b_vecs = [
+        pairs_to_tensor(sys1.tq, t.M1, [(act_dual.mats[phi].matvec(x), y) for x, y in sys1.dual_pairs])
+        for phi in range(bundle.pair.G.order)
+    ]
     B = SubspaceBasis(t.M2, b_vecs)
 
     # containment in the honest centralizers
@@ -680,7 +660,7 @@ def _field_param(params: dict, default: str) -> Field:
         return RationalField()
     if isinstance(spec, str) and spec.startswith("f"):
         try:
-            return PrimeField(int(spec[1:]))
+            return PrimeField(digits_token(spec[1:]))
         except (ValueError, FieldError) as exc:
             raise ModelError(f"bad field parameter {spec!r}") from exc
     if isinstance(spec, int):

@@ -131,6 +131,7 @@ def run_pipeline(
         results=results,
         verdict=verdict,
         dims=dims,
+        state=state,
     )
 
 

@@ -137,6 +137,9 @@ class PipelineReport:
     results: list
     verdict: dict
     dims: dict = dc_field(default_factory=dict)
+    # the pipeline's in-memory objects (tower, depth-2 data, Hopf pair) for
+    # commands that dump them; never serialized
+    state: Optional[object] = dc_field(default=None, repr=False, compare=False)
 
     def exit_code(self) -> int:
         return 0 if all(r.status != FAIL for r in self.results) else 1

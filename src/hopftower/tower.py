@@ -30,7 +30,7 @@ from .frobenius import (
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
-from .linalg import Matrix, basis_vector, rank, vec_eq, vec_scale
+from .linalg import Matrix, SparseSolver, basis_vector, rank, sparse_add, vec_eq, vec_scale
 
 
 class TowerError(ValueError):
@@ -104,9 +104,6 @@ class TowerData:
     def e1_in_m2(self) -> list:
         return self.incl2.apply(self.e1)
 
-    def push_m_to_m1(self, v: list) -> list:
-        return self.incl1.apply(v)
-
     def push_m_to_m2(self, v: list) -> list:
         return self.incl2.apply(self.incl1.apply(v))
 
@@ -158,15 +155,7 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
                 table[p][q] = prod
 
     # unit 1_1 = sum x_i (x) y_i
-    unit_sparse: dict = {}
-    for x, y in sys.dual_pairs:
-        for col, c in tq.pure_tensor(x, y).items():
-            v = f.add(unit_sparse.get(col, f.zero), c)
-            if f.is_zero(v):
-                unit_sparse.pop(col, None)
-            else:
-                unit_sparse[col] = v
-    unit1 = tq.project(unit_sparse)
+    unit1 = pairs_to_tensor(tq, M, sys.dual_pairs)
     alg1 = Algebra(f, dim1, table, unit1)
 
     checks = []
@@ -180,17 +169,9 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
     # inclusion m -> m . 1_1
     cols = []
     for m in range(M.dim):
-        acc: dict = {}
         em = {m: f.one}
-        for x, y in sys.dual_pairs:
-            mx = M.to_dense(M.mul_sparse(em, M.to_sparse(x)))
-            for col, c in tq.pure_tensor(mx, y).items():
-                v = f.add(acc.get(col, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(col, None)
-                else:
-                    acc[col] = v
-        cols.append(tq.project(acc))
+        pairs = [(M.to_dense(M.mul_sparse(em, M.to_sparse(x))), y) for x, y in sys.dual_pairs]
+        cols.append(pairs_to_tensor(tq, M, pairs))
     incl = LinMap.from_columns(f, cols)
     mono = rank(incl.matrix) == M.dim
     morph = check_morphism(incl, M, alg1)
@@ -334,11 +315,7 @@ def _verify_triple_tensor(t: TowerData) -> list:
         for xj, yj in sys.dual_pairs:
             mid = M.mul(yi, xj)
             for col, cv in triple.pure_tensor3(xi, mid, yj).items():
-                v = f.add(acc.get(col, f.zero), cv)
-                if f.is_zero(v):
-                    acc.pop(col, None)
-                else:
-                    acc[col] = v
+                sparse_add(f, acc, col, cv)
     e2_expected = triple.project(acc)
     e2_mapped = phi.apply(t.e2)
     ok = vec_eq(f, e2_mapped, e2_expected)
@@ -349,11 +326,7 @@ def _verify_triple_tensor(t: TowerData) -> list:
     lam_inv = sys.lambda_inverse
     for xi, yi in sys.dual_pairs:
         for col, cv in triple.pure_tensor3(vec_scale(f, lam_inv, xi), M.unit, yi).items():
-            v = f.add(acc.get(col, f.zero), cv)
-            if f.is_zero(v):
-                acc.pop(col, None)
-            else:
-                acc[col] = v
+            sparse_add(f, acc, col, cv)
     unit_expected = triple.project(acc)
     unit_mapped = phi.apply(level2.algebra.unit)
     ok = vec_eq(f, unit_mapped, unit_expected)
@@ -362,40 +335,14 @@ def _verify_triple_tensor(t: TowerData) -> list:
 
 
 class _TripleQuotient:
-    """M (x)_N M (x)_N M via sparse elimination of both middle relations."""
+    """M (x)_N M (x)_N M, the quotient by both middle relations kept in sparse
+    RREF by a SparseSolver."""
 
     def __init__(self, M: Algebra, N: SubspaceBasis):
         self.M = M
         f = M.field
         d = M.dim
-        pivot_rows: dict[int, dict] = {}
-
-        def insert(row: dict):
-            while row:
-                lead = min(row)
-                piv = pivot_rows.get(lead)
-                if piv is None:
-                    inv = f.inv(row[lead])
-                    row = {c: f.mul(inv, v) for c, v in row.items()}
-                    for other in pivot_rows.values():
-                        c = other.get(lead)
-                        if c is not None:
-                            for col, val in row.items():
-                                v = f.sub(other.get(col, f.zero), f.mul(c, val))
-                                if f.is_zero(v):
-                                    other.pop(col, None)
-                                else:
-                                    other[col] = v
-                    pivot_rows[lead] = row
-                    return
-                c = row[lead]
-                for col, val in piv.items():
-                    v = f.sub(row.get(col, f.zero), f.mul(c, val))
-                    if f.is_zero(v):
-                        row.pop(col, None)
-                    else:
-                        row[col] = v
-
+        relations = SparseSolver(f, d * d * d, reduce_fully=True)
         for x in range(d):
             for n in N.vectors:
                 ns = M.to_sparse(n)
@@ -408,50 +355,33 @@ class _TripleQuotient:
                         # xn (x) y (x) z - x (x) ny (x) z
                         row: dict = {}
                         for l, cv in xn.items():
-                            _bump(f, row, (l * d + y) * d + z, cv)
+                            sparse_add(f, row, (l * d + y) * d + z, cv)
                         for m, cv in ny.items():
-                            _bump(f, row, (x * d + m) * d + z, f.neg(cv))
-                        insert(row)
+                            sparse_add(f, row, (x * d + m) * d + z, f.neg(cv))
+                        relations.add_row(row, f.zero)
                         # x (x) yn (x) z - x (x) y (x) nz
                         row = {}
                         for m, cv in yn.items():
-                            _bump(f, row, (x * d + m) * d + z, cv)
+                            sparse_add(f, row, (x * d + m) * d + z, cv)
                         for l, cv in nz.items():
-                            _bump(f, row, (x * d + y) * d + l, f.neg(cv))
-                        insert(row)
+                            sparse_add(f, row, (x * d + y) * d + l, f.neg(cv))
+                        relations.add_row(row, f.zero)
 
-        self._pivot_rows = pivot_rows
-        pivset = set(pivot_rows)
+        self._relations = relations
         self.reps = [
             (i, j, k)
             for i in range(d)
             for j in range(d)
             for k in range(d)
-            if (i * d + j) * d + k not in pivset
+            if (i * d + j) * d + k not in relations.pivots
         ]
         self.dim = len(self.reps)
         self._index = {(i * d + j) * d + k: c for c, (i, j, k) in enumerate(self.reps)}
 
     def project(self, tensor: dict) -> list:
-        f = self.M.field
-        work = dict(tensor)
-        for col in sorted(work):
-            c = work.get(col)
-            if c is None or f.is_zero(c):
-                continue
-            piv = self._pivot_rows.get(col)
-            if piv is None:
-                continue
-            for pcol, val in piv.items():
-                v = f.sub(work.get(pcol, f.zero), f.mul(c, val))
-                if f.is_zero(v):
-                    work.pop(pcol, None)
-                else:
-                    work[pcol] = v
-        out = [f.zero] * self.dim
-        for col, c in work.items():
-            if not f.is_zero(c):
-                out[self._index[col]] = c
+        out = [self.M.field.zero] * self.dim
+        for col, c in self._relations.reduce(tensor).items():
+            out[self._index[col]] = c
         return out
 
     def pure_tensor3(self, x: list, y: list, z: list) -> dict:
@@ -470,14 +400,6 @@ class _TripleQuotient:
                         continue
                     out[(i * d + j) * d + k] = f.mul(ab, c)
         return out
-
-
-def _bump(f, row: dict, col: int, val):
-    v = f.add(row.get(col, f.zero), val)
-    if f.is_zero(v):
-        row.pop(col, None)
-    else:
-        row[col] = v
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +428,10 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
     assert tq is not None
     failures = []
 
-    cols = []
-    for mat in endo.basis_matrices:
-        acc: dict = {}
-        for x, y in sys.dual_pairs:
-            fx = mat.matvec(x)
-            for col, c in tq.pure_tensor(fx, y).items():
-                v = f.add(acc.get(col, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(col, None)
-                else:
-                    acc[col] = v
-        cols.append(tq.project(acc))
+    cols = [
+        pairs_to_tensor(tq, M, [(mat.matvec(x), y) for x, y in sys.dual_pairs])
+        for mat in endo.basis_matrices
+    ]
     phi = LinMap.from_columns(f, cols)
     morph = check_morphism(phi, endo.algebra, level.algebra)
     if not morph.ok():

@@ -133,6 +133,24 @@ def test_tensor_quotient_projection_section():
     for c in range(tq.dim):
         coords = {c: Q.one}
         assert tq.project_sparse(tq.section_sparse(coords)) == coords
+    # every basis tensor e_i (x) e_j projects, and every relation
+    # e_x n (x) e_y - e_x (x) n e_y projects to zero, for s3/a3 and z4/z2
+    z4 = group_algebra(cyclic_group(4), Q)
+    z2 = SubspaceBasis(z4, [basis_vector(Q, 4, i) for i in (0, 2)])
+    for M, N in ((alg, a3), (z4, z2)):
+        tq = tensor_over_subalgebra(M, N)
+        d = M.dim
+        for col in range(d * d):
+            assert len(tq.project({col: Q.one})) == tq.dim
+        for x in range(d):
+            ex = basis_vector(Q, d, x)
+            for y in range(d):
+                ey = basis_vector(Q, d, y)
+                for n in N.vectors:
+                    row = tq.pure_tensor(M.mul(ex, n), ey)
+                    for col, c in tq.pure_tensor(ex, M.mul(n, ey)).items():
+                        row[col] = Q.sub(row.get(col, Q.zero), c)
+                    assert tq.project_sparse(row) == {}
 
 
 def test_endomorphism_algebra_trivial():

@@ -36,10 +36,23 @@ def test_examples_unknown_name(capsys):
     assert "catalog" in err
 
 
-@pytest.mark.parametrize("d", ["abc", "1.5"])
-def test_examples_malformed_scalar_param(tmp_path, capsys, d):
+@pytest.mark.parametrize(
+    "param",
+    [
+        pytest.param("d=abc", id="abc"),
+        pytest.param("d=1.5", id="1.5"),
+        # field names take ASCII digits only, as the scalar grammar does
+        "field=f1_009",
+        "field=f\u0667",
+        "field=f+7",
+        "field=f 7",
+        "field=f-7",
+        "field=f",
+    ],
+)
+def test_examples_malformed_scalar_param(tmp_path, capsys, param):
     out = tmp_path / "q.json"
-    assert main(["examples", "quadratic-field", "--param", f"d={d}", "--out", str(out)]) == 2
+    assert main(["examples", "quadratic-field", "--param", param, "--out", str(out)]) == 2
     assert "invalid input" in capsys.readouterr().err
     assert not out.exists()
 

@@ -128,6 +128,12 @@ def test_generate_function_algebra_f7():
     assert sidecar["expect"]["lambda_inverse"] == "3"
 
 
+@pytest.mark.parametrize("spec, p", [("f2", 2), ("f7", 7), ("f1009", 1009)])
+def test_field_param_reads_prime_names(spec, p):
+    ext, _ = generate_example("trivial", {"field": spec})
+    assert ext.M.field == PrimeField(p)
+
+
 def test_generate_unknown_name():
     with pytest.raises(ModelError):
         generate_example("no-such-example")

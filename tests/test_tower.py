@@ -3,8 +3,10 @@ import pytest
 from hopftower.fields import RationalField
 from hopftower.frobenius import solve_dual_bases
 from hopftower.linalg import basis_vector, rank, vec_eq, vec_scale
+from hopftower.models import generate_example
 from hopftower.tower import (
     TowerError,
+    _TripleQuotient,
     basic_construction,
     endo_ring_iso,
     verify_braid_relations,
@@ -142,3 +144,42 @@ def test_f_is_composite(tower_sqrt2):
     for y in range(t.M2.dim):
         ey = basis_vector(Q, t.M2.dim, y)
         assert vec_eq(Q, t.F.apply(ey), t.E_M.apply(t.E_M1.apply(ey)))
+
+
+@pytest.mark.parametrize("group, subgroup", [("s3", "a3"), ("z4", "z2")])
+def test_triple_quotient_projects_every_tensor(group, subgroup):
+    """M (x)_N M (x)_N M: every basis tensor e_i (x) e_j (x) e_k projects (the
+    representatives to their own coordinate), and both kinds of relation row
+    project to zero."""
+    ext, _ = generate_example("group-pair", {"group": group, "subgroup": subgroup})
+    M, N = ext.M, ext.N
+    d = M.dim
+    triple = _TripleQuotient(M, N)
+    reps = {(i * d + j) * d + k: c for c, (i, j, k) in enumerate(triple.reps)}
+    for col in range(d ** 3):
+        v = triple.project({col: Q.one})
+        if col in reps:
+            assert v == basis_vector(Q, triple.dim, reps[col])
+
+    def minus(a, b):
+        out = dict(a)
+        for col, c in b.items():
+            out[col] = Q.sub(out.get(col, Q.zero), c)
+        return out
+
+    zero = [Q.zero] * triple.dim
+    e = [basis_vector(Q, d, i) for i in range(d)]
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                for n in N.vectors:
+                    left = minus(
+                        triple.pure_tensor3(M.mul(e[x], n), e[y], e[z]),
+                        triple.pure_tensor3(e[x], M.mul(n, e[y]), e[z]),
+                    )
+                    right = minus(
+                        triple.pure_tensor3(e[x], M.mul(e[y], n), e[z]),
+                        triple.pure_tensor3(e[x], e[y], M.mul(n, e[z])),
+                    )
+                    assert triple.project(left) == zero
+                    assert triple.project(right) == zero
