@@ -159,7 +159,7 @@ def _hopf_from_pair_file(args, outdir: Path) -> int:
     from .hopf import HopfError, bialgebra_from_abstract_pairing
 
     try:
-        field, A, B, P, S, _raw = load_pair_file(args.path)
+        _, A, B, P, S, _raw = load_pair_file(args.path)
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -216,7 +216,7 @@ def cmd_pair_check(args) -> int:
         return 2
     rep = Reporter()
     try:
-        H, out = bialgebra_from_abstract_pairing(A, B, P, antipode_candidate=S)
+        _, out = bialgebra_from_abstract_pairing(A, B, P, antipode_candidate=S)
         rep.outcome("pair-coalgebra", out)
     except HopfError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

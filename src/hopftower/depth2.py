@@ -1,22 +1,30 @@
 """Second centralizers, depth-2 tests and the structure of C.
 
-The depth-2 condition at a level asks for orthogonal dual bases of the
-conditional expectation inside the relevant centralizer. Passing verdicts
-are produced constructively (a free-module basis is extracted and the dual
-system solved linearly, then every defining equation is re-verified); failing
-verdicts are certified by an independent solver for the dual-bases tensor
-restricted to the centralizer square, assembled from scratch. The two code
-paths must agree.
+The depth-2 condition at a level asks for orthogonal dual bases (z_i, w_i)
+of the conditional expectation inside the relevant centralizer (A at level 1,
+B at level 2). Each level takes one route with no tuning knob:
+
+1. dimension count: n0 = dim up / dim down must be an integer and at most
+   the dimension of the centralizer;
+2. the dual-bases tensor system on the centralizer square, assembled from the
+   defining equations and solved from scratch; if it is inconsistent the
+   level fails, since any verified witness sum z_i (x) w_i would solve it;
+3. one witness: a free module basis z (the centralizer basis itself when its
+   dimension is n0, else greedy combinations of that basis from a fixed
+   integer recurrence), then w from the linear system E(w_i z_j) = delta_ij 1;
+4. exact verification of every defining equation of the witness.
+
+A level passes only on a verified witness, and the two paths agree when the
+verdict equals the solvability of the tensor system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
 from .frobenius import CheckOutcome, scalar_of
-from .linalg import Matrix, SparseSolver, basis_vector, invert, sparse_add, vec_eq, vec_scale
+from .linalg import Matrix, SparseSolver, basis_vector, invert, solve, sparse_add, vec_eq, vec_scale
 
 
 @dataclass
@@ -29,7 +37,9 @@ class DepthTwoLevelVerdict:
     w: Optional[list]
     tensor_solvable: Optional[bool]  # independent brute-force path
     paths_agree: Optional[bool]
-    gram_used: bool = False
+    # dim scope == n0: the free basis is the scope basis itself and w is the
+    # inverse Gram solve (report key gram_route)
+    gram_route: bool = False
 
 
 @dataclass
@@ -102,297 +112,136 @@ class _LevelContext:
     cond_exp: LinMap  # up -> down coords
     down_in_up: LinMap  # down coords -> up
     scope: SubspaceBasis  # A (level 1) or B (level 2), inside up
-    down_unit: list
-    structural: list  # candidate z vectors, already in up coordinates
 
 
-def check_depth_two(t, d2: DepthTwoData, search_cap: int = 4000) -> DepthTwoData:
+def check_depth_two(t, d2: DepthTwoData) -> DepthTwoData:
     """Fill both level verdicts of d2 (in place) and return it."""
-    f = t.M.field
-    lvl1 = _LevelContext(
-        up=t.M1,
-        down_dim=t.M.dim,
-        cond_exp=t.E_M,
-        down_in_up=t.incl1,
-        scope=d2.A,
-        down_unit=t.M.unit,
-        structural=_structural_candidates_level1(t),
-    )
-    d2.level1 = _solve_level(1, lvl1, search_cap)
+    lvl1 = _LevelContext(up=t.M1, down_dim=t.M.dim, cond_exp=t.E_M, down_in_up=t.incl1, scope=d2.A)
+    d2.level1 = _solve_level(1, lvl1)
     if d2.level1.passed:
         d2.zw = (d2.level1.z, d2.level1.w)
-    lvl2 = _LevelContext(
-        up=t.M2,
-        down_dim=t.M1.dim,
-        cond_exp=t.E_M1,
-        down_in_up=t.incl2,
-        scope=d2.B,
-        down_unit=t.M1.unit,
-        structural=_structural_candidates_level2(t, d2),
-    )
-    d2.level2 = _solve_level(2, lvl2, search_cap)
+    lvl2 = _LevelContext(up=t.M2, down_dim=t.M1.dim, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
+    d2.level2 = _solve_level(2, lvl2)
     if d2.level2.passed:
         d2.uv = (d2.level2.z, d2.level2.w)
     return d2
 
 
-def _structural_candidates_level1(t) -> list:
-    """x_i e1- and y_i e1 x_i-shaped elements of M1."""
-    sys = t.base_sys
-    tq = sys.tq
-    out = []
-    for x, y in sys.dual_pairs:
-        out.append(tq.project_pure(x, t.M.unit))
-    for x, y in sys.dual_pairs:
-        out.append(tq.project_pure(y, x))
-    return out
-
-
-def _structural_candidates_level2(t, d2: DepthTwoData) -> list:
-    """Analogous candidates one level up, including e2-shifted level-1 data."""
-    f = t.M.field
-    level1 = t.levels[0]
-    sys1 = level1.sys
-    tq2 = sys1.tq
-    M2 = t.M2
-    out = []
-    for X, Y in sys1.dual_pairs:
-        out.append(tq2.project_pure(X, t.M1.unit))
-    for X, Y in sys1.dual_pairs:
-        out.append(tq2.project_pure(Y, X))
-    extra = []
-    if d2.level1 and d2.level1.passed:
-        for z in d2.level1.z:
-            extra.append(M2.mul(t.incl2.apply(z), t.e2))
-        for w in d2.level1.w:
-            extra.append(M2.mul(t.e2, t.incl2.apply(w)))
-    for a in d2.A.vectors:
-        ah = t.incl2.apply(a)
-        extra.append(M2.mul(ah, t.e2))
-        extra.append(M2.mul(t.e2, ah))
-    out.extend(extra)
-    return out
-
-
-def _solve_level(level: int, ctx: _LevelContext, search_cap: int) -> DepthTwoLevelVerdict:
-    f = ctx.up.field
+def _solve_level(level: int, ctx: _LevelContext) -> DepthTwoLevelVerdict:
     verdict = DepthTwoLevelVerdict(
         level=level, passed=False, n0=None, reason=None, z=None, w=None,
-        tensor_solvable=None, paths_agree=None,
+        tensor_solvable=_tensor_membership(ctx), paths_agree=None,
     )
-    if ctx.down_dim == 0 or ctx.up.dim % ctx.down_dim != 0:
-        verdict.reason = "dimension obstruction: dim of the level is not a multiple of the one below"
-        verdict.tensor_solvable = _tensor_membership(ctx)
-        verdict.paths_agree = verdict.tensor_solvable is False
-        return verdict
-    n0 = ctx.up.dim // ctx.down_dim
-    verdict.n0 = n0
-    if ctx.scope.dim < n0:
-        verdict.reason = (
-            f"dimension obstruction: centralizer dimension {ctx.scope.dim} < required basis size {n0}"
-        )
-        verdict.tensor_solvable = _tensor_membership(ctx)
-        verdict.paths_agree = verdict.tensor_solvable is False
-        return verdict
-
-    z = None
-    # Gram route: scalar-valued E on scope products with invertible Gram
-    if ctx.scope.dim == n0:
-        gram = _scalar_gram(ctx)
-        if gram is not None:
-            gram_inv = invert(gram)
-            if gram_inv is None:
-                verdict.reason = "Gram singular"
-            else:
-                z = [list(v) for v in ctx.scope.vectors]
-                w = []
-                for i in range(n0):
-                    acc = [f.zero] * ctx.up.dim
-                    for k in range(n0):
-                        c = gram_inv.data[i][k]
-                        if f.is_zero(c):
-                            continue
-                        acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, ctx.scope.vectors[k])]
-                    w.append(acc)
-                ok, why = _verify_pair(ctx, z, w)
-                if ok:
-                    verdict.passed = True
-                    verdict.gram_used = True
-                    verdict.z, verdict.w = z, w
-                    verdict.tensor_solvable = _tensor_membership(ctx)
-                    verdict.paths_agree = verdict.tensor_solvable is True
-                    return verdict
-                verdict.reason = f"orthogonal candidates from the Gram matrix fail verification: {why}"
-                z = None
-
-    # constructive route: find a free right-module basis inside the scope
-    z = _find_free_basis(ctx, n0, search_cap)
-    if z is None:
-        if verdict.reason is None:
-            verdict.reason = "no free module basis found inside the centralizer (searched structural candidates, basis subsets and pair sums)"
-        verdict.tensor_solvable = _tensor_membership(ctx)
-        verdict.paths_agree = verdict.tensor_solvable is False
-        return verdict
-    w = _solve_w(ctx, z)
-    if w is None:
-        verdict.reason = "orthogonality system inconsistent for the extracted free basis"
-        verdict.tensor_solvable = _tensor_membership(ctx)
-        verdict.paths_agree = verdict.tensor_solvable is False
-        return verdict
-    ok, why = _verify_pair(ctx, z, w)
-    if not ok:
-        verdict.reason = f"solved dual system fails verification: {why}"
-        verdict.tensor_solvable = _tensor_membership(ctx)
-        verdict.paths_agree = verdict.tensor_solvable is False
-        return verdict
-    verdict.passed = True
-    verdict.z, verdict.w = z, w
-    verdict.tensor_solvable = _tensor_membership(ctx)
-    verdict.paths_agree = verdict.tensor_solvable is True
+    verdict.reason = _decide_level(ctx, verdict)
+    verdict.paths_agree = verdict.passed == verdict.tensor_solvable
     return verdict
 
 
-def _scalar_gram(ctx: _LevelContext) -> Optional[Matrix]:
-    """Gram matrix of E on the scope when every value is scalar, else None."""
-    f = ctx.up.field
-    down_alg_unit = ctx.cond_exp.apply(ctx.up.unit)  # = 1 in down coords
-    n = ctx.scope.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = ctx.up.mul(ctx.scope.vectors[i], ctx.scope.vectors[j])
-            val = ctx.cond_exp.apply(prod)
-            c = _scalar_in_down(f, val, down_alg_unit)
-            if c is None:
-                return None
-            row.append(c)
-        rows.append(row)
-    return Matrix(f, rows)
+def _decide_level(ctx: _LevelContext, verdict: DepthTwoLevelVerdict) -> Optional[str]:
+    """Dimension count, tensor system, one witness, exact verification.
 
-
-def _scalar_in_down(f, val: list, unit: list):
-    c = None
-    for a, u in zip(val, unit):
-        if f.is_zero(u):
-            if not f.is_zero(a):
-                return None
-        else:
-            cand = f.div(a, u)
-            if c is None:
-                c = cand
-            elif not f.eq(c, cand):
-                return None
-    if c is None:
-        c = f.zero
-    if not vec_eq(f, val, vec_scale(f, c, unit)):
-        return None
-    return c
-
-
-def _find_free_basis(ctx: _LevelContext, n0: int, search_cap: int) -> Optional[list]:
-    """Greedy deterministic search for z_1..z_n0 in the scope with
-    up = (+) z_i . down (tested by column rank)."""
-    f = ctx.up.field
-    down_cols = [ctx.down_in_up.apply(basis_vector(f, ctx.down_dim, m)) for m in range(ctx.down_dim)]
-
-    candidates: list = []
-    seen_keys = set()
-
-    def push(vec):
-        key = tuple(vec)
-        if key in seen_keys or all(f.is_zero(c) for c in vec):
-            return
-        seen_keys.add(key)
-        candidates.append(vec)
-
-    for v in ctx.structural:
-        if ctx.scope.contains(v):
-            push(list(v))
-    for v in ctx.scope.vectors:
-        push(list(v))
-    basis = ctx.scope.vectors
-    for i, j in combinations(range(len(basis)), 2):
-        if len(candidates) >= search_cap:
-            break
-        push([f.add(a, b) for a, b in zip(basis[i], basis[j])])
-    for i, j in combinations(range(len(basis)), 2):
-        if len(candidates) >= search_cap:
-            break
-        push([f.sub(a, b) for a, b in zip(basis[i], basis[j])])
-
-    # incremental rank tracking: pivots maps lead column -> reduced row
-    def reduce_against(pivots: dict, row: list) -> Optional[tuple[int, list]]:
-        row = list(row)
-        for lead in sorted(pivots):
-            c = row[lead]
-            if not f.is_zero(c):
-                prow = pivots[lead]
-                row = [f.sub(a, f.mul(c, b)) for a, b in zip(row, prow)]
-        for idx, c in enumerate(row):
-            if not f.is_zero(c):
-                inv = f.inv(c)
-                return idx, [f.mul(inv, x) for x in row]
-        return None
-
-    pivots: dict = {}
-    chosen: list = []
-    tested = 0
-    for cand in candidates:
-        if len(chosen) == n0:
-            break
-        tested += 1
-        if tested > search_cap:
-            break
-        trial = dict(pivots)
-        good = True
-        for m_col in down_cols:
-            row = ctx.up.mul(cand, m_col)
-            res = reduce_against(trial, row)
-            if res is None:
-                good = False
-                break
-            lead, reduced = res
-            trial[lead] = reduced
-        if good:
-            pivots = trial
-            chosen.append(list(cand))
-    if len(chosen) == n0:
-        return chosen
+    Fills n0, z, w and passed on the verdict; returns the failure reason, or
+    None when the witness verifies.
+    """
+    if ctx.down_dim == 0 or ctx.up.dim % ctx.down_dim != 0:
+        return "dimension obstruction: dim of the level is not a multiple of the one below"
+    n0 = ctx.up.dim // ctx.down_dim
+    verdict.n0 = n0
+    s = ctx.scope.dim
+    if s < n0:
+        return f"dimension obstruction: centralizer dimension {s} < required basis size {n0}"
+    verdict.gram_route = s == n0
+    # a verified witness sum z_i (x) w_i would solve the tensor system
+    if not verdict.tensor_solvable:
+        return "the dual-bases tensor system in the centralizer square is inconsistent"
+    z = _free_basis(ctx, n0)
+    if z is None:
+        if s == n0:
+            return "the centralizer basis is not a free module basis"
+        return f"no free module basis among {s * s} combinations of the centralizer basis"
+    w = _dual_w(ctx, z)
+    if w is None:
+        return "orthogonality system inconsistent for the free basis"
+    ok, why = _verify_pair(ctx, z, w)
+    if not ok:
+        return f"solved dual system fails verification: {why}"
+    verdict.passed = True
+    verdict.z, verdict.w = z, w
     return None
 
 
-def _solve_w(ctx: _LevelContext, z: list) -> Optional[list]:
-    """Solve sum_i z_i E(w_i x) = x for all basis x; unique when z is free."""
+def _combine(f, coeffs: list, vectors: list, dim: int) -> list:
+    acc = [f.zero] * dim
+    for c, v in zip(coeffs, vectors):
+        if not f.is_zero(c):
+            acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, v)]
+    return acc
+
+
+def _scope_combinations(ctx: _LevelContext, count: int):
+    """count combinations of the whole scope basis, coefficients in -2..2
+    drawn from a fixed linear congruential recurrence, so the sequence is the
+    same on every platform and scalar backend."""
+    f = ctx.up.field
+    state = 1
+    for _ in range(count):
+        coeffs = []
+        for _ in range(ctx.scope.dim):
+            state = (state * 1103515245 + 12345) % 2**31
+            coeffs.append(f.from_int((state >> 16) % 5 - 2))
+        yield _combine(f, coeffs, ctx.scope.vectors, ctx.up.dim)
+
+
+def _free_basis(ctx: _LevelContext, n0: int) -> Optional[list]:
+    """z_1..z_n0 in the scope with up = (+) z_i . down, or None.
+
+    When dim scope = n0 every free basis spans the scope, so the scope basis
+    itself decides freeness exactly. Otherwise combinations of the scope
+    basis are accepted greedily when their block z . down extends the rank by
+    dim down, over at most (dim scope)^2 candidates.
+    """
     f = ctx.up.field
     up = ctx.up
-    d = up.dim
-    n0 = len(z)
-    z_sparse = [up.to_sparse(zi) for zi in z]
-    solver = SparseSolver(f, n0 * d, reduce_fully=True)
-    for x in range(d):
-        blocks: list[dict] = [dict() for _ in range(d)]
-        for v in range(d):
-            evx = ctx.cond_exp.apply(up.to_dense(up.mul_sparse({v: f.one}, {x: f.one})))
-            emb = up.to_sparse(ctx.down_in_up.apply(evx))
-            if not emb:
-                continue
-            for i in range(n0):
-                term = up.mul_sparse(z_sparse[i], emb)
-                col = i * d + v
-                for r, val in term.items():
-                    sparse_add(f, blocks[r], col, val)
-        for r in range(d):
-            rhs = f.one if r == x else f.zero
-            if not solver.add_row(blocks[r], rhs):
-                return None
-    res = solver.solution()
-    if res is None:
-        return None
-    sol, free = res
-    if free:
-        return None
-    return [sol[i * d : (i + 1) * d] for i in range(n0)]
+    s = ctx.scope.dim
+    down = [up.to_sparse(ctx.down_in_up.apply(basis_vector(f, ctx.down_dim, m))) for m in range(ctx.down_dim)]
+    candidates = ctx.scope.vectors if s == n0 else _scope_combinations(ctx, s * s)
+    span = SparseSolver(f, up.dim, reduce_fully=True)
+    z = []
+    for cand in candidates:
+        block = SparseSolver(f, up.dim, reduce_fully=True)
+        cand_sparse = up.to_sparse(cand)
+        for k, m in enumerate(down):
+            block.add_row(span.reduce(up.mul_sparse(cand_sparse, m)), f.zero)
+            if block.rank() <= k:
+                break
+        else:
+            for row in block.pivots.values():
+                span.add_row(row, f.zero)
+            z.append(list(cand))
+            if len(z) == n0:
+                return z
+    return None
+
+
+def _dual_w(ctx: _LevelContext, z: list) -> Optional[list]:
+    """Solve E(w_i z_j) = delta_ij 1 for w_i in scope coordinates.
+
+    The system has n0 * dim down rows and dim scope columns. For a free z the
+    solution is unique, and it gives sum_i z_i E(w_i x) = x: writing
+    x = sum_j z_j d_j, E(w_i x) = d_i.
+    """
+    f = ctx.up.field
+    one = ctx.cond_exp.apply(ctx.up.unit)
+    cols = [[c for zj in z for c in ctx.cond_exp.apply(ctx.up.mul(b, zj))] for b in ctx.scope.vectors]
+    mat = Matrix(f, [list(row) for row in zip(*cols)])
+    zero = [f.zero] * ctx.down_dim
+    w = []
+    for i in range(len(z)):
+        res = solve(mat, [c for j in range(len(z)) for c in (one if j == i else zero)])
+        if res is None:
+            return None
+        w.append(_combine(f, res[0], ctx.scope.vectors, ctx.up.dim))
+    return w
 
 
 def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
@@ -477,7 +326,7 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
     e1 c e1 = e1 E_M1(c), C isomorphic to a full matrix algebra via explicit
     matrix units from B (x) B, char k does not divide n, dim A = dim B."""
     f = t.M.field
-    M1, M2 = t.M1, t.M2
+    M2 = t.M2
     failures = []
     A, B, C = d2.A, d2.B, d2.C
     if A.dim != B.dim:

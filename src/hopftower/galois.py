@@ -615,7 +615,6 @@ def comodule_axioms_from_action(act: ModuleAlgebraAction) -> CheckOutcome:
     X = act.algebra
     H = act.hopf
     f = X.field
-    dh = H.dim
     failures = []
     # coassociativity of the coaction = action axiom rho(h h') = ..., already
     # covered; here check counit: sum_j eps*(p_j) (u_j . x) = x where

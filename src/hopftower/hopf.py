@@ -249,7 +249,6 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[Matrix, Matrix, C
                 failures.append({"kind": "eps-multiplicative", "pair": (i, j)})
     if t is not None and d2 is not None:
         lam_inv = t.base_sys.lambda_inverse
-        lam = f.inv(lam_inv)
         for j, b in enumerate(d2.B.vectors):
             val = scalar_of(t.M, t.F.apply(t.M2.mul(b, t.e2)))
             if val is None or not f.eq(f.mul(lam_inv, val), eps.data[0][j]):
@@ -426,9 +425,7 @@ def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
     failures = []
     db = H.dim
     b_vecs = d2.B.vectors
-    S_vecs = [_b_vec(d2, H.antipode, j) for j in range(db)]
     delta_legs = [H.delta_coords(j) for j in range(db)]
-    e1h = t.e1_in_m2()
 
     # exchange relation: y b = lam^-1 b_(2) E_M1(e2 y b_(1))
     for x in range(M1.dim):

@@ -290,7 +290,7 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> None:
     state.d2 = d2
     for cid, verdict in (("depth2-level-1", d2.level1), ("depth2-level-2", d2.level2)):
         if verdict.passed:
-            rep.add(cid, PASS, witness={"n": verdict.n0, "gram_route": verdict.gram_used})
+            rep.add(cid, PASS, witness={"n": verdict.n0, "gram_route": verdict.gram_route})
         else:
             # a failing depth-2 hypothesis is recorded on the hypothesis list,
             # not as a failed identity check

@@ -1,6 +1,10 @@
+import pytest
+
 from hopftower.algebra import SubspaceBasis, span_dim
 from hopftower.depth2 import (
     DepthTwoData,
+    _LevelContext,
+    _verify_pair,
     check_depth_two,
     conditional_expectations,
     f_scalar_on_c,
@@ -10,6 +14,8 @@ from hopftower.depth2 import (
 )
 from hopftower.fields import RationalField
 from hopftower.linalg import Matrix, basis_vector, invert, vec_eq, vec_scale
+from hopftower.models import generate_example
+from hopftower.pipeline import run_pipeline
 
 Q = RationalField()
 
@@ -41,6 +47,26 @@ def test_non_normal_subgroup_fails(d2_s3_z2):
     assert d2.level1.tensor_solvable is False
     assert d2.level2.tensor_solvable is False
     assert d2.level1.paths_agree and d2.level2.paths_agree
+
+
+def test_non_normal_reason_names_the_tensor_system(d2_s3_z2):
+    # the witness search is skipped once the tensor system has no solution
+    for verdict in (d2_s3_z2.level1, d2_s3_z2.level2):
+        assert verdict.reason == "the dual-bases tensor system in the centralizer square is inconsistent"
+        assert verdict.z is None and verdict.w is None
+
+
+@pytest.mark.parametrize("field,group", [("f7", "z3"), ("f7", "z4"), ("rational", "z3")])
+def test_function_algebra_passes_both_levels(field, group):
+    ext, _ = generate_example("function-algebra", {"field": field, "group": group})
+    state = run_pipeline(ext).state
+    t, d2 = state.tower, state.d2
+    assert d2.level1.passed and d2.level2.passed
+    assert d2.level1.paths_agree and d2.level2.paths_agree
+    # dim B = 9 or 16 exceeds n0 = 3 or 4: the witness is found, not read off
+    assert d2.level2.n0 == t.M.dim and d2.B.dim > d2.level2.n0
+    ctx = _LevelContext(up=t.M2, down_dim=t.M1.dim, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
+    assert _verify_pair(ctx, *d2.uv) == (True, "")
 
 
 def test_normal_vs_non_normal_verdicts_differ(d2_s3_a3, d2_s3_z2):
@@ -98,8 +124,8 @@ def test_mutilated_scope_gives_dimension_obstruction(tower_sqrt2):
 
 def test_model_gram_route(model_z2, model_z3_f7):
     for t, d2 in (model_z2, model_z3_f7):
-        assert d2.level1.passed and d2.level1.gram_used
-        assert d2.level2.passed and d2.level2.gram_used
+        assert d2.level1.passed and d2.level1.gram_route
+        assert d2.level2.passed and d2.level2.gram_route
         assert d2.level1.paths_agree and d2.level2.paths_agree
 
 
@@ -122,8 +148,8 @@ def test_model_tensor_decomposition(model_z2):
 
 
 def test_depth_two_separability_element(model_z2, d2_trivial, tower_trivial):
-    # lam sum z_i (x) w_i is a separability element for A whenever the Gram
-    # route certifies orthogonal dual bases with scalar values
+    # lam sum z_i (x) w_i is a separability element for A when dim A = n0
+    # (z is the basis of A, w its inverse-Gram dual) and E is scalar on A A
     cases = [(model_z2[0], model_z2[1]), (tower_trivial, d2_trivial)]
     for t, d2 in cases:
         f = t.M.field

@@ -1,17 +1,25 @@
-"""Golden report digests for every catalog case the benchmark runs.
+"""Golden report digests for every catalog case the benchmark runs, and the
+catalog's own expected outcomes.
 
 Each case follows the user path: generate_example -> canonical_json of
 extension_to_dict -> json.loads -> extension_from_dict -> run_pipeline ->
 sha256 of canonical_json(report.to_dict()). A speed-up or refactor must leave
-every report byte-identical, so each digest is pinned to the value the code
-gave before the coordinate-map and associativity kernels were rewritten. The
-digests equal the per-case ``sha256`` in the results line of
-``bench/run.py`` for catalog-q and catalog-fp.
+every report byte-identical, so each digest is pinned. The digests equal the
+per-case ``sha256`` in the results line of ``bench/run.py`` for catalog-q and
+catalog-fp. Six digests changed on purpose when the depth-2 decision became
+one witness solve: function-algebra z3 and z4 (over Q and F7) now pass both
+depth-2 levels, and group-pair s3/z2 names the inconsistent tensor system.
 
-The function-algebra z3 and z4 digests (over Q and F7) encode the known
-depth2-crosscheck FAIL of those cases. They will change, on purpose, when the
-complete depth-2 decision (ROADMAP direction 1) lands.
+Every report is also held to its generate_example sidecar (lambda_inverse,
+dims, flags, the depth-2 levels the sidecar names), with no check FAIL; the
+catalog over F5 is checked against its sidecars only.
+
+Coverage gap: no catalog example but the 1-dim ``trivial`` one is
+irreducible, so the honest Hopf and Galois stages run end to end only there.
+All other Hopf and Galois coverage goes through ``d2_override`` model
+centralizers (tests/test_hopf.py, tests/test_galois.py, the model-f7 bench).
 """
+import functools
 import hashlib
 import json
 
@@ -37,7 +45,7 @@ CATALOG = (
 def _cases() -> dict:
     """case id -> (example name, generate_example params), ids as in bench/run.py."""
     out = {}
-    for field, tag in (("rational", "q"), ("f7", "f7")):
+    for field, tag in (("rational", "q"), ("f7", "f7"), ("f5", "f5")):
         for example, params in CATALOG:
             label = "/".join(v for k, v in params if k in ("group", "subgroup"))
             case_id = f"{tag}/{example}" + (f":{label}" if label else "")
@@ -47,36 +55,73 @@ def _cases() -> dict:
 
 
 CASES = _cases()
+DIGEST_CASES = [case_id for case_id in CASES if not case_id.startswith("f5/")]
 
 
 GOLDEN = {
     "q/trivial": "9762c0660b2a4c8a693ae54c91f323a53eb08c49c0775defe0bdb0983b56fca9",
     "q/quadratic-field": "8523bf5d735440bd2e8893c3c581e817acd94c2316d6cfd6d7c561e0113c9880",
     "q/group-pair:s3/a3": "e604f04f79914bee0f924411adc7e6b51fd006f4e13804038e4bcd46ff977d27",
-    "q/group-pair:s3/z2": "5c32051c262c516b4195a6bee44910ebe551da3de9a59c9a136a608cad9e7154",
+    "q/group-pair:s3/z2": "995b8ce7d99186e4e71aadfa11bc625ceb7cf62c61beea7c8f03d845efafbea7",
     "q/group-pair:z4/z2": "ba0c940537edd0487f4756b6e8cf0b6afc469557b11fa8b78afa052532bef123",
     "q/group-pair:z2/z1": "cc0d1e1d6a68cc5f4c278e6ca8f6a67230ddaf08250146358ce23e8f3834fb80",
     "q/function-algebra:z2": "37427acafbf5fe3f0c49a3b7eb5c8b08119b4bd6d4f145d956f7a24b351ae99b",
-    "q/function-algebra:z3": "7ca49a5983a0fe868dd8d55c5b1348c88c982a468baef19c795debb0755b025e",
-    "q/function-algebra:z4": "4152c89f3e89d42ec2e4cb65812b8a720bcf89914c1fcdd78e595407d4d6099b",
+    "q/function-algebra:z3": "5fe440798375e58effc015a5fa763c87e7565094d195dd578df511dae54d1502",
+    "q/function-algebra:z4": "254859e63a3c39d61ab8c2736080d3b7a16871f492592c86748c932af92aec72",
     "f7/trivial": "218ad8bea62dc4a6f0f07a02dab47864262606bf7268144d45ea82ec7b1beee0",
     "f7/quadratic-field": "7e92d6971f94a1a9f2dee4273a7416388ff9816fec7788d5ac202c4eb50dba5b",
     "f7/group-pair:s3/a3": "b4d7ce6e3fad3e2d25bbaa7005a6f376f8e3a9daf1f2d0d7571edb2b40c5a29a",
-    "f7/group-pair:s3/z2": "9fffa57435bf971165ce71e468179cbe85981568c70c4fdd61831f78fd8667b9",
+    "f7/group-pair:s3/z2": "e95aa2ce092124c0063a6c27cb533ea73f738a0d68d3b4ff103af51416834bd3",
     "f7/group-pair:z4/z2": "35ea43b42f32d0387ee0e10fb12c9100a2fbd50315dcc4ce7bc60a6992aae2fd",
     "f7/group-pair:z2/z1": "b382c89f66c0dd609b55c2c01a1390cef0ed50ed434fa94c77fc21c1f3899106",
     "f7/function-algebra:z2": "f47a4bf9da3c5df35aec09f65ae814cb532b29fe3a38e54140f975b54d7510c5",
-    "f7/function-algebra:z3": "097bec3658b2b55efbc2638b9f67c26d25e7914112ae42f3d79fb75e046970c1",
-    "f7/function-algebra:z4": "f47eebf3eb9b346806cfba54684118a9d220e5a40d07a887911a2048dadfdd5e",
+    "f7/function-algebra:z3": "502a16d4f9245bcf69e7c90eaa744e10498029dbce2634be261b5923c3f26505",
+    "f7/function-algebra:z4": "c5547b20bfde99bb08df15e1dc9ce94f182732781542828e2de78326bec013ab",
     "f2/m2f2": "81b45f77250fb303ae83f12161a1756bf3f33b6782a2d8fc32ccafd082194798",
 }
 
 
-@pytest.mark.parametrize("case_id", list(CASES))
-def test_report_digest_is_golden(case_id):
+@functools.lru_cache(maxsize=None)
+def _run(case_id: str) -> tuple[dict, str, dict]:
+    """(report dict, its sha256, sidecar) for one case, run once per session."""
     example, params = CASES[case_id]
-    ext, _sidecar = generate_example(example, params)
+    ext, sidecar = generate_example(example, params)
     text = canonical_json(extension_to_dict(ext))
-    report = run_pipeline(extension_from_dict(json.loads(text)))
-    got = hashlib.sha256(canonical_json(report.to_dict()).encode("utf-8")).hexdigest()
+    report = run_pipeline(extension_from_dict(json.loads(text))).to_dict()
+    got = hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
+    return report, got, sidecar
+
+
+def _sidecar_mismatches(report: dict, expect: dict) -> list[str]:
+    hyp = report["hypotheses"]
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    out = []
+    if hyp.get("lambda_inverse") != expect["lambda_inverse"]:
+        out.append(f"lambda_inverse {hyp.get('lambda_inverse')} != {expect['lambda_inverse']}")
+    for key, want in expect["dims"].items():
+        if report["dims"].get(key) != want:
+            out.append(f"dims.{key} {report['dims'].get(key)} != {want}")
+    for key, want in expect["flags"].items():
+        if hyp.get(key) != want:
+            out.append(f"flags.{key} {hyp.get(key)} != {want}")
+    # a failing depth-2 level is a hypothesis failure, reported as SKIP
+    for level, want in expect.get("depth_two", {}).items():
+        if want is None:
+            continue
+        got = status[f"depth2-level-{level[-1]}"]
+        if got != {"pass": "pass", "fail": "skipped"}[want]:
+            out.append(f"depth_two.{level} {got} != {want}")
+    out.extend(f"{cid} fail" for cid, st in status.items() if st == "fail")
+    return out
+
+
+@pytest.mark.parametrize("case_id", DIGEST_CASES)
+def test_report_digest_is_golden(case_id):
+    _report, got, _sidecar = _run(case_id)
     assert got == GOLDEN[case_id]
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_report_matches_sidecar(case_id):
+    report, _digest, sidecar = _run(case_id)
+    assert _sidecar_mismatches(report, sidecar["expect"]) == []

@@ -1,0 +1,52 @@
+"""Static checks over the package source."""
+import ast
+from pathlib import Path
+
+import hopftower
+
+SRC = Path(hopftower.__file__).parent
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """Nodes of fn's body, without descending into nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, _SCOPES))
+
+
+def _stored_never_loaded(tree) -> list[tuple[str, int, str]]:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        # loads in nested functions count: closures read the outer name
+        loaded = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del))
+        }
+        out.extend(
+            (fn.name, line, name) for name, line in stored.items()
+            if name not in loaded and not name.startswith("_")
+        )
+    return out
+
+
+def test_no_local_is_stored_and_never_read():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused.extend(f"{path.name}:{line} {fn}: {name}" for fn, line, name in _stored_never_loaded(tree))
+    assert unused == [], "locals stored but never read (use _ for a discarded value)"
+
+
+def test_scan_sees_a_dead_local():
+    tree = ast.parse("def g(x):\n    y = x + 1\n    _z = 2\n    def h():\n        return x\n    return h\n")
+    assert _stored_never_loaded(tree) == [("g", 2, "y")]
