@@ -19,6 +19,8 @@ from .linalg import (
     kernel_basis,
     rref,
     sparse_add,
+    sparse_apply,
+    sparse_columns,
     stack,
     vec_eq,
     vec_is_zero,
@@ -567,13 +569,15 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
     failures = []
     if not vec_eq(fld, f_map.apply(A.unit), B.unit):
         failures.append({"kind": "unit"})
-    images = [f_map.apply(basis_vector(fld, A.dim, i)) for i in range(A.dim)]
+    images = sparse_columns(f_map.matrix)
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = f_map.apply(A.to_dense(A.table[i][j]))
-            rhs = B.mul(images[i], images[j])
-            if not vec_eq(fld, lhs, rhs):
-                failures.append({"kind": "mult", "pair": (i, j), "lhs": lhs, "rhs": rhs})
+            lhs = sparse_apply(fld, images, A.table[i][j])
+            rhs = B.mul_sparse(images[i], images[j])
+            if lhs != rhs:
+                failures.append(
+                    {"kind": "mult", "pair": (i, j), "lhs": B.to_dense(lhs), "rhs": B.to_dense(rhs)}
+                )
                 if len(failures) >= max_failures:
                     break
         if len(failures) >= max_failures:

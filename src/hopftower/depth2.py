@@ -24,7 +24,19 @@ from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
 from .frobenius import CheckOutcome, scalar_of
-from .linalg import Matrix, SparseSolver, basis_vector, invert, solve, sparse_add, vec_eq, vec_scale
+from .linalg import (
+    Matrix,
+    SparseSolver,
+    basis_vector,
+    invert,
+    solve,
+    sparse_add,
+    sparse_apply,
+    sparse_axpy,
+    sparse_columns,
+    vec_eq,
+    vec_scale,
+)
 
 
 @dataclass
@@ -259,18 +271,20 @@ def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
             expected = down_unit if i == j else [f.zero] * len(down_unit)
             if not vec_eq(f, val, expected):
                 return False, f"orthogonality fails at ({i}, {j})"
+    # the Frobenius sums from sparse table rows: e_x z_i and w_i e_x via mul_sparse
+    cond = sparse_columns(ctx.cond_exp.matrix)
+    down_in_up = sparse_columns(ctx.down_in_up.matrix)
+    pairs = [(up.to_sparse(zi), up.to_sparse(wi)) for zi, wi in zip(z, w)]
     for x in range(up.dim):
-        ex = basis_vector(f, up.dim, x)
-        left = [f.zero] * up.dim
-        right = [f.zero] * up.dim
-        for zi, wi in zip(z, w):
-            exz = ctx.cond_exp.apply(up.mul(ex, zi))
-            term = up.mul(ctx.down_in_up.apply(exz), wi)
-            left = [f.add(a, b) for a, b in zip(left, term)]
-            ewx = ctx.cond_exp.apply(up.mul(wi, ex))
-            term = up.mul(zi, ctx.down_in_up.apply(ewx))
-            right = [f.add(a, b) for a, b in zip(right, term)]
-        if not vec_eq(f, left, ex) or not vec_eq(f, right, ex):
+        ex = {x: f.one}
+        left: dict = {}
+        right: dict = {}
+        for zi, wi in pairs:
+            exz = sparse_apply(f, down_in_up, sparse_apply(f, cond, up.mul_sparse(ex, zi)))
+            sparse_axpy(f, left, f.one, up.mul_sparse(exz, wi))
+            ewx = sparse_apply(f, down_in_up, sparse_apply(f, cond, up.mul_sparse(wi, ex)))
+            sparse_axpy(f, right, f.one, up.mul_sparse(zi, ewx))
+        if left != ex or right != ex:
             return False, f"Frobenius sum fails at basis {x}"
     return True, ""
 

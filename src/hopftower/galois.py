@@ -20,12 +20,18 @@ from .algebra import (
     verify_algebra,
 )
 from .frobenius import CheckOutcome, FrobeniusSystem
-from .hopf import HopfStructure, PairingData
-from .linalg import Matrix, basis_vector, rank, sparse_add, vec_eq, vec_scale
-
-
-class GaloisError(ValueError):
-    """Action or comodule data violates its axioms."""
+from .hopf import HopfStructure, PairingData, sandwich_maps
+from .linalg import (
+    Matrix,
+    basis_vector,
+    rank,
+    sparse_add,
+    sparse_apply,
+    sparse_axpy,
+    sparse_columns,
+    vec_eq,
+    vec_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +54,10 @@ class ModuleAlgebraAction:
             img = self.mats[i].matvec(x)
             out = [f.add(a, f.mul(c, b)) for a, b in zip(out, img)]
         return out
+
+    def columns(self) -> list:
+        """columns()[h][x] = e_h . e_x as a sparse dict, read off the matrices."""
+        return [sparse_columns(m) for m in self.mats]
 
 
 def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> CheckOutcome:
@@ -74,18 +84,15 @@ def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> Ch
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
     # module-algebra law
+    cols = act.columns()
     for i in range(H.dim):
         legs = H.delta_coords(i)
         for x in range(X.dim):
-            ex = basis_vector(f, X.dim, x)
             for y in range(X.dim):
-                ey = basis_vector(f, X.dim, y)
-                lhs = act.mats[i].matvec(X.mul(ex, ey))
-                rhs = [f.zero] * X.dim
+                rhs: dict = {}
                 for u, v, c in legs:
-                    term = X.mul(act.mats[u].matvec(ex), act.mats[v].matvec(ey))
-                    rhs = [f.add(a, f.mul(c, b)) for a, b in zip(rhs, term)]
-                if not vec_eq(f, lhs, rhs):
+                    sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], cols[v][y]))
+                if sparse_apply(f, cols[i], X.table[x][y]) != rhs:
                     failures.append({"kind": "module-algebra-law", "triple": (i, x, y)})
                     if len(failures) >= max_failures:
                         return CheckOutcome(False, failures)
@@ -132,17 +139,18 @@ def smash_product(X: Algebra, H: HopfStructure, act: ModuleAlgebraAction) -> Sma
     dim = dx * dh
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     legs_by_h = [H.delta_coords(h) for h in range(dh)]
+    cols = act.columns()
     for x in range(dx):
+        # x (h_u . x2) for every u and x2
+        x_acted = [[X.mul_sparse({x: f.one}, col) for col in cols_u] for cols_u in cols]
         for h in range(dh):
             p = x * dh + h
             for x2 in range(dx):
-                ex2 = basis_vector(f, dx, x2)
                 for h2 in range(dh):
                     q = x2 * dh + h2
                     cell: dict = {}
                     for u, v, c in legs_by_h[h]:
-                        hx = act.mats[u].matvec(ex2)
-                        xa = X.mul_sparse({x: f.one}, X.to_sparse(hx))
+                        xa = x_acted[u][x2]
                         for hk, hc in H.algebra.table[v][h2].items():
                             for xk, xc in xa.items():
                                 sparse_add(f, cell, xk * dh + hk, f.mul(c, f.mul(hc, xc)))
@@ -286,41 +294,46 @@ def psi_inverse_formula(
 # ---------------------------------------------------------------------------
 
 
+def _b_action_matrices(t, d2) -> list:
+    """The matrix of x -> lam^-1 E_M1(b x e2) on M1 for each basis element b
+    of B, read from the right sandwich maps on the basis of M1."""
+    f = t.M.field
+    lam_inv = t.base_sys.lambda_inverse
+    _left, right = sandwich_maps(t, d2, sparse_columns(t.incl2.matrix))
+    return [
+        Matrix(f, [[f.mul(lam_inv, col.get(r, f.zero)) for col in cols] for r in range(t.M1.dim)])
+        for cols in right
+    ]
+
+
 def action_b_on_m1(t, d2, H_B: HopfStructure) -> tuple[ModuleAlgebraAction, CheckOutcome]:
     """Ocneanu-Szymanski action b . x = lam^-1 E_M1(b x e2), verified as a
     module-algebra action, cross-checked against b_(1) x S(b_(2)), with
     e2 . x = E_M(x)."""
     f = t.M.field
     M1, M2 = t.M1, t.M2
-    lam_inv = t.base_sys.lambda_inverse
-    mats = []
-    for b in d2.B.vectors:
-        cols = []
-        for x in range(M1.dim):
-            xh = t.incl2.apply(basis_vector(f, M1.dim, x))
-            img = t.E_M1.apply(M2.mul(M2.mul(b, xh), t.e2))
-            cols.append(vec_scale(f, lam_inv, img))
-        mats.append(Matrix(f, [[cols[j][i] for j in range(M1.dim)] for i in range(M1.dim)]))
-    act = ModuleAlgebraAction(H_B, M1, mats)
+    act = ModuleAlgebraAction(H_B, M1, _b_action_matrices(t, d2))
     out = verify_module_algebra(act)
     failures = list(out.failures)
 
     if H_B.antipode is not None:
-        for j, b in enumerate(d2.B.vectors):
+        S = H_B.antipode
+        b_sp = [M2.to_sparse(b) for b in d2.B.vectors]
+        s_b = []  # S(b_v) in M2
+        for v in range(H_B.dim):
+            sb: dict = {}
+            for w in range(H_B.dim):
+                sparse_axpy(f, sb, S.data[w][v], b_sp[w])
+            s_b.append(sb)
+        incl = sparse_columns(t.incl2.matrix)
+        cols = act.columns()
+        for j in range(H_B.dim):
             legs = H_B.delta_coords(j)
             for x in range(M1.dim):
-                xh = t.incl2.apply(basis_vector(f, M1.dim, x))
-                rhs = [f.zero] * M2.dim
+                rhs: dict = {}
                 for u, v, c in legs:
-                    sb = [f.zero] * M2.dim
-                    for w in range(H_B.dim):
-                        cw = H_B.antipode.data[w][v]
-                        if not f.is_zero(cw):
-                            sb = [f.add(a, f.mul(cw, bb)) for a, bb in zip(sb, d2.B.vectors[w])]
-                    term = M2.mul(M2.mul(d2.B.vectors[u], xh), sb)
-                    rhs = [f.add(a, f.mul(c, bb)) for a, bb in zip(rhs, term)]
-                lhs = t.incl2.apply(mats[j].matvec(basis_vector(f, M1.dim, x)))
-                if not vec_eq(f, lhs, rhs):
+                    sparse_axpy(f, rhs, c, M2.mul_sparse(M2.mul_sparse(b_sp[u], incl[x]), s_b[v]))
+                if sparse_apply(f, incl, cols[j][x]) != rhs:
                     failures.append({"kind": "outer-action-formula", "pair": (j, x)})
                     break
 
@@ -395,7 +408,14 @@ def verify_invariants(act: ModuleAlgebraAction, expected: SubspaceBasis) -> Chec
 
 def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) -> CheckOutcome:
     """theta: x # b -> x b is an algebra isomorphism M1 # B -> M2, and its
-    restriction A # B -> C is one as well."""
+    restriction A # B -> C is one as well.
+
+    The smash tables are built from the action columns h . e_x, read once
+    from the action matrices, and check_morphism reads the image of each
+    basis element once and gets theta(e_i e_j) as sum_k c_ij^k theta(e_k).
+    Both are exact by linearity alone: every product is still formed and
+    every identity checked on every basis pair or triple.
+    """
     f = t.M.field
     M1, M2 = t.M1, t.M2
     failures = []
@@ -455,8 +475,7 @@ def cleft_data(t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData, ac
     its convolution inverse is iota o S_A, the associated cocycle is trivial,
     and m # a -> m a is an algebra isomorphism M # A -> M1."""
     f = t.M.field
-    M1, M2 = t.M1, t.M2
-    lam_inv = t.base_sys.lambda_inverse
+    M1 = t.M1
     failures = []
 
     # coaction rho: M1 -> M1 (x) A dual to the B-action: rho(x) = sum_j (u_j . x) (x) p_j
@@ -464,14 +483,7 @@ def cleft_data(t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData, ac
     p_duals = []  # p_j as A-coordinate vectors
     for j in range(d2.B.dim):
         p_duals.append([p.P_inv.data[j][u] for u in range(d2.A.dim)])
-    b_mats = []
-    for j, b in enumerate(d2.B.vectors):
-        cols = []
-        for x in range(M1.dim):
-            xh = t.incl2.apply(basis_vector(f, M1.dim, x))
-            img = t.E_M1.apply(M2.mul(M2.mul(b, xh), t.e2))
-            cols.append(vec_scale(f, lam_inv, img))
-        b_mats.append(Matrix(f, [[cols[c][r] for c in range(M1.dim)] for r in range(M1.dim)]))
+    b_mats = _b_action_matrices(t, d2)
 
     def coaction_legs(x_vec: list) -> list:
         legs = []
@@ -592,15 +604,13 @@ def galois_map(
         failures.append({"kind": "dimension-mismatch", "dims": (tq.dim, target_dim)})
         return CheckOutcome(False, failures)
     cols = []
+    act_cols = act.columns()
     for (i, j) in tq.pairs:
         ei = {i: f.one}
         out = [f.zero] * target_dim
         for u in range(dh):
-            img = act.mats[u].matvec(basis_vector(f, X.dim, j))
-            prod = X.to_dense(X.mul_sparse(ei, X.to_sparse(img)))
-            for r, c in enumerate(prod):
-                if not f.is_zero(c):
-                    out[r * dh + u] = f.add(out[r * dh + u], c)
+            for r, c in X.mul_sparse(ei, act_cols[u][j]).items():
+                out[r * dh + u] = f.add(out[r * dh + u], c)
         cols.append(out)
     beta = LinMap.from_columns(f, cols)
     ok = rank(beta.matrix) == tq.dim

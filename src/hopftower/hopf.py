@@ -5,6 +5,13 @@ a comultiplication on B through dual bases; the antipode comes from the two
 one-sided maps b -> E_M1(e2 e1 b) and b -> E_M1(b e1 e2). Every derived
 structure map is re-verified against its defining identity on all basis
 tuples, which also makes the construction basis-independent in practice.
+
+The tower identities (antipode remark, exchange relation, both action
+identities) are read from the sandwich maps z -> E_M1(e2 z b_j) and
+z -> E_M1(b_j z e2), built once per check as columns on a basis
+(sandwich_maps) and applied to each element where it is needed. This is
+exact: the product is bilinear in the structure constants and E_M1 is
+linear, so each value equals the one formed by multiplying at that point.
 """
 from __future__ import annotations
 
@@ -13,7 +20,17 @@ from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis
 from .frobenius import CheckOutcome, scalar_of
-from .linalg import Matrix, basis_vector, invert, rank, vec_eq, vec_scale
+from .linalg import (
+    Matrix,
+    basis_vector,
+    invert,
+    rank,
+    sparse_apply,
+    sparse_axpy,
+    sparse_columns,
+    vec_eq,
+    vec_scale,
+)
 
 
 class HopfError(ValueError):
@@ -261,23 +278,52 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[Matrix, Matrix, C
 # ---------------------------------------------------------------------------
 
 
-def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
-    """S = Phi^-1 Psi with Phi(b) = E_M1(e2 e1 b), Psi(b) = E_M1(b e1 e2);
-    verifies E_M1(b x e2) = E_M1(e2 x S(b)) for every basis x in M1."""
+def sandwich_maps(t, d2, domain: list[dict]) -> tuple[list, list]:
+    """The maps z -> E_M1(e2 z b_j) and z -> E_M1(b_j z e2) for every basis
+    element b_j of B, evaluated on each sparse M2 vector z_k of domain.
+
+    Returns (left, right) with left[j][k] = E_M1((e2 z_k) b_j) and
+    right[j][k] = E_M1((b_j z_k) e2) as sparse M1 dicts. On the basis of M2
+    these are the columns of the two maps, and sparse_apply evaluates the maps
+    anywhere exactly: the product is bilinear in the structure constants and
+    E_M1 is linear, so no associativity and no multiplicativity of incl2 is
+    assumed.
+    """
     f = t.M.field
     M2 = t.M2
-    e1h = t.e1_in_m2()
+    cond = sparse_columns(t.E_M1.matrix)
+    e2 = M2.to_sparse(t.e2)
+    e2z = [M2.mul_sparse(e2, z) for z in domain]
+    left, right = [], []
+    for b in d2.B.vectors:
+        bs = M2.to_sparse(b)
+        left.append([sparse_apply(f, cond, M2.mul_sparse(ez, bs)) for ez in e2z])
+        right.append([sparse_apply(f, cond, M2.mul_sparse(M2.mul_sparse(bs, z), e2)) for z in domain])
+    return left, right
+
+
+def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
+    """S = Phi^-1 Psi with Phi(b) = E_M1(e2 e1 b), Psi(b) = E_M1(b e1 e2);
+    verifies E_M1(b x e2) = E_M1(e2 x S(b)) for every basis x in M1.
+
+    Phi, Psi and both sides of the identity are read from the sandwich maps
+    at e1 and at the basis of M1; the right-hand side is
+    sum_u S[u][j] E_M1(e2 x b_u), exact by linearity in the right factor.
+    """
+    f = t.M.field
+    M1 = t.M1
+    db = d2.B.dim
+    e1h = t.M2.to_sparse(t.e1_in_m2())
+    left, right = sandwich_maps(t, d2, sparse_columns(t.incl2.matrix) + [e1h])
     failures = []
     phi_cols = []
     psi_cols = []
-    for b in d2.B.vectors:
-        img = t.E_M1.apply(M2.mul(M2.mul(t.e2, e1h), b))
-        coords = d2.A.coords(img)
+    for j in range(db):
+        coords = d2.A.coords(M1.to_dense(left[j][-1]))
         if coords is None:
             return None, CheckOutcome(False, [{"kind": "Phi image outside A"}])
         phi_cols.append(coords)
-        img = t.E_M1.apply(M2.mul(M2.mul(b, e1h), t.e2))
-        coords = d2.A.coords(img)
+        coords = d2.A.coords(M1.to_dense(right[j][-1]))
         if coords is None:
             return None, CheckOutcome(False, [{"kind": "Psi image outside A"}])
         psi_cols.append(coords)
@@ -287,35 +333,19 @@ def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
     if phi_inv is None:
         return None, CheckOutcome(False, [{"kind": "Phi not invertible"}])
     S = phi_inv.mul(psi.matrix)
-    if rank(S) != d2.B.dim:
+    if rank(S) != db:
         failures.append({"kind": "S not bijective"})
     # remark identity on all basis x in M1
-    for x in range(t.M1.dim):
-        xh = t.incl2.apply(basis_vector(f, t.M1.dim, x))
-        for j, b in enumerate(d2.B.vectors):
-            lhs = t.E_M1.apply(M2.mul(M2.mul(b, xh), t.e2))
-            sb = _b_vec(d2, S, j)
-            rhs = t.E_M1.apply(M2.mul(M2.mul(t.e2, xh), sb))
-            if not vec_eq(f, lhs, rhs):
+    for x in range(M1.dim):
+        for j in range(db):
+            rhs: dict = {}
+            for u in range(db):
+                sparse_axpy(f, rhs, S.data[u][j], left[u][x])
+            if right[j][x] != rhs:
                 failures.append({"kind": "remark-identity", "pair": (x, j)})
                 if len(failures) >= 3:
                     return S, CheckOutcome(False, failures)
     return S, CheckOutcome(not failures, failures)
-
-
-def _b_vec(d2, S: Matrix, j: int) -> list:
-    """S(b_j) as an ambient (M2) vector."""
-    f = S.field
-    out = None
-    for u in range(S.rows):
-        c = S.data[u][j]
-        if f.is_zero(c):
-            continue
-        term = vec_scale(f, c, d2.B.vectors[u])
-        out = term if out is None else [f.add(a, b) for a, b in zip(out, term)]
-    if out is None:
-        out = [f.zero] * len(d2.B.vectors[0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,61 +449,61 @@ def verify_hopf_axioms(
 
 
 def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
+    """Exchange relation, both action identities, integrality and centrality.
+
+    Every E_M1 sandwich is read from the maps of sandwich_maps, built once on
+    the basis of M2; each left-hand side applies them to the M2 product xh yh
+    itself. Elements stay sparse dicts, compared after dropping zeros.
+    """
     f = t.M.field
     M1, M2 = t.M1, t.M2
     lam_inv = t.base_sys.lambda_inverse
     failures = []
     db = H.dim
-    b_vecs = d2.B.vectors
-    delta_legs = [H.delta_coords(j) for j in range(db)]
+    b_sp = [M2.to_sparse(b) for b in d2.B.vectors]
+    # legs of Delta(b_j) with lam^-1 folded into the coefficient
+    delta_legs = [[(u, v, f.mul(lam_inv, c)) for u, v, c in H.delta_coords(j)] for j in range(db)]
+    incl = sparse_columns(t.incl2.matrix)
+    left, right = sandwich_maps(t, d2, [{k: f.one} for k in range(M2.dim)])
+    # on the image of M1: left_x[u][x] = E_M1(e2 x b_u), right_x[u][x] = E_M1(b_u x e2)
+    left_x = [[sparse_apply(f, left[u], xh) for xh in incl] for u in range(db)]
+    right_x = [[sparse_apply(f, right[u], xh) for xh in incl] for u in range(db)]
 
     # exchange relation: y b = lam^-1 b_(2) E_M1(e2 y b_(1))
+    inner = [[sparse_apply(f, incl, v) for v in row] for row in left_x]
     for x in range(M1.dim):
-        yh = t.incl2.apply(basis_vector(f, M1.dim, x))
         for j in range(db):
-            lhs = M2.mul(yh, b_vecs[j])
-            rhs = [f.zero] * M2.dim
+            rhs: dict = {}
             for u, v, c in delta_legs[j]:
-                inner = t.E_M1.apply(M2.mul(M2.mul(t.e2, yh), b_vecs[u]))
-                term = M2.mul(b_vecs[v], t.incl2.apply(inner))
-                rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
-            if not vec_eq(f, lhs, rhs):
+                sparse_axpy(f, rhs, c, M2.mul_sparse(b_sp[v], inner[u][x]))
+            if M2.mul_sparse(incl[x], b_sp[j]) != rhs:
                 failures.append({"kind": "exchange-relation", "pair": (x, j)})
                 if len(failures) >= budget:
                     return failures
 
     # E_M1(e2 x y b) = lam^-1 E_M1(e2 x b_(2)) E_M1(e2 y b_(1))
     for x in range(M1.dim):
-        xh = t.incl2.apply(basis_vector(f, M1.dim, x))
         for y in range(M1.dim):
-            yh = t.incl2.apply(basis_vector(f, M1.dim, y))
-            xy = M2.mul(xh, yh)
+            xy = M2.mul_sparse(incl[x], incl[y])
             for j in range(db):
-                lhs = t.E_M1.apply(M2.mul(M2.mul(t.e2, xy), b_vecs[j]))
-                rhs = [f.zero] * M1.dim
+                rhs = {}
                 for u, v, c in delta_legs[j]:
-                    t1 = t.E_M1.apply(M2.mul(M2.mul(t.e2, xh), b_vecs[v]))
-                    t2 = t.E_M1.apply(M2.mul(M2.mul(t.e2, yh), b_vecs[u]))
-                    term = M1.mul(t1, t2)
-                    rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
-                if not vec_eq(f, lhs, rhs):
+                    sparse_axpy(f, rhs, c, M1.mul_sparse(left_x[v][x], left_x[u][y]))
+                if sparse_apply(f, left[j], xy) != rhs:
                     failures.append({"kind": "action-identity", "triple": (x, y, j)})
                     if len(failures) >= budget:
                         return failures
                 # left version: E_M1(b x y e2) = lam^-1 E_M1(b_(1) x e2) E_M1(b_(2) y e2)
-                lhs = t.E_M1.apply(M2.mul(M2.mul(b_vecs[j], xy), t.e2))
-                rhs = [f.zero] * M1.dim
+                rhs = {}
                 for u, v, c in delta_legs[j]:
-                    t1 = t.E_M1.apply(M2.mul(M2.mul(b_vecs[u], xh), t.e2))
-                    t2 = t.E_M1.apply(M2.mul(M2.mul(b_vecs[v], yh), t.e2))
-                    term = M1.mul(t1, t2)
-                    rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
-                if not vec_eq(f, lhs, rhs):
+                    sparse_axpy(f, rhs, c, M1.mul_sparse(right_x[u][x], right_x[v][y]))
+                if sparse_apply(f, right[j], xy) != rhs:
                     failures.append({"kind": "left-action-identity", "triple": (x, y, j)})
                     if len(failures) >= budget:
                         return failures
 
     # e2 is a two-sided integral: e2 b = eps(b) e2 = b e2
+    b_vecs = d2.B.vectors
     e2_B = d2.B.coords(t.e2)
     if e2_B is None:
         failures.append({"kind": "e2-outside-B"})

@@ -342,6 +342,25 @@ def sparse_add(field: Field, acc: dict, key, val) -> None:
         acc.pop(key, None)
 
 
+def sparse_axpy(field: Field, acc: dict, c, v: dict) -> None:
+    """acc += c * v on sparse dicts, dropping keys whose sum is zero."""
+    for key, val in v.items():
+        sparse_add(field, acc, key, field.mul(c, val))
+
+
+def sparse_columns(mat: Matrix) -> list[dict]:
+    """The columns of mat as sparse dicts {row: entry}."""
+    return [{r: row[c] for r, row in enumerate(mat.data) if row[c]} for c in range(mat.cols)]
+
+
+def sparse_apply(field: Field, columns: list[dict], v: dict) -> dict:
+    """The linear map with the given sparse columns applied to a sparse vector."""
+    out: dict = {}
+    for k, c in v.items():
+        sparse_axpy(field, out, c, columns[k])
+    return out
+
+
 def vec_eq(field: Field, a: list, b: list) -> bool:
     return len(a) == len(b) and all(field.eq(x, y) for x, y in zip(a, b))
 

@@ -273,3 +273,37 @@ def test_nakayama_fixes_jones_idempotents(stack_trivial, stack_z2, stack_z3_f7):
                 if not f.is_zero(c):
                     acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, v)]
             assert vec_eq(f, acc, vec)
+
+
+def _reference_frobenius_sums(ctx, z, w):
+    """The Frobenius-sum loop of _verify_pair with dense products, as it was
+    before the products were read as sparse table rows."""
+    f = ctx.up.field
+    up = ctx.up
+    for x in range(up.dim):
+        ex = basis_vector(f, up.dim, x)
+        left = [f.zero] * up.dim
+        right = [f.zero] * up.dim
+        for zi, wi in zip(z, w):
+            term = up.mul(ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul(ex, zi))), wi)
+            left = [f.add(a, b) for a, b in zip(left, term)]
+            term = up.mul(zi, ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul(wi, ex))))
+            right = [f.add(a, b) for a, b in zip(right, term)]
+        if not vec_eq(f, left, ex) or not vec_eq(f, right, ex):
+            return False, f"Frobenius sum fails at basis {x}"
+    return True, ""
+
+
+@pytest.mark.parametrize("drop", [0, 2])
+def test_verify_pair_frobenius_reason_matches_reference(drop):
+    # dropping one pair keeps membership and orthogonality, so only the
+    # Frobenius sums can fail, at the first basis element the dense loop names
+    ext, _ = generate_example("function-algebra", {"field": "f7", "group": "z3"})
+    state = run_pipeline(ext).state
+    t, d2 = state.tower, state.d2
+    ctx = _LevelContext(up=t.M2, down_dim=t.M1.dim, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
+    z, w = d2.uv
+    z, w = z[:drop] + z[drop + 1:], w[:drop] + w[drop + 1:]
+    got = _verify_pair(ctx, z, w)
+    assert got[0] is False and got[1].startswith("Frobenius sum fails at basis")
+    assert got == _reference_frobenius_sums(ctx, z, w)

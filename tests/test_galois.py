@@ -1,4 +1,7 @@
-from hopftower.algebra import Algebra, SubspaceBasis
+import pytest
+
+from hopftower import galois
+from hopftower.algebra import Algebra, LinMap, SubspaceBasis, check_morphism
 from hopftower.fields import PrimeField, RationalField
 from hopftower.galois import (
     ModuleAlgebraAction,
@@ -273,3 +276,184 @@ def test_galois_map_tower(stack_z2, stack_trivial):
         assert out.ok
         res = galois_map(t.M, t.base_sys.ext.N, t.base_sys.tq, act_a, H_A.dim)
         assert res.ok, res.failures[:2]
+
+
+# -- failure equivalence with the per-element loops ----------------------------
+#
+# The action matrices come from precomputed sandwich maps, and the module,
+# smash and morphism checks read action columns and basis images once as
+# sparse dicts. The dense loops they replaced are kept here as references: on
+# perturbed data both must give exactly the same failures, tables and
+# verdicts.
+
+
+def _reference_b_mats(t, d2):
+    f = t.M.field
+    M1, M2 = t.M1, t.M2
+    lam_inv = t.base_sys.lambda_inverse
+    mats = []
+    for b in d2.B.vectors:
+        cols = []
+        for x in range(M1.dim):
+            xh = t.incl2.apply(basis_vector(f, M1.dim, x))
+            img = t.E_M1.apply(M2.mul(M2.mul(b, xh), t.e2))
+            cols.append([f.mul(lam_inv, c) for c in img])
+        mats.append(Matrix(f, [[cols[j][i] for j in range(M1.dim)] for i in range(M1.dim)]))
+    return mats
+
+
+def _reference_module_algebra(H, X, mats, max_failures=6):
+    f = X.field
+    failures = []
+    acc = Matrix.zero(f, X.dim, X.dim)
+    for i, c in enumerate(H.algebra.unit):
+        if not f.is_zero(c):
+            acc = acc.add(mats[i].scale(c))
+    if not acc == Matrix.identity(f, X.dim):
+        failures.append({"kind": "unit-action"})
+    for i in range(H.dim):
+        for j in range(H.dim):
+            acc = Matrix.zero(f, X.dim, X.dim)
+            for k, c in H.algebra.table[i][j].items():
+                acc = acc.add(mats[k].scale(c))
+            if not acc == mats[i].mul(mats[j]):
+                failures.append({"kind": "action-not-multiplicative", "pair": (i, j)})
+                if len(failures) >= max_failures:
+                    return failures
+    for i in range(H.dim):
+        legs = H.delta_coords(i)
+        for x in range(X.dim):
+            ex = basis_vector(f, X.dim, x)
+            for y in range(X.dim):
+                ey = basis_vector(f, X.dim, y)
+                lhs = mats[i].matvec(X.mul(ex, ey))
+                rhs = [f.zero] * X.dim
+                for u, v, c in legs:
+                    term = X.mul(mats[u].matvec(ex), mats[v].matvec(ey))
+                    rhs = [f.add(a, f.mul(c, b)) for a, b in zip(rhs, term)]
+                if not vec_eq(f, lhs, rhs):
+                    failures.append({"kind": "module-algebra-law", "triple": (i, x, y)})
+                    if len(failures) >= max_failures:
+                        return failures
+        lhs = mats[i].matvec(X.unit)
+        if not vec_eq(f, lhs, [f.mul(H.counit.data[0][i], c) for c in X.unit]):
+            failures.append({"kind": "unit-not-scaled-by-eps", "basis": i})
+    return failures
+
+
+def _reference_action_b(t, d2, H_B, mats):
+    f = t.M.field
+    M1, M2 = t.M1, t.M2
+    failures = _reference_module_algebra(H_B, M1, mats)
+    for j in range(H_B.dim):
+        legs = H_B.delta_coords(j)
+        for x in range(M1.dim):
+            xh = t.incl2.apply(basis_vector(f, M1.dim, x))
+            rhs = [f.zero] * M2.dim
+            for u, v, c in legs:
+                sb = [f.zero] * M2.dim
+                for w in range(H_B.dim):
+                    cw = H_B.antipode.data[w][v]
+                    sb = [f.add(a, f.mul(cw, bb)) for a, bb in zip(sb, d2.B.vectors[w])]
+                term = M2.mul(M2.mul(d2.B.vectors[u], xh), sb)
+                rhs = [f.add(a, f.mul(c, bb)) for a, bb in zip(rhs, term)]
+            lhs = t.incl2.apply(mats[j].matvec(basis_vector(f, M1.dim, x)))
+            if not vec_eq(f, lhs, rhs):
+                failures.append({"kind": "outer-action-formula", "pair": (j, x)})
+                break
+    e2_B = d2.B.coords(t.e2)
+    act = ModuleAlgebraAction(H_B, M1, mats)
+    for x in range(M1.dim):
+        ex = basis_vector(f, M1.dim, x)
+        if not vec_eq(f, act.act_vec(e2_B, ex), t.incl1.apply(t.E_M.apply(ex))):
+            failures.append({"kind": "e2-action-vs-E_M", "basis": x})
+            break
+    return failures
+
+
+def _reference_smash_table(X, H, mats):
+    f = X.field
+    dx, dh = X.dim, H.dim
+    table = [[{} for _ in range(dx * dh)] for _ in range(dx * dh)]
+    for x in range(dx):
+        for h in range(dh):
+            for x2 in range(dx):
+                ex2 = basis_vector(f, dx, x2)
+                for h2 in range(dh):
+                    cell = {}
+                    for u, v, c in H.delta_coords(h):
+                        xa = X.mul_sparse({x: f.one}, X.to_sparse(mats[u].matvec(ex2)))
+                        for hk, hc in H.algebra.table[v][h2].items():
+                            for xk, xc in xa.items():
+                                key = xk * dh + hk
+                                val = f.add(cell.get(key, f.zero), f.mul(c, f.mul(hc, xc)))
+                                if val:
+                                    cell[key] = val
+                                else:
+                                    cell.pop(key, None)
+                    table[x * dh + h][x2 * dh + h2] = cell
+    return table
+
+
+def _reference_check_morphism(f_map, A, B, max_failures=5):
+    fld = A.field
+    failures = []
+    if not vec_eq(fld, f_map.apply(A.unit), B.unit):
+        failures.append({"kind": "unit"})
+    images = [f_map.apply(basis_vector(fld, A.dim, i)) for i in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = f_map.apply(A.to_dense(A.table[i][j]))
+            rhs = B.mul(images[i], images[j])
+            if not vec_eq(fld, lhs, rhs):
+                failures.append({"kind": "mult", "pair": (i, j), "lhs": lhs, "rhs": rhs})
+                if len(failures) >= max_failures:
+                    return failures
+    return failures
+
+
+def _bumped(mat, r, c):
+    out = Matrix(mat.field, [row[:] for row in mat.data])
+    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
+    return out
+
+
+@pytest.mark.parametrize("perturb", ["none", "delta", "antipode", "action"])
+def test_action_b_matches_reference(stack_z3_f7, monkeypatch, perturb):
+    t, d2, p, H_B = stack_z3_f7[:4]
+    mats = _reference_b_mats(t, d2)
+    assert action_b_on_m1(t, d2, H_B)[0].mats == mats
+    if perturb == "delta":
+        H_B = HopfStructure(H_B.algebra, _bumped(H_B.delta, 3, 1), H_B.counit, H_B.antipode)
+    elif perturb == "antipode":
+        H_B = HopfStructure(H_B.algebra, H_B.delta, H_B.counit, _bumped(H_B.antipode, 1, 2))
+    elif perturb == "action":
+        mats = mats[:1] + [_bumped(mats[1], 2, 5)] + mats[2:]
+        monkeypatch.setattr(galois, "_b_action_matrices", lambda t, d2: mats)
+    _act, out = action_b_on_m1(t, d2, H_B)
+    assert out.failures == _reference_action_b(t, d2, H_B, mats)
+    assert bool(out.failures) == (perturb != "none")
+
+
+@pytest.mark.parametrize("perturb", [None, (0, 2, 5), (2, 4, 4)])
+def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
+    t, d2, p, H_B = stack_z3_f7[:4]
+    f = t.M.field
+    mats = _reference_b_mats(t, d2)
+    if perturb is not None:
+        h, r, c = perturb
+        mats = [_bumped(m, r, c) if i == h else m for i, m in enumerate(mats)]
+    sm = smash_product(t.M1, H_B, ModuleAlgebraAction(H_B, t.M1, mats))
+    ref = _reference_smash_table(t.M1, H_B, mats)
+    assert [[list(cell.items()) for cell in row] for row in sm.algebra.table] == [
+        [list(cell.items()) for cell in row] for row in ref
+    ]
+    cols = [
+        t.M2.mul(t.incl2.apply(basis_vector(f, t.M1.dim, x)), b)
+        for x in range(t.M1.dim)
+        for b in d2.B.vectors
+    ]
+    theta = LinMap.from_columns(f, cols)
+    morph = check_morphism(theta, sm.algebra, t.M2)
+    assert morph.failures == _reference_check_morphism(theta, sm.algebra, t.M2)
+    assert bool(morph.failures) == (perturb is not None)

@@ -18,15 +18,21 @@ Coverage gap: no catalog example but the 1-dim ``trivial`` one is
 irreducible, so the honest Hopf and Galois stages run end to end only there.
 All other Hopf and Galois coverage goes through ``d2_override`` model
 centralizers (tests/test_hopf.py, tests/test_galois.py, the model-f7 bench).
+The three model-f7 reports, ``f7/model:z2``, ``f7/model:z3`` and
+``f7/model:z4`` (function-algebra over F7 with the model tower's A, B, C as
+``d2_override``, as bench/run.py runs them), are pinned in MODEL_GOLDEN: they
+are the only reports that hold the Hopf and Galois stages at size.
 """
+import copy
 import functools
 import hashlib
 import json
 
 import pytest
 
+from hopftower.depth2 import DepthTwoData
 from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
-from hopftower.models import generate_example
+from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
 
 CATALOG = (
@@ -81,6 +87,19 @@ GOLDEN = {
 }
 
 
+# digests taken before the Hopf and Galois identities were read from
+# precomputed sandwich maps and action columns
+MODEL_GOLDEN = {
+    "f7/model:z2": "f45535b3510f5613f21150d8079767c27e2639e8a8efc1b615dc8a7c11728ab6",
+    "f7/model:z3": "bcf00795ce400c38732d224b8b70328c9225c4f682424bac6b4914a6266cd936",
+    "f7/model:z4": "0ccaa5412aa51954437f83d26b99dca156b697b762caea2aa61556970bfa536e",
+}
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def _run(case_id: str) -> tuple[dict, str, dict]:
     """(report dict, its sha256, sidecar) for one case, run once per session."""
@@ -88,8 +107,7 @@ def _run(case_id: str) -> tuple[dict, str, dict]:
     ext, sidecar = generate_example(example, params)
     text = canonical_json(extension_to_dict(ext))
     report = run_pipeline(extension_from_dict(json.loads(text))).to_dict()
-    got = hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
-    return report, got, sidecar
+    return report, _digest(report), sidecar
 
 
 def _sidecar_mismatches(report: dict, expect: dict) -> list[str]:
@@ -125,3 +143,17 @@ def test_report_digest_is_golden(case_id):
 def test_report_matches_sidecar(case_id):
     report, _digest, sidecar = _run(case_id)
     assert _sidecar_mismatches(report, sidecar["expect"]) == []
+
+
+@pytest.mark.parametrize("case_id", list(MODEL_GOLDEN))
+def test_model_report_digest_is_golden(case_id):
+    group = case_id.split(":")[1]
+    ext, _sidecar = generate_example("function-algebra", {"group": group, "field": "f7"})
+    text = canonical_json(extension_to_dict(ext))
+    _tower, d2, rep = model_tower(model_bundle(f"function-algebra:{group}", ext.M.field))
+    assert rep.ok, rep.failures[:1]
+    # the run fills the override in place, so it gets fresh copies
+    A, B, C = copy.deepcopy((d2.A, d2.B, d2.C))
+    override = DepthTwoData(A=A, B=B, C=C, source="model")
+    report = run_pipeline(extension_from_dict(json.loads(text)), d2_override=override).to_dict()
+    assert _digest(report) == MODEL_GOLDEN[case_id]

@@ -1,16 +1,18 @@
 import pytest
 
+from hopftower import hopf
 from hopftower.algebra import SubspaceBasis
 from hopftower.fields import PrimeField, RationalField
 from hopftower.hopf import (
     HopfError,
     HopfStructure,
+    _tower_axioms,
     bialgebra_from_abstract_pairing,
     compute_pairing,
     comultiplication,
     verify_hopf_axioms,
 )
-from hopftower.linalg import Matrix, vec_eq
+from hopftower.linalg import Matrix, basis_vector, rank, vec_eq
 from hopftower.models import (
     GROUPS,
     evaluation_pairing,
@@ -237,3 +239,134 @@ def test_dualize_pairing_compatibility(stack_z3_f7):
                 if not f.is_zero(c):
                     rhs = f.add(rhs, f.mul(c, p.P.data[i][v]))
             assert f.eq(lhs, rhs)
+
+
+# -- failure equivalence with the per-element loops ----------------------------
+#
+# The tower identities are read from precomputed sandwich maps. The loops they
+# replaced, which form every product and E_M1 value at each basis tuple, are
+# kept here as references: on perturbed data both must report exactly the
+# same failures, in the same order, up to the same budget.
+
+
+def _reference_tower_axioms(H, t, d2, budget):
+    f = t.M.field
+    M1, M2 = t.M1, t.M2
+    lam_inv = t.base_sys.lambda_inverse
+    failures = []
+    db = H.dim
+    b_vecs = d2.B.vectors
+    delta_legs = [H.delta_coords(j) for j in range(db)]
+    for x in range(M1.dim):
+        yh = t.incl2.apply(basis_vector(f, M1.dim, x))
+        for j in range(db):
+            lhs = M2.mul(yh, b_vecs[j])
+            rhs = [f.zero] * M2.dim
+            for u, v, c in delta_legs[j]:
+                inner = t.E_M1.apply(M2.mul(M2.mul(t.e2, yh), b_vecs[u]))
+                term = M2.mul(b_vecs[v], t.incl2.apply(inner))
+                rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
+            if not vec_eq(f, lhs, rhs):
+                failures.append({"kind": "exchange-relation", "pair": (x, j)})
+                if len(failures) >= budget:
+                    return failures
+    for x in range(M1.dim):
+        xh = t.incl2.apply(basis_vector(f, M1.dim, x))
+        for y in range(M1.dim):
+            yh = t.incl2.apply(basis_vector(f, M1.dim, y))
+            xy = M2.mul(xh, yh)
+            for j in range(db):
+                lhs = t.E_M1.apply(M2.mul(M2.mul(t.e2, xy), b_vecs[j]))
+                rhs = [f.zero] * M1.dim
+                for u, v, c in delta_legs[j]:
+                    t1 = t.E_M1.apply(M2.mul(M2.mul(t.e2, xh), b_vecs[v]))
+                    t2 = t.E_M1.apply(M2.mul(M2.mul(t.e2, yh), b_vecs[u]))
+                    term = M1.mul(t1, t2)
+                    rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
+                if not vec_eq(f, lhs, rhs):
+                    failures.append({"kind": "action-identity", "triple": (x, y, j)})
+                    if len(failures) >= budget:
+                        return failures
+                lhs = t.E_M1.apply(M2.mul(M2.mul(b_vecs[j], xy), t.e2))
+                rhs = [f.zero] * M1.dim
+                for u, v, c in delta_legs[j]:
+                    t1 = t.E_M1.apply(M2.mul(M2.mul(b_vecs[u], xh), t.e2))
+                    t2 = t.E_M1.apply(M2.mul(M2.mul(b_vecs[v], yh), t.e2))
+                    term = M1.mul(t1, t2)
+                    rhs = [f.add(a, f.mul(f.mul(lam_inv, c), bb)) for a, bb in zip(rhs, term)]
+                if not vec_eq(f, lhs, rhs):
+                    failures.append({"kind": "left-action-identity", "triple": (x, y, j)})
+                    if len(failures) >= budget:
+                        return failures
+    e2_B = d2.B.coords(t.e2)
+    if e2_B is None:
+        failures.append({"kind": "e2-outside-B"})
+        return failures
+    for j in range(db):
+        left = M2.mul(t.e2, b_vecs[j])
+        right = M2.mul(b_vecs[j], t.e2)
+        expected = [f.mul(H.counit.data[0][j], c) for c in t.e2]
+        if not vec_eq(f, left, expected) or not vec_eq(f, right, expected):
+            failures.append({"kind": "e2-not-integral", "basis": j})
+    for j in range(db):
+        if not vec_eq(f, M2.mul(t.e2, b_vecs[j]), M2.mul(b_vecs[j], t.e2)):
+            failures.append({"kind": "e2-not-central", "basis": j})
+    for a in d2.A.vectors:
+        if not vec_eq(f, M1.mul(t.e1, a), M1.mul(a, t.e1)):
+            failures.append({"kind": "e1-not-central"})
+            break
+    return failures
+
+
+def _reference_remark_identity(t, d2, S):
+    f = t.M.field
+    M2 = t.M2
+    failures = []
+    if rank(S) != d2.B.dim:
+        failures.append({"kind": "S not bijective"})
+    for x in range(t.M1.dim):
+        xh = t.incl2.apply(basis_vector(f, t.M1.dim, x))
+        for j, b in enumerate(d2.B.vectors):
+            lhs = t.E_M1.apply(M2.mul(M2.mul(b, xh), t.e2))
+            sb = [f.zero] * M2.dim
+            for u in range(S.rows):
+                sb = [f.add(a, f.mul(S.data[u][j], c)) for a, c in zip(sb, d2.B.vectors[u])]
+            rhs = t.E_M1.apply(M2.mul(M2.mul(t.e2, xh), sb))
+            if not vec_eq(f, lhs, rhs):
+                failures.append({"kind": "remark-identity", "pair": (x, j)})
+                if len(failures) >= 3:
+                    return failures
+    return failures
+
+
+def _bumped(mat, r, c):
+    out = Matrix(mat.field, [row[:] for row in mat.data])
+    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
+    return out
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (4, 1), (8, 2)])
+@pytest.mark.parametrize("budget", [2, 5, 10**6])
+def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry, budget):
+    t, d2, p, H_B = stack_z3_f7[:4]
+    assert _tower_axioms(H_B, t, d2, p, budget) == _reference_tower_axioms(H_B, t, d2, budget) == []
+    bad = HopfStructure(H_B.algebra, _bumped(H_B.delta, *entry), H_B.counit, H_B.antipode)
+    got = _tower_axioms(bad, t, d2, p, budget)
+    assert got, "the perturbed Delta must be seen"
+    assert got == _reference_tower_axioms(bad, t, d2, budget)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 0)])
+def test_antipode_matches_reference_on_perturbed_s(stack_z3_f7, monkeypatch, entry):
+    # S = Phi^-1 Psi: perturbing Phi^-1 perturbs S inside antipode
+    t, d2, p, H_B = stack_z3_f7[:4]
+    S, out = hopf.antipode(t, d2, p)
+    assert out.ok and S == H_B.antipode
+    assert _reference_remark_identity(t, d2, S) == []
+    real_invert = hopf.invert
+    monkeypatch.setattr(hopf, "invert", lambda m: _bumped(real_invert(m), *entry))
+    S_bad, out = hopf.antipode(t, d2, p)
+    monkeypatch.undo()
+    assert not S_bad == H_B.antipode
+    assert out.failures, "the perturbed S must be seen"
+    assert out.failures == _reference_remark_identity(t, d2, S_bad)
