@@ -227,6 +227,15 @@ def stack_trivial(tower_trivial, d2_trivial):
     return (tower_trivial, d2_trivial) + hopf_stack(tower_trivial, d2_trivial)
 
 
+def bumped(mat, r, c):
+    """Copy of a matrix with one added to entry (r, c)."""
+    from hopftower.linalg import Matrix
+
+    out = Matrix(mat.field, [row[:] for row in mat.data])
+    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
+    return out
+
+
 def build_quartic_tower():
     """Q in Q(sqrt2) in Q(sqrt2, i) with the projection onto the middle field."""
     from hopftower.algebra import Algebra, LinMap, SubspaceBasis

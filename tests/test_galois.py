@@ -1,4 +1,5 @@
 import pytest
+from conftest import bumped
 
 from hopftower import galois
 from hopftower.algebra import Algebra, LinMap, SubspaceBasis, check_morphism
@@ -412,23 +413,17 @@ def _reference_check_morphism(f_map, A, B, max_failures=5):
     return failures
 
 
-def _bumped(mat, r, c):
-    out = Matrix(mat.field, [row[:] for row in mat.data])
-    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
-    return out
-
-
 @pytest.mark.parametrize("perturb", ["none", "delta", "antipode", "action"])
 def test_action_b_matches_reference(stack_z3_f7, monkeypatch, perturb):
     t, d2, p, H_B = stack_z3_f7[:4]
     mats = _reference_b_mats(t, d2)
     assert action_b_on_m1(t, d2, H_B)[0].mats == mats
     if perturb == "delta":
-        H_B = HopfStructure(H_B.algebra, _bumped(H_B.delta, 3, 1), H_B.counit, H_B.antipode)
+        H_B = HopfStructure(H_B.algebra, bumped(H_B.delta, 3, 1), H_B.counit, H_B.antipode)
     elif perturb == "antipode":
-        H_B = HopfStructure(H_B.algebra, H_B.delta, H_B.counit, _bumped(H_B.antipode, 1, 2))
+        H_B = HopfStructure(H_B.algebra, H_B.delta, H_B.counit, bumped(H_B.antipode, 1, 2))
     elif perturb == "action":
-        mats = mats[:1] + [_bumped(mats[1], 2, 5)] + mats[2:]
+        mats = mats[:1] + [bumped(mats[1], 2, 5)] + mats[2:]
         monkeypatch.setattr(galois, "_b_action_matrices", lambda t, d2: mats)
     _act, out = action_b_on_m1(t, d2, H_B)
     assert out.failures == _reference_action_b(t, d2, H_B, mats)
@@ -442,7 +437,7 @@ def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
     mats = _reference_b_mats(t, d2)
     if perturb is not None:
         h, r, c = perturb
-        mats = [_bumped(m, r, c) if i == h else m for i, m in enumerate(mats)]
+        mats = [bumped(m, r, c) if i == h else m for i, m in enumerate(mats)]
     sm = smash_product(t.M1, H_B, ModuleAlgebraAction(H_B, t.M1, mats))
     ref = _reference_smash_table(t.M1, H_B, mats)
     assert [[list(cell.items()) for cell in row] for row in sm.algebra.table] == [

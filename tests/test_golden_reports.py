@@ -96,7 +96,7 @@ MODEL_GOLDEN = {
 }
 
 
-def _digest(report: dict) -> str:
+def _sha256(report: dict) -> str:
     return hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
 
 
@@ -107,7 +107,7 @@ def _run(case_id: str) -> tuple[dict, str, dict]:
     ext, sidecar = generate_example(example, params)
     text = canonical_json(extension_to_dict(ext))
     report = run_pipeline(extension_from_dict(json.loads(text))).to_dict()
-    return report, _digest(report), sidecar
+    return report, _sha256(report), sidecar
 
 
 def _sidecar_mismatches(report: dict, expect: dict) -> list[str]:
@@ -152,8 +152,8 @@ def test_model_report_digest_is_golden(case_id):
     text = canonical_json(extension_to_dict(ext))
     _tower, d2, rep = model_tower(model_bundle(f"function-algebra:{group}", ext.M.field))
     assert rep.ok, rep.failures[:1]
-    # the run fills the override in place, so it gets fresh copies
+    # fresh copies, as bench/run.py makes: the run fills the override in place
     A, B, C = copy.deepcopy((d2.A, d2.B, d2.C))
     override = DepthTwoData(A=A, B=B, C=C, source="model")
     report = run_pipeline(extension_from_dict(json.loads(text)), d2_override=override).to_dict()
-    assert _digest(report) == MODEL_GOLDEN[case_id]
+    assert _sha256(report) == MODEL_GOLDEN[case_id]

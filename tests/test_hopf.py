@@ -1,4 +1,5 @@
 import pytest
+from conftest import bumped
 
 from hopftower import hopf
 from hopftower.algebra import SubspaceBasis
@@ -339,18 +340,12 @@ def _reference_remark_identity(t, d2, S):
     return failures
 
 
-def _bumped(mat, r, c):
-    out = Matrix(mat.field, [row[:] for row in mat.data])
-    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
-    return out
-
-
 @pytest.mark.parametrize("entry", [(0, 0), (4, 1), (8, 2)])
 @pytest.mark.parametrize("budget", [2, 5, 10**6])
 def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry, budget):
     t, d2, p, H_B = stack_z3_f7[:4]
     assert _tower_axioms(H_B, t, d2, p, budget) == _reference_tower_axioms(H_B, t, d2, budget) == []
-    bad = HopfStructure(H_B.algebra, _bumped(H_B.delta, *entry), H_B.counit, H_B.antipode)
+    bad = HopfStructure(H_B.algebra, bumped(H_B.delta, *entry), H_B.counit, H_B.antipode)
     got = _tower_axioms(bad, t, d2, p, budget)
     assert got, "the perturbed Delta must be seen"
     assert got == _reference_tower_axioms(bad, t, d2, budget)
@@ -364,7 +359,7 @@ def test_antipode_matches_reference_on_perturbed_s(stack_z3_f7, monkeypatch, ent
     assert out.ok and S == H_B.antipode
     assert _reference_remark_identity(t, d2, S) == []
     real_invert = hopf.invert
-    monkeypatch.setattr(hopf, "invert", lambda m: _bumped(real_invert(m), *entry))
+    monkeypatch.setattr(hopf, "invert", lambda m: bumped(real_invert(m), *entry))
     S_bad, out = hopf.antipode(t, d2, p)
     monkeypatch.undo()
     assert not S_bad == H_B.antipode

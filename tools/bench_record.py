@@ -1,32 +1,50 @@
-"""Compare two checkouts on every benchmark workload and write a BENCH_*.json.
+"""Compare two commits on every benchmark workload and write a BENCH_*.json.
 
-Runs ``bench/run.py`` in two directories (the parent commit and the change,
-each a plain export of its commit) in alternating pairs: pair i uses seed
+Exports each commit with ``git archive`` into a fresh directory and runs its
+own ``bench/run.py`` there, in alternating pairs: pair i uses seed
 ``--seed0 + i`` on both sides, and even pairs run the parent first, odd pairs
 the change. Then it makes one ``--trace 1`` run of ``--trace-workload`` per
-side. Example, from the repository root:
+side. Run from the repository root, for example:
 
-    git archive PARENT | tar -x -C /tmp/parent
-    git archive HEAD | tar -x -C /tmp/change
-    python3 tools/bench_record.py --parent /tmp/parent --change /tmp/change \\
-        --pairs 10 --seed0 601 --seconds 30 --out BENCH_6.json
+    python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
+        --pairs 10 --seed0 801 --seconds 30 --out BENCH_6.json
 
-The file holds, per workload, every pair's end-to-end metrics, each side's
-median and quartiles with the number of pairs the change won, and the full
-``results`` line of the first pair on each side; and, per side, the traced
-run's per-layer metrics and its ``results`` line.
+The file names each side's commit and the git tree of its ``src/``. It holds,
+per workload, every pair's end-to-end metrics, each side's median and
+quartiles with the number of pairs the change won, and the full ``results``
+line of the first pair on each side; and, per side, the traced run's
+per-layer metrics and its ``results`` line.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("model-f7", "catalog-q", "catalog-fp")
 SIDES = ("parent", "change")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], capture_output=True, check=True).stdout
+
+
+def export(rev: str, into: Path) -> dict:
+    """Extract the files of rev into a new directory; its commit and src/ tree."""
+    into.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(into, filter="data")
+    return {
+        "rev": rev,
+        "commit": git("rev-parse", f"{rev}^{{commit}}").decode().strip(),
+        "src_tree": git("rev-parse", f"{rev}:src").decode().strip(),
+    }
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -40,11 +58,12 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return {"metrics": json.loads(lines[-1]), "results": json.loads(lines[-2][len("results "):])}
 
 
-def summarize(pairs: list) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change
+    won (ties count for neither side)."""
     out = {}
-    for name, spec in pairs[0]["parent"]["metrics"].items():
-        lower = name != "pass_ratio"
+    for name in pairs[0]["parent"]["metrics"]:
+        lower = better[name] == "lower"
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         row = {}
         for side in SIDES:
@@ -58,20 +77,13 @@ def summarize(pairs: list) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    ap.add_argument("--trace-workload", default="model-f7")
-    ap.add_argument("--out", type=Path, required=True)
-    args = ap.parse_args(argv)
-    roots = {"parent": args.parent, "change": args.change}
+def compare(args, work: Path) -> dict:
+    roots = {side: work / side for side in SIDES}
+    sides = {side: export(getattr(args, side), roots[side]) for side in SIDES}
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     record = {"command": "bench/run.py --workload W --seed S --seconds "
-                         f"{args.seconds:g} --trace 0", "workloads": {}, "trace": {}}
+                         f"{args.seconds:g} --trace 0", "sides": sides, "workloads": {}, "trace": {}}
     for workload in args.workloads:
         pairs = []
         for i in range(args.pairs):
@@ -89,7 +101,7 @@ def main(argv=None) -> int:
             for p in pairs
         ]
         record["workloads"][workload] = {
-            "summary": summarize(flat),
+            "summary": summarize(flat, better),
             "pairs": flat,
             "results_first_pair": {s: pairs[0][s]["results"] for s in SIDES},
         }
@@ -97,6 +109,25 @@ def main(argv=None) -> int:
         run = run_bench(roots[side], args.trace_workload, args.seed0, args.seconds, 1)
         record["trace"][side] = {"workload": args.trace_workload, "seed": args.seed0,
                                  "metrics": run["metrics"], "results": run["results"]}
+    return record
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", required=True, help="git revision of the change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed0", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    ap.add_argument("--trace-workload", default="model-f7")
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--workdir", type=Path, help="where the exports go (default: system temp)")
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    with tempfile.TemporaryDirectory(prefix="bench_record_", dir=args.workdir) as work:
+        record = compare(args, Path(work))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
