@@ -20,7 +20,7 @@ from .algebra import (
     verify_algebra,
 )
 from .frobenius import CheckOutcome, FrobeniusSystem
-from .hopf import HopfStructure, PairingData, sandwich_maps
+from .hopf import HopfStructure, PairingData, right_sandwich
 from .linalg import (
     Matrix,
     basis_vector,
@@ -294,25 +294,19 @@ def psi_inverse_formula(
 # ---------------------------------------------------------------------------
 
 
-def _b_action_matrices(t, d2) -> list:
-    """The matrix of x -> lam^-1 E_M1(b x e2) on M1 for each basis element b
-    of B, read from the right sandwich maps on the basis of M1."""
-    f = t.M.field
-    lam_inv = t.base_sys.lambda_inverse
-    _left, right = sandwich_maps(t, d2, sparse_columns(t.incl2.matrix))
-    return [
-        Matrix(f, [[f.mul(lam_inv, col.get(r, f.zero)) for col in cols] for r in range(t.M1.dim)])
-        for cols in right
-    ]
-
-
 def action_b_on_m1(t, d2, H_B: HopfStructure) -> tuple[ModuleAlgebraAction, CheckOutcome]:
     """Ocneanu-Szymanski action b . x = lam^-1 E_M1(b x e2), verified as a
     module-algebra action, cross-checked against b_(1) x S(b_(2)), with
     e2 . x = E_M(x)."""
     f = t.M.field
     M1, M2 = t.M1, t.M2
-    act = ModuleAlgebraAction(H_B, M1, _b_action_matrices(t, d2))
+    lam_inv = t.base_sys.lambda_inverse
+    incl = sparse_columns(t.incl2.matrix)
+    mats = [
+        Matrix(f, [[f.mul(lam_inv, col.get(r, f.zero)) for col in cols] for r in range(M1.dim)])
+        for cols in right_sandwich(t, d2, incl)
+    ]
+    act = ModuleAlgebraAction(H_B, M1, mats)
     out = verify_module_algebra(act)
     failures = list(out.failures)
 
@@ -325,7 +319,6 @@ def action_b_on_m1(t, d2, H_B: HopfStructure) -> tuple[ModuleAlgebraAction, Chec
             for w in range(H_B.dim):
                 sparse_axpy(f, sb, S.data[w][v], b_sp[w])
             s_b.append(sb)
-        incl = sparse_columns(t.incl2.matrix)
         cols = act.columns()
         for j in range(H_B.dim):
             legs = H_B.delta_coords(j)
@@ -470,8 +463,11 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
 # ---------------------------------------------------------------------------
 
 
-def cleft_data(t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData, act_a: ModuleAlgebraAction) -> CheckOutcome:
-    """iota: A -> M1 is a comodule map (coaction derived from the B-action),
+def cleft_data(
+    t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData,
+    act_a: ModuleAlgebraAction, act_b: ModuleAlgebraAction,
+) -> CheckOutcome:
+    """iota: A -> M1 is a comodule map (coaction derived from the B-action act_b),
     its convolution inverse is iota o S_A, the associated cocycle is trivial,
     and m # a -> m a is an algebra isomorphism M # A -> M1."""
     f = t.M.field
@@ -483,7 +479,7 @@ def cleft_data(t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData, ac
     p_duals = []  # p_j as A-coordinate vectors
     for j in range(d2.B.dim):
         p_duals.append([p.P_inv.data[j][u] for u in range(d2.A.dim)])
-    b_mats = _b_action_matrices(t, d2)
+    b_mats = act_b.mats
 
     def coaction_legs(x_vec: list) -> list:
         legs = []

@@ -9,8 +9,8 @@ tuples, which also makes the construction basis-independent in practice.
 The tower identities (antipode remark, exchange relation, both action
 identities) are read from the sandwich maps z -> E_M1(e2 z b_j) and
 z -> E_M1(b_j z e2), built once per check as columns on a basis
-(sandwich_maps) and applied to each element where it is needed. This is
-exact: the product is bilinear in the structure constants and E_M1 is
+(left_sandwich, right_sandwich) and applied to each element where it is
+needed. This is exact: the product is bilinear in the structure constants and E_M1 is
 linear, so each value equals the one formed by multiplying at that point.
 """
 from __future__ import annotations
@@ -278,28 +278,40 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[Matrix, Matrix, C
 # ---------------------------------------------------------------------------
 
 
-def sandwich_maps(t, d2, domain: list[dict]) -> tuple[list, list]:
-    """The maps z -> E_M1(e2 z b_j) and z -> E_M1(b_j z e2) for every basis
-    element b_j of B, evaluated on each sparse M2 vector z_k of domain.
+def left_sandwich(t, d2, domain: list[dict]) -> list:
+    """left_sandwich(t, d2, domain)[j][k] = E_M1((e2 z_k) b_j) as a sparse M1
+    dict, for each basis element b_j of B and each sparse M2 vector z_k of
+    domain.
 
-    Returns (left, right) with left[j][k] = E_M1((e2 z_k) b_j) and
-    right[j][k] = E_M1((b_j z_k) e2) as sparse M1 dicts. On the basis of M2
-    these are the columns of the two maps, and sparse_apply evaluates the maps
-    anywhere exactly: the product is bilinear in the structure constants and
-    E_M1 is linear, so no associativity and no multiplicativity of incl2 is
-    assumed.
+    On the basis of M2 these are the columns of the map z -> E_M1(e2 z b_j),
+    and sparse_apply evaluates it anywhere exactly: the product is bilinear in
+    the structure constants and E_M1 is linear, so no associativity and no
+    multiplicativity of incl2 is assumed.
     """
     f = t.M.field
     M2 = t.M2
     cond = sparse_columns(t.E_M1.matrix)
     e2 = M2.to_sparse(t.e2)
     e2z = [M2.mul_sparse(e2, z) for z in domain]
-    left, right = [], []
+    out = []
     for b in d2.B.vectors:
         bs = M2.to_sparse(b)
-        left.append([sparse_apply(f, cond, M2.mul_sparse(ez, bs)) for ez in e2z])
-        right.append([sparse_apply(f, cond, M2.mul_sparse(M2.mul_sparse(bs, z), e2)) for z in domain])
-    return left, right
+        out.append([sparse_apply(f, cond, M2.mul_sparse(ez, bs)) for ez in e2z])
+    return out
+
+
+def right_sandwich(t, d2, domain: list[dict]) -> list:
+    """right_sandwich(t, d2, domain)[j][k] = E_M1((b_j z_k) e2), the mirror of
+    left_sandwich, exact for the same reason."""
+    f = t.M.field
+    M2 = t.M2
+    cond = sparse_columns(t.E_M1.matrix)
+    e2 = M2.to_sparse(t.e2)
+    out = []
+    for b in d2.B.vectors:
+        bs = M2.to_sparse(b)
+        out.append([sparse_apply(f, cond, M2.mul_sparse(M2.mul_sparse(bs, z), e2)) for z in domain])
+    return out
 
 
 def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
@@ -314,7 +326,8 @@ def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
     M1 = t.M1
     db = d2.B.dim
     e1h = t.M2.to_sparse(t.e1_in_m2())
-    left, right = sandwich_maps(t, d2, sparse_columns(t.incl2.matrix) + [e1h])
+    domain = sparse_columns(t.incl2.matrix) + [e1h]
+    left, right = left_sandwich(t, d2, domain), right_sandwich(t, d2, domain)
     failures = []
     phi_cols = []
     psi_cols = []
@@ -451,8 +464,8 @@ def verify_hopf_axioms(
 def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
     """Exchange relation, both action identities, integrality and centrality.
 
-    Every E_M1 sandwich is read from the maps of sandwich_maps, built once on
-    the basis of M2; each left-hand side applies them to the M2 product xh yh
+    Every E_M1 sandwich is read from left_sandwich and right_sandwich, built
+    once on the basis of M2; each left-hand side applies them to the M2 product xh yh
     itself. Elements stay sparse dicts, compared after dropping zeros.
     """
     f = t.M.field
@@ -464,7 +477,8 @@ def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
     # legs of Delta(b_j) with lam^-1 folded into the coefficient
     delta_legs = [[(u, v, f.mul(lam_inv, c)) for u, v, c in H.delta_coords(j)] for j in range(db)]
     incl = sparse_columns(t.incl2.matrix)
-    left, right = sandwich_maps(t, d2, [{k: f.one} for k in range(M2.dim)])
+    basis = [{k: f.one} for k in range(M2.dim)]
+    left, right = left_sandwich(t, d2, basis), right_sandwich(t, d2, basis)
     # on the image of M1: left_x[u][x] = E_M1(e2 x b_u), right_x[u][x] = E_M1(b_u x e2)
     left_x = [[sparse_apply(f, left[u], xh) for xh in incl] for u in range(db)]
     right_x = [[sparse_apply(f, right[u], xh) for xh in incl] for u in range(db)]
@@ -509,10 +523,10 @@ def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
         failures.append({"kind": "e2-outside-B"})
         return failures
     for j in range(db):
-        left = M2.mul(t.e2, b_vecs[j])
-        right = M2.mul(b_vecs[j], t.e2)
+        e2b = M2.mul(t.e2, b_vecs[j])
+        be2 = M2.mul(b_vecs[j], t.e2)
         expected = vec_scale(f, H.counit.data[0][j], t.e2)
-        if not vec_eq(f, left, expected) or not vec_eq(f, right, expected):
+        if not vec_eq(f, e2b, expected) or not vec_eq(f, be2, expected):
             failures.append({"kind": "e2-not-integral", "basis": j})
     # centrality: e2 in Z(B), e1 in Z(A)
     for j in range(db):

@@ -385,7 +385,7 @@ def _stage_galois(rep, state, hypotheses, gate) -> None:
         [ext.embed.apply(basis_vector(f, ext.n_algebra.dim, i)) for i in range(ext.n_algebra.dim)],
     )
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
-    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a))
+    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b))
     gm = galois_map(t.M, ext.N, state.sys.tq, act_a, state.H_A.dim)
     rep.outcome("galois-map", gm)
     hypotheses["galois_extension"] = gm.ok

@@ -221,7 +221,8 @@ def test_cleft_data(stack_z2, stack_z3_f7, stack_trivial):
         t, d2, p, H_B, H_A = stack[0], stack[1], stack[2], stack[3], stack[4]
         act_a, out = action_a_on_m(t, d2, H_A)
         assert out.ok
-        res = cleft_data(t, d2, H_A, H_B, p, act_a)
+        act_b, _out = action_b_on_m1(t, d2, H_B)
+        res = cleft_data(t, d2, H_A, H_B, p, act_a, act_b)
         assert res.ok, res.failures[:3]
 
 
@@ -424,7 +425,8 @@ def test_action_b_matches_reference(stack_z3_f7, monkeypatch, perturb):
         H_B = HopfStructure(H_B.algebra, H_B.delta, H_B.counit, bumped(H_B.antipode, 1, 2))
     elif perturb == "action":
         mats = mats[:1] + [bumped(mats[1], 2, 5)] + mats[2:]
-        monkeypatch.setattr(galois, "_b_action_matrices", lambda t, d2: mats)
+        real = galois.ModuleAlgebraAction
+        monkeypatch.setattr(galois, "ModuleAlgebraAction", lambda H, X, _mats: real(H, X, mats))
     _act, out = action_b_on_m1(t, d2, H_B)
     assert out.failures == _reference_action_b(t, d2, H_B, mats)
     assert bool(out.failures) == (perturb != "none")

@@ -79,5 +79,5 @@ def test_nonabelian_s3_model_full_program():
     assert verify_smash_iso_theta(t, d2, H_B, act_b).ok
     act_a, aao = action_a_on_m(t, d2, H_A)
     assert aao.ok
-    assert cleft_data(t, d2, H_A, H_B, p, act_a).ok
+    assert cleft_data(t, d2, H_A, H_B, p, act_a, act_b).ok
     assert galois_map(t.M, t.base_sys.ext.N, t.base_sys.tq, act_a, H_A.dim).ok

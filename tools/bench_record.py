@@ -1,13 +1,14 @@
 """Compare two commits on every benchmark workload and write a BENCH_*.json.
 
-Exports each commit with ``git archive`` into a fresh directory and runs its
-own ``bench/run.py`` there, in alternating pairs: pair i uses seed
-``--seed0 + i`` on both sides, and even pairs run the parent first, odd pairs
-the change. Then it makes one ``--trace 1`` run of ``--trace-workload`` per
-side. Run from the repository root, for example:
+Exports each commit with ``git archive`` into a fresh temporary directory and
+runs its own ``bench/run.py --seconds 30 --trace 0`` there on every workload,
+in 10 alternating pairs: pair i uses seed ``--seed0 + i`` on both sides, and
+even pairs run the parent first, odd pairs the change. Then it makes one
+``--trace 1`` run of ``model-f7`` per side. Run from the repository root, for
+example:
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
-        --pairs 10 --seed0 801 --seconds 30 --out BENCH_6.json
+        --seed0 801 --out BENCH_6.json
 
 The file names each side's commit and the git tree of its ``src/``. It holds,
 per workload, every pair's end-to-end metrics, each side's median and
@@ -29,6 +30,9 @@ from pathlib import Path
 
 WORKLOADS = ("model-f7", "catalog-q", "catalog-fp")
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 30
+TRACE_WORKLOAD = "model-f7"
 
 
 def git(*args: str) -> bytes:
@@ -47,10 +51,10 @@ def export(rev: str, into: Path) -> dict:
     }
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     """One bench/run.py run: its metrics line and its results line, parsed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     if not lines[-2].startswith("results "):
@@ -82,14 +86,14 @@ def compare(args, work: Path) -> dict:
     sides = {side: export(getattr(args, side), roots[side]) for side in SIDES}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = {"command": "bench/run.py --workload W --seed S --seconds "
-                         f"{args.seconds:g} --trace 0", "sides": sides, "workloads": {}, "trace": {}}
-    for workload in args.workloads:
+    record = {"command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+              "sides": sides, "workloads": {}, "trace": {}}
+    for workload in WORKLOADS:
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed0 + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            runs = {side: run_bench(roots[side], workload, seed, args.seconds, 0) for side in order}
+            runs = {side: run_bench(roots[side], workload, seed, 0) for side in order}
             pairs.append({"seed": seed, "first": order[0], **runs})
             print(workload, seed, {s: runs[s]["metrics"]["metrics"]["verify_s"]["value"] for s in SIDES},
                   file=sys.stderr)
@@ -106,8 +110,8 @@ def compare(args, work: Path) -> dict:
             "results_first_pair": {s: pairs[0][s]["results"] for s in SIDES},
         }
     for side in SIDES:
-        run = run_bench(roots[side], args.trace_workload, args.seed0, args.seconds, 1)
-        record["trace"][side] = {"workload": args.trace_workload, "seed": args.seed0,
+        run = run_bench(roots[side], TRACE_WORKLOAD, args.seed0, 1)
+        record["trace"][side] = {"workload": TRACE_WORKLOAD, "seed": args.seed0,
                                  "metrics": run["metrics"], "results": run["results"]}
     return record
 
@@ -116,17 +120,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", required=True, help="git revision of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    ap.add_argument("--trace-workload", default="model-f7")
+    ap.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workdir", type=Path, help="where the exports go (default: system temp)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
-    with tempfile.TemporaryDirectory(prefix="bench_record_", dir=args.workdir) as work:
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as work:
         record = compare(args, Path(work))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
