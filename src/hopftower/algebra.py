@@ -2,11 +2,13 @@
 
 Vectors are coordinate lists over an exact field; multiplication tables are
 stored sparsely (dict per basis pair) because group-algebra-like inputs and
-all tower levels built from them stay very sparse, while solves run dense.
+all tower levels built from them stay very sparse. Every subspace keeps its
+rows in sparse RREF in one linalg.SparseSolver, which decides membership and
+reduces vectors; dense elimination stays inside linalg.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fields import Field
@@ -17,13 +19,12 @@ from .linalg import (
     basis_vector,
     invert,
     kernel_basis,
-    rref,
+    rank,
     sparse_add,
     sparse_apply,
     sparse_columns,
     stack,
     vec_eq,
-    vec_is_zero,
 )
 
 
@@ -243,45 +244,47 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
 # ---------------------------------------------------------------------------
 
 
+def _row_space(field: Field, cols: int, vectors: list[list]) -> SparseSolver:
+    """The span of vectors as sparse RREF rows in a SparseSolver."""
+    solver = SparseSolver(field, cols, reduce_fully=True)
+    zero = field.zero
+    for v in vectors:
+        solver.add_row({i: c for i, c in enumerate(v) if c}, zero)
+    return solver
+
+
 class SubspaceBasis:
     """Linearly independent vectors inside an ambient algebra.
 
-    Computed subspaces are canonicalised to RREF; user-supplied embeddings keep
-    their original basis (coordinates of attached maps refer to it) and only
-    the internal reduced form is canonical.
+    ``vectors`` is the basis as given (coordinates of attached maps refer to
+    it); from_spanning gives the canonical basis, the RREF rows of the span.
+    The span itself is kept in sparse RREF in a SparseSolver, so membership is
+    "reduces to zero" and two subspaces are equal when their pivot rows are.
 
     ``coords`` reads v[pivots], which fixes v in the span as the reduced rows are
     fully reduced: with B the vectors restricted to the pivot columns, coords(v)
     is (B^T)^-1 v[pivots]. The inverse is cached on first use: do not mutate ``vectors``.
     """
 
-    def __init__(self, ambient: Algebra, vectors: list[list], canonicalize: bool = False):
-        self.ambient = ambient
-        f = ambient.field
-        mat = Matrix(f, [list(v) for v in vectors]) if vectors else Matrix.zero(f, 0, ambient.dim)
-        red, pivots = rref(mat)
-        if len(pivots) != len(vectors):
+    def __init__(self, ambient: Algebra, vectors: list[list]):
+        space = _row_space(ambient.field, ambient.dim, vectors)
+        if space.rank() < len(vectors):
             raise AlgebraError("subspace basis vectors are dependent")
-        self._rref_rows = red.data[: len(pivots)]
-        self._pivots = pivots
-        self.vectors = [list(r) for r in self._rref_rows] if canonicalize else [list(v) for v in vectors]
+        self._attach(ambient, [list(v) for v in vectors], space)
+
+    def _attach(self, ambient: Algebra, vectors: list[list], space: SparseSolver) -> None:
+        self.ambient = ambient
+        self.vectors = vectors
+        self._space = space
+        self._pivots = sorted(space.pivots)
         self._coord_map: Optional[Matrix] = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def _reduce(self, v: list) -> list:
-        f = self.ambient.field
-        w = list(v)
-        for row, pc in zip(self._rref_rows, self._pivots):
-            c = w[pc]
-            if not f.is_zero(c):
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
-        return w
-
     def contains(self, v: list) -> bool:
-        return vec_is_zero(self.ambient.field, self._reduce(v))
+        return not self._space.reduce(self.ambient.to_sparse(v))
 
     def coords(self, v: list) -> Optional[list]:
         """Coordinates of v in self.vectors, or None when v is outside."""
@@ -293,23 +296,18 @@ class SubspaceBasis:
         return self._coord_map.matvec([v[p] for p in self._pivots])
 
     def equals(self, other: "SubspaceBasis") -> bool:
-        return (
-            self._pivots == other._pivots
-            and all(vec_eq(self.ambient.field, a, b) for a, b in zip(self._rref_rows, other._rref_rows))
-        )
+        return self._space.pivots == other._space.pivots
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(v) for v in other.vectors)
 
     def is_unital_subalgebra(self) -> bool:
         alg = self.ambient
-        if not self.contains(alg.unit):
+        reduce = self._space.reduce
+        if reduce(alg.to_sparse(alg.unit)):
             return False
-        for x in self.vectors:
-            for y in self.vectors:
-                if not self.contains(alg.mul(x, y)):
-                    return False
-        return True
+        xs = [alg.to_sparse(x) for x in self.vectors]
+        return not any(reduce(alg.mul_sparse(x, y)) for x in xs for y in xs)
 
     def induced_algebra(self) -> tuple[Algebra, LinMap]:
         """Algebra structure on this subspace plus the embedding map."""
@@ -334,17 +332,14 @@ class SubspaceBasis:
     @classmethod
     def from_spanning(cls, ambient: Algebra, vectors: list[list]) -> "SubspaceBasis":
         """Canonical subspace from a spanning set (RREF rows)."""
-        f = ambient.field
-        if not vectors:
-            return cls(ambient, [])
-        red, pivots = rref(Matrix(f, [list(v) for v in vectors]))
-        return cls(ambient, [list(red.data[r]) for r in range(len(pivots))], canonicalize=True)
+        space = _row_space(ambient.field, ambient.dim, vectors)
+        out = cls.__new__(cls)
+        out._attach(ambient, [ambient.to_dense(space.pivots[p]) for p in sorted(space.pivots)], space)
+        return out
 
 
 def span_dim(field: Field, vectors: list[list]) -> int:
-    if not vectors:
-        return 0
-    return len(rref(Matrix(field, [list(v) for v in vectors]))[1])
+    return _row_space(field, len(vectors[0]) if vectors else 0, vectors).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +353,7 @@ def centralizer(alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = Tru
         raise AlgebraError("centralizer: given subspace is not a unital subalgebra")
     blocks = [alg.lmul_matrix(s).sub(alg.rmul_matrix(s)) for s in sub.vectors]
     if not blocks:
-        return SubspaceBasis(alg, [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)], canonicalize=True)
+        return SubspaceBasis(alg, [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)])
     sys_mat = stack(alg.field, blocks)
     basis = kernel_basis(sys_mat)
     out = SubspaceBasis.from_spanning(alg, basis)
@@ -456,24 +451,20 @@ def tensor_over_subalgebra(M: Algebra, N: SubspaceBasis) -> TensorQuotient:
 
 @dataclass
 class EndomorphismAlgebra:
+    """The commutant of a right action; basis_matrices are the RREF rows of
+    its span, flattened row-major, kept in sparse RREF in ``_space``."""
+
     algebra: Algebra
     basis_matrices: list[Matrix]
-    _pivots: list[int] = dc_field(default_factory=list)
-    _rref_rows: list[list] = dc_field(default_factory=list)
+    _space: SparseSolver
 
     def coords_of_matrix(self, mat: Matrix) -> Optional[list]:
         """Coordinates of an endomorphism in the canonical basis, or None."""
-        f = mat.field
-        flat = [x for row in mat.data for x in row]
-        coords = [flat[p] for p in self._pivots]
-        resid = list(flat)
-        for c, row in zip(coords, self._rref_rows):
-            if f.is_zero(c):
-                continue
-            resid = [f.sub(a, f.mul(c, b)) for a, b in zip(resid, row)]
-        if not vec_is_zero(f, resid):
+        flat = {i: x for i, x in enumerate(x for row in mat.data for x in row) if x}
+        if self._space.reduce(flat):
             return None
-        return coords
+        zero = mat.field.zero
+        return [flat.get(p, zero) for p in sorted(self._space.pivots)]
 
 
 def module_axioms_ok(field: Field, action_mats: list[Matrix], sub_alg: Algebra) -> bool:
@@ -524,11 +515,13 @@ def endomorphism_algebra(
         basis_flat = kernel_basis(stack(field, blocks))
     else:
         basis_flat = [basis_vector(field, n2, i) for i in range(n2)]
-    red, pivots = rref(Matrix(field, basis_flat)) if basis_flat else (Matrix.zero(field, 0, n2), [])
-    rows = [list(red.data[r]) for r in range(len(pivots))]
-    mats = [Matrix(field, [row[i * dim_v : (i + 1) * dim_v] for i in range(dim_v)]) for row in rows]
+    space = _row_space(field, n2, basis_flat)
+    mats = []
+    for p in sorted(space.pivots):
+        flat = [space.pivots[p].get(k, field.zero) for k in range(n2)]
+        mats.append(Matrix(field, [flat[i * dim_v : (i + 1) * dim_v] for i in range(dim_v)]))
 
-    endo = EndomorphismAlgebra(None, mats, pivots, rows)  # type: ignore[arg-type]
+    endo = EndomorphismAlgebra(None, mats, space)  # type: ignore[arg-type]
 
     entries = []
     unit_coords = endo.coords_of_matrix(Matrix.identity(field, dim_v))
@@ -583,7 +576,5 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
         if len(failures) >= max_failures:
             break
     is_homo = not failures
-    from .linalg import rank as _rank
-
-    is_iso = is_homo and A.dim == B.dim and _rank(f_map.matrix) == A.dim
+    is_iso = is_homo and A.dim == B.dim and rank(f_map.matrix) == A.dim
     return MorphismReport(is_homo, is_iso, failures)

@@ -29,6 +29,7 @@ from .linalg import (
     SparseSolver,
     basis_vector,
     invert,
+    rank,
     solve,
     sparse_add,
     sparse_apply,
@@ -369,9 +370,7 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
                 failures.append({"kind": f"{label}-dimension-mismatch"})
             else:
                 m = LinMap.from_columns(f, cols)
-                from .linalg import rank as _rank
-
-                if _rank(m.matrix) != C.dim:
+                if rank(m.matrix) != C.dim:
                     failures.append({"kind": f"{label}-multiplication-not-bijective"})
 
     # A e2 A spans C

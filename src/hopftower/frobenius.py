@@ -21,6 +21,7 @@ from .algebra import (
 from .linalg import (
     Matrix,
     basis_vector,
+    rank,
     solve,
     sparse_add,
     vec_eq,
@@ -431,9 +432,7 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
                 )
                 if not vec_eq(f, lhs, rhs):
                     failures.append({"kind": "not-multiplicative", "pair": (i, j)})
-        from .linalg import rank as _rank
-
-        if _rank(qmap.matrix) != s:
+        if rank(qmap.matrix) != s:
             failures.append({"kind": "not-bijective"})
     return NakayamaResult(qmap, not failures, failures)
 
@@ -444,9 +443,7 @@ def nakayama_of_functional(alg: Algebra, functional: list) -> NakayamaResult:
     functional is the coordinate row of phi; scope is the whole algebra.
     """
     f = alg.field
-    scope = SubspaceBasis(
-        alg, [basis_vector(f, alg.dim, i) for i in range(alg.dim)], canonicalize=True
-    )
+    scope = SubspaceBasis(alg, [basis_vector(f, alg.dim, i) for i in range(alg.dim)])
     E = LinMap(Matrix(f, [list(functional)]))
     return nakayama(alg, E, scope)
 

@@ -45,6 +45,7 @@ class PairingData:
     B_alg: Algebra
     P: Matrix  # P[i][j] = <a_i, b_j>
     P_inv: Matrix
+    Phi_inv: Matrix  # inverse of b -> E_M1(e2 e1 b), B -> A in A_basis coordinates
 
 
 @dataclass
@@ -130,8 +131,8 @@ def compute_pairing(t, d2) -> tuple[Optional[PairingData], CheckOutcome]:
     """Evaluate <a, b> = lam^-2 F(a e2 e1 b) on the chosen bases of A and B.
 
     Fails (without raising) when F takes a non-scalar value on the products
-    or when the matrix is singular; also verifies that b -> E_M1(e2 e1 b)
-    is a bijection B -> A.
+    or when the matrix is singular; also verifies that Phi: b -> E_M1(e2 e1 b)
+    is a bijection B -> A and keeps Phi^-1 for the antipode.
     """
     f = t.M.field
     M2 = t.M2
@@ -167,14 +168,14 @@ def compute_pairing(t, d2) -> tuple[Optional[PairingData], CheckOutcome]:
             failures.append({"kind": "E_M1(e2 e1 b) outside A"})
             return None, CheckOutcome(False, failures)
         cols.append(coords)
-    phi = LinMap.from_columns(f, cols)
-    if not (A.dim == B.dim and rank(phi.matrix) == B.dim):
+    phi_inv = invert(LinMap.from_columns(f, cols).matrix) if A.dim == B.dim else None
+    if phi_inv is None:
         failures.append({"kind": "B-to-A map not bijective"})
         return None, CheckOutcome(False, failures)
 
     A_alg, _ = A.induced_algebra()
     B_alg, _ = B.induced_algebra()
-    return PairingData(A, B, A_alg, B_alg, P, P_inv), CheckOutcome(True, [])
+    return PairingData(A, B, A_alg, B_alg, P, P_inv, phi_inv), CheckOutcome(True, [])
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +319,25 @@ def antipode(t, d2, p: PairingData) -> tuple[Optional[Matrix], CheckOutcome]:
     """S = Phi^-1 Psi with Phi(b) = E_M1(e2 e1 b), Psi(b) = E_M1(b e1 e2);
     verifies E_M1(b x e2) = E_M1(e2 x S(b)) for every basis x in M1.
 
-    Phi, Psi and both sides of the identity are read from the sandwich maps
-    at e1 and at the basis of M1; the right-hand side is
-    sum_u S[u][j] E_M1(e2 x b_u), exact by linearity in the right factor.
+    Phi^-1 is the one compute_pairing built and checked bijective. Psi and
+    both sides of the identity are read from the sandwich maps at e1 and at
+    the basis of M1; the right-hand side is sum_u S[u][j] E_M1(e2 x b_u),
+    exact by linearity in the right factor.
     """
     f = t.M.field
     M1 = t.M1
     db = d2.B.dim
-    e1h = t.M2.to_sparse(t.e1_in_m2())
-    domain = sparse_columns(t.incl2.matrix) + [e1h]
-    left, right = left_sandwich(t, d2, domain), right_sandwich(t, d2, domain)
+    incl = sparse_columns(t.incl2.matrix)
+    left = left_sandwich(t, d2, incl)
+    right = right_sandwich(t, d2, incl + [t.M2.to_sparse(t.e1_in_m2())])
     failures = []
-    phi_cols = []
     psi_cols = []
     for j in range(db):
-        coords = d2.A.coords(M1.to_dense(left[j][-1]))
-        if coords is None:
-            return None, CheckOutcome(False, [{"kind": "Phi image outside A"}])
-        phi_cols.append(coords)
-        coords = d2.A.coords(M1.to_dense(right[j][-1]))
+        coords = p.A_basis.coords(M1.to_dense(right[j][-1]))
         if coords is None:
             return None, CheckOutcome(False, [{"kind": "Psi image outside A"}])
         psi_cols.append(coords)
-    phi = LinMap.from_columns(f, phi_cols)
-    psi = LinMap.from_columns(f, psi_cols)
-    phi_inv = invert(phi.matrix)
-    if phi_inv is None:
-        return None, CheckOutcome(False, [{"kind": "Phi not invertible"}])
-    S = phi_inv.mul(psi.matrix)
+    S = p.Phi_inv.mul(LinMap.from_columns(f, psi_cols).matrix)
     if rank(S) != db:
         failures.append({"kind": "S not bijective"})
     # remark identity on all basis x in M1
@@ -455,13 +447,13 @@ def verify_hopf_axioms(
             note("antipode-squared-not-identity")
 
     if tower_ctx is not None and H.antipode is not None:
-        t, d2, p = tower_ctx
-        failures.extend(_tower_axioms(H, t, d2, p, max_failures - len(failures)))
+        t, d2 = tower_ctx
+        failures.extend(_tower_axioms(H, t, d2, max_failures - len(failures)))
 
     return CheckOutcome(not failures, failures)
 
 
-def _tower_axioms(H: HopfStructure, t, d2, p: PairingData, budget: int) -> list:
+def _tower_axioms(H: HopfStructure, t, d2, budget: int) -> list:
     """Exchange relation, both action identities, integrality and centrality.
 
     Every E_M1 sandwich is read from left_sandwich and right_sandwich, built

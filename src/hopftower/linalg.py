@@ -243,10 +243,11 @@ class SparseSolver:
     """Incremental sparse Gaussian elimination: the one sparse eliminator.
 
     Rows arrive one at a time as sparse dicts {col: scalar}. It serves the
-    tensor quotients, whose relation rows go in with a zero right-hand side
-    and whose quotient bases are the non-pivot columns, and the depth-2
-    systems A x = b, where inconsistency is detected as soon as a row reduces
-    to zero with a nonzero right-hand side. With reduce_fully=True every pivot
+    subspaces and endomorphism algebras in ``algebra``, which keep their spans
+    as its pivot rows, the tensor quotients, whose relation rows go in with a
+    zero right-hand side and whose quotient bases are the non-pivot columns,
+    and the depth-2 systems A x = b, where inconsistency is detected as soon
+    as a row reduces to zero with a nonzero right-hand side. With reduce_fully=True every pivot
     row is kept free of the other pivot columns (sparse RREF), so ``reduce``
     gives the canonical normal form of a row modulo the row space and a
     canonical particular solution can be read off at the end.

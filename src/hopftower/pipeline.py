@@ -347,7 +347,7 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     state.H_B = H_B
     q_b = state.naka.q_B if state.naka is not None else None
     ax = verify_hopf_axioms(H_B, q_scope=q_b, expect_involutive=q_b is not None,
-                            tower_ctx=(t, d2, pairing))
+                            tower_ctx=(t, d2))
     rep.outcome("hopf-axioms", ax)
     H_A, d_out = dualize(pairing, H_B, t, d2)
     state.H_A = H_A

@@ -14,7 +14,7 @@ from hopftower.algebra import (
     verify_algebra,
 )
 from hopftower.fields import PrimeField, RationalField
-from hopftower.linalg import Matrix, basis_vector, vec_eq
+from hopftower.linalg import Matrix, basis_vector, rank, rref, vec_eq
 from hopftower.models import (
     cyclic_group,
     group_algebra,
@@ -180,6 +180,26 @@ def test_endomorphism_algebra_group_pair(ext_s3_a3):
     assert endo.algebra.dim == 12  # equals dim M (x)_N M
 
 
+def test_endomorphism_coords_of_matrix(ext_s3_a3):
+    ext = ext_s3_a3
+    n_alg = ext.n_algebra
+    mats = [
+        ext.M.rmul_matrix(ext.embed.apply(basis_vector(Q, n_alg.dim, i)))
+        for i in range(n_alg.dim)
+    ]
+    endo = endomorphism_algebra(Q, 6, mats, n_alg)
+    E = endo.algebra
+    for i, a in enumerate(endo.basis_matrices):
+        assert endo.coords_of_matrix(a) == basis_vector(Q, E.dim, i)
+        for j, b in enumerate(endo.basis_matrices):
+            assert endo.coords_of_matrix(a.mul(b)) == E.to_dense(E.table[i][j])
+    # right multiplication by the transposition (01) fails to commute with
+    # right multiplication by the 3-cycles of A3
+    r01 = ext.M.rmul_matrix(basis_vector(Q, 6, 1))
+    assert any(not r01.mul(r) == r.mul(r01) for r in mats)
+    assert endo.coords_of_matrix(r01) is None
+
+
 def test_endomorphism_rejects_bad_module():
     bad_alg = group_algebra(cyclic_group(2), Q)
     mats = [Matrix.identity(Q, 2), Matrix.identity(Q, 2).scale(Q.from_int(2))]
@@ -241,6 +261,23 @@ def test_subspace_coords_on_noncanonical_bases(field, n, data):
         for ci, vi in zip(coords, vectors):
             back = [field.add(a, field.mul(ci, b)) for a, b in zip(back, vi)]
         assert vec_eq(field, back, w)
+    # the sparse RREF against dense rref, which stays in linalg as the reference
+    spanning = vectors + [w]
+    red, pivots = rref(Matrix(field, spanning))
+    canon = SubspaceBasis.from_spanning(sub.ambient, spanning)
+    assert canon.vectors == red.data[: len(pivots)]
+    assert span_dim(field, spanning) == rank(Matrix(field, spanning)) == len(pivots)
+    # v lies in the span of vectors: adding it changes no span, and makes vectors dependent
+    assert canon.equals(SubspaceBasis.from_spanning(sub.ambient, [v] + spanning[::-1]))
+    assert sub.equals(canon) == (len(pivots) == k)
+    # a unit vector off the pivots moves a row out of the span, often keeping every pivot
+    free = [j for j in range(n) if j not in pivots]
+    if pivots and free:
+        moved = [list(r) for r in canon.vectors]
+        moved[-1][free[-1]] = field.add(moved[-1][free[-1]], field.one)
+        assert not canon.equals(SubspaceBasis(sub.ambient, moved))
+    with pytest.raises(AlgebraError):
+        SubspaceBasis(sub.ambient, vectors + [v])
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])

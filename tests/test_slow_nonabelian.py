@@ -59,7 +59,7 @@ def test_nonabelian_s3_model_full_program():
     S, so = antipode(t, d2, p)
     assert so.ok
     H_B = HopfStructure(p.B_alg, delta, eps, S)
-    ax = verify_hopf_axioms(H_B, q_scope=nr.q_B, expect_involutive=True, tower_ctx=(t, d2, p))
+    ax = verify_hopf_axioms(H_B, q_scope=nr.q_B, expect_involutive=True, tower_ctx=(t, d2))
     assert ax.ok, ax.failures[:2]
     H_A, do = dualize(p, H_B, t, d2)
     assert do.ok

@@ -39,6 +39,19 @@ def _stored_never_loaded(tree) -> list[tuple[str, int, str]]:
     return out
 
 
+def _unused_imports(tree) -> list[tuple[int, str]]:
+    """Names a module imports and never reads; a name listed in __all__ is read."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.extend((node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return [(line, name) for line, name in imported if name not in read]
+
+
 def test_no_local_is_stored_and_never_read():
     unused = []
     for path in sorted(SRC.rglob("*.py")):
@@ -50,3 +63,19 @@ def test_no_local_is_stored_and_never_read():
 def test_scan_sees_a_dead_local():
     tree = ast.parse("def g(x):\n    y = x + 1\n    _z = 2\n    def h():\n        return x\n    return h\n")
     assert _stored_never_loaded(tree) == [("g", 2, "y")]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused.extend(f"{path.name}:{line} {name}" for line, name in _unused_imports(tree))
+    assert unused == [], "imported names never used"
+
+
+def test_scan_sees_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nfrom x import a, b as c, d\n"
+        "__all__ = ['d']\ndef g():\n    from y import e\n    return a\n"
+    )
+    assert _unused_imports(tree) == [(2, "os"), (3, "c"), (6, "e")]
