@@ -568,9 +568,10 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
             lhs = sparse_apply(fld, images, A.table[i][j])
             rhs = B.mul_sparse(images[i], images[j])
             if lhs != rhs:
-                failures.append(
-                    {"kind": "mult", "pair": (i, j), "lhs": B.to_dense(lhs), "rhs": B.to_dense(rhs)}
-                )
+                failures.append({
+                    "kind": "mult", "pair": (i, j),
+                    "lhs": fld.witness(B.to_dense(lhs)), "rhs": fld.witness(B.to_dense(rhs)),
+                })
                 if len(failures) >= max_failures:
                     break
         if len(failures) >= max_failures:

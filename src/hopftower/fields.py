@@ -1,9 +1,14 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields F_p.
 
-Scalars are plain Python objects (gmpy2.mpq for rationals where gmpy2 is
-installed, fractions.Fraction otherwise; small ints for prime fields); every
-arithmetic operation goes through a Field instance so there is exactly one
-place where reduction and canonicalisation happen. No floating point anywhere.
+Scalars are plain Python objects; every arithmetic operation goes through a
+Field instance so there is exactly one place where reduction and
+canonicalisation happen. No floating point anywhere. A rational is a Python
+int when it is integral and otherwise a backend rational in lowest terms
+(gmpy2.mpq where gmpy2 is installed, fractions.Fraction otherwise), so the
+integer structure constants, idempotents and unit vectors that make up most of
+the work multiply and add as ints, with no gcd. Prime-field scalars are small
+ints. Equal values compare and hash equal across int and the backend type, and
+``str`` gives the same text for both.
 
 Scalar strings follow one grammar on both rational backends: Q reads
 ``[+-]?digits(/[+-]?digits)?`` and F_p reads ``[+-]?digits``, with ASCII
@@ -80,8 +85,9 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common scalar interface; instances are stateless and hashable.
 
-    Scalars are kept canonical (rationals in lowest terms, ints as least
-    non-negative residues), so zero-tests may use plain truthiness.
+    Scalars are kept canonical (rationals as ints when integral and in lowest
+    terms otherwise, residues as least non-negative ints), so zero-tests may
+    use plain truthiness.
     """
 
     kind: str
@@ -132,13 +138,35 @@ class Field:
     def to_str(self, a) -> str:
         return str(a)
 
+    def witness(self, obj):
+        """A scalar, dense vector or sparse dict as a report witness shows it.
+
+        ``report.sanitize`` keeps ints and turns other scalars into strings, so
+        F_p residues appear as ints; ``RationalField`` overrides this to keep
+        every Q scalar a string, integral or not.
+        """
+        return obj
+
+
+def _q(r):
+    """A backend rational in canonical form: int when integral, else unchanged.
+
+    ``numerator`` and ``denominator`` exist on Fraction and on mpq alike.
+    """
+    return int(r.numerator) if r.denominator == 1 else r
+
 
 class RationalField(Field):
-    """Q with gmpy2.mpq or Fraction scalars, lowest terms, positive denominator."""
+    """Q: int scalars when integral, gmpy2.mpq or Fraction in lowest terms otherwise.
+
+    An operation on two ints stays an int without touching the backend; any
+    other result is put back in canonical form by ``_q``, so that, for example,
+    2 * (1/2) is the int 1.
+    """
 
     kind = "rational"
-    zero = _rat(0)
-    one = _rat(1)
+    zero = 0
+    one = 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -147,33 +175,44 @@ class RationalField(Field):
         return hash(self.kind)
 
     def from_int(self, n: int):
-        return _rat(n)
+        return int(n)
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if isinstance(c, int) else _q(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if isinstance(c, int) else _q(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if isinstance(c, int) else _q(c)
 
     def neg(self, a):
+        # negation keeps integrality either way
         return -a
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / _rat(a)
+        return _q(1 / _rat(a))
 
     def parse(self, s: str):
         num, slash, den = s.strip().partition("/")
         try:
             if not slash:
-                return _rat(_int_token(num))
-            return _rat(_int_token(num), _int_token(den))
+                return _int_token(num)
+            return _q(_rat(_int_token(num), _int_token(den)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational scalar {s!r}") from exc
+
+    def witness(self, obj):
+        if isinstance(obj, dict):
+            return {k: str(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [str(v) for v in obj]
+        return str(obj)
 
 
 class PrimeField(Field):

@@ -17,6 +17,7 @@ from .algebra import (
     TensorQuotient,
     centralizer,
     tensor_over_subalgebra,
+    verify_algebra,
 )
 from .linalg import (
     Matrix,
@@ -24,6 +25,8 @@ from .linalg import (
     rank,
     solve,
     sparse_add,
+    sparse_apply,
+    sparse_columns,
     vec_eq,
     vec_is_zero,
     vec_scale,
@@ -103,6 +106,18 @@ class CheckOutcome:
         return "ok" if self.ok else f"{len(self.failures)} failure(s); first: {self.failures[:1]}"
 
 
+def algebra_outcome(alg: Algebra) -> CheckOutcome:
+    """verify_algebra as a check outcome: unit then associativity failures,
+    with both sides in report-witness form."""
+    rep = verify_algebra(alg)
+    w = alg.field.witness
+    failures = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])}
+                for fl in rep.unit_failures]
+    failures += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])}
+                 for fl in rep.assoc_failures]
+    return CheckOutcome(rep.ok, failures)
+
+
 # ---------------------------------------------------------------------------
 # conditional expectations
 # ---------------------------------------------------------------------------
@@ -120,22 +135,22 @@ def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, max_failures: 
     failures = []
     e_unit = E.apply(M.unit)
     if not vec_eq(f, e_unit, n_alg.unit):
-        failures.append({"kind": "unit", "value": e_unit})
+        failures.append({"kind": "unit", "value": f.witness(e_unit)})
     n_in_m = [M.to_sparse(ext.embed.apply(basis_vector(f, n_alg.dim, i))) for i in range(n_alg.dim)]
-    e_of_basis = [E.apply(basis_vector(f, M.dim, m)) for m in range(M.dim)]
+    # E(e_m) for each basis m, read once as sparse columns; both sides of
+    # each identity are sparse dicts without zeros, compared as such
+    e_cols = sparse_columns(E.matrix)
     for a, na in enumerate(n_in_m):
         ea = {a: f.one}
         for m in range(M.dim):
             em = {m: f.one}
-            lhs = E.apply(M.to_dense(M.mul_sparse(na, em)))
-            rhs = n_alg.to_dense(n_alg.mul_sparse(ea, n_alg.to_sparse(e_of_basis[m])))
-            if not vec_eq(f, lhs, rhs):
+            lhs = sparse_apply(f, e_cols, M.mul_sparse(na, em))
+            if lhs != n_alg.mul_sparse(ea, e_cols[m]):
                 failures.append({"kind": "bimodule-left", "pair": (a, m)})
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
-            lhs = E.apply(M.to_dense(M.mul_sparse(em, na)))
-            rhs = n_alg.to_dense(n_alg.mul_sparse(n_alg.to_sparse(e_of_basis[m]), ea))
-            if not vec_eq(f, lhs, rhs):
+            lhs = sparse_apply(f, e_cols, M.mul_sparse(em, na))
+            if lhs != n_alg.mul_sparse(e_cols[m], ea):
                 failures.append({"kind": "bimodule-right", "pair": (m, a)})
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
@@ -286,7 +301,7 @@ def verify_frobenius_identities(sys: FrobeniusSystem, max_failures: int = 3) -> 
             left = [f.add(a, b) for a, b in zip(left, lterm)]
             right = [f.add(a, b) for a, b in zip(right, rterm)]
         if not vec_eq(f, left, em) or not vec_eq(f, right, em):
-            failures.append({"basis": m, "left": left, "right": right})
+            failures.append({"basis": m, "left": f.witness(left), "right": f.witness(right)})
             if len(failures) >= max_failures:
                 break
     return CheckOutcome(not failures, failures)

@@ -17,9 +17,8 @@ from .algebra import (
     TensorQuotient,
     check_morphism,
     endomorphism_algebra,
-    verify_algebra,
 )
-from .frobenius import CheckOutcome, FrobeniusSystem
+from .frobenius import CheckOutcome, FrobeniusSystem, algebra_outcome
 from .hopf import HopfStructure, PairingData, right_sandwich
 from .linalg import (
     Matrix,
@@ -163,8 +162,7 @@ def smash_product(X: Algebra, H: HopfStructure, act: ModuleAlgebraAction) -> Sma
             if not f.is_zero(ch):
                 unit[x * dh + h] = f.mul(cx, ch)
     alg = Algebra(f, dim, table, unit)
-    report = verify_algebra(alg)
-    out = CheckOutcome(report.ok, [] if report.ok else report.unit_failures + report.assoc_failures)
+    out = algebra_outcome(alg)
 
     ex_cols = []
     for x in range(dx):

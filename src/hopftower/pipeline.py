@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import SubspaceBasis, verify_algebra
+from .algebra import SubspaceBasis
 from .depth2 import (
     DepthTwoData,
     check_depth_two,
@@ -24,9 +24,9 @@ from .depth2 import (
 from .fields import field_to_spec
 from .fileio import digest, extension_to_dict
 from .frobenius import (
-    CheckOutcome,
     ExtensionSpec,
     FrobeniusError,
+    algebra_outcome,
     classify,
     normalize,
     pairs_to_tensor,
@@ -143,7 +143,7 @@ def run_pipeline(
 def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> None:
     ext = state.ext
     f = ext.M.field
-    rep.outcome("algebra-axioms", _outcome_of_algebra(ext.M))
+    rep.outcome("algebra-axioms", algebra_outcome(ext.M))
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
@@ -444,8 +444,3 @@ def _verdict(rep: Reporter, hypotheses: dict) -> dict:
         "conclusions_certified": [k for k, v in conclusions.items() if v],
         "summary": summary,
     }
-
-
-def _outcome_of_algebra(alg) -> CheckOutcome:
-    rep = verify_algebra(alg)
-    return CheckOutcome(rep.ok, [] if rep.ok else (rep.unit_failures + rep.assoc_failures)[:4])

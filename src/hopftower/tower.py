@@ -17,7 +17,6 @@ from .algebra import (
     check_morphism,
     endomorphism_algebra,
     tensor_over_subalgebra,
-    verify_algebra,
 )
 from .frobenius import (
     CheckOutcome,
@@ -25,6 +24,7 @@ from .frobenius import (
     FrobeniusError,
     FrobeniusFlags,
     FrobeniusSystem,
+    algebra_outcome,
     pairs_to_tensor,
     scalar_of,
     verify_conditional_expectation,
@@ -138,13 +138,18 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
     dim1 = tq.dim
     e_into_m = sys.ext.e_into_m(sys.E)
 
-    # multiplication table: [a(x)b][c(x)d] = a E(bc) (x) d
+    # multiplication table: [a(x)b][c(x)d] = a E(bc) (x) d, with E(bc) formed
+    # once per basis pair (b, c) of M
+    ebc_of = {
+        (b, c): M.to_sparse(e_into_m.apply(M.to_dense(M.table[b][c])))
+        for b in range(M.dim)
+        for c in range(M.dim)
+    }
     table = [[{} for _ in range(dim1)] for _ in range(dim1)]
     for p, (a, b) in enumerate(tq.pairs):
         ea = {a: f.one}
         for q, (c, d) in enumerate(tq.pairs):
-            ebc = e_into_m.apply(M.to_dense(M.mul_sparse({b: f.one}, {c: f.one})))
-            u = M.mul_sparse(ea, M.to_sparse(ebc))
+            u = M.mul_sparse(ea, ebc_of[b, c])
             if not u:
                 continue
             tens = {}
@@ -159,7 +164,7 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
     alg1 = Algebra(f, dim1, table, unit1)
 
     checks = []
-    checks.append(("algebra-axioms", _as_outcome(verify_algebra(alg1))))
+    checks.append(("algebra-axioms", algebra_outcome(alg1)))
 
     # Jones idempotent e = 1 (x) 1
     e1 = tq.project_pure(M.unit, M.unit)
@@ -213,7 +218,9 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
     checks.append(("level-frobenius-identities", verify_frobenius_identities(sys1)))
     lam_ok = sys1.lambda_inverse is not None and f.eq(sys1.lambda_inverse, lam_inv)
     checks.append(
-        ("level-index", CheckOutcome(lam_ok, [] if lam_ok else [{"kind": "index mismatch", "value": sys1.index}]))
+        ("level-index", CheckOutcome(
+            lam_ok, [] if lam_ok else [{"kind": "index mismatch", "value": f.witness(sys1.index)}]
+        ))
     )
 
     return TowerLevel(
@@ -236,12 +243,6 @@ def _pairs_index(alg: Algebra, pairs: list) -> list:
         prod = alg.mul(x, y)
         total = [f.add(a, b) for a, b in zip(total, prod)]
     return total
-
-
-def _as_outcome(report) -> CheckOutcome:
-    ok = report.ok
-    failures = [] if ok else (report.unit_failures + report.assoc_failures)
-    return CheckOutcome(ok, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopftower import fields
 from hopftower.fields import (
@@ -82,8 +82,9 @@ def test_prime_field_axioms(a, b):
 
 
 # -- scalar grammar, on every rational backend that imports ------------------
-# RationalField.parse is the only string-taking user of fields._rat, so
-# patching _rat selects the backend the parser hands its integers to.
+# RationalField makes every non-integral scalar through fields._rat (in parse
+# and inv; sums and products of those stay in the backend type), so patching
+# _rat selects the backend.
 
 
 @pytest.fixture(params=["fraction", "gmpy2"])
@@ -110,7 +111,8 @@ def Q_backend(request, monkeypatch):
 def test_rational_parse_normalises_signs(Q_backend, text, expected):
     Q, rat = Q_backend
     x = Q.parse(text)
-    assert type(x) is type(rat(0))
+    # an int exactly when integral, the backend type otherwise
+    assert type(x) is (type(rat(1, 2)) if "/" in expected else int)
     assert Q.to_str(x) == expected
 
 
@@ -134,6 +136,35 @@ def test_rational_parse_reads_back_canonical_strings(Q_backend):
     for x in values:
         parsed = Q.parse(Q.to_str(x))
         assert parsed == x and Q.to_str(parsed) == Q.to_str(x)
+
+
+def _is_canonical(x, rat) -> bool:
+    return type(x) is (int if x.denominator == 1 else type(rat(1, 2)))
+
+
+# small denominators, so that many values are integral and many products and
+# sums cancel to integers, e.g. 2 * (1/2)
+_small_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_small_rationals, _small_rationals)
+def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
+    # every operation agrees with plain Fraction arithmetic and returns an int
+    # exactly when the value is integral
+    Q, rat = Q_backend
+    x, y = Q.parse(str(a)), Q.parse(str(b))
+    results = [
+        (x, a), (y, b), (Q.zero, Fraction(0)), (Q.one, Fraction(1)),
+        (Q.from_int(a.numerator), Fraction(a.numerator)),
+        (Q.add(x, y), a + b), (Q.sub(x, y), a - b), (Q.mul(x, y), a * b), (Q.neg(x), -a),
+    ]
+    if b:
+        results += [(Q.inv(y), 1 / b), (Q.div(x, y), a / b)]
+    for got, want in results:
+        assert Q.to_str(got) == str(want)
+        assert _is_canonical(got, rat), (got, want)
+        assert Q.is_zero(got) == (want == 0)
 
 
 @pytest.mark.parametrize("text, expected", [("12", 5), ("-7", 0), ("-1", 6), ("+3", 3), (" 8 ", 1)])

@@ -157,3 +157,26 @@ def test_model_report_digest_is_golden(case_id):
     override = DepthTwoData(A=A, B=B, C=C, source="model")
     report = run_pipeline(extension_from_dict(json.loads(text)), d2_override=override).to_dict()
     assert _sha256(report) == MODEL_GOLDEN[case_id]
+
+
+# A FAIL report, pinned over Q and F7: the group-pair s3/z2 extension with
+# E(e_0) changed from 1 to 2 in its first coordinate, so E(1) != 1 and E is no
+# longer an N-bimodule map. The unit witness holds raw scalars, which reports
+# show as strings over Q (integral or not) and as ints over F_p. The digests
+# were taken before integral Q scalars became Python ints.
+PERTURBED_GOLDEN = {
+    "rational": ("761e40930317d6fef0b97e096e0f1dc8c0f03812df1f856f006d44faaf013c2b", ["2", "0"]),
+    "f7": ("072025ed8d32633314bdd16e4a82bd031a23efe5e0be25fa404fdf9cb01a0aa9", [2, 0]),
+}
+
+
+@pytest.mark.parametrize("field", list(PERTURBED_GOLDEN))
+def test_perturbed_report_digest_is_golden(field):
+    ext, _sidecar = generate_example("group-pair", {"group": "s3", "subgroup": "z2", "field": field})
+    data = json.loads(canonical_json(extension_to_dict(ext)))
+    data["cond_expectation"][0][0] = "2"
+    report = run_pipeline(extension_from_dict(data)).to_dict()
+    digest, unit_value = PERTURBED_GOLDEN[field]
+    status = {c["id"]: c for c in report["checks"]}
+    assert status["cond-expectation"]["witness"]["failures"][0] == {"kind": "unit", "value": unit_value}
+    assert _sha256(report) == digest

@@ -79,3 +79,39 @@ def test_scan_sees_an_unused_import():
         "__all__ = ['d']\ndef g():\n    from y import e\n    return a\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "c"), (6, "e")]
+
+
+_SCALAR_BACKENDS = ("fractions", "gmpy2")
+
+
+def _scalar_backend_uses(tree) -> list[tuple[int, str]]:
+    """Imports of a rational backend and calls of fields._rat in a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, a.name) for a in node.names if a.name.split(".")[0] in _SCALAR_BACKENDS)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in _SCALAR_BACKENDS:
+            out.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call) and "_rat" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            out.append((node.lineno, "_rat()"))
+    return out
+
+
+def test_scalars_are_built_only_in_fields():
+    # RationalField keeps integral scalars as ints and the rest in the backend
+    # type; a scalar made anywhere else could bypass that canonical form
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(f"{path.name}:{line} {what}" for line, what in _scalar_backend_uses(tree))
+    assert found == [], "rational scalars made outside fields.py"
+
+
+def test_scan_sees_a_scalar_backend_use():
+    tree = ast.parse(
+        "import fractions\nfrom gmpy2 import mpq\nfrom . import fields\nimport json\n"
+        "x = fields._rat(1, 2)\ny = _rat(3)\nz = fields.RationalField().parse('1/2')\n"
+    )
+    assert _scalar_backend_uses(tree) == [(1, "fractions"), (2, "gmpy2"), (5, "_rat()"), (6, "_rat()")]
