@@ -163,7 +163,8 @@ def test_model_report_digest_is_golden(case_id):
 # E(e_0) changed from 1 to 2 in its first coordinate, so E(1) != 1 and E is no
 # longer an N-bimodule map. The unit witness holds raw scalars, which reports
 # show as strings over Q (integral or not) and as ints over F_p. The digests
-# were taken before integral Q scalars became Python ints.
+# are those of the all-Fraction Q representation, so they hold the int form
+# of integral Q scalars to the same bytes.
 PERTURBED_GOLDEN = {
     "rational": ("761e40930317d6fef0b97e096e0f1dc8c0f03812df1f856f006d44faaf013c2b", ["2", "0"]),
     "f7": ("072025ed8d32633314bdd16e4a82bd031a23efe5e0be25fa404fdf9cb01a0aa9", [2, 0]),
