@@ -13,7 +13,6 @@ from .algebra import (
     centralizer,
     check_morphism,
     endomorphism_algebra,
-    tensor_over_subalgebra,
     verify_algebra,
 )
 from .frobenius import (
@@ -56,7 +55,6 @@ __all__ = [
     "centralizer",
     "check_morphism",
     "endomorphism_algebra",
-    "tensor_over_subalgebra",
     "verify_algebra",
     "ExtensionSpec",
     "FrobeniusError",

@@ -1,14 +1,17 @@
 """Finite-dimensional associative algebras given by structure constants.
 
-Vectors are coordinate lists over an exact field; multiplication tables are
-stored sparsely (dict per basis pair) because group-algebra-like inputs and
-all tower levels built from them stay very sparse. Every subspace keeps its
-rows in sparse RREF in one linalg.SparseSolver, which decides membership and
-reduces vectors; dense elimination stays inside linalg.
+Elements are sparse dicts {basis index: nonzero scalar} from the loader to the
+report; scalars are canonical, so two elements are equal exactly when their
+dicts are, and ``Algebra.mul_sparse`` is the one product. Multiplication
+tables are stored the same way (a dict per basis pair), and a ``LinMap`` holds
+its sparse columns. Dense lists appear only at the file and report boundary
+(``Algebra.to_dense``) and as the input of dense elimination in linalg. Every
+subspace keeps its rows in sparse RREF in one linalg.SparseSolver, which
+decides membership and reduces vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional
 
 from .fields import Field
@@ -16,15 +19,13 @@ from .linalg import (
     DimensionError,
     Matrix,
     SparseSolver,
-    basis_vector,
     invert,
     kernel_basis,
     rank,
     sparse_add,
     sparse_apply,
-    sparse_columns,
+    sparse_vector,
     stack,
-    vec_eq,
 )
 
 
@@ -39,36 +40,37 @@ class AlgebraError(ValueError):
 
 @dataclass
 class LinMap:
-    """Linear map between coordinate spaces; matrix is codomain x domain."""
+    """Linear map between coordinate spaces, kept as its sparse columns:
+    columns[j] is the image of basis vector j as a dict {row: nonzero entry}."""
 
-    matrix: Matrix
+    field: Field = dc_field(compare=False, repr=False)
+    columns: list
+    codomain_dim: int
 
     @property
     def domain_dim(self) -> int:
-        return self.matrix.cols
+        return len(self.columns)
 
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.rows
-
-    def apply(self, v: list) -> list:
-        return self.matrix.matvec(v)
+    def apply(self, v: dict) -> dict:
+        return sparse_apply(self.field, self.columns, v)
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
-        return LinMap(self.matrix.mul(inner.matrix))
+        return LinMap(self.field, [self.apply(c) for c in inner.columns], self.codomain_dim)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense codomain x domain matrix, formed for dense elimination and files."""
+        z = self.field.zero
+        return Matrix(self.field, [[c.get(r, z) for c in self.columns] for r in range(self.codomain_dim)])
 
     @classmethod
-    def from_columns(cls, field: Field, columns: list[list]) -> "LinMap":
-        if not columns:
-            raise DimensionError("LinMap with no columns")
-        rows = len(columns[0])
-        data = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-        return cls(Matrix(field, data))
+    def from_matrix(cls, mat: Matrix) -> "LinMap":
+        return cls(mat.field, [sparse_vector(col) for col in zip(*mat.data)], mat.rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "LinMap":
-        return cls(Matrix.identity(field, n))
+        return cls(field, [{i: field.one} for i in range(n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ class Algebra:
 
     __slots__ = ("field", "dim", "unit", "table")
 
-    def __init__(self, field: Field, dim: int, table: list[list[dict]], unit: list):
+    def __init__(self, field: Field, dim: int, table: list[list[dict]], unit: dict):
         self.field = field
         self.dim = dim
         self.table = table
@@ -92,14 +94,14 @@ class Algebra:
 
     @classmethod
     def from_entries(
-        cls, field: Field, dim: int, entries: Iterable[tuple[int, int, int, object]], unit: list
+        cls, field: Field, dim: int, entries: Iterable[tuple[int, int, int, object]], unit: dict
     ) -> "Algebra":
         table: list[list[dict]] = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, k, c in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AlgebraError(f"structure constant index out of range: {(i, j, k)}")
             sparse_add(field, table[i][j], k, c)
-        return cls(field, dim, table, list(unit))
+        return cls(field, dim, table, dict(unit))
 
     def entries(self) -> list[tuple[int, int, int, object]]:
         out = []
@@ -129,37 +131,24 @@ class Algebra:
                         out.pop(k, None)
         return out
 
-    def to_sparse(self, v: list) -> dict:
-        return {i: c for i, c in enumerate(v) if c}
-
     def to_dense(self, d: dict) -> list:
+        """Coordinate list of an element, for files, report witnesses and dense elimination."""
         v = [self.field.zero] * self.dim
         for i, c in d.items():
             v[i] = c
         return v
 
-    def mul(self, x: list, y: list) -> list:
-        return self.to_dense(self.mul_sparse(self.to_sparse(x), self.to_sparse(y)))
-
-    def lmul_matrix(self, x: list) -> Matrix:
+    def lmul_matrix(self, x: dict) -> Matrix:
         """Matrix of left multiplication by x."""
-        f = self.field
-        cols = []
-        xs = self.to_sparse(x)
-        for j in range(self.dim):
-            cols.append(self.to_dense(self.mul_sparse(xs, {j: f.one})))
-        return Matrix(f, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        one = self.field.one
+        return LinMap(self.field, [self.mul_sparse(x, {j: one}) for j in range(self.dim)], self.dim).matrix
 
-    def rmul_matrix(self, x: list) -> Matrix:
-        f = self.field
-        xs = self.to_sparse(x)
-        cols = []
-        for j in range(self.dim):
-            cols.append(self.to_dense(self.mul_sparse({j: f.one}, xs)))
-        return Matrix(f, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+    def rmul_matrix(self, x: dict) -> Matrix:
+        one = self.field.one
+        return LinMap(self.field, [self.mul_sparse({j: one}, x) for j in range(self.dim)], self.dim).matrix
 
-    def commutes(self, x: list, y: list) -> bool:
-        return vec_eq(self.field, self.mul(x, y), self.mul(y, x))
+    def commutes(self, x: dict, y: dict) -> bool:
+        return self.mul_sparse(x, y) == self.mul_sparse(y, x)
 
     def multiplication_matrix(self) -> Matrix:
         """mu as a dim x dim^2 matrix, columns indexed by (i, j) row-major."""
@@ -192,7 +181,7 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
     """Check unit laws on all basis elements and associativity on all triples."""
     f = alg.field
     unit_failures = []
-    us = alg.to_sparse(alg.unit)
+    us = alg.unit
     for i in range(alg.dim):
         ei = {i: f.one}
         left = alg.mul_sparse(us, ei)
@@ -244,12 +233,12 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
 # ---------------------------------------------------------------------------
 
 
-def _row_space(field: Field, cols: int, vectors: list[list]) -> SparseSolver:
+def _row_space(field: Field, cols: int, vectors: list[dict]) -> SparseSolver:
     """The span of vectors as sparse RREF rows in a SparseSolver."""
     solver = SparseSolver(field, cols, reduce_fully=True)
     zero = field.zero
     for v in vectors:
-        solver.add_row({i: c for i, c in enumerate(v) if c}, zero)
+        solver.add_row(v, zero)
     return solver
 
 
@@ -261,39 +250,44 @@ class SubspaceBasis:
     The span itself is kept in sparse RREF in a SparseSolver, so membership is
     "reduces to zero" and two subspaces are equal when their pivot rows are.
 
-    ``coords`` reads v[pivots], which fixes v in the span as the reduced rows are
-    fully reduced: with B the vectors restricted to the pivot columns, coords(v)
-    is (B^T)^-1 v[pivots]. The inverse is cached on first use: do not mutate ``vectors``.
+    ``coords`` reads v at the pivots, which fixes v in the span as the reduced
+    rows are fully reduced: with B the vectors restricted to the pivot columns,
+    coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use: do not
+    mutate ``vectors``.
     """
 
-    def __init__(self, ambient: Algebra, vectors: list[list]):
+    def __init__(self, ambient: Algebra, vectors: list[dict]):
         space = _row_space(ambient.field, ambient.dim, vectors)
         if space.rank() < len(vectors):
             raise AlgebraError("subspace basis vectors are dependent")
-        self._attach(ambient, [list(v) for v in vectors], space)
+        self._attach(ambient, [dict(v) for v in vectors], space)
 
-    def _attach(self, ambient: Algebra, vectors: list[list], space: SparseSolver) -> None:
+    def _attach(self, ambient: Algebra, vectors: list[dict], space: SparseSolver) -> None:
         self.ambient = ambient
         self.vectors = vectors
         self._space = space
         self._pivots = sorted(space.pivots)
-        self._coord_map: Optional[Matrix] = None
+        self._coord_map: Optional[LinMap] = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def contains(self, v: list) -> bool:
-        return not self._space.reduce(self.ambient.to_sparse(v))
+    def contains(self, v: dict) -> bool:
+        return not self._space.reduce(v)
 
-    def coords(self, v: list) -> Optional[list]:
+    def _at_pivots(self, v: dict) -> dict:
+        return {r: v[p] for r, p in enumerate(self._pivots) if p in v}
+
+    def coords(self, v: dict) -> Optional[dict]:
         """Coordinates of v in self.vectors, or None when v is outside."""
         if not self.contains(v):
             return None
         if self._coord_map is None:
-            b_transposed = [[x[p] for x in self.vectors] for p in self._pivots]
-            self._coord_map = invert(Matrix(self.ambient.field, b_transposed))
-        return self._coord_map.matvec([v[p] for p in self._pivots])
+            f = self.ambient.field
+            b_transposed = LinMap(f, [self._at_pivots(x) for x in self.vectors], len(self._pivots))
+            self._coord_map = LinMap.from_matrix(invert(b_transposed.matrix))
+        return self._coord_map.apply(self._at_pivots(v))
 
     def equals(self, other: "SubspaceBasis") -> bool:
         return self._space.pivots == other._space.pivots
@@ -304,9 +298,9 @@ class SubspaceBasis:
     def is_unital_subalgebra(self) -> bool:
         alg = self.ambient
         reduce = self._space.reduce
-        if reduce(alg.to_sparse(alg.unit)):
+        if reduce(alg.unit):
             return False
-        xs = [alg.to_sparse(x) for x in self.vectors]
+        xs = self.vectors
         return not any(reduce(alg.mul_sparse(x, y)) for x in xs for y in xs)
 
     def induced_algebra(self) -> tuple[Algebra, LinMap]:
@@ -316,30 +310,29 @@ class SubspaceBasis:
         entries = []
         for i, x in enumerate(self.vectors):
             for j, y in enumerate(self.vectors):
-                coords = self.coords(alg.mul(x, y))
+                coords = self.coords(alg.mul_sparse(x, y))
                 if coords is None:
                     raise AlgebraError("subspace not closed under multiplication")
-                for k, c in enumerate(coords):
-                    if not f.is_zero(c):
-                        entries.append((i, j, k, c))
+                entries.extend((i, j, k, c) for k, c in coords.items())
         unit = self.coords(alg.unit)
         if unit is None:
             raise AlgebraError("subspace does not contain the unit")
         sub = Algebra.from_entries(f, self.dim, entries, unit)
-        embed = LinMap.from_columns(f, [list(v) for v in self.vectors])
+        embed = LinMap(f, list(self.vectors), alg.dim)
         return sub, embed
 
     @classmethod
-    def from_spanning(cls, ambient: Algebra, vectors: list[list]) -> "SubspaceBasis":
+    def from_spanning(cls, ambient: Algebra, vectors: list[dict]) -> "SubspaceBasis":
         """Canonical subspace from a spanning set (RREF rows)."""
         space = _row_space(ambient.field, ambient.dim, vectors)
         out = cls.__new__(cls)
-        out._attach(ambient, [ambient.to_dense(space.pivots[p]) for p in sorted(space.pivots)], space)
+        out._attach(ambient, [dict(space.pivots[p]) for p in sorted(space.pivots)], space)
         return out
 
 
-def span_dim(field: Field, vectors: list[list]) -> int:
-    return _row_space(field, len(vectors[0]) if vectors else 0, vectors).rank()
+def span_dim(field: Field, vectors: list[dict]) -> int:
+    cols = 1 + max((k for v in vectors for k in v), default=-1)
+    return _row_space(field, cols, vectors).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +346,8 @@ def centralizer(alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = Tru
         raise AlgebraError("centralizer: given subspace is not a unital subalgebra")
     blocks = [alg.lmul_matrix(s).sub(alg.rmul_matrix(s)) for s in sub.vectors]
     if not blocks:
-        return SubspaceBasis(alg, [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)])
-    sys_mat = stack(alg.field, blocks)
-    basis = kernel_basis(sys_mat)
+        return SubspaceBasis(alg, [{i: alg.field.one} for i in range(alg.dim)])
+    basis = [sparse_vector(v) for v in kernel_basis(stack(alg.field, blocks))]
     out = SubspaceBasis.from_spanning(alg, basis)
     if not out.is_unital_subalgebra():
         raise AlgebraError("centralizer output failed closure check")
@@ -373,7 +365,7 @@ class TensorQuotient:
     The relation subspace span{mn (x) m' - m (x) nm'} is kept in sparse RREF by
     a SparseSolver; the canonical quotient basis consists of the non-pivot
     coordinates e_i(x)e_j, the projection reduces modulo the relations, and the
-    section re-embeds representatives. projection(section) = id by construction.
+    section re-embeds representatives. project(section) = id by construction.
     """
 
     def __init__(self, M: Algebra, N: SubspaceBasis):
@@ -385,8 +377,7 @@ class TensorQuotient:
         relations = SparseSolver(f, self.amb_dim, reduce_fully=True)
         for x in range(d):
             ex = {x: f.one}
-            for n in N.vectors:
-                ns = M.to_sparse(n)
+            for ns in N.vectors:
                 xn = M.mul_sparse(ex, ns)
                 for y in range(d):
                     # xn (x) y - x (x) ny
@@ -403,18 +394,12 @@ class TensorQuotient:
         self.dim = len(self.pairs)
         self._pair_index = {i * d + j: c for c, (i, j) in enumerate(self.pairs)}
 
-    def project_sparse(self, tensor: dict) -> dict:
+    def project(self, tensor: dict) -> dict:
         """Quotient coordinates of a sparse element of M tensor_k M."""
         index = self._pair_index
         return {index[col]: c for col, c in self._relations.reduce(tensor).items()}
 
-    def project(self, tensor: dict) -> list:
-        v = [self.M.field.zero] * self.dim
-        for c, val in self.project_sparse(tensor).items():
-            v[c] = val
-        return v
-
-    def section_sparse(self, coords: dict) -> dict:
+    def section(self, coords: dict) -> dict:
         d = self.M.dim
         out = {}
         for c, val in coords.items():
@@ -422,26 +407,14 @@ class TensorQuotient:
             out[i * d + j] = val
         return out
 
-    def pure_tensor(self, x: list, y: list) -> dict:
+    def pure_tensor(self, x: dict, y: dict) -> dict:
         """x tensor y as a sparse ambient element."""
         f = self.M.field
         d = self.M.dim
-        out = {}
-        for i, a in enumerate(x):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(y):
-                if f.is_zero(b):
-                    continue
-                out[i * d + j] = f.mul(a, b)
-        return out
+        return {i * d + j: f.mul(a, b) for i, a in x.items() for j, b in y.items()}
 
-    def project_pure(self, x: list, y: list) -> list:
+    def project_pure(self, x: dict, y: dict) -> dict:
         return self.project(self.pure_tensor(x, y))
-
-
-def tensor_over_subalgebra(M: Algebra, N: SubspaceBasis) -> TensorQuotient:
-    return TensorQuotient(M, N)
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +431,20 @@ class EndomorphismAlgebra:
     basis_matrices: list[Matrix]
     _space: SparseSolver
 
-    def coords_of_matrix(self, mat: Matrix) -> Optional[list]:
+    def coords_of_matrix(self, mat: Matrix) -> Optional[dict]:
         """Coordinates of an endomorphism in the canonical basis, or None."""
-        flat = {i: x for i, x in enumerate(x for row in mat.data for x in row) if x}
+        flat = sparse_vector([x for row in mat.data for x in row])
         if self._space.reduce(flat):
             return None
-        zero = mat.field.zero
-        return [flat.get(p, zero) for p in sorted(self._space.pivots)]
+        return {k: flat[p] for k, p in enumerate(sorted(self._space.pivots)) if p in flat}
 
 
 def module_axioms_ok(field: Field, action_mats: list[Matrix], sub_alg: Algebra) -> bool:
     """Right-module axioms: R_1 = id and R_{nn'} = R_{n'} R_n on basis pairs."""
     dim_v = action_mats[0].rows if action_mats else 0
     r_unit = Matrix.zero(field, dim_v, dim_v)
-    for j, c in enumerate(sub_alg.unit):
-        if not field.is_zero(c):
-            r_unit = r_unit.add(action_mats[j].scale(c))
+    for j, c in sub_alg.unit.items():
+        r_unit = r_unit.add(action_mats[j].scale(c))
     if not r_unit == Matrix.identity(field, dim_v):
         return False
     for i in range(sub_alg.dim):
@@ -512,9 +483,9 @@ def endomorphism_algebra(
                     )
         blocks.append(block)
     if blocks:
-        basis_flat = kernel_basis(stack(field, blocks))
+        basis_flat = [sparse_vector(v) for v in kernel_basis(stack(field, blocks))]
     else:
-        basis_flat = [basis_vector(field, n2, i) for i in range(n2)]
+        basis_flat = [{i: field.one} for i in range(n2)]
     space = _row_space(field, n2, basis_flat)
     mats = []
     for p in sorted(space.pivots):
@@ -532,11 +503,16 @@ def endomorphism_algebra(
             coords = endo.coords_of_matrix(a.mul(b))
             if coords is None:
                 raise AlgebraError("endomorphism product escaped the solved basis")
-            for k, c in enumerate(coords):
-                if not field.is_zero(c):
-                    entries.append((i, j, k, c))
+            entries.extend((i, j, k, c) for k, c in coords.items())
     endo.algebra = Algebra.from_entries(field, len(mats), entries, unit_coords)
     return endo
+
+
+def right_module_endomorphisms(M: Algebra, n_alg: Algebra, embed: LinMap) -> EndomorphismAlgebra:
+    """End(M_N): the endomorphisms of M commuting with right multiplication by
+    the image of N under embed (N-coordinates -> M)."""
+    action_mats = [M.rmul_matrix(n) for n in embed.columns]
+    return endomorphism_algebra(M.field, M.dim, action_mats, n_alg)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +536,12 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
         raise DimensionError("check_morphism: map shape does not match algebras")
     fld = A.field
     failures = []
-    if not vec_eq(fld, f_map.apply(A.unit), B.unit):
+    if f_map.apply(A.unit) != B.unit:
         failures.append({"kind": "unit"})
-    images = sparse_columns(f_map.matrix)
+    images = f_map.columns
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = sparse_apply(fld, images, A.table[i][j])
+            lhs = f_map.apply(A.table[i][j])
             rhs = B.mul_sparse(images[i], images[j])
             if lhs != rhs:
                 failures.append({

@@ -8,22 +8,26 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from . import __version__
+from .fields import field_to_spec
 from .fileio import (
     InputError,
     canonical_json,
+    digest,
     extension_to_dict,
     hopf_to_dict,
     load_extension,
     load_pair_file,
     tower_to_dict,
 )
+from .hopf import HopfError, bialgebra_from_abstract_pairing
 from .models import CATALOG, ModelError, generate_example
 from .pipeline import run_pipeline
-from .report import PASS
+from .report import PASS, PipelineReport, Reporter
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,9 +126,7 @@ def cmd_hopf(args) -> int:
     outdir = Path(args.out)
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
-            import json as _json
-
-            raw = _json.load(fh)
+            raw = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -156,8 +158,6 @@ def cmd_hopf(args) -> int:
 
 
 def _hopf_from_pair_file(args, outdir: Path) -> int:
-    from .hopf import HopfError, bialgebra_from_abstract_pairing
-
     try:
         _, A, B, P, S, _raw = load_pair_file(args.path)
     except InputError as exc:
@@ -205,10 +205,6 @@ def cmd_examples(args) -> int:
 
 
 def cmd_pair_check(args) -> int:
-    from .hopf import HopfError, bialgebra_from_abstract_pairing
-    from .report import Reporter, PipelineReport
-    from .fileio import digest
-
     try:
         field, A, B, P, S, raw = load_pair_file(args.path)
     except InputError as exc:
@@ -221,8 +217,6 @@ def cmd_pair_check(args) -> int:
     except HopfError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    from .fields import field_to_spec
-
     report = PipelineReport(
         input_digest=digest(raw),
         field=field_to_spec(field),

@@ -13,10 +13,10 @@ import hashlib
 import json
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis
+from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, verify_algebra
 from .fields import Field, FieldError, field_from_spec, field_to_spec, integral
 from .frobenius import ExtensionSpec
-from .linalg import Matrix
+from .linalg import Matrix, sparse_vector
 
 
 class InputError(ValueError):
@@ -61,6 +61,11 @@ def parse_vector(field: Field, data, length: int) -> list:
     return [parse_scalar(field, x) for x in data]
 
 
+def parse_element(field: Field, data, length: int) -> dict:
+    """An algebra element written as a coordinate list, as a sparse dict."""
+    return sparse_vector(parse_vector(field, data, length))
+
+
 def matrix_to_rows(field: Field, m: Matrix) -> list:
     return [vector_to_list(field, row) for row in m.data]
 
@@ -80,7 +85,7 @@ def algebra_to_dict(alg: Algebra) -> dict:
     f = alg.field
     return {
         "dim": alg.dim,
-        "unit": vector_to_list(f, alg.unit),
+        "unit": vector_to_list(f, alg.to_dense(alg.unit)),
         "structure": [[i, j, k, scalar_to_str(f, c)] for i, j, k, c in alg.entries()],
     }
 
@@ -90,7 +95,7 @@ def parse_algebra(field: Field, data) -> Algebra:
         raise InputError("algebra must be an object")
     try:
         dim = integral(data["dim"])
-        unit = parse_vector(field, data["unit"], dim)
+        unit = parse_element(field, data["unit"], dim)
         entries = []
         for item in data["structure"]:
             if not isinstance(item, list) or len(item) != 4:
@@ -106,11 +111,12 @@ def parse_algebra(field: Field, data) -> Algebra:
 
 
 def extension_to_dict(ext: ExtensionSpec) -> dict:
-    f = ext.M.field
+    M = ext.M
+    f = M.field
     out = {
         "field": field_to_spec(f),
-        "algebra": algebra_to_dict(ext.M),
-        "subalgebra": [vector_to_list(f, v) for v in ext.N.vectors],
+        "algebra": algebra_to_dict(M),
+        "subalgebra": [vector_to_list(f, M.to_dense(v)) for v in ext.N.vectors],
     }
     if ext.E is not None:
         out["cond_expectation"] = matrix_to_rows(f, ext.E.matrix)
@@ -118,7 +124,7 @@ def extension_to_dict(ext: ExtensionSpec) -> dict:
         out["cond_expectation"] = None
     if ext.dual_pairs is not None:
         out["dual_bases"] = [
-            [vector_to_list(f, x), vector_to_list(f, y)] for x, y in ext.dual_pairs
+            [vector_to_list(f, M.to_dense(x)), vector_to_list(f, M.to_dense(y))] for x, y in ext.dual_pairs
         ]
     else:
         out["dual_bases"] = None
@@ -133,22 +139,20 @@ def extension_from_dict(data) -> ExtensionSpec:
     except (KeyError, FieldError, TypeError) as exc:
         raise InputError(f"bad field spec: {exc}") from exc
     M = parse_algebra(field, data.get("algebra"))
-    from .algebra import verify_algebra
-
     rep = verify_algebra(M)
     if not rep.ok:
         raise InputError(f"algebra axioms fail: {rep.summary()}")
     sub = data.get("subalgebra")
     if not isinstance(sub, list) or not sub:
         raise InputError("subalgebra embedding rows are required")
-    vectors = [parse_vector(field, row, M.dim) for row in sub]
+    vectors = [parse_element(field, row, M.dim) for row in sub]
     try:
         N = SubspaceBasis(M, vectors)
     except AlgebraError as exc:
         raise InputError(str(exc)) from exc
     E = None
     if data.get("cond_expectation") is not None:
-        E = LinMap(parse_matrix(field, data["cond_expectation"], len(vectors), M.dim))
+        E = LinMap.from_matrix(parse_matrix(field, data["cond_expectation"], len(vectors), M.dim))
     pairs = None
     if data.get("dual_bases") is not None:
         pairs = []
@@ -156,7 +160,7 @@ def extension_from_dict(data) -> ExtensionSpec:
             if not isinstance(item, list) or len(item) != 2:
                 raise InputError("dual_bases entries must be [x, y] vector pairs")
             pairs.append(
-                (parse_vector(field, item[0], M.dim), parse_vector(field, item[1], M.dim))
+                (parse_element(field, item[0], M.dim), parse_element(field, item[1], M.dim))
             )
     try:
         return ExtensionSpec(M, N, E=E, dual_pairs=pairs)
@@ -190,8 +194,6 @@ def pair_file_from_dict(data) -> tuple:
         raise InputError(f"bad field spec: {exc}") from exc
     A = parse_algebra(field, data.get("algebra_a"))
     B = parse_algebra(field, data.get("algebra_b"))
-    from .algebra import verify_algebra
-
     for name, alg in (("algebra_a", A), ("algebra_b", B)):
         rep = verify_algebra(alg)
         if not rep.ok:
@@ -219,7 +221,7 @@ def load_pair_file(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def hopf_to_dict(H, pairing_matrix: Optional[Matrix] = None, integral: Optional[list] = None) -> dict:
+def hopf_to_dict(H, pairing_matrix: Optional[Matrix] = None, integral: Optional[dict] = None) -> dict:
     f = H.algebra.field
     out = {
         "field": field_to_spec(f),
@@ -231,7 +233,7 @@ def hopf_to_dict(H, pairing_matrix: Optional[Matrix] = None, integral: Optional[
     if pairing_matrix is not None:
         out["pairing"] = matrix_to_rows(f, pairing_matrix)
     if integral is not None:
-        out["integral"] = vector_to_list(f, integral)
+        out["integral"] = vector_to_list(f, H.algebra.to_dense(integral))
     return out
 
 
@@ -239,14 +241,13 @@ def tower_to_dict(t) -> dict:
     f = t.M.field
     out = {"field": field_to_spec(f), "levels": []}
     for level in t.levels:
+        alg = level.algebra
         out["levels"].append(
             {
-                "dim": level.algebra.dim,
-                "structure": [
-                    [i, j, k, scalar_to_str(f, c)] for i, j, k, c in level.algebra.entries()
-                ],
-                "unit": vector_to_list(f, level.algebra.unit),
-                "jones_idempotent": vector_to_list(f, level.e),
+                "dim": alg.dim,
+                "structure": [[i, j, k, scalar_to_str(f, c)] for i, j, k, c in alg.entries()],
+                "unit": vector_to_list(f, alg.to_dense(alg.unit)),
+                "jones_idempotent": vector_to_list(f, alg.to_dense(level.e)),
                 "cond_expectation": matrix_to_rows(f, level.cond_exp.matrix),
                 "inclusion": matrix_to_rows(f, level.incl.matrix),
             }

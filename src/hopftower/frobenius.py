@@ -16,21 +16,9 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     centralizer,
-    tensor_over_subalgebra,
     verify_algebra,
 )
-from .linalg import (
-    Matrix,
-    basis_vector,
-    rank,
-    solve,
-    sparse_add,
-    sparse_apply,
-    sparse_columns,
-    vec_eq,
-    vec_is_zero,
-    vec_scale,
-)
+from .linalg import Matrix, rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
 
 
 class FrobeniusError(ValueError):
@@ -44,7 +32,7 @@ class ExtensionSpec:
     M: Algebra
     N: SubspaceBasis
     E: Optional[LinMap] = None
-    dual_pairs: Optional[list[tuple[list, list]]] = None
+    dual_pairs: Optional[list[tuple[dict, dict]]] = None
 
     def __post_init__(self):
         if not self.N.is_unital_subalgebra():
@@ -86,9 +74,9 @@ class FrobeniusSystem:
     ext: ExtensionSpec
     E: LinMap
     tq: TensorQuotient
-    dual_tensor: list  # coordinates in tq's canonical basis
-    dual_pairs: list[tuple[list, list]]  # a representative list in M (x)_k M
-    index: list  # sum x_i y_i as an M-vector
+    dual_tensor: dict  # coordinates in tq's canonical basis
+    dual_pairs: list[tuple[dict, dict]]  # a representative list in M (x)_k M
+    index: dict  # sum x_i y_i as an element of M
     lambda_inverse: Optional[object]
     flags: FrobeniusFlags
 
@@ -134,22 +122,20 @@ def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, max_failures: 
     n_alg = ext.n_algebra
     failures = []
     e_unit = E.apply(M.unit)
-    if not vec_eq(f, e_unit, n_alg.unit):
-        failures.append({"kind": "unit", "value": f.witness(e_unit)})
-    n_in_m = [M.to_sparse(ext.embed.apply(basis_vector(f, n_alg.dim, i))) for i in range(n_alg.dim)]
-    # E(e_m) for each basis m, read once as sparse columns; both sides of
-    # each identity are sparse dicts without zeros, compared as such
-    e_cols = sparse_columns(E.matrix)
-    for a, na in enumerate(n_in_m):
+    if e_unit != n_alg.unit:
+        failures.append({"kind": "unit", "value": f.witness(n_alg.to_dense(e_unit))})
+    # E(e_m) for each basis m is the column E.columns[m]
+    e_cols = E.columns
+    for a, na in enumerate(ext.embed.columns):
         ea = {a: f.one}
         for m in range(M.dim):
             em = {m: f.one}
-            lhs = sparse_apply(f, e_cols, M.mul_sparse(na, em))
+            lhs = E.apply(M.mul_sparse(na, em))
             if lhs != n_alg.mul_sparse(ea, e_cols[m]):
                 failures.append({"kind": "bimodule-left", "pair": (a, m)})
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
-            lhs = sparse_apply(f, e_cols, M.mul_sparse(em, na))
+            lhs = E.apply(M.mul_sparse(em, na))
             if lhs != n_alg.mul_sparse(e_cols[m], ea):
                 failures.append({"kind": "bimodule-right", "pair": (m, a)})
                 if len(failures) >= max_failures:
@@ -170,28 +156,26 @@ def verify_bimodule_map(ext: ExtensionSpec, E: LinMap, max_failures: int = 5) ->
 
 
 def _contraction_rows(ext: ExtensionSpec, E: LinMap, tq: TensorQuotient):
-    """Linear maps T -> (both Frobenius sums), rows for each basis m of M."""
+    """Linear maps T -> (both Frobenius sums), as columns over the quotient
+    basis: for each basis m of M, sum E(m x_i) y_i stacked over sum x_i E(y_i m).
+
+    E(m e_i) is formed once per (m, i) and E(e_j m) once per (j, m), since each
+    depends on one factor of the pair (i, j) only."""
     M, f = ext.M, ext.M.field
     d = M.dim
     e_m = ext.e_into_m(E)
-    left_rows = []  # sum E(m x_i) y_i
-    right_rows = []  # sum x_i E(y_i m)
+    cols: list[dict] = [{} for _ in range(tq.dim)]
     for m in range(d):
-        em = {m: f.one}
-        lrow = [[f.zero] * tq.dim for _ in range(d)]
-        rrow = [[f.zero] * tq.dim for _ in range(d)]
+        left_of = [e_m.apply(M.table[m][i]) for i in range(d)]  # E(m e_i)
+        right_of = [e_m.apply(M.table[j][m]) for j in range(d)]  # E(e_j m)
+        base = 2 * m * d
         for c, (i, j) in enumerate(tq.pairs):
-            emx = e_m.apply(M.to_dense(M.mul_sparse(em, {i: f.one})))
-            vec = M.to_dense(M.mul_sparse(M.to_sparse(emx), {j: f.one}))
-            for k in range(d):
-                lrow[k][c] = vec[k]
-            eym = e_m.apply(M.to_dense(M.mul_sparse({j: f.one}, em)))
-            vec = M.to_dense(M.mul_sparse({i: f.one}, M.to_sparse(eym)))
-            for k in range(d):
-                rrow[k][c] = vec[k]
-        left_rows.append(lrow)
-        right_rows.append(rrow)
-    return left_rows, right_rows
+            col = cols[c]
+            for k, v in M.mul_sparse(left_of[i], {j: f.one}).items():
+                col[base + k] = v
+            for k, v in M.mul_sparse({i: f.one}, right_of[j]).items():
+                col[base + d + k] = v
+    return LinMap(f, cols, 2 * d * d)
 
 
 def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> FrobeniusSystem:
@@ -207,26 +191,18 @@ def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> Frobeniu
     bi = verify_bimodule_map(ext, E)
     if not bi.ok:
         raise FrobeniusError(f"E is not an N-bimodule map: {bi.failures[:1]}")
-    tq = tensor_over_subalgebra(M, ext.N)
-    left_rows, right_rows = _contraction_rows(ext, E, tq)
-    rows = []
-    rhs = []
-    for m in range(M.dim):
-        target = basis_vector(f, M.dim, m)
-        for k in range(M.dim):
-            rows.append(left_rows[m][k])
-            rhs.append(target[k])
-        for k in range(M.dim):
-            rows.append(right_rows[m][k])
-            rhs.append(target[k])
-    res = solve(Matrix(f, rows), rhs)
+    tq = TensorQuotient(M, ext.N)
+    # both sums must give e_m at every basis m
+    rhs = [f.one if k == m else f.zero for m in range(M.dim) for _ in range(2) for k in range(M.dim)]
+    res = solve(_contraction_rows(ext, E, tq).matrix, rhs)
     if res is None:
         raise FrobeniusError("Frobenius equations are inconsistent: E is not a Frobenius homomorphism")
     tensor, kern = res
     if kern:
         raise FrobeniusError("dual-bases tensor is not unique in M (x)_N M")
+    tensor = sparse_vector(tensor)
     pairs = _tensor_to_pairs(M, tq, tensor)
-    index = _index_of_pairs(M, pairs)
+    index = index_of_pairs(M, pairs)
     lam_inv = scalar_of(M, index)
     return FrobeniusSystem(
         ext=ext,
@@ -240,50 +216,33 @@ def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> Frobeniu
     )
 
 
-def _tensor_to_pairs(M: Algebra, tq: TensorQuotient, tensor: list) -> list[tuple[list, list]]:
+def _tensor_to_pairs(M: Algebra, tq: TensorQuotient, tensor: dict) -> list[tuple[dict, dict]]:
     f = M.field
     pairs = []
-    for c, val in enumerate(tensor):
-        if f.is_zero(val):
-            continue
+    for c in sorted(tensor):
         i, j = tq.pairs[c]
-        x = basis_vector(f, M.dim, i)
-        y = vec_scale(f, val, basis_vector(f, M.dim, j))
-        pairs.append((x, y))
+        pairs.append(({i: f.one}, {j: tensor[c]}))
     if not pairs:
-        pairs.append(([f.zero] * M.dim, [f.zero] * M.dim))
+        pairs.append(({}, {}))
     return pairs
 
 
-def _index_of_pairs(M: Algebra, pairs: list[tuple[list, list]]) -> list:
+def index_of_pairs(M: Algebra, pairs: list[tuple[dict, dict]]) -> dict:
+    """The index sum x_i y_i of a dual-bases pair list."""
     f = M.field
-    total = [f.zero] * M.dim
+    total: dict = {}
     for x, y in pairs:
-        prod = M.mul(x, y)
-        total = [f.add(a, b) for a, b in zip(total, prod)]
+        sparse_axpy(f, total, f.one, M.mul_sparse(x, y))
     return total
 
 
-def scalar_of(M: Algebra, v: list):
+def scalar_of(M: Algebra, v: dict):
     """c with v = c * unit, or None when v is not a scalar multiple of 1."""
     f = M.field
     unit = M.unit
-    c = None
-    for a, u in zip(v, unit):
-        if f.is_zero(u):
-            if not f.is_zero(a):
-                return None
-        else:
-            cand = f.div(a, u)
-            if c is None:
-                c = cand
-            elif not f.eq(c, cand):
-                return None
-    if c is None:
-        c = f.zero
-    if not vec_eq(f, v, vec_scale(f, c, unit)):
-        return None
-    return c
+    k = next(iter(unit), None)
+    c = f.zero if k is None else f.div(v.get(k, f.zero), unit[k])
+    return c if sparse_scale(f, c, unit) == v else None
 
 
 def verify_frobenius_identities(sys: FrobeniusSystem, max_failures: int = 3) -> CheckOutcome:
@@ -292,22 +251,21 @@ def verify_frobenius_identities(sys: FrobeniusSystem, max_failures: int = 3) -> 
     e_m = sys.ext.e_into_m(sys.E)
     failures = []
     for m in range(M.dim):
-        em = basis_vector(f, M.dim, m)
-        left = [f.zero] * M.dim
-        right = [f.zero] * M.dim
+        em = {m: f.one}
+        left: dict = {}
+        right: dict = {}
         for x, y in sys.dual_pairs:
-            lterm = M.mul(e_m.apply(M.mul(em, x)), y)
-            rterm = M.mul(x, e_m.apply(M.mul(y, em)))
-            left = [f.add(a, b) for a, b in zip(left, lterm)]
-            right = [f.add(a, b) for a, b in zip(right, rterm)]
-        if not vec_eq(f, left, em) or not vec_eq(f, right, em):
-            failures.append({"basis": m, "left": f.witness(left), "right": f.witness(right)})
+            sparse_axpy(f, left, f.one, M.mul_sparse(e_m.apply(M.mul_sparse(em, x)), y))
+            sparse_axpy(f, right, f.one, M.mul_sparse(x, e_m.apply(M.mul_sparse(y, em))))
+        if left != em or right != em:
+            failures.append({"basis": m, "left": f.witness(M.to_dense(left)),
+                             "right": f.witness(M.to_dense(right))})
             if len(failures) >= max_failures:
                 break
     return CheckOutcome(not failures, failures)
 
 
-def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple[list, list]]) -> list:
+def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple[dict, dict]]) -> dict:
     """Project a representative pair list into the canonical quotient basis."""
     f = M.field
     acc: dict = {}
@@ -330,30 +288,28 @@ def classify(ext: ExtensionSpec, sys: FrobeniusSystem) -> FrobeniusFlags:
     flags.centralizer_dim = cm.dim
     flags.irreducible = cm.dim == 1
     e_unit = sys.E.apply(M.unit)
-    flags.normalized = vec_eq(f, e_unit, ext.n_algebra.unit)
+    n_alg = ext.n_algebra
+    flags.normalized = e_unit == n_alg.unit
 
     # split: some d in C_M(N) with E(d) = 1
-    cols_split = [sys.E.apply(v) for v in cm.vectors]
-    mat = Matrix(f, [[cols_split[j][i] for j in range(cm.dim)] for i in range(ext.n_algebra.dim)])
-    flags.split = solve(mat, ext.n_algebra.unit) is not None
+    mat = LinMap(f, [sys.E.apply(v) for v in cm.vectors], n_alg.dim).matrix
+    flags.split = solve(mat, n_alg.to_dense(n_alg.unit)) is not None
 
     # separable: some d in C_M(N) with sum x_i d y_i = 1
     cols_sep = []
     for v in cm.vectors:
-        total = [f.zero] * M.dim
+        total: dict = {}
         for x, y in sys.dual_pairs:
-            term = M.mul(M.mul(x, v), y)
-            total = [f.add(a, b) for a, b in zip(total, term)]
+            sparse_axpy(f, total, f.one, M.mul_sparse(M.mul_sparse(x, v), y))
         cols_sep.append(total)
-    mat = Matrix(f, [[cols_sep[j][i] for j in range(cm.dim)] for i in range(M.dim)])
-    flags.separable = solve(mat, M.unit) is not None
+    flags.separable = solve(LinMap(f, cols_sep, M.dim).matrix, M.to_dense(M.unit)) is not None
 
     lam_inv = scalar_of(M, sys.index)
     flags.index_scalar = lam_inv is not None
     flags.strongly_separable = (
         flags.index_scalar
         and not f.is_zero(lam_inv)
-        and not vec_is_zero(f, e_unit)
+        and bool(e_unit)
     )
     sys.flags = flags
     return flags
@@ -372,10 +328,10 @@ def normalize(sys: FrobeniusSystem) -> FrobeniusSystem:
     if f.eq(mu, f.one):
         return sys
     inv = f.inv(mu)
-    new_e = LinMap(sys.E.matrix.scale(inv))
-    new_pairs = [(vec_scale(f, mu, x), list(y)) for x, y in sys.dual_pairs]
-    new_tensor = vec_scale(f, mu, sys.dual_tensor)
-    new_index = vec_scale(f, mu, sys.index)
+    new_e = LinMap(f, [sparse_scale(f, inv, c) for c in sys.E.columns], sys.E.codomain_dim)
+    new_pairs = [(sparse_scale(f, mu, x), dict(y)) for x, y in sys.dual_pairs]
+    new_tensor = sparse_scale(f, mu, sys.dual_tensor)
+    new_index = sparse_scale(f, mu, sys.index)
     return FrobeniusSystem(
         ext=ext,
         E=new_e,
@@ -406,46 +362,44 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
     f = M.field
     s = scope.dim
     n_dim = E.codomain_dim
-    # coefficient matrix: columns = scope basis z_j, rows = (m, N-coordinate)
-    rows = []
-    for m in range(M.dim):
-        em = basis_vector(f, M.dim, m)
-        images = [E.apply(M.mul(z, em)) for z in scope.vectors]
-        for t in range(n_dim):
-            rows.append([images[j][t] for j in range(s)])
-    coeff = Matrix(f, rows)
+    rows = M.dim * n_dim
+
+    def stacked(products):
+        """The N-coordinates of E over every basis m, stacked (row m * n_dim + t)."""
+        out: dict = {}
+        for m, prod in enumerate(products):
+            out.update((m * n_dim + t, c) for t, c in E.apply(prod).items())
+        return out
+
+    # coefficient columns E(z_j e_m) per scope basis z_j; right-hand sides E(e_m c)
+    basis = [{m: f.one} for m in range(M.dim)]
+    coeff = LinMap(f, [stacked(M.mul_sparse(z, em) for em in basis) for z in scope.vectors], rows)
+    targets = LinMap(f, [stacked(M.mul_sparse(em, c) for em in basis) for c in scope.vectors], rows)
+    coeff_mat = coeff.matrix
     cols = []
     failures = []
-    for c_vec in scope.vectors:
-        rhs = []
-        for m in range(M.dim):
-            em = basis_vector(f, M.dim, m)
-            val = E.apply(M.mul(em, c_vec))
-            rhs.extend(val)
-        res = solve(coeff, rhs)
+    for rhs in targets.matrix.transpose().data:
+        res = solve(coeff_mat, rhs)
         if res is None:
             failures.append({"kind": "no-solution"})
-            cols.append([f.zero] * s)
+            cols.append({})
             continue
         x, kern = res
         if kern:
             failures.append({"kind": "non-unique"})
-        cols.append(x)
-    qmap = LinMap.from_columns(f, cols)
+        cols.append(sparse_vector(x))
+    qmap = LinMap(f, cols, s)
     if not failures:
         # automorphism checks inside scope
         sub_alg, _ = scope.induced_algebra()
         unit = sub_alg.unit
-        if not vec_eq(f, qmap.apply(unit), unit):
+        if qmap.apply(unit) != unit:
             failures.append({"kind": "unit-not-fixed"})
         for i in range(s):
             for j in range(s):
-                prod = sub_alg.to_dense(sub_alg.table[i][j])
-                lhs = qmap.apply(prod)
-                rhs = sub_alg.mul(
-                    qmap.apply(basis_vector(f, s, i)), qmap.apply(basis_vector(f, s, j))
-                )
-                if not vec_eq(f, lhs, rhs):
+                lhs = qmap.apply(sub_alg.table[i][j])
+                rhs = sub_alg.mul_sparse(qmap.columns[i], qmap.columns[j])
+                if lhs != rhs:
                     failures.append({"kind": "not-multiplicative", "pair": (i, j)})
         if rank(qmap.matrix) != s:
             failures.append({"kind": "not-bijective"})
@@ -458,8 +412,8 @@ def nakayama_of_functional(alg: Algebra, functional: list) -> NakayamaResult:
     functional is the coordinate row of phi; scope is the whole algebra.
     """
     f = alg.field
-    scope = SubspaceBasis(alg, [basis_vector(f, alg.dim, i) for i in range(alg.dim)])
-    E = LinMap(Matrix(f, [list(functional)]))
+    scope = SubspaceBasis(alg, [{i: f.one} for i in range(alg.dim)])
+    E = LinMap.from_matrix(Matrix(f, [list(functional)]))
     return nakayama(alg, E, scope)
 
 
@@ -481,38 +435,33 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
     # sanity: ident must carry m_alg onto sys_rm.N as algebras
     for i in range(m_alg.dim):
         for j in range(m_alg.dim):
-            lhs = ident.apply(m_alg.to_dense(m_alg.table[i][j]))
-            rhs = R.mul(ident.apply(basis_vector(f, m_alg.dim, i)), ident.apply(basis_vector(f, m_alg.dim, j)))
-            if not vec_eq(f, lhs, rhs):
+            lhs = ident.apply(m_alg.table[i][j])
+            if lhs != R.mul_sparse(ident.columns[i], ident.columns[j]):
                 raise FrobeniusError("identification M -> R is not an algebra map")
     # F: R -> M coords (translate sys_rm.E through the N_RM basis -> m_alg coords)
-    n_rm = sys_rm.ext.N
+    m_mat = ident.matrix
     basis_in_m = []
-    m_mat = Matrix(f, [[ident.matrix.data[i][j] for j in range(m_alg.dim)] for i in range(R.dim)])
-    for v in n_rm.vectors:
-        res = solve(m_mat, list(v))
+    for v in sys_rm.ext.N.vectors:
+        res = solve(m_mat, R.to_dense(v))
         if res is None:
             raise FrobeniusError("sys_rm subalgebra does not match the identification image")
-        basis_in_m.append(res[0])
-    to_m = LinMap.from_columns(f, basis_in_m)  # N_RM coords -> m_alg coords
+        basis_in_m.append(sparse_vector(res[0]))
+    to_m = LinMap(f, basis_in_m, m_alg.dim)  # N_RM coords -> m_alg coords
     F_map = to_m.compose(sys_rm.E)  # R -> m_alg coords
     E_comp = sys_mn.E.compose(F_map)  # R -> N coords (of sys_mn)
 
-    n_in_r_vectors = [
-        ident.apply(sys_mn.ext.embed.apply(basis_vector(f, sys_mn.ext.n_algebra.dim, i)))
-        for i in range(sys_mn.ext.n_algebra.dim)
-    ]
+    n_in_r_vectors = ident.compose(sys_mn.ext.embed).columns
     ext_rn = ExtensionSpec(R, SubspaceBasis(R, n_in_r_vectors), E=E_comp)
 
     pairs = []
     for z, w in sys_rm.dual_pairs:
         for x, y in sys_mn.dual_pairs:
-            zx = R.mul(z, ident.apply(x))
-            yw = R.mul(ident.apply(y), w)
+            zx = R.mul_sparse(z, ident.apply(x))
+            yw = R.mul_sparse(ident.apply(y), w)
             pairs.append((zx, yw))
-    tq = tensor_over_subalgebra(R, ext_rn.N)
+    tq = TensorQuotient(R, ext_rn.N)
     tensor = pairs_to_tensor(tq, R, pairs)
-    index = _index_of_pairs(R, pairs)
+    index = index_of_pairs(R, pairs)
     out = FrobeniusSystem(
         ext=ext_rn,
         E=E_comp,
@@ -538,7 +487,7 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
 class SeparabilityElement:
     algebra: Algebra  # k[x]/(p)
     tensor: dict  # sparse element of algebra (x)_k algebra
-    mu_of_e: list
+    mu_of_e: dict
     centrality_ok: bool
 
 
@@ -548,24 +497,16 @@ def polynomial_quotient_algebra(field, coeffs: list) -> Algebra:
     if n == 0:
         raise FrobeniusError("polynomial must have degree >= 1")
     f = field
-    # powers a^k for k = 0..2n-2 as coordinate vectors
-    powers = []
-    for k in range(n):
-        powers.append(basis_vector(f, n, k))
+    # powers a^k for k = 0..2n-2 as sparse elements; a^n = sum c_i a^i
+    top_power = sparse_vector(coeffs)
+    powers = [{k: f.one} for k in range(n)]
     for k in range(n, 2 * n - 1):
         prev = powers[k - 1]
-        shifted = [f.zero] + prev[:-1]
-        top = prev[-1]
-        if not f.is_zero(top):
-            shifted = [f.add(a, f.mul(top, c)) for a, c in zip(shifted, coeffs)]
+        shifted = {i + 1: c for i, c in prev.items() if i + 1 < n}
+        sparse_axpy(f, shifted, prev.get(n - 1, f.zero), top_power)
         powers.append(shifted)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(powers[i + j]):
-                if not f.is_zero(c):
-                    entries.append((i, j, k, c))
-    return Algebra.from_entries(f, n, entries, basis_vector(f, n, 0))
+    entries = [(i, j, k, c) for i in range(n) for j in range(n) for k, c in powers[i + j].items()]
+    return Algebra.from_entries(f, n, entries, {0: f.one})
 
 
 def separability_element_field(field, coeffs: list) -> SeparabilityElement:
@@ -583,46 +524,38 @@ def separability_element_field(field, coeffs: list) -> SeparabilityElement:
         tensor = {0: f.one}
         return SeparabilityElement(alg, tensor, one, True)
     # p'(a) = n a^(n-1) - sum_{j>=1} j c_j a^(j-1)
-    dp = [f.zero] * n
-    dp[n - 1] = f.from_int(n)
+    dp = {n - 1: f.from_int(n)}
     for j in range(1, n):
-        dp[j - 1] = f.sub(dp[j - 1], f.mul(f.from_int(j), coeffs[j]))
+        sparse_add(f, dp, j - 1, f.neg(f.mul(f.from_int(j), coeffs[j])))
     inv_dp = _invert_element(alg, dp)
     if inv_dp is None:
         raise FrobeniusError("p'(alpha) is not invertible: polynomial is not separable")
-    alpha = basis_vector(f, n, 1)
-    inv_alpha = _invert_element(alg, alpha)
+    inv_alpha = _invert_element(alg, {1: f.one})
     if inv_alpha is None:
         raise FrobeniusError("alpha is not invertible (x divides p)")
     tensor: dict = {}
-    inv_pow = alg.mul(inv_dp, inv_alpha)  # 1/(p'(a) a) at i = 0
+    inv_pow = alg.mul_sparse(inv_dp, inv_alpha)  # 1/(p'(a) a) at i = 0
     for i in range(n):
-        numer = [f.zero] * n
-        for j in range(i + 1):
-            term = vec_scale(f, coeffs[j], basis_vector(f, n, j))
-            numer = [f.add(a, b) for a, b in zip(numer, term)]
-        second = alg.mul(numer, inv_pow)
-        for k, c in enumerate(second):
+        numer = sparse_vector(coeffs[: i + 1])
+        for k, c in alg.mul_sparse(numer, inv_pow).items():
             sparse_add(f, tensor, i * n + k, c)
-        inv_pow = alg.mul(inv_pow, inv_alpha)
+        inv_pow = alg.mul_sparse(inv_pow, inv_alpha)
     mu = _tensor_multiply_out(alg, tensor)
     central = _tensor_central(alg, tensor)
     return SeparabilityElement(alg, tensor, mu, central)
 
 
-def _invert_element(alg: Algebra, v: list) -> Optional[list]:
-    res = solve(alg.lmul_matrix(v), alg.unit)
-    return None if res is None else res[0]
+def _invert_element(alg: Algebra, v: dict) -> Optional[dict]:
+    res = solve(alg.lmul_matrix(v), alg.to_dense(alg.unit))
+    return None if res is None else sparse_vector(res[0])
 
 
-def _tensor_multiply_out(alg: Algebra, tensor: dict) -> list:
+def _tensor_multiply_out(alg: Algebra, tensor: dict) -> dict:
     f = alg.field
-    n = alg.dim
-    out = [f.zero] * n
+    out: dict = {}
     for col, c in tensor.items():
-        i, k = divmod(col, n)
-        term = alg.to_dense(alg.mul_sparse({i: c}, {k: f.one}))
-        out = [f.add(a, b) for a, b in zip(out, term)]
+        i, k = divmod(col, alg.dim)
+        sparse_axpy(f, out, c, alg.table[i][k])
     return out
 
 

@@ -1,9 +1,16 @@
-"""Dense exact linear algebra: RREF, solve, kernel, rank, inverse.
+"""Exact linear algebra: dense elimination and the sparse-vector helpers.
 
-Gaussian elimination with the first nonzero pivot found by row-major scan;
-together with canonical scalar normal forms this makes every result
-deterministic byte-for-byte. Dimensions here stay small (a few hundred),
-so O(n^3) dense elimination is fine.
+Vectors everywhere outside this module are sparse dicts {index: nonzero
+scalar}; scalars are canonical, so a dict without zeros is a normal form and
+plain ``==`` decides equality. ``sparse_add``/``sparse_axpy`` is the one
+accumulator and ``sparse_apply`` applies a map given by sparse columns.
+
+Dense ``Matrix`` objects are the input of elimination (RREF, solve, kernel,
+rank, inverse) and the small Hopf-structure matrices. Gaussian elimination
+takes the first nonzero pivot found by row-major scan; together with canonical
+scalar normal forms this makes every result deterministic byte-for-byte.
+Dimensions here stay small (a few hundred), so O(n^3) dense elimination is
+fine. ``SparseSolver`` is the one sparse eliminator.
 """
 from __future__ import annotations
 
@@ -349,11 +356,6 @@ def sparse_axpy(field: Field, acc: dict, c, v: dict) -> None:
         sparse_add(field, acc, key, field.mul(c, val))
 
 
-def sparse_columns(mat: Matrix) -> list[dict]:
-    """The columns of mat as sparse dicts {row: entry}."""
-    return [{r: row[c] for r, row in enumerate(mat.data) if row[c]} for c in range(mat.cols)]
-
-
 def sparse_apply(field: Field, columns: list[dict], v: dict) -> dict:
     """The linear map with the given sparse columns applied to a sparse vector."""
     out: dict = {}
@@ -362,22 +364,15 @@ def sparse_apply(field: Field, columns: list[dict], v: dict) -> dict:
     return out
 
 
-def vec_eq(field: Field, a: list, b: list) -> bool:
-    return len(a) == len(b) and all(field.eq(x, y) for x, y in zip(a, b))
+def sparse_scale(field: Field, c, v: dict) -> dict:
+    """c * v on a sparse dict (empty when c is zero: a field has no zero divisors)."""
+    return {k: field.mul(c, x) for k, x in v.items()} if c else {}
 
 
-def vec_scale(field: Field, c, a: list) -> list:
-    return [field.mul(c, x) for x in a]
-
-
-def vec_is_zero(field: Field, a: list) -> bool:
-    return all(field.is_zero(x) for x in a)
-
-
-def basis_vector(field: Field, n: int, i: int) -> list:
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
+def sparse_vector(v: list) -> dict:
+    """The nonzero entries of a dense vector, such as a solution of dense
+    elimination or a row of an input file, as a sparse dict."""
+    return {i: c for i, c in enumerate(v) if c}
 
 
 def stack(field: Field, blocks: list[Matrix]) -> Matrix:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, LinMap, SubspaceBasis
+from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
+from .depth2 import DepthTwoData, model_c_from_ab
 from .fields import Field, FieldError, PrimeField, RationalField, digits_token
 from .frobenius import (
     CheckOutcome,
@@ -22,7 +23,8 @@ from .frobenius import (
 )
 from .galois import ModuleAlgebraAction, invariants, verify_module_algebra
 from .hopf import HopfStructure
-from .linalg import Matrix, basis_vector, invert, vec_eq, vec_scale
+from .linalg import Matrix, invert, sparse_scale
+from .tower import build_tower
 
 
 class ModelError(ValueError):
@@ -105,12 +107,12 @@ GROUPS = {
 
 def group_algebra(G: GroupPresentation, field: Field) -> Algebra:
     entries = [(i, j, G.mul[i][j], field.one) for i in range(G.order) for j in range(G.order)]
-    return Algebra.from_entries(field, G.order, entries, basis_vector(field, G.order, G.identity))
+    return Algebra.from_entries(field, G.order, entries, {G.identity: field.one})
 
 
 def function_algebra(G: GroupPresentation, field: Field) -> Algebra:
     entries = [(i, i, i, field.one) for i in range(G.order)]
-    return Algebra.from_entries(field, G.order, entries, [field.one] * G.order)
+    return Algebra.from_entries(field, G.order, entries, {i: field.one for i in range(G.order)})
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +125,8 @@ class GroupHopfPair:
     G: GroupPresentation
     H: HopfStructure  # k[G]
     H_dual: HopfStructure  # k^G
-    t: list  # normalized integral of H
-    f: list  # integral of H* with f(t) = 1
+    t: dict  # normalized integral of H
+    f: dict  # integral of H* with f(t) = 1
     report: CheckOutcome
 
 
@@ -162,38 +164,35 @@ def group_hopf(G: GroupPresentation, field: Field) -> GroupHopfPair:
     H_dual = HopfStructure(Dalg, delta_d, counit_d, antipode_d)
 
     inv_order = f.inv(order)
-    t_vec = [inv_order] * n
-    f_vec = [f.zero] * n
-    f_vec[G.identity] = order
+    t_vec = {g: inv_order for g in range(n)}
+    f_vec = {G.identity: order}
 
     failures = []
     # f(t) = f(S(t)) = 1, eps(t) = 1, f(1) = |G| != 0
-    def eval_functional(phi: list, h: list):
+    def eval_functional(phi: dict, h: dict):
         acc = f.zero
-        for c, x in zip(phi, h):
-            acc = f.add(acc, f.mul(c, x))
+        for k, c in phi.items():
+            acc = f.add(acc, f.mul(c, h.get(k, f.zero)))
         return acc
 
     if not f.eq(eval_functional(f_vec, t_vec), f.one):
         failures.append({"kind": "f(t) != 1"})
-    if not f.eq(eval_functional(f_vec, antipode.matvec(t_vec)), f.one):
+    if not f.eq(eval_functional(f_vec, LinMap.from_matrix(antipode).apply(t_vec)), f.one):
         failures.append({"kind": "f(S(t)) != 1"})
-    if not f.eq(counit.matvec(t_vec)[0], f.one):
+    if not f.eq(H.counit_apply(t_vec), f.one):
         failures.append({"kind": "eps(t) != 1"})
     if f.is_zero(eval_functional(f_vec, Halg.unit)):
         failures.append({"kind": "f(1) = 0"})
     # t is a two-sided integral: h t = eps(h) t
     for g in range(n):
-        ht = Halg.mul(basis_vector(f, n, g), t_vec)
-        if not vec_eq(f, ht, t_vec):
+        if Halg.mul_sparse({g: f.one}, t_vec) != t_vec:
             failures.append({"kind": "t-not-integral", "basis": g})
     # f is an integral of H*: phi f = phi(1_H) f, where the product on H* is
     # pointwise (dual to the grouplike comultiplication of k[G])
     for g in range(n):
-        phi = basis_vector(f, n, g)
-        prod = Dalg.mul(phi, f_vec)
-        expected = vec_scale(f, eval_functional(phi, Halg.unit), f_vec)
-        if not vec_eq(f, prod, expected):
+        phi = {g: f.one}
+        expected = sparse_scale(f, eval_functional(phi, Halg.unit), f_vec)
+        if Dalg.mul_sparse(phi, f_vec) != expected:
             failures.append({"kind": "f-not-integral", "basis": g})
     return GroupHopfPair(G, H, H_dual, t_vec, f_vec, CheckOutcome(not failures, failures))
 
@@ -212,13 +211,8 @@ def translation_action(pair: GroupHopfPair, field: Field) -> ModuleAlgebraAction
     """k[G] acting on k^G by g . delta_x = delta_{g x}."""
     G = pair.G
     n = G.order
-    mats = []
-    for g in range(n):
-        m = Matrix.zero(field, n, n)
-        for x in range(n):
-            m.data[G.mul[g][x]][x] = field.one
-        mats.append(m)
-    return ModuleAlgebraAction(pair.H, function_algebra(G, field), mats)
+    maps = [LinMap(field, [{G.mul[g][x]: field.one} for x in range(n)], n) for g in range(n)]
+    return ModuleAlgebraAction(pair.H, function_algebra(G, field), maps)
 
 
 def quadratic_field_algebra(field: Field, d) -> Algebra:
@@ -230,7 +224,7 @@ def quadratic_field_algebra(field: Field, d) -> Algebra:
         (1, 0, 1, f.one),
         (1, 1, 0, d),
     ]
-    return Algebra.from_entries(f, 2, entries, basis_vector(f, 2, 0))
+    return Algebra.from_entries(f, 2, entries, {0: f.one})
 
 
 def quadratic_conjugation_action(field: Field, d) -> tuple[GroupHopfPair, ModuleAlgebraAction]:
@@ -238,9 +232,8 @@ def quadratic_conjugation_action(field: Field, d) -> tuple[GroupHopfPair, Module
     pair = group_hopf(cyclic_group(2), field)
     X = quadratic_field_algebra(field, d)
     f = field
-    ident = Matrix.identity(f, 2)
-    conj = Matrix(f, [[f.one, f.zero], [f.zero, f.neg(f.one)]])
-    act = ModuleAlgebraAction(pair.H, X, [ident, conj])
+    conj = LinMap(f, [{0: f.one}, {1: f.neg(f.one)}], 2)
+    act = ModuleAlgebraAction(pair.H, X, [LinMap.identity(f, 2), conj])
     return pair, act
 
 
@@ -268,29 +261,24 @@ def galois_frobenius_system(
         raise ModelError(f"action fails module-algebra axioms: {out.failures[:1]}")
     N = invariants(act)
     if expected_n is not None:
-        exp = SubspaceBasis.from_spanning(X, [list(v) for v in expected_n.vectors])
+        exp = SubspaceBasis.from_spanning(X, expected_n.vectors)
         if not N.equals(exp):
             raise ModelError(
                 f"invariants have dimension {N.dim}, expected {exp.dim}: action is not Galois for this N"
             )
-    e_mat_ambient = Matrix.zero(f, X.dim, X.dim)
-    for i, c in enumerate(pair.t):
-        if not f.is_zero(c):
-            e_mat_ambient = e_mat_ambient.add(act.mats[i].scale(c))
     cols = []
-    for j in range(X.dim):
-        img = e_mat_ambient.matvec(basis_vector(f, X.dim, j))
+    for img in act.rho(pair.t).columns:
         coords = N.coords(img)
         if coords is None:
             raise ModelError("t . x does not land in the invariants")
         cols.append(coords)
-    E = LinMap.from_columns(f, cols)
+    E = LinMap(f, cols, N.dim)
     ext = ExtensionSpec(X, N, E=E)
     sys = solve_dual_bases(ext, E)
     # lambda^-1 = f(1_H)
     f_of_one = f.zero
-    for c, x in zip(pair.f, pair.H.algebra.unit):
-        f_of_one = f.add(f_of_one, f.mul(c, x))
+    for k, c in pair.f.items():
+        f_of_one = f.add(f_of_one, f.mul(c, pair.H.algebra.unit.get(k, f.zero)))
     if sys.lambda_inverse is None or not f.eq(sys.lambda_inverse, f_of_one):
         raise ModelError(
             f"index {sys.lambda_inverse} does not match f(1) = {f_of_one}"
@@ -328,8 +316,8 @@ def hopf_image_in_m1(t, act: ModuleAlgebraAction) -> list:
     into the basic construction."""
     sys = t.base_sys
     return [
-        pairs_to_tensor(sys.tq, t.M, [(act.mats[g].matvec(x), y) for x, y in sys.dual_pairs])
-        for g in range(act.hopf.dim)
+        pairs_to_tensor(sys.tq, t.M, [(g.apply(x), y) for x, y in sys.dual_pairs])
+        for g in act.maps
     ]
 
 
@@ -341,23 +329,17 @@ def dual_action_on_m1(t, bundle: ModelBundle, a_vectors: list) -> ModuleAlgebraA
     G = bundle.pair.G
     n = G.order
     M1 = t.M1
-    cols = []
-    for xi in range(X.dim):
-        xh = t.incl1.apply(basis_vector(f, X.dim, xi))
-        for g in range(n):
-            cols.append(M1.mul(xh, a_vectors[g]))
-    theta = LinMap.from_columns(f, cols)
+    theta = LinMap(f, [M1.mul_sparse(xh, a_vectors[g]) for xh in t.incl1.columns for g in range(n)], M1.dim)
     theta_inv = invert(theta.matrix)
     if theta_inv is None:
         raise ModelError("X (x) H -> M1 is not bijective; model tower invalid")
-    mats = []
+    theta_inv = LinMap.from_matrix(theta_inv)
+    maps = []
     for phi in range(n):
         # phi . (x # g) = [g = phi] x # g for k[G] (group-likes are Delta-diagonal)
-        diag = Matrix.zero(f, X.dim * n, X.dim * n)
-        for xi in range(X.dim):
-            diag.data[xi * n + phi][xi * n + phi] = f.one
-        mats.append(Matrix(f, theta.matrix.mul(diag).mul(theta_inv).data))
-    return ModuleAlgebraAction(bundle.pair.H_dual, M1, mats)
+        diag = LinMap(f, [{q: f.one} if q % n == phi else {} for q in range(X.dim * n)], X.dim * n)
+        maps.append(theta.compose(diag).compose(theta_inv))
+    return ModuleAlgebraAction(bundle.pair.H_dual, M1, maps)
 
 
 def model_tower(bundle: ModelBundle):
@@ -365,9 +347,6 @@ def model_tower(bundle: ModelBundle):
     the images of H and H* with C = span(A B). Containments in the honest
     centralizers and the Jones idempotents being the embedded integrals are
     verified. Returns (tower, DepthTwoData, report)."""
-    from .depth2 import DepthTwoData, model_c_from_ab
-    from .tower import build_tower
-
     f = bundle.X.field
     t = build_tower(bundle.sys)
     failures = []
@@ -379,39 +358,24 @@ def model_tower(bundle: ModelBundle):
         failures.append({"kind": "dual-action-invalid", "detail": out.failures[:1]})
     sys1 = t.levels[0].sys
     b_vecs = [
-        pairs_to_tensor(sys1.tq, t.M1, [(act_dual.mats[phi].matvec(x), y) for x, y in sys1.dual_pairs])
-        for phi in range(bundle.pair.G.order)
+        pairs_to_tensor(sys1.tq, t.M1, [(phi.apply(x), y) for x, y in sys1.dual_pairs])
+        for phi in act_dual.maps
     ]
     B = SubspaceBasis(t.M2, b_vecs)
 
     # containment in the honest centralizers
-    n_alg = t.base_sys.ext.n_algebra
-    n_in_m1 = SubspaceBasis(
-        t.M1,
-        [t.incl1.apply(t.base_sys.ext.embed.apply(basis_vector(f, n_alg.dim, i)))
-         for i in range(n_alg.dim)],
-    )
-    from .algebra import centralizer as _centralizer
-
-    honest_a = _centralizer(t.M1, n_in_m1)
-    if not honest_a.contains_subspace(A):
+    n_in_m1 = SubspaceBasis(t.M1, t.incl1.compose(t.base_sys.ext.embed).columns)
+    if not centralizer(t.M1, n_in_m1).contains_subspace(A):
         failures.append({"kind": "A-not-in-C_M1(N)"})
-    m_in_m2 = SubspaceBasis(
-        t.M2, [t.push_m_to_m2(basis_vector(f, t.M.dim, i)) for i in range(t.M.dim)]
-    )
-    honest_b = _centralizer(t.M2, m_in_m2)
-    if not honest_b.contains_subspace(B):
+    m_in_m2 = SubspaceBasis(t.M2, t.incl2.compose(t.incl1).columns)
+    if not centralizer(t.M2, m_in_m2).contains_subspace(B):
         failures.append({"kind": "B-not-in-C_M2(M)"})
 
     # e1 = iota(t), e2 = iota'(integral of H*)
-    t_img = [f.zero] * t.M1.dim
-    for c, v in zip(bundle.pair.t, a_vecs):
-        if not f.is_zero(c):
-            t_img = [f.add(a, f.mul(c, b)) for a, b in zip(t_img, v)]
-    if not vec_eq(f, t_img, t.e1):
+    if LinMap(f, a_vecs, t.M1.dim).apply(bundle.pair.t) != t.e1:
         failures.append({"kind": "e1 != embedded integral of H"})
     ident = bundle.pair.G.identity
-    if not vec_eq(f, b_vecs[ident], t.e2):
+    if b_vecs[ident] != t.e2:
         failures.append({"kind": "e2 != embedded integral of H*"})
 
     C = model_c_from_ab(t, A, B)
@@ -425,9 +389,9 @@ def model_tower(bundle: ModelBundle):
 
 
 def trivial_extension(field: Field) -> ExtensionSpec:
-    M = Algebra.from_entries(field, 1, [(0, 0, 0, field.one)], [field.one])
-    N = SubspaceBasis(M, [[field.one]])
-    E = LinMap(Matrix(field, [[field.one]]))
+    M = Algebra.from_entries(field, 1, [(0, 0, 0, field.one)], {0: field.one})
+    N = SubspaceBasis(M, [{0: field.one}])
+    E = LinMap.identity(field, 1)
     return ExtensionSpec(M, N, E=E)
 
 
@@ -444,13 +408,10 @@ def group_pair_extension(field: Field, G: GroupPresentation, sub: list) -> Exten
         raise ModelError("subgroup must contain the identity")
     f = field
     M = group_algebra(G, f)
-    N = SubspaceBasis(M, [basis_vector(f, G.order, i) for i in sub])
-    e_rows = []
-    for h in sub:
-        row = [f.zero] * G.order
-        row[h] = f.one
-        e_rows.append(row)
-    E = LinMap(Matrix(f, e_rows))
+    N = SubspaceBasis(M, [{i: f.one} for i in sub])
+    # E keeps the coefficients on the subgroup: column g is e_r when g = sub[r]
+    position = {h: r for r, h in enumerate(sub)}
+    E = LinMap(f, [{position[g]: f.one} if g in position else {} for g in range(G.order)], len(sub))
     # left transversal: smallest-index representative of each coset gH
     reps = []
     seen = set()
@@ -460,17 +421,15 @@ def group_pair_extension(field: Field, G: GroupPresentation, sub: list) -> Exten
         reps.append(g)
         for h in sub:
             seen.add(G.mul[g][h])
-    pairs = [
-        (basis_vector(f, G.order, r), basis_vector(f, G.order, G.inverse(r))) for r in reps
-    ]
+    pairs = [({r: f.one}, {G.inverse(r): f.one}) for r in reps]
     return ExtensionSpec(M, N, E=E, dual_pairs=pairs)
 
 
 def quadratic_field_extension(field: Field, d) -> ExtensionSpec:
     M = quadratic_field_algebra(field, d)
     f = field
-    N = SubspaceBasis(M, [basis_vector(f, 2, 0)])
-    E = LinMap(Matrix(f, [[f.one, f.zero]]))
+    N = SubspaceBasis(M, [{0: f.one}])
+    E = LinMap(f, [{0: f.one}, {}], 1)
     return ExtensionSpec(M, N, E=E)
 
 
@@ -484,10 +443,7 @@ def matrix_units_m2(field: Field) -> Algebra:
         for (k, l), q in idx.items():
             if j == k:
                 entries.append((p, q, idx[(i, l)], f.one))
-    unit = [f.zero] * 4
-    unit[idx[(0, 0)]] = f.one
-    unit[idx[(1, 1)]] = f.one
-    return Algebra.from_entries(f, 4, entries, unit)
+    return Algebra.from_entries(f, 4, entries, {idx[(0, 0)]: f.one, idx[(1, 1)]: f.one})
 
 
 def m2f2_extension() -> ExtensionSpec:
@@ -495,9 +451,9 @@ def m2f2_extension() -> ExtensionSpec:
     six-term dual-bases tensor."""
     f = PrimeField(2)
     M = matrix_units_m2(f)
-    N = SubspaceBasis(M, [list(M.unit)])
-    E = LinMap(Matrix(f, [[f.one, f.one, f.one, f.zero]]))
-    e11, e12, e21, e22 = (basis_vector(f, 4, i) for i in range(4))
+    N = SubspaceBasis(M, [M.unit])
+    E = LinMap(f, [{0: f.one}, {0: f.one}, {0: f.one}, {}], 1)
+    e11, e12, e21, e22 = ({i: f.one} for i in range(4))
     pairs = [
         (e11, e21),
         (e12, e11),
@@ -519,13 +475,10 @@ def function_algebra_extension(field: Field, gname: str) -> ExtensionSpec:
     if f.is_zero(order):
         raise ModelError("characteristic divides the group order")
     X = function_algebra(G, f)
-    N = SubspaceBasis(X, [list(X.unit)])
+    N = SubspaceBasis(X, [X.unit])
     inv = f.inv(order)
-    E = LinMap(Matrix(f, [[inv] * G.order]))
-    pairs = [
-        (vec_scale(f, order, basis_vector(f, G.order, g)), basis_vector(f, G.order, g))
-        for g in range(G.order)
-    ]
+    E = LinMap(f, [{0: inv} for _ in range(G.order)], 1)
+    pairs = [({g: order}, {g: f.one}) for g in range(G.order)]
     return ExtensionSpec(X, N, E=E, dual_pairs=pairs)
 
 

@@ -42,11 +42,20 @@ from .galois import (
     verify_invariants,
     verify_smash_iso_theta,
 )
-from .hopf import HopfStructure, antipode, compute_pairing, comultiplication, dualize, verify_hopf_axioms
-from .linalg import basis_vector, vec_eq
+from .hopf import (
+    HopfStructure,
+    antipode,
+    compute_pairing,
+    comultiplication,
+    dualize,
+    sandwich_maps,
+    verify_hopf_axioms,
+)
 from .report import FAIL, PASS, SKIP, PipelineReport, Reporter
 from .tower import (
+    TowerData,
     TowerError,
+    basic_construction,
     build_tower,
     endo_ring_iso,
     verify_braid_relations,
@@ -64,6 +73,7 @@ class PipelineState:
     tower: Optional[object] = None
     d2: Optional[DepthTwoData] = None
     pairing: Optional[object] = None
+    sandwiches: Optional[tuple] = None  # E_M1 sandwich maps on the basis of M2
     H_B: Optional[HopfStructure] = None
     H_A: Optional[HopfStructure] = None
     naka: Optional[object] = None
@@ -162,7 +172,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> N
     if ext.dual_pairs is not None:
         # a supplied tensor must agree with the solved one in M (x)_N M
         supplied = pairs_to_tensor(sys.tq, ext.M, ext.dual_pairs)
-        if not vec_eq(f, supplied, sys.dual_tensor):
+        if supplied != sys.dual_tensor:
             rep.add(
                 "frobenius-identities",
                 FAIL,
@@ -182,7 +192,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> N
             return
     rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E))
     rep.outcome("frobenius-identities", verify_frobenius_identities(sys))
-    central = all(ext.M.commutes(sys.index, basis_vector(f, ext.M.dim, i)) for i in range(ext.M.dim))
+    central = all(ext.M.commutes(sys.index, {i: f.one}) for i in range(ext.M.dim))
     rep.add("index-central", PASS if central else FAIL)
     state.sys = sys
     hypotheses["frobenius"] = True
@@ -214,8 +224,6 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
                 witness={"failures": failures} if failures else None)
 
     if levels < 2:
-        from .tower import basic_construction
-
         try:
             level1 = basic_construction(state.sys)
         except (TowerError, FrobeniusError) as exc:
@@ -228,8 +236,6 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
         only_one = "tower built to level 1 only (--levels 1)"
         for cid in ("tower-level-2", "triple-tensor", "braid-relations", "pimsner-popa"):
             rep.add(cid, SKIP, reason=only_one)
-        from .tower import TowerData
-
         pseudo = TowerData(base_sys=state.sys, levels=[level1, level1], F=level1.cond_exp, emtwo_checks=[])
         rep.outcome("cyclic-span", verify_cyclic_span(pseudo))
         endo = endo_ring_iso(state.sys, level1)
@@ -337,7 +343,8 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     state.pairing = pairing
     delta, eps, c_out = comultiplication(pairing, t, d2)
     rep.outcome("comultiplication", c_out)
-    S, s_out = antipode(t, d2, pairing)
+    state.sandwiches = sandwich_maps(t, d2)
+    S, s_out = antipode(t, d2, pairing, state.sandwiches)
     rep.outcome("antipode", s_out)
     if S is None:
         for cid in ("hopf-axioms", "dual-hopf"):
@@ -347,7 +354,7 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     state.H_B = H_B
     q_b = state.naka.q_B if state.naka is not None else None
     ax = verify_hopf_axioms(H_B, q_scope=q_b, expect_involutive=q_b is not None,
-                            tower_ctx=(t, d2))
+                            tower_ctx=(t, d2, state.sandwiches))
     rep.outcome("hopf-axioms", ax)
     H_A, d_out = dualize(pairing, H_B, t, d2)
     state.H_A = H_A
@@ -365,12 +372,9 @@ def _stage_galois(rep, state, hypotheses, gate) -> None:
             rep.add(cid, SKIP, reason=gate)
         return
     t, d2 = state.tower, state.d2
-    f = t.M.field
-    act_b, out = action_b_on_m1(t, d2, state.H_B)
+    act_b, out = action_b_on_m1(t, d2, state.H_B, state.sandwiches)
     rep.outcome("action-b-on-m1", out)
-    m_img = SubspaceBasis(
-        t.M1, [t.incl1.apply(basis_vector(f, t.M.dim, i)) for i in range(t.M.dim)]
-    )
+    m_img = SubspaceBasis(t.M1, t.incl1.columns)
     rep.outcome("invariants-m1", verify_invariants(act_b, m_img))
     rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b))
     act_a, out = action_a_on_m(t, d2, state.H_A)
@@ -380,10 +384,7 @@ def _stage_galois(rep, state, hypotheses, gate) -> None:
             rep.add(cid, SKIP, reason="A-action unavailable")
         return
     ext = state.ext
-    n_img = SubspaceBasis(
-        t.M,
-        [ext.embed.apply(basis_vector(f, ext.n_algebra.dim, i)) for i in range(ext.n_algebra.dim)],
-    )
+    n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
     rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b))
     gm = galois_map(t.M, ext.N, state.sys.tq, act_a, state.H_A.dim)

@@ -194,14 +194,21 @@ def model_z3_f7(bundle_z3_f7):
 def hopf_stack(t, d2):
     """Pairing, Delta/eps, S, both Hopf structures and the Nakayama data."""
     from hopftower.depth2 import conditional_expectations, nakayama_relations
-    from hopftower.hopf import HopfStructure, antipode, compute_pairing, comultiplication, dualize
+    from hopftower.hopf import (
+        HopfStructure,
+        antipode,
+        compute_pairing,
+        comultiplication,
+        dualize,
+        sandwich_maps,
+    )
 
     conditional_expectations(t, d2)
     p, p_out = compute_pairing(t, d2)
     assert p_out.ok, p_out.failures
     delta, eps, c_out = comultiplication(p, t, d2)
     assert c_out.ok, c_out.failures
-    S, s_out = antipode(t, d2, p)
+    S, s_out = antipode(t, d2, p, sandwich_maps(t, d2))
     assert s_out.ok, s_out.failures
     H_B = HopfStructure(p.B_alg, delta, eps, S)
     H_A, d_out = dualize(p, H_B, t, d2)
@@ -240,7 +247,7 @@ def build_quartic_tower():
     """Q in Q(sqrt2) in Q(sqrt2, i) with the projection onto the middle field."""
     from hopftower.algebra import Algebra, LinMap, SubspaceBasis
     from hopftower.frobenius import ExtensionSpec
-    from hopftower.linalg import Matrix, basis_vector
+    from hopftower.linalg import Matrix
 
     Q = RationalField()
     entries = []
@@ -257,9 +264,9 @@ def build_quartic_tower():
                 coef = Q.mul(coef, Q.from_int(-1))
                 bb -= 2
             entries.append((idx[(a, b)], idx[(c, d)], idx[(aa, bb)], coef))
-    R = Algebra.from_entries(Q, 4, entries, basis_vector(Q, 4, 0))
-    Msub = SubspaceBasis(R, [basis_vector(Q, 4, 0), basis_vector(Q, 4, 1)])
-    F_map = LinMap(Matrix(Q, [
+    R = Algebra.from_entries(Q, 4, entries, {0: Q.one})
+    Msub = SubspaceBasis(R, [{0: Q.one}, {1: Q.one}])
+    F_map = LinMap.from_matrix(Matrix(Q, [
         [Q.one, Q.zero, Q.zero, Q.zero],
         [Q.zero, Q.one, Q.zero, Q.zero],
     ]))

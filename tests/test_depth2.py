@@ -13,7 +13,7 @@ from hopftower.depth2 import (
     verify_f_faithful,
 )
 from hopftower.fields import RationalField
-from hopftower.linalg import Matrix, basis_vector, invert, vec_eq, vec_scale
+from hopftower.linalg import Matrix, invert, sparse_axpy, sparse_scale
 from hopftower.models import generate_example
 from hopftower.pipeline import run_pipeline
 
@@ -27,7 +27,7 @@ def test_trivial_passes_with_unit_bases(d2_trivial):
     d2 = d2_trivial
     assert d2.passed()
     z, w = d2.zw
-    assert len(z) == 1 and vec_eq(Q, z[0], [Q.one]) and vec_eq(Q, w[0], [Q.one])
+    assert len(z) == 1 and z[0] == {0: Q.one} and w[0] == {0: Q.one}
 
 
 def test_normal_subgroup_passes(d2_s3_a3):
@@ -65,7 +65,7 @@ def test_function_algebra_passes_both_levels(field, group):
     assert d2.level1.paths_agree and d2.level2.paths_agree
     # dim B = 9 or 16 exceeds n0 = 3 or 4: the witness is found, not read off
     assert d2.level2.n0 == t.M.dim and d2.B.dim > d2.level2.n0
-    ctx = _LevelContext(up=t.M2, down_dim=t.M1.dim, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
+    ctx = _LevelContext(up=t.M2, down=t.M1, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
     assert _verify_pair(ctx, *d2.uv) == (True, "")
 
 
@@ -88,7 +88,7 @@ def test_centralizer_image_contained_in_A(tower_s3_a3, d2_s3_a3):
     cm = centralizer(ext.M, ext.N, require_subalgebra=False)
     assert cm.dim == 4
     for v in cm.vectors:
-        assert d2_s3_a3.A.contains(t.incl1.apply(list(v)))
+        assert d2_s3_a3.A.contains(t.incl1.apply(v))
     assert d2_s3_a3.A.dim >= 4
 
 
@@ -97,24 +97,24 @@ def test_verified_equations_hold(tower_s3_a3, d2_s3_a3):
     t, d2 = tower_s3_a3, d2_s3_a3
     z, w = d2.zw
     for x in range(t.M1.dim):
-        ex = basis_vector(Q, t.M1.dim, x)
-        acc = [Q.zero] * t.M1.dim
+        ex = {x: Q.one}
+        acc = {}
         for zi, wi in zip(z, w):
-            exz = t.E_M.apply(t.M1.mul(ex, zi))
-            term = t.M1.mul(t.incl1.apply(exz), wi)
-            acc = [Q.add(a, b) for a, b in zip(acc, term)]
-        assert vec_eq(Q, acc, ex)
+            exz = t.E_M.apply(t.M1.mul_sparse(ex, zi))
+            term = t.M1.mul_sparse(t.incl1.apply(exz), wi)
+            sparse_axpy(Q, acc, Q.one, term)
+        assert acc == ex
     for i, wi in enumerate(w):
         for j, zj in enumerate(z):
-            val = t.E_M.apply(t.M1.mul(wi, zj))
-            expected = t.M.unit if i == j else [Q.zero] * t.M.dim
-            assert vec_eq(Q, val, expected)
+            val = t.E_M.apply(t.M1.mul_sparse(wi, zj))
+            expected = t.M.unit if i == j else {}
+            assert val == expected
 
 
 def test_mutilated_scope_gives_dimension_obstruction(tower_sqrt2):
     t = tower_sqrt2
-    A_small = SubspaceBasis(t.M1, [list(t.M1.unit)])
-    B_small = SubspaceBasis(t.M2, [list(t.M2.unit)])
+    A_small = SubspaceBasis(t.M1, [t.M1.unit])
+    B_small = SubspaceBasis(t.M2, [t.M2.unit])
     d2 = DepthTwoData(A=A_small, B=B_small, C=B_small)
     check_depth_two(t, d2)
     assert not d2.level1.passed
@@ -135,15 +135,15 @@ def test_model_tensor_decomposition(model_z2):
     f = t.M.field
     vecs = []
     for m in range(t.M.dim):
-        mh = t.incl1.apply(basis_vector(f, t.M.dim, m))
+        mh = t.incl1.apply({m: f.one})
         for a in d2.A.vectors:
-            vecs.append(t.M1.mul(mh, list(a)))
+            vecs.append(t.M1.mul_sparse(mh, a))
     assert span_dim(f, vecs) == t.M1.dim == t.M.dim * d2.A.dim
     vecs = []
     for m in range(t.M1.dim):
-        mh = t.incl2.apply(basis_vector(f, t.M1.dim, m))
+        mh = t.incl2.apply({m: f.one})
         for b in d2.B.vectors:
-            vecs.append(t.M2.mul(mh, list(b)))
+            vecs.append(t.M2.mul_sparse(mh, b))
     assert span_dim(f, vecs) == t.M2.dim == t.M1.dim * d2.B.dim
 
 
@@ -162,18 +162,17 @@ def test_depth_two_separability_element(model_z2, d2_trivial, tower_trivial):
         d = A_alg.dim
         tensor = {}
         for zi, wi in zip(za, wa):
-            for p, cp in enumerate(zi):
-                for q, cq in enumerate(wi):
+            for p, cp in zi.items():
+                for q, cq in wi.items():
                     c = f.mul(lam, f.mul(cp, cq))
                     if not f.is_zero(c):
                         tensor[p * d + q] = f.add(tensor.get(p * d + q, f.zero), c)
         # mu(e) = 1
-        mu = [f.zero] * d
+        mu = {}
         for col, c in tensor.items():
             p, q = divmod(col, d)
-            term = A_alg.to_dense(A_alg.mul_sparse({p: c}, {q: f.one}))
-            mu = [f.add(a, b) for a, b in zip(mu, term)]
-        assert vec_eq(f, mu, A_alg.unit)
+            sparse_axpy(f, mu, f.one, A_alg.mul_sparse({p: c}, {q: f.one}))
+        assert mu == A_alg.unit
         # a e = e a for every basis a
         from hopftower.frobenius import _tensor_central
 
@@ -220,7 +219,7 @@ def test_conditional_expectations_models(model_z2, model_z3_f7):
         f = t.M.field
         e1h = t.e1_in_m2()
         coords = d2.C.coords(e1h)
-        assert vec_eq(f, E_B.apply(coords), vec_scale(f, t.lam, t.M2.unit))
+        assert E_B.apply(coords) == sparse_scale(f, t.lam, t.M2.unit)
 
 
 # -- faithfulness of F ------------------------------------------------------------
@@ -267,29 +266,28 @@ def test_nakayama_fixes_jones_idempotents(stack_trivial, stack_z2, stack_z3_f7):
         f = t.M.field
         for vec in (t.e1_in_m2(), t.e2):
             coords = d2.C.coords(vec)
-            img = naka.q_C.matvec(coords)
-            acc = [f.zero] * t.M2.dim
+            img = naka.q_C.matvec([coords.get(k, f.zero) for k in range(d2.C.dim)])
+            acc = {}
             for c, v in zip(img, d2.C.vectors):
-                if not f.is_zero(c):
-                    acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, v)]
-            assert vec_eq(f, acc, vec)
+                sparse_axpy(f, acc, c, v)
+            assert acc == vec
 
 
 def _reference_frobenius_sums(ctx, z, w):
-    """The Frobenius-sum loop of _verify_pair with dense products, as it was
-    before the products were read as sparse table rows."""
+    """The Frobenius-sum loop of _verify_pair written out directly, with each
+    product formed where it is used."""
     f = ctx.up.field
     up = ctx.up
     for x in range(up.dim):
-        ex = basis_vector(f, up.dim, x)
-        left = [f.zero] * up.dim
-        right = [f.zero] * up.dim
+        ex = {x: f.one}
+        left = {}
+        right = {}
         for zi, wi in zip(z, w):
-            term = up.mul(ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul(ex, zi))), wi)
-            left = [f.add(a, b) for a, b in zip(left, term)]
-            term = up.mul(zi, ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul(wi, ex))))
-            right = [f.add(a, b) for a, b in zip(right, term)]
-        if not vec_eq(f, left, ex) or not vec_eq(f, right, ex):
+            term = up.mul_sparse(ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul_sparse(ex, zi))), wi)
+            sparse_axpy(f, left, f.one, term)
+            term = up.mul_sparse(zi, ctx.down_in_up.apply(ctx.cond_exp.apply(up.mul_sparse(wi, ex))))
+            sparse_axpy(f, right, f.one, term)
+        if left != ex or right != ex:
             return False, f"Frobenius sum fails at basis {x}"
     return True, ""
 
@@ -301,7 +299,7 @@ def test_verify_pair_frobenius_reason_matches_reference(drop):
     ext, _ = generate_example("function-algebra", {"field": "f7", "group": "z3"})
     state = run_pipeline(ext).state
     t, d2 = state.tower, state.d2
-    ctx = _LevelContext(up=t.M2, down_dim=t.M1.dim, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
+    ctx = _LevelContext(up=t.M2, down=t.M1, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
     z, w = d2.uv
     z, w = z[:drop] + z[drop + 1:], w[:drop] + w[drop + 1:]
     got = _verify_pair(ctx, z, w)

@@ -30,9 +30,9 @@ from hopftower.hopf import (
     compute_pairing,
     comultiplication,
     dualize,
+    sandwich_maps,
     verify_hopf_axioms,
 )
-from hopftower.linalg import basis_vector
 from hopftower.models import model_bundle, model_tower
 
 
@@ -56,10 +56,11 @@ def test_nonabelian_s3_model_full_program():
     assert po.ok
     delta, eps, co = comultiplication(p, t, d2)
     assert co.ok
-    S, so = antipode(t, d2, p)
+    sandwiches = sandwich_maps(t, d2)
+    S, so = antipode(t, d2, p, sandwiches)
     assert so.ok
     H_B = HopfStructure(p.B_alg, delta, eps, S)
-    ax = verify_hopf_axioms(H_B, q_scope=nr.q_B, expect_involutive=True, tower_ctx=(t, d2))
+    ax = verify_hopf_axioms(H_B, q_scope=nr.q_B, expect_involutive=True, tower_ctx=(t, d2, sandwiches))
     assert ax.ok, ax.failures[:2]
     H_A, do = dualize(p, H_B, t, d2)
     assert do.ok
@@ -72,9 +73,9 @@ def test_nonabelian_s3_model_full_program():
                for u, v, c in legs):
             twisted = True
     assert twisted
-    act_b, abo = action_b_on_m1(t, d2, H_B)
+    act_b, abo = action_b_on_m1(t, d2, H_B, sandwiches)
     assert abo.ok
-    m_img = SubspaceBasis(t.M1, [t.incl1.apply(basis_vector(F7, 6, i)) for i in range(6)])
+    m_img = SubspaceBasis(t.M1, [t.incl1.apply({i: F7.one}) for i in range(6)])
     assert verify_invariants(act_b, m_img).ok
     assert verify_smash_iso_theta(t, d2, H_B, act_b).ok
     act_a, aao = action_a_on_m(t, d2, H_A)

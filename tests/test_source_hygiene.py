@@ -115,3 +115,122 @@ def test_scan_sees_a_scalar_backend_use():
         "x = fields._rat(1, 2)\ny = _rat(3)\nz = fields.RationalField().parse('1/2')\n"
     )
     assert _scalar_backend_uses(tree) == [(1, "fractions"), (2, "gmpy2"), (5, "_rat()"), (6, "_rat()")]
+
+
+def _with_function(tree):
+    """(node, name of the innermost function around it or None) for every node."""
+    stack = [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child, fn
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            stack.append((child, inner))
+
+
+def _function_local_imports(tree) -> list[tuple[int, str]]:
+    """Imports made inside a function body, as (line, function)."""
+    return sorted(
+        (node.lineno, fn) for node, fn in _with_function(tree)
+        if fn is not None and isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_no_function_local_imports():
+    # no module of the package imports cli, and none of the others forms an
+    # import cycle, so every import sits at module level where it is read once
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(f"{path.name}:{line} {fn}" for line, fn in _function_local_imports(tree))
+    assert found == [], "imports inside functions"
+
+
+def test_scan_sees_a_function_local_import():
+    tree = ast.parse(
+        "import os\ndef g():\n    import json\n    def h():\n        from . import x\n        return x\n"
+        "    return h\nclass C:\n    def m(self):\n        from y import z\n        return z\n"
+    )
+    assert _function_local_imports(tree) == [(3, "g"), (5, "h"), (10, "m")]
+
+
+# Elements are sparse dicts and maps hold sparse columns from the loader to the
+# report. These names belonged to the dense second path and must not return.
+_DENSE_PATH_NAMES = {
+    "to_sparse", "sparse_columns", "vec_eq", "vec_scale", "vec_is_zero", "basis_vector",
+    "_combine", "act_vec", "tensor_over_subalgebra", "_pairs_index", "_index_of_pairs", "from_columns",
+}
+# methods that must not be defined again on these classes
+_DENSE_PATH_METHODS = {"Algebra": {"mul"}, "ModuleAlgebraAction": {"act_vec", "columns"}}
+# the (module, function) sites that may form a dense coordinate list of an
+# element: file writers, report witnesses before Field.witness, and the
+# right-hand sides of dense elimination
+_TO_DENSE_SITES = {
+    ("algebra", "check_morphism"),
+    ("depth2", "_dual_w"),
+    ("fileio", "algebra_to_dict"),
+    ("fileio", "extension_to_dict"),
+    ("fileio", "hopf_to_dict"),
+    ("fileio", "tower_to_dict"),
+    ("frobenius", "_invert_element"),
+    ("frobenius", "classify"),
+    ("frobenius", "compose"),
+    ("frobenius", "verify_conditional_expectation"),
+    ("frobenius", "verify_frobenius_identities"),
+    ("tower", "basic_construction"),
+}
+
+
+def _dense_path_uses(module: str, tree) -> tuple[list, set]:
+    """(uses of the dense second path, (module, function) sites calling to_dense)."""
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        if name in _DENSE_PATH_NAMES:
+            found.append((node.lineno if hasattr(node, "lineno") else 0, name))
+        if isinstance(node, ast.ClassDef):
+            banned = _DENSE_PATH_METHODS.get(node.name, set())
+            found.extend(
+                (fn.lineno, f"{node.name}.{fn.name}") for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in banned
+            )
+        # a dense accumulation written out by hand: [f.add(a, ...) for a, b in zip(...)]
+        if (
+            module != "linalg"
+            and isinstance(node, ast.ListComp)
+            and getattr(node.elt, "func", None) is not None
+            and getattr(node.elt.func, "attr", None) == "add"
+            and getattr(node.generators[0].iter, "func", None) is not None
+            and getattr(node.generators[0].iter.func, "id", None) == "zip"
+        ):
+            found.append((node.lineno, "dense accumulation"))
+    sites = {
+        (module, fn) for node, fn in _with_function(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_dense"
+    }
+    return found, sites
+
+
+def test_elements_stay_sparse():
+    found, sites = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        uses, calls = _dense_path_uses(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        found.extend(f"{path.name}:{line} {name}" for line, name in uses)
+        sites |= calls
+    assert found == [], "the dense element path is back"
+    assert sites == _TO_DENSE_SITES, "to_dense called outside the file, witness and elimination boundary"
+
+
+def test_scan_sees_a_dense_path_use():
+    tree = ast.parse(
+        "from .linalg import vec_eq\nclass Algebra:\n    def mul(self, x, y):\n        return x\n"
+        "def g(f, acc, v, M, x):\n    acc = [f.add(a, f.mul(2, b)) for a, b in zip(acc, v)]\n"
+        "    return M.to_dense(x)\n"
+    )
+    found, sites = _dense_path_uses("tower", tree)
+    assert sorted(found) == [(1, "vec_eq"), (3, "Algebra.mul"), (6, "dense accumulation")]
+    assert sites == {("tower", "g")}
