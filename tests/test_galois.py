@@ -209,7 +209,6 @@ def test_e1_acts_as_e(stack_z2):
     t, d2, p, H_B, H_A = stack_z2[0], stack_z2[1], stack_z2[2], stack_z2[3], stack_z2[4]
     act, out = action_a_on_m(t, d2, H_A)
     assert out.ok
-    f = t.M.field
     e1_A = d2.A.coords(t.e1)
     assert act.rho(e1_A).apply(t.M.unit) == t.M.unit
 
@@ -276,11 +275,11 @@ def test_galois_map_tower(stack_z2, stack_trivial):
 
 # -- failure equivalence with the per-element loops ----------------------------
 #
-# The action matrices come from precomputed sandwich maps, and the module,
-# smash and morphism checks read action columns and basis images once as
-# sparse dicts. The dense loops they replaced are kept here as references: on
-# perturbed data both must give exactly the same failures, tables and
-# verdicts.
+# The action maps come from precomputed sandwich maps, and the module,
+# smash and morphism checks read action columns and basis images once. The
+# loops they replaced, which form every product at each basis tuple, are kept
+# here as references: on perturbed data both must give exactly the same
+# failures, tables and verdicts.
 
 
 def _reference_b_mats(t, d2):

@@ -148,7 +148,6 @@ def test_pairing_of_unit_with_e2(stack_z2):
 def test_antipode_fixes_e2(stack_z2, stack_z3_f7):
     for stack in (stack_z2, stack_z3_f7):
         t, d2, H_B = stack[0], stack[1], stack[3]
-        f = t.M.field
         e2_B = H_B.algebra.to_dense(d2.B.coords(t.e2))
         assert H_B.antipode.matvec(e2_B) == e2_B
 
