@@ -4,11 +4,10 @@ Hopf algebra reconstruction on finite-dimensional algebra extensions."""
 __version__ = "0.1.0"
 
 from .fields import Field, FieldError, PrimeField, RationalField
-from .linalg import Matrix, invert, kernel_basis, rank, rref, solve
+from .linalg import LinMap, Matrix, invert, kernel_basis, rank, rref, solve
 from .algebra import (
     Algebra,
     AlgebraError,
-    LinMap,
     SubspaceBasis,
     centralizer,
     check_morphism,

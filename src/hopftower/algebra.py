@@ -3,74 +3,33 @@
 Elements are sparse dicts {basis index: nonzero scalar} from the loader to the
 report; scalars are canonical, so two elements are equal exactly when their
 dicts are, and ``Algebra.mul_sparse`` is the one product. Multiplication
-tables are stored the same way (a dict per basis pair), and a ``LinMap`` holds
-its sparse columns. Dense lists appear only at the file and report boundary
-(``Algebra.to_dense``) and as the input of dense elimination in linalg. Every
-subspace keeps its rows in sparse RREF in one linalg.SparseSolver, which
-decides membership and reduces vectors.
+tables are stored the same way (a dict per basis pair), and every linear map
+is a linalg ``LinMap`` of sparse columns. Dense lists appear only at the file
+and report boundary (``Algebra.to_dense``). Every subspace keeps its rows in
+sparse RREF in one linalg.SparseSolver, which decides membership and reduces
+vectors; centralizers and endomorphism algebras build their constraint
+systems as sparse columns for ``linalg.kernel_basis``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fields import Field
 from .linalg import (
     DimensionError,
-    Matrix,
+    LinMap,
     SparseSolver,
     invert,
     kernel_basis,
+    map_combination,
     rank,
     sparse_add,
-    sparse_apply,
-    sparse_vector,
-    stack,
 )
 
 
 class AlgebraError(ValueError):
     """Inconsistent algebra, module or subspace data."""
-
-
-# ---------------------------------------------------------------------------
-# linear maps
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinMap:
-    """Linear map between coordinate spaces, kept as its sparse columns:
-    columns[j] is the image of basis vector j as a dict {row: nonzero entry}."""
-
-    field: Field = dc_field(compare=False, repr=False)
-    columns: list
-    codomain_dim: int
-
-    @property
-    def domain_dim(self) -> int:
-        return len(self.columns)
-
-    def apply(self, v: dict) -> dict:
-        return sparse_apply(self.field, self.columns, v)
-
-    def compose(self, inner: "LinMap") -> "LinMap":
-        """self after inner."""
-        return LinMap(self.field, [self.apply(c) for c in inner.columns], self.codomain_dim)
-
-    @property
-    def matrix(self) -> Matrix:
-        """The dense codomain x domain matrix, formed for dense elimination and files."""
-        z = self.field.zero
-        return Matrix(self.field, [[c.get(r, z) for c in self.columns] for r in range(self.codomain_dim)])
-
-    @classmethod
-    def from_matrix(cls, mat: Matrix) -> "LinMap":
-        return cls(mat.field, [sparse_vector(col) for col in zip(*mat.data)], mat.rows)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "LinMap":
-        return cls(field, [{i: field.one} for i in range(n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +91,14 @@ class Algebra:
         return out
 
     def to_dense(self, d: dict) -> list:
-        """Coordinate list of an element, for files, report witnesses and dense elimination."""
+        """Coordinate list of an element, for files and report witnesses."""
         v = [self.field.zero] * self.dim
         for i, c in d.items():
             v[i] = c
         return v
 
-    def lmul_matrix(self, x: dict) -> Matrix:
-        """Matrix of left multiplication by x."""
-        one = self.field.one
-        return LinMap(self.field, [self.mul_sparse(x, {j: one}) for j in range(self.dim)], self.dim).matrix
-
-    def rmul_matrix(self, x: dict) -> Matrix:
-        one = self.field.one
-        return LinMap(self.field, [self.mul_sparse({j: one}, x) for j in range(self.dim)], self.dim).matrix
-
     def commutes(self, x: dict, y: dict) -> bool:
         return self.mul_sparse(x, y) == self.mul_sparse(y, x)
-
-    def multiplication_matrix(self) -> Matrix:
-        """mu as a dim x dim^2 matrix, columns indexed by (i, j) row-major."""
-        f = self.field
-        m = Matrix.zero(f, self.dim, self.dim * self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.table[i][j].items():
-                    m.data[k][i * self.dim + j] = c
-        return m
 
 
 @dataclass
@@ -286,7 +226,7 @@ class SubspaceBasis:
         if self._coord_map is None:
             f = self.ambient.field
             b_transposed = LinMap(f, [self._at_pivots(x) for x in self.vectors], len(self._pivots))
-            self._coord_map = LinMap.from_matrix(invert(b_transposed.matrix))
+            self._coord_map = invert(b_transposed)
         return self._coord_map.apply(self._at_pivots(v))
 
     def equals(self, other: "SubspaceBasis") -> bool:
@@ -344,11 +284,20 @@ def centralizer(alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = Tru
     """Canonical basis of {x in alg : xs = sx for every s in sub}."""
     if require_subalgebra and not sub.is_unital_subalgebra():
         raise AlgebraError("centralizer: given subspace is not a unital subalgebra")
-    blocks = [alg.lmul_matrix(s).sub(alg.rmul_matrix(s)) for s in sub.vectors]
-    if not blocks:
-        return SubspaceBasis(alg, [{i: alg.field.one} for i in range(alg.dim)])
-    basis = [sparse_vector(v) for v in kernel_basis(stack(alg.field, blocks))]
-    out = SubspaceBasis.from_spanning(alg, basis)
+    f = alg.field
+    d = alg.dim
+    # column j: s e_j - e_j s stacked over the basis s of sub (row k * dim + r)
+    cols = []
+    for j in range(d):
+        ej = {j: f.one}
+        col: dict = {}
+        for k, s in enumerate(sub.vectors):
+            diff = alg.mul_sparse(s, ej)
+            for r, c in alg.mul_sparse(ej, s).items():
+                sparse_add(f, diff, r, f.neg(c))
+            col.update((k * d + r, c) for r, c in diff.items())
+        cols.append(col)
+    out = SubspaceBasis.from_spanning(alg, kernel_basis(LinMap(f, cols, len(sub.vectors) * d)))
     if not out.is_unital_subalgebra():
         raise AlgebraError("centralizer output failed closure check")
     return out
@@ -364,8 +313,7 @@ class TensorQuotient:
 
     The relation subspace span{mn (x) m' - m (x) nm'} is kept in sparse RREF by
     a SparseSolver; the canonical quotient basis consists of the non-pivot
-    coordinates e_i(x)e_j, the projection reduces modulo the relations, and the
-    section re-embeds representatives. project(section) = id by construction.
+    coordinates e_i(x)e_j, and the projection reduces modulo the relations.
     """
 
     def __init__(self, M: Algebra, N: SubspaceBasis):
@@ -399,14 +347,6 @@ class TensorQuotient:
         index = self._pair_index
         return {index[col]: c for col, c in self._relations.reduce(tensor).items()}
 
-    def section(self, coords: dict) -> dict:
-        d = self.M.dim
-        out = {}
-        for c, val in coords.items():
-            i, j = self.pairs[c]
-            out[i * d + j] = val
-        return out
-
     def pure_tensor(self, x: dict, y: dict) -> dict:
         """x tensor y as a sparse ambient element."""
         f = self.M.field
@@ -424,95 +364,89 @@ class TensorQuotient:
 
 @dataclass
 class EndomorphismAlgebra:
-    """The commutant of a right action; basis_matrices are the RREF rows of
-    its span, flattened row-major, kept in sparse RREF in ``_space``."""
+    """The commutant of a right action. The basis maps, flattened row-major
+    (entry (a, b) at a * dim + b), are the RREF rows of its span, kept in
+    sparse RREF in ``_space``."""
 
     algebra: Algebra
-    basis_matrices: list[Matrix]
+    basis: list  # LinMaps
     _space: SparseSolver
 
-    def coords_of_matrix(self, mat: Matrix) -> Optional[dict]:
+    def coords(self, g: LinMap) -> Optional[dict]:
         """Coordinates of an endomorphism in the canonical basis, or None."""
-        flat = sparse_vector([x for row in mat.data for x in row])
+        d = len(g.columns)
+        flat = {a * d + b: c for b, col in enumerate(g.columns) for a, c in col.items()}
         if self._space.reduce(flat):
             return None
         return {k: flat[p] for k, p in enumerate(sorted(self._space.pivots)) if p in flat}
 
 
-def module_axioms_ok(field: Field, action_mats: list[Matrix], sub_alg: Algebra) -> bool:
+def module_axioms_ok(field: Field, dim_v: int, action_maps: list, sub_alg: Algebra) -> bool:
     """Right-module axioms: R_1 = id and R_{nn'} = R_{n'} R_n on basis pairs."""
-    dim_v = action_mats[0].rows if action_mats else 0
-    r_unit = Matrix.zero(field, dim_v, dim_v)
-    for j, c in sub_alg.unit.items():
-        r_unit = r_unit.add(action_mats[j].scale(c))
-    if not r_unit == Matrix.identity(field, dim_v):
+    if map_combination(field, dim_v, sub_alg.unit, action_maps) != LinMap.identity(field, dim_v):
         return False
     for i in range(sub_alg.dim):
         for j in range(sub_alg.dim):
-            prod = Matrix.zero(field, dim_v, dim_v)
-            for k, c in sub_alg.table[i][j].items():
-                prod = prod.add(action_mats[k].scale(c))
-            if not prod == action_mats[j].mul(action_mats[i]):
+            prod = map_combination(field, dim_v, sub_alg.table[i][j], action_maps)
+            if prod != action_maps[j].compose(action_maps[i]):
                 return False
     return True
 
 
 def endomorphism_algebra(
-    field: Field, dim_v: int, action_mats: list[Matrix], sub_alg: Algebra
+    field: Field, dim_v: int, action_maps: list, sub_alg: Algebra
 ) -> EndomorphismAlgebra:
     """Algebra of all endomorphisms commuting with the given right action.
 
     Raises AlgebraError when the module axioms fail.
     """
-    if not module_axioms_ok(field, action_mats, sub_alg):
+    if not module_axioms_ok(field, dim_v, action_maps, sub_alg):
         raise AlgebraError("right-module axioms violated")
     n2 = dim_v * dim_v
-    blocks = []
-    for r in action_mats:
-        # constraint X R = R X, unknown X flattened row-major
-        block = Matrix.zero(field, n2, n2)
-        for a in range(dim_v):
-            for b in range(dim_v):
-                rowidx = a * dim_v + b
-                for c in range(dim_v):
-                    block.data[rowidx][a * dim_v + c] = field.add(
-                        block.data[rowidx][a * dim_v + c], r.data[c][b]
-                    )
-                    block.data[rowidx][c * dim_v + b] = field.sub(
-                        block.data[rowidx][c * dim_v + b], r.data[a][c]
-                    )
-        blocks.append(block)
-    if blocks:
-        basis_flat = [sparse_vector(v) for v in kernel_basis(stack(field, blocks))]
-    else:
-        basis_flat = [{i: field.one} for i in range(n2)]
-    space = _row_space(field, n2, basis_flat)
-    mats = []
+    # constraint X R = R X per action map R, unknown X flattened row-major:
+    # row (a, b) of block k is sum_c X[a][c] R[c][b] - R[a][c] X[c][b]
+    cols: list[dict] = [{} for _ in range(n2)]
+    for k, r in enumerate(action_maps):
+        base = k * n2
+        r_rows = r.transpose().columns
+        for p in range(dim_v):
+            for q in range(dim_v):
+                col = cols[p * dim_v + q]
+                for b, c in r_rows[q].items():
+                    sparse_add(field, col, base + p * dim_v + b, c)
+                for a, c in r.columns[p].items():
+                    sparse_add(field, col, base + a * dim_v + q, field.neg(c))
+    space = _row_space(field, n2, kernel_basis(LinMap(field, cols, len(action_maps) * n2)))
+    maps = []
     for p in sorted(space.pivots):
-        flat = [space.pivots[p].get(k, field.zero) for k in range(n2)]
-        mats.append(Matrix(field, [flat[i * dim_v : (i + 1) * dim_v] for i in range(dim_v)]))
+        map_cols: list[dict] = [{} for _ in range(dim_v)]
+        for k, c in space.pivots[p].items():
+            a, b = divmod(k, dim_v)
+            map_cols[b][a] = c
+        maps.append(LinMap(field, map_cols, dim_v))
 
-    endo = EndomorphismAlgebra(None, mats, space)  # type: ignore[arg-type]
+    endo = EndomorphismAlgebra(None, maps, space)  # type: ignore[arg-type]
 
     entries = []
-    unit_coords = endo.coords_of_matrix(Matrix.identity(field, dim_v))
+    unit_coords = endo.coords(LinMap.identity(field, dim_v))
     if unit_coords is None:
         raise AlgebraError("identity endomorphism escaped the solved basis")
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            coords = endo.coords_of_matrix(a.mul(b))
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps):
+            coords = endo.coords(a.compose(b))
             if coords is None:
                 raise AlgebraError("endomorphism product escaped the solved basis")
             entries.extend((i, j, k, c) for k, c in coords.items())
-    endo.algebra = Algebra.from_entries(field, len(mats), entries, unit_coords)
+    endo.algebra = Algebra.from_entries(field, len(maps), entries, unit_coords)
     return endo
 
 
 def right_module_endomorphisms(M: Algebra, n_alg: Algebra, embed: LinMap) -> EndomorphismAlgebra:
     """End(M_N): the endomorphisms of M commuting with right multiplication by
     the image of N under embed (N-coordinates -> M)."""
-    action_mats = [M.rmul_matrix(n) for n in embed.columns]
-    return endomorphism_algebra(M.field, M.dim, action_mats, n_alg)
+    basis = [{j: M.field.one} for j in range(M.dim)]
+    action_maps = [LinMap(M.field, [M.mul_sparse(ej, n) for ej in basis], M.dim) for n in embed.columns]
+    return endomorphism_algebra(M.field, M.dim, action_maps, n_alg)
 
 
 # ---------------------------------------------------------------------------
@@ -553,5 +487,5 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
         if len(failures) >= max_failures:
             break
     is_homo = not failures
-    is_iso = is_homo and A.dim == B.dim and rank(f_map.matrix) == A.dim
+    is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
     return MorphismReport(is_homo, is_iso, failures)

@@ -24,17 +24,7 @@ from typing import Optional
 
 from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
 from .frobenius import CheckOutcome, nakayama, nakayama_of_functional, scalar_of
-from .linalg import (
-    Matrix,
-    SparseSolver,
-    invert,
-    rank,
-    solve,
-    sparse_add,
-    sparse_axpy,
-    sparse_scale,
-    sparse_vector,
-)
+from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
 
 
 @dataclass
@@ -232,16 +222,15 @@ def _dual_w(ctx: _LevelContext, z: list) -> Optional[list]:
         for j, zj in enumerate(z):
             col.update((j * dd + t, c) for t, c in ctx.cond_exp.apply(ctx.up.mul_sparse(b, zj)).items())
         cols.append(col)
-    mat = LinMap(f, cols, len(z) * dd).matrix
-    one = ctx.down.to_dense(ctx.cond_exp.apply(ctx.up.unit))
-    zero = [f.zero] * dd
+    mat = LinMap(f, cols, len(z) * dd)
+    one = ctx.cond_exp.apply(ctx.up.unit)
     scope = LinMap(f, ctx.scope.vectors, ctx.up.dim)
     w = []
     for i in range(len(z)):
-        res = solve(mat, [c for j in range(len(z)) for c in (one if j == i else zero)])
+        res = solve(mat, {i * dd + t: c for t, c in one.items()})
         if res is None:
             return None
-        w.append(scope.apply(sparse_vector(res[0])))
+        w.append(scope.apply(res[0]))
     return w
 
 
@@ -350,7 +339,7 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
         if ok:
             if first.dim * second.dim != C.dim:
                 failures.append({"kind": f"{label}-dimension-mismatch"})
-            elif rank(LinMap(f, cols, C.dim).matrix) != C.dim:
+            elif rank(LinMap(f, cols, C.dim)) != C.dim:
                 failures.append({"kind": f"{label}-multiplication-not-bijective"})
 
     # A e2 A spans C
@@ -464,7 +453,7 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
                 if coords is None:
                     failures.append({"kind": "BCB-product-outside-C"})
                     break
-                rhs = M2.mul_sparse(M2.mul_sparse(b, E_B.apply(C.coords(c_vec))), b2)
+                rhs = M2.mul_sparse(M2.mul_sparse(b, eb_cols[i]), b2)
                 if E_B.apply(coords) != rhs:
                     failures.append({"kind": "E_B-bimodule", "basis": i})
                     break
@@ -510,7 +499,7 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
                 if coords is None:
                     failures.append({"kind": "ACA-product-outside-C"})
                     break
-                rhs = M1.mul_sparse(M1.mul_sparse(a, E_A.apply(C.coords(c_vec))), a2)
+                rhs = M1.mul_sparse(M1.mul_sparse(a, ea_cols[i]), a2)
                 if E_A.apply(coords) != rhs:
                     failures.append({"kind": "E_A-bimodule", "basis": i})
                     break
@@ -546,23 +535,23 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
 # ---------------------------------------------------------------------------
 
 
-def verify_f_faithful(t, d2: DepthTwoData) -> tuple[Optional[Matrix], CheckOutcome]:
-    """Gram matrix [F(c_i c_j)] on the basis of C must be invertible; gated on
-    F being scalar-valued on C (certain for an irreducible base)."""
+def verify_f_faithful(t, d2: DepthTwoData) -> tuple[Optional[LinMap], CheckOutcome]:
+    """Gram map with entry (i, j) = F(c_i c_j) on the basis of C must be
+    invertible; gated on F being scalar-valued on C (certain for an
+    irreducible base)."""
     f = t.M.field
     C = d2.C
-    gram_rows = []
-    for ci in C.vectors:
-        row = []
-        for cj in C.vectors:
+    cols: list[dict] = [{} for _ in C.vectors]
+    for i, ci in enumerate(C.vectors):
+        for j, cj in enumerate(C.vectors):
             val = scalar_of(t.M, t.F.apply(t.M2.mul_sparse(ci, cj)))
             if val is None:
                 return None, CheckOutcome(
                     False, [{"kind": "F-not-scalar-on-C", "gate": "base not irreducible"}]
                 )
-            row.append(val)
-        gram_rows.append(row)
-    gram = Matrix(f, gram_rows)
+            if val:
+                cols[j][i] = val
+    gram = LinMap(f, cols, C.dim)
     if invert(gram) is None:
         return gram, CheckOutcome(False, [{"kind": "F-gram-singular"}])
     return gram, CheckOutcome(True, [])
@@ -582,9 +571,9 @@ def f_scalar_on_c(t, d2: DepthTwoData) -> bool:
 
 @dataclass
 class NakayamaRelations:
-    q_C: Optional[Matrix] = None
-    q_A: Optional[Matrix] = None
-    q_B: Optional[Matrix] = None
+    q_C: Optional[LinMap] = None  # Nakayama map of F on C, in C coordinates
+    q_A: Optional[LinMap] = None
+    q_B: Optional[LinMap] = None
     report: Optional[CheckOutcome] = None
 
 
@@ -609,7 +598,7 @@ def nakayama_relations(t, d2: DepthTwoData) -> NakayamaRelations:
     if not res.ok:
         out.report = CheckOutcome(False, [{"kind": "q-on-C-failed", "detail": res.failures[:1]}])
         return out
-    out.q_C = res.map.matrix
+    out.q_C = res.map
 
     a_row = []
     for a in d2.A.vectors:
@@ -622,7 +611,7 @@ def nakayama_relations(t, d2: DepthTwoData) -> NakayamaRelations:
     if not res_a.ok:
         out.report = CheckOutcome(False, [{"kind": "q_A-failed"}])
         return out
-    out.q_A = res_a.map.matrix
+    out.q_A = res_a.map
 
     b_row = []
     for b in d2.B.vectors:
@@ -635,7 +624,7 @@ def nakayama_relations(t, d2: DepthTwoData) -> NakayamaRelations:
     if not res_b.ok:
         out.report = CheckOutcome(False, [{"kind": "q_B-failed"}])
         return out
-    out.q_B = res_b.map.matrix
+    out.q_B = res_b.map
 
     def q_of(vec_in_c):
         coords = d2.C.coords(vec_in_c)

@@ -13,10 +13,10 @@ import hashlib
 import json
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, verify_algebra
+from .algebra import Algebra, AlgebraError, SubspaceBasis, verify_algebra
 from .fields import Field, FieldError, field_from_spec, field_to_spec, integral
 from .frobenius import ExtensionSpec
-from .linalg import Matrix, sparse_vector
+from .linalg import LinMap, sparse_vector
 
 
 class InputError(ValueError):
@@ -66,14 +66,18 @@ def parse_element(field: Field, data, length: int) -> dict:
     return sparse_vector(parse_vector(field, data, length))
 
 
-def matrix_to_rows(field: Field, m: Matrix) -> list:
-    return [vector_to_list(field, row) for row in m.data]
+def matrix_to_rows(field: Field, m: LinMap) -> list:
+    """A linear map written as the dense rows of its matrix."""
+    z = field.zero
+    return [vector_to_list(field, [c.get(r, z) for c in m.columns]) for r in range(m.codomain_dim)]
 
 
-def parse_matrix(field: Field, data, rows: int, cols: int) -> Matrix:
+def parse_matrix(field: Field, data, rows: int, cols: int) -> LinMap:
+    """A linear map written as the dense rows of its matrix."""
     if not isinstance(data, list) or len(data) != rows:
         raise InputError(f"matrix must have {rows} rows")
-    return Matrix(field, [parse_vector(field, row, cols) for row in data])
+    parsed = [parse_vector(field, row, cols) for row in data]
+    return LinMap(field, [{r: row[j] for r, row in enumerate(parsed) if row[j]} for j in range(cols)], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def extension_to_dict(ext: ExtensionSpec) -> dict:
         "subalgebra": [vector_to_list(f, M.to_dense(v)) for v in ext.N.vectors],
     }
     if ext.E is not None:
-        out["cond_expectation"] = matrix_to_rows(f, ext.E.matrix)
+        out["cond_expectation"] = matrix_to_rows(f, ext.E)
     else:
         out["cond_expectation"] = None
     if ext.dual_pairs is not None:
@@ -152,7 +156,7 @@ def extension_from_dict(data) -> ExtensionSpec:
         raise InputError(str(exc)) from exc
     E = None
     if data.get("cond_expectation") is not None:
-        E = LinMap.from_matrix(parse_matrix(field, data["cond_expectation"], len(vectors), M.dim))
+        E = parse_matrix(field, data["cond_expectation"], len(vectors), M.dim)
     pairs = None
     if data.get("dual_bases") is not None:
         pairs = []
@@ -221,7 +225,7 @@ def load_pair_file(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def hopf_to_dict(H, pairing_matrix: Optional[Matrix] = None, integral: Optional[dict] = None) -> dict:
+def hopf_to_dict(H, pairing_matrix: Optional[LinMap] = None, integral: Optional[dict] = None) -> dict:
     f = H.algebra.field
     out = {
         "field": field_to_spec(f),
@@ -248,8 +252,8 @@ def tower_to_dict(t) -> dict:
                 "structure": [[i, j, k, scalar_to_str(f, c)] for i, j, k, c in alg.entries()],
                 "unit": vector_to_list(f, alg.to_dense(alg.unit)),
                 "jones_idempotent": vector_to_list(f, alg.to_dense(level.e)),
-                "cond_expectation": matrix_to_rows(f, level.cond_exp.matrix),
-                "inclusion": matrix_to_rows(f, level.incl.matrix),
+                "cond_expectation": matrix_to_rows(f, level.cond_exp),
+                "inclusion": matrix_to_rows(f, level.incl),
             }
         )
     out["lambda_inverse"] = scalar_to_str(f, t.base_sys.lambda_inverse)

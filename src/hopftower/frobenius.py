@@ -18,7 +18,7 @@ from .algebra import (
     centralizer,
     verify_algebra,
 )
-from .linalg import Matrix, rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
+from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
 
 
 class FrobeniusError(ValueError):
@@ -192,15 +192,15 @@ def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> Frobeniu
     if not bi.ok:
         raise FrobeniusError(f"E is not an N-bimodule map: {bi.failures[:1]}")
     tq = TensorQuotient(M, ext.N)
-    # both sums must give e_m at every basis m
-    rhs = [f.one if k == m else f.zero for m in range(M.dim) for _ in range(2) for k in range(M.dim)]
-    res = solve(_contraction_rows(ext, E, tq).matrix, rhs)
+    # both sums must give e_m at every basis m (rows 2 m dim + m and 2 m dim + dim + m)
+    d = M.dim
+    rhs = {2 * m * d + side + m: f.one for m in range(d) for side in (0, d)}
+    res = solve(_contraction_rows(ext, E, tq), rhs)
     if res is None:
         raise FrobeniusError("Frobenius equations are inconsistent: E is not a Frobenius homomorphism")
     tensor, kern = res
     if kern:
         raise FrobeniusError("dual-bases tensor is not unique in M (x)_N M")
-    tensor = sparse_vector(tensor)
     pairs = _tensor_to_pairs(M, tq, tensor)
     index = index_of_pairs(M, pairs)
     lam_inv = scalar_of(M, index)
@@ -292,8 +292,7 @@ def classify(ext: ExtensionSpec, sys: FrobeniusSystem) -> FrobeniusFlags:
     flags.normalized = e_unit == n_alg.unit
 
     # split: some d in C_M(N) with E(d) = 1
-    mat = LinMap(f, [sys.E.apply(v) for v in cm.vectors], n_alg.dim).matrix
-    flags.split = solve(mat, n_alg.to_dense(n_alg.unit)) is not None
+    flags.split = solve(LinMap(f, [sys.E.apply(v) for v in cm.vectors], n_alg.dim), n_alg.unit) is not None
 
     # separable: some d in C_M(N) with sum x_i d y_i = 1
     cols_sep = []
@@ -302,7 +301,7 @@ def classify(ext: ExtensionSpec, sys: FrobeniusSystem) -> FrobeniusFlags:
         for x, y in sys.dual_pairs:
             sparse_axpy(f, total, f.one, M.mul_sparse(M.mul_sparse(x, v), y))
         cols_sep.append(total)
-    flags.separable = solve(LinMap(f, cols_sep, M.dim).matrix, M.to_dense(M.unit)) is not None
+    flags.separable = solve(LinMap(f, cols_sep, M.dim), M.unit) is not None
 
     lam_inv = scalar_of(M, sys.index)
     flags.index_scalar = lam_inv is not None
@@ -375,11 +374,10 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
     basis = [{m: f.one} for m in range(M.dim)]
     coeff = LinMap(f, [stacked(M.mul_sparse(z, em) for em in basis) for z in scope.vectors], rows)
     targets = LinMap(f, [stacked(M.mul_sparse(em, c) for em in basis) for c in scope.vectors], rows)
-    coeff_mat = coeff.matrix
     cols = []
     failures = []
-    for rhs in targets.matrix.transpose().data:
-        res = solve(coeff_mat, rhs)
+    for rhs in targets.columns:
+        res = solve(coeff, rhs)
         if res is None:
             failures.append({"kind": "no-solution"})
             cols.append({})
@@ -387,7 +385,7 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
         x, kern = res
         if kern:
             failures.append({"kind": "non-unique"})
-        cols.append(sparse_vector(x))
+        cols.append(x)
     qmap = LinMap(f, cols, s)
     if not failures:
         # automorphism checks inside scope
@@ -401,7 +399,7 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
                 rhs = sub_alg.mul_sparse(qmap.columns[i], qmap.columns[j])
                 if lhs != rhs:
                     failures.append({"kind": "not-multiplicative", "pair": (i, j)})
-        if rank(qmap.matrix) != s:
+        if rank(qmap) != s:
             failures.append({"kind": "not-bijective"})
     return NakayamaResult(qmap, not failures, failures)
 
@@ -413,7 +411,7 @@ def nakayama_of_functional(alg: Algebra, functional: list) -> NakayamaResult:
     """
     f = alg.field
     scope = SubspaceBasis(alg, [{i: f.one} for i in range(alg.dim)])
-    E = LinMap.from_matrix(Matrix(f, [list(functional)]))
+    E = LinMap(f, [{0: c} if c else {} for c in functional], 1)
     return nakayama(alg, E, scope)
 
 
@@ -439,13 +437,12 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
             if lhs != R.mul_sparse(ident.columns[i], ident.columns[j]):
                 raise FrobeniusError("identification M -> R is not an algebra map")
     # F: R -> M coords (translate sys_rm.E through the N_RM basis -> m_alg coords)
-    m_mat = ident.matrix
     basis_in_m = []
     for v in sys_rm.ext.N.vectors:
-        res = solve(m_mat, R.to_dense(v))
+        res = solve(ident, v)
         if res is None:
             raise FrobeniusError("sys_rm subalgebra does not match the identification image")
-        basis_in_m.append(sparse_vector(res[0]))
+        basis_in_m.append(res[0])
     to_m = LinMap(f, basis_in_m, m_alg.dim)  # N_RM coords -> m_alg coords
     F_map = to_m.compose(sys_rm.E)  # R -> m_alg coords
     E_comp = sys_mn.E.compose(F_map)  # R -> N coords (of sys_mn)
@@ -546,8 +543,10 @@ def separability_element_field(field, coeffs: list) -> SeparabilityElement:
 
 
 def _invert_element(alg: Algebra, v: dict) -> Optional[dict]:
-    res = solve(alg.lmul_matrix(v), alg.to_dense(alg.unit))
-    return None if res is None else sparse_vector(res[0])
+    """w with v w = 1, or None."""
+    one = alg.field.one
+    res = solve(LinMap(alg.field, [alg.mul_sparse(v, {j: one}) for j in range(alg.dim)], alg.dim), alg.unit)
+    return None if res is None else res[0]
 
 
 def _tensor_multiply_out(alg: Algebra, tensor: dict) -> dict:

@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .frobenius import CheckOutcome, FrobeniusSystem, algebra_outcome
 from .hopf import HopfStructure, PairingData
-from .linalg import Matrix, kernel_basis, rank, sparse_add, sparse_axpy, sparse_scale, sparse_vector
+from .linalg import kernel_basis, map_combination, rank, sparse_add, sparse_axpy, sparse_scale
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +36,7 @@ class ModuleAlgebraAction:
 
     def rho(self, h: dict) -> LinMap:
         """The action of an element h of H, as a map X -> X."""
-        f = self.algebra.field
-        cols = []
-        for x in range(self.algebra.dim):
-            acc: dict = {}
-            for i, c in h.items():
-                sparse_axpy(f, acc, c, self.maps[i].columns[x])
-            cols.append(acc)
-        return LinMap(f, cols, self.algebra.dim)
+        return map_combination(self.algebra.field, self.algebra.dim, h, self.maps)
 
 
 def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> CheckOutcome:
@@ -75,7 +68,7 @@ def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> Ch
                     failures.append({"kind": "module-algebra-law", "triple": (i, x, y)})
                     if len(failures) >= max_failures:
                         return CheckOutcome(False, failures)
-        if act.maps[i].apply(X.unit) != sparse_scale(f, H.counit.data[0][i], X.unit):
+        if act.maps[i].apply(X.unit) != sparse_scale(f, H.counit_of(i), X.unit):
             failures.append({"kind": "unit-not-scaled-by-eps", "basis": i})
     return CheckOutcome(not failures, failures)
 
@@ -84,12 +77,17 @@ def invariants(act: ModuleAlgebraAction) -> SubspaceBasis:
     """Solutions of h . x = eps(h) x for every basis h, as a canonical basis."""
     f = act.algebra.field
     X = act.algebra
-    rows = []
-    for i in range(act.hopf.dim):
-        eps_i = act.hopf.counit.data[0][i]
-        diff = act.maps[i].matrix.sub(Matrix.identity(f, X.dim).scale(eps_i))
-        rows.extend(diff.data)
-    vecs = [sparse_vector(v) for v in kernel_basis(Matrix(f, rows))] if rows else []
+    d = X.dim
+    # column x: h_i . e_x - eps(h_i) e_x stacked over the basis h_i (row i * dim X + r)
+    cols = []
+    for x in range(d):
+        col: dict = {}
+        for i, m in enumerate(act.maps):
+            diff = dict(m.columns[x])
+            sparse_add(f, diff, x, f.neg(act.hopf.counit_of(i)))
+            col.update((i * d + r, c) for r, c in diff.items())
+        cols.append(col)
+    vecs = kernel_basis(LinMap(f, cols, len(act.maps) * d)) if act.maps else []
     return SubspaceBasis.from_spanning(X, vecs)
 
 
@@ -168,13 +166,13 @@ def _psi(sm: SmashProduct, act: ModuleAlgebraAction, sys: FrobeniusSystem) -> tu
     X = sm.X
     f = X.field
     endo = right_module_endomorphisms(X, sys.ext.n_algebra, sys.ext.embed)
-    act_mats = [m.matrix for m in act.maps]
     cols = []
     outside = []
     for x in range(X.dim):
-        lx = X.lmul_matrix({x: f.one})
+        ex = {x: f.one}
         for h in range(sm.H.dim):
-            coords = endo.coords_of_matrix(lx.mul(act_mats[h]))
+            x_h = LinMap(f, [X.mul_sparse(ex, c) for c in act.maps[h].columns], X.dim)
+            coords = endo.coords(x_h)
             if coords is None:
                 outside.append((x, h))
                 coords = {}
@@ -205,8 +203,7 @@ def psi_inverse_formula(
         return CheckOutcome(False, [{"kind": "psi-image-outside-End(X_N)"}])
     t_smash = sm.embed_h.apply(t_vec)
     inv_cols = []
-    for mat in endo.basis_matrices:
-        g = LinMap.from_matrix(mat)
+    for g in endo.basis:
         acc: dict = {}
         for x, y in sys.dual_pairs:
             term = sm.algebra.mul_sparse(
@@ -245,7 +242,7 @@ def action_b_on_m1(t, d2, H_B: HopfStructure, sandwiches: tuple) -> tuple[Module
 
     if H_B.antipode is not None:
         # S(b_v) in M2
-        s_b = [LinMap(f, d2.B.vectors, M2.dim).apply(c) for c in LinMap.from_matrix(H_B.antipode).columns]
+        s_b = [LinMap(f, d2.B.vectors, M2.dim).apply(c) for c in H_B.antipode.columns]
         for j in range(H_B.dim):
             legs = H_B.delta_coords(j)
             for x in range(M1.dim):
@@ -278,7 +275,7 @@ def action_a_on_m(t, d2, H_A: HopfStructure) -> tuple[Optional[ModuleAlgebraActi
         return None, CheckOutcome(False, [{"kind": "no-antipode-on-A"}])
     m_image = SubspaceBasis(M1, t.incl1.columns)
     a_vecs = d2.A.vectors
-    s_a = [LinMap(f, a_vecs, M1.dim).apply(c) for c in LinMap.from_matrix(H_A.antipode).columns]
+    s_a = [LinMap(f, a_vecs, M1.dim).apply(c) for c in H_A.antipode.columns]
     maps = []
     for i in range(H_A.dim):
         legs = H_A.delta_coords(i)
@@ -386,13 +383,13 @@ def cleft_data(
     a_vecs = d2.A.vectors
     da = d2.A.dim
     a_embed = LinMap(f, a_vecs, M1.dim)
-    s_map = LinMap.from_matrix(H_A.antipode)
+    s_map = H_A.antipode
     s_a = [a_embed.apply(c) for c in s_map.columns]  # iota(S_A(a_v))
 
     # coaction rho: M1 -> M1 (x) A dual to the B-action: rho(x) = sum_j (u_j . x) (x) p_j
     # with u_j the B-basis and p_j in A pairing-dual to it; elements of
     # M1 (x) A are sparse dicts keyed r * dim A + s
-    p_duals = [sparse_vector(p.P_inv.data[j][:da]) for j in range(d2.B.dim)]
+    p_duals = p.P_inv.transpose().columns
 
     # iota is a comodule map: rho(iota(a)) = (iota (x) id) Delta_A(a)
     for i in range(da):
@@ -415,7 +412,7 @@ def cleft_data(
         for u, v, c in H_A.delta_coords(i):
             sparse_axpy(f, acc1, c, M1.mul_sparse(a_vecs[u], s_a[v]))
             sparse_axpy(f, acc2, c, M1.mul_sparse(s_a[u], a_vecs[v]))
-        expected = sparse_scale(f, H_A.counit.data[0][i], M1.unit)
+        expected = sparse_scale(f, H_A.counit_of(i), M1.unit)
         if acc1 != expected or acc2 != expected:
             failures.append({"kind": "convolution-inverse", "basis": i})
 
@@ -429,7 +426,7 @@ def cleft_data(
                     s_prod = a_embed.apply(s_map.apply(A_alg.table[v][v2]))
                     term = M1.mul_sparse(M1.mul_sparse(a_vecs[u], a_vecs[u2]), s_prod)
                     sparse_axpy(f, acc, f.mul(c, c2), term)
-            expected = sparse_scale(f, f.mul(H_A.counit.data[0][i], H_A.counit.data[0][i2]), M1.unit)
+            expected = sparse_scale(f, f.mul(H_A.counit_of(i), H_A.counit_of(i2)), M1.unit)
             if acc != expected:
                 failures.append({"kind": "cocycle-not-trivial", "pair": (i, i2)})
 
@@ -476,7 +473,7 @@ def galois_map(
             for r, c in X.mul_sparse(ei, act.maps[u].columns[j]).items():
                 sparse_add(f, out, r * dh + u, c)
         cols.append(out)
-    beta_rank = rank(LinMap(f, cols, target_dim).matrix)
+    beta_rank = rank(LinMap(f, cols, target_dim))
     if beta_rank != tq.dim:
         failures.append({"kind": "galois-map-not-bijective", "rank": beta_rank})
     return CheckOutcome(not failures, failures)

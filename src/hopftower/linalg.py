@@ -1,19 +1,22 @@
-"""Exact linear algebra: dense elimination and the sparse-vector helpers.
+"""Exact linear algebra: linear maps as sparse columns, elimination and the
+sparse-vector helpers.
 
-Vectors everywhere outside this module are sparse dicts {index: nonzero
-scalar}; scalars are canonical, so a dict without zeros is a normal form and
-plain ``==`` decides equality. ``sparse_add``/``sparse_axpy`` is the one
-accumulator and ``sparse_apply`` applies a map given by sparse columns.
+Vectors everywhere are sparse dicts {index: nonzero scalar}; scalars are
+canonical, so a dict without zeros is a normal form and plain ``==`` decides
+equality. ``sparse_add``/``sparse_axpy`` is the one accumulator. ``LinMap``
+is the one linear-map type: its sparse columns plus its codomain dimension.
 
-Dense ``Matrix`` objects are the input of elimination (RREF, solve, kernel,
-rank, inverse) and the small Hopf-structure matrices. Gaussian elimination
-takes the first nonzero pivot found by row-major scan; together with canonical
-scalar normal forms this makes every result deterministic byte-for-byte.
-Dimensions here stay small (a few hundred), so O(n^3) dense elimination is
-fine. ``SparseSolver`` is the one sparse eliminator.
+``rank``, ``solve``, ``kernel_basis`` and ``invert`` take and return sparse
+objects; each writes its map into the dense working array of ``rref`` (a
+``Matrix``), the one dense-to-sparse boundary. Gaussian elimination takes the
+first nonzero pivot found by row-major scan; together with canonical scalar
+normal forms this makes every result deterministic byte-for-byte. Dimensions
+here stay small (a few hundred), so O(n^3) dense elimination is fine.
+``SparseSolver`` is the one sparse eliminator.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .fields import Field
@@ -23,7 +26,54 @@ class DimensionError(ValueError):
     """Incompatible shapes."""
 
 
+@dataclass
+class LinMap:
+    """Linear map between coordinate spaces, kept as its sparse columns:
+    columns[j] is the image of basis vector j as a dict {row: nonzero entry}."""
+
+    field: Field = dc_field(compare=False, repr=False)
+    columns: list
+    codomain_dim: int
+
+    @property
+    def domain_dim(self) -> int:
+        return len(self.columns)
+
+    def apply(self, v: dict) -> dict:
+        return sparse_apply(self.field, self.columns, v)
+
+    def compose(self, inner: "LinMap") -> "LinMap":
+        """self after inner."""
+        if inner.codomain_dim != len(self.columns):
+            raise DimensionError(f"compose: {len(self.columns)} columns after {inner.codomain_dim} rows")
+        return LinMap(self.field, [self.apply(c) for c in inner.columns], self.codomain_dim)
+
+    def transpose(self) -> "LinMap":
+        cols: list[dict] = [{} for _ in range(self.codomain_dim)]
+        for j, col in enumerate(self.columns):
+            for r, c in col.items():
+                cols[r][j] = c
+        return LinMap(self.field, cols, len(self.columns))
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "LinMap":
+        return cls(field, [{i: field.one} for i in range(n)], n)
+
+
+def map_combination(field: Field, dim: int, coeffs: dict, maps: list) -> LinMap:
+    """sum_i coeffs[i] maps[i] for maps of a dim-dimensional space to itself."""
+    cols = []
+    for x in range(dim):
+        acc: dict = {}
+        for i, c in coeffs.items():
+            sparse_axpy(field, acc, c, maps[i].columns[x])
+        cols.append(acc)
+    return LinMap(field, cols, dim)
+
+
 class Matrix:
+    """The dense working array of ``rref``: data[r][c], row-major."""
+
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: list[list]):
@@ -34,124 +84,6 @@ class Matrix:
         for row in data:
             if len(row) != self.cols:
                 raise DimensionError("ragged rows")
-
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zero(field, n, n)
-        one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    @classmethod
-    def from_int_rows(cls, field: Field, rows: list[list[int]]) -> "Matrix":
-        return cls(field, [[field.from_int(x) for x in row] for row in rows])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data])
-
-    # -- basic ops -----------------------------------------------------
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and all(
-                self.field.eq(a, b)
-                for ra, rb in zip(self.data, other.data)
-                for a, b in zip(ra, rb)
-            )
-        )
-
-    def __hash__(self):  # pragma: no cover - matrices used as values only
-        return NotImplemented
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)] if self.rows else [])
-
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise DimensionError(f"matvec: {self.cols} cols vs vector of {len(v)}")
-        f = self.field
-        fadd, fmul = f.add, f.mul
-        # scalars are canonical, so plain truthiness is an exact zero test
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for j, x in support:
-                a = row[j]
-                if a:
-                    acc = fadd(acc, fmul(a, x))
-            out.append(acc)
-        return out
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"matmul: {self.cols} vs {other.rows}")
-        f = self.field
-        fadd, fmul = f.add, f.mul
-        bt = list(zip(*other.data)) if other.cols else []
-        out = []
-        for row in self.data:
-            support = [(j, a) for j, a in enumerate(row) if a]
-            out_row = []
-            for col in bt:
-                acc = f.zero
-                for j, a in support:
-                    b = col[j]
-                    if b:
-                        acc = fadd(acc, fmul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix add shape mismatch")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix sub shape mismatch")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in row] for row in self.data])
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for row in self.data for a in row)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, row-major pair ordering."""
-        f = self.field
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                out.append([f.mul(a, b) for a in ra for b in rb])
-        return Matrix(f, out)
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -183,67 +115,66 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(f, m), pivots
 
 
-def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+def _reduced(A: LinMap, extra: list) -> tuple[Matrix, list[int]]:
+    """rref of the dense array of A with the sparse columns extra appended."""
+    z = A.field.zero
+    cols = A.columns + extra
+    return rref(Matrix(A.field, [[c.get(r, z) for c in cols] for r in range(A.codomain_dim)]))
 
 
-def kernel_basis(mat: Matrix) -> list[list]:
-    """Canonical basis of the right kernel {x : mat x = 0}."""
-    f = mat.field
-    red, pivots = rref(mat)
+def _kernel(field: Field, red: Matrix, pivots: list[int], n: int) -> list[dict]:
+    """Canonical kernel basis of the first n columns of a reduced array."""
     pivot_set = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [f.zero] * mat.cols
-        v[fc] = f.one
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = {fc: field.one}
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
+            c = red.data[r][fc]
+            if c:
+                v[pc] = field.neg(c)
         basis.append(v)
     return basis
 
 
-def solve(mat: Matrix, b: list) -> Optional[tuple[list, list[list]]]:
-    """One particular solution of mat x = b plus kernel basis, or None.
+def rank(A: LinMap) -> int:
+    return len(_reduced(A, [])[1])
+
+
+def kernel_basis(A: LinMap) -> list[dict]:
+    """Canonical basis of the kernel {x : A x = 0}."""
+    red, pivots = _reduced(A, [])
+    return _kernel(A.field, red, pivots, len(A.columns))
+
+
+def solve(A: LinMap, b: dict) -> Optional[tuple[dict, list[dict]]]:
+    """One particular solution of A x = b plus a kernel basis, or None.
 
     Returns None when the system is inconsistent. The kernel is read off the
-    augmented RREF (whose first columns are RREF(mat) whenever the system is
+    augmented RREF (whose first columns are RREF(A) whenever the system is
     consistent), so elimination runs once.
     """
-    if len(b) != mat.rows:
-        raise DimensionError(f"solve: {mat.rows} rows vs rhs of {len(b)}")
-    f = mat.field
-    aug = Matrix(f, [row + [bv] for row, bv in zip(mat.data, b)])
-    red, pivots = rref(aug)
-    if mat.cols in pivots:
+    if any(not 0 <= k < A.codomain_dim for k in b):
+        raise DimensionError(f"solve: rhs index outside the {A.codomain_dim} rows")
+    n = len(A.columns)
+    red, pivots = _reduced(A, [b])
+    if n in pivots:
         return None
-    x = [f.zero] * mat.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][mat.cols]
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivot_set]
-    kern = []
-    for fc in free:
-        v = [f.zero] * mat.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
-        kern.append(v)
-    return x, kern
+    x = {pc: red.data[r][n] for r, pc in enumerate(pivots) if red.data[r][n]}
+    return x, _kernel(A.field, red, pivots, n)
 
 
-def invert(mat: Matrix) -> Optional[Matrix]:
+def invert(A: LinMap) -> Optional[LinMap]:
     """Exact inverse, or None when singular."""
-    if mat.rows != mat.cols:
-        raise DimensionError("invert: matrix not square")
-    f = mat.field
-    n = mat.rows
-    ident = Matrix.identity(f, n)
-    aug = Matrix(f, [row + irow for row, irow in zip(mat.data, ident.data)])
-    red, pivots = rref(aug)
+    n = len(A.columns)
+    if A.codomain_dim != n:
+        raise DimensionError("invert: map not square")
+    f = A.field
+    red, pivots = _reduced(A, LinMap.identity(f, n).columns)
     if pivots[:n] != list(range(n)):
         return None
-    return Matrix(f, [row[n:] for row in red.data[:n]])
+    return LinMap(f, [{r: red.data[r][n + j] for r in range(n) if red.data[r][n + j]} for j in range(n)], n)
 
 
 class SparseSolver:
@@ -370,19 +301,7 @@ def sparse_scale(field: Field, c, v: dict) -> dict:
 
 
 def sparse_vector(v: list) -> dict:
-    """The nonzero entries of a dense vector, such as a solution of dense
-    elimination or a row of an input file, as a sparse dict."""
+    """The nonzero entries of a dense vector, such as a row of an input file,
+    as a sparse dict."""
     return {i: c for i, c in enumerate(v) if c}
 
-
-def stack(field: Field, blocks: list[Matrix]) -> Matrix:
-    """Vertical stack of matrices with equal column counts."""
-    if not blocks:
-        raise DimensionError("stack of nothing")
-    cols = blocks[0].cols
-    data = []
-    for blk in blocks:
-        if blk.cols != cols:
-            raise DimensionError("stack: column mismatch")
-        data.extend(row[:] for row in blk.data)
-    return Matrix(field, data)

@@ -23,7 +23,7 @@ from .frobenius import (
 )
 from .galois import ModuleAlgebraAction, invariants, verify_module_algebra
 from .hopf import HopfStructure
-from .linalg import Matrix, invert, sparse_scale
+from .linalg import invert, sparse_scale
 from .tower import build_tower
 
 
@@ -140,27 +140,18 @@ def group_hopf(G: GroupPresentation, field: Field) -> GroupHopfPair:
     if f.is_zero(order):
         raise ModelError(f"characteristic divides the group order {n}")
     Halg = group_algebra(G, f)
-    delta = Matrix.zero(f, n * n, n)
-    for g in range(n):
-        delta.data[g * n + g][g] = f.one
-    counit = Matrix(f, [[f.one] * n])
-    antipode = Matrix.zero(f, n, n)
-    for g in range(n):
-        antipode.data[G.inverse(g)][g] = f.one
+    one = f.one
+    delta = LinMap(f, [{g * n + g: one} for g in range(n)], n * n)
+    counit = LinMap(f, [{0: one} for _ in range(n)], 1)
+    antipode = LinMap(f, [{G.inverse(g): one} for g in range(n)], n)
     H = HopfStructure(Halg, delta, counit, antipode)
 
     Dalg = function_algebra(G, f)
-    delta_d = Matrix.zero(f, n * n, n)
-    for g in range(n):
-        for a in range(n):
-            for b in range(n):
-                if G.mul[a][b] == g:
-                    delta_d.data[a * n + b][g] = f.one
-    counit_d = Matrix.zero(f, 1, n)
-    counit_d.data[0][G.identity] = f.one
-    antipode_d = Matrix.zero(f, n, n)
-    for g in range(n):
-        antipode_d.data[G.inverse(g)][g] = f.one
+    delta_d = LinMap(
+        f, [{a * n + b: one for a in range(n) for b in range(n) if G.mul[a][b] == g} for g in range(n)], n * n
+    )
+    counit_d = LinMap(f, [{0: one} if g == G.identity else {} for g in range(n)], 1)
+    antipode_d = LinMap(f, [{G.inverse(g): one} for g in range(n)], n)
     H_dual = HopfStructure(Dalg, delta_d, counit_d, antipode_d)
 
     inv_order = f.inv(order)
@@ -177,7 +168,7 @@ def group_hopf(G: GroupPresentation, field: Field) -> GroupHopfPair:
 
     if not f.eq(eval_functional(f_vec, t_vec), f.one):
         failures.append({"kind": "f(t) != 1"})
-    if not f.eq(eval_functional(f_vec, LinMap.from_matrix(antipode).apply(t_vec)), f.one):
+    if not f.eq(eval_functional(f_vec, antipode.apply(t_vec)), f.one):
         failures.append({"kind": "f(S(t)) != 1"})
     if not f.eq(H.counit_apply(t_vec), f.one):
         failures.append({"kind": "eps(t) != 1"})
@@ -197,9 +188,9 @@ def group_hopf(G: GroupPresentation, field: Field) -> GroupHopfPair:
     return GroupHopfPair(G, H, H_dual, t_vec, f_vec, CheckOutcome(not failures, failures))
 
 
-def evaluation_pairing(G: GroupPresentation, field: Field) -> Matrix:
+def evaluation_pairing(G: GroupPresentation, field: Field) -> LinMap:
     """<g, delta_h> = [g = h] between k[G] and k^G."""
-    return Matrix.identity(field, G.order)
+    return LinMap.identity(field, G.order)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +321,9 @@ def dual_action_on_m1(t, bundle: ModelBundle, a_vectors: list) -> ModuleAlgebraA
     n = G.order
     M1 = t.M1
     theta = LinMap(f, [M1.mul_sparse(xh, a_vectors[g]) for xh in t.incl1.columns for g in range(n)], M1.dim)
-    theta_inv = invert(theta.matrix)
+    theta_inv = invert(theta)
     if theta_inv is None:
         raise ModelError("X (x) H -> M1 is not bijective; model tower invalid")
-    theta_inv = LinMap.from_matrix(theta_inv)
     maps = []
     for phi in range(n):
         # phi . (x # g) = [g = phi] x # g for k[G] (group-likes are Delta-diagonal)

@@ -114,14 +114,9 @@ def run_pipeline(
         depth2_gate = "tower built to level 1 only (--levels 1)"
     if depth2_gate is None and state.tower is None and stop >= 2:
         depth2_gate = "tower construction failed"
-    if stop >= 2:
-        _stage_depth2(rep, state, hypotheses, dims, depth2_gate, d2_override)
     hopf_gate = depth2_gate
-    if hopf_gate is None and stop >= 3:
-        if state.d2 is None or not state.d2.passed():
-            hopf_gate = "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers"
-        elif not f_scalar_on_c(state.tower, state.d2):
-            hopf_gate = "F is not scalar-valued on C (base centralizer C_M(N) is larger than k)"
+    if stop >= 2:
+        hopf_gate = _stage_depth2(rep, state, hypotheses, dims, depth2_gate, d2_override)
     if stop >= 3:
         _stage_hopf(rep, state, hypotheses, hopf_gate)
     galois_gate = hopf_gate
@@ -272,13 +267,14 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
     )
 
 
-def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> None:
+def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> Optional[str]:
+    """Run the depth-2 checks; return the gate of the stages after it, or None."""
     d2_checks = ("second-centralizers", "depth2-level-1", "depth2-level-2", "depth2-crosscheck",
                  "c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations")
     if gate is not None:
         for cid in d2_checks:
             rep.add(cid, SKIP, reason=gate)
-        return
+        return gate
     t = state.tower
     if d2_override is not None:
         d2 = d2_override
@@ -316,7 +312,7 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> None:
     if downstream_gate is not None:
         for cid in ("c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations"):
             rep.add(cid, SKIP, reason=downstream_gate)
-        return
+        return downstream_gate
     rep.outcome("c-structure", verify_c_structure(t, d2))
     _, _, ce_out = conditional_expectations(t, d2)
     rep.outcome("cond-exp-ea-eb", ce_out)
@@ -325,6 +321,7 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> None:
     naka = nakayama_relations(t, d2)
     state.naka = naka
     rep.outcome("nakayama-relations", naka.report)
+    return None
 
 
 def _stage_hopf(rep, state, hypotheses, gate) -> None:

@@ -106,9 +106,6 @@ class TowerData:
     def e1_in_m2(self) -> dict:
         return self.incl2.apply(self.e1)
 
-    def push_m_to_m2(self, v: dict) -> dict:
-        return self.incl2.apply(self.incl1.apply(v))
-
     def ok(self) -> bool:
         return (
             all(level.ok() for level in self.levels)
@@ -175,7 +172,7 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
         pairs = [(M.mul_sparse(em, x), y) for x, y in sys.dual_pairs]
         cols.append(pairs_to_tensor(tq, M, pairs))
     incl = LinMap(f, cols, dim1)
-    mono = rank(incl.matrix) == M.dim
+    mono = rank(incl) == M.dim
     morph = check_morphism(incl, M, alg1)
     checks.append(
         (
@@ -274,7 +271,7 @@ def _verify_triple_tensor(t: TowerData) -> list:
         cols.append(triple.project(acc))
     phi = LinMap(f, cols, triple.dim)
     checks = []
-    bij = triple.dim == level2.algebra.dim and rank(phi.matrix) == level2.algebra.dim
+    bij = triple.dim == level2.algebra.dim and rank(phi) == level2.algebra.dim
     checks.append(("triple-tensor-bijective", CheckOutcome(bij, [] if bij else [{"dims": (triple.dim, level2.algebra.dim)}])))
 
     # E_M1 through the triple picture
@@ -389,20 +386,20 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
     failures = []
 
     cols = []
-    for mat in endo.basis_matrices:
-        g = LinMap.from_matrix(mat)
+    for g in endo.basis:
         cols.append(pairs_to_tensor(tq, M, [(g.apply(x), y) for x, y in sys.dual_pairs]))
     phi = LinMap(f, cols, level.algebra.dim)
     morph = check_morphism(phi, endo.algebra, level.algebra)
     if not morph.ok():
         failures.append({"kind": "phi-not-iso", "detail": morph.failures[:2]})
 
-    e_mat = sys.ext.e_into_m(sys.E).matrix
+    e_into_m = sys.ext.e_into_m(sys.E)
     psi_cols = []
     for a, b in tq.pairs:
-        la = M.lmul_matrix({a: f.one})
-        lb = M.lmul_matrix({b: f.one})
-        coords = endo.coords_of_matrix(la.mul(e_mat).mul(lb))
+        # m -> a E(b m)
+        ea = {a: f.one}
+        g = LinMap(f, [M.mul_sparse(ea, e_into_m.apply(M.table[b][m])) for m in range(M.dim)], M.dim)
+        coords = endo.coords(g)
         if coords is None:
             failures.append({"kind": "psi-image-outside-End(M_N)", "pair": (a, b)})
             coords = {}

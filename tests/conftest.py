@@ -234,20 +234,28 @@ def stack_trivial(tower_trivial, d2_trivial):
     return (tower_trivial, d2_trivial) + hopf_stack(tower_trivial, d2_trivial)
 
 
-def bumped(mat, r, c):
-    """Copy of a matrix with one added to entry (r, c)."""
-    from hopftower.linalg import Matrix
+def bumped(m, r, c):
+    """Copy of a linear map with one added to its matrix entry (r, c)."""
+    from hopftower.linalg import LinMap, sparse_add
 
-    out = Matrix(mat.field, [row[:] for row in mat.data])
-    out.data[r][c] = mat.field.add(out.data[r][c], mat.field.one)
-    return out
+    cols = [dict(col) for col in m.columns]
+    sparse_add(m.field, cols[c], r, m.field.one)
+    return LinMap(m.field, cols, m.codomain_dim)
+
+
+def rows_map(field, rows):
+    """The linear map whose matrix has these dense rows."""
+    from hopftower.linalg import LinMap
+
+    ncols = len(rows[0]) if rows else 0
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(ncols)]
+    return LinMap(field, cols, len(rows))
 
 
 def build_quartic_tower():
     """Q in Q(sqrt2) in Q(sqrt2, i) with the projection onto the middle field."""
-    from hopftower.algebra import Algebra, LinMap, SubspaceBasis
+    from hopftower.algebra import Algebra, SubspaceBasis
     from hopftower.frobenius import ExtensionSpec
-    from hopftower.linalg import Matrix
 
     Q = RationalField()
     entries = []
@@ -266,8 +274,8 @@ def build_quartic_tower():
             entries.append((idx[(a, b)], idx[(c, d)], idx[(aa, bb)], coef))
     R = Algebra.from_entries(Q, 4, entries, {0: Q.one})
     Msub = SubspaceBasis(R, [{0: Q.one}, {1: Q.one}])
-    F_map = LinMap.from_matrix(Matrix(Q, [
+    F_map = rows_map(Q, [
         [Q.one, Q.zero, Q.zero, Q.zero],
         [Q.zero, Q.one, Q.zero, Q.zero],
-    ]))
+    ])
     return ExtensionSpec(R, Msub, E=F_map)

@@ -209,7 +209,7 @@ def test_hopf_gated_for_reducible_base(catalog_dir, tmp_path, capsys):
 
 
 def test_pair_check_command(tmp_path, capsys):
-    from hopftower.fileio import algebra_to_dict
+    from hopftower.fileio import algebra_to_dict, matrix_to_rows
     from hopftower.models import GROUPS, evaluation_pairing, function_algebra, group_algebra, group_hopf
     from hopftower.fields import RationalField
 
@@ -220,8 +220,8 @@ def test_pair_check_command(tmp_path, capsys):
         "field": {"kind": "rational"},
         "algebra_a": algebra_to_dict(group_algebra(G, Q)),
         "algebra_b": algebra_to_dict(function_algebra(G, Q)),
-        "pairing": [[str(x) for x in row] for row in evaluation_pairing(G, Q).data],
-        "antipode_b": [[str(x) for x in row] for row in pair.H_dual.antipode.data],
+        "pairing": matrix_to_rows(Q, evaluation_pairing(G, Q)),
+        "antipode_b": matrix_to_rows(Q, pair.H_dual.antipode),
     }
     f = tmp_path / "pair.json"
     f.write_text(json.dumps(data))

@@ -13,7 +13,7 @@ from hopftower.depth2 import (
     verify_f_faithful,
 )
 from hopftower.fields import RationalField
-from hopftower.linalg import Matrix, invert, sparse_axpy, sparse_scale
+from hopftower.linalg import LinMap, invert, sparse_axpy, sparse_scale
 from hopftower.models import generate_example
 from hopftower.pipeline import run_pipeline
 
@@ -207,8 +207,8 @@ def test_c_structure_gating_when_not_scalar(tower_s3_a3, d2_s3_a3):
 def test_conditional_expectations_trivial(tower_trivial, d2_trivial):
     E_A, E_B, out = conditional_expectations(tower_trivial, d2_trivial)
     assert out.ok
-    assert E_A.matrix == Matrix.identity(Q, 1)
-    assert E_B.matrix == Matrix.identity(Q, 1)
+    assert E_A == LinMap.identity(Q, 1)
+    assert E_B == LinMap.identity(Q, 1)
 
 
 def test_conditional_expectations_models(model_z2, model_z3_f7):
@@ -228,7 +228,7 @@ def test_conditional_expectations_models(model_z2, model_z3_f7):
 def test_f_faithful_trivial(tower_trivial, d2_trivial):
     gram, out = verify_f_faithful(tower_trivial, d2_trivial)
     assert out.ok
-    assert gram.rows == 1 and str(gram.data[0][0]) == "1"
+    assert gram.codomain_dim == 1 and str(gram.columns[0][0]) == "1"
 
 
 def test_f_faithful_models(model_z2, model_z3_f7):
@@ -236,7 +236,7 @@ def test_f_faithful_models(model_z2, model_z3_f7):
         gram, out = verify_f_faithful(t, d2)
         assert out.ok
         n2 = d2.C.dim
-        assert gram.rows == gram.cols == n2
+        assert gram.codomain_dim == gram.domain_dim == n2
         assert invert(gram) is not None
 
 
@@ -255,7 +255,7 @@ def test_nakayama_relations_models(model_z2, model_z3_f7):
         assert res.report.ok, res.report.failures[:3]
         f = t.M.field
         # F is a trace here, so q = id on C
-        assert res.q_C == Matrix.identity(f, d2.C.dim)
+        assert res.q_C == LinMap.identity(f, d2.C.dim)
 
 
 def test_nakayama_fixes_jones_idempotents(stack_trivial, stack_z2, stack_z3_f7):
@@ -266,10 +266,10 @@ def test_nakayama_fixes_jones_idempotents(stack_trivial, stack_z2, stack_z3_f7):
         f = t.M.field
         for vec in (t.e1_in_m2(), t.e2):
             coords = d2.C.coords(vec)
-            img = naka.q_C.matvec([coords.get(k, f.zero) for k in range(d2.C.dim)])
+            img = naka.q_C.apply(coords)
             acc = {}
-            for c, v in zip(img, d2.C.vectors):
-                sparse_axpy(f, acc, c, v)
+            for k, c in img.items():
+                sparse_axpy(f, acc, c, d2.C.vectors[k])
             assert acc == vec
 
 

@@ -21,7 +21,7 @@ from hopftower.galois import (
     verify_smash_iso_theta,
 )
 from hopftower.hopf import HopfStructure, sandwich_maps
-from hopftower.linalg import Matrix, sparse_axpy, sparse_scale
+from hopftower.linalg import sparse_axpy, sparse_scale
 from hopftower.models import quadratic_field_algebra
 
 Q = RationalField()
@@ -32,9 +32,9 @@ def trivial_hopf(field):
     alg = Algebra.from_entries(field, 1, [(0, 0, 0, field.one)], {0: field.one})
     return HopfStructure(
         alg,
-        Matrix(field, [[field.one]]),
-        Matrix(field, [[field.one]]),
-        Matrix(field, [[field.one]]),
+        LinMap(field, [{0: field.one}], 1),
+        LinMap(field, [{0: field.one}], 1),
+        LinMap(field, [{0: field.one}], 1),
     )
 
 
@@ -180,10 +180,8 @@ def test_theta_isomorphism(stack_z2, stack_z3_f7, stack_trivial):
 def test_corrupted_action_reported(stack_z2):
     t, d2, p, H_B = stack_z2[0], stack_z2[1], stack_z2[2], stack_z2[3]
     act, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-    f = t.M.field
-    bad_mats = [m.matrix for m in act.maps]
-    bad_mats[1].data[0][0] = f.add(bad_mats[1].data[0][0], f.one)
-    bad = ModuleAlgebraAction(H_B, act.algebra, [LinMap.from_matrix(m) for m in bad_mats])
+    bad_maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act.maps)]
+    bad = ModuleAlgebraAction(H_B, act.algebra, bad_maps)
     out = verify_module_algebra(bad)
     assert not out.ok
     theta_out = verify_smash_iso_theta(t, d2, H_B, bad)
@@ -293,28 +291,32 @@ def _reference_b_mats(t, d2):
             xh = t.incl2.apply({x: f.one})
             img = t.E_M1.apply(M2.mul_sparse(M2.mul_sparse(b, xh), t.e2))
             cols.append(sparse_scale(f, lam_inv, img))
-        mats.append(LinMap(f, cols, M1.dim).matrix)
+        mats.append(LinMap(f, cols, M1.dim))
     return mats
 
 
-def _reference_module_algebra(H, X, mats, max_failures=6):
+def _combination(f, dim, coeffs, maps):
+    """sum_k coeffs[k] maps[k], column by column."""
+    cols = []
+    for x in range(dim):
+        acc = {}
+        for k, c in coeffs.items():
+            sparse_axpy(f, acc, c, maps[k].apply({x: f.one}))
+        cols.append(acc)
+    return LinMap(f, cols, dim)
+
+
+def _reference_module_algebra(H, X, maps, max_failures=6):
     f = X.field
     failures = []
-    acc = Matrix.zero(f, X.dim, X.dim)
-    for i, c in H.algebra.unit.items():
-        acc = acc.add(mats[i].scale(c))
-    if not acc == Matrix.identity(f, X.dim):
+    if _combination(f, X.dim, H.algebra.unit, maps) != LinMap.identity(f, X.dim):
         failures.append({"kind": "unit-action"})
     for i in range(H.dim):
         for j in range(H.dim):
-            acc = Matrix.zero(f, X.dim, X.dim)
-            for k, c in H.algebra.table[i][j].items():
-                acc = acc.add(mats[k].scale(c))
-            if not acc == mats[i].mul(mats[j]):
+            if _combination(f, X.dim, H.algebra.table[i][j], maps) != maps[i].compose(maps[j]):
                 failures.append({"kind": "action-not-multiplicative", "pair": (i, j)})
                 if len(failures) >= max_failures:
                     return failures
-    maps = [LinMap.from_matrix(m) for m in mats]
     for i in range(H.dim):
         legs = H.delta_coords(i)
         for x in range(X.dim):
@@ -331,16 +333,15 @@ def _reference_module_algebra(H, X, mats, max_failures=6):
                     if len(failures) >= max_failures:
                         return failures
         lhs = maps[i].apply(X.unit)
-        if lhs != sparse_scale(f, H.counit.data[0][i], X.unit):
+        if lhs != sparse_scale(f, H.counit.columns[i].get(0, f.zero), X.unit):
             failures.append({"kind": "unit-not-scaled-by-eps", "basis": i})
     return failures
 
 
-def _reference_action_b(t, d2, H_B, mats):
+def _reference_action_b(t, d2, H_B, maps):
     f = t.M.field
     M1, M2 = t.M1, t.M2
-    failures = _reference_module_algebra(H_B, M1, mats)
-    maps = [LinMap.from_matrix(m) for m in mats]
+    failures = _reference_module_algebra(H_B, M1, maps)
     for j in range(H_B.dim):
         legs = H_B.delta_coords(j)
         for x in range(M1.dim):
@@ -349,7 +350,7 @@ def _reference_action_b(t, d2, H_B, mats):
             for u, v, c in legs:
                 sb = {}
                 for w in range(H_B.dim):
-                    sparse_axpy(f, sb, H_B.antipode.data[w][v], d2.B.vectors[w])
+                    sparse_axpy(f, sb, H_B.antipode.columns[v].get(w, f.zero), d2.B.vectors[w])
                 term = M2.mul_sparse(M2.mul_sparse(d2.B.vectors[u], xh), sb)
                 sparse_axpy(f, rhs, c, term)
             lhs = t.incl2.apply(maps[j].apply({x: f.one}))
@@ -368,10 +369,9 @@ def _reference_action_b(t, d2, H_B, mats):
     return failures
 
 
-def _reference_smash_table(X, H, mats):
+def _reference_smash_table(X, H, maps):
     f = X.field
     dx, dh = X.dim, H.dim
-    maps = [LinMap.from_matrix(m) for m in mats]
     table = [[{} for _ in range(dx * dh)] for _ in range(dx * dh)]
     for x in range(dx):
         for h in range(dh):
@@ -416,7 +416,7 @@ def _reference_check_morphism(f_map, A, B, max_failures=5):
 def test_action_b_matches_reference(stack_z3_f7, monkeypatch, perturb):
     t, d2, p, H_B = stack_z3_f7[:4]
     mats = _reference_b_mats(t, d2)
-    assert [m.matrix for m in action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))[0].maps] == mats
+    assert action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))[0].maps == mats
     if perturb == "delta":
         H_B = HopfStructure(H_B.algebra, bumped(H_B.delta, 3, 1), H_B.counit, H_B.antipode)
     elif perturb == "antipode":
@@ -424,8 +424,7 @@ def test_action_b_matches_reference(stack_z3_f7, monkeypatch, perturb):
     elif perturb == "action":
         mats = mats[:1] + [bumped(mats[1], 2, 5)] + mats[2:]
         real = galois.ModuleAlgebraAction
-        maps = [LinMap.from_matrix(m) for m in mats]
-        monkeypatch.setattr(galois, "ModuleAlgebraAction", lambda H, X, _maps: real(H, X, maps))
+        monkeypatch.setattr(galois, "ModuleAlgebraAction", lambda H, X, _maps: real(H, X, mats))
     _act, out = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
     assert out.failures == _reference_action_b(t, d2, H_B, mats)
     assert bool(out.failures) == (perturb != "none")
@@ -439,7 +438,7 @@ def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
     if perturb is not None:
         h, r, c = perturb
         mats = [bumped(m, r, c) if i == h else m for i, m in enumerate(mats)]
-    sm = smash_product(t.M1, H_B, ModuleAlgebraAction(H_B, t.M1, [LinMap.from_matrix(m) for m in mats]))
+    sm = smash_product(t.M1, H_B, ModuleAlgebraAction(H_B, t.M1, mats))
     ref = _reference_smash_table(t.M1, H_B, mats)
     assert [[list(cell.items()) for cell in row] for row in sm.algebra.table] == [
         [list(cell.items()) for cell in row] for row in ref

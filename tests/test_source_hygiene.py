@@ -10,12 +10,13 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 def _own_nodes(fn):
-    """Nodes of fn's body, without descending into nested scopes."""
+    """Nodes of fn's body; a nested scope is yielded but not entered."""
     stack = list(fn.body)
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, _SCOPES))
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _stored_never_loaded(tree) -> list[tuple[str, int, str]]:
@@ -61,8 +62,11 @@ def test_no_local_is_stored_and_never_read():
 
 
 def test_scan_sees_a_dead_local():
-    tree = ast.parse("def g(x):\n    y = x + 1\n    _z = 2\n    def h():\n        return x\n    return h\n")
-    assert _stored_never_loaded(tree) == [("g", 2, "y")]
+    tree = ast.parse(
+        "def g(x):\n    y = x + 1\n    _z = 2\n    def h():\n        w = 3\n        return x\n    return h\n"
+    )
+    # the closure's dead local is reported once, under the closure
+    assert _stored_never_loaded(tree) == [("g", 2, "y"), ("h", 5, "w")]
 
 
 def test_every_import_is_used():
@@ -159,22 +163,19 @@ def test_scan_sees_a_function_local_import():
 _DENSE_PATH_NAMES = {
     "to_sparse", "sparse_columns", "vec_eq", "vec_scale", "vec_is_zero", "basis_vector",
     "_combine", "act_vec", "tensor_over_subalgebra", "_pairs_index", "_index_of_pairs", "from_columns",
+    "from_matrix", "lmul_matrix", "rmul_matrix", "multiplication_matrix", "twist_matrix",
+    "coords_of_matrix", "basis_matrices",
 }
 # methods that must not be defined again on these classes
 _DENSE_PATH_METHODS = {"Algebra": {"mul"}, "ModuleAlgebraAction": {"act_vec", "columns"}}
 # the (module, function) sites that may form a dense coordinate list of an
-# element: file writers, report witnesses before Field.witness, and the
-# right-hand sides of dense elimination
+# element: file writers and report witnesses before Field.witness
 _TO_DENSE_SITES = {
     ("algebra", "check_morphism"),
-    ("depth2", "_dual_w"),
     ("fileio", "algebra_to_dict"),
     ("fileio", "extension_to_dict"),
     ("fileio", "hopf_to_dict"),
     ("fileio", "tower_to_dict"),
-    ("frobenius", "_invert_element"),
-    ("frobenius", "classify"),
-    ("frobenius", "compose"),
     ("frobenius", "verify_conditional_expectation"),
     ("frobenius", "verify_frobenius_identities"),
     ("tower", "basic_construction"),
@@ -234,3 +235,38 @@ def test_scan_sees_a_dense_path_use():
     found, sites = _dense_path_uses("tower", tree)
     assert sorted(found) == [(1, "vec_eq"), (3, "Algebra.mul"), (6, "dense accumulation")]
     assert sites == {("tower", "g")}
+
+
+# LinMap is the one linear-map type; the dense Matrix is the working array of
+# linalg.rref and is named nowhere else but the package's re-export.
+_MATRIX_MODULES = {"linalg", "__init__"}
+
+
+def _matrix_uses(tree) -> list[int]:
+    """Lines where a module names Matrix: a name, an attribute or an import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name, line = node.asname or node.name, getattr(node, "lineno", 0)
+        else:
+            name, line = getattr(node, "id", None) or getattr(node, "attr", None), getattr(node, "lineno", 0)
+        if name == "Matrix":
+            out.append(line)
+    return sorted(out)
+
+
+def test_matrix_stays_in_linalg():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.stem not in _MATRIX_MODULES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found.extend(f"{path.name}:{line}" for line in _matrix_uses(tree))
+    assert found == [], "dense Matrix named outside linalg"
+
+
+def test_scan_sees_a_matrix_use():
+    tree = ast.parse(
+        "from .linalg import Matrix, rank\nimport hopftower.linalg as la\n"
+        "def g(f):\n    m = la.Matrix(f, [])\n    return Matrix, m, rank\n"
+    )
+    assert _matrix_uses(tree) == [1, 4, 5]
