@@ -118,8 +118,103 @@ class AlgebraReport:
         )
 
 
-def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
-    """Check unit laws on all basis elements and associativity on all triples."""
+def generators(alg: Algebra, seeds: Iterable[dict] = ()) -> list[dict]:
+    """A set S such that 1 and the left-normed words ((s_1 s_2) ...) s_r in S
+    span alg: the seeds in order, then, while the word span is not all of alg,
+    the lowest basis element outside it. Seeds that come after the span is
+    full are left out.
+
+    The word span is kept in one SparseSolver and grown by right
+    multiplication with each element of S, so the result is deterministic.
+    """
+    f = alg.field
+    span = SparseSolver(f, alg.dim, reduce_fully=True)
+    words: list[dict] = []  # the words that enlarged the span: a basis of it
+    gens: list[dict] = []
+
+    def close(pending: list[dict]) -> None:
+        while pending:
+            w = pending.pop()
+            before = span.rank()
+            span.add_row(w, f.zero)
+            if span.rank() > before:
+                words.append(w)
+                pending.extend(alg.mul_sparse(w, g) for g in gens)
+
+    def extend(g: dict) -> None:
+        gens.append(g)
+        close([alg.mul_sparse(w, g) for w in words])
+
+    close([alg.unit])
+    for s in seeds:
+        if span.rank() == alg.dim:
+            return gens
+        extend(s)
+    for k in range(alg.dim):
+        if span.rank() == alg.dim:
+            break
+        if span.reduce({k: f.one}):
+            extend({k: f.one})
+    return gens
+
+
+def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -> list:
+    """Basis triples (i, j, r) with (e_i e_j) g_r != e_i (e_j g_r), in that
+    loop order, for right factors g_r given by rights[r][l] = e_l g_r.
+
+    Both sides expand from the table and rights, accumulating in mul_sparse's
+    order: (e_i e_j) g = sum_l c_ij^l e_l g and e_i (e_j g) = sum_m (e_j g)_m e_i e_m.
+    sparse_add is inlined as in mul_sparse, since this runs millions of times
+    per pass.
+    """
+    f = alg.field
+    fadd, fmul, zero = f.add, f.mul, f.zero
+    table = alg.table
+    failures = []
+    for i in range(alg.dim):
+        row_i = table[i]
+        for j in range(alg.dim):
+            ij_terms = row_i[j].items()
+            for r, right in enumerate(rights):
+                lhs: dict = {}
+                for l, c in ij_terms:
+                    for m, t in right[l].items():
+                        s = fadd(lhs.get(m, zero), fmul(c, t))
+                        if s:
+                            lhs[m] = s
+                        else:
+                            lhs.pop(m, None)
+                rhs: dict = {}
+                for l, c in right[j].items():
+                    for m, t in row_i[l].items():
+                        s = fadd(rhs.get(m, zero), fmul(c, t))
+                        if s:
+                            rhs[m] = s
+                        else:
+                            rhs.pop(m, None)
+                if lhs != rhs:
+                    failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
+                    if len(failures) >= max_failures:
+                        return failures
+    return failures
+
+
+def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = ()) -> AlgebraReport:
+    """Check the unit laws on all basis elements, then associativity.
+
+    Associativity is decided on a generating set (Light's associativity test;
+    Clifford-Preston, The Algebraic Theory of Semigroups I, AMS 1961, sec. 1.2).
+    The right nucleus Z = {z : (xy)z = x(yz) for all x, y} is a subspace closed
+    under products, since (xy)(zw) = ((xy)z)w = (x(yz))w = x((yz)w) = x(y(zw))
+    for z, w in Z; it holds 1 once x1 = x for all x. So if 1 and the
+    left-normed words in S = generators(alg, seeds) span alg, then Z = alg
+    exactly when (e_i e_j) g = e_i (e_j g) for every basis pair (i, j) and
+    every g in S. This is exact and deterministic.
+
+    When a unit law fails, or the check on S finds a failure, the full scan
+    over all basis triples (i, j, k) runs instead, so the failures listed are
+    always those of the full scan, in its order.
+    """
     f = alg.field
     unit_failures = []
     us = alg.unit
@@ -131,40 +226,14 @@ def verify_algebra(alg: Algebra, max_failures: int = 5) -> AlgebraReport:
             unit_failures.append({"basis": i, "left": left, "right": right})
             if len(unit_failures) >= max_failures:
                 break
-    # both sides expand straight from the table, accumulating in mul_sparse's
-    # order: (e_i e_j) e_k = sum_l c_ij^l e_l e_k, e_i (e_j e_k) = sum_l c_jk^l e_i e_l;
-    # sparse_add is inlined as in mul_sparse, since this runs millions of times per pass
-    assoc_failures = []
-    table = alg.table
-    fadd, fmul, zero = f.add, f.mul, f.zero
-    for i in range(alg.dim):
-        row_i = table[i]
-        for j in range(alg.dim):
-            ij_terms = row_i[j].items()
-            row_j = table[j]
-            for k in range(alg.dim):
-                lhs: dict = {}
-                for l, c in ij_terms:
-                    for m, t in table[l][k].items():
-                        s = fadd(lhs.get(m, zero), fmul(c, t))
-                        if s:
-                            lhs[m] = s
-                        else:
-                            lhs.pop(m, None)
-                rhs: dict = {}
-                for l, c in row_j[k].items():
-                    for m, t in row_i[l].items():
-                        s = fadd(rhs.get(m, zero), fmul(c, t))
-                        if s:
-                            rhs[m] = s
-                        else:
-                            rhs.pop(m, None)
-                if lhs != rhs:
-                    assoc_failures.append(
-                        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
-                    )
-                    if len(assoc_failures) >= max_failures:
-                        return AlgebraReport(False, unit_failures, assoc_failures)
+    if not unit_failures:
+        one = f.one
+        rights = [[alg.mul_sparse({l: one}, g) for l in range(alg.dim)] for g in generators(alg, seeds)]
+        if not _assoc_failures(alg, rights, 1):
+            return AlgebraReport(True, [], [])
+    # the full scan: right factors e_k, with e_l e_k = table[l][k]
+    columns = [[alg.table[l][k] for l in range(alg.dim)] for k in range(alg.dim)]
+    assoc_failures = _assoc_failures(alg, columns, max_failures)
     ok = not unit_failures and not assoc_failures
     return AlgebraReport(ok, unit_failures, assoc_failures)
 

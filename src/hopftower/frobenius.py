@@ -7,7 +7,7 @@ every downstream object (index, Nakayama automorphism, tower) is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import (
     Algebra,
@@ -94,10 +94,11 @@ class CheckOutcome:
         return "ok" if self.ok else f"{len(self.failures)} failure(s); first: {self.failures[:1]}"
 
 
-def algebra_outcome(alg: Algebra) -> CheckOutcome:
+def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
     """verify_algebra as a check outcome: unit then associativity failures,
-    with both sides in report-witness form."""
-    rep = verify_algebra(alg)
+    with both sides in report-witness form. The seeds start the generating
+    set the associativity check runs on."""
+    rep = verify_algebra(alg, seeds=seeds)
     w = alg.field.witness
     failures = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])}
                 for fl in rep.unit_failures]

@@ -16,6 +16,7 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     check_morphism,
+    generators,
     right_module_endomorphisms,
 )
 from .frobenius import CheckOutcome, FrobeniusSystem, algebra_outcome
@@ -107,7 +108,9 @@ class SmashProduct:
 
 
 def smash_product(X: Algebra, H: HopfStructure, act: ModuleAlgebraAction) -> SmashProduct:
-    """(x # h)(x' # h') = x (h1 . x') # h2 h', with associativity re-verified."""
+    """(x # h)(x' # h') = x (h1 . x') # h2 h', with associativity re-verified
+    on the generators (S_X # 1) and (1 # S_H): x # h = (x # 1)(1 # h), and
+    (x # h)(1 # h') = x # h h'."""
     f = X.field
     dx, dh = X.dim, H.dim
     dim = dx * dh
@@ -132,10 +135,10 @@ def smash_product(X: Algebra, H: HopfStructure, act: ModuleAlgebraAction) -> Sma
     h_unit = H.algebra.unit
     unit = {x * dh + h: f.mul(cx, ch) for x, cx in X.unit.items() for h, ch in h_unit.items()}
     alg = Algebra(f, dim, table, unit)
-    out = algebra_outcome(alg)
-    ex_cols = [{x * dh + h: ch for h, ch in h_unit.items()} for x in range(dx)]
-    eh_cols = [{x * dh + h: cx for x, cx in X.unit.items()} for h in range(dh)]
-    return SmashProduct(alg, X, H, LinMap(f, ex_cols, dim), LinMap(f, eh_cols, dim), out)
+    embed_x = LinMap(f, [{x * dh + h: ch for h, ch in h_unit.items()} for x in range(dx)], dim)
+    embed_h = LinMap(f, [{x * dh + h: cx for x, cx in X.unit.items()} for h in range(dh)], dim)
+    seeds = [embed_x.apply(g) for g in generators(X)] + [embed_h.apply(g) for g in generators(H.algebra)]
+    return SmashProduct(alg, X, H, embed_x, embed_h, algebra_outcome(alg, seeds))
 
 
 def verify_smash_commutation(sm: SmashProduct, act: ModuleAlgebraAction) -> CheckOutcome:

@@ -16,6 +16,7 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     check_morphism,
+    generators,
     right_module_endomorphisms,
     span_dim,
 )
@@ -50,6 +51,7 @@ class TowerLevel:
     dual_pairs: list  # E-dual bases of this level over the one below
     sys: Optional[FrobeniusSystem]  # Frobenius system for algebra / below
     checks: list  # (name, CheckOutcome)
+    generators: list  # incl(S) for generators S of below, then e: they generate algebra = below e below
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
@@ -118,9 +120,14 @@ class TowerData:
 # ---------------------------------------------------------------------------
 
 
-def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
+def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = None) -> TowerLevel:
     """E-multiplication on M (x)_N M, with unit, Jones idempotent, inclusion
-    and conditional expectation all rebuilt and re-verified."""
+    and conditional expectation all rebuilt and re-verified.
+
+    below_generators generate M (default: generators(M)). Since
+    a (x) b = a e1 b, M1 = M e1 M, so their images under the inclusion and e1
+    generate M1; the associativity check of M1 starts from them.
+    """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
     if lam_inv is None:
@@ -157,13 +164,8 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
     unit1 = pairs_to_tensor(tq, M, sys.dual_pairs)
     alg1 = Algebra(f, dim1, table, unit1)
 
-    checks = []
-    checks.append(("algebra-axioms", algebra_outcome(alg1)))
-
     # Jones idempotent e = 1 (x) 1
     e1 = tq.project_pure(M.unit, M.unit)
-    idem = alg1.mul_sparse(e1, e1) == e1
-    checks.append(("jones-idempotent", CheckOutcome(idem, [] if idem else [{"kind": "e^2 != e"}])))
 
     # inclusion m -> m . 1_1
     cols = []
@@ -172,6 +174,14 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
         pairs = [(M.mul_sparse(em, x), y) for x, y in sys.dual_pairs]
         cols.append(pairs_to_tensor(tq, M, pairs))
     incl = LinMap(f, cols, dim1)
+
+    if below_generators is None:
+        below_generators = generators(M)
+    gens = [incl.apply(g) for g in below_generators] + [e1]
+    checks = [("algebra-axioms", algebra_outcome(alg1, gens))]
+    idem = alg1.mul_sparse(e1, e1) == e1
+    checks.append(("jones-idempotent", CheckOutcome(idem, [] if idem else [{"kind": "e^2 != e"}])))
+
     mono = rank(incl) == M.dim
     morph = check_morphism(incl, M, alg1)
     checks.append(
@@ -220,6 +230,7 @@ def basic_construction(sys: FrobeniusSystem) -> TowerLevel:
         dual_pairs=pairs1,
         sys=sys1,
         checks=checks,
+        generators=gens,
     )
 
 
@@ -237,7 +248,7 @@ def build_tower(sys: FrobeniusSystem) -> TowerData:
         raise TowerError("level-1 index is not a nonzero scalar")
     sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N)
     sys1.dual_tensor = pairs_to_tensor(sys1.tq, level1.algebra, sys1.dual_pairs)
-    level2 = basic_construction(sys1)
+    level2 = basic_construction(sys1, level1.generators)
     F = level1.cond_exp.compose(level2.cond_exp)
     tower = TowerData(base_sys=sys, levels=[level1, level2], F=F, emtwo_checks=[])
     tower.emtwo_checks.extend(_verify_triple_tensor(tower))

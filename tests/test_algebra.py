@@ -1,3 +1,6 @@
+import random
+from itertools import islice
+
 import pytest
 from conftest import rows_map
 from hypothesis import assume, given, settings, strategies as st
@@ -11,18 +14,29 @@ from hopftower.algebra import (
     centralizer,
     check_morphism,
     endomorphism_algebra,
+    generators,
     span_dim,
     verify_algebra,
 )
+from hopftower import frobenius
+from hopftower.depth2 import DepthTwoData
+from hopftower.frobenius import classify, solve_dual_bases
+from hopftower.galois import action_b_on_m1, smash_product
+from hopftower.hopf import sandwich_maps
 from hopftower.fields import PrimeField, RationalField
 from hopftower.linalg import Matrix, rank, rref, sparse_vector
 from hopftower.models import (
     cyclic_group,
+    generate_example,
     group_algebra,
     matrix_units_m2,
+    model_bundle,
+    model_tower,
     quadratic_field_algebra,
     symmetric_group_3,
 )
+from hopftower.pipeline import run_pipeline
+from hopftower.tower import build_tower
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -45,6 +59,29 @@ def test_verify_matrix_units_f2():
     assert verify_algebra(alg).ok
 
 
+def reference_failures(alg, limit=5):
+    """(unit failures, associativity failures) of the full scan, at most limit
+    of each: the unit laws on every basis element, then both sides as products
+    of sparse elements, (e_i e_j) e_k and e_i (e_j e_k), over the triples
+    (i, j, k) in lexicographic order."""
+    one = alg.field.one
+    units = [
+        {"basis": i, "left": left, "right": right}
+        for i in range(alg.dim)
+        for left, right in [(alg.mul_sparse(alg.unit, {i: one}), alg.mul_sparse({i: one}, alg.unit))]
+        if left != {i: one} or right != {i: one}
+    ]
+    triples = (
+        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in range(alg.dim)
+        for lhs, rhs in [(alg.mul_sparse(alg.table[i][j], {k: one}), alg.mul_sparse({i: one}, alg.table[j][k]))]
+        if lhs != rhs
+    )
+    return units[:limit], list(islice(triples, limit))
+
+
 def test_verify_detects_perturbed_table():
     alg = group_algebra(symmetric_group_3(), Q)
     # perturb (01)(01): e instead becomes (02), which breaks associativity
@@ -55,19 +92,118 @@ def test_verify_detects_perturbed_table():
     assert not rep.ok
     assert rep.assoc_failures, "offending triple must be reported"
     assert "triple" in rep.assoc_failures[0]
-    # reference: both sides as products of sparse elements, (e_i e_j) e_k and
-    # e_i (e_j e_k), over the triples in the same order
-    one = Q.one
-    expected = [
-        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
-        for i in range(6)
-        for j in range(6)
-        for k in range(6)
-        for lhs, rhs in [(bad.mul_sparse(bad.table[i][j], {k: one}), bad.mul_sparse({i: one}, bad.table[j][k]))]
-        if lhs != rhs
-    ]
-    assert rep.assoc_failures[0] == expected[0]
-    assert rep.assoc_failures == expected[:5]
+    assert (rep.unit_failures, rep.assoc_failures) == reference_failures(bad)
+
+
+def bumped_constant(alg, i, j, k):
+    """Copy of alg with one added to the structure constant c_ij^k."""
+    return Algebra.from_entries(alg.field, alg.dim, alg.entries() + [(i, j, k, alg.field.one)], alg.unit)
+
+
+def perturbations(alg, gens, seed):
+    """Single-constant perturbations (i, j, k): one that breaks the left unit
+    law at e_0 (i in the support of the unit), one in the row and one in the
+    column of each generator's lowest basis index outside the unit's support
+    (a generator's own row is what left multiplication by it reads), and four
+    drawn at random."""
+    d = alg.dim
+    rng = random.Random(seed)
+    unit_support = sorted(alg.unit)
+    out = [(unit_support[0], 0, d - 1)]
+    for g in gens:
+        own = [i for i in sorted(g) if i not in alg.unit] or sorted(g)
+        other = [j for j in range(d) if j not in alg.unit] or [0]
+        j = other[rng.randrange(len(other))]
+        out += [(own[0], j, rng.randrange(d)), (j, own[0], rng.randrange(d))]
+    out += [(rng.randrange(d), rng.randrange(d), rng.randrange(d)) for _ in range(4)]
+    return out
+
+
+PERTURBED_EXAMPLES = [
+    ("quadratic-field", {}),
+    ("group-pair", {"group": "z4", "subgroup": "z2"}),
+    ("function-algebra", {"group": "z3"}),
+]
+
+
+def assert_verify_matches_reference(alg, seeds, seed):
+    """verify_algebra and the full reference scan agree on every perturbation;
+    returns how many were rejected with the unit laws intact (those go through
+    the generator check first)."""
+    gens = generators(alg, seeds)
+    restricted_rejections = 0
+    for i, j, k in perturbations(alg, gens, seed):
+        bad = bumped_constant(alg, i, j, k)
+        rep = verify_algebra(bad, seeds=seeds)
+        units, assoc = reference_failures(bad)
+        assert rep.ok == (not units and not assoc), (i, j, k)
+        if not rep.ok:
+            assert (rep.unit_failures, rep.assoc_failures) == (units, assoc), (i, j, k)
+            restricted_rejections += not units
+    return restricted_rejections
+
+
+@pytest.mark.parametrize("field", ["rational", "f7"])
+@pytest.mark.parametrize("example,params", PERTURBED_EXAMPLES, ids=[e for e, _ in PERTURBED_EXAMPLES])
+def test_verify_agrees_with_full_scan_on_tower_perturbations(example, params, field):
+    ext, _sidecar = generate_example(example, dict(params, field=field))
+    sys = solve_dual_bases(ext)
+    classify(ext, sys)
+    t = build_tower(sys)
+    levels = [(t.M, ()), (t.M1, t.levels[0].generators), (t.M2, t.levels[1].generators)]
+    restricted = [assert_verify_matches_reference(alg, seeds, n) for n, (alg, seeds) in enumerate(levels)]
+    assert restricted[2] > 0, "some M2 perturbation must keep the unit laws and still be rejected"
+
+
+def test_verify_agrees_with_full_scan_on_smash_perturbations(stack_z3_f7):
+    t, d2, _p, H_B = stack_z3_f7[:4]
+    act, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+    sm = smash_product(t.M1, H_B, act)
+    assert sm.report.ok
+    seeds = [sm.embed_x.apply(g) for g in generators(t.M1)] + [sm.embed_h.apply(g) for g in generators(H_B.algebra)]
+    assert assert_verify_matches_reference(sm.algebra, seeds, 7) > 0
+
+
+def word_span_dim(alg, gens):
+    """Dimension of the span of 1 and the left-normed words in gens, grown one
+    word length at a time until it stops growing."""
+    span = SubspaceBasis.from_spanning(alg, [alg.unit])
+    while True:
+        words = span.vectors + [alg.mul_sparse(w, g) for w in span.vectors for g in gens]
+        grown = SubspaceBasis.from_spanning(alg, words)
+        if grown.dim == span.dim:
+            return span.dim
+        span = grown
+
+
+@pytest.mark.parametrize("group", ["z2", "z3", "z4"])
+def test_pipeline_generators_span(group, monkeypatch):
+    """Every algebra the model-f7 pipeline checks (M, both tower levels and the
+    smash products) is generated by the set its associativity check uses; on
+    z4 the dim-64 M2 and M1 # B need at most 10, where basis elements alone
+    need 28."""
+    checked = []
+    real = frobenius.verify_algebra
+
+    def recording(alg, max_failures=5, seeds=()):
+        seeds = list(seeds)
+        checked.append((alg, seeds))
+        return real(alg, max_failures, seeds)
+
+    monkeypatch.setattr(frobenius, "verify_algebra", recording)
+    ext, _sidecar = generate_example("function-algebra", {"group": group, "field": "f7"})
+    _tower, d2, rep = model_tower(model_bundle(f"function-algebra:{group}", ext.M.field))
+    assert rep.ok
+    checked.clear()
+    override = DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model")
+    assert run_pipeline(ext, d2_override=override).exit_code() == 0
+    assert len(checked) == 6  # M, M1, M2, M1 # B, M # A, A # B
+    for alg, seeds in checked:
+        assert word_span_dim(alg, generators(alg, seeds)) == alg.dim
+    if group == "z4":
+        sizes = [len(generators(alg, seeds)) for alg, seeds in checked if alg.dim == 64]
+        assert len(sizes) == 2 and max(sizes) <= 10, sizes
+        assert len(generators(checked[2][0])) == 28
 
 
 def test_centralizer_of_matrix_algebra_is_center():
