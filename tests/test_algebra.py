@@ -104,8 +104,7 @@ def perturbations(alg, gens, seed):
     """Single-constant perturbations (i, j, k): one that breaks the left unit
     law at e_0 (i in the support of the unit), one in the row and one in the
     column of each generator's lowest basis index outside the unit's support
-    (a generator's own row is what left multiplication by it reads), and four
-    drawn at random."""
+    (the column is what e_l g reads), and four drawn at random."""
     d = alg.dim
     rng = random.Random(seed)
     unit_support = sorted(alg.unit)

@@ -1,7 +1,7 @@
 """Opt-in stress test: the full program on the nonabelian k^(S3) model over
 F_7 (tower dimensions 6 / 36 / 216, noncocommutative dual Hopf pair).
 
-Runs in about 4.5 s on a 2-core VM with Python 3.11.7 (11.6 s when
+Runs in 4.1-4.8 s on a 2-core VM with Python 3.11.7 (11.3 s when
 associativity was scanned over all basis triples); deselected by default.
 Run with:
 
