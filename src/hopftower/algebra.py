@@ -158,6 +158,40 @@ def generators(alg: Algebra, seeds: Iterable[dict] = ()) -> list[dict]:
     return gens
 
 
+def module_generators(up: Algebra, incl: LinMap, side: str, seeds: Iterable[dict] = ()) -> list[dict]:
+    """A set G with span(incl(down) . G) = up (side "left") or
+    span(G . incl(down)) = up (side "right"), down being the domain of incl:
+    the seeds that enlarge that span, in order, then the lowest basis elements
+    outside it, until it is all of up. The basis of up when it never is.
+
+    The span is kept in one SparseSolver, so it certifies the result and the
+    seeds only affect how many elements it takes.
+    """
+    f = up.field
+    span = SparseSolver(f, up.dim, reduce_fully=True)
+    gens: list[dict] = []
+
+    def offer(g: dict) -> None:
+        before = span.rank()
+        for d in incl.columns:
+            span.add_row(up.mul_sparse(d, g) if side == "left" else up.mul_sparse(g, d), f.zero)
+        if span.rank() > before:
+            gens.append(g)
+
+    for s in seeds:
+        if span.rank() == up.dim:
+            break
+        offer(s)
+    for k in range(up.dim):
+        if span.rank() == up.dim:
+            break
+        if span.reduce({k: f.one}):
+            offer({k: f.one})
+    if span.rank() < up.dim:  # e_k outside incl(down) . e_k: incl(1) is not the unit
+        return [{k: f.one} for k in range(up.dim)]
+    return gens
+
+
 def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -> list:
     """Basis triples (i, j, r) with (e_i e_j) g_r != e_i (e_j g_r), in that
     loop order, for right factors g_r given by rights[r][l] = e_l g_r.

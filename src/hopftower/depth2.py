@@ -7,22 +7,29 @@ B at level 2). Each level takes one route with no tuning knob:
 1. dimension count: n0 = dim up / dim down must be an integer and at most
    the dimension of the centralizer;
 2. the dual-bases tensor system on the centralizer square, assembled from the
-   defining equations and solved from scratch; if it is inconsistent the
-   level fails, since any verified witness sum z_i (x) w_i would solve it;
+   defining equations on one-sided module generators of up over down and
+   solved from scratch; if it is inconsistent the level fails, since any
+   verified witness sum z_i (x) w_i would solve it;
 3. one witness: a free module basis z (the centralizer basis itself when its
    dimension is n0, else greedy combinations of that basis from a fixed
    integer recurrence), then w from the linear system E(w_i z_j) = delta_ij 1;
-4. exact verification of every defining equation of the witness.
+4. exact verification of every defining equation of the witness, the
+   Frobenius sums on one-sided module generators.
 
 A level passes only on a verified witness, and the two paths agree when the
-verdict equals the solvability of the tensor system.
+verdict equals the solvability of the tensor system. Steps 2 and 4 rest on
+one lemma (proof at _frobenius_sums_hold): once up is associative and E a
+down-bimodule map, both Frobenius sums are one-sided down-module maps, so an
+identity that holds on generators G_L with span(incl(down) . G_L) = up, or
+G_R with span(G_R . incl(down)) = up, holds on all of up. A level whose
+checks do not give that runs both steps on the basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
+from .algebra import Algebra, LinMap, SubspaceBasis, centralizer, module_generators
 from .frobenius import CheckOutcome, nakayama, nakayama_of_functional, scalar_of
 from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
 
@@ -105,16 +112,47 @@ class _LevelContext:
     cond_exp: LinMap  # up -> down coords
     down_in_up: LinMap  # down coords -> up
     scope: SubspaceBasis  # A (level 1) or B (level 2), inside up
+    # the elements the Frobenius sums are checked on: span(incl(down) . left_gens)
+    # = up = span(right_gens . incl(down)), or the basis of up
+    left_gens: Optional[list] = None
+    right_gens: Optional[list] = None
+
+    def __post_init__(self):
+        basis = [{x: self.up.field.one} for x in range(self.up.dim)]
+        self.left_gens = basis if self.left_gens is None else self.left_gens
+        self.right_gens = basis if self.right_gens is None else self.right_gens
+
+
+# the level checks that make both Frobenius sums one-sided down-module maps
+_MODULE_MAP_CHECKS = ("algebra-axioms", "condexp-bimodule", "inclusion-monomorphism")
+
+
+def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
+    """The depth-2 context of a tower level over the one below it.
+
+    When the level's associativity, bimodule and inclusion checks hold, the
+    Frobenius sums are checked on one-sided module generators (see
+    _frobenius_sums_hold), seeded from the level's dual bases:
+    x = sum E(x X_i) Y_i puts up in span(incl(down) . Y), and
+    x = sum X_i E(Y_i x) in span(X . incl(down)). Otherwise on the basis.
+    """
+    gens = {}
+    outcomes = dict(level.checks)
+    if all(outcomes[name].ok for name in _MODULE_MAP_CHECKS):
+        xs = [x for x, _ in level.dual_pairs]
+        ys = [y for _, y in level.dual_pairs]
+        gens = {"left_gens": module_generators(level.algebra, level.incl, "left", ys),
+                "right_gens": module_generators(level.algebra, level.incl, "right", xs)}
+    return _LevelContext(up=level.algebra, down=level.below, cond_exp=level.cond_exp,
+                         down_in_up=level.incl, scope=scope, **gens)
 
 
 def check_depth_two(t, d2: DepthTwoData) -> DepthTwoData:
     """Fill both level verdicts of d2 (in place) and return it."""
-    lvl1 = _LevelContext(up=t.M1, down=t.M, cond_exp=t.E_M, down_in_up=t.incl1, scope=d2.A)
-    d2.level1 = _solve_level(1, lvl1)
+    d2.level1 = _solve_level(1, _level_context(t.levels[0], d2.A))
     if d2.level1.passed:
         d2.zw = (d2.level1.z, d2.level1.w)
-    lvl2 = _LevelContext(up=t.M2, down=t.M1, cond_exp=t.E_M1, down_in_up=t.incl2, scope=d2.B)
-    d2.level2 = _solve_level(2, lvl2)
+    d2.level2 = _solve_level(2, _level_context(t.levels[1], d2.B))
     if d2.level2.passed:
         d2.uv = (d2.level2.z, d2.level2.w)
     return d2
@@ -231,12 +269,25 @@ def _dual_w(ctx: _LevelContext, z: list) -> Optional[list]:
     return [scope.apply(x) for x in xs]
 
 
-def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
-    """All defining equations, exactly: both Frobenius sums on every basis x,
-    orthogonality E(w_i z_j) = delta_ij 1, and membership of w in the scope."""
+def _frobenius_sum(ctx: _LevelContext, z: list, w: list, x: dict, side: str) -> dict:
+    """sum_i incl(E(x z_i)) w_i (side "left") or sum_i z_i incl(E(w_i x)) (side "right")."""
     f = ctx.up.field
+    up, cond, down_in_up = ctx.up, ctx.cond_exp, ctx.down_in_up
+    acc: dict = {}
+    for zi, wi in zip(z, w):
+        if side == "left":
+            term = up.mul_sparse(down_in_up.apply(cond.apply(up.mul_sparse(x, zi))), wi)
+        else:
+            term = up.mul_sparse(zi, down_in_up.apply(cond.apply(up.mul_sparse(wi, x))))
+        sparse_axpy(f, acc, f.one, term)
+    return acc
+
+
+def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
+    """All defining equations, exactly: membership of w in the scope,
+    orthogonality E(w_i z_j) = delta_ij 1, and both Frobenius sums."""
     up = ctx.up
-    cond, down_in_up = ctx.cond_exp, ctx.down_in_up
+    cond = ctx.cond_exp
     down_unit = cond.apply(up.unit)
     for wi in w:
         if not ctx.scope.contains(wi):
@@ -245,17 +296,30 @@ def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
         for j, zj in enumerate(z):
             if cond.apply(up.mul_sparse(wi, zj)) != (down_unit if i == j else {}):
                 return False, f"orthogonality fails at ({i}, {j})"
-    # the Frobenius sums from sparse table rows: e_x z_i and w_i e_x via mul_sparse
-    for x in range(up.dim):
-        ex = {x: f.one}
-        left: dict = {}
-        right: dict = {}
-        for zi, wi in zip(z, w):
-            exz = down_in_up.apply(cond.apply(up.mul_sparse(ex, zi)))
-            sparse_axpy(f, left, f.one, up.mul_sparse(exz, wi))
-            ewx = down_in_up.apply(cond.apply(up.mul_sparse(wi, ex)))
-            sparse_axpy(f, right, f.one, up.mul_sparse(zi, ewx))
-        if left != ex or right != ex:
+    return _frobenius_sums_hold(ctx, z, w)
+
+
+def _frobenius_sums_hold(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
+    """sum_i incl(E(x z_i)) w_i = x = sum_i z_i incl(E(w_i x)) for all x in up.
+
+    Checked on one-sided module generators. Where _level_context passes them,
+    up is associative, E a down-bimodule map and incl multiplicative, so
+    L(x) = sum incl(E(x z_i)) w_i has L(incl(d) x) = incl(d) L(x), and
+    R(x) = sum z_i incl(E(w_i x)) has R(x incl(d)) = R(x) incl(d):
+    {x : L(x) = x} is a left and {x : R(x) = x} a right down-submodule of up,
+    for any z and w. So L = id on left_gens, with
+    span(incl(down) . left_gens) = up, gives L = id on up, and R likewise on
+    right_gens. When either fails, the loop over every basis x runs, so the
+    reason names its first failing basis element.
+    """
+    if all(_frobenius_sum(ctx, z, w, g, "left") == g for g in ctx.left_gens) and all(
+        _frobenius_sum(ctx, z, w, g, "right") == g for g in ctx.right_gens
+    ):
+        return True, ""
+    one = ctx.up.field.one
+    for x in range(ctx.up.dim):
+        ex = {x: one}
+        if _frobenius_sum(ctx, z, w, ex, "left") != ex or _frobenius_sum(ctx, z, w, ex, "right") != ex:
             return False, f"Frobenius sum fails at basis {x}"
     return True, ""
 
@@ -264,7 +328,14 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
     """Independent brute-force path: is there any tensor T in scope (x) scope
     with both Frobenius contraction identities? Assembled entry by entry from
     the defining equations and solved from scratch (sparse incremental
-    elimination with early inconsistency detection)."""
+    elimination with early inconsistency detection).
+
+    For T = sum T_pq s_p (x) s_q, the left contraction
+    sum T_pq incl(E(x s_p)) s_q is a left and the right one
+    sum T_qp s_q incl(E(s_p x)) a right down-module map (as in
+    _frobenius_sums_hold), so imposing the identities at x in left_gens and
+    right_gens keeps exactly the solutions of imposing them at every basis x.
+    """
     f = ctx.up.field
     up = ctx.up
     d = up.dim
@@ -274,29 +345,26 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
     scope_sparse = ctx.scope.vectors
     cond, down_in_up = ctx.cond_exp, ctx.down_in_up
     solver = SparseSolver(f, s * s)
-    for x in range(d):
-        ex = {x: f.one}
-        left_rows: list[dict] = [dict() for _ in range(d)]
-        right_rows: list[dict] = [dict() for _ in range(d)]
-        for p in range(s):
-            lfac = down_in_up.apply(cond.apply(up.mul_sparse(ex, scope_sparse[p])))
-            rfac = down_in_up.apply(cond.apply(up.mul_sparse(scope_sparse[p], ex)))
-            for q in range(s):
-                if lfac:
-                    col = p * s + q
-                    for r, val in up.mul_sparse(lfac, scope_sparse[q]).items():
-                        sparse_add(f, left_rows[r], col, val)
-                # right identity: T_{qp'} with the scope element at slot q
-                col = q * s + p
-                if rfac:
-                    for r, val in up.mul_sparse(scope_sparse[q], rfac).items():
-                        sparse_add(f, right_rows[r], col, val)
-        for r in range(d):
-            rhs = f.one if r == x else f.zero
-            if not solver.add_row(left_rows[r], rhs):
-                return False
-            if not solver.add_row(right_rows[r], rhs):
-                return False
+    for side, gens in (("left", ctx.left_gens), ("right", ctx.right_gens)):
+        for g in gens:
+            rows: list[dict] = [dict() for _ in range(d)]
+            for p in range(s):
+                if side == "left":
+                    fac = down_in_up.apply(cond.apply(up.mul_sparse(g, scope_sparse[p])))
+                else:
+                    fac = down_in_up.apply(cond.apply(up.mul_sparse(scope_sparse[p], g)))
+                if not fac:
+                    continue
+                for q in range(s):
+                    if side == "left":
+                        col, prod = p * s + q, up.mul_sparse(fac, scope_sparse[q])
+                    else:  # T_{qp} with the scope element at slot q
+                        col, prod = q * s + p, up.mul_sparse(scope_sparse[q], fac)
+                    for r, val in prod.items():
+                        sparse_add(f, rows[r], col, val)
+            for r in range(d):
+                if not solver.add_row(rows[r], g.get(r, f.zero)):
+                    return False
     return solver.consistent
 
 

@@ -16,6 +16,7 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     centralizer,
+    generators,
     verify_algebra,
 )
 from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
@@ -112,12 +113,22 @@ def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 
-def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, max_failures: int = 5) -> CheckOutcome:
+def verify_conditional_expectation(
+    ext: ExtensionSpec, E: LinMap, max_failures: int = 5, seeds: Optional[Iterable[dict]] = None
+) -> CheckOutcome:
     """E(nmn') = nE(m)n' on basis triples and E(1) = 1.
 
     The two-sided property is equivalent to the pair of one-sided ones
     (E(n m) = n E(m) and E(m n) = E(m) n on basis pairs), which is what gets
     checked; this keeps the cost at 2 dim N dim M products.
+
+    Given seeds (pass them only once M is known to be associative with unit),
+    the one-sided properties are first checked for n in S = generators(N, seeds)
+    only. {n : E(nm) = nE(m) and E(mn) = E(m)n for all m} is a subspace that
+    holds 1 and is closed under products, as E(n n' m) = n E(n' m) = n n' E(m)
+    and likewise on the right; so it holds every word in S, which is all of N.
+    When that check fails, the loop over the basis of N runs, so the failures
+    listed are always its own.
     """
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
@@ -125,23 +136,34 @@ def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, max_failures: 
     e_unit = E.apply(M.unit)
     if e_unit != n_alg.unit:
         failures.append({"kind": "unit", "value": f.witness(n_alg.to_dense(e_unit))})
+    if seeds is not None and not _bimodule_failures(ext, E, generators(n_alg, seeds), 1):
+        return CheckOutcome(not failures, failures)
+    failures += _bimodule_failures(ext, E, [{a: f.one} for a in range(n_alg.dim)], max_failures - len(failures))
+    return CheckOutcome(not failures, failures)
+
+
+def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list, max_failures: int) -> list:
+    """E(n e_m) != n E(e_m) and E(e_m n) != E(e_m) n for n in ns (N-coordinates)
+    and every basis m, in that loop order, at most max_failures of them (at
+    least one when any)."""
+    M, f = ext.M, ext.M.field
+    n_alg = ext.n_algebra
+    failures = []
     # E(e_m) for each basis m is the column E.columns[m]
     e_cols = E.columns
-    for a, na in enumerate(ext.embed.columns):
-        ea = {a: f.one}
+    for a, n in enumerate(ns):
+        n_in_m = ext.embed.apply(n)
         for m in range(M.dim):
             em = {m: f.one}
-            lhs = E.apply(M.mul_sparse(na, em))
-            if lhs != n_alg.mul_sparse(ea, e_cols[m]):
+            if E.apply(M.mul_sparse(n_in_m, em)) != n_alg.mul_sparse(n, e_cols[m]):
                 failures.append({"kind": "bimodule-left", "pair": (a, m)})
                 if len(failures) >= max_failures:
-                    return CheckOutcome(False, failures)
-            lhs = E.apply(M.mul_sparse(em, na))
-            if lhs != n_alg.mul_sparse(e_cols[m], ea):
+                    return failures
+            if E.apply(M.mul_sparse(em, n_in_m)) != n_alg.mul_sparse(e_cols[m], n):
                 failures.append({"kind": "bimodule-right", "pair": (m, a)})
                 if len(failures) >= max_failures:
-                    return CheckOutcome(False, failures)
-    return CheckOutcome(not failures, failures)
+                    return failures
+    return failures
 
 
 def verify_bimodule_map(ext: ExtensionSpec, E: LinMap, max_failures: int = 5) -> CheckOutcome:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import SubspaceBasis
+from .algebra import SubspaceBasis, generators
 from .depth2 import (
     DepthTwoData,
     check_depth_two,
@@ -94,7 +94,9 @@ def run_pipeline(
     hypotheses: dict = {}
     dims = {"m": ext.M.dim, "n": ext.N.dim}
 
-    _stage_frobenius(rep, state, hypotheses)
+    # one generating set of M, for its associativity check and the tower's
+    m_generators = generators(ext.M)
+    _stage_frobenius(rep, state, hypotheses, m_generators)
     flags = state.sys.flags if state.sys is not None else None
     stop = STAGES.index(upto)
 
@@ -108,7 +110,7 @@ def run_pipeline(
             tower_gate = "extension is not strongly separable (E(1) = 0 or index = 0)"
 
     if stop >= 1:
-        _stage_tower(rep, state, hypotheses, dims, tower_gate, levels)
+        _stage_tower(rep, state, hypotheses, dims, tower_gate, levels, m_generators)
     depth2_gate = tower_gate
     if depth2_gate is None and levels < 2:
         depth2_gate = "tower built to level 1 only (--levels 1)"
@@ -145,17 +147,20 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> None:
+def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict, m_generators: list) -> None:
     ext = state.ext
     f = ext.M.field
-    rep.outcome("algebra-axioms", algebra_outcome(ext.M))
+    axioms = algebra_outcome(ext.M, m_generators)
+    rep.outcome("algebra-axioms", axioms)
+    # the bimodule checks may run on generators of N once M is an algebra
+    n_seeds = () if axioms.ok else None
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
         rep.add("cond-expectation", FAIL, reason="no conditional expectation supplied")
         hypotheses["frobenius"] = False
         return
-    ce = verify_conditional_expectation(ext, ext.E)
+    ce = verify_conditional_expectation(ext, ext.E, seeds=n_seeds)
     try:
         sys = solve_dual_bases(ext, ext.E)
     except FrobeniusError as exc:
@@ -185,7 +190,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> N
             rep.add("normalization", FAIL, reason=str(exc))
             hypotheses["frobenius"] = False
             return
-    rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E))
+    rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E, seeds=n_seeds))
     rep.outcome("frobenius-identities", verify_frobenius_identities(sys))
     central = all(ext.M.commutes(sys.index, {i: f.one}) for i in range(ext.M.dim))
     rep.add("index-central", PASS if central else FAIL)
@@ -201,7 +206,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict) -> N
     hypotheses["centralizer_dim"] = flags.centralizer_dim
 
 
-def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
+def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators) -> None:
     tower_checks = ("tower-level-1", "tower-level-2", "triple-tensor",
                     "braid-relations", "pimsner-popa", "cyclic-span", "endo-ring-iso")
     if gate is not None:
@@ -220,7 +225,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
 
     if levels < 2:
         try:
-            level1 = basic_construction(state.sys)
+            level1 = basic_construction(state.sys, m_generators)
         except (TowerError, FrobeniusError) as exc:
             rep.add("tower-level-1", FAIL, reason=str(exc))
             for cid in tower_checks[1:]:
@@ -238,7 +243,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels) -> None:
                 witness=None if endo.ok else {"failures": endo.failures[:3]})
         return
     try:
-        tower = build_tower(state.sys)
+        tower = build_tower(state.sys, m_generators)
     except (TowerError, FrobeniusError) as exc:
         rep.add("tower-level-1", FAIL, reason=str(exc))
         for cid in tower_checks[1:]:

@@ -126,7 +126,9 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
 
     below_generators generate M (default: generators(M)). Since
     a (x) b = a e1 b, M1 = M e1 M, so their images under the inclusion and e1
-    generate M1; the associativity check of M1 starts from them.
+    generate M1; the associativity check of M1 starts from them. Once M1 is
+    associative, they also seed the generators of M inside M1 that the
+    bimodule check of the conditional expectation runs on.
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -196,7 +198,9 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
 
     n1 = SubspaceBasis(alg1, incl.columns)
     ext1 = ExtensionSpec(alg1, n1, E=cond_exp)
-    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp)))
+    # n1 has basis incl(e_i), so the generators of M are its coordinates
+    n_seeds = below_generators if checks[0][1].ok else None
+    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, seeds=n_seeds)))
 
     # dual bases {lam^-1 x_i (x) 1}, {1 (x) y_i} for E_M
     pairs1 = []
@@ -239,9 +243,10 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
 # ---------------------------------------------------------------------------
 
 
-def build_tower(sys: FrobeniusSystem) -> TowerData:
-    """Two basic constructions plus the composite functional F = E_M o E_M1."""
-    level1 = basic_construction(sys)
+def build_tower(sys: FrobeniusSystem, below_generators: Optional[list] = None) -> TowerData:
+    """Two basic constructions plus the composite functional F = E_M o E_M1;
+    below_generators generate M, as in basic_construction."""
+    level1 = basic_construction(sys, below_generators)
     sys1 = level1.sys
     assert sys1 is not None
     if sys1.lambda_inverse is None or sys.M.field.is_zero(sys1.lambda_inverse):

@@ -1,9 +1,16 @@
-import pytest
+import functools
+from dataclasses import replace
 
-from hopftower.algebra import SubspaceBasis, span_dim
+import pytest
+from conftest import bumped
+
+from hopftower.algebra import SubspaceBasis, module_generators, span_dim
 from hopftower.depth2 import (
     DepthTwoData,
+    _frobenius_sums_hold,
+    _level_context,
     _LevelContext,
+    _tensor_membership,
     _verify_pair,
     check_depth_two,
     conditional_expectations,
@@ -12,9 +19,10 @@ from hopftower.depth2 import (
     verify_c_structure,
     verify_f_faithful,
 )
-from hopftower.fields import RationalField
-from hopftower.linalg import LinMap, invert, sparse_axpy, sparse_scale
-from hopftower.models import generate_example
+from hopftower.fields import PrimeField, RationalField
+from hopftower.frobenius import CheckOutcome, ExtensionSpec, verify_conditional_expectation
+from hopftower.linalg import LinMap, invert, sparse_add, sparse_axpy, sparse_scale
+from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
 
 Q = RationalField()
@@ -305,3 +313,161 @@ def test_verify_pair_frobenius_reason_matches_reference(drop):
     got = _verify_pair(ctx, z, w)
     assert got[0] is False and got[1].startswith("Frobenius sum fails at basis")
     assert got == _reference_frobenius_sums(ctx, z, w)
+
+
+# -- one-sided module generators ---------------------------------------------
+
+CATALOG = (
+    ("trivial", {}),
+    ("quadratic-field", {}),
+    ("group-pair", {"group": "s3", "subgroup": "a3"}),
+    ("group-pair", {"group": "s3", "subgroup": "z2"}),
+    ("group-pair", {"group": "z4", "subgroup": "z2"}),
+    ("group-pair", {"group": "z2", "subgroup": "z1"}),
+    ("function-algebra", {"group": "z2"}),
+    ("function-algebra", {"group": "z3"}),
+    ("function-algebra", {"group": "z4"}),
+)
+TOWERS = {
+    **{
+        f"{tag}/{example}" + (":" + "/".join(params.values()) if params else ""): (example, dict(params, field=field))
+        for field, tag in (("rational", "q"), ("f7", "f7"))
+        for example, params in CATALOG
+    },
+    "f2/m2f2": ("m2f2", {}),
+    **{f"f7/model:{g}": ("model", {"group": g}) for g in ("z2", "z3", "z4")},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(case):
+    """(tower, depth-2 data) of a catalog case along the pipeline, or of a
+    model tower over F7 with its model centralizers."""
+    example, params = TOWERS[case]
+    if example == "model":
+        t, d2, rep = model_tower(model_bundle(f"function-algebra:{params['group']}", PrimeField(7)))
+        assert rep.ok, rep.failures
+        return t, check_depth_two(t, d2)
+    state = run_pipeline(generate_example(example, params)[0], upto="depth2").state
+    return state.tower, state.d2
+
+
+def _levels(case):
+    t, d2 = _tower(case)
+    return [(t.levels[0], d2.A, d2.level1), (t.levels[1], d2.B, d2.level2)]
+
+
+def _on_basis(ctx):
+    return replace(ctx, left_gens=None, right_gens=None)
+
+
+@pytest.mark.parametrize("case", list(TOWERS))
+def test_generator_path_agrees_with_full_basis(case):
+    for level, scope, verdict in _levels(case):
+        ctx = _level_context(level, scope)
+        n0 = level.algebra.dim // level.below.dim
+        assert len(ctx.left_gens) == len(ctx.right_gens) == n0
+        full = _on_basis(ctx)
+        assert _tensor_membership(ctx) == _tensor_membership(full) == verdict.tensor_solvable
+        if verdict.passed:
+            assert _verify_pair(ctx, verdict.z, verdict.w) == _verify_pair(full, verdict.z, verdict.w) == (True, "")
+
+
+def _perturbed_witnesses(f, z, w):
+    """Per pair i: the pair dropped, w_i scaled by 2, and one added to the
+    lowest coordinate of w_i."""
+    for i in range(len(z)):
+        bumped_wi = dict(w[i])
+        sparse_add(f, bumped_wi, min(w[i]), f.one)
+        yield z[:i] + z[i + 1:], w[:i] + w[i + 1:]
+        yield z, w[:i] + [sparse_scale(f, f.from_int(2), w[i])] + w[i + 1:]
+        yield z, w[:i] + [bumped_wi] + w[i + 1:]
+
+
+@pytest.mark.parametrize("case", ["q/group-pair:z4/z2", "f7/function-algebra:z3", "f7/model:z3"])
+def test_generator_path_agrees_on_perturbed_witnesses(case):
+    # every perturbation breaks a Frobenius sum; the generator check must see
+    # it and name the same first failing basis element as the full loop
+    for level, scope, verdict in _levels(case):
+        ctx = _level_context(level, scope)
+        full = _on_basis(ctx)
+        f = level.algebra.field
+        count = 0
+        for z, w in _perturbed_witnesses(f, verdict.z, verdict.w):
+            got = _frobenius_sums_hold(ctx, z, w)
+            assert got[0] is False and got[1].startswith("Frobenius sum fails at basis")
+            assert got == _frobenius_sums_hold(full, z, w) == _reference_frobenius_sums(full, z, w)
+            assert _verify_pair(ctx, z, w) == _verify_pair(full, z, w)
+            count += 1
+        assert count == 3 * len(verdict.z)
+
+
+@pytest.mark.parametrize("check", ["algebra-axioms", "condexp-bimodule", "inclusion-monomorphism"])
+def test_failed_level_check_gives_basis_generators(tower_s3_a3, d2_s3_a3, check):
+    level = tower_s3_a3.levels[1]
+    assert len(_level_context(level, d2_s3_a3.B).left_gens) == 2
+    failed = CheckOutcome(False, [{"kind": "failed"}])
+    broken = replace(level, checks=[(n, failed if n == check else o) for n, o in level.checks])
+    ctx = _level_context(broken, d2_s3_a3.B)
+    basis = [{x: Q.one} for x in range(level.algebra.dim)]
+    assert ctx.left_gens == basis and ctx.right_gens == basis
+
+
+def test_context_without_generators_uses_the_basis(tower_s3_a3, d2_s3_a3):
+    t = tower_s3_a3
+    ctx = _LevelContext(up=t.M1, down=t.M, cond_exp=t.E_M, down_in_up=t.incl1, scope=d2_s3_a3.A)
+    basis = [{x: Q.one} for x in range(t.M1.dim)]
+    assert ctx.left_gens == basis and ctx.right_gens == basis
+
+
+def test_bimodule_failure_keeps_the_level_on_the_basis(tower_s3_a3, d2_s3_a3):
+    """With E_M bumped, condexp-bimodule fails for real, and on the generators
+    the tensor system would come out differently: the gate is what keeps the
+    decision exact."""
+    level = tower_s3_a3.levels[0]
+    bad = bumped(level.cond_exp, 0, 0)
+    n1 = SubspaceBasis(level.algebra, level.incl.columns)
+    outcome = verify_conditional_expectation(ExtensionSpec(level.algebra, n1, E=bad), bad)
+    assert not outcome.ok
+    checks = [(n, outcome if n == "condexp-bimodule" else o) for n, o in level.checks]
+    ctx = _level_context(replace(level, cond_exp=bad, checks=checks), d2_s3_a3.A)
+    assert ctx == _on_basis(ctx)
+    honest = _level_context(level, d2_s3_a3.A)
+    on_gens = replace(ctx, left_gens=honest.left_gens, right_gens=honest.right_gens)
+    assert _tensor_membership(on_gens) != _tensor_membership(ctx)
+
+
+def _module_span_dim(level, side, gens):
+    up = level.algebra
+    vecs = [up.mul_sparse(d, g) if side == "left" else up.mul_sparse(g, d) for g in gens for d in level.incl.columns]
+    return span_dim(up.field, vecs)
+
+
+@pytest.mark.parametrize("case", ["f7/function-algebra:z4", "f2/m2f2", "f7/model:z4"])
+def test_module_generators_span_with_n0_elements(case):
+    t, _ = _tower(case)
+    for level in t.levels:
+        up = level.algebra
+        n0 = up.dim // level.below.dim
+        xs = [x for x, _ in level.dual_pairs]
+        ys = [y for _, y in level.dual_pairs]
+        for side, seeds in (("left", ys), ("right", xs)):
+            gens = module_generators(up, level.incl, side, seeds)
+            assert len(gens) == n0 < up.dim
+            assert _module_span_dim(level, side, gens) == up.dim
+            # one seed is completed from basis elements, short of the whole basis
+            gens = module_generators(up, level.incl, side, seeds[:1])
+            assert gens[0] == seeds[0] and n0 < len(gens) < up.dim
+            assert _module_span_dim(level, side, gens) == up.dim
+            gens = module_generators(up, level.incl, side)
+            assert all(len(g) == 1 for g in gens) and _module_span_dim(level, side, gens) == up.dim
+
+
+def test_module_generators_fall_back_to_the_basis(tower_s3_a3):
+    # incl(1) = 0 is not the unit: no set of elements spans, so the basis is returned
+    level = tower_s3_a3.levels[0]
+    up = level.algebra
+    zero = LinMap(Q, [{} for _ in level.incl.columns], up.dim)
+    basis = [{x: Q.one} for x in range(up.dim)]
+    for side in ("left", "right"):
+        assert module_generators(up, zero, side) == basis

@@ -1,8 +1,8 @@
 import pytest
-from conftest import rows_map
+from conftest import bumped, rows_map
 from hypothesis import given, settings, strategies as st
 
-from hopftower.algebra import LinMap, SubspaceBasis
+from hopftower.algebra import LinMap, SubspaceBasis, generators
 from hopftower.fields import PrimeField, RationalField
 from hopftower.frobenius import (
     ExtensionSpec,
@@ -43,6 +43,37 @@ def test_zero_map_fails_unit(ext_sqrt2):
     out = verify_conditional_expectation(ext_sqrt2, zero)
     assert not out.ok
     assert any(f["kind"] == "unit" for f in out.failures)
+
+
+def _level_extension(level):
+    """The extension incl(below) in a tower level, with its E."""
+    return ExtensionSpec(level.algebra, SubspaceBasis(level.algebra, level.incl.columns), E=level.cond_exp)
+
+
+def test_bimodule_check_on_generators_agrees_with_basis_loop(ext_s3_a3, ext_sqrt2, tower_s3_a3):
+    """With seeds the bimodule property is decided on generators of N; any
+    bumped E entry gives the basis loop's failures, cut off at the same
+    max_failures."""
+    t = tower_s3_a3
+    cases = [
+        (ext_s3_a3, ()),
+        (ext_sqrt2, ()),
+        (_level_extension(t.levels[0]), generators(t.M)),
+        (_level_extension(t.levels[1]), t.levels[0].generators),
+    ]
+    for ext, seeds in cases:
+        E = ext.E
+        assert verify_conditional_expectation(ext, E, seeds=seeds) == verify_conditional_expectation(ext, E)
+        assert verify_conditional_expectation(ext, E, seeds=seeds).ok
+        rejected = 0
+        for c in range(0, len(E.columns), max(1, len(E.columns) // 6)):
+            for r in range(0, E.codomain_dim, max(1, E.codomain_dim // 4)):
+                bad = bumped(E, r, c)
+                for max_failures in (1, 5, 1000):
+                    got = verify_conditional_expectation(ext, bad, max_failures, seeds=seeds)
+                    assert got == verify_conditional_expectation(ext, bad, max_failures), (r, c)
+                rejected += not got.ok
+        assert rejected > 0
 
 
 # -- dual bases ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+from hopftower import algebra, frobenius, pipeline, tower
 from hopftower.fields import PrimeField, RationalField
 from hopftower.models import function_algebra_extension, generate_example
 from hopftower.pipeline import run_pipeline
@@ -97,3 +98,22 @@ def test_generated_vs_constructed_extension_agree():
         (r.check_id, r.status) for r in r2.results
     ]
     assert r1.input_digest == r2.input_digest
+
+
+def test_generators_of_m_are_computed_once(monkeypatch):
+    """run_pipeline hands one generating set of M to the algebra-axioms check
+    and to the tower, which pass it on as seeds."""
+    calls = []
+    real = algebra.generators
+
+    def recording(alg, seeds=()):
+        seeds = list(seeds)
+        calls.append((alg, seeds))
+        return real(alg, seeds)
+
+    for module in (algebra, frobenius, pipeline, tower):
+        monkeypatch.setattr(module, "generators", recording)
+    ext, _ = generate_example("group-pair", {"group": "s3", "subgroup": "a3"})
+    assert run_pipeline(ext).exit_code() == 0
+    from_scratch = [seeds for alg, seeds in calls if alg is ext.M and not seeds]
+    assert len(from_scratch) == 1

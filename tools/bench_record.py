@@ -4,8 +4,8 @@ Exports each commit with ``git archive`` into a fresh temporary directory and
 runs its own ``bench/run.py --seconds 30 --trace 0`` there on every workload,
 in 10 alternating pairs: pair i uses seed ``--seed0 + i`` on both sides, and
 even pairs run the parent first, odd pairs the change. Then it makes one
-``--trace 1`` run of ``model-f7`` per side. Run from the repository root, for
-example:
+``--trace 1`` run of every workload per side. Run from the repository root,
+for example:
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
         --seed0 801 --out BENCH_6.json
@@ -13,8 +13,8 @@ example:
 The file names each side's commit and the git tree of its ``src/``. It holds,
 per workload, every pair's end-to-end metrics, each side's median and
 quartiles with the number of pairs the change won, and the full ``results``
-line of the first pair on each side; and, per side, the traced run's
-per-layer metrics and its ``results`` line.
+line of the first pair on each side; and, per workload and side, the traced
+run's per-layer metrics and its ``results`` line.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ WORKLOADS = ("model-f7", "catalog-q", "catalog-fp")
 SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = 30
-TRACE_WORKLOAD = "model-f7"
 
 
 def git(*args: str) -> bytes:
@@ -109,10 +108,12 @@ def compare(args, work: Path) -> dict:
             "pairs": flat,
             "results_first_pair": {s: pairs[0][s]["results"] for s in SIDES},
         }
-    for side in SIDES:
-        run = run_bench(roots[side], TRACE_WORKLOAD, args.seed0, 1)
-        record["trace"][side] = {"workload": TRACE_WORKLOAD, "seed": args.seed0,
-                                 "metrics": run["metrics"], "results": run["results"]}
+    for workload in WORKLOADS:
+        record["trace"][workload] = {}
+        for side in SIDES:
+            run = run_bench(roots[side], workload, args.seed0, 1)
+            record["trace"][workload][side] = {"seed": args.seed0, "metrics": run["metrics"],
+                                               "results": run["results"]}
     return record
 
 
