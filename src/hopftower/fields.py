@@ -8,7 +8,10 @@ int when it is integral and otherwise a backend rational in lowest terms
 integer structure constants, idempotents and unit vectors that make up most of
 the work multiply and add as ints, with no gcd. Prime-field scalars are small
 ints. Equal values compare and hash equal across int and the backend type, and
-``str`` gives the same text for both.
+``str`` gives the same text for both. Q arithmetic on ints and Fractions runs
+on a kernel here that works on numerators and denominators directly, with the
+stdlib's gcd steps and without Fraction's operator dispatch and
+re-normalisation; see ``RationalField``.
 
 Scalar strings follow one grammar on both rational backends: Q reads
 ``[+-]?digits(/[+-]?digits)?`` and F_p reads ``[+-]?digits``, with ASCII
@@ -18,12 +21,14 @@ ints, so gmpy2 and Fraction parse every string to the same value.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 try:
     from gmpy2 import mpq as _rat
 except ImportError:
-    from fractions import Fraction as _rat
+    _rat = Fraction
 
 
 class FieldError(ValueError):
@@ -156,12 +161,69 @@ def _q(r):
     return int(r.numerator) if r.denominator == 1 else r
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 1, without normalising it again.
+
+    ``Fraction(n, d)`` would recompute a gcd known to be 1. A Fraction keeps
+    its value in the two slots ``_numerator`` and ``_denominator`` on CPython
+    3.10 to 3.13, and ``tests/test_fields.py`` pins that layout.
+    """
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _add(na: int, da: int, nb: int, db: int):
+    """na/da + nb/db in canonical form, for two fractions in lowest terms with da, db > 1.
+
+    The gcd steps of ``Fraction._add`` (Knuth, TAOCP vol. 2, 4.5.1). With
+    g = gcd(da, db) the sum is t / (da/g · db) where t = na·(db/g) + nb·(da/g).
+    As both fractions are in lowest terms, t is coprime to da/g and to db/g,
+    so gcd(t, g) is all that cancels; when g = 1 nothing does.
+    """
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    n, d = t // g2, s * (db // g2)
+    return n if d == 1 else _fraction(n, d)
+
+
+def _mul(na: int, da: int, nb: int, db: int):
+    """na/da · nb/db in canonical form, for two fractions in lowest terms with da, db > 1.
+
+    After gcd(na, db) and gcd(nb, da) are cancelled, each factor of the
+    numerator is coprime to each factor of the denominator.
+    """
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+    return n if d == 1 else _fraction(n, d)
+
+
+def _scale(c: int, n: int, d: int):
+    """c · n/d in canonical form, for an int c and n/d in lowest terms with d > 1."""
+    g = gcd(c, d)
+    n, d = c // g * n, d // g
+    return n if d == 1 else _fraction(n, d)
+
+
 class RationalField(Field):
     """Q: int scalars when integral, gmpy2.mpq or Fraction in lowest terms otherwise.
 
-    An operation on two ints stays an int without touching the backend; any
-    other result is put back in canonical form by ``_q``, so that, for example,
-    2 * (1/2) is the int 1.
+    ``add``, ``sub``, ``mul`` and ``neg`` dispatch on the exact operand types.
+    Two ints use int arithmetic. An int and a Fraction, or two Fractions, go to
+    the kernel above, which works on numerators and denominators and cancels
+    exactly what the stdlib's ``_add`` and ``_mul`` cancel. Its result is
+    therefore in lowest terms with a positive denominator: an int when the
+    denominator is 1, else a Fraction built by ``_fraction``. An int plus a
+    fraction n/d needs no gcd at all, since gcd(c·d + n, d) = gcd(n, d) = 1.
+    Any other operand type, gmpy2's mpq in particular, keeps its own operators,
+    which are already C code; ``_q`` turns an integral result into an int, so
+    that, for example, 2 * (1/2) is the int 1 on either backend. Operands are
+    canonical Q scalars: every scalar the program holds was made here.
     """
 
     kind = "rational"
@@ -178,19 +240,51 @@ class RationalField(Field):
         return int(n)
 
     def add(self, a, b):
-        c = a + b
-        return c if isinstance(c, int) else _q(c)
+        ta, tb = type(a), type(b)
+        if ta is int:
+            if tb is int:
+                return a + b
+            if tb is Fraction:
+                return _fraction(a * b._denominator + b._numerator, b._denominator)
+        elif ta is Fraction:
+            if tb is Fraction:
+                return _add(a._numerator, a._denominator, b._numerator, b._denominator)
+            if tb is int:
+                return _fraction(a._numerator + b * a._denominator, a._denominator)
+        return _q(a + b)
 
     def sub(self, a, b):
-        c = a - b
-        return c if isinstance(c, int) else _q(c)
+        ta, tb = type(a), type(b)
+        if ta is int:
+            if tb is int:
+                return a - b
+            if tb is Fraction:
+                return _fraction(a * b._denominator - b._numerator, b._denominator)
+        elif ta is Fraction:
+            if tb is Fraction:
+                return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
+            if tb is int:
+                return _fraction(a._numerator - b * a._denominator, a._denominator)
+        return _q(a - b)
 
     def mul(self, a, b):
-        c = a * b
-        return c if isinstance(c, int) else _q(c)
+        ta, tb = type(a), type(b)
+        if ta is int:
+            if tb is int:
+                return a * b
+            if tb is Fraction:
+                return _scale(a, b._numerator, b._denominator)
+        elif ta is Fraction:
+            if tb is Fraction:
+                return _mul(a._numerator, a._denominator, b._numerator, b._denominator)
+            if tb is int:
+                return _scale(b, a._numerator, a._denominator)
+        return _q(a * b)
 
     def neg(self, a):
-        # negation keeps integrality either way
+        # negation keeps integrality and lowest terms
+        if type(a) is Fraction:
+            return _fraction(-a._numerator, a._denominator)
         return -a
 
     def inv(self, a):

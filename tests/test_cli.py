@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -202,10 +203,27 @@ def test_hopf_dump_trivial(catalog_dir, tmp_path, capsys):
 
 
 def test_hopf_gated_for_reducible_base(catalog_dir, tmp_path, capsys):
-    code = main(["hopf", str(catalog_dir / "ext1.json"), "--out", str(tmp_path / "x")])
-    assert code == 1
+    # the Hopf checks are skipped and no check that ran came out false: the
+    # reason goes to stderr, no file is written, and the run exits 0
+    outdir = tmp_path / "x"
+    code = main(["hopf", str(catalog_dir / "ext1.json"), "--out", str(outdir)])
+    assert code == 0
     err = capsys.readouterr().err
-    assert "reconstruction not reached" in err
+    assert "reconstruction not reached: F is not scalar-valued on C" in err
+    assert not outdir.exists()
+
+
+def test_hopf_exits_1_when_the_hopf_axioms_fail(catalog_dir, tmp_path, capsys, monkeypatch):
+    import hopftower.pipeline as pipeline
+
+    monkeypatch.setattr(
+        pipeline, "verify_hopf_axioms", lambda *a, **k: SimpleNamespace(ok=False, failures=["forced"])
+    )
+    outdir = tmp_path / "x"
+    code = main(["hopf", str(catalog_dir / "ext0.json"), "--out", str(outdir)])
+    assert code == 1
+    assert "reconstruction not reached" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_pair_check_command(tmp_path, capsys):
