@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -83,8 +85,9 @@ def test_prime_field_axioms(a, b):
 
 # -- scalar grammar, on every rational backend that imports ------------------
 # RationalField makes every non-integral scalar through fields._rat (in parse
-# and inv; sums and products of those stay in the backend type), so patching
-# _rat selects the backend.
+# and inv; sums and products of those stay in the backend type: the direct
+# kernel for Fractions, the backend's own operators for any other type), so
+# patching _rat selects the backend.
 
 
 @pytest.fixture(params=["fraction", "gmpy2"])
@@ -143,28 +146,84 @@ def _is_canonical(x, rat) -> bool:
 
 
 # small denominators, so that many values are integral and many products and
-# sums cancel to integers, e.g. 2 * (1/2)
+# sums cancel to integers, e.g. 2 * (1/2); and a few large values, so that the
+# kernel's gcd steps run on multi-word numerators and denominators
+_LARGE = [
+    Fraction(10**40 + 1, 3**50), Fraction(-(10**40) - 1, 3**50), Fraction(10**40, 3**50),
+    Fraction(-(10**40), 3**50), Fraction(2**100), Fraction(-(2**100)), Fraction(1, 2**100),
+    Fraction(3**50, 2**100 + 1),
+]
 _small_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_rationals = st.one_of(_small_rationals, st.sampled_from(_LARGE))
+
+
+def _assert_canonical_value(Q, got, want, rat):
+    """got is want, as the program keeps it: an int exactly when integral,
+    otherwise the backend type in lowest terms with a positive denominator."""
+    assert Q.to_str(got) == str(want)
+    assert _is_canonical(got, rat), (got, want)
+    assert got.denominator > 0 and gcd(int(got.numerator), int(got.denominator)) == 1
+    assert hash(got) == hash(want)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_small_rationals, _small_rationals)
+@given(_rationals, _rationals)
 def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
-    # every operation agrees with plain Fraction arithmetic and returns an int
-    # exactly when the value is integral
+    # every operation agrees with plain Fraction arithmetic, in both operand
+    # orders, and returns an int exactly when the value is integral
     Q, rat = Q_backend
     x, y = Q.parse(str(a)), Q.parse(str(b))
     results = [
         (x, a), (y, b), (Q.zero, Fraction(0)), (Q.one, Fraction(1)),
         (Q.from_int(a.numerator), Fraction(a.numerator)),
         (Q.add(x, y), a + b), (Q.sub(x, y), a - b), (Q.mul(x, y), a * b), (Q.neg(x), -a),
+        (Q.add(y, x), b + a), (Q.sub(y, x), b - a), (Q.mul(y, x), b * a), (Q.neg(y), -b),
     ]
     if b:
         results += [(Q.inv(y), 1 / b), (Q.div(x, y), a / b)]
     for got, want in results:
-        assert Q.to_str(got) == str(want)
-        assert _is_canonical(got, rat), (got, want)
+        _assert_canonical_value(Q, got, want, rat)
         assert Q.is_zero(got) == (want == 0)
+
+
+_CANCELLING = [
+    # (a, op, b, result): sums, differences and products that cancel to an
+    # int, to 0, or partly, with an int operand on either side
+    ("1/2", "add", "1/2", "1"), ("5/6", "add", "1/6", "1"), ("-1/2", "add", "1/2", "0"),
+    ("1/6", "add", "1/3", "1/2"), ("1/3", "sub", "1/3", "0"), ("7/6", "sub", "1/6", "1"),
+    ("2", "mul", "1/2", "1"), ("1/3", "mul", "3", "1"), ("0", "mul", "1/3", "0"),
+    ("1/3", "mul", "0", "0"), ("6", "mul", "-1/4", "-3/2"), ("3/4", "mul", "2/3", "1/2"),
+    ("-2/3", "mul", "3/2", "-1"), ("0", "add", "1/2", "1/2"), ("1/2", "sub", "0", "1/2"),
+    ("0", "sub", "1/2", "-1/2"), ("2", "sub", "1/2", "3/2"), ("1/2", "sub", "2", "-3/2"),
+    (f"{10**40 + 1}/{3**50}", "sub", f"{10**40 + 1}/{3**50}", "0"),
+    (f"{3**50}", "mul", f"{10**40 + 1}/{3**50}", f"{10**40 + 1}"),
+    (f"{10**40 + 1}/{3**50}", "mul", f"{3**50}/{10**40 + 1}", "1"),
+    (f"-{10**40}/{3**50}", "add", f"{10**40}/{3**50}", "0"),
+    (f"1/{2**100}", "add", f"{2**100 - 1}/{2**100}", "1"),
+    (f"1/{2**100}", "mul", f"{2**99}", "1/2"),
+]
+
+
+@pytest.mark.parametrize("a, op, b, expected", _CANCELLING)
+def test_rational_ops_cancel_to_canonical_form(Q_backend, a, op, b, expected):
+    Q, rat = Q_backend
+    got = getattr(Q, op)(Q.parse(a), Q.parse(b))
+    want = getattr(operator, op)(Fraction(a), Fraction(b))
+    assert str(want) == expected
+    _assert_canonical_value(Q, got, want, rat)
+
+
+@pytest.mark.parametrize(
+    "n, d", [(1, 2), (-1, 2), (3, 4), (-7, 12), (10**40 + 1, 3**50), (-(3**50), 2**100 + 1)]
+)
+def test_fraction_builder_matches_the_stdlib(n, d):
+    # fields._fraction sets Fraction's two slots directly; a different slot
+    # layout on some Python version must fail here, not give wrong values
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    got, want = fields._fraction(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator) == (n, d)
 
 
 @pytest.mark.parametrize("text, expected", [("12", 5), ("-7", 0), ("-1", 6), ("+3", 3), (" 8 ", 1)])

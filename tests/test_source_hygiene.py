@@ -88,8 +88,13 @@ def test_scan_sees_an_unused_import():
 _SCALAR_BACKENDS = ("fractions", "gmpy2")
 
 
+# Fraction's slots, which only the fields kernel reads and writes
+_FRACTION_SLOTS = ("_numerator", "_denominator")
+
+
 def _scalar_backend_uses(tree) -> list[tuple[int, str]]:
-    """Imports of a rational backend and calls of fields._rat in a module."""
+    """Imports of a rational backend, calls of fields._rat, uses of Fraction's
+    slots and calls of object.__new__ in a module."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -98,12 +103,20 @@ def _scalar_backend_uses(tree) -> list[tuple[int, str]]:
             out.append((node.lineno, node.module))
         elif isinstance(node, ast.Call) and "_rat" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             out.append((node.lineno, "_rat()"))
+        elif isinstance(node, ast.Attribute) and node.attr in _FRACTION_SLOTS:
+            out.append((node.lineno, node.attr))
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+            and getattr(node.func.value, "id", None) == "object"
+        ):
+            out.append((node.lineno, "object.__new__()"))
     return out
 
 
 def test_scalars_are_built_only_in_fields():
     # RationalField keeps integral scalars as ints and the rest in the backend
-    # type; a scalar made anywhere else could bypass that canonical form
+    # type; a scalar made anywhere else, or a Fraction built or read through
+    # its slots, could bypass that canonical form
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "fields.py":
@@ -117,8 +130,13 @@ def test_scan_sees_a_scalar_backend_use():
     tree = ast.parse(
         "import fractions\nfrom gmpy2 import mpq\nfrom . import fields\nimport json\n"
         "x = fields._rat(1, 2)\ny = _rat(3)\nz = fields.RationalField().parse('1/2')\n"
+        "r = object.__new__(type(x))\nr._numerator = x._numerator\nr._denominator = 2\n"
+        "w = x.numerator, x.denominator, type(x).__new__(type(x))\n"
     )
-    assert _scalar_backend_uses(tree) == [(1, "fractions"), (2, "gmpy2"), (5, "_rat()"), (6, "_rat()")]
+    assert sorted(_scalar_backend_uses(tree)) == [
+        (1, "fractions"), (2, "gmpy2"), (5, "_rat()"), (6, "_rat()"), (8, "object.__new__()"),
+        (9, "_numerator"), (9, "_numerator"), (10, "_denominator"),
+    ]
 
 
 def _with_function(tree):
