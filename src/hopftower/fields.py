@@ -11,7 +11,7 @@ ints. Equal values compare and hash equal across int and the backend type, and
 ``str`` gives the same text for both. Q arithmetic on ints and Fractions runs
 on a kernel here that works on numerators and denominators directly, with the
 stdlib's gcd steps and without Fraction's operator dispatch and
-re-normalisation; see ``RationalField``.
+re-normalisation; see ``RationalField``. gmpy2's mpq keeps its own operators.
 
 Scalar strings follow one grammar on both rational backends: Q reads
 ``[+-]?digits(/[+-]?digits)?`` and F_p reads ``[+-]?digits``, with ASCII
@@ -21,13 +21,16 @@ ints, so gmpy2 and Fraction parse every string to the same value.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
 try:
     from gmpy2 import mpq as _rat
+
+    Fraction = None  # no scalar is a Fraction then, so the kernel never runs
 except ImportError:
+    from fractions import Fraction
+
     _rat = Fraction
 
 
@@ -204,7 +207,10 @@ def _mul(na: int, da: int, nb: int, db: int):
 
 
 def _scale(c: int, n: int, d: int):
-    """c · n/d in canonical form, for an int c and n/d in lowest terms with d > 1."""
+    """c · n/d in canonical form, for an int c and n/d in lowest terms with d > 1.
+
+    ``_mul(c, 1, n, d)`` gives the same result with one more gcd, gcd(n, 1).
+    """
     g = gcd(c, d)
     n, d = c // g * n, d // g
     return n if d == 1 else _fraction(n, d)
@@ -219,11 +225,17 @@ class RationalField(Field):
     exactly what the stdlib's ``_add`` and ``_mul`` cancel. Its result is
     therefore in lowest terms with a positive denominator: an int when the
     denominator is 1, else a Fraction built by ``_fraction``. An int plus a
-    fraction n/d needs no gcd at all, since gcd(c·d + n, d) = gcd(n, d) = 1.
-    Any other operand type, gmpy2's mpq in particular, keeps its own operators,
-    which are already C code; ``_q`` turns an integral result into an int, so
-    that, for example, 2 * (1/2) is the int 1 on either backend. Operands are
-    canonical Q scalars: every scalar the program holds was made here.
+    fraction n/d needs no gcd at all, since gcd(c·d + n, d) = gcd(n, d) = 1,
+    and an int times n/d needs one, in ``_scale``. These int cases are written
+    out rather than passed to ``_add`` and ``_mul`` as c/1: they are most of
+    the mixed operations, and the extra call and gcd slow the Q benchmark
+    measurably. Any other operand type, gmpy2's mpq in particular, keeps its
+    own operators, which are already C code; ``_q`` turns an integral result
+    into an int, so that, for example, 2 * (1/2) is the int 1 on either
+    backend. Where gmpy2 is installed no scalar is a Fraction: the module then
+    leaves ``fractions`` unimported and ``Fraction`` None, and the kernel never
+    runs. Operands are canonical Q scalars: every scalar the program holds was
+    made here.
     """
 
     kind = "rational"

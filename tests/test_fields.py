@@ -87,12 +87,17 @@ def test_prime_field_axioms(a, b):
 # RationalField makes every non-integral scalar through fields._rat (in parse
 # and inv; sums and products of those stay in the backend type: the direct
 # kernel for Fractions, the backend's own operators for any other type), so
-# patching _rat selects the backend.
+# patching _rat selects the backend. Where gmpy2 is installed fields leaves
+# Fraction unbound (None); the Fraction leg binds it, so that the kernel runs.
 
 
 @pytest.fixture(params=["fraction", "gmpy2"])
 def Q_backend(request, monkeypatch):
-    rat = Fraction if request.param == "fraction" else pytest.importorskip("gmpy2").mpq
+    if request.param == "fraction":
+        rat = Fraction
+        monkeypatch.setattr(fields, "Fraction", Fraction)
+    else:
+        rat = pytest.importorskip("gmpy2").mpq
     monkeypatch.setattr(fields, "_rat", rat)
     return RationalField(), rat
 
@@ -216,9 +221,10 @@ def test_rational_ops_cancel_to_canonical_form(Q_backend, a, op, b, expected):
 @pytest.mark.parametrize(
     "n, d", [(1, 2), (-1, 2), (3, 4), (-7, 12), (10**40 + 1, 3**50), (-(3**50), 2**100 + 1)]
 )
-def test_fraction_builder_matches_the_stdlib(n, d):
+def test_fraction_builder_matches_the_stdlib(monkeypatch, n, d):
     # fields._fraction sets Fraction's two slots directly; a different slot
     # layout on some Python version must fail here, not give wrong values
+    monkeypatch.setattr(fields, "Fraction", Fraction)
     assert Fraction.__slots__ == ("_numerator", "_denominator")
     got, want = fields._fraction(n, d), Fraction(n, d)
     assert type(got) is Fraction
