@@ -384,25 +384,35 @@ def span_dim(field: Field, vectors: list[dict]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def centralizer(alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = True) -> SubspaceBasis:
-    """Canonical basis of {x in alg : xs = sx for every s in sub}."""
+def centralizer(
+    alg: Algebra, sub: SubspaceBasis, require_subalgebra: bool = True, sub_generators: Optional[list] = None
+) -> SubspaceBasis:
+    """Canonical basis of {x in alg : xs = sx for every s in sub}.
+
+    Given sub_generators, elements of alg whose words with 1 span sub (pass
+    them only once alg is known to be associative with unit), x need only
+    commute with them: xss' = sxs' = ss'x, so the s that x commutes with form a
+    subalgebra. By the same identity the centralizer is then a unital
+    subalgebra, and its closure assertion, which runs without them, is skipped.
+    """
     if require_subalgebra and not sub.is_unital_subalgebra():
         raise AlgebraError("centralizer: given subspace is not a unital subalgebra")
     f = alg.field
     d = alg.dim
-    # column j: s e_j - e_j s stacked over the basis s of sub (row k * dim + r)
+    constraints = sub.vectors if sub_generators is None else sub_generators
+    # column j: s e_j - e_j s stacked over the constraints s (row k * dim + r)
     cols = []
     for j in range(d):
         ej = {j: f.one}
         col: dict = {}
-        for k, s in enumerate(sub.vectors):
+        for k, s in enumerate(constraints):
             diff = alg.mul_sparse(s, ej)
             for r, c in alg.mul_sparse(ej, s).items():
                 sparse_add(f, diff, r, f.neg(c))
             col.update((k * d + r, c) for r, c in diff.items())
         cols.append(col)
-    out = SubspaceBasis.from_spanning(alg, kernel_basis(LinMap(f, cols, len(sub.vectors) * d)))
-    if not out.is_unital_subalgebra():
+    out = SubspaceBasis.from_spanning(alg, kernel_basis(LinMap(f, cols, len(constraints) * d)))
+    if sub_generators is None and not out.is_unital_subalgebra():
         raise AlgebraError("centralizer output failed closure check")
     return out
 
@@ -423,9 +433,16 @@ class TensorQuotient:
     sparse RREF by a SparseSolver. The canonical quotient basis ``basis`` lists
     the tuples of the non-pivot coordinates, and ``project`` reduces modulo the
     relations. RREF is unique, so neither depends on the order of the rows.
+
+    Given n_generators, elements of M whose words with 1 span N (pass them only
+    once M is known to be associative with unit), n runs over them alone. The
+    relations span the same space: for n = ws the relation at (x, y) is the
+    one for s at (xw, y) plus the one for w at (x, sy), as
+    xws (x) y - x (x) wsy = (xw s (x) y - xw (x) sy) + (xw (x) sy - x (x) w sy),
+    so the n whose relations lie in their span form a subalgebra.
     """
 
-    def __init__(self, M: Algebra, N: SubspaceBasis, factors: int = 2):
+    def __init__(self, M: Algebra, N: SubspaceBasis, factors: int = 2, n_generators: Optional[list] = None):
         self.M = M
         self.N = N
         f = M.field
@@ -436,7 +453,7 @@ class TensorQuotient:
         # per n: the products e_a n and n e_b over the basis of M
         sides = [
             ([M.mul_sparse({a: one}, n) for a in range(d)], [M.mul_sparse(n, {b: one}) for b in range(d)])
-            for n in N.vectors
+            for n in (N.vectors if n_generators is None else n_generators)
         ]
         relations = SparseSolver(f, size, reduce_fully=True)
         for right, left in sides:
@@ -583,15 +600,27 @@ class MorphismReport:
         return self.is_homomorphism and self.is_isomorphism
 
 
-def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5) -> MorphismReport:
-    """Multiplicativity and unitality on all basis pairs; bijectivity via rank."""
+def check_morphism(
+    f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5, domain_generators: Optional[list] = None
+) -> MorphismReport:
+    """Unitality, multiplicativity on all basis pairs, bijectivity via rank.
+
+    Given domain_generators, elements whose words with 1 span A (pass them
+    only once A and B are both known to be associative with unit),
+    multiplicativity is first checked on the pairs (e_i, g) alone. When
+    f(1) = 1, the y with f(xy) = f(x)f(y) for all x hold 1 and form a
+    subalgebra, as f(xyz) = f(xy)f(z) = f(x)f(y)f(z) = f(x)f(yz). On any
+    failure there, or when f(1) != 1, the scan over all basis pairs runs, so
+    the failures listed are always its own.
+    """
     if f_map.domain_dim != A.dim or f_map.codomain_dim != B.dim:
         raise DimensionError("check_morphism: map shape does not match algebras")
     fld = A.field
-    failures = []
-    if f_map.apply(A.unit) != B.unit:
-        failures.append({"kind": "unit"})
     images = f_map.columns
+    unit_ok = f_map.apply(A.unit) == B.unit
+    if unit_ok and domain_generators is not None and _multiplicative_on(f_map, A, B, domain_generators):
+        return MorphismReport(True, A.dim == B.dim and rank(f_map) == A.dim, [])
+    failures = [] if unit_ok else [{"kind": "unit"}]
     for i in range(A.dim):
         for j in range(A.dim):
             lhs = f_map.apply(A.table[i][j])
@@ -608,3 +637,15 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5)
     is_homo = not failures
     is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
     return MorphismReport(is_homo, is_iso, failures)
+
+
+def _multiplicative_on(f_map: LinMap, A: Algebra, B: Algebra, rights: list) -> bool:
+    """f(e_i y) = f(e_i) f(y) for every basis i and every y in rights."""
+    one = A.field.one
+    images = f_map.columns
+    for y in rights:
+        fy = f_map.apply(y)
+        for i in range(A.dim):
+            if f_map.apply(A.mul_sparse({i: one}, y)) != B.mul_sparse(images[i], fy):
+                return False
+    return True

@@ -75,17 +75,37 @@ class DepthTwoData:
 # ---------------------------------------------------------------------------
 
 
+# a level's checks under which a subalgebra's centralizer in it needs only the
+# subalgebra's generators: the level is associative and its inclusion multiplicative
+_SUBALGEBRA_CHECKS = ("algebra-axioms", "inclusion-monomorphism")
+
+
 def second_centralizers(t) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-    """A = C_M1(N), B = C_M2(M), C = C_M2(N), canonical bases."""
-    n_in_m1 = SubspaceBasis(t.M1, t.incl1.compose(t.base_sys.ext.embed).columns)
-    A = centralizer(t.M1, n_in_m1)
+    """A = C_M1(N), B = C_M2(M), C = C_M2(N), canonical bases.
+
+    The constraints run on generators of the subalgebra where the tower's
+    checks make their images generate it and the ambient level associative
+    (see centralizer): A on incl1(S_N) once M1 passed algebra-axioms and incl1
+    inclusion-monomorphism; B on incl2(incl1(S_M)) and C on incl2(incl1(S_N))
+    once M2 passed algebra-axioms and both inclusions inclusion-monomorphism.
+    S_N is t.n_generators, S_M the level-1 generators without e1. Else on the
+    basis.
+    """
+    level1, level2 = t.levels
+    in_m1 = t.incl1.compose(t.base_sys.ext.embed)
+    n_in_m1 = SubspaceBasis(t.M1, in_m1.columns)
+    n_gens = None if t.n_generators is None else [in_m1.apply(g) for g in t.n_generators]
+    A = centralizer(t.M1, n_in_m1, sub_generators=n_gens if level1.passed(*_SUBALGEBRA_CHECKS) else None)
+    m2_ok = level2.passed(*_SUBALGEBRA_CHECKS) and level1.passed("inclusion-monomorphism")
     m_in_m2 = SubspaceBasis(t.M2, t.incl2.compose(t.incl1).columns)
-    B = centralizer(t.M2, m_in_m2)
+    m_gens = [t.incl2.apply(g) for g in level1.generators[:-1]]
+    B = centralizer(t.M2, m_in_m2, sub_generators=m_gens if m2_ok else None)
     n_in_m2 = SubspaceBasis(
         t.M2,
         [t.incl2.apply(v) for v in n_in_m1.vectors],
     )
-    C = centralizer(t.M2, n_in_m2)
+    n_gens2 = [t.incl2.apply(g) for g in n_gens] if m2_ok and n_gens is not None else None
+    C = centralizer(t.M2, n_in_m2, sub_generators=n_gens2)
     return A, B, C
 
 
@@ -137,8 +157,7 @@ def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
     x = sum X_i E(Y_i x) in span(X . incl(down)). Otherwise on the basis.
     """
     gens = {}
-    outcomes = dict(level.checks)
-    if all(outcomes[name].ok for name in _MODULE_MAP_CHECKS):
+    if level.passed(*_MODULE_MAP_CHECKS):
         xs = [x for x, _ in level.dual_pairs]
         ys = [y for _, y in level.dual_pairs]
         gens = {"left_gens": module_generators(level.algebra, level.incl, "left", ys),

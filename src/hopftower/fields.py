@@ -219,14 +219,15 @@ def _scale(c: int, n: int, d: int):
 class RationalField(Field):
     """Q: int scalars when integral, gmpy2.mpq or Fraction in lowest terms otherwise.
 
-    ``add``, ``sub``, ``mul`` and ``neg`` dispatch on the exact operand types.
+    ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` dispatch on the exact operand types.
     Two ints use int arithmetic. An int and a Fraction, or two Fractions, go to
     the kernel above, which works on numerators and denominators and cancels
     exactly what the stdlib's ``_add`` and ``_mul`` cancel. Its result is
     therefore in lowest terms with a positive denominator: an int when the
     denominator is 1, else a Fraction built by ``_fraction``. An int plus a
     fraction n/d needs no gcd at all, since gcd(c·d + n, d) = gcd(n, d) = 1,
-    and an int times n/d needs one, in ``_scale``. These int cases are written
+    and an int times n/d needs one, in ``_scale``; an inverse needs none, as
+    d/n of a fraction in lowest terms is one too. These int cases are written
     out rather than passed to ``_add`` and ``_mul`` as c/1: they are most of
     the mixed operations, and the extra call and gcd slow the Q benchmark
     measurably. Any other operand type, gmpy2's mpq in particular, keeps its
@@ -300,8 +301,21 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
+        # 1/a of a canonical a is already in lowest terms: swap numerator and
+        # denominator and move the sign, with no gcd
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        ta = type(a)
+        if ta is int and (a == 1 or a == -1):
+            return a
+        if Fraction is not None:
+            if ta is int:
+                return _fraction(1, a) if a > 0 else _fraction(-1, -a)
+            if ta is Fraction:
+                n, d = a._numerator, a._denominator
+                if n < 0:
+                    n, d = -n, -d
+                return d if n == 1 else _fraction(d, n)
         return _q(1 / _rat(a))
 
     def parse(self, s: str):

@@ -6,7 +6,7 @@ every downstream object (index, Nakayama automorphism, tower) is canonical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Optional
 
 from .algebra import (
@@ -28,14 +28,24 @@ class FrobeniusError(ValueError):
 
 @dataclass
 class ExtensionSpec:
-    """Extension N in M; E (when given) maps M to N-coordinates."""
+    """Extension N in M; E (when given) maps M to N-coordinates.
+
+    induced, when given, is N's algebra and its embedding into M, handed over
+    where N is the image of a verified unital injective homomorphism from that
+    algebra: the image is then a unital subalgebra and the induced structure is
+    the domain's, so the closure scan and ``induced_algebra`` are skipped.
+    """
 
     M: Algebra
     N: SubspaceBasis
     E: Optional[LinMap] = None
     dual_pairs: Optional[list[tuple[dict, dict]]] = None
+    induced: InitVar[Optional[tuple[Algebra, LinMap]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, induced):
+        if induced is not None:
+            self._n_alg, self._embed = induced
+            return
         if not self.N.is_unital_subalgebra():
             raise AlgebraError("N is not a unital subalgebra of M")
         self._n_alg, self._embed = self.N.induced_algebra()

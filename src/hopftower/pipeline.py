@@ -77,6 +77,7 @@ class PipelineState:
     H_B: Optional[HopfStructure] = None
     H_A: Optional[HopfStructure] = None
     naka: Optional[object] = None
+    m_associative: bool = False  # M passed its algebra-axioms check
 
 
 def run_pipeline(
@@ -94,9 +95,10 @@ def run_pipeline(
     hypotheses: dict = {}
     dims = {"m": ext.M.dim, "n": ext.N.dim}
 
-    # one generating set of M, for its associativity check and the tower's
+    # one generating set each of M and N, for the checks that run on generators
     m_generators = generators(ext.M)
-    _stage_frobenius(rep, state, hypotheses, m_generators)
+    n_generators = generators(ext.n_algebra)
+    _stage_frobenius(rep, state, hypotheses, m_generators, n_generators)
     flags = state.sys.flags if state.sys is not None else None
     stop = STAGES.index(upto)
 
@@ -110,7 +112,7 @@ def run_pipeline(
             tower_gate = "extension is not strongly separable (E(1) = 0 or index = 0)"
 
     if stop >= 1:
-        _stage_tower(rep, state, hypotheses, dims, tower_gate, levels, m_generators)
+        _stage_tower(rep, state, hypotheses, dims, tower_gate, levels, m_generators, n_generators)
     depth2_gate = tower_gate
     if depth2_gate is None and levels < 2:
         depth2_gate = "tower built to level 1 only (--levels 1)"
@@ -147,13 +149,16 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict, m_generators: list) -> None:
+def _stage_frobenius(
+    rep: Reporter, state: PipelineState, hypotheses: dict, m_generators: list, n_generators: list
+) -> None:
     ext = state.ext
     f = ext.M.field
     axioms = algebra_outcome(ext.M, m_generators)
     rep.outcome("algebra-axioms", axioms)
+    state.m_associative = axioms.ok
     # the bimodule checks may run on generators of N once M is an algebra
-    n_seeds = () if axioms.ok else None
+    n_seeds = n_generators if axioms.ok else None
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
@@ -206,7 +211,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, hypotheses: dict, m_ge
     hypotheses["centralizer_dim"] = flags.centralizer_dim
 
 
-def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators) -> None:
+def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_generators) -> None:
     tower_checks = ("tower-level-1", "tower-level-2", "triple-tensor",
                     "braid-relations", "pimsner-popa", "cyclic-span", "endo-ring-iso")
     if gate is not None:
@@ -225,7 +230,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators) -> No
 
     if levels < 2:
         try:
-            level1 = basic_construction(state.sys, m_generators)
+            level1 = basic_construction(state.sys, m_generators, state.m_associative)
         except (TowerError, FrobeniusError) as exc:
             rep.add("tower-level-1", FAIL, reason=str(exc))
             for cid in tower_checks[1:]:
@@ -243,7 +248,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators) -> No
                 witness=None if endo.ok else {"failures": endo.failures[:3]})
         return
     try:
-        tower = build_tower(state.sys, m_generators)
+        tower = build_tower(state.sys, m_generators, state.m_associative, n_generators)
     except (TowerError, FrobeniusError) as exc:
         rep.add("tower-level-1", FAIL, reason=str(exc))
         for cid in tower_checks[1:]:

@@ -56,6 +56,11 @@ class TowerLevel:
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
 
+    def passed(self, *names: str) -> bool:
+        """Whether every named check of this level came out true."""
+        outcomes = dict(self.checks)
+        return all(outcomes[name].ok for name in names)
+
 
 @dataclass
 class TowerData:
@@ -63,6 +68,7 @@ class TowerData:
     levels: list  # [TowerLevel, TowerLevel]
     F: LinMap  # M2 -> M coordinates
     emtwo_checks: list
+    n_generators: Optional[list] = None  # generators of N, in N-coordinates
 
     @property
     def M(self) -> Algebra:
@@ -120,7 +126,9 @@ class TowerData:
 # ---------------------------------------------------------------------------
 
 
-def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = None) -> TowerLevel:
+def basic_construction(
+    sys: FrobeniusSystem, below_generators: Optional[list] = None, below_associative: bool = False
+) -> TowerLevel:
     """E-multiplication on M (x)_N M, with unit, Jones idempotent, inclusion
     and conditional expectation all rebuilt and re-verified.
 
@@ -128,7 +136,11 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
     a (x) b = a e1 b, M1 = M e1 M, so their images under the inclusion and e1
     generate M1; the associativity check of M1 starts from them. Once M1 is
     associative, they also seed the generators of M inside M1 that the
-    bimodule check of the conditional expectation runs on.
+    bimodule check of the conditional expectation runs on, and, when
+    below_associative says M passed its own algebra-axioms check, the
+    multiplicativity check of the inclusion runs on them (check_morphism).
+    Once the inclusion passed inclusion-monomorphism, the extension of M1 over
+    its image takes M and the inclusion as that image's algebra and embedding.
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -185,11 +197,13 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
     checks.append(("jones-idempotent", CheckOutcome(idem, [] if idem else [{"kind": "e^2 != e"}])))
 
     mono = rank(incl) == M.dim
-    morph = check_morphism(incl, M, alg1)
+    both_associative = below_associative and checks[0][1].ok
+    morph = check_morphism(incl, M, alg1, domain_generators=below_generators if both_associative else None)
+    incl_ok = mono and morph.is_homomorphism
     checks.append(
         (
             "inclusion-monomorphism",
-            CheckOutcome(mono and morph.is_homomorphism, morph.failures if not morph.is_homomorphism else []),
+            CheckOutcome(incl_ok, morph.failures if not morph.is_homomorphism else []),
         )
     )
 
@@ -197,7 +211,7 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
     cond_exp = LinMap(f, [sparse_scale(f, lam, M.table[a][b]) for a, b in tq.basis], M.dim)
 
     n1 = SubspaceBasis(alg1, incl.columns)
-    ext1 = ExtensionSpec(alg1, n1, E=cond_exp)
+    ext1 = ExtensionSpec(alg1, n1, E=cond_exp, induced=(M, incl) if incl_ok else None)
     # n1 has basis incl(e_i), so the generators of M are its coordinates
     n_seeds = below_generators if checks[0][1].ok else None
     checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, seeds=n_seeds)))
@@ -243,28 +257,43 @@ def basic_construction(sys: FrobeniusSystem, below_generators: Optional[list] = 
 # ---------------------------------------------------------------------------
 
 
-def build_tower(sys: FrobeniusSystem, below_generators: Optional[list] = None) -> TowerData:
-    """Two basic constructions plus the composite functional F = E_M o E_M1;
-    below_generators generate M, as in basic_construction."""
-    level1 = basic_construction(sys, below_generators)
+def build_tower(
+    sys: FrobeniusSystem,
+    below_generators: Optional[list] = None,
+    m_associative: bool = False,
+    n_generators: Optional[list] = None,
+) -> TowerData:
+    """Two basic constructions plus the composite functional F = E_M o E_M1.
+
+    below_generators generate M, as in basic_construction; m_associative says
+    M passed its algebra-axioms check. n_generators generate N (in
+    N-coordinates); the tower keeps them for second_centralizers. The
+    quotient M1 (x)_M M1 takes its relations on incl(S_M) once M1 passed
+    algebra-axioms and incl inclusion-monomorphism, and the triple quotient on
+    generators of N once M is associative (TensorQuotient); else on the basis.
+    """
+    level1 = basic_construction(sys, below_generators, m_associative)
     sys1 = level1.sys
     assert sys1 is not None
     if sys1.lambda_inverse is None or sys.M.field.is_zero(sys1.lambda_inverse):
         raise TowerError("level-1 index is not a nonzero scalar")
-    sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N)
+    m1_associative = level1.passed("algebra-axioms")
+    m_in_m1 = level1.generators[:-1] if m1_associative and level1.passed("inclusion-monomorphism") else None
+    sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N, n_generators=m_in_m1)
     sys1.dual_tensor = pairs_to_tensor(sys1.tq, level1.algebra, sys1.dual_pairs)
-    level2 = basic_construction(sys1, level1.generators)
+    level2 = basic_construction(sys1, level1.generators, m1_associative)
     F = level1.cond_exp.compose(level2.cond_exp)
-    tower = TowerData(base_sys=sys, levels=[level1, level2], F=F, emtwo_checks=[])
-    tower.emtwo_checks.extend(_verify_triple_tensor(tower))
+    tower = TowerData(base_sys=sys, levels=[level1, level2], F=F, emtwo_checks=[], n_generators=n_generators)
+    tower.emtwo_checks.extend(_verify_triple_tensor(tower, n_generators if m_associative else None))
     return tower
 
 
-def _verify_triple_tensor(t: TowerData) -> list:
+def _verify_triple_tensor(t: TowerData, n_generators: Optional[list]) -> list:
     """Checks of M2 against the three-fold tensor picture M (x)_N M (x)_N M:
     the rebracketing map is bijective, the conditional expectation matches
     m1 (x) m2 (x) m3 -> lam m1 E(m2) (x) m3, and the closed forms of e2 and
-    1_2 in triple coordinates agree."""
+    1_2 in triple coordinates agree. n_generators (N-coordinates, given only
+    once M is associative) give the triple quotient's relations."""
     sys = t.base_sys
     M, f = t.M, t.M.field
     d = M.dim
@@ -273,7 +302,9 @@ def _verify_triple_tensor(t: TowerData) -> list:
     assert tq1 is not None
     e_into_m = sys.ext.e_into_m(sys.E)
 
-    triple = TensorQuotient(M, sys.ext.N, factors=3)
+    embed = sys.ext.embed
+    n_in_m = None if n_generators is None else [embed.apply(g) for g in n_generators]
+    triple = TensorQuotient(M, sys.ext.N, factors=3, n_generators=n_in_m)
 
     # phi on the canonical basis of M2: [(a,b) (x) (c,dd)] -> a (x) b.c (x) dd
     level2 = t.levels[1]

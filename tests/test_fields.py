@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopftower import fields
 from hopftower.fields import (
@@ -173,6 +173,12 @@ def _assert_canonical_value(Q, got, want, rat):
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_rationals, _rationals)
+# inverses of +-1, of other +-ints, of +-1/n and of general +-n/d
+@example(Fraction(1), Fraction(-1))
+@example(Fraction(7), Fraction(-12))
+@example(Fraction(1, 5), Fraction(-1, 9))
+@example(Fraction(12, 7), Fraction(-5, 12))
+@example(Fraction(1, 2**100), Fraction(-(3**50), 2**100 + 1))
 def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
     # every operation agrees with plain Fraction arithmetic, in both operand
     # orders, and returns an int exactly when the value is integral
@@ -184,6 +190,8 @@ def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
         (Q.add(x, y), a + b), (Q.sub(x, y), a - b), (Q.mul(x, y), a * b), (Q.neg(x), -a),
         (Q.add(y, x), b + a), (Q.sub(y, x), b - a), (Q.mul(y, x), b * a), (Q.neg(y), -b),
     ]
+    if a:
+        results += [(Q.inv(x), 1 / a), (Q.div(y, x), b / a)]
     if b:
         results += [(Q.inv(y), 1 / b), (Q.div(x, y), a / b)]
     for got, want in results:

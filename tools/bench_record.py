@@ -3,9 +3,10 @@
 Exports each commit with ``git archive`` into a fresh temporary directory and
 runs its own ``bench/run.py --seconds 30 --trace 0`` there on every workload,
 in 10 alternating pairs: pair i uses seed ``--seed0 + i`` on both sides, and
-even pairs run the parent first, odd pairs the change. Then it makes one
-``--trace 1`` run of every workload per side. Run from the repository root,
-for example:
+even pairs run the parent first, odd pairs the change. Then it makes three
+``--trace 1`` runs of every workload per side, alternating in the same way, as
+a single traced pass carries the whole run-to-run spread of the machine. Run
+from the repository root, for example:
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
         --seed0 801 --out BENCH_6.json
@@ -13,8 +14,9 @@ for example:
 The file names each side's commit and the git tree of its ``src/``. It holds,
 per workload, every pair's end-to-end metrics, each side's median and
 quartiles with the number of pairs the change won, and the full ``results``
-line of the first pair on each side; and, per workload and side, the traced
-run's per-layer metrics and its ``results`` line.
+line of the first pair on each side; and, per workload and side, the median
+of each per-layer metric over the traced runs, beside each traced run's
+metrics and ``results`` line.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from pathlib import Path
 WORKLOADS = ("model-f7", "catalog-q", "catalog-fp")
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED_RUNS = 3
 SECONDS = 30
 
 
@@ -80,6 +83,15 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def layer_medians(runs: list) -> dict:
+    """Per metric of the traced runs: its unit and its median value."""
+    metrics = [run["metrics"]["metrics"] for run in runs]
+    return {
+        name: {"unit": m["unit"], "value": statistics.median(ms[name]["value"] for ms in metrics)}
+        for name, m in metrics[0].items()
+    }
+
+
 def compare(args, work: Path) -> dict:
     roots = {side: work / side for side in SIDES}
     sides = {side: export(getattr(args, side), roots[side]) for side in SIDES}
@@ -109,11 +121,14 @@ def compare(args, work: Path) -> dict:
             "results_first_pair": {s: pairs[0][s]["results"] for s in SIDES},
         }
     for workload in WORKLOADS:
-        record["trace"][workload] = {}
-        for side in SIDES:
-            run = run_bench(roots[side], workload, args.seed0, 1)
-            record["trace"][workload][side] = {"seed": args.seed0, "metrics": run["metrics"],
-                                               "results": run["results"]}
+        runs = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            seed = args.seed0 + i
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append({"seed": seed, **run_bench(roots[side], workload, seed, 1)})
+        record["trace"][workload] = {
+            side: {"median": layer_medians(runs[side]), "runs": runs[side]} for side in SIDES
+        }
     return record
 
 
