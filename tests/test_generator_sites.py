@@ -6,7 +6,7 @@ elements once they hold on its generators and the ambient algebras are
 associative (the docstrings give the one-line proofs). These tests pin, on
 every catalog example over Q and F7, that the generator path gives the same
 quotient, the same canonical centralizer bases and the same failure lists as
-the basis loop, and that a failed gate keeps every site on the basis loop.
+the basis loop, and that a site whose gate failed runs the basis loop.
 """
 import functools
 from dataclasses import replace
