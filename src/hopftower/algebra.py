@@ -107,6 +107,7 @@ class AlgebraReport:
     ok: bool
     unit_failures: list
     assoc_failures: list
+    generators: Optional[list] = None  # generators(alg, seeds), None when a unit law failed
 
     def summary(self) -> str:
         if self.ok:
@@ -260,16 +261,18 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
             unit_failures.append({"basis": i, "left": left, "right": right})
             if len(unit_failures) >= max_failures:
                 break
+    gens = None
     if not unit_failures:
         one = f.one
-        rights = [[alg.mul_sparse({l: one}, g) for l in range(alg.dim)] for g in generators(alg, seeds)]
+        gens = generators(alg, seeds)
+        rights = [[alg.mul_sparse({l: one}, g) for l in range(alg.dim)] for g in gens]
         if not _assoc_failures(alg, rights, 1):
-            return AlgebraReport(True, [], [])
+            return AlgebraReport(True, [], [], gens)
     # the full scan: right factors e_k, with e_l e_k = table[l][k]
     columns = [[alg.table[l][k] for l in range(alg.dim)] for k in range(alg.dim)]
     assoc_failures = _assoc_failures(alg, columns, max_failures)
     ok = not unit_failures and not assoc_failures
-    return AlgebraReport(ok, unit_failures, assoc_failures)
+    return AlgebraReport(ok, unit_failures, assoc_failures, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -615,37 +618,37 @@ def check_morphism(
     """
     if f_map.domain_dim != A.dim or f_map.codomain_dim != B.dim:
         raise DimensionError("check_morphism: map shape does not match algebras")
-    fld = A.field
-    images = f_map.columns
     unit_ok = f_map.apply(A.unit) == B.unit
-    if unit_ok and domain_generators is not None and _multiplicative_on(f_map, A, B, domain_generators):
-        return MorphismReport(True, A.dim == B.dim and rank(f_map) == A.dim, [])
+    if unit_ok and domain_generators is not None:
+        one = A.field.one
+        rights = [(f_map.apply(g), [A.mul_sparse({i: one}, g) for i in range(A.dim)]) for g in domain_generators]
+        if not _mult_failures(f_map, A, B, rights, 1):
+            return MorphismReport(True, A.dim == B.dim and rank(f_map) == A.dim, [])
     failures = [] if unit_ok else [{"kind": "unit"}]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = f_map.apply(A.table[i][j])
-            rhs = B.mul_sparse(images[i], images[j])
-            if lhs != rhs:
-                failures.append({
-                    "kind": "mult", "pair": (i, j),
-                    "lhs": fld.witness(B.to_dense(lhs)), "rhs": fld.witness(B.to_dense(rhs)),
-                })
-                if len(failures) >= max_failures:
-                    break
-        if len(failures) >= max_failures:
-            break
+    # the full scan: right factors e_j, with e_i e_j = table[i][j]
+    columns = [(f_map.columns[j], [A.table[i][j] for i in range(A.dim)]) for j in range(A.dim)]
+    w = A.field.witness
+    failures += [
+        {"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
+        for pair, lhs, rhs in _mult_failures(f_map, A, B, columns, max_failures - len(failures))
+    ]
     is_homo = not failures
     is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
     return MorphismReport(is_homo, is_iso, failures)
 
 
-def _multiplicative_on(f_map: LinMap, A: Algebra, B: Algebra, rights: list) -> bool:
-    """f(e_i y) = f(e_i) f(y) for every basis i and every y in rights."""
-    one = A.field.one
+def _mult_failures(f_map: LinMap, A: Algebra, B: Algebra, rights: list, max_failures: int) -> list:
+    """((i, r), f(e_i g_r), f(e_i) f(g_r)) where the two differ, in that loop
+    order, for right factors given by rights[r] = (f(g_r), [e_l g_r for each
+    basis l]); at most max_failures of them (at least one when any)."""
     images = f_map.columns
-    for y in rights:
-        fy = f_map.apply(y)
-        for i in range(A.dim):
-            if f_map.apply(A.mul_sparse({i: one}, y)) != B.mul_sparse(images[i], fy):
-                return False
-    return True
+    failures = []
+    for i in range(A.dim):
+        for r, (f_g, products) in enumerate(rights):
+            lhs = f_map.apply(products[i])
+            rhs = B.mul_sparse(images[i], f_g)
+            if lhs != rhs:
+                failures.append(((i, r), lhs, rhs))
+                if len(failures) >= max_failures:
+                    return failures
+    return failures

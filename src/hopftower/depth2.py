@@ -88,7 +88,7 @@ def second_centralizers(t) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]
     (see centralizer): A on incl1(S_N) once M1 passed algebra-axioms and incl1
     inclusion-monomorphism; B on incl2(incl1(S_M)) and C on incl2(incl1(S_N))
     once M2 passed algebra-axioms and both inclusions inclusion-monomorphism.
-    S_N is t.n_generators, S_M the level-1 generators without e1. Else on the
+    S_N is t.n_generators; incl1(S_M) is level 1's incl_generators. Else on the
     basis.
     """
     level1, level2 = t.levels
@@ -98,7 +98,7 @@ def second_centralizers(t) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]
     A = centralizer(t.M1, n_in_m1, sub_generators=n_gens if level1.passed(*_SUBALGEBRA_CHECKS) else None)
     m2_ok = level2.passed(*_SUBALGEBRA_CHECKS) and level1.passed("inclusion-monomorphism")
     m_in_m2 = SubspaceBasis(t.M2, t.incl2.compose(t.incl1).columns)
-    m_gens = [t.incl2.apply(g) for g in level1.generators[:-1]]
+    m_gens = [t.incl2.apply(g) for g in level1.incl_generators]
     B = centralizer(t.M2, m_in_m2, sub_generators=m_gens if m2_ok else None)
     n_in_m2 = SubspaceBasis(
         t.M2,

@@ -16,7 +16,6 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     centralizer,
-    generators,
     verify_algebra,
 )
 from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
@@ -109,13 +108,19 @@ def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
     """verify_algebra as a check outcome: unit then associativity failures,
     with both sides in report-witness form. The seeds start the generating
     set the associativity check runs on."""
+    return algebra_check(alg, seeds)[0]
+
+
+def algebra_check(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcome, Optional[list]]:
+    """algebra_outcome together with generators(alg, seeds), the generating
+    set the associativity check ran on; None when a unit law failed first."""
     rep = verify_algebra(alg, seeds=seeds)
     w = alg.field.witness
     failures = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])}
                 for fl in rep.unit_failures]
     failures += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])}
                  for fl in rep.assoc_failures]
-    return CheckOutcome(rep.ok, failures)
+    return CheckOutcome(rep.ok, failures), rep.generators
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,10 @@ def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
 
 
 def verify_conditional_expectation(
-    ext: ExtensionSpec, E: LinMap, max_failures: int = 5, seeds: Optional[Iterable[dict]] = None
+    ext: ExtensionSpec,
+    E: LinMap,
+    max_failures: int = 5,
+    n_generators: Optional[list] = None,
 ) -> CheckOutcome:
     """E(nmn') = nE(m)n' on basis triples and E(1) = 1.
 
@@ -132,13 +140,15 @@ def verify_conditional_expectation(
     (E(n m) = n E(m) and E(m n) = E(m) n on basis pairs), which is what gets
     checked; this keeps the cost at 2 dim N dim M products.
 
-    Given seeds (pass them only once M is known to be associative with unit),
-    the one-sided properties are first checked for n in S = generators(N, seeds)
-    only. {n : E(nm) = nE(m) and E(mn) = E(m)n for all m} is a subspace that
-    holds 1 and is closed under products, as E(n n' m) = n E(n' m) = n n' E(m)
-    and likewise on the right; so it holds every word in S, which is all of N.
-    When that check fails, the loop over the basis of N runs, so the failures
-    listed are always its own.
+    Given n_generators, elements of N (N-coordinates) whose words with 1 span
+    N, as generators() returns them (pass them only once M is known to be
+    associative with unit), the one-sided properties are first checked for n
+    in them only. {n : E(nm) = nE(m) and E(mn) = E(m)n for all m} is a
+    subspace that holds 1 and is closed under products, as
+    E(n n' m) = n E(n' m) = n n' E(m) and likewise on the right; so it holds
+    every word in n_generators, which is all of N. When that check fails,
+    the loop over the basis of N runs, so the failures listed are always its
+    own.
     """
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
@@ -146,7 +156,7 @@ def verify_conditional_expectation(
     e_unit = E.apply(M.unit)
     if e_unit != n_alg.unit:
         failures.append({"kind": "unit", "value": f.witness(n_alg.to_dense(e_unit))})
-    if seeds is not None and not _bimodule_failures(ext, E, generators(n_alg, seeds), 1):
+    if n_generators is not None and not _bimodule_failures(ext, E, n_generators, 1):
         return CheckOutcome(not failures, failures)
     failures += _bimodule_failures(ext, E, [{a: f.one} for a in range(n_alg.dim)], max_failures - len(failures))
     return CheckOutcome(not failures, failures)

@@ -158,14 +158,14 @@ def _stage_frobenius(
     rep.outcome("algebra-axioms", axioms)
     state.m_associative = axioms.ok
     # the bimodule checks may run on generators of N once M is an algebra
-    n_seeds = n_generators if axioms.ok else None
+    n_gens = n_generators if axioms.ok else None
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
         rep.add("cond-expectation", FAIL, reason="no conditional expectation supplied")
         hypotheses["frobenius"] = False
         return
-    ce = verify_conditional_expectation(ext, ext.E, seeds=n_seeds)
+    ce = verify_conditional_expectation(ext, ext.E, n_generators=n_gens)
     try:
         sys = solve_dual_bases(ext, ext.E)
     except FrobeniusError as exc:
@@ -195,7 +195,7 @@ def _stage_frobenius(
             rep.add("normalization", FAIL, reason=str(exc))
             hypotheses["frobenius"] = False
             return
-    rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E, seeds=n_seeds))
+    rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E, n_generators=n_gens))
     rep.outcome("frobenius-identities", verify_frobenius_identities(sys))
     central = all(ext.M.commutes(sys.index, {i: f.one}) for i in range(ext.M.dim))
     rep.add("index-central", PASS if central else FAIL)

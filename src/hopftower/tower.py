@@ -26,7 +26,7 @@ from .frobenius import (
     FrobeniusError,
     FrobeniusFlags,
     FrobeniusSystem,
-    algebra_outcome,
+    algebra_check,
     index_of_pairs,
     pairs_to_tensor,
     scalar_of,
@@ -51,7 +51,8 @@ class TowerLevel:
     dual_pairs: list  # E-dual bases of this level over the one below
     sys: Optional[FrobeniusSystem]  # Frobenius system for algebra / below
     checks: list  # (name, CheckOutcome)
-    generators: list  # incl(S) for generators S of below, then e: they generate algebra = below e below
+    incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
+    generators: list  # generators(algebra, incl_generators + [e]): words in them span algebra
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
@@ -132,15 +133,18 @@ def basic_construction(
     """E-multiplication on M (x)_N M, with unit, Jones idempotent, inclusion
     and conditional expectation all rebuilt and re-verified.
 
-    below_generators generate M (default: generators(M)). Since
-    a (x) b = a e1 b, M1 = M e1 M, so their images under the inclusion and e1
-    generate M1; the associativity check of M1 starts from them. Once M1 is
-    associative, they also seed the generators of M inside M1 that the
-    bimodule check of the conditional expectation runs on, and, when
-    below_associative says M passed its own algebra-axioms check, the
-    multiplicativity check of the inclusion runs on them (check_morphism).
-    Once the inclusion passed inclusion-monomorphism, the extension of M1 over
-    its image takes M and the inclusion as that image's algebra and embedding.
+    below_generators are elements whose words with 1 span M, as generators()
+    returns them (default: generators(M)). Since a (x) b = a e1 b,
+    M1 = M e1 M, so their images under the inclusion and e1 should generate
+    M1; the associativity check of M1 forms generators(M1, those images and
+    e1) and the level keeps that set, whose words do span M1, as its
+    generators. When below_associative says M passed its own
+    algebra-axioms check and M1 passes, the multiplicativity check of the
+    inclusion runs on below_generators (check_morphism). Once the inclusion
+    passed inclusion-monomorphism, the extension of M1 over its image takes M
+    and the inclusion as that image's algebra and embedding, and, with M1
+    associative, the bimodule check of the conditional expectation runs on
+    below_generators.
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -191,13 +195,16 @@ def basic_construction(
 
     if below_generators is None:
         below_generators = generators(M)
-    gens = [incl.apply(g) for g in below_generators] + [e1]
-    checks = [("algebra-axioms", algebra_outcome(alg1, gens))]
+    incl_gens = [incl.apply(g) for g in below_generators]
+    axioms, gens = algebra_check(alg1, incl_gens + [e1])
+    if gens is None:  # a unit law failed before the generating set was formed
+        gens = generators(alg1, incl_gens + [e1])
+    checks = [("algebra-axioms", axioms)]
     idem = alg1.mul_sparse(e1, e1) == e1
     checks.append(("jones-idempotent", CheckOutcome(idem, [] if idem else [{"kind": "e^2 != e"}])))
 
     mono = rank(incl) == M.dim
-    both_associative = below_associative and checks[0][1].ok
+    both_associative = below_associative and axioms.ok
     morph = check_morphism(incl, M, alg1, domain_generators=below_generators if both_associative else None)
     incl_ok = mono and morph.is_homomorphism
     checks.append(
@@ -212,9 +219,8 @@ def basic_construction(
 
     n1 = SubspaceBasis(alg1, incl.columns)
     ext1 = ExtensionSpec(alg1, n1, E=cond_exp, induced=(M, incl) if incl_ok else None)
-    # n1 has basis incl(e_i), so the generators of M are its coordinates
-    n_seeds = below_generators if checks[0][1].ok else None
-    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, seeds=n_seeds)))
+    n_gens = below_generators if axioms.ok and incl_ok else None
+    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, n_generators=n_gens)))
 
     # dual bases {lam^-1 x_i (x) 1}, {1 (x) y_i} for E_M
     pairs1 = []
@@ -248,6 +254,7 @@ def basic_construction(
         dual_pairs=pairs1,
         sys=sys1,
         checks=checks,
+        incl_generators=incl_gens,
         generators=gens,
     )
 
@@ -278,7 +285,7 @@ def build_tower(
     if sys1.lambda_inverse is None or sys.M.field.is_zero(sys1.lambda_inverse):
         raise TowerError("level-1 index is not a nonzero scalar")
     m1_associative = level1.passed("algebra-axioms")
-    m_in_m1 = level1.generators[:-1] if m1_associative and level1.passed("inclusion-monomorphism") else None
+    m_in_m1 = level1.incl_generators if m1_associative and level1.passed("inclusion-monomorphism") else None
     sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N, n_generators=m_in_m1)
     sys1.dual_tensor = pairs_to_tensor(sys1.tq, level1.algebra, sys1.dual_pairs)
     level2 = basic_construction(sys1, level1.generators, m1_associative)

@@ -243,6 +243,20 @@ def bumped(m, r, c):
     return LinMap(m.field, cols, m.codomain_dim)
 
 
+def word_span_dim(alg, gens):
+    """Dimension of the span of 1 and the left-normed words in gens, grown one
+    word length at a time until it stops growing."""
+    from hopftower.algebra import SubspaceBasis
+
+    span = SubspaceBasis.from_spanning(alg, [alg.unit])
+    while True:
+        words = span.vectors + [alg.mul_sparse(w, g) for w in span.vectors for g in gens]
+        grown = SubspaceBasis.from_spanning(alg, words)
+        if grown.dim == span.dim:
+            return span.dim
+        span = grown
+
+
 def rows_map(field, rows):
     """The linear map whose matrix has these dense rows."""
     from hopftower.linalg import LinMap

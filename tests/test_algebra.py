@@ -2,7 +2,7 @@ import random
 from itertools import islice
 
 import pytest
-from conftest import rows_map
+from conftest import rows_map, word_span_dim
 from hypothesis import assume, given, settings, strategies as st
 
 from hopftower.algebra import (
@@ -161,18 +161,6 @@ def test_verify_agrees_with_full_scan_on_smash_perturbations(stack_z3_f7):
     assert sm.report.ok
     seeds = [sm.embed_x.apply(g) for g in generators(t.M1)] + [sm.embed_h.apply(g) for g in generators(H_B.algebra)]
     assert assert_verify_matches_reference(sm.algebra, seeds, 7) > 0
-
-
-def word_span_dim(alg, gens):
-    """Dimension of the span of 1 and the left-normed words in gens, grown one
-    word length at a time until it stops growing."""
-    span = SubspaceBasis.from_spanning(alg, [alg.unit])
-    while True:
-        words = span.vectors + [alg.mul_sparse(w, g) for w in span.vectors for g in gens]
-        grown = SubspaceBasis.from_spanning(alg, words)
-        if grown.dim == span.dim:
-            return span.dim
-        span = grown
 
 
 @pytest.mark.parametrize("group", ["z2", "z3", "z4"])

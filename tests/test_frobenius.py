@@ -51,7 +51,7 @@ def _level_extension(level):
 
 
 def test_bimodule_check_on_generators_agrees_with_basis_loop(ext_s3_a3, ext_sqrt2, tower_s3_a3):
-    """With seeds the bimodule property is decided on generators of N; any
+    """Given generators of N, the bimodule property is decided on them; any
     bumped E entry gives the basis loop's failures, cut off at the same
     max_failures."""
     t = tower_s3_a3
@@ -63,14 +63,15 @@ def test_bimodule_check_on_generators_agrees_with_basis_loop(ext_s3_a3, ext_sqrt
     ]
     for ext, seeds in cases:
         E = ext.E
-        assert verify_conditional_expectation(ext, E, seeds=seeds) == verify_conditional_expectation(ext, E)
-        assert verify_conditional_expectation(ext, E, seeds=seeds).ok
+        n_gens = generators(ext.n_algebra, seeds)
+        assert verify_conditional_expectation(ext, E, n_generators=n_gens) == verify_conditional_expectation(ext, E)
+        assert verify_conditional_expectation(ext, E, n_generators=n_gens).ok
         rejected = 0
         for c in range(0, len(E.columns), max(1, len(E.columns) // 6)):
             for r in range(0, E.codomain_dim, max(1, E.codomain_dim // 4)):
                 bad = bumped(E, r, c)
                 for max_failures in (1, 5, 1000):
-                    got = verify_conditional_expectation(ext, bad, max_failures, seeds=seeds)
+                    got = verify_conditional_expectation(ext, bad, max_failures, n_generators=n_gens)
                     assert got == verify_conditional_expectation(ext, bad, max_failures), (r, c)
                 rejected += not got.ok
         assert rejected > 0

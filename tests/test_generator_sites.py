@@ -12,6 +12,7 @@ import functools
 from dataclasses import replace
 
 import pytest
+from conftest import bumped, word_span_dim
 
 from hopftower import algebra, depth2, frobenius, tower
 from hopftower.algebra import (
@@ -74,7 +75,7 @@ def test_tensor_quotient_same_on_generators(case_id):
     level1 = t.levels[0]
     on_basis = TensorQuotient(t.M1, level1.sys.ext.N)
     assert _same_quotient(level1.sys.tq, on_basis)
-    assert _same_quotient(TensorQuotient(t.M1, level1.sys.ext.N, n_generators=level1.generators[:-1]), on_basis)
+    assert _same_quotient(TensorQuotient(t.M1, level1.sys.ext.N, n_generators=level1.incl_generators), on_basis)
 
 
 @pytest.mark.parametrize("case_id", list(CASES))
@@ -86,7 +87,7 @@ def test_centralizers_same_on_generators(case_id):
     n_in_m2 = t.incl2.compose(n_in_m1)
     sites = [
         (t.M1, n_in_m1, [n_in_m1.apply(g) for g in t.n_generators], d2.A),
-        (t.M2, m_in_m2, [t.incl2.apply(g) for g in t.levels[0].generators[:-1]], d2.B),
+        (t.M2, m_in_m2, [t.incl2.apply(g) for g in t.levels[0].incl_generators], d2.B),
         (t.M2, n_in_m2, [n_in_m2.apply(g) for g in t.n_generators], d2.C),
     ]
     for ambient, into, gens, from_pipeline in sites:
@@ -97,16 +98,14 @@ def test_centralizers_same_on_generators(case_id):
         assert from_pipeline.vectors == on_basis.vectors
 
 
-def _bumped(f_map: LinMap, col: int, row: int) -> LinMap:
-    """Copy of f_map with one added to the entry (row, col)."""
-    f = f_map.field
-    cols = [dict(c) for c in f_map.columns]
-    v = f.add(cols[col].get(row, f.zero), f.one)
-    if v:
-        cols[col][row] = v
-    else:
-        cols[col].pop(row, None)
-    return LinMap(f, cols, f_map.codomain_dim)
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_level_generators_generate_their_level(case_id):
+    """Each level keeps the set its associativity check ran on, formed by
+    generators() from incl(S) and e, so its words span the level; the level-2
+    inclusion check takes level 1's set as generators of M1."""
+    for level in _state(case_id).tower.levels:
+        assert level.generators == generators(level.algebra, level.incl_generators + [level.e])
+        assert word_span_dim(level.algebra, level.generators) == level.algebra.dim
 
 
 @pytest.mark.parametrize("case_id", list(CASES))
@@ -116,7 +115,7 @@ def test_check_morphism_same_failures_on_generators(case_id):
     included, on generators of its domain as from the scan over basis pairs."""
     t = _state(case_id).tower
     m_gens = generators(t.M)
-    assert [t.incl1.apply(g) for g in m_gens] == t.levels[0].generators[:-1]
+    assert [t.incl1.apply(g) for g in m_gens] == t.levels[0].incl_generators
     inclusions = [(t.incl1, t.M, t.M1, m_gens), (t.incl2, t.M1, t.M2, t.levels[0].generators)]
     rejected_with_unit = 0
     for f_map, A, B, gens in inclusions:
@@ -124,7 +123,7 @@ def test_check_morphism_same_failures_on_generators(case_id):
         assert check_morphism(f_map, A, B).is_homomorphism
         for col in range(A.dim):
             for row in sorted({0, B.dim // 2, B.dim - 1, (7 * col + 3) % B.dim}):
-                bad = _bumped(f_map, col, row)
+                bad = bumped(f_map, row, col)
                 on_gens = check_morphism(bad, A, B, domain_generators=gens)
                 assert on_gens == check_morphism(bad, A, B), (col, row)
                 rejected_with_unit += on_gens.failures[:1] != [] and on_gens.failures[0]["kind"] == "mult"
@@ -146,6 +145,7 @@ def sites(monkeypatch):
     closure_checked = []
     real_centralizer, real_morphism = algebra.centralizer, algebra.check_morphism
     real_tq, real_closure = TensorQuotient.__init__, SubspaceBasis.is_unital_subalgebra
+    real_condexp = frobenius.verify_conditional_expectation
 
     def rec_centralizer(alg, sub, require_subalgebra=True, sub_generators=None):
         out = real_centralizer(alg, sub, require_subalgebra, sub_generators)
@@ -155,6 +155,11 @@ def sites(monkeypatch):
     def rec_morphism(f_map, A, B, max_failures=5, domain_generators=None):
         out = real_morphism(f_map, A, B, max_failures, domain_generators)
         calls.append(("check_morphism", A, domain_generators, (f_map, B, out)))
+        return out
+
+    def rec_condexp(ext, E, max_failures=5, n_generators=None):
+        out = real_condexp(ext, E, max_failures, n_generators)
+        calls.append(("condexp", ext.M.dim, n_generators, out))
         return out
 
     def rec_tq(self, M, N, factors=2, n_generators=None):
@@ -168,6 +173,7 @@ def sites(monkeypatch):
     for module in (depth2, frobenius):
         monkeypatch.setattr(module, "centralizer", rec_centralizer)
     monkeypatch.setattr(tower, "check_morphism", rec_morphism)
+    monkeypatch.setattr(tower, "verify_conditional_expectation", rec_condexp)
     monkeypatch.setattr(TensorQuotient, "__init__", rec_tq)
     monkeypatch.setattr(SubspaceBasis, "is_unital_subalgebra", rec_closure)
     return calls, closure_checked
@@ -193,7 +199,10 @@ def test_honest_pipeline_takes_every_generator_path(sites, case_id):
     assert all(gens is not None for _, _, gens, _ in _second_centralizer_calls(calls))
     morphisms = [c for c in calls if c[0] == "check_morphism"]
     assert [c[1] for c in morphisms[:2]] == [t.M, t.M1]
-    assert all(c[2] is not None for c in morphisms[:2])
+    assert morphisms[1][2] is t.levels[0].generators
+    # each level's bimodule check runs on the generators of the level below
+    assert [c[2] for c in calls if c[0] == "condexp"] == [generators(t.M), t.levels[0].generators]
+    assert all(word_span_dim(A, gens) == A.dim for _, A, gens, _ in morphisms[:2])
     # each level's extension over the level below is built from the verified inclusion
     for level in t.levels:
         assert level.sys.ext.n_algebra is level.below and level.sys.ext.embed is level.incl
@@ -230,16 +239,19 @@ def test_non_associative_m_keeps_every_site_on_the_basis(sites, example, params,
     for _, _, gens, out in _second_centralizer_calls(calls):
         assert gens is None
         assert any(checked is out for checked in closure_checked)
-    # the inclusion of M runs the full scan; the inclusion of M1 keeps its
-    # generators only where M1 and M2 both passed algebra-axioms, and then it
-    # reports what the full scan reports
+    # the inclusion of M runs the full scan; the inclusion of M1 runs on the
+    # generating set level 1 formed for M1 only where M1 and M2 both passed
+    # algebra-axioms, and then it reports what the full scan reports
     morphisms = [c for c in calls if c[0] == "check_morphism"]
     assert morphisms[0][1] is ext.M and morphisms[0][2] is None
-    f_map, B, out = morphisms[1][3]
-    assert morphisms[1][1] is t.M1
-    if morphisms[1][2] is not None:
+    _, A, gens, (f_map, B, out) = morphisms[1]
+    assert A is t.M1
+    if gens is not None:
         assert level1.passed("algebra-axioms") and t.levels[1].passed("algebra-axioms")
+        assert gens is level1.generators and word_span_dim(A, gens) == A.dim
     assert out == algebra.check_morphism(f_map, t.M1, B)
+    # the bimodule check of M1 over incl(M), which failed inclusion-monomorphism, runs on the basis
+    assert [c[2] for c in calls if c[0] == "condexp"][0] is None
     # the extension M1 / M is rebuilt from the subspace incl(M)
     assert level1.sys.ext.n_algebra is not ext.M
 
@@ -268,3 +280,34 @@ def test_failed_level_check_keeps_centralizers_on_the_basis(sites, tower_s3_a3, 
             assert any(checked is out for checked in closure_checked)
     honest = second_centralizers(replace(tower_s3_a3, n_generators=t.n_generators))
     assert [x.vectors for x in (A, B, C)] == [x.vectors for x in honest]
+
+
+def test_failed_m1_axioms_keep_level_two_on_the_basis(sites, monkeypatch):
+    """With level 1's algebra-axioms reported failed, both inclusion checks,
+    level 1's bimodule check, the level-2 quotient and A = C_M1(N) run on the
+    basis; the triple quotient, which needs M alone, stays on generators."""
+    calls, _closure = sites
+    real_check = tower.algebra_check
+    checked = []
+
+    def failing_m1(alg, seeds=()):
+        outcome, gens = real_check(alg, seeds)
+        checked.append(alg)
+        if len(checked) == 1:  # M1, the first algebra basic_construction checks
+            outcome = CheckOutcome(False, [{"kind": "failed"}])
+        return outcome, gens
+
+    monkeypatch.setattr(tower, "algebra_check", failing_m1)
+    example, params = CASES["q/group-pair:s3/z2"]
+    ext, _sidecar = generate_example(example, params)
+    t = run_pipeline(ext).state.tower
+    assert checked[0] is t.M1 and not t.levels[0].passed("algebra-axioms")
+    assert [c[2] is None for c in calls if c[0].startswith("tensor-")] == [True, True, False]
+    morphisms = [c for c in calls if c[0] == "check_morphism"]
+    assert [(c[1], c[2]) for c in morphisms[:2]] == [(t.M, None), (t.M1, None)]
+    for _, A, _gens, (f_map, B, out) in morphisms[:2]:
+        assert out.is_homomorphism and out == algebra.check_morphism(f_map, A, B)
+    # level 1's bimodule check on the basis, level 2's on the generators of M1
+    assert [c[2] for c in calls if c[0] == "condexp"] == [None, t.levels[0].generators]
+    # A = C_M1(N) on the basis; B and C in M2 need only M2 and the inclusions
+    assert [gens is None for _, _, gens, _ in _second_centralizer_calls(calls)] == [True, False, False]

@@ -1,4 +1,4 @@
-from hopftower import algebra, frobenius, pipeline, tower
+from hopftower import algebra, pipeline, tower
 from hopftower.fields import PrimeField, RationalField
 from hopftower.models import function_algebra_extension, generate_example
 from hopftower.pipeline import run_pipeline
@@ -102,7 +102,8 @@ def test_generated_vs_constructed_extension_agree():
 
 def test_generators_of_m_are_computed_once(monkeypatch):
     """run_pipeline hands one generating set of M to the algebra-axioms check
-    and to the tower, which pass it on as seeds."""
+    and to the tower, which pass it on as seeds, and one of N to the
+    cond-expectation checks and the tower, which use it as it is."""
     calls = []
     real = algebra.generators
 
@@ -111,9 +112,10 @@ def test_generators_of_m_are_computed_once(monkeypatch):
         calls.append((alg, seeds))
         return real(alg, seeds)
 
-    for module in (algebra, frobenius, pipeline, tower):
+    for module in (algebra, pipeline, tower):
         monkeypatch.setattr(module, "generators", recording)
     ext, _ = generate_example("group-pair", {"group": "s3", "subgroup": "a3"})
     assert run_pipeline(ext).exit_code() == 0
     from_scratch = [seeds for alg, seeds in calls if alg is ext.M and not seeds]
     assert len(from_scratch) == 1
+    assert [seeds for alg, seeds in calls if alg is ext.n_algebra] == [[]]
