@@ -81,9 +81,12 @@ class Algebra:
         for i, xi in x.items():
             row = table[i]
             for j, yj in y.items():
+                prod = row[j]
+                if not prod:  # e_i e_j = 0: most basis products vanish
+                    continue
                 c = fmul(xi, yj)
                 # sparse_add inlined: this loop runs millions of times per pass
-                for k, t in row[j].items():
+                for k, t in prod.items():
                     v = fadd(out.get(k, zero), fmul(c, t))
                     if v:
                         out[k] = v
@@ -198,17 +201,32 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
     loop order, for right factors g_r given by rights[r][l] = e_l g_r.
 
     Both sides expand from the table and rights, accumulating in mul_sparse's
-    order: (e_i e_j) g = sum_l c_ij^l e_l g and e_i (e_j g) = sum_m (e_j g)_m e_i e_m.
+    order: (e_i e_j) g = sum_l c_ij^l e_l g and e_i (e_j g) = sum_l (e_j g)_l e_i e_l.
     sparse_add is inlined as in mul_sparse, since this runs millions of times
     per pass.
+
+    Only the live j are visited, those in nz_i = {l : e_i e_l != 0} or with
+    supp(e_j g_r) meeting nz_i for some r; every other pair is 0 = 0. The lhs
+    is 0 unless e_i e_j != 0, that is j in nz_i. The rhs is 0 unless
+    e_i e_l != 0 for some l in supp(e_j g), that is supp(e_j g) meets nz_i.
     """
     f = alg.field
     fadd, fmul, zero = f.add, f.mul, f.zero
     table = alg.table
+    # users[l]: the j with l in supp(e_j g_r) for some r
+    users: list[set] = [set() for _ in range(alg.dim)]
+    for right in rights:
+        for j, prod in enumerate(right):
+            for l in prod:
+                users[l].add(j)
     failures = []
     for i in range(alg.dim):
         row_i = table[i]
-        for j in range(alg.dim):
+        nz_i = [l for l, prod in enumerate(row_i) if prod]
+        live = set(nz_i)
+        for l in nz_i:
+            live |= users[l]
+        for j in sorted(live):
             ij_terms = row_i[j].items()
             for r, right in enumerate(rights):
                 lhs: dict = {}
@@ -221,7 +239,10 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
                             lhs.pop(m, None)
                 rhs: dict = {}
                 for l, c in right[j].items():
-                    for m, t in row_i[l].items():
+                    prod = row_i[l]
+                    if not prod:
+                        continue
+                    for m, t in prod.items():
                         s = fadd(rhs.get(m, zero), fmul(c, t))
                         if s:
                             rhs[m] = s

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import SubspaceBasis, generators
+from .algebra import AlgebraError, SubspaceBasis, generators
 from .depth2 import (
     DepthTwoData,
     check_depth_two,
@@ -64,6 +64,7 @@ from .tower import (
 )
 
 STAGES = ("frobenius", "tower", "depth2", "hopf", "galois")
+NON_ASSOCIATIVE = "M fails algebra-axioms"
 
 
 @dataclass
@@ -98,13 +99,12 @@ def run_pipeline(
     # one generating set each of M and N, for the checks that run on generators
     m_generators = generators(ext.M)
     n_generators = generators(ext.n_algebra)
-    _stage_frobenius(rep, state, hypotheses, m_generators, n_generators)
+    tower_gate = _stage_frobenius(rep, state, hypotheses, m_generators, n_generators)
     flags = state.sys.flags if state.sys is not None else None
     stop = STAGES.index(upto)
 
-    tower_gate = None
     if state.sys is None:
-        tower_gate = "no Frobenius system: dual bases could not be solved"
+        tower_gate = tower_gate or "no Frobenius system: dual bases could not be solved"
     elif not flags.strongly_separable:
         if not flags.index_scalar:
             tower_gate = "index is not a scalar multiple of 1 (status: index non-scalar)"
@@ -151,7 +151,9 @@ def run_pipeline(
 
 def _stage_frobenius(
     rep: Reporter, state: PipelineState, hypotheses: dict, m_generators: list, n_generators: list
-) -> None:
+) -> Optional[str]:
+    """Run the Frobenius checks; return the gate of the stages after it when
+    the classification could not run on a non-associative M, else None."""
     ext = state.ext
     f = ext.M.field
     axioms = algebra_outcome(ext.M, m_generators)
@@ -164,7 +166,7 @@ def _stage_frobenius(
     if ext.E is None:
         rep.add("cond-expectation", FAIL, reason="no conditional expectation supplied")
         hypotheses["frobenius"] = False
-        return
+        return None
     ce = verify_conditional_expectation(ext, ext.E, n_generators=n_gens)
     try:
         sys = solve_dual_bases(ext, ext.E)
@@ -172,7 +174,7 @@ def _stage_frobenius(
         rep.outcome("cond-expectation", ce)
         rep.add("dual-bases", FAIL, reason=str(exc))
         hypotheses["frobenius"] = False
-        return
+        return None
     rep.add("dual-bases", PASS, witness={"terms": len(sys.dual_pairs)})
     if ext.dual_pairs is not None:
         # a supplied tensor must agree with the solved one in M (x)_N M
@@ -184,8 +186,19 @@ def _stage_frobenius(
                 reason="supplied dual bases disagree with the unique solved tensor",
             )
             hypotheses["frobenius"] = False
-            return
-    flags = classify(ext, sys)
+            return None
+    try:
+        flags = classify(ext, sys)
+    except AlgebraError as exc:
+        if axioms.ok:
+            raise
+        # C_M(N) need not be closed under products once M is not associative
+        gate = f"{NON_ASSOCIATIVE}: {exc}"
+        rep.outcome("cond-expectation", ce)
+        for cid in ("frobenius-identities", "index-central"):
+            rep.add(cid, SKIP, reason=gate)
+        hypotheses["frobenius"] = False
+        return gate
     if not flags.normalized:
         try:
             sys = normalize(sys)
@@ -194,7 +207,7 @@ def _stage_frobenius(
         except FrobeniusError as exc:
             rep.add("normalization", FAIL, reason=str(exc))
             hypotheses["frobenius"] = False
-            return
+            return None
     rep.outcome("cond-expectation", verify_conditional_expectation(ext, sys.E, n_generators=n_gens))
     rep.outcome("frobenius-identities", verify_frobenius_identities(sys))
     central = all(ext.M.commutes(sys.index, {i: f.one}) for i in range(ext.M.dim))
@@ -209,6 +222,7 @@ def _stage_frobenius(
     hypotheses["strongly_separable"] = bool(flags.strongly_separable)
     hypotheses["irreducible"] = bool(flags.irreducible)
     hypotheses["centralizer_dim"] = flags.centralizer_dim
+    return None
 
 
 def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_generators) -> None:
@@ -218,6 +232,16 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
         for cid in tower_checks:
             rep.add(cid, SKIP, reason=gate)
         return
+
+    def stopped(exc):
+        # every step of the construction presumes that M is an algebra: over
+        # a non-associative M the FAIL is M's own algebra-axioms
+        if state.m_associative:
+            rep.add("tower-level-1", FAIL, reason=str(exc))
+        else:
+            rep.add("tower-level-1", SKIP, reason=f"{NON_ASSOCIATIVE}: {exc}")
+        for cid in tower_checks[1:]:
+            rep.add(cid, SKIP, reason="tower construction failed")
 
     def level_result(cid, level):
         failures = [
@@ -232,9 +256,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
         try:
             level1 = basic_construction(state.sys, m_generators, state.m_associative)
         except (TowerError, FrobeniusError) as exc:
-            rep.add("tower-level-1", FAIL, reason=str(exc))
-            for cid in tower_checks[1:]:
-                rep.add(cid, SKIP, reason="tower construction failed")
+            stopped(exc)
             return
         dims["m1"] = level1.algebra.dim
         level_result("tower-level-1", level1)
@@ -250,9 +272,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
     try:
         tower = build_tower(state.sys, m_generators, state.m_associative, n_generators)
     except (TowerError, FrobeniusError) as exc:
-        rep.add("tower-level-1", FAIL, reason=str(exc))
-        for cid in tower_checks[1:]:
-            rep.add(cid, SKIP, reason="tower construction failed")
+        stopped(exc)
         return
     state.tower = tower
     dims["m1"] = tower.M1.dim

@@ -144,7 +144,10 @@ def basic_construction(
     passed inclusion-monomorphism, the extension of M1 over its image takes M
     and the inclusion as that image's algebra and embedding, and, with M1
     associative, the bimodule check of the conditional expectation runs on
-    below_generators.
+    below_generators. When M is not known to be associative, the inclusion
+    failed and its image is not a unital subalgebra of M1, there is no level
+    extension and TowerError is raised; over an associative M that would be a
+    defect, and ExtensionSpec raises AlgebraError.
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -218,6 +221,8 @@ def basic_construction(
     cond_exp = LinMap(f, [sparse_scale(f, lam, M.table[a][b]) for a, b in tq.basis], M.dim)
 
     n1 = SubspaceBasis(alg1, incl.columns)
+    if not (below_associative or incl_ok or n1.is_unital_subalgebra()):
+        raise TowerError("the level below does not embed as a unital subalgebra")
     ext1 = ExtensionSpec(alg1, n1, E=cond_exp, induced=(M, incl) if incl_ok else None)
     n_gens = below_generators if axioms.ok and incl_ok else None
     checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, n_generators=n_gens)))

@@ -293,3 +293,55 @@ def build_quartic_tower():
         [Q.zero, Q.one, Q.zero, Q.zero],
     ])
     return ExtensionSpec(R, Msub, E=F_map)
+
+
+def naive_mul(alg, x, y):
+    """x y from the structure constants over every pair of terms x_i e_i,
+    y_j e_j, whether e_i e_j is 0 or not, with zero sums dropped only at the
+    end: the reference for Algebra.mul_sparse."""
+    f = alg.field
+    acc: dict = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            c = f.mul(xi, yj)
+            for k, t in alg.table[i][j].items():
+                acc[k] = f.add(acc.get(k, f.zero), f.mul(c, t))
+    return {k: v for k, v in acc.items() if v}
+
+
+def reference_failures(alg, limit=5):
+    """(unit failures, associativity failures) of the full scan, at most limit
+    of each: the unit laws on every basis element, then both sides as products
+    of sparse elements, (e_i e_j) e_k and e_i (e_j e_k), over the triples
+    (i, j, k) in lexicographic order, all formed with naive_mul."""
+    from itertools import islice
+
+    one = alg.field.one
+    units = [
+        {"basis": i, "left": left, "right": right}
+        for i in range(alg.dim)
+        for left, right in [(naive_mul(alg, alg.unit, {i: one}), naive_mul(alg, {i: one}, alg.unit))]
+        if left != {i: one} or right != {i: one}
+    ]
+    triples = (
+        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in range(alg.dim)
+        for lhs, rhs in [(naive_mul(alg, alg.table[i][j], {k: one}), naive_mul(alg, {i: one}, alg.table[j][k]))]
+        if lhs != rhs
+    )
+    return units[:limit], list(islice(triples, limit))
+
+
+def non_associative(example, params, bump):
+    """The catalog extension with one added to the structure constant
+    c_ij^k of M, bump = (i, j, k): the unit laws hold, associativity does not."""
+    from hopftower.algebra import Algebra, SubspaceBasis
+    from hopftower.frobenius import ExtensionSpec
+    from hopftower.models import generate_example
+
+    ext, _sidecar = generate_example(example, params)
+    M = ext.M
+    bad = Algebra.from_entries(M.field, M.dim, M.entries() + [bump + (M.field.one,)], M.unit)
+    return ExtensionSpec(bad, SubspaceBasis(bad, ext.N.vectors), E=ext.E)

@@ -1,13 +1,13 @@
 import random
-from itertools import islice
 
 import pytest
-from conftest import rows_map, word_span_dim
+from conftest import naive_mul, reference_failures, rows_map, word_span_dim
 from hypothesis import assume, given, settings, strategies as st
 
 from hopftower.algebra import (
     Algebra,
     AlgebraError,
+    _assoc_failures,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
@@ -41,6 +41,7 @@ from hopftower.tower import build_tower
 Q = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def rmul(alg, x):
@@ -57,29 +58,6 @@ def test_verify_matrix_units_f2():
     # matrix-unit relations e_ij e_kl = [j = k] e_il
     alg = matrix_units_m2(F2)
     assert verify_algebra(alg).ok
-
-
-def reference_failures(alg, limit=5):
-    """(unit failures, associativity failures) of the full scan, at most limit
-    of each: the unit laws on every basis element, then both sides as products
-    of sparse elements, (e_i e_j) e_k and e_i (e_j e_k), over the triples
-    (i, j, k) in lexicographic order."""
-    one = alg.field.one
-    units = [
-        {"basis": i, "left": left, "right": right}
-        for i in range(alg.dim)
-        for left, right in [(alg.mul_sparse(alg.unit, {i: one}), alg.mul_sparse({i: one}, alg.unit))]
-        if left != {i: one} or right != {i: one}
-    ]
-    triples = (
-        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
-        for i in range(alg.dim)
-        for j in range(alg.dim)
-        for k in range(alg.dim)
-        for lhs, rhs in [(alg.mul_sparse(alg.table[i][j], {k: one}), alg.mul_sparse({i: one}, alg.table[j][k]))]
-        if lhs != rhs
-    )
-    return units[:limit], list(islice(triples, limit))
 
 
 def test_verify_detects_perturbed_table():
@@ -161,6 +139,152 @@ def test_verify_agrees_with_full_scan_on_smash_perturbations(stack_z3_f7):
     assert sm.report.ok
     seeds = [sm.embed_x.apply(g) for g in generators(t.M1)] + [sm.embed_h.apply(g) for g in generators(H_B.algebra)]
     assert assert_verify_matches_reference(sm.algebra, seeds, 7) > 0
+
+
+# -- the sparse table kernels against scans over every pair -------------------------
+
+
+def random_scalar(field, rng):
+    """A nonzero scalar; over Q often a true fraction."""
+    while True:
+        c = field.div(field.from_int(rng.randint(-4, 4)), field.from_int(rng.choice((1, 3))))
+        if c:
+            return c
+
+
+def random_element(field, dim, rng, density):
+    return {k: random_scalar(field, rng) for k in range(dim) if rng.random() < density}
+
+
+def random_table(field, rng):
+    """An algebra each of whose table cells is nonzero with a probability
+    drawn from 0.1-0.4, with one or two terms: associative only by chance."""
+    dim = rng.randint(2, 7)
+    density = rng.uniform(0.1, 0.4)
+    table = [
+        [
+            {rng.randrange(dim): random_scalar(field, rng) for _ in range(rng.randint(1, 2))}
+            if rng.random() < density else {}
+            for _ in range(dim)
+        ]
+        for _ in range(dim)
+    ]
+    return Algebra(field, dim, [[{k: c for k, c in cell.items() if c} for cell in row] for row in table], {0: field.one})
+
+
+def random_incidence(field, rng):
+    """The incidence algebra of a random preorder on 2-3 points (basis e_xy
+    for x <= y, e_xy e_yz = e_xz), its basis shuffled and rescaled:
+    associative, with table density 1/points for the total preorder."""
+    n = rng.randint(2, 3)
+    rel = {(x, x) for x in range(n)} | {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.4}
+    while True:
+        closure = rel | {(x, z) for x, y in rel for y2, z in rel if y == y2}
+        if closure == rel:
+            break
+        rel = closure
+    basis = sorted(rel)
+    rng.shuffle(basis)
+    index = {p: k for k, p in enumerate(basis)}
+    scale = [random_scalar(field, rng) for _ in basis]
+    # e'_p = scale[p] e_basis[p], so e'_p e'_q = scale[p] scale[q] / scale[r] e'_r
+    entries = [
+        (p, q, index[x, z], field.div(field.mul(scale[p], scale[q]), scale[index[x, z]]))
+        for p, (x, y) in enumerate(basis)
+        for q, (y2, z) in enumerate(basis)
+        if y == y2
+    ]
+    unit = {index[x, x]: field.inv(scale[index[x, x]]) for x in range(n)}
+    return Algebra.from_entries(field, len(basis), entries, unit)
+
+
+def random_algebras(field, seed):
+    """A random table, an incidence algebra and that algebra with two
+    constants bumped."""
+    rng = random.Random(seed)
+    inc = random_incidence(field, rng)
+    d = inc.dim
+    bad = inc
+    for _ in range(2):
+        bad = bumped_constant(bad, rng.randrange(d), rng.randrange(d), rng.randrange(d))
+    return rng, [random_table(field, rng), inc, bad]
+
+
+def scan_assoc_failures(alg, rights, max_failures):
+    """Every (i, j, r) in order, both sides summed over every basis index l:
+    (e_i e_j) g_r = sum_l c_ij^l (e_l g_r) and e_i (e_j g_r) = sum_l (e_j g_r)_l e_i e_l."""
+    f, d = alg.field, alg.dim
+    failures = []
+    for i in range(d):
+        for j in range(d):
+            for r, right in enumerate(rights):
+                lhs, rhs = [f.zero] * d, [f.zero] * d
+                for l in range(d):
+                    a, b = alg.table[i][j].get(l, f.zero), right[j].get(l, f.zero)
+                    for m in range(d):
+                        lhs[m] = f.add(lhs[m], f.mul(a, right[l].get(m, f.zero)))
+                        rhs[m] = f.add(rhs[m], f.mul(b, alg.table[i][l].get(m, f.zero)))
+                lhs, rhs = sparse_vector(lhs), sparse_vector(rhs)
+                if lhs != rhs:
+                    failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
+                    if len(failures) >= max_failures:
+                        return failures
+    return failures
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_assoc_failures_equal_the_scan_over_every_triple(field):
+    """_assoc_failures visits only the live pairs; on random sparse tables,
+    associative or not, with random right factors and with the full scan's
+    basis columns, it lists what the scan over every (i, j, r) lists. Some of
+    the failures found have e_i e_j = 0, so only their rhs is nonzero: those
+    pairs are found through supp(e_j g) alone."""
+    found, rhs_only = 0, 0
+    for seed in range(40):
+        rng, algebras = random_algebras(field, seed)
+        for alg in algebras:
+            one = field.one
+            gens = [random_element(field, alg.dim, rng, 0.5) for _ in range(rng.randint(1, 3))]
+            by_gens = [[naive_mul(alg, {l: one}, g) for l in range(alg.dim)] for g in gens]
+            columns = [[alg.table[l][k] for l in range(alg.dim)] for k in range(alg.dim)]
+            for rights in (by_gens, columns):
+                for max_failures in (1, 5):
+                    got = _assoc_failures(alg, rights, max_failures)
+                    assert got == scan_assoc_failures(alg, rights, max_failures), (seed, alg.dim)
+                    found += len(got)
+                    rhs_only += sum(not alg.table[fl["triple"][0]][fl["triple"][1]] for fl in got)
+        assert verify_algebra(algebras[1]).ok, seed
+    assert found > 0 and rhs_only > 0
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_mul_sparse_equals_the_product_over_every_pair(field):
+    """mul_sparse skips the basis pairs with e_i e_j = 0; on random sparse
+    tables and elements it equals the product over every pair, also where
+    terms cancel: x = a e_i + b e_i2 with e_i e_j and e_i2 e_j sharing e_k,
+    and b chosen so that the e_k terms of x e_j cancel."""
+    cancelled = 0
+    for seed in range(40):
+        rng, algebras = random_algebras(field, seed)
+        for alg in algebras:
+            d = alg.dim
+            for _ in range(4):
+                x, y = random_element(field, d, rng, 0.5), random_element(field, d, rng, 0.5)
+                assert alg.mul_sparse(x, y) == naive_mul(alg, x, y), seed
+            shared = [
+                (i, i2, j, k)
+                for i in range(d) for i2 in range(i + 1, d) for j in range(d)
+                for k in alg.table[i][j] if k in alg.table[i2][j]
+            ]
+            if shared:
+                i, i2, j, k = shared[rng.randrange(len(shared))]
+                a = random_scalar(field, rng)
+                b = field.neg(field.div(field.mul(a, alg.table[i][j][k]), alg.table[i2][j][k]))
+                x, y = {i: a, i2: b}, {j: field.one}
+                prod = alg.mul_sparse(x, y)
+                assert prod == naive_mul(alg, x, y) and k not in prod, seed
+                cancelled += 1
+    assert cancelled > 0
 
 
 @pytest.mark.parametrize("group", ["z2", "z3", "z4"])

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
-from conftest import bumped
+from conftest import bumped, word_span_dim
 
 from hopftower import galois
 from hopftower.algebra import Algebra, LinMap, SubspaceBasis, TensorQuotient, check_morphism
 from hopftower.fields import PrimeField, RationalField
+from hopftower.frobenius import CheckOutcome
 from hopftower.galois import (
     ModuleAlgebraAction,
     action_a_on_m,
@@ -452,3 +455,72 @@ def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
     morph = check_morphism(theta, sm.algebra, t.M2)
     assert morph.failures == _reference_check_morphism(theta, sm.algebra, t.M2)
     assert bool(morph.failures) == (perturb is not None)
+
+
+# -- the smash-product morphisms on generators -------------------------------------
+
+
+@pytest.fixture
+def galois_morphisms(monkeypatch):
+    """Record each check_morphism call of the Galois stage: (map, domain,
+    codomain, the generators passed or None, the report)."""
+    calls = []
+    real = galois.check_morphism
+
+    def recording(f_map, A, B, max_failures=5, domain_generators=None):
+        out = real(f_map, A, B, max_failures, domain_generators)
+        calls.append((f_map, A, B, domain_generators, out))
+        return out
+
+    monkeypatch.setattr(galois, "check_morphism", recording)
+    return calls
+
+
+def _galois_morphism_checks(t, d2, p, H_B, H_A, act_b=None):
+    act_a, _ = action_a_on_m(t, d2, H_A)
+    act_b = act_b or action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))[0]
+    return verify_smash_iso_theta(t, d2, H_B, act_b), cleft_data(t, d2, H_A, H_B, p, act_a, act_b), act_b
+
+
+def test_galois_morphisms_run_on_smash_generators(stack_z3_f7, galois_morphisms):
+    """theta: M1 # B -> M2, A # B -> C and M # A -> M1 are checked on the
+    generating set of their smash product's associativity check, M1 # B's
+    seeded with level 1's generators, and report what the scan over basis
+    pairs reports."""
+    t, d2, p, H_B, H_A = stack_z3_f7[:5]
+    theta, cleft, act_b = _galois_morphism_checks(t, d2, p, H_B, H_A)
+    assert theta.ok and cleft.ok
+    assert len(galois_morphisms) == 3
+    sm = smash_product(t.M1, H_B, act_b, t.levels[0].generators)
+    assert galois_morphisms[0][1].table == sm.algebra.table
+    assert galois_morphisms[0][3] == sm.generators
+    assert len(sm.generators) < len(smash_product(t.M1, H_B, act_b).generators)
+    for f_map, A, B, gens, out in galois_morphisms:
+        assert gens is not None and word_span_dim(A, gens) == A.dim
+        assert out == check_morphism(f_map, A, B)
+
+
+@pytest.mark.parametrize("failed", ["m1-axioms", "m2-axioms", "smash"])
+def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms, failed):
+    """With M1 or M2 reported failing algebra-axioms every smash morphism
+    over it runs the scan over basis pairs; with a bumped B-action, M1 # B
+    fails its own check and theta runs that scan and reports its failures."""
+    t, d2, p, H_B, H_A = stack_z3_f7[:5]
+    act_b = None
+    if failed == "smash":
+        act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+        act_b = ModuleAlgebraAction(H_B, act_b.algebra, [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)])
+        assert not smash_product(t.M1, H_B, act_b, t.levels[0].generators).report.ok
+    else:
+        k = 0 if failed == "m1-axioms" else 1
+        bad = CheckOutcome(False, [{"kind": "failed"}])
+        levels = list(t.levels)
+        levels[k] = replace(levels[k], checks=[(n, bad if n == "algebra-axioms" else o) for n, o in levels[k].checks])
+        t = replace(t, levels=levels)
+    theta, _cleft, _act = _galois_morphism_checks(t, d2, p, H_B, H_A, act_b)
+    on_basis = {"m1-axioms": [0, 1, 2], "m2-axioms": [0, 1], "smash": [0]}[failed]
+    for n, (f_map, A, B, gens, out) in enumerate(galois_morphisms):
+        assert (gens is None) == (n in on_basis), n
+        assert out == check_morphism(f_map, A, B)
+    if failed == "smash":
+        assert not theta.ok and not galois_morphisms[0][4].ok()

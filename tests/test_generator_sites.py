@@ -12,11 +12,10 @@ import functools
 from dataclasses import replace
 
 import pytest
-from conftest import bumped, word_span_dim
+from conftest import bumped, non_associative, word_span_dim
 
 from hopftower import algebra, depth2, frobenius, tower
 from hopftower.algebra import (
-    Algebra,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
@@ -25,7 +24,7 @@ from hopftower.algebra import (
     generators,
 )
 from hopftower.depth2 import second_centralizers
-from hopftower.frobenius import CheckOutcome, ExtensionSpec
+from hopftower.frobenius import CheckOutcome
 from hopftower.models import generate_example
 from hopftower.pipeline import run_pipeline
 
@@ -208,15 +207,6 @@ def test_honest_pipeline_takes_every_generator_path(sites, case_id):
         assert level.sys.ext.n_algebra is level.below and level.sys.ext.embed is level.incl
 
 
-def _non_associative(example, params, bump):
-    """The catalog extension with one structure constant of M bumped: the unit
-    laws hold, associativity does not."""
-    ext, _sidecar = generate_example(example, params)
-    M = ext.M
-    bad = Algebra.from_entries(M.field, M.dim, M.entries() + [bump + (M.field.one,)], M.unit)
-    return ExtensionSpec(bad, SubspaceBasis(bad, ext.N.vectors), E=ext.E)
-
-
 @pytest.mark.parametrize("field", ["rational", "f7"])
 @pytest.mark.parametrize(
     "example, params, bump",
@@ -226,7 +216,7 @@ def _non_associative(example, params, bump):
 )
 def test_non_associative_m_keeps_every_site_on_the_basis(sites, example, params, bump, field):
     calls, closure_checked = sites
-    ext = _non_associative(example, dict(params, field=field), bump)
+    ext = non_associative(example, dict(params, field=field), bump)
     report = run_pipeline(ext)
     status = {r.check_id: r.status for r in report.results}
     assert status["algebra-axioms"] == "fail" and status["second-centralizers"] == "pass"

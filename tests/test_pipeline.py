@@ -1,5 +1,9 @@
+import pytest
+from conftest import non_associative, reference_failures
+
 from hopftower import algebra, pipeline, tower
 from hopftower.fields import PrimeField, RationalField
+from hopftower.fileio import canonical_json
 from hopftower.models import function_algebra_extension, generate_example
 from hopftower.pipeline import run_pipeline
 
@@ -119,3 +123,34 @@ def test_generators_of_m_are_computed_once(monkeypatch):
     from_scratch = [seeds for alg, seeds in calls if alg is ext.M and not seeds]
     assert len(from_scratch) == 1
     assert [seeds for alg, seeds in calls if alg is ext.n_algebra] == [[]]
+
+
+@pytest.mark.parametrize("field", ["rational", "f7"])
+@pytest.mark.parametrize(
+    "subgroup, bump, stopped_at",
+    [("a3", (1, 2, 1), "frobenius-identities"), ("z2", (1, 1, 1), "tower-level-1")],
+    ids=["s3/a3", "s3/z2"],
+)
+def test_non_associative_m_ends_in_a_report(subgroup, bump, stopped_at, field):
+    """A non-associative M whose classification (s3/a3: C_M(N) is not closed
+    under products) or level extension (s3/z2: incl(M) is not a unital
+    subalgebra of M1) cannot be formed ends in a report: algebra-axioms FAILs
+    with the failure list of the scan over every basis triple, and the checks
+    that need M to be an algebra are skipped with the reason."""
+    ext = non_associative("group-pair", {"group": "s3", "subgroup": subgroup, "field": field}, bump)
+    report = run_pipeline(ext)
+    res = by_id(report)
+    w = ext.M.field.witness
+    units, assoc = reference_failures(ext.M)
+    assert not units
+    expected = [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in assoc]
+    assert res["algebra-axioms"].status == "fail"
+    assert res["algebra-axioms"].witness == {"failures": expected[:4]}
+    assert [cid for cid, r in res.items() if r.status == "fail"] == ["algebra-axioms"]
+    assert res[stopped_at].status == "skipped"
+    assert res[stopped_at].reason.startswith(pipeline.NON_ASSOCIATIVE + ": ")
+    ids = list(res)
+    assert all(r.status == "skipped" for r in list(res.values())[ids.index(stopped_at):])
+    assert report.hypotheses["frobenius"] is (subgroup == "z2")
+    assert report.exit_code() == 1
+    assert canonical_json(report.to_dict()) == canonical_json(run_pipeline(ext).to_dict())
