@@ -169,7 +169,7 @@ def random_table(field, rng):
         ]
         for _ in range(dim)
     ]
-    return Algebra(field, dim, [[{k: c for k, c in cell.items() if c} for cell in row] for row in table], {0: field.one})
+    return Algebra(field, dim, table, {0: field.one})
 
 
 def random_incidence(field, rng):

@@ -509,7 +509,8 @@ def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms, 
     act_b = None
     if failed == "smash":
         act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-        act_b = ModuleAlgebraAction(H_B, act_b.algebra, [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)])
+        maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)]
+        act_b = ModuleAlgebraAction(H_B, act_b.algebra, maps)
         assert not smash_product(t.M1, H_B, act_b, t.levels[0].generators).report.ok
     else:
         k = 0 if failed == "m1-axioms" else 1
