@@ -320,8 +320,8 @@ class SubspaceBasis:
 
     ``coords`` reads v at the pivots, which fixes v in the span as the reduced
     rows are fully reduced: with B the vectors restricted to the pivot columns,
-    coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use: do not
-    mutate ``vectors``.
+    coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use, and so
+    is ``induced_algebra``: do not mutate ``vectors`` or the induced algebra.
     """
 
     def __init__(self, ambient: Algebra, vectors: list[dict]):
@@ -336,6 +336,7 @@ class SubspaceBasis:
         self._space = space
         self._pivots = sorted(space.pivots)
         self._coord_map: Optional[LinMap] = None
+        self._induced: Optional[tuple[Algebra, LinMap]] = None
 
     @property
     def dim(self) -> int:
@@ -372,7 +373,13 @@ class SubspaceBasis:
         return not any(reduce(alg.mul_sparse(x, y)) for x in xs for y in xs)
 
     def induced_algebra(self) -> tuple[Algebra, LinMap]:
-        """Algebra structure on this subspace plus the embedding map."""
+        """Algebra structure on this subspace plus the embedding map, built on
+        first use and then returned as the same objects."""
+        if self._induced is None:
+            self._induced = self._build_induced()
+        return self._induced
+
+    def _build_induced(self) -> tuple[Algebra, LinMap]:
         alg = self.ambient
         f = alg.field
         entries = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, LinMap, SubspaceBasis, centralizer, module_generators
+from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer, generators
 from .frobenius import CheckOutcome, nakayama, nakayama_of_functional, scalar_of
 from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
 
@@ -143,27 +143,18 @@ class _LevelContext:
         self.right_gens = basis if self.right_gens is None else self.right_gens
 
 
-# the level checks that make both Frobenius sums one-sided down-module maps
-_MODULE_MAP_CHECKS = ("algebra-axioms", "condexp-bimodule", "inclusion-monomorphism")
-
-
 def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
     """The depth-2 context of a tower level over the one below it.
 
-    When the level's associativity, bimodule and inclusion checks hold, the
-    Frobenius sums are checked on one-sided module generators (see
-    _frobenius_sums_hold), seeded from the level's dual bases:
-    x = sum E(x X_i) Y_i puts up in span(incl(down) . Y), and
-    x = sum X_i E(Y_i x) in span(X . incl(down)). Otherwise on the basis.
+    When the level passes tower.MODULE_MAP_CHECKS (associativity, bimodule
+    and inclusion checks), the Frobenius sums are checked on the one-sided
+    module generators the level formed from its dual bases
+    (TowerLevel.module_generators; see _frobenius_sums_hold). Otherwise on the
+    basis.
     """
-    gens = {}
-    if level.passed(*_MODULE_MAP_CHECKS):
-        xs = [x for x, _ in level.dual_pairs]
-        ys = [y for _, y in level.dual_pairs]
-        gens = {"left_gens": module_generators(level.algebra, level.incl, "left", ys),
-                "right_gens": module_generators(level.algebra, level.incl, "right", xs)}
+    left, right = level.module_generators() or (None, None)
     return _LevelContext(up=level.algebra, down=level.below, cond_exp=level.cond_exp,
-                         down_in_up=level.incl, scope=scope, **gens)
+                         down_in_up=level.incl, scope=scope, left_gens=left, right_gens=right)
 
 
 def check_depth_two(t, d2: DepthTwoData) -> DepthTwoData:
@@ -488,10 +479,79 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _subalgebra_generators(sub: SubspaceBasis) -> Optional[list]:
+    """Elements of the ambient whose words with 1 span sub: the generators of
+    its induced algebra, embedded. None when sub is not a unital subalgebra."""
+    try:
+        alg, embed = sub.induced_algebra()
+    except AlgebraError:
+        return None
+    return [embed.apply(g) for g in generators(alg)]
+
+
+def _one_sided_laws_hold(C: SubspaceBasis, E: LinMap, below: Algebra, gens: list, into_m2) -> bool:
+    """E(s c) = s E(c) and E(c s) = E(c) s, with s c and c s in C, for every s
+    in gens and every basis c of C."""
+    M2 = C.ambient
+    for s in gens:
+        sh = into_m2(s)
+        for c, e_c in zip(C.vectors, E.columns):
+            for prod, expected in ((M2.mul_sparse(sh, c), below.mul_sparse(s, e_c)),
+                                   (M2.mul_sparse(c, sh), below.mul_sparse(e_c, s))):
+                coords = C.coords(prod)
+                if coords is None or E.apply(coords) != expected:
+                    return False
+    return True
+
+
+def _bimodule_failures(C: SubspaceBasis, E: LinMap, below: Algebra, sub: list, into_m2, label: str,
+                       gens: Optional[list] = None) -> list:
+    """Failures of the bimodule law E(s c s') = s E(c) s' of E: C -> below
+    (C coordinates in, below coordinates out), for s, s' in the basis sub of
+    a subalgebra of below acting on M2 through into_m2, and c in the basis of
+    C, with s c s' in C.
+
+    Given gens, elements whose words with 1 span sub (pass them only once M2
+    and below are associative and into_m2 a unital homomorphism), the laws
+    E(s c) = s E(c) and E(c s) = E(c) s, with s c and c s in C, are first
+    checked for s in gens alone. The s that satisfy the left law for every c
+    form a subalgebra, as (s s')c = s(s'c) and
+    E(s s' c) = s E(s'c) = s s' E(c), and likewise on the right; so the laws
+    hold for all of sub, and then E(s c s') = s E(c s') = s E(c) s'. On any
+    failure there, every basis triple (s, c, s') is checked, so the failures
+    listed are always that scan's.
+    """
+    M2 = C.ambient
+    if gens is not None and _one_sided_laws_hold(C, E, below, gens, into_m2):
+        return []
+    failures = []
+    sub_in_m2 = [into_m2(s) for s in sub]
+    for s, sh in zip(sub, sub_in_m2):
+        for i, c_vec in enumerate(C.vectors):
+            for s2, s2h in zip(sub, sub_in_m2):
+                coords = C.coords(M2.mul_sparse(M2.mul_sparse(sh, c_vec), s2h))
+                if coords is None:
+                    failures.append({"kind": f"{label}C{label}-product-outside-C"})
+                    break
+                rhs = below.mul_sparse(below.mul_sparse(s, E.columns[i]), s2)
+                if E.apply(coords) != rhs:
+                    failures.append({"kind": f"E_{label}-bimodule", "basis": i})
+                    break
+    return failures
+
+
 def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Optional[LinMap], CheckOutcome]:
     """E_B(c) = sum_j F(c u_j) v_j (scalar-gated) and E_A = E_M1 restricted
     to C, both verified as conditional expectations, plus the Markov
-    relations of F."""
+    relations of F.
+
+    The bimodule laws run on generators of B and of A (_bimodule_failures)
+    where the tower's checks allow it: for E_B once M2 passed algebra-axioms
+    and B was verified inside C; for E_A, whose A acts on M2 through incl2,
+    once in addition M1 passed algebra-axioms and level 2
+    inclusion-monomorphism, and A was verified inside C. Else on every basis
+    triple.
+    """
     f = t.M.field
     M1, M2 = t.M1, t.M2
     failures = []
@@ -515,7 +575,9 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         eb_cols.append(acc)
     E_B = LinMap(f, eb_cols, M2.dim)
 
+    m2_ok = t.levels[1].passed("algebra-axioms")
     # E_B restricted to B is the identity
+    b_in_c = False
     for b in d2.B.vectors:
         coords = C.coords(b)
         if coords is None:
@@ -524,23 +586,16 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         if E_B.apply(coords) != b:
             failures.append({"kind": "E_B-not-identity-on-B"})
             break
+    else:
+        b_in_c = True
     # values of E_B lie in B
     for i in range(C.dim):
         if not d2.B.contains(eb_cols[i]):
             failures.append({"kind": "E_B-image-outside-B", "basis": i})
             break
     # B-bimodule property
-    for b in d2.B.vectors:
-        for i, c_vec in enumerate(C.vectors):
-            for b2 in d2.B.vectors:
-                coords = C.coords(M2.mul_sparse(M2.mul_sparse(b, c_vec), b2))
-                if coords is None:
-                    failures.append({"kind": "BCB-product-outside-C"})
-                    break
-                rhs = M2.mul_sparse(M2.mul_sparse(b, eb_cols[i]), b2)
-                if E_B.apply(coords) != rhs:
-                    failures.append({"kind": "E_B-bimodule", "basis": i})
-                    break
+    b_gens = _subalgebra_generators(d2.B) if m2_ok and b_in_c else None
+    failures += _bimodule_failures(C, E_B, M2, d2.B.vectors, lambda b: b, "B", b_gens)
     # E_B(b e1 b') = lam b b'
     e1h = t.e1_in_m2()
     for b in d2.B.vectors:
@@ -567,30 +622,24 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
             failures.append({"kind": "E_A-image-outside-A"})
         ea_cols.append(img)
     E_A = LinMap(f, ea_cols, M1.dim)
-    for a in d2.A.vectors:
-        coords = C.coords(t.incl2.apply(a))
+    a_in_m2 = [t.incl2.apply(a) for a in d2.A.vectors]
+    a_in_c = False
+    for a, ah in zip(d2.A.vectors, a_in_m2):
+        coords = C.coords(ah)
         if coords is None:
             failures.append({"kind": "A-not-inside-C"})
             break
         if E_A.apply(coords) != a:
             failures.append({"kind": "E_A-not-identity-on-A"})
             break
-    for a in d2.A.vectors:
-        ah = t.incl2.apply(a)
-        for i, c_vec in enumerate(C.vectors):
-            for a2 in d2.A.vectors:
-                coords = C.coords(M2.mul_sparse(M2.mul_sparse(ah, c_vec), t.incl2.apply(a2)))
-                if coords is None:
-                    failures.append({"kind": "ACA-product-outside-C"})
-                    break
-                rhs = M1.mul_sparse(M1.mul_sparse(a, ea_cols[i]), a2)
-                if E_A.apply(coords) != rhs:
-                    failures.append({"kind": "E_A-bimodule", "basis": i})
-                    break
+    else:
+        a_in_c = True
+    a_ok = m2_ok and a_in_c and t.levels[0].passed("algebra-axioms") and t.levels[1].passed("inclusion-monomorphism")
+    a_gens = _subalgebra_generators(d2.A) if a_ok else None
+    failures += _bimodule_failures(C, E_A, M1, d2.A.vectors, t.incl2.apply, "A", a_gens)
 
     # Markov relations
-    for a in d2.A.vectors:
-        ah = t.incl2.apply(a)
+    for ah in a_in_m2:
         rhs = sparse_scale(f, lam, t.F.apply(ah))
         if t.F.apply(M2.mul_sparse(ah, t.e2)) != rhs or t.F.apply(M2.mul_sparse(t.e2, ah)) != rhs:
             failures.append({"kind": "markov-F(ae2)"})

@@ -4,7 +4,9 @@ Coactions are always derived from actions through fixed dual bases, so there
 is exactly one data path from a Hopf action to comodule structures; every
 claimed isomorphism (theta, psi, m # a -> ma, the Galois map beta) is decided
 by rank plus multiplicativity checks, never assumed; those from a smash
-product run on its generators once both sides are verified algebras.
+product run on its generators once both sides are verified algebras, and the
+module-algebra law on generators of the acted-on algebra once it and the
+Hopf algebra are verified.
 """
 from __future__ import annotations
 
@@ -41,9 +43,22 @@ class ModuleAlgebraAction:
         return map_combination(self.algebra.field, self.algebra.dim, h, self.maps)
 
 
-def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> CheckOutcome:
-    """Unit/associativity of the action, h . (xy) = (h1 . x)(h2 . y) and
-    h . 1 = eps(h) 1, all on basis tuples."""
+def verify_module_algebra(
+    act: ModuleAlgebraAction, max_failures: int = 6, x_generators: Optional[list] = None
+) -> CheckOutcome:
+    """Unit/associativity of the action on all basis pairs of H, the
+    module-algebra law h . (xy) = (h1 . x)(h2 . y) and h . 1 = eps(h) 1.
+
+    Given x_generators, elements whose words with 1 span X (pass them only
+    once X passed algebra-axioms and H its Hopf axioms), the law is first
+    checked for y in 1 and x_generators alone (Montgomery, Hopf Algebras and
+    Their Actions on Rings, CBMS 82, ch. 4). The y with
+    h . (xy) = (h1 . x)(h2 . y) for all h and x form a subalgebra: for such
+    y, y', h . (x y y') = (h1 . xy)(h2 . y') = (h11 . x)(h12 . y)(h2 . y'),
+    which is (h1 . x)(h2 . y y') by associativity of X and coassociativity of
+    Delta. On any failure there, every basis triple is checked, so the
+    failures listed are always that scan's.
+    """
     H, X = act.hopf, act.algebra
     f = X.field
     failures = []
@@ -58,21 +73,46 @@ def verify_module_algebra(act: ModuleAlgebraAction, max_failures: int = 6) -> Ch
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
     # module-algebra law
-    cols = [m.columns for m in act.maps]
+    law_holds = False
+    if x_generators is not None:
+        one = f.one
+        rights = [([X.mul_sparse({x: one}, g) for x in range(X.dim)], [m.apply(g) for m in act.maps])
+                  for g in [X.unit, *x_generators]]
+        law_holds = not any(_module_law_failures(act, i, rights, 1) for i in range(H.dim))
+    if not law_holds:  # the scan: right factors e_y, with e_x e_y = table[x][y]
+        rights = [([X.table[x][y] for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)]
     for i in range(H.dim):
-        legs = H.delta_coords(i)
-        for x in range(X.dim):
-            for y in range(X.dim):
-                rhs: dict = {}
-                for u, v, c in legs:
-                    sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], cols[v][y]))
-                if act.maps[i].apply(X.table[x][y]) != rhs:
-                    failures.append({"kind": "module-algebra-law", "triple": (i, x, y)})
-                    if len(failures) >= max_failures:
-                        return CheckOutcome(False, failures)
+        if not law_holds:
+            found = _module_law_failures(act, i, rights, max_failures - len(failures))
+            failures += [{"kind": "module-algebra-law", "triple": (i, x, y)} for x, y in found]
+            if found and len(failures) >= max_failures:
+                return CheckOutcome(False, failures)
         if act.maps[i].apply(X.unit) != sparse_scale(f, H.counit_of(i), X.unit):
             failures.append({"kind": "unit-not-scaled-by-eps", "basis": i})
     return CheckOutcome(not failures, failures)
+
+
+def _module_law_failures(act: ModuleAlgebraAction, i: int, rights: list, max_failures: int) -> list:
+    """The (x, r) with h_i . (e_x y_r) != (h1 . e_x)(h2 . y_r), in that loop
+    order, for right factors given by rights[r] = ([e_x y_r for each basis x],
+    [h_u . y_r for each basis u]); at most max_failures of them (at least one
+    when any)."""
+    X = act.algebra
+    f = X.field
+    cols = [m.columns for m in act.maps]
+    h_i = act.maps[i]
+    legs = act.hopf.delta_coords(i)
+    failures = []
+    for x in range(X.dim):
+        for r, (products, acted) in enumerate(rights):
+            rhs: dict = {}
+            for u, v, c in legs:
+                sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], acted[v]))
+            if h_i.apply(products[x]) != rhs:
+                failures.append((x, r))
+                if len(failures) >= max_failures:
+                    return failures
+    return failures
 
 
 def invariants(act: ModuleAlgebraAction) -> SubspaceBasis:
@@ -242,11 +282,14 @@ def psi_inverse_formula(
 # ---------------------------------------------------------------------------
 
 
-def action_b_on_m1(t, d2, H_B: HopfStructure, sandwiches: tuple) -> tuple[ModuleAlgebraAction, CheckOutcome]:
+def action_b_on_m1(
+    t, d2, H_B: HopfStructure, sandwiches: tuple, x_generators: Optional[list] = None
+) -> tuple[ModuleAlgebraAction, CheckOutcome]:
     """Ocneanu-Szymanski action b . x = lam^-1 E_M1(b x e2), verified as a
     module-algebra action, cross-checked against b_(1) x S(b_(2)), with
     e2 . x = E_M(x). The action is read from the right sandwich maps at the
-    image of the basis of M1."""
+    image of the basis of M1. x_generators, generators of M1, go to
+    verify_module_algebra under its gate."""
     f = t.M.field
     M1, M2 = t.M1, t.M2
     lam_inv = t.base_sys.lambda_inverse
@@ -254,7 +297,7 @@ def action_b_on_m1(t, d2, H_B: HopfStructure, sandwiches: tuple) -> tuple[Module
     _, right = sandwiches
     maps = [LinMap(f, [sparse_scale(f, lam_inv, r.apply(xh)) for xh in incl], M1.dim) for r in right]
     act = ModuleAlgebraAction(H_B, M1, maps)
-    out = verify_module_algebra(act)
+    out = verify_module_algebra(act, x_generators=x_generators)
     failures = list(out.failures)
 
     if H_B.antipode is not None:
@@ -282,9 +325,12 @@ def action_b_on_m1(t, d2, H_B: HopfStructure, sandwiches: tuple) -> tuple[Module
     return act, CheckOutcome(not failures, failures)
 
 
-def action_a_on_m(t, d2, H_A: HopfStructure) -> tuple[Optional[ModuleAlgebraAction], CheckOutcome]:
+def action_a_on_m(
+    t, d2, H_A: HopfStructure, x_generators: Optional[list] = None
+) -> tuple[Optional[ModuleAlgebraAction], CheckOutcome]:
     """a . m = a_(1) m S(a_(2)) computed inside M1; must land in the image
-    of M; e1 . x = E(x)."""
+    of M; e1 . x = E(x). x_generators, generators of M, go to
+    verify_module_algebra under its gate."""
     f = t.M.field
     M, M1 = t.M, t.M1
     failures = []
@@ -310,7 +356,7 @@ def action_a_on_m(t, d2, H_A: HopfStructure) -> tuple[Optional[ModuleAlgebraActi
     act = ModuleAlgebraAction(H_A, M, maps)
     if failures:
         return act, CheckOutcome(False, failures)
-    out = verify_module_algebra(act)
+    out = verify_module_algebra(act, x_generators=x_generators)
     failures = list(out.failures)
     e1_A = d2.A.coords(t.e1)
     if e1_A is None:

@@ -199,7 +199,11 @@ class SparseSolver:
     detected as soon as a row reduces to zero with a nonzero right-hand side.
     With reduce_fully=True every pivot row is kept free of the other pivot
     columns (sparse RREF), so ``reduce`` gives the canonical normal form of a
-    row modulo the row space.
+    row modulo the row space. A new pivot is then back-substituted only into
+    the rows that have an entry in its column: ``users`` maps each column to
+    the leads of the pivot rows with an entry there, and is updated whenever
+    an entry appears or cancels, so a pivot costs the rows it touches, not
+    the rank.
     """
 
     def __init__(self, field: Field, cols: int, reduce_fully: bool = False):
@@ -207,6 +211,7 @@ class SparseSolver:
         self.cols = cols
         self.reduce_fully = reduce_fully
         self.pivots: dict[int, dict] = {}  # lead col -> row dict (rhs at key = cols)
+        self.users: dict[int, set] = {}  # col -> leads of the pivot rows with an entry there (reduce_fully)
         self.consistent = True
 
     def _eliminate(self, work: dict, lead: int) -> None:
@@ -254,15 +259,24 @@ class SparseSolver:
         inv = f.inv(work[lead])
         work = {c: f.mul(inv, v) for c, v in work.items()}
         if self.reduce_fully:
-            for other in self.pivots.values():
-                c = other.get(lead)
-                if c is not None:
-                    for col, val in work.items():
-                        v = f.sub(other.get(col, f.zero), f.mul(c, val))
-                        if v:
-                            other[col] = v
-                        else:
-                            other.pop(col, None)
+            users = self.users
+            for other_lead in users.pop(lead, ()):
+                other = self.pivots[other_lead]
+                c = other.pop(lead)  # work[lead] = 1 clears it
+                for col, val in work.items():
+                    if col == lead:
+                        continue
+                    old = other.get(col)
+                    v = f.sub(f.zero if old is None else old, f.mul(c, val))
+                    if v:
+                        other[col] = v
+                        if old is None:
+                            users.setdefault(col, set()).add(other_lead)
+                    elif old is not None:
+                        del other[col]
+                        users[col].discard(other_lead)
+            for col in work:
+                users.setdefault(col, set()).add(lead)
         self.pivots[lead] = work
         return self.consistent
 

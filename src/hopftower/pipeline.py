@@ -79,6 +79,8 @@ class PipelineState:
     H_A: Optional[HopfStructure] = None
     naka: Optional[object] = None
     m_associative: bool = False  # M passed its algebra-axioms check
+    hopf_ok: bool = False  # hopf-axioms passed
+    dual_hopf_ok: bool = False  # dual-hopf passed
 
 
 def run_pipeline(
@@ -127,7 +129,7 @@ def run_pipeline(
     if galois_gate is None and stop >= 4 and state.H_B is None:
         galois_gate = "Hopf reconstruction did not complete"
     if stop >= 4:
-        _stage_galois(rep, state, hypotheses, galois_gate)
+        _stage_galois(rep, state, hypotheses, galois_gate, m_generators)
 
     verdict = _verdict(rep, hypotheses)
     results = rep.results
@@ -386,12 +388,13 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     H_A, d_out = dualize(pairing, H_B, t, d2)
     state.H_A = H_A
     rep.outcome("dual-hopf", d_out)
+    state.hopf_ok, state.dual_hopf_ok = ax.ok, d_out.ok
     hypotheses["hopf_reconstructed"] = ax.ok and d_out.ok
     hypotheses["dim_A"] = d2.A.dim
     hypotheses["dim_B"] = d2.B.dim
 
 
-def _stage_galois(rep, state, hypotheses, gate) -> None:
+def _stage_galois(rep, state, hypotheses, gate, m_generators) -> None:
     galois_checks = ("action-b-on-m1", "invariants-m1", "smash-theta",
                      "action-a-on-m", "invariants-m", "cleft-cocycle", "galois-map")
     if gate is not None:
@@ -399,12 +402,16 @@ def _stage_galois(rep, state, hypotheses, gate) -> None:
             rep.add(cid, SKIP, reason=gate)
         return
     t, d2 = state.tower, state.d2
-    act_b, out = action_b_on_m1(t, d2, state.H_B, state.sandwiches)
+    # the module-algebra laws run on generators of the acted-on algebra once
+    # it passed algebra-axioms and the acting Hopf algebra its axioms
+    m1_gens = t.levels[0].generators if state.hopf_ok and t.levels[0].passed("algebra-axioms") else None
+    act_b, out = action_b_on_m1(t, d2, state.H_B, state.sandwiches, m1_gens)
     rep.outcome("action-b-on-m1", out)
     m_img = SubspaceBasis(t.M1, t.incl1.columns)
     rep.outcome("invariants-m1", verify_invariants(act_b, m_img))
     rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b))
-    act_a, out = action_a_on_m(t, d2, state.H_A)
+    m_gens = m_generators if state.dual_hopf_ok and state.m_associative else None
+    act_a, out = action_a_on_m(t, d2, state.H_A, m_gens)
     rep.outcome("action-a-on-m", out)
     if act_a is None or not out.ok:
         for cid in ("invariants-m", "cleft-cocycle", "galois-map"):

@@ -17,6 +17,7 @@ from .algebra import (
     TensorQuotient,
     check_morphism,
     generators,
+    module_generators,
     right_module_endomorphisms,
     span_dim,
 )
@@ -40,6 +41,12 @@ class TowerError(ValueError):
     """Hypotheses for the basic construction are violated."""
 
 
+# the level checks under which E is a bimodule map of an associative level over
+# the multiplicative image of the level below, so that the solution set of an
+# identity that is one-sided linear over that image is a one-sided submodule
+MODULE_MAP_CHECKS = ("algebra-axioms", "condexp-bimodule", "inclusion-monomorphism")
+
+
 @dataclass
 class TowerLevel:
     algebra: Algebra
@@ -53,6 +60,10 @@ class TowerLevel:
     checks: list  # (name, CheckOutcome)
     incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
     generators: list  # generators(algebra, incl_generators + [e]): words in them span algebra
+    # span(incl(below) . left_module_generators) = algebra = span(right_module_generators . incl(below)),
+    # formed once MODULE_MAP_CHECKS hold, else None
+    left_module_generators: Optional[list] = None
+    right_module_generators: Optional[list] = None
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
@@ -61,6 +72,13 @@ class TowerLevel:
         """Whether every named check of this level came out true."""
         outcomes = dict(self.checks)
         return all(outcomes[name].ok for name in names)
+
+    def module_generators(self) -> Optional[tuple[list, list]]:
+        """(left, right) module generators of the level over the one below
+        while it passes MODULE_MAP_CHECKS, else None."""
+        if self.left_module_generators is None or not self.passed(*MODULE_MAP_CHECKS):
+            return None
+        return self.left_module_generators, self.right_module_generators
 
 
 @dataclass
@@ -148,6 +166,11 @@ def basic_construction(
     failed and its image is not a unital subalgebra of M1, there is no level
     extension and TowerError is raised; over an associative M that would be a
     defect, and ExtensionSpec raises AlgebraError.
+
+    Once the level passes MODULE_MAP_CHECKS it forms its one-sided module
+    generators over M, seeded from its dual bases (X_i, Y_i):
+    x = sum E(x X_i) Y_i puts M1 in span(incl(M) . Y), and
+    x = sum X_i E(Y_i x) in span(X . incl(M)).
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -249,6 +272,10 @@ def basic_construction(
     mismatch = [] if lam_ok else [{"kind": "index mismatch", "value": f.witness(alg1.to_dense(sys1.index))}]
     checks.append(("level-index", CheckOutcome(lam_ok, mismatch)))
 
+    left_gens = right_gens = None
+    if all(out.ok for name, out in checks if name in MODULE_MAP_CHECKS):
+        left_gens = module_generators(alg1, incl, "left", [y for _, y in pairs1])
+        right_gens = module_generators(alg1, incl, "right", [x for x, _ in pairs1])
     return TowerLevel(
         algebra=alg1,
         below=M,
@@ -261,6 +288,8 @@ def basic_construction(
         checks=checks,
         incl_generators=incl_gens,
         generators=gens,
+        left_module_generators=left_gens,
+        right_module_generators=right_gens,
     )
 
 
@@ -438,32 +467,48 @@ def verify_braid_relations(t: TowerData) -> CheckOutcome:
 
 
 def verify_pimsner_popa(t: TowerData) -> CheckOutcome:
-    """lam^-1 e E(e x) = e x and the opposite-sided identities, both levels."""
-    f = t.M.field
+    """lam^-1 e E(e x) = e x and the opposite-sided identities, both levels.
+
+    At a level with module generators (TowerLevel.module_generators) the left
+    identity is checked on the right-module generators and the right identity
+    on the left-module generators. Once E is a bimodule map, incl
+    multiplicative and the level associative, {x : lam^-1 e E(e x) = e x} is a
+    right submodule over incl(below), as E(e x m) = E(e x) m, and
+    {x : lam^-1 E(x e) e = x e} likewise a left one; so each holds on the level
+    once it holds on generators whose one-sided module span is the level. A
+    level without them, or with a failure on them, runs the loop over every
+    basis x, so the failures listed are always that loop's.
+    """
     lam_inv = t.base_sys.lambda_inverse
     failures = []
-    M1, M2 = t.M1, t.M2
-    for x in range(M1.dim):
-        ex = {x: f.one}
-        e1x = M1.mul_sparse(t.e1, ex)
-        lhs = sparse_scale(f, lam_inv, M1.mul_sparse(t.e1, t.incl1.apply(t.E_M.apply(e1x))))
-        if lhs != e1x:
-            failures.append({"level": 1, "side": "left", "basis": x})
-        xe1 = M1.mul_sparse(ex, t.e1)
-        lhs = sparse_scale(f, lam_inv, M1.mul_sparse(t.incl1.apply(t.E_M.apply(xe1)), t.e1))
-        if lhs != xe1:
-            failures.append({"level": 1, "side": "right", "basis": x})
-    for y in range(M2.dim):
-        ey = {y: f.one}
-        e2y = M2.mul_sparse(t.e2, ey)
-        lhs = sparse_scale(f, lam_inv, M2.mul_sparse(t.e2, t.incl2.apply(t.E_M1.apply(e2y))))
-        if lhs != e2y:
-            failures.append({"level": 2, "side": "left", "basis": y})
-        ye2 = M2.mul_sparse(ey, t.e2)
-        lhs = sparse_scale(f, lam_inv, M2.mul_sparse(t.incl2.apply(t.E_M1.apply(ye2)), t.e2))
-        if lhs != ye2:
-            failures.append({"level": 2, "side": "right", "basis": y})
+    for number, level in enumerate(t.levels, start=1):
+        failures += _pimsner_popa_failures(level, number, lam_inv)
     return CheckOutcome(not failures, failures)
+
+
+def _pimsner_popa_failures(level: TowerLevel, number: int, lam_inv) -> list:
+    up, e, incl, cond = level.algebra, level.e, level.incl, level.cond_exp
+    f = up.field
+
+    def left_holds(x: dict) -> bool:
+        ex = up.mul_sparse(e, x)
+        return sparse_scale(f, lam_inv, up.mul_sparse(e, incl.apply(cond.apply(ex)))) == ex
+
+    def right_holds(x: dict) -> bool:
+        xe = up.mul_sparse(x, e)
+        return sparse_scale(f, lam_inv, up.mul_sparse(incl.apply(cond.apply(xe)), e)) == xe
+
+    gens = level.module_generators()
+    if gens is not None and all(map(left_holds, gens[1])) and all(map(right_holds, gens[0])):
+        return []
+    failures = []
+    for x in range(up.dim):
+        ex = {x: f.one}
+        if not left_holds(ex):
+            failures.append({"level": number, "side": "left", "basis": x})
+        if not right_holds(ex):
+            failures.append({"level": number, "side": "right", "basis": x})
+    return failures
 
 
 def verify_cyclic_span(t: TowerData) -> CheckOutcome:

@@ -19,6 +19,7 @@ from hopftower.linalg import (
 Q = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def dense(field, rows):
@@ -209,6 +210,75 @@ def test_sparse_solver_agrees_with_dense_solve(A, raw_b):
     if ok:
         assert A.apply(x) == sparse_vector(b)
         assert A.domain_dim - s.rank() == len(kern)
+
+
+def _unindexed_add_row(f, cols, pivots, row, rhs):
+    """SparseSolver.add_row with reduce_fully=True, back-substituting each new
+    pivot into every pivot row: the reference for its column index."""
+    work = {c: v for c, v in row.items() if v}
+    if rhs:
+        work[cols] = rhs
+    for lead in [c for c in work if c in pivots]:
+        c = work[lead]
+        for col, val in pivots[lead].items():
+            v = f.sub(work.get(col, f.zero), f.mul(c, val))
+            if v:
+                work[col] = v
+            else:
+                work.pop(col, None)
+    if not work or min(work) == cols:
+        return
+    lead = min(work)
+    inv = f.inv(work[lead])
+    work = {c: f.mul(inv, v) for c, v in work.items()}
+    for other in pivots.values():
+        c = other.get(lead)
+        if c is not None:
+            for col, val in work.items():
+                v = f.sub(other.get(col, f.zero), f.mul(c, val))
+                if v:
+                    other[col] = v
+                else:
+                    other.pop(col, None)
+    pivots[lead] = work
+
+
+@st.composite
+def cancelling_rows(draw, max_cols=7):
+    """(field, cols, [(row, rhs)]) over Q, F2 or F7: a few free rows, then
+    combinations of the rows so far, some plus one unit vector, so that rows
+    reduce to zero and new pivots cancel entries of the pivot rows."""
+    field = draw(st.sampled_from([Q, F2, F7]))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append([draw(entry) for _ in range(cols + 1)])
+    for _ in range(draw(st.integers(1, 8))):
+        coeffs = [draw(entry) for _ in rows]
+        new = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols + 1)]
+        if draw(st.booleans()):
+            new[draw(st.integers(0, cols))] += 1
+        rows.append(new)
+    as_field = [[field.from_int(x) for x in row] for row in rows]
+    return field, cols, [(sparse_vector(row[:cols]), row[cols]) for row in as_field]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_rows())
+def test_sparse_solver_column_index_matches_unindexed_back_substitution(system):
+    field, cols, rows = system
+    s = SparseSolver(field, cols, reduce_fully=True)
+    reference: dict = {}
+    for row, rhs in rows:
+        s.add_row(row, rhs)
+        _unindexed_add_row(field, cols, reference, row, rhs)
+        assert s.pivots == reference
+        recomputed: dict = {}
+        for lead, pivot_row in s.pivots.items():
+            for col in pivot_row:
+                recomputed.setdefault(col, set()).add(lead)
+        assert {col: leads for col, leads in s.users.items() if leads} == recomputed
 
 
 @st.composite
