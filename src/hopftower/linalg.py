@@ -201,9 +201,9 @@ class SparseSolver:
     columns (sparse RREF), so ``reduce`` gives the canonical normal form of a
     row modulo the row space. A new pivot is then back-substituted only into
     the rows that have an entry in its column: ``users`` maps each column to
-    the leads of the pivot rows with an entry there, and is updated whenever
-    an entry appears or cancels, so a pivot costs the rows it touches, not
-    the rank.
+    the leads of the other pivot rows with an entry there (a pivot column has
+    none), and is updated whenever an entry appears or cancels, so a pivot
+    costs the rows it touches, not the rank.
     """
 
     def __init__(self, field: Field, cols: int, reduce_fully: bool = False):
@@ -211,7 +211,7 @@ class SparseSolver:
         self.cols = cols
         self.reduce_fully = reduce_fully
         self.pivots: dict[int, dict] = {}  # lead col -> row dict (rhs at key = cols)
-        self.users: dict[int, set] = {}  # col -> leads of the pivot rows with an entry there (reduce_fully)
+        self.users: dict[int, set] = {}  # col -> leads of the other pivot rows with an entry there (reduce_fully)
         self.consistent = True
 
     def _eliminate(self, work: dict, lead: int) -> None:
@@ -276,7 +276,8 @@ class SparseSolver:
                         del other[col]
                         users[col].discard(other_lead)
             for col in work:
-                users.setdefault(col, set()).add(lead)
+                if col != lead:
+                    users.setdefault(col, set()).add(lead)
         self.pivots[lead] = work
         return self.consistent
 

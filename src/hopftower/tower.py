@@ -60,10 +60,7 @@ class TowerLevel:
     checks: list  # (name, CheckOutcome)
     incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
     generators: list  # generators(algebra, incl_generators + [e]): words in them span algebra
-    # span(incl(below) . left_module_generators) = algebra = span(right_module_generators . incl(below)),
-    # formed once MODULE_MAP_CHECKS hold, else None
-    left_module_generators: Optional[list] = None
-    right_module_generators: Optional[list] = None
+    _module_generators: Optional[tuple] = None  # formed by module_generators() on first use
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
@@ -74,11 +71,19 @@ class TowerLevel:
         return all(outcomes[name].ok for name in names)
 
     def module_generators(self) -> Optional[tuple[list, list]]:
-        """(left, right) module generators of the level over the one below
-        while it passes MODULE_MAP_CHECKS, else None."""
-        if self.left_module_generators is None or not self.passed(*MODULE_MAP_CHECKS):
+        """(G_L, G_R) with span(incl(below) . G_L) = algebra =
+        span(G_R . incl(below)) while the level passes MODULE_MAP_CHECKS,
+        else None. Formed on first use, seeded from the dual bases (X_i, Y_i):
+        x = sum E(x X_i) Y_i puts the level in span(incl(below) . Y), and
+        x = sum X_i E(Y_i x) in span(X . incl(below))."""
+        if not self.passed(*MODULE_MAP_CHECKS):
             return None
-        return self.left_module_generators, self.right_module_generators
+        if self._module_generators is None:
+            xs = [x for x, _ in self.dual_pairs]
+            ys = [y for _, y in self.dual_pairs]
+            self._module_generators = (module_generators(self.algebra, self.incl, "left", ys),
+                                       module_generators(self.algebra, self.incl, "right", xs))
+        return self._module_generators
 
 
 @dataclass
@@ -166,11 +171,6 @@ def basic_construction(
     failed and its image is not a unital subalgebra of M1, there is no level
     extension and TowerError is raised; over an associative M that would be a
     defect, and ExtensionSpec raises AlgebraError.
-
-    Once the level passes MODULE_MAP_CHECKS it forms its one-sided module
-    generators over M, seeded from its dual bases (X_i, Y_i):
-    x = sum E(x X_i) Y_i puts M1 in span(incl(M) . Y), and
-    x = sum X_i E(Y_i x) in span(X . incl(M)).
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -272,10 +272,6 @@ def basic_construction(
     mismatch = [] if lam_ok else [{"kind": "index mismatch", "value": f.witness(alg1.to_dense(sys1.index))}]
     checks.append(("level-index", CheckOutcome(lam_ok, mismatch)))
 
-    left_gens = right_gens = None
-    if all(out.ok for name, out in checks if name in MODULE_MAP_CHECKS):
-        left_gens = module_generators(alg1, incl, "left", [y for _, y in pairs1])
-        right_gens = module_generators(alg1, incl, "right", [x for x, _ in pairs1])
     return TowerLevel(
         algebra=alg1,
         below=M,
@@ -288,8 +284,6 @@ def basic_construction(
         checks=checks,
         incl_generators=incl_gens,
         generators=gens,
-        left_module_generators=left_gens,
-        right_module_generators=right_gens,
     )
 
 

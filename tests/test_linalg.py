@@ -277,7 +277,8 @@ def test_sparse_solver_column_index_matches_unindexed_back_substitution(system):
         recomputed: dict = {}
         for lead, pivot_row in s.pivots.items():
             for col in pivot_row:
-                recomputed.setdefault(col, set()).add(lead)
+                if col != lead:
+                    recomputed.setdefault(col, set()).add(lead)
         assert {col: leads for col, leads in s.users.items() if leads} == recomputed
 
 

@@ -63,8 +63,9 @@ def _with_failed(t, level: int, check: str):
 
 
 def _without_module_generators(t):
-    return replace(t, levels=[replace(level, left_module_generators=None, right_module_generators=None)
-                              for level in t.levels])
+    """The tower with both levels' condexp-bimodule reported failed, so that
+    neither has module generators."""
+    return _with_failed(_with_failed(t, 0, "condexp-bimodule"), 1, "condexp-bimodule")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_pimsner_popa_same_on_module_generators(case):
     assert rejected > 0
 
 
-@pytest.mark.parametrize("emptied", ["left_module_generators", "right_module_generators"])
+@pytest.mark.parametrize("emptied", [0, 1], ids=["left", "right"])
 def test_pimsner_popa_checks_each_identity_on_its_own_side(emptied):
     """The left identity runs on the right-module generators and the right
     identity on the left-module ones: with one set emptied, a bumped e is
@@ -106,7 +107,9 @@ def test_pimsner_popa_checks_each_identity_on_its_own_side(emptied):
     f = level.algebra.field
     e = dict(level.e)
     sparse_add(f, e, 0, f.one)
-    bad = replace(t, levels=[replace(level, e=e, **{emptied: []}), t.levels[1]])
+    gens = list(level.module_generators())
+    gens[emptied] = []
+    bad = replace(t, levels=[replace(level, e=e, _module_generators=tuple(gens)), t.levels[1]])
     on_basis = verify_pimsner_popa(_without_module_generators(bad))
     assert not on_basis.ok and verify_pimsner_popa(bad) == on_basis
 
@@ -125,8 +128,8 @@ def test_depth_two_reuses_the_level_module_generators():
     state = _state("f7/model:z4")
     for level, scope in zip(state.tower.levels, (state.d2.A, state.d2.B)):
         ctx = depth2._level_context(level, scope)
-        assert ctx.left_gens is level.left_module_generators
-        assert ctx.right_gens is level.right_module_generators
+        assert (ctx.left_gens, ctx.right_gens) == level.module_generators()
+        assert ctx.left_gens is level.module_generators()[0]
 
 
 # ---------------------------------------------------------------------------
