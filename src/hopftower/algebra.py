@@ -26,6 +26,7 @@ from .linalg import (
     map_combination,
     rank,
     sparse_add,
+    sparse_apply,
 )
 
 
@@ -126,40 +127,58 @@ def generators(alg: Algebra, seeds: Iterable[dict] = ()) -> list[dict]:
     """A set S such that 1 and the left-normed words ((s_1 s_2) ...) s_r in S
     span alg: the seeds in order, then, while the word span is not all of alg,
     the lowest basis element outside it. Seeds that come after the span is
-    full are left out.
+    full are left out."""
+    return _generators(alg, seeds)[0]
 
-    The word span is kept in one SparseSolver and grown by right
-    multiplication with each element of S, so the result is deterministic.
+
+def _generators(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[list[dict], list[list[dict]]]:
+    """generators(alg, seeds) and, for each g in it, its right multiplication
+    operator R_g = [e_l g for every basis l].
+
+    The word span W is the least subspace holding 1 with W g in W for every g
+    in S. It is kept in one SparseSolver and grown from the reduced rows that
+    entered it: a pending vector v is reduced modulo W, and a nonzero residual
+    r is added and its images r g queued for every g in S; adding g queues the
+    images under R_g of every row added so far. This is the spinning step of
+    the MeatAxe (Parker 1984). W g in W is linear in W, so it holds once it
+    holds on the rows, a basis of W, and span(W, v) = span(W, r). So after
+    each closure W is the least such subspace for the current S, which is
+    unique; each decision (keep a seed, stop on a full span, take the lowest
+    basis element outside it) reads only W, so the result is deterministic
+    and that of the closure over the words themselves.
     """
     f = alg.field
+    one = f.one
     span = SparseSolver(f, alg.dim, reduce_fully=True)
-    words: list[dict] = []  # the words that enlarged the span: a basis of it
+    rows: list[dict] = []  # the residuals that enlarged the span: a basis of it
     gens: list[dict] = []
+    rights: list[list[dict]] = []
 
     def close(pending: list[dict]) -> None:
-        while pending:
-            w = pending.pop()
-            before = span.rank()
-            span.add_row(w, f.zero)
-            if span.rank() > before:
-                words.append(w)
-                pending.extend(alg.mul_sparse(w, g) for g in gens)
+        while pending and span.rank() < alg.dim:
+            r = span.reduce(pending.pop())
+            if r:
+                span.add_row(r, f.zero)
+                rows.append(r)
+                pending.extend(sparse_apply(f, right, r) for right in rights)
 
     def extend(g: dict) -> None:
+        right = [alg.mul_sparse({l: one}, g) for l in range(alg.dim)]
         gens.append(g)
-        close([alg.mul_sparse(w, g) for w in words])
+        rights.append(right)
+        close([sparse_apply(f, right, r) for r in rows])
 
     close([alg.unit])
     for s in seeds:
         if span.rank() == alg.dim:
-            return gens
+            return gens, rights
         extend(s)
     for k in range(alg.dim):
         if span.rank() == alg.dim:
             break
-        if span.reduce({k: f.one}):
-            extend({k: f.one})
-    return gens
+        if span.reduce({k: one}):
+            extend({k: one})
+    return gens, rights
 
 
 def module_generators(up: Algebra, incl: LinMap, side: str, seeds: Iterable[dict] = ()) -> list[dict]:
@@ -284,9 +303,7 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
                 break
     gens = None
     if not unit_failures:
-        one = f.one
-        gens = generators(alg, seeds)
-        rights = [[alg.mul_sparse({l: one}, g) for l in range(alg.dim)] for g in gens]
+        gens, rights = _generators(alg, seeds)
         if not _assoc_failures(alg, rights, 1):
             return AlgebraReport(True, [], [], gens)
     # the full scan: right factors e_k, with e_l e_k = table[l][k]
@@ -302,11 +319,12 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
 
 
 def _row_space(field: Field, cols: int, vectors: list[dict]) -> SparseSolver:
-    """The span of vectors as sparse RREF rows in a SparseSolver."""
+    """The span of vectors as sparse RREF rows in a frozen SparseSolver."""
     solver = SparseSolver(field, cols, reduce_fully=True)
     zero = field.zero
     for v in vectors:
         solver.add_row(v, zero)
+    solver.freeze()
     return solver
 
 
@@ -321,7 +339,8 @@ class SubspaceBasis:
     ``coords`` reads v at the pivots, which fixes v in the span as the reduced
     rows are fully reduced: with B the vectors restricted to the pivot columns,
     coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use, and so
-    is ``induced_algebra``: do not mutate ``vectors`` or the induced algebra.
+    are ``induced_algebra`` and ``induced_generators``: do not mutate
+    ``vectors``, the induced algebra or its generators.
     """
 
     def __init__(self, ambient: Algebra, vectors: list[dict]):
@@ -337,6 +356,7 @@ class SubspaceBasis:
         self._pivots = sorted(space.pivots)
         self._coord_map: Optional[LinMap] = None
         self._induced: Optional[tuple[Algebra, LinMap]] = None
+        self._induced_generators: Optional[list[dict]] = None
 
     @property
     def dim(self) -> int:
@@ -378,6 +398,13 @@ class SubspaceBasis:
         if self._induced is None:
             self._induced = self._build_induced()
         return self._induced
+
+    def induced_generators(self) -> list[dict]:
+        """generators() of the induced algebra, in this subspace's coordinates,
+        formed on first use and then returned as the same list."""
+        if self._induced_generators is None:
+            self._induced_generators = generators(self.induced_algebra()[0])
+        return self._induced_generators
 
     def _build_induced(self) -> tuple[Algebra, LinMap]:
         alg = self.ambient
@@ -499,12 +526,16 @@ class TensorQuotient:
                     for m, c in left[b].items():
                         sparse_add(f, row, t + (m - b) * lo, f.neg(c))
                     relations.add_row(row, f.zero)
-
+        relations.freeze()
         self._relations = relations
         free = [(col, tup) for col, tup in enumerate(product(range(d), repeat=factors)) if col not in relations.pivots]
         self.basis = [tup for _, tup in free]
         self.dim = len(self.basis)
         self._index = {col: c for c, (col, _) in enumerate(free)}
+
+    def is_free(self, col: int) -> bool:
+        """Whether the flat column col is a quotient basis tensor (not a pivot)."""
+        return col in self._index
 
     def project(self, tensor: dict) -> dict:
         """Quotient coordinates of a sparse element of the tensor power over k."""

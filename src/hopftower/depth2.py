@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer, generators
+from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer
 from .frobenius import CheckOutcome, nakayama, nakayama_of_functional, scalar_of
 from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
 
@@ -481,12 +481,14 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
 
 def _subalgebra_generators(sub: SubspaceBasis) -> Optional[list]:
     """Elements of the ambient whose words with 1 span sub: the generators of
-    its induced algebra, embedded. None when sub is not a unital subalgebra."""
+    its induced algebra (SubspaceBasis.induced_generators), embedded. None
+    when sub is not a unital subalgebra."""
     try:
-        alg, embed = sub.induced_algebra()
+        gens = sub.induced_generators()
     except AlgebraError:
         return None
-    return [embed.apply(g) for g in generators(alg)]
+    embed = sub.induced_algebra()[1]
+    return [embed.apply(g) for g in gens]
 
 
 def _one_sided_laws_hold(C: SubspaceBasis, E: LinMap, below: Algebra, gens: list, into_m2) -> bool:

@@ -150,12 +150,14 @@ class SmashProduct:
 
 
 def smash_product(
-    X: Algebra, H: HopfStructure, act: ModuleAlgebraAction, x_generators: Optional[list] = None
+    X: Algebra, H: HopfStructure, act: ModuleAlgebraAction,
+    x_generators: Optional[list] = None, h_generators: Optional[list] = None,
 ) -> SmashProduct:
     """(x # h)(x' # h') = x (h1 . x') # h2 h', with associativity re-verified
     on the generators (S_X # 1) and (1 # S_H): x # h = (x # 1)(1 # h), and
     (x # h)(1 # h') = x # h h'. S_X is x_generators, elements whose words with
-    1 span X (default: generators(X))."""
+    1 span X, and S_H h_generators, likewise for H.algebra; each defaults to
+    generators() of its algebra."""
     f = X.field
     dx, dh = X.dim, H.dim
     dim = dx * dh
@@ -184,7 +186,9 @@ def smash_product(
     embed_h = LinMap(f, [{x * dh + h: cx for x, cx in X.unit.items()} for h in range(dh)], dim)
     if x_generators is None:
         x_generators = generators(X)
-    seeds = [embed_x.apply(g) for g in x_generators] + [embed_h.apply(g) for g in generators(H.algebra)]
+    if h_generators is None:
+        h_generators = generators(H.algebra)
+    seeds = [embed_x.apply(g) for g in x_generators] + [embed_h.apply(g) for g in h_generators]
     return SmashProduct(alg, X, H, embed_x, embed_h, *algebra_check(alg, seeds))
 
 
@@ -383,7 +387,9 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
     restriction A # B -> C is one as well.
 
     The smash tables are built from the action columns h . e_x. M1 # B is
-    checked on the generators of M1 its tower level formed. Once M1 and M2
+    checked on the generators of M1 its tower level formed, and both smash
+    products on the induced generators of A and B, which
+    conditional_expectations formed on the same subspaces. Once M1 and M2
     passed algebra-axioms and a smash product passed its own check, its
     morphism is checked on the generating set that check ran on (see
     check_morphism); C is a closed unital subalgebra of M2 (induced_algebra
@@ -394,7 +400,7 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
     M2 = t.M2
     towers_ok = t.levels[0].passed("algebra-axioms") and t.levels[1].passed("algebra-axioms")
     failures = []
-    sm = smash_product(t.M1, H_B, act, t.levels[0].generators)
+    sm = smash_product(t.M1, H_B, act, t.levels[0].generators, d2.B.induced_generators())
     if not sm.report.ok:
         failures.append({"kind": "smash-algebra-invalid", "detail": sm.report.failures[:1]})
     cols = [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors]
@@ -414,7 +420,8 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
             cols_a.append(coords)
         a_maps.append(LinMap(f, cols_a, d2.A.dim))
     A_alg, _ = d2.A.induced_algebra()
-    sm_ab = smash_product(A_alg, H_B, ModuleAlgebraAction(H_B, A_alg, a_maps))
+    sm_ab = smash_product(A_alg, H_B, ModuleAlgebraAction(H_B, A_alg, a_maps),
+                          d2.A.induced_generators(), d2.B.induced_generators())
     C_alg, _ = d2.C.induced_algebra()
     cols = []
     for i in range(d2.A.dim):
@@ -438,11 +445,13 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
 
 def cleft_data(
     t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData,
-    act_a: ModuleAlgebraAction, act_b: ModuleAlgebraAction,
+    act_a: ModuleAlgebraAction, act_b: ModuleAlgebraAction, m_generators: Optional[list] = None,
 ) -> CheckOutcome:
     """iota: A -> M1 is a comodule map (coaction derived from the B-action act_b),
     its convolution inverse is iota o S_A, the associated cocycle is trivial,
-    and m # a -> m a is an algebra isomorphism M # A -> M1."""
+    and m # a -> m a is an algebra isomorphism M # A -> M1. M # A takes
+    m_generators (default: generators(M)) and A's induced generators as the
+    generators of its factors (smash_product)."""
     f = t.M.field
     M1 = t.M1
     failures = []
@@ -498,7 +507,7 @@ def cleft_data(
 
     # m # a -> m iota(a) is an algebra isomorphism M # A -> M1
     if act_a is not None:
-        sm = smash_product(t.M, H_A, act_a)
+        sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
         cols = [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs]
         morph = _smash_morphism(sm, LinMap(f, cols, M1.dim), M1, t.levels[0].passed("algebra-axioms"))
         if not morph.ok():

@@ -203,7 +203,8 @@ class SparseSolver:
     the rows that have an entry in its column: ``users`` maps each column to
     the leads of the other pivot rows with an entry there (a pivot column has
     none), and is updated whenever an entry appears or cancels, so a pivot
-    costs the rows it touches, not the rank.
+    costs the rows it touches, not the rank. ``freeze`` drops that index once
+    the row space is final; the solver then only reduces.
     """
 
     def __init__(self, field: Field, cols: int, reduce_fully: bool = False):
@@ -211,7 +212,7 @@ class SparseSolver:
         self.cols = cols
         self.reduce_fully = reduce_fully
         self.pivots: dict[int, dict] = {}  # lead col -> row dict (rhs at key = cols)
-        self.users: dict[int, set] = {}  # col -> leads of the other pivot rows with an entry there (reduce_fully)
+        self.users: Optional[dict[int, set]] = {}  # col -> leads of the other pivot rows with an entry there (reduce_fully); None once frozen
         self.consistent = True
 
     def _eliminate(self, work: dict, lead: int) -> None:
@@ -237,7 +238,14 @@ class SparseSolver:
             self._eliminate(work, lead)
         return work
 
+    def freeze(self) -> None:
+        """Mark the row space final and free the back-substitution index; a
+        later add_row raises instead of skipping back-substitution."""
+        self.users = None
+
     def add_row(self, row: dict, rhs) -> bool:
+        if self.users is None:
+            raise RuntimeError("add_row on a frozen SparseSolver")
         f = self.field
         work = dict(row)
         if rhs:

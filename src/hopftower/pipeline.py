@@ -420,7 +420,7 @@ def _stage_galois(rep, state, hypotheses, gate, m_generators) -> None:
     ext = state.ext
     n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
-    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b))
+    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b, m_generators))
     gm = galois_map(t.M, ext.N, state.sys.tq, act_a, state.H_A.dim)
     rep.outcome("galois-map", gm)
     hypotheses["galois_extension"] = gm.ok

@@ -34,7 +34,7 @@ from .frobenius import (
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
-from .linalg import rank, sparse_add, sparse_scale
+from .linalg import rank, sparse_add, sparse_axpy, sparse_scale
 
 
 class TowerError(ValueError):
@@ -188,21 +188,33 @@ def basic_construction(
     e_into_m = sys.ext.e_into_m(sys.E)
 
     # multiplication table: [a(x)b][c(x)d] = a E(bc) (x) d, with E(bc) formed
-    # once per basis pair (b, c) of M
-    ebc_of = {(b, c): e_into_m.apply(M.table[b][c]) for b in range(M.dim) for c in range(M.dim)}
+    # once per basis pair (b, c) of M and u = a E(bc) once per (a, b, c). The
+    # normal form modulo the relations is linear, so project(u (x) e_d) =
+    # sum_l u_l project(e_l (x) e_d), and each basis tensor is projected once.
+    # project clears the pivot columns after the free ones are in place, so the
+    # free e_l (x) e_d are summed first and the key order is project's too.
+    n = M.dim
+    proj = [[(tq.is_free(l * n + d), tq.project({l * n + d: f.one})) for d in range(n)] for l in range(n)]
+    ebc_of = {(b, c): e_into_m.apply(M.table[b][c]) for b in range(n) for c in range(n)}
+    qs_of: list[list] = [[] for _ in range(n)]  # c -> [(q, d) with basis[q] = (c, d)]
+    for q, (c, d) in enumerate(tq.basis):
+        qs_of[c].append((q, d))
     table = [[{} for _ in range(dim1)] for _ in range(dim1)]
     for p, (a, b) in enumerate(tq.basis):
         ea = {a: f.one}
-        for q, (c, d) in enumerate(tq.basis):
+        for c, qs in enumerate(qs_of):
             u = M.mul_sparse(ea, ebc_of[b, c])
             if not u:
                 continue
-            tens = {}
-            for l, cv in u.items():
-                tens[l * M.dim + d] = cv
-            prod = tq.project(tens)
-            if prod:
-                table[p][q] = prod
+            for q, d in qs:
+                prod: dict = {}
+                for free_first in (True, False):
+                    for l, cv in u.items():
+                        free, vec = proj[l][d]
+                        if free == free_first:
+                            sparse_axpy(f, prod, cv, vec)
+                if prod:
+                    table[p][q] = prod
 
     # unit 1_1 = sum x_i (x) y_i
     unit1 = pairs_to_tensor(tq, M, sys.dual_pairs)

@@ -8,6 +8,7 @@ from hopftower.algebra import (
     Algebra,
     AlgebraError,
     _assoc_failures,
+    _generators,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
@@ -24,7 +25,7 @@ from hopftower.frobenius import classify, solve_dual_bases
 from hopftower.galois import action_b_on_m1, smash_product
 from hopftower.hopf import sandwich_maps
 from hopftower.fields import PrimeField, RationalField
-from hopftower.linalg import Matrix, rank, rref, sparse_vector
+from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_vector
 from hopftower.models import (
     cyclic_group,
     generate_example,
@@ -286,6 +287,68 @@ def test_mul_sparse_equals_the_product_over_every_pair(field):
                 cancelled += 1
     assert cancelled > 0
 
+
+def word_closure_generators(alg, seeds=()):
+    """generators() grown from the words: every word that enlarged the span
+    is multiplied by every generator, each product formed with mul_sparse."""
+    f = alg.field
+    span = SparseSolver(f, alg.dim, reduce_fully=True)
+    words, gens = [], []
+
+    def close(pending):
+        while pending:
+            w = pending.pop()
+            before = span.rank()
+            span.add_row(w, f.zero)
+            if span.rank() > before:
+                words.append(w)
+                pending.extend(alg.mul_sparse(w, g) for g in gens)
+
+    def extend(g):
+        gens.append(g)
+        close([alg.mul_sparse(w, g) for w in words])
+
+    close([alg.unit])
+    for s in seeds:
+        if span.rank() == alg.dim:
+            return gens
+        extend(s)
+    for k in range(alg.dim):
+        if span.rank() == alg.dim:
+            break
+        if span.reduce({k: f.one}):
+            extend({k: f.one})
+    return gens
+
+
+def assert_generators_are_the_word_closure(alg, seeds):
+    gens, rights = _generators(alg, seeds)
+    assert gens == word_closure_generators(alg, seeds) == generators(alg, seeds)
+    one = alg.field.one
+    assert rights == [[alg.mul_sparse({l: one}, g) for l in range(alg.dim)] for g in gens]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_generators_equal_the_word_closure(field):
+    """The span grown from reduced rows decides as the span of the words does,
+    on random tables, incidence algebras and bumped ones, whether they are
+    associative or not, with random seeds: zero, repeated, or past a full
+    span."""
+    for seed in range(40):
+        rng, algebras = random_algebras(field, seed)
+        for alg in algebras:
+            seeds = [random_element(field, alg.dim, rng, rng.choice((0.0, 0.3, 0.7))) for _ in range(rng.randint(0, 3))]
+            if seeds and rng.random() < 0.3:
+                seeds.append(dict(seeds[0]))
+            assert_generators_are_the_word_closure(alg, seeds)
+
+
+def test_generators_equal_the_word_closure_on_model_levels(model_z3_f7):
+    t, _d2 = model_z3_f7
+    for alg, seeds in ((t.M, ()), (t.M1, t.levels[0].incl_generators + [t.e1]),
+                       (t.M2, t.levels[1].incl_generators + [t.e2])):
+        assert_generators_are_the_word_closure(alg, seeds)
+        assert_generators_are_the_word_closure(alg, ())
 
 @pytest.mark.parametrize("group", ["z2", "z3", "z4"])
 def test_pipeline_generators_span(group, monkeypatch):

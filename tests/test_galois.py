@@ -525,3 +525,35 @@ def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms, 
         assert out == check_morphism(f_map, A, B)
     if failed == "smash":
         assert not theta.ok and not galois_morphisms[0][4].ok()
+
+
+def test_each_generating_set_is_formed_once_per_run(monkeypatch):
+    """One f7/model:z4 pipeline run forms generators() once on each algebra
+    whose set it needs outside an associativity check: M, N and the induced
+    algebras of A and B. The smash products take the sets already formed."""
+    import sys
+
+    from hopftower import algebra
+    from hopftower.depth2 import DepthTwoData
+    from hopftower.models import generate_example, model_bundle, model_tower
+    from hopftower.pipeline import run_pipeline
+
+    real = algebra.generators
+    calls = []
+
+    def counting(alg, seeds=()):
+        calls.append(alg)
+        return real(alg, seeds)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopftower") and getattr(module, "generators", None) is real:
+            monkeypatch.setattr(module, "generators", counting)
+    ext, _sidecar = generate_example("function-algebra", {"group": "z4", "field": "f7"})
+    _tower, d2, rep = model_tower(model_bundle("function-algebra:z4", ext.M.field))
+    assert rep.ok
+    calls.clear()
+    report = run_pipeline(ext, d2_override=DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model"))
+    assert report.exit_code() == 0 and report.hypotheses["galois_extension"] is True
+    state = report.state
+    expected = [ext.M, ext.n_algebra, state.d2.B.induced_algebra()[0], state.d2.A.induced_algebra()[0]]
+    assert len(calls) == len(expected) and all(a is b for a, b in zip(calls, expected)), [a.dim for a in calls]

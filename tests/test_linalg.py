@@ -282,6 +282,41 @@ def test_sparse_solver_column_index_matches_unindexed_back_substitution(system):
         assert {col: leads for col, leads in s.users.items() if leads} == recomputed
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(cancelling_rows())
+def test_frozen_sparse_solver_frees_its_index_and_refuses_rows(system):
+    """freeze keeps the pivots and reduce, drops the column index, and makes a
+    later add_row raise, as it could no longer back-substitute."""
+    field, cols, rows = system
+    s = SparseSolver(field, cols, reduce_fully=True)
+    for row, rhs in rows[:-1]:
+        s.add_row(row, rhs)
+    pivots = {lead: dict(row) for lead, row in s.pivots.items()}
+    reduced = [s.reduce(row) for row, _ in rows]
+    s.freeze()
+    assert s.users is None and s.pivots == pivots
+    assert [s.reduce(row) for row, _ in rows] == reduced
+    with pytest.raises(RuntimeError):
+        s.add_row(rows[-1][0], rows[-1][1])
+    assert s.pivots == pivots
+
+
+def test_long_lived_spans_are_frozen(tower_s3_z2):
+    """The subspaces, tensor quotients and endomorphism spaces keep their
+    solvers only to reduce, so none of them keeps the column index."""
+    from hopftower.algebra import SubspaceBasis, right_module_endomorphisms
+
+    t = tower_s3_z2
+    ext = t.base_sys.ext
+    sub = SubspaceBasis(t.M1, t.incl1.columns)
+    canonical = SubspaceBasis.from_spanning(t.M1, t.incl1.columns)
+    endo = right_module_endomorphisms(ext.M, ext.n_algebra, ext.embed)
+    for solver in (sub._space, canonical._space, t.base_sys.tq._relations, t.levels[0].sys.tq._relations, endo._space):
+        assert solver.users is None
+        with pytest.raises(RuntimeError):
+            solver.add_row({0: t.M.field.one}, t.M.field.zero)
+
 @st.composite
 def systems_with_an_early_inconsistent_rhs(draw, max_dim=4):
     """(A, rhs) over Q or F5: A has a dependent last row, so the unit vector at

@@ -1,4 +1,5 @@
 import pytest
+from test_generator_sites import CASES, _state
 
 from hopftower.algebra import TensorQuotient
 from hopftower.fields import RationalField
@@ -182,3 +183,95 @@ def test_triple_quotient_projects_every_tensor(group, subgroup):
                     )
                     assert triple.project(left) == zero
                     assert triple.project(right) == zero
+
+
+# -- the level tables against the projection of every basis pair ----------------
+
+def pairwise_table(sys):
+    """The E-multiplication table of M (x)_N M, one projection per basis pair:
+    [a(x)b][c(x)d] = project(a E(bc) (x) d)."""
+    M, f, tq = sys.M, sys.M.field, sys.tq
+    e_into_m = sys.ext.e_into_m(sys.E)
+    table = [[{} for _ in tq.basis] for _ in tq.basis]
+    for p, (a, b) in enumerate(tq.basis):
+        for q, (c, d) in enumerate(tq.basis):
+            u = M.mul_sparse({a: f.one}, e_into_m.apply(M.table[b][c]))
+            if u:
+                table[p][q] = tq.project({l * M.dim + d: cv for l, cv in u.items()})
+    return table
+
+
+def assert_tables_are_pairwise(t):
+    """Each level's table equals the pairwise reference in value and in key
+    order (a report witness keeps the first keys of a dict)."""
+    for level_sys, level in zip((t.base_sys, t.levels[0].sys), t.levels):
+        expected = pairwise_table(level_sys)
+        got = level.algebra.table
+        assert got == expected
+        assert [[list(cell) for cell in row] for row in got] == [[list(cell) for cell in row] for row in expected]
+
+
+@pytest.mark.parametrize("case_id", list(CASES))
+def test_level_tables_equal_the_pairwise_projection(case_id):
+    assert_tables_are_pairwise(_state(case_id).tower)
+
+
+@pytest.mark.parametrize("group", ["z2", "z3", "z4"])
+def test_model_tower_tables_equal_the_pairwise_projection(group):
+    from hopftower.fields import PrimeField
+    from hopftower.models import model_bundle, model_tower
+
+    t, _d2, rep = model_tower(model_bundle(f"function-algebra:{group}", PrimeField(7)))
+    assert rep.ok
+    assert_tables_are_pairwise(t)
+
+
+def unipotently_rebased(ext):
+    """The extension with M on the basis e'_i = e_i + e_(i+1) for even i < dim - 1:
+    the same extension, but a E(bc) has several terms where the tensor
+    relations bite, so a sum of projected basis tensors taken in the key order
+    of a E(bc) would list its keys in another order than project does."""
+    from hopftower.algebra import Algebra, LinMap, SubspaceBasis
+    from hopftower.frobenius import ExtensionSpec
+    from hopftower.linalg import invert
+
+    M, f = ext.M, ext.M.field
+    n = M.dim
+    T = LinMap(f, [{i: f.one, **({i + 1: f.one} if i % 2 == 0 and i + 1 < n else {})} for i in range(n)], n)
+    T_inv = invert(T)
+    entries = [
+        (i, j, k, c)
+        for i in range(n)
+        for j in range(n)
+        for k, c in T_inv.apply(M.mul_sparse(T.columns[i], T.columns[j])).items()
+    ]
+    rebased = Algebra.from_entries(f, n, entries, T_inv.apply(M.unit))
+    N = SubspaceBasis(rebased, [T_inv.apply(v) for v in ext.N.vectors])
+    return ExtensionSpec(rebased, N, E=ext.E.compose(T))
+
+
+@pytest.mark.parametrize("group, subgroup", [("z4", "z2"), ("s3", "a3")])
+def test_rebased_level_tables_keep_the_projection_key_order(group, subgroup):
+    from hopftower.frobenius import classify
+    from hopftower.linalg import sparse_axpy
+    from hopftower.tower import build_tower
+
+    ext, _sidecar = generate_example("group-pair", {"group": group, "subgroup": subgroup})
+    ext = unipotently_rebased(ext)
+    sys = solve_dual_bases(ext)
+    classify(ext, sys)
+    t = build_tower(sys)
+    assert t.ok()
+    assert_tables_are_pairwise(t)
+    # the sum in the key order of a E(bc) alone would differ somewhere
+    M, f, tq = sys.M, sys.M.field, sys.tq
+    e_into_m = sys.ext.e_into_m(sys.E)
+    reordered = 0
+    for p, (a, b) in enumerate(tq.basis):
+        for q, (c, d) in enumerate(tq.basis):
+            u = M.mul_sparse({a: f.one}, e_into_m.apply(M.table[b][c]))
+            in_u_order: dict = {}
+            for l, cv in u.items():
+                sparse_axpy(f, in_u_order, cv, tq.project({l * M.dim + d: f.one}))
+            reordered += list(in_u_order) != list(t.M1.table[p][q])
+    assert reordered > 0
