@@ -149,7 +149,7 @@ def _generators(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[list[dict], l
     """
     f = alg.field
     one = f.one
-    span = SparseSolver(f, alg.dim, reduce_fully=True)
+    span = SparseSolver(f, alg.dim)
     rows: list[dict] = []  # the residuals that enlarged the span: a basis of it
     gens: list[dict] = []
     rights: list[list[dict]] = []
@@ -191,7 +191,7 @@ def module_generators(up: Algebra, incl: LinMap, side: str, seeds: Iterable[dict
     seeds only affect how many elements it takes.
     """
     f = up.field
-    span = SparseSolver(f, up.dim, reduce_fully=True)
+    span = SparseSolver(f, up.dim)
     gens: list[dict] = []
 
     def offer(g: dict) -> None:
@@ -320,7 +320,7 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
 
 def _row_space(field: Field, cols: int, vectors: list[dict]) -> SparseSolver:
     """The span of vectors as sparse RREF rows in a frozen SparseSolver."""
-    solver = SparseSolver(field, cols, reduce_fully=True)
+    solver = SparseSolver(field, cols)
     zero = field.zero
     for v in vectors:
         solver.add_row(v, zero)
@@ -513,7 +513,7 @@ class TensorQuotient:
             ([M.mul_sparse({a: one}, n) for a in range(d)], [M.mul_sparse(n, {b: one}) for b in range(d)])
             for n in (N.vectors if n_generators is None else n_generators)
         ]
-        relations = SparseSolver(f, size, reduce_fully=True)
+        relations = SparseSolver(f, size)
         for right, left in sides:
             for t in range(size):
                 for p in range(factors - 1):

@@ -21,8 +21,8 @@ verdict equals the solvability of the tensor system. Steps 2 and 4 rest on
 one lemma (proof at _frobenius_sums_hold): once up is associative and E a
 down-bimodule map, both Frobenius sums are one-sided down-module maps, so an
 identity that holds on generators G_L with span(incl(down) . G_L) = up, or
-G_R with span(G_R . incl(down)) = up, holds on all of up. A level whose
-checks do not give that runs both steps on the basis.
+G_R with span(G_R . incl(down)) = up, holds on all of up. A level that is
+not verified runs both steps on the basis.
 """
 from __future__ import annotations
 
@@ -75,19 +75,13 @@ class DepthTwoData:
 # ---------------------------------------------------------------------------
 
 
-# a level's checks under which a subalgebra's centralizer in it needs only the
-# subalgebra's generators: the level is associative and its inclusion multiplicative
-_SUBALGEBRA_CHECKS = ("algebra-axioms", "inclusion-monomorphism")
-
-
 def second_centralizers(t) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
     """A = C_M1(N), B = C_M2(M), C = C_M2(N), canonical bases.
 
-    The constraints run on generators of the subalgebra where the tower's
-    checks make their images generate it and the ambient level associative
-    (see centralizer): A on incl1(S_N) once M1 passed algebra-axioms and incl1
-    inclusion-monomorphism; B on incl2(incl1(S_M)) and C on incl2(incl1(S_N))
-    once M2 passed algebra-axioms and both inclusions inclusion-monomorphism.
+    The constraints run on generators of the subalgebra (see centralizer):
+    A on incl1(S_N) once level 1 is verified, so M1 is associative and incl1
+    multiplicative; B on incl2(incl1(S_M)) and C on incl2(incl1(S_N)) once
+    level 2 is, so M2 is associative and both inclusions multiplicative.
     S_N is t.n_generators; incl1(S_M) is level 1's incl_generators. Else on the
     basis.
     """
@@ -95,16 +89,15 @@ def second_centralizers(t) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]
     in_m1 = t.incl1.compose(t.base_sys.ext.embed)
     n_in_m1 = SubspaceBasis(t.M1, in_m1.columns)
     n_gens = None if t.n_generators is None else [in_m1.apply(g) for g in t.n_generators]
-    A = centralizer(t.M1, n_in_m1, sub_generators=n_gens if level1.passed(*_SUBALGEBRA_CHECKS) else None)
-    m2_ok = level2.passed(*_SUBALGEBRA_CHECKS) and level1.passed("inclusion-monomorphism")
+    A = centralizer(t.M1, n_in_m1, sub_generators=n_gens if level1.verified else None)
     m_in_m2 = SubspaceBasis(t.M2, t.incl2.compose(t.incl1).columns)
     m_gens = [t.incl2.apply(g) for g in level1.incl_generators]
-    B = centralizer(t.M2, m_in_m2, sub_generators=m_gens if m2_ok else None)
+    B = centralizer(t.M2, m_in_m2, sub_generators=m_gens if level2.verified else None)
     n_in_m2 = SubspaceBasis(
         t.M2,
         [t.incl2.apply(v) for v in n_in_m1.vectors],
     )
-    n_gens2 = [t.incl2.apply(g) for g in n_gens] if m2_ok and n_gens is not None else None
+    n_gens2 = [t.incl2.apply(g) for g in n_gens] if level2.verified and n_gens is not None else None
     C = centralizer(t.M2, n_in_m2, sub_generators=n_gens2)
     return A, B, C
 
@@ -146,9 +139,8 @@ class _LevelContext:
 def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
     """The depth-2 context of a tower level over the one below it.
 
-    When the level passes tower.MODULE_MAP_CHECKS (associativity, bimodule
-    and inclusion checks), the Frobenius sums are checked on the one-sided
-    module generators the level formed from its dual bases
+    When the level is verified, the Frobenius sums are checked on the
+    one-sided module generators the level formed from its dual bases
     (TowerLevel.module_generators; see _frobenius_sums_hold). Otherwise on the
     basis.
     """
@@ -237,10 +229,10 @@ def _free_basis(ctx: _LevelContext, n0: int) -> Optional[list]:
     up = ctx.up
     s = ctx.scope.dim
     candidates = ctx.scope.vectors if s == n0 else _scope_combinations(ctx, s * s)
-    span = SparseSolver(f, up.dim, reduce_fully=True)
+    span = SparseSolver(f, up.dim)
     z = []
     for cand in candidates:
-        block = SparseSolver(f, up.dim, reduce_fully=True)
+        block = SparseSolver(f, up.dim)
         for k, m in enumerate(ctx.down_in_up.columns):
             block.add_row(span.reduce(up.mul_sparse(cand, m)), f.zero)
             if block.rank() <= k:
@@ -395,14 +387,14 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
         failures.append({"kind": "dim A != dim B", "dims": (A.dim, B.dim)})
     n = d2.n or B.dim
 
-    # A (x) B -> C and B (x) A -> C bijective via multiplication
-    for first, second, label in ((A, B, "AB"), (B, A, "BA")):
+    # A (x) B -> C and B (x) A -> C bijective via multiplication, with A
+    # pushed into M2 once
+    a_in_m2 = [t.incl2.apply(a) for a in A.vectors]
+    for first, second, label in ((a_in_m2, B.vectors, "AB"), (B.vectors, a_in_m2, "BA")):
         cols = []
         ok = True
-        for i, x in enumerate(first.vectors):
-            xv = t.incl2.apply(x) if first is A else x
-            for j, y in enumerate(second.vectors):
-                yv = t.incl2.apply(y) if second is A else y
+        for i, xv in enumerate(first):
+            for j, yv in enumerate(second):
                 coords = C.coords(M2.mul_sparse(xv, yv))
                 if coords is None:
                     failures.append({"kind": f"{label}-product-outside-C", "pair": (i, j)})
@@ -412,17 +404,17 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
             if not ok:
                 break
         if ok:
-            if first.dim * second.dim != C.dim:
+            if len(first) * len(second) != C.dim:
                 failures.append({"kind": f"{label}-dimension-mismatch"})
             elif rank(LinMap(f, cols, C.dim)) != C.dim:
                 failures.append({"kind": f"{label}-multiplication-not-bijective"})
 
     # A e2 A spans C
     vecs = []
-    for a in A.vectors:
-        left = M2.mul_sparse(t.incl2.apply(a), t.e2)
-        for a2 in A.vectors:
-            vecs.append(M2.mul_sparse(left, t.incl2.apply(a2)))
+    for ah in a_in_m2:
+        left = M2.mul_sparse(ah, t.e2)
+        for a2h in a_in_m2:
+            vecs.append(M2.mul_sparse(left, a2h))
     span = SubspaceBasis.from_spanning(M2, vecs)
     c_canon = SubspaceBasis.from_spanning(M2, C.vectors)
     if not span.equals(c_canon):
@@ -548,11 +540,9 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
     relations of F.
 
     The bimodule laws run on generators of B and of A (_bimodule_failures)
-    where the tower's checks allow it: for E_B once M2 passed algebra-axioms
-    and B was verified inside C; for E_A, whose A acts on M2 through incl2,
-    once in addition M1 passed algebra-axioms and level 2
-    inclusion-monomorphism, and A was verified inside C. Else on every basis
-    triple.
+    while level 2 is verified and nothing here has failed before them: M1
+    and M2 are then associative, incl2 multiplicative, and B, resp. A, was
+    verified inside C. Else on every basis triple.
     """
     f = t.M.field
     M1, M2 = t.M1, t.M2
@@ -577,9 +567,7 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         eb_cols.append(acc)
     E_B = LinMap(f, eb_cols, M2.dim)
 
-    m2_ok = t.levels[1].passed("algebra-axioms")
     # E_B restricted to B is the identity
-    b_in_c = False
     for b in d2.B.vectors:
         coords = C.coords(b)
         if coords is None:
@@ -588,15 +576,13 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         if E_B.apply(coords) != b:
             failures.append({"kind": "E_B-not-identity-on-B"})
             break
-    else:
-        b_in_c = True
     # values of E_B lie in B
     for i in range(C.dim):
         if not d2.B.contains(eb_cols[i]):
             failures.append({"kind": "E_B-image-outside-B", "basis": i})
             break
     # B-bimodule property
-    b_gens = _subalgebra_generators(d2.B) if m2_ok and b_in_c else None
+    b_gens = _subalgebra_generators(d2.B) if t.levels[1].verified and not failures else None
     failures += _bimodule_failures(C, E_B, M2, d2.B.vectors, lambda b: b, "B", b_gens)
     # E_B(b e1 b') = lam b b'
     e1h = t.e1_in_m2()
@@ -625,7 +611,6 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         ea_cols.append(img)
     E_A = LinMap(f, ea_cols, M1.dim)
     a_in_m2 = [t.incl2.apply(a) for a in d2.A.vectors]
-    a_in_c = False
     for a, ah in zip(d2.A.vectors, a_in_m2):
         coords = C.coords(ah)
         if coords is None:
@@ -634,10 +619,7 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
         if E_A.apply(coords) != a:
             failures.append({"kind": "E_A-not-identity-on-A"})
             break
-    else:
-        a_in_c = True
-    a_ok = m2_ok and a_in_c and t.levels[0].passed("algebra-axioms") and t.levels[1].passed("inclusion-monomorphism")
-    a_gens = _subalgebra_generators(d2.A) if a_ok else None
+    a_gens = _subalgebra_generators(d2.A) if t.levels[1].verified and not failures else None
     failures += _bimodule_failures(C, E_A, M1, d2.A.vectors, t.incl2.apply, "A", a_gens)
 
     # Markov relations

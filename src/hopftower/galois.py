@@ -50,9 +50,9 @@ def verify_module_algebra(
     module-algebra law h . (xy) = (h1 . x)(h2 . y) and h . 1 = eps(h) 1.
 
     Given x_generators, elements whose words with 1 span X (pass them only
-    once X passed algebra-axioms and H its Hopf axioms), the law is first
-    checked for y in 1 and x_generators alone (Montgomery, Hopf Algebras and
-    Their Actions on Rings, CBMS 82, ch. 4). The y with
+    once X is a verified algebra and H a verified Hopf algebra), the law is
+    first checked for y in 1 and x_generators alone (Montgomery, Hopf
+    Algebras and Their Actions on Rings, CBMS 82, ch. 4). The y with
     h . (xy) = (h1 . x)(h2 . y) for all h and x form a subalgebra: for such
     y, y', h . (x y y') = (h1 . xy)(h2 . y') = (h11 . x)(h12 . y)(h2 . y'),
     which is (h1 . x)(h2 . y y') by associativity of X and coassociativity of
@@ -192,28 +192,12 @@ def smash_product(
     return SmashProduct(alg, X, H, embed_x, embed_h, *algebra_check(alg, seeds))
 
 
-def _smash_morphism(sm: SmashProduct, f_map: LinMap, B: Algebra, b_associative: bool):
+def _smash_morphism(sm: SmashProduct, f_map: LinMap, B: Algebra, b_verified: bool):
     """check_morphism of f_map: sm -> B, on the generating set of the smash
-    product once it and B are both verified associative, else on the basis."""
-    gens = sm.generators if sm.report.ok and b_associative else None
+    product once it passed its own check and b_verified says B is a verified
+    algebra, else on the basis."""
+    gens = sm.generators if sm.report.ok and b_verified else None
     return check_morphism(f_map, sm.algebra, B, domain_generators=gens)
-
-
-def verify_smash_commutation(sm: SmashProduct, act: ModuleAlgebraAction) -> CheckOutcome:
-    """h x = (h1 . x) h2 inside the smash product, on all basis pairs."""
-    f = sm.X.field
-    failures = []
-    for h in range(sm.H.dim):
-        hv = sm.embed_h.columns[h]
-        for x in range(sm.X.dim):
-            lhs = sm.algebra.mul_sparse(hv, sm.embed_x.columns[x])
-            rhs: dict = {}
-            for u, v, c in sm.H.delta_coords(h):
-                hx = act.maps[u].columns[x]
-                sparse_axpy(f, rhs, c, sm.algebra.mul_sparse(sm.embed_x.apply(hx), sm.embed_h.columns[v]))
-            if lhs != rhs:
-                failures.append({"pair": (h, x)})
-    return CheckOutcome(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +373,16 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
     The smash tables are built from the action columns h . e_x. M1 # B is
     checked on the generators of M1 its tower level formed, and both smash
     products on the induced generators of A and B, which
-    conditional_expectations formed on the same subspaces. Once M1 and M2
-    passed algebra-axioms and a smash product passed its own check, its
-    morphism is checked on the generating set that check ran on (see
-    check_morphism); C is a closed unital subalgebra of M2 (induced_algebra
-    would raise otherwise), so it is associative with M2. Else every basis
-    pair is checked.
+    conditional_expectations formed on the same subspaces. Once the tower is
+    verified and a smash product passed its own check, its morphism is
+    checked on the generating set that check ran on (see check_morphism);
+    M1 and M2 are then associative, and C is a closed unital subalgebra of M2
+    (induced_algebra would raise otherwise), so it is associative with M2.
+    Else every basis pair is checked.
     """
     f = t.M.field
     M2 = t.M2
-    towers_ok = t.levels[0].passed("algebra-axioms") and t.levels[1].passed("algebra-axioms")
+    towers_ok = t.levels[1].verified
     failures = []
     sm = smash_product(t.M1, H_B, act, t.levels[0].generators, d2.B.induced_generators())
     if not sm.report.ok:
@@ -509,7 +493,7 @@ def cleft_data(
     if act_a is not None:
         sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
         cols = [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs]
-        morph = _smash_morphism(sm, LinMap(f, cols, M1.dim), M1, t.levels[0].passed("algebra-axioms"))
+        morph = _smash_morphism(sm, LinMap(f, cols, M1.dim), M1, t.levels[1].verified)
         if not morph.ok():
             failures.append({"kind": "M-smash-A-vs-M1-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
@@ -553,22 +537,3 @@ def galois_map(
         failures.append({"kind": "galois-map-not-bijective", "rank": beta_rank})
     return CheckOutcome(not failures, failures)
 
-
-def comodule_axioms_from_action(act: ModuleAlgebraAction) -> CheckOutcome:
-    """The derived coaction rho(x) = sum_j (u_j . x) (x) p_j is coassociative,
-    counital and an algebra map into X (x) H*."""
-    X = act.algebra
-    H = act.hopf
-    f = X.field
-    failures = []
-    # coassociativity of the coaction = action axiom rho(h h') = ..., already
-    # covered; here check counit: sum_j eps*(p_j) (u_j . x) = x where
-    # eps*(p_j) = p_j(1_H) = coefficient of u_j in 1_H.
-    counit_action = act.rho(H.algebra.unit)
-    for x in range(X.dim):
-        if counit_action.columns[x] != {x: f.one}:
-            failures.append({"kind": "coaction-counit", "basis": x})
-    # comodule-algebra law is the module-algebra law, re-checked through verify
-    out = verify_module_algebra(act)
-    failures.extend(out.failures)
-    return CheckOutcome(not failures, failures)

@@ -158,7 +158,7 @@ def _solve(A: LinMap, rhs: list[dict]) -> tuple[list[Optional[dict]], list[dict]
     for j, b in enumerate(rhs):
         for i, c in b.items():
             rows[i][n + j] = c
-    solver = SparseSolver(f, n + len(rhs), reduce_fully=True)
+    solver = SparseSolver(f, n + len(rhs))
     for row in rows:
         solver.add_row(row, f.zero)
     pivots = solver.pivots
@@ -197,22 +197,21 @@ class SparseSolver:
     rows, the tensor quotients, whose quotient bases are the non-pivot
     columns, and the depth-2 tensor system A x = b, where inconsistency is
     detected as soon as a row reduces to zero with a nonzero right-hand side.
-    With reduce_fully=True every pivot row is kept free of the other pivot
-    columns (sparse RREF), so ``reduce`` gives the canonical normal form of a
-    row modulo the row space. A new pivot is then back-substituted only into
-    the rows that have an entry in its column: ``users`` maps each column to
-    the leads of the other pivot rows with an entry there (a pivot column has
-    none), and is updated whenever an entry appears or cancels, so a pivot
-    costs the rows it touches, not the rank. ``freeze`` drops that index once
-    the row space is final; the solver then only reduces.
+    Every pivot row is kept free of the other pivot columns (sparse RREF), so
+    ``reduce`` gives the canonical normal form of a row modulo the row space.
+    A new pivot is back-substituted only into the rows that have an entry in
+    its column: ``users`` maps each column to the leads of the other pivot
+    rows with an entry there (a pivot column has none), and is updated
+    whenever an entry appears or cancels, so a pivot costs the rows it
+    touches, not the rank. ``freeze`` drops that index once the row space is
+    final; the solver then only reduces.
     """
 
-    def __init__(self, field: Field, cols: int, reduce_fully: bool = False):
+    def __init__(self, field: Field, cols: int):
         self.field = field
         self.cols = cols
-        self.reduce_fully = reduce_fully
         self.pivots: dict[int, dict] = {}  # lead col -> row dict (rhs at key = cols)
-        self.users: Optional[dict[int, set]] = {}  # col -> leads of the other pivot rows with an entry there (reduce_fully); None once frozen
+        self.users: Optional[dict[int, set]] = {}  # col -> leads of the other pivot rows with an entry there; None once frozen
         self.consistent = True
 
     def _eliminate(self, work: dict, lead: int) -> None:
@@ -228,9 +227,9 @@ class SparseSolver:
     def reduce(self, row: dict) -> dict:
         """Copy of a sparse row with every pivot column cleared.
 
-        Requires reduce_fully=True: a pivot row then holds no other pivot
-        column, so clearing one pivot column never brings in another and one
-        pass over the row's pivot columns suffices.
+        A pivot row holds no other pivot column, so clearing one pivot column
+        never brings in another and one pass over the row's pivot columns
+        suffices.
         """
         work = {c: v for c, v in row.items() if v}
         pivots = self.pivots
@@ -250,14 +249,7 @@ class SparseSolver:
         work = dict(row)
         if rhs:
             work[self.cols] = rhs
-        if self.reduce_fully:
-            work = self.reduce(work)
-        else:
-            while work:
-                lead = min(work)
-                if lead not in self.pivots:
-                    break
-                self._eliminate(work, lead)
+        work = self.reduce(work)
         if not work:
             return self.consistent
         lead = min(work)
@@ -266,26 +258,25 @@ class SparseSolver:
             return False
         inv = f.inv(work[lead])
         work = {c: f.mul(inv, v) for c, v in work.items()}
-        if self.reduce_fully:
-            users = self.users
-            for other_lead in users.pop(lead, ()):
-                other = self.pivots[other_lead]
-                c = other.pop(lead)  # work[lead] = 1 clears it
-                for col, val in work.items():
-                    if col == lead:
-                        continue
-                    old = other.get(col)
-                    v = f.sub(f.zero if old is None else old, f.mul(c, val))
-                    if v:
-                        other[col] = v
-                        if old is None:
-                            users.setdefault(col, set()).add(other_lead)
-                    elif old is not None:
-                        del other[col]
-                        users[col].discard(other_lead)
-            for col in work:
-                if col != lead:
-                    users.setdefault(col, set()).add(lead)
+        users = self.users
+        for other_lead in users.pop(lead, ()):
+            other = self.pivots[other_lead]
+            c = other.pop(lead)  # work[lead] = 1 clears it
+            for col, val in work.items():
+                if col == lead:
+                    continue
+                old = other.get(col)
+                v = f.sub(f.zero if old is None else old, f.mul(c, val))
+                if v:
+                    other[col] = v
+                    if old is None:
+                        users.setdefault(col, set()).add(other_lead)
+                elif old is not None:
+                    del other[col]
+                    users[col].discard(other_lead)
+        for col in work:
+            if col != lead:
+                users.setdefault(col, set()).add(lead)
         self.pivots[lead] = work
         return self.consistent
 

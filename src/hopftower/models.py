@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, LinMap, SubspaceBasis, centralizer
+from .algebra import Algebra, LinMap, SubspaceBasis, centralizer, verify_algebra
 from .depth2 import DepthTwoData, model_c_from_ab
 from .fields import Field, FieldError, PrimeField, RationalField, digits_token
 from .frobenius import (
@@ -336,9 +336,11 @@ def model_tower(bundle: ModelBundle):
     """Build the honest tower of the model extension and designate A, B, C as
     the images of H and H* with C = span(A B). Containments in the honest
     centralizers and the Jones idempotents being the embedded integrals are
-    verified. Returns (tower, DepthTwoData, report)."""
+    verified. The tower takes X as verified when it passes verify_algebra and
+    the bundle's Frobenius identities hold. Returns (tower, DepthTwoData,
+    report)."""
     f = bundle.X.field
-    t = build_tower(bundle.sys)
+    t = build_tower(bundle.sys, base_verified=bundle.report.ok and verify_algebra(bundle.X).ok)
     failures = []
     a_vecs = hopf_image_in_m1(t, bundle.action)
     A = SubspaceBasis(t.M1, a_vecs)

@@ -4,6 +4,12 @@ reconstruction, Galois and smash checks, with hypothesis gating.
 Hypothesis failures (reducible base, no depth 2) skip downstream checks with
 machine-readable reasons instead of failing them; only identity checks that
 actually ran and came out false make the run fail.
+
+A check that decides a "for all x" identity on generators takes that shortcut
+only while every check recorded before it passed (Reporter.all_passed); the
+tower keeps the same fact per level as TowerLevel.verified. Otherwise it runs
+its basis scan, which gives the same result wherever the shortcut's premises
+hold and lists the failures where they do not.
 """
 from __future__ import annotations
 
@@ -79,8 +85,6 @@ class PipelineState:
     H_A: Optional[HopfStructure] = None
     naka: Optional[object] = None
     m_associative: bool = False  # M passed its algebra-axioms check
-    hopf_ok: bool = False  # hopf-axioms passed
-    dual_hopf_ok: bool = False  # dual-hopf passed
 
 
 def run_pipeline(
@@ -161,14 +165,14 @@ def _stage_frobenius(
     axioms = algebra_outcome(ext.M, m_generators)
     rep.outcome("algebra-axioms", axioms)
     state.m_associative = axioms.ok
-    # the bimodule checks may run on generators of N once M is an algebra
-    n_gens = n_generators if axioms.ok else None
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
         rep.add("cond-expectation", FAIL, reason="no conditional expectation supplied")
         hypotheses["frobenius"] = False
         return None
+    # the bimodule checks run on generators of N while every check so far passed
+    n_gens = n_generators if rep.all_passed() else None
     ce = verify_conditional_expectation(ext, ext.E, n_generators=n_gens)
     try:
         sys = solve_dual_bases(ext, ext.E)
@@ -256,7 +260,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
 
     if levels < 2:
         try:
-            level1 = basic_construction(state.sys, m_generators, state.m_associative)
+            level1 = basic_construction(state.sys, m_generators, rep.all_passed())
         except (TowerError, FrobeniusError) as exc:
             stopped(exc)
             return
@@ -272,7 +276,7 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
                 witness=None if endo.ok else {"failures": endo.failures[:3]})
         return
     try:
-        tower = build_tower(state.sys, m_generators, state.m_associative, n_generators)
+        tower = build_tower(state.sys, m_generators, rep.all_passed(), n_generators)
     except (TowerError, FrobeniusError) as exc:
         stopped(exc)
         return
@@ -388,7 +392,6 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     H_A, d_out = dualize(pairing, H_B, t, d2)
     state.H_A = H_A
     rep.outcome("dual-hopf", d_out)
-    state.hopf_ok, state.dual_hopf_ok = ax.ok, d_out.ok
     hypotheses["hopf_reconstructed"] = ax.ok and d_out.ok
     hypotheses["dim_A"] = d2.A.dim
     hypotheses["dim_B"] = d2.B.dim
@@ -402,15 +405,15 @@ def _stage_galois(rep, state, hypotheses, gate, m_generators) -> None:
             rep.add(cid, SKIP, reason=gate)
         return
     t, d2 = state.tower, state.d2
-    # the module-algebra laws run on generators of the acted-on algebra once
-    # it passed algebra-axioms and the acting Hopf algebra its axioms
-    m1_gens = t.levels[0].generators if state.hopf_ok and t.levels[0].passed("algebra-axioms") else None
+    # the module-algebra laws run on generators of the acted-on algebra while
+    # every check so far passed
+    m1_gens = t.levels[0].generators if rep.all_passed() else None
     act_b, out = action_b_on_m1(t, d2, state.H_B, state.sandwiches, m1_gens)
     rep.outcome("action-b-on-m1", out)
     m_img = SubspaceBasis(t.M1, t.incl1.columns)
     rep.outcome("invariants-m1", verify_invariants(act_b, m_img))
     rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b))
-    m_gens = m_generators if state.dual_hopf_ok and state.m_associative else None
+    m_gens = m_generators if rep.all_passed() else None
     act_a, out = action_a_on_m(t, d2, state.H_A, m_gens)
     rep.outcome("action-a-on-m", out)
     if act_a is None or not out.ok:

@@ -41,12 +41,6 @@ class TowerError(ValueError):
     """Hypotheses for the basic construction are violated."""
 
 
-# the level checks under which E is a bimodule map of an associative level over
-# the multiplicative image of the level below, so that the solution set of an
-# identity that is one-sided linear over that image is a one-sided submodule
-MODULE_MAP_CHECKS = ("algebra-axioms", "condexp-bimodule", "inclusion-monomorphism")
-
-
 @dataclass
 class TowerLevel:
     algebra: Algebra
@@ -60,23 +54,22 @@ class TowerLevel:
     checks: list  # (name, CheckOutcome)
     incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
     generators: list  # generators(algebra, incl_generators + [e]): words in them span algebra
+    verified: bool  # every check below this level and every check of it passed
     _module_generators: Optional[tuple] = None  # formed by module_generators() on first use
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
 
-    def passed(self, *names: str) -> bool:
-        """Whether every named check of this level came out true."""
-        outcomes = dict(self.checks)
-        return all(outcomes[name].ok for name in names)
-
     def module_generators(self) -> Optional[tuple[list, list]]:
         """(G_L, G_R) with span(incl(below) . G_L) = algebra =
-        span(G_R . incl(below)) while the level passes MODULE_MAP_CHECKS,
-        else None. Formed on first use, seeded from the dual bases (X_i, Y_i):
-        x = sum E(x X_i) Y_i puts the level in span(incl(below) . Y), and
-        x = sum X_i E(Y_i x) in span(X . incl(below))."""
-        if not self.passed(*MODULE_MAP_CHECKS):
+        span(G_R . incl(below)) while the level is verified, else None: E is
+        then a bimodule map of an associative level over the multiplicative
+        image of the level below, so the solution set of an identity that is
+        one-sided linear over that image is a one-sided submodule. Formed on
+        first use, seeded from the dual bases (X_i, Y_i): x = sum E(x X_i) Y_i
+        puts the level in span(incl(below) . Y), and x = sum X_i E(Y_i x) in
+        span(X . incl(below))."""
+        if not self.verified:
             return None
         if self._module_generators is None:
             xs = [x for x, _ in self.dual_pairs]
@@ -151,7 +144,7 @@ class TowerData:
 
 
 def basic_construction(
-    sys: FrobeniusSystem, below_generators: Optional[list] = None, below_associative: bool = False
+    sys: FrobeniusSystem, below_generators: Optional[list] = None, below_verified: bool = False
 ) -> TowerLevel:
     """E-multiplication on M (x)_N M, with unit, Jones idempotent, inclusion
     and conditional expectation all rebuilt and re-verified.
@@ -161,16 +154,15 @@ def basic_construction(
     M1 = M e1 M, so their images under the inclusion and e1 should generate
     M1; the associativity check of M1 forms generators(M1, those images and
     e1) and the level keeps that set, whose words do span M1, as its
-    generators. When below_associative says M passed its own
-    algebra-axioms check and M1 passes, the multiplicativity check of the
-    inclusion runs on below_generators (check_morphism). Once the inclusion
-    passed inclusion-monomorphism, the extension of M1 over its image takes M
-    and the inclusion as that image's algebra and embedding, and, with M1
-    associative, the bimodule check of the conditional expectation runs on
-    below_generators. When M is not known to be associative, the inclusion
-    failed and its image is not a unital subalgebra of M1, there is no level
-    extension and TowerError is raised; over an associative M that would be a
-    defect, and ExtensionSpec raises AlgebraError.
+    generators. below_verified says every check made on M and its system
+    passed. While it holds and every check of the level before it passed, the
+    multiplicativity check of the inclusion and the bimodule check of the
+    conditional expectation run on below_generators (check_morphism,
+    verify_conditional_expectation). Once the inclusion passed, the extension
+    of M1 over its image takes M and the inclusion as that image's algebra
+    and embedding. When the inclusion failed and its image is not a unital
+    subalgebra of M1, there is no level extension and TowerError is raised.
+    The level is verified when below_verified holds and all its checks pass.
     """
     M, f = sys.M, sys.M.field
     lam_inv = sys.lambda_inverse
@@ -241,9 +233,11 @@ def basic_construction(
     idem = alg1.mul_sparse(e1, e1) == e1
     checks.append(("jones-idempotent", CheckOutcome(idem, [] if idem else [{"kind": "e^2 != e"}])))
 
+    def verified() -> bool:
+        return below_verified and all(out.ok for _, out in checks)
+
     mono = rank(incl) == M.dim
-    both_associative = below_associative and axioms.ok
-    morph = check_morphism(incl, M, alg1, domain_generators=below_generators if both_associative else None)
+    morph = check_morphism(incl, M, alg1, domain_generators=below_generators if verified() else None)
     incl_ok = mono and morph.is_homomorphism
     checks.append(
         (
@@ -256,10 +250,10 @@ def basic_construction(
     cond_exp = LinMap(f, [sparse_scale(f, lam, M.table[a][b]) for a, b in tq.basis], M.dim)
 
     n1 = SubspaceBasis(alg1, incl.columns)
-    if not (below_associative or incl_ok or n1.is_unital_subalgebra()):
+    if not (incl_ok or n1.is_unital_subalgebra()):
         raise TowerError("the level below does not embed as a unital subalgebra")
     ext1 = ExtensionSpec(alg1, n1, E=cond_exp, induced=(M, incl) if incl_ok else None)
-    n_gens = below_generators if axioms.ok and incl_ok else None
+    n_gens = below_generators if verified() else None
     checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, n_generators=n_gens)))
 
     # dual bases {lam^-1 x_i (x) 1}, {1 (x) y_i} for E_M
@@ -296,6 +290,7 @@ def basic_construction(
         checks=checks,
         incl_generators=incl_gens,
         generators=gens,
+        verified=verified(),
     )
 
 
@@ -307,31 +302,30 @@ def basic_construction(
 def build_tower(
     sys: FrobeniusSystem,
     below_generators: Optional[list] = None,
-    m_associative: bool = False,
+    base_verified: bool = False,
     n_generators: Optional[list] = None,
 ) -> TowerData:
     """Two basic constructions plus the composite functional F = E_M o E_M1.
 
-    below_generators generate M, as in basic_construction; m_associative says
-    M passed its algebra-axioms check. n_generators generate N (in
-    N-coordinates); the tower keeps them for second_centralizers. The
-    quotient M1 (x)_M M1 takes its relations on incl(S_M) once M1 passed
-    algebra-axioms and incl inclusion-monomorphism, and the triple quotient on
-    generators of N once M is associative (TensorQuotient); else on the basis.
+    below_generators generate M, as in basic_construction; base_verified
+    says every check made on M and its system passed. n_generators generate
+    N (in N-coordinates); the tower keeps them for second_centralizers. The
+    quotient M1 (x)_M M1 takes its relations on incl(S_M) once level 1 is
+    verified, and the triple quotient on generators of N once level 2 is
+    (TensorQuotient); else on the basis.
     """
-    level1 = basic_construction(sys, below_generators, m_associative)
+    level1 = basic_construction(sys, below_generators, base_verified)
     sys1 = level1.sys
     assert sys1 is not None
     if sys1.lambda_inverse is None or sys.M.field.is_zero(sys1.lambda_inverse):
         raise TowerError("level-1 index is not a nonzero scalar")
-    m1_associative = level1.passed("algebra-axioms")
-    m_in_m1 = level1.incl_generators if m1_associative and level1.passed("inclusion-monomorphism") else None
+    m_in_m1 = level1.incl_generators if level1.verified else None
     sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N, n_generators=m_in_m1)
     sys1.dual_tensor = pairs_to_tensor(sys1.tq, level1.algebra, sys1.dual_pairs)
-    level2 = basic_construction(sys1, level1.generators, m1_associative)
+    level2 = basic_construction(sys1, level1.generators, level1.verified)
     F = level1.cond_exp.compose(level2.cond_exp)
     tower = TowerData(base_sys=sys, levels=[level1, level2], F=F, emtwo_checks=[], n_generators=n_generators)
-    tower.emtwo_checks.extend(_verify_triple_tensor(tower, n_generators if m_associative else None))
+    tower.emtwo_checks.extend(_verify_triple_tensor(tower, n_generators if level2.verified else None))
     return tower
 
 
@@ -340,7 +334,7 @@ def _verify_triple_tensor(t: TowerData, n_generators: Optional[list]) -> list:
     the rebracketing map is bijective, the conditional expectation matches
     m1 (x) m2 (x) m3 -> lam m1 E(m2) (x) m3, and the closed forms of e2 and
     1_2 in triple coordinates agree. n_generators (N-coordinates, given only
-    once M is associative) give the triple quotient's relations."""
+    once both levels are verified) give the triple quotient's relations."""
     sys = t.base_sys
     M, f = t.M, t.M.field
     d = M.dim

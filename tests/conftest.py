@@ -5,11 +5,20 @@ expensive part of the suite; everything downstream reuses them.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from hopftower.algebra import verify_algebra
 from hopftower.depth2 import DepthTwoData, check_depth_two, second_centralizers
 from hopftower.fields import PrimeField, RationalField
-from hopftower.frobenius import classify, solve_dual_bases
+from hopftower.frobenius import (
+    CheckOutcome,
+    classify,
+    solve_dual_bases,
+    verify_conditional_expectation,
+    verify_frobenius_identities,
+)
 from hopftower.models import (
     group_pair_extension,
     m2f2_extension,
@@ -104,29 +113,68 @@ def sys_m2f2(ext_m2f2):
 # -- towers -----------------------------------------------------------------
 
 
+def base_verified(sys) -> bool:
+    """Whether the checks the pipeline makes on M and its system before the
+    tower pass: M is an algebra, N a unital subalgebra, E a conditional
+    expectation and the Frobenius identities hold."""
+    ext = sys.ext
+    return (verify_algebra(ext.M).ok and ext.N.is_unital_subalgebra()
+            and verify_conditional_expectation(ext, sys.E).ok and verify_frobenius_identities(sys).ok)
+
+
+def verified_tower(sys):
+    """build_tower with an honest base_verified, so the tower keeps its
+    generator paths exactly when its base passed its checks."""
+    return build_tower(sys, base_verified=base_verified(sys))
+
+
+def check_passed(level, name: str) -> bool:
+    """Whether the named check of a tower level came out true."""
+    return dict(level.checks)[name].ok
+
+
+FAILED = CheckOutcome(False, [{"kind": "failed"}])
+
+
+def failed_level(level, check: str, outcome=FAILED):
+    """The tower level with one of its checks reported as outcome, a failure:
+    the level is no longer verified."""
+    return replace(level, checks=[(n, outcome if n == check else o) for n, o in level.checks], verified=False)
+
+
+def with_failed_check(t, k: int, check: str):
+    """The tower with one check of level k reported failed. As in
+    build_tower, a failed check closes every later shortcut: level k and
+    every level above it are no longer verified."""
+    levels = list(t.levels)
+    levels[k] = failed_level(levels[k], check)
+    levels[k + 1:] = [replace(level, verified=False) for level in levels[k + 1:]]
+    return replace(t, levels=levels)
+
+
 @pytest.fixture(scope="session")
 def tower_trivial(sys_trivial):
-    return build_tower(sys_trivial)
+    return verified_tower(sys_trivial)
 
 
 @pytest.fixture(scope="session")
 def tower_s3_a3(sys_s3_a3):
-    return build_tower(sys_s3_a3)
+    return verified_tower(sys_s3_a3)
 
 
 @pytest.fixture(scope="session")
 def tower_s3_z2(sys_s3_z2):
-    return build_tower(sys_s3_z2)
+    return verified_tower(sys_s3_z2)
 
 
 @pytest.fixture(scope="session")
 def tower_sqrt2(sys_sqrt2):
-    return build_tower(sys_sqrt2)
+    return verified_tower(sys_sqrt2)
 
 
 @pytest.fixture(scope="session")
 def tower_m2f2(sys_m2f2):
-    return build_tower(sys_m2f2)
+    return verified_tower(sys_m2f2)
 
 
 # -- honest depth-2 data ------------------------------------------------------

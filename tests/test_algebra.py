@@ -292,7 +292,7 @@ def word_closure_generators(alg, seeds=()):
     """generators() grown from the words: every word that enlarged the span
     is multiplied by every generator, each product formed with mul_sparse."""
     f = alg.field
-    span = SparseSolver(f, alg.dim, reduce_fully=True)
+    span = SparseSolver(f, alg.dim)
     words, gens = [], []
 
     def close(pending):

@@ -2,7 +2,7 @@ import functools
 from dataclasses import replace
 
 import pytest
-from conftest import bumped
+from conftest import bumped, failed_level
 
 from hopftower.algebra import SubspaceBasis, module_generators, span_dim
 from hopftower.depth2 import (
@@ -20,7 +20,7 @@ from hopftower.depth2 import (
     verify_f_faithful,
 )
 from hopftower.fields import PrimeField, RationalField
-from hopftower.frobenius import CheckOutcome, ExtensionSpec, verify_conditional_expectation
+from hopftower.frobenius import ExtensionSpec, verify_conditional_expectation
 from hopftower.linalg import LinMap, invert, sparse_add, sparse_axpy, sparse_scale
 from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
@@ -406,9 +406,7 @@ def test_generator_path_agrees_on_perturbed_witnesses(case):
 def test_failed_level_check_gives_basis_generators(tower_s3_a3, d2_s3_a3, check):
     level = tower_s3_a3.levels[1]
     assert len(_level_context(level, d2_s3_a3.B).left_gens) == 2
-    failed = CheckOutcome(False, [{"kind": "failed"}])
-    broken = replace(level, checks=[(n, failed if n == check else o) for n, o in level.checks])
-    ctx = _level_context(broken, d2_s3_a3.B)
+    ctx = _level_context(failed_level(level, check), d2_s3_a3.B)
     basis = [{x: Q.one} for x in range(level.algebra.dim)]
     assert ctx.left_gens == basis and ctx.right_gens == basis
 
@@ -429,8 +427,7 @@ def test_bimodule_failure_keeps_the_level_on_the_basis(tower_s3_a3, d2_s3_a3):
     n1 = SubspaceBasis(level.algebra, level.incl.columns)
     outcome = verify_conditional_expectation(ExtensionSpec(level.algebra, n1, E=bad), bad)
     assert not outcome.ok
-    checks = [(n, outcome if n == "condexp-bimodule" else o) for n, o in level.checks]
-    ctx = _level_context(replace(level, cond_exp=bad, checks=checks), d2_s3_a3.A)
+    ctx = _level_context(replace(failed_level(level, "condexp-bimodule", outcome), cond_exp=bad), d2_s3_a3.A)
     assert ctx == _on_basis(ctx)
     honest = _level_context(level, d2_s3_a3.A)
     on_gens = replace(ctx, left_gens=honest.left_gens, right_gens=honest.right_gens)

@@ -6,13 +6,14 @@ elements once they hold on its generators and the ambient algebras are
 associative (the docstrings give the one-line proofs). These tests pin, on
 every catalog example over Q and F7, that the generator path gives the same
 quotient, the same canonical centralizer bases and the same failure lists as
-the basis loop, and that a site whose gate failed runs the basis loop.
+the basis loop, and that once a check failed every later site runs the basis
+loop.
 """
 import functools
 from dataclasses import replace
 
 import pytest
-from conftest import bumped, non_associative, word_span_dim
+from conftest import bumped, check_passed, non_associative, with_failed_check, word_span_dim
 
 from hopftower import algebra, depth2, frobenius, tower
 from hopftower.algebra import (
@@ -222,26 +223,20 @@ def test_non_associative_m_keeps_every_site_on_the_basis(sites, example, params,
     assert status["algebra-axioms"] == "fail" and status["second-centralizers"] == "pass"
     t = report.state.tower
     level1 = t.levels[0]
-    assert not level1.passed("inclusion-monomorphism")
+    assert not check_passed(level1, "inclusion-monomorphism")
+    assert not level1.verified and not t.levels[1].verified
     # every quotient takes its relations on the basis of N or of incl(M)
     assert [c[2] for c in calls if c[0].startswith("tensor-")] == [None, None, None]
     # every centralizer runs its constraints on the basis and asserts closure
     for _, _, gens, out in _second_centralizer_calls(calls):
         assert gens is None
         assert any(checked is out for checked in closure_checked)
-    # the inclusion of M runs the full scan; the inclusion of M1 runs on the
-    # generating set level 1 formed for M1 only where M1 and M2 both passed
-    # algebra-axioms, and then it reports what the full scan reports
+    # both inclusions and both bimodule checks run the full scan
     morphisms = [c for c in calls if c[0] == "check_morphism"]
-    assert morphisms[0][1] is ext.M and morphisms[0][2] is None
+    assert [(c[1], c[2]) for c in morphisms[:2]] == [(ext.M, None), (t.M1, None)]
     _, A, gens, (f_map, B, out) = morphisms[1]
-    assert A is t.M1
-    if gens is not None:
-        assert level1.passed("algebra-axioms") and t.levels[1].passed("algebra-axioms")
-        assert gens is level1.generators and word_span_dim(A, gens) == A.dim
     assert out == algebra.check_morphism(f_map, t.M1, B)
-    # the bimodule check of M1 over incl(M), which failed inclusion-monomorphism, runs on the basis
-    assert [c[2] for c in calls if c[0] == "condexp"][0] is None
+    assert [c[2] for c in calls if c[0] == "condexp"] == [None, None]
     # the extension M1 / M is rebuilt from the subspace incl(M)
     assert level1.sys.ext.n_algebra is not ext.M
 
@@ -250,20 +245,12 @@ def test_non_associative_m_keeps_every_site_on_the_basis(sites, example, params,
 @pytest.mark.parametrize("level", [0, 1])
 def test_failed_level_check_keeps_centralizers_on_the_basis(sites, tower_s3_a3, ext_s3_a3, level, check):
     calls, closure_checked = sites
-    failed = CheckOutcome(False, [{"kind": "failed"}])
-    levels = list(tower_s3_a3.levels)
-    levels[level] = replace(levels[level], checks=[(n, failed if n == check else o) for n, o in levels[level].checks])
-    t = replace(tower_s3_a3, levels=levels, n_generators=generators(ext_s3_a3.n_algebra))
+    t = replace(with_failed_check(tower_s3_a3, level, check), n_generators=generators(ext_s3_a3.n_algebra))
     A, B, C = second_centralizers(t)
     on_gens = [gens is not None for _, _, gens, _ in calls]
-    # A needs level 1's checks; B and C need level 2's and level 1's inclusion
-    expected = {
-        (0, "algebra-axioms"): [False, True, True],
-        (0, "inclusion-monomorphism"): [False, False, False],
-        (1, "algebra-axioms"): [True, False, False],
-        (1, "inclusion-monomorphism"): [True, False, False],
-    }[level, check]
-    assert on_gens == expected
+    # A is in M1 and runs on generators while level 1 is verified; B and C are
+    # in M2 and need level 2
+    assert on_gens == [level > 0, False, False]
     for (_, _, gens, out), want in zip(calls, (A, B, C)):
         assert out is want
         if gens is None:
@@ -273,9 +260,9 @@ def test_failed_level_check_keeps_centralizers_on_the_basis(sites, tower_s3_a3, 
 
 
 def test_failed_m1_axioms_keep_level_two_on_the_basis(sites, monkeypatch):
-    """With level 1's algebra-axioms reported failed, both inclusion checks,
-    level 1's bimodule check, the level-2 quotient and A = C_M1(N) run on the
-    basis; the triple quotient, which needs M alone, stays on generators."""
+    """With level 1's algebra-axioms reported failed, every site after it
+    runs on the basis: both inclusion checks, both bimodule checks, the
+    level-2 quotient, the triple quotient and all three centralizers."""
     calls, _closure = sites
     real_check = tower.algebra_check
     checked = []
@@ -291,13 +278,11 @@ def test_failed_m1_axioms_keep_level_two_on_the_basis(sites, monkeypatch):
     example, params = CASES["q/group-pair:s3/z2"]
     ext, _sidecar = generate_example(example, params)
     t = run_pipeline(ext).state.tower
-    assert checked[0] is t.M1 and not t.levels[0].passed("algebra-axioms")
-    assert [c[2] is None for c in calls if c[0].startswith("tensor-")] == [True, True, False]
+    assert checked[0] is t.M1 and not check_passed(t.levels[0], "algebra-axioms")
+    assert [c[2] is None for c in calls if c[0].startswith("tensor-")] == [True, True, True]
     morphisms = [c for c in calls if c[0] == "check_morphism"]
     assert [(c[1], c[2]) for c in morphisms[:2]] == [(t.M, None), (t.M1, None)]
     for _, A, _gens, (f_map, B, out) in morphisms[:2]:
         assert out.is_homomorphism and out == algebra.check_morphism(f_map, A, B)
-    # level 1's bimodule check on the basis, level 2's on the generators of M1
-    assert [c[2] for c in calls if c[0] == "condexp"] == [None, t.levels[0].generators]
-    # A = C_M1(N) on the basis; B and C in M2 need only M2 and the inclusions
-    assert [gens is None for _, _, gens, _ in _second_centralizer_calls(calls)] == [True, False, False]
+    assert [c[2] for c in calls if c[0] == "condexp"] == [None, None]
+    assert [gens is None for _, _, gens, _ in _second_centralizer_calls(calls)] == [True, True, True]

@@ -29,11 +29,13 @@ import hashlib
 import json
 
 import pytest
+from conftest import non_associative
 
 from hopftower.depth2 import DepthTwoData
 from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
 from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
+from hopftower.report import Reporter
 
 CATALOG = (
     ("trivial", ()),
@@ -145,8 +147,8 @@ def test_report_matches_sidecar(case_id):
     assert _sidecar_mismatches(report, sidecar["expect"]) == []
 
 
-@pytest.mark.parametrize("case_id", list(MODEL_GOLDEN))
-def test_model_report_digest_is_golden(case_id):
+def _model_input(case_id: str) -> tuple:
+    """(extension, d2_override) of a model-f7 case, as bench/run.py runs it."""
     group = case_id.split(":")[1]
     ext, _sidecar = generate_example("function-algebra", {"group": group, "field": "f7"})
     text = canonical_json(extension_to_dict(ext))
@@ -154,8 +156,13 @@ def test_model_report_digest_is_golden(case_id):
     assert rep.ok, rep.failures[:1]
     # fresh copies, as bench/run.py makes: the run fills the override in place
     A, B, C = copy.deepcopy((d2.A, d2.B, d2.C))
-    override = DepthTwoData(A=A, B=B, C=C, source="model")
-    report = run_pipeline(extension_from_dict(json.loads(text)), d2_override=override).to_dict()
+    return extension_from_dict(json.loads(text)), DepthTwoData(A=A, B=B, C=C, source="model")
+
+
+@pytest.mark.parametrize("case_id", list(MODEL_GOLDEN))
+def test_model_report_digest_is_golden(case_id):
+    ext, override = _model_input(case_id)
+    report = run_pipeline(ext, d2_override=override).to_dict()
     assert _sha256(report) == MODEL_GOLDEN[case_id]
 
 
@@ -171,13 +178,77 @@ PERTURBED_GOLDEN = {
 }
 
 
+def _perturbed(example: str, params: dict, row: int, col: int):
+    """The catalog extension with entry (row, col) of its E matrix set to 2."""
+    ext, _sidecar = generate_example(example, params)
+    data = json.loads(canonical_json(extension_to_dict(ext)))
+    data["cond_expectation"][row][col] = "2"
+    return extension_from_dict(data)
+
+
 @pytest.mark.parametrize("field", list(PERTURBED_GOLDEN))
 def test_perturbed_report_digest_is_golden(field):
-    ext, _sidecar = generate_example("group-pair", {"group": "s3", "subgroup": "z2", "field": field})
-    data = json.loads(canonical_json(extension_to_dict(ext)))
-    data["cond_expectation"][0][0] = "2"
-    report = run_pipeline(extension_from_dict(data)).to_dict()
+    ext = _perturbed("group-pair", {"group": "s3", "subgroup": "z2", "field": field}, 0, 0)
+    report = run_pipeline(ext).to_dict()
     digest, unit_value = PERTURBED_GOLDEN[field]
     status = {c["id"]: c for c in report["checks"]}
     assert status["cond-expectation"]["witness"]["failures"][0] == {"kind": "unit", "value": unit_value}
     assert _sha256(report) == digest
+
+
+# ---------------------------------------------------------------------------
+# every generator shortcut closed
+# ---------------------------------------------------------------------------
+# A generator shortcut runs only while every check recorded before it passed:
+# the pipeline reads Reporter.all_passed, and the tower, which it seeds with
+# that value, keeps TowerLevel.verified. With all_passed patched to False every
+# shortcut is closed and every site runs its basis scan, whose result is the
+# shortcut's own proof obligation: the report must not change by a byte.
+
+
+def _closed_gates_sha256(ext, **kwargs) -> str:
+    """The report digest of a run with Reporter.all_passed patched to False,
+    after checking that no tower level came out verified."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Reporter, "all_passed", lambda self: False)
+        report = run_pipeline(ext, **kwargs)
+    tower = report.state.tower
+    assert tower is None or not any(level.verified for level in tower.levels)
+    return _sha256(report.to_dict())
+
+
+@pytest.mark.parametrize("case_id", DIGEST_CASES)
+def test_closed_gates_keep_the_catalog_report(case_id):
+    example, params = CASES[case_id]
+    ext, _sidecar = generate_example(example, params)
+    text = canonical_json(extension_to_dict(ext))
+    assert _closed_gates_sha256(extension_from_dict(json.loads(text))) == GOLDEN[case_id]
+
+
+@pytest.mark.parametrize("case_id", list(MODEL_GOLDEN))
+def test_closed_gates_keep_the_model_report(case_id):
+    ext, override = _model_input(case_id)
+    assert _closed_gates_sha256(ext, d2_override=override) == MODEL_GOLDEN[case_id]
+
+
+# failing inputs: M with one structure constant bumped (non_associative), and
+# one entry of E set to 2 (_perturbed)
+FAILING_INPUTS = {
+    f"{tag}/{kind}:{label}": (kind, example, dict(params, field=field), where)
+    for field, tag in (("rational", "q"), ("f7", "f7"))
+    for kind, label, example, params, where in (
+        ("non-associative", "z4/z2", "group-pair", {"group": "z4", "subgroup": "z2"}, (1, 1, 1)),
+        ("non-associative", "s3/z2", "group-pair", {"group": "s3", "subgroup": "z2"}, (2, 3, 1)),
+        ("perturbed", "s3/a3", "group-pair", {"group": "s3", "subgroup": "a3"}, (1, 0)),
+        ("perturbed", "z3", "function-algebra", {"group": "z3"}, (0, 2)),
+    )
+}
+
+
+@pytest.mark.parametrize("case_id", list(FAILING_INPUTS))
+def test_closed_gates_keep_a_failing_report(case_id):
+    kind, example, params, where = FAILING_INPUTS[case_id]
+    ext = non_associative(example, params, where) if kind == "non-associative" else _perturbed(example, params, *where)
+    report = run_pipeline(ext)
+    assert report.exit_code() == 1
+    assert _closed_gates_sha256(ext) == _sha256(report.to_dict())

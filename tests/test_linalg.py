@@ -200,7 +200,7 @@ def test_sparse_solver_agrees_with_dense_solve(A, raw_b):
     b = [Q.from_int(x) for x in (raw_b * A.codomain_dim)[: A.codomain_dim]]
     (ref,), ref_kern = dense_solve(A, [sparse_vector(b)])
     # the right-hand-side column of SparseSolver, as the depth-2 tensor system uses it
-    s = SparseSolver(Q, A.domain_dim, reduce_fully=True)
+    s = SparseSolver(Q, A.domain_dim)
     ok = True
     for row, rhs in zip(A.transpose().columns, b):
         ok = s.add_row(row, rhs) and ok
@@ -213,8 +213,8 @@ def test_sparse_solver_agrees_with_dense_solve(A, raw_b):
 
 
 def _unindexed_add_row(f, cols, pivots, row, rhs):
-    """SparseSolver.add_row with reduce_fully=True, back-substituting each new
-    pivot into every pivot row: the reference for its column index."""
+    """SparseSolver.add_row, back-substituting each new pivot into every
+    pivot row: the reference for its column index."""
     work = {c: v for c, v in row.items() if v}
     if rhs:
         work[cols] = rhs
@@ -268,7 +268,7 @@ def cancelling_rows(draw, max_cols=7):
 @given(cancelling_rows())
 def test_sparse_solver_column_index_matches_unindexed_back_substitution(system):
     field, cols, rows = system
-    s = SparseSolver(field, cols, reduce_fully=True)
+    s = SparseSolver(field, cols)
     reference: dict = {}
     for row, rhs in rows:
         s.add_row(row, rhs)
@@ -289,7 +289,7 @@ def test_frozen_sparse_solver_frees_its_index_and_refuses_rows(system):
     """freeze keeps the pivots and reduce, drops the column index, and makes a
     later add_row raise, as it could no longer back-substitute."""
     field, cols, rows = system
-    s = SparseSolver(field, cols, reduce_fully=True)
+    s = SparseSolver(field, cols)
     for row, rhs in rows[:-1]:
         s.add_row(row, rhs)
     pivots = {lead: dict(row) for lead, row in s.pivots.items()}

@@ -8,14 +8,14 @@ generators of the acted-on algebra. Each shortcut holds for a submodule's or
 a subalgebra's worth of elements once it holds on generators (the docstrings
 give the one-line proofs). These tests pin, on the model towers z2, z3 and z4
 over F7 and on the catalog's trivial extension, that each site reports what
-its basis scan reports, on the honest input and on perturbed ones, and that a
-site whose gate failed runs its basis scan.
+its basis scan reports, on the honest input and on perturbed ones, and that
+once a check failed every later site runs its basis scan.
 """
 import functools
 from dataclasses import replace
 
 import pytest
-from conftest import bumped
+from conftest import bumped, with_failed_check
 
 from hopftower import depth2, galois, hopf, pipeline
 from hopftower.algebra import SubspaceBasis, generators
@@ -29,7 +29,6 @@ from hopftower.pipeline import run_pipeline
 from hopftower.tower import verify_pimsner_popa
 
 CASES = ["f7/model:z2", "f7/model:z3", "f7/model:z4", "q/trivial"]
-FAILED = CheckOutcome(False, [{"kind": "failed"}])
 
 
 def _run(case: str):
@@ -55,17 +54,10 @@ def _spread(dim: int, k: int) -> list:
     return sorted({0, dim // 2, dim - 1, (7 * k + 3) % dim})
 
 
-def _with_failed(t, level: int, check: str):
-    """The tower with one check of one level reported failed."""
-    levels = list(t.levels)
-    levels[level] = replace(levels[level], checks=[(n, FAILED if n == check else o) for n, o in levels[level].checks])
-    return replace(t, levels=levels)
-
-
 def _without_module_generators(t):
-    """The tower with both levels' condexp-bimodule reported failed, so that
-    neither has module generators."""
-    return _with_failed(_with_failed(t, 0, "condexp-bimodule"), 1, "condexp-bimodule")
+    """The tower with level 1's condexp-bimodule reported failed, so that
+    neither level is verified and neither has module generators."""
+    return with_failed_check(t, 0, "condexp-bimodule")
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +108,12 @@ def test_pimsner_popa_checks_each_identity_on_its_own_side(emptied):
 
 @pytest.mark.parametrize("check", ["algebra-axioms", "condexp-bimodule", "inclusion-monomorphism"])
 def test_pimsner_popa_failed_gate_runs_the_basis_loop(check):
+    """A failed check of a level takes the module generators of that level
+    and of every level above it; the levels below keep theirs."""
     t = _state("f7/model:z3").tower
     for k in (0, 1):
-        broken = _with_failed(t, k, check)
-        assert broken.levels[k].module_generators() is None
-        assert broken.levels[1 - k].module_generators() is not None
+        broken = with_failed_check(t, k, check)
+        assert [level.module_generators() is None for level in broken.levels] == [n >= k for n in (0, 1)]
         assert verify_pimsner_popa(broken) == verify_pimsner_popa(t)
 
 
@@ -158,7 +151,7 @@ def test_bimodule_laws_same_on_generators(case):
     t, d2 = state.tower, state.d2
     E_A, E_B, out = conditional_expectations(t, d2)
     assert out.ok
-    assert conditional_expectations(_with_failed(t, 1, "algebra-axioms"), d2)[2] == out
+    assert conditional_expectations(with_failed_check(t, 1, "algebra-axioms"), d2)[2] == out
     sites = [(E_B, t.M2, d2.B, lambda b: b, "B"), (E_A, t.M1, d2.A, t.incl2.apply, "A")]
     rejected = 0
     for E, below, sub, into_m2, label in sites:
@@ -179,14 +172,14 @@ def test_bimodule_laws_same_on_generators(case):
 @pytest.mark.parametrize(
     "level, check, on_generators",
     [(None, None, ["B", "A"]),
-     (0, "algebra-axioms", ["B"]),
+     (0, "algebra-axioms", []),
      (1, "algebra-axioms", []),
-     (1, "inclusion-monomorphism", ["B"])],
+     (1, "inclusion-monomorphism", [])],
     ids=["honest", "m1-axioms", "m2-axioms", "incl2"],
 )
 def test_bimodule_gates(bimodule_sites, level, check, on_generators):
     state = _state("f7/model:z3")
-    t = state.tower if level is None else _with_failed(state.tower, level, check)
+    t = state.tower if level is None else with_failed_check(state.tower, level, check)
     _E_A, _E_B, out = conditional_expectations(t, state.d2)
     assert out.ok
     assert [label for label, gens, _ in bimodule_sites if gens is not None] == on_generators
@@ -246,7 +239,7 @@ def test_action_identity_gates(tower_axiom_sites):
     honest = hopf.verify_hopf_axioms(H_B, tower_ctx=ctx)
     assert honest.ok and tower_axiom_sites[-1] == [t.M1.unit] + t.levels[0].generators
     for level, check in ((0, "algebra-axioms"), (1, "algebra-axioms"), (1, "inclusion-monomorphism")):
-        out = hopf.verify_hopf_axioms(H_B, tower_ctx=(_with_failed(t, level, check),) + ctx[1:])
+        out = hopf.verify_hopf_axioms(H_B, tower_ctx=(with_failed_check(t, level, check),) + ctx[1:])
         assert out == honest and tower_axiom_sites[-1] is None
     # a failure found before, here a coproduct that is not coassociative
     bad = replace(H_B, delta=bumped(H_B.delta, 0, 1))
@@ -300,7 +293,7 @@ def test_module_algebra_gates(module_law_sites, monkeypatch):
     report = _run("f7/model:z3")
     t = report.state.tower
     assert [(X, gens) for X, gens in module_law_sites] == [(t.M1, t.levels[0].generators), (t.M, generators(t.M))]
-    # with hopf-axioms reported failed, the B-action on M1 runs the basis scan
+    # with hopf-axioms reported failed, both actions run the basis scan
     real = pipeline.verify_hopf_axioms
 
     def failing(*args, **kwargs):
@@ -309,7 +302,7 @@ def test_module_algebra_gates(module_law_sites, monkeypatch):
     monkeypatch.setattr(pipeline, "verify_hopf_axioms", failing)
     module_law_sites.clear()
     failed = _run("f7/model:z3")
-    assert [gens is None for _, gens in module_law_sites] == [True, False]
+    assert [gens is None for _, gens in module_law_sites] == [True, True]
     statuses = {r.check_id: r.status for r in failed.results}
     assert statuses["hopf-axioms"] == "fail" and statuses["action-b-on-m1"] == "pass"
 

@@ -326,3 +326,39 @@ def test_scan_sees_an_rref_call():
         "x = la.rref(None)\n"
     )
     assert _rref_calls(tree) == [("<module>", 6), ("g", 4), ("g", 5)]
+
+
+# A generator shortcut runs only while every check recorded before it passed:
+# the tower keeps that fact as TowerLevel.verified and the pipeline reads it
+# from its Reporter, so no other module names a level check to gate on it.
+_LEVEL_CHECK_IDS = {"algebra-axioms", "inclusion-monomorphism", "condexp-bimodule"}
+_CHECK_ID_MODULES = {"tower", "pipeline", "report"}
+
+
+def _check_id_literals(tree) -> list[tuple[int, str]]:
+    """(line, id) of every string literal that is a level check id."""
+    return sorted(
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in _LEVEL_CHECK_IDS
+    )
+
+
+def test_check_ids_stay_in_tower_pipeline_and_report():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.stem not in _CHECK_ID_MODULES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found.extend(f"{path.name}:{line} {cid}" for line, cid in _check_id_literals(tree))
+    assert found == [], "a level check id named outside tower, pipeline and report"
+
+
+def test_scan_sees_a_check_id_literal():
+    tree = ast.parse(
+        '"""Docstrings may say algebra-axioms."""\n'
+        'def g(level):\n    ok = dict(level.checks)["algebra-axioms"].ok\n'
+        "    return ok and level.passed('condexp-bimodule', \"inclusion-monomorphism\")\n"
+        'x = "M fails algebra-axioms"\n'
+    )
+    assert _check_id_literals(tree) == [
+        (3, "algebra-axioms"), (4, "condexp-bimodule"), (4, "inclusion-monomorphism"),
+    ]
