@@ -76,7 +76,6 @@ class Algebra:
     def mul_sparse(self, x: dict, y: dict) -> dict:
         f = self.field
         fadd, fmul = f.add, f.mul
-        zero = f.zero
         out: dict = {}
         table = self.table
         for i, xi in x.items():
@@ -86,13 +85,19 @@ class Algebra:
                 if not prod:  # e_i e_j = 0: most basis products vanish
                     continue
                 c = fmul(xi, yj)
-                # sparse_add inlined: this loop runs millions of times per pass
+                # sparse_add inlined, first write included: this loop runs
+                # millions of times per pass. c * t is a product of nonzero
+                # scalars, so it is stored untested under a new key.
                 for k, t in prod.items():
-                    v = fadd(out.get(k, zero), fmul(c, t))
-                    if v:
-                        out[k] = v
+                    old = out.get(k)
+                    if old is None:
+                        out[k] = fmul(c, t)
                     else:
-                        out.pop(k, None)
+                        v = fadd(old, fmul(c, t))
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
         return out
 
     def to_dense(self, d: dict) -> list:
@@ -221,8 +226,9 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
 
     Both sides expand from the table and rights, accumulating in mul_sparse's
     order: (e_i e_j) g = sum_l c_ij^l e_l g and e_i (e_j g) = sum_l (e_j g)_l e_i e_l.
-    sparse_add is inlined as in mul_sparse, since this runs millions of times
-    per pass.
+    sparse_add is inlined as in mul_sparse, first write included, since this
+    runs millions of times per pass: c and t are nonzero entries of the table
+    and of rights, so their product is stored untested under a new key.
 
     Only the live j are visited, those in nz_i = {l : e_i e_l != 0} or with
     supp(e_j g_r) meeting nz_i for some r; every other pair is 0 = 0. The lhs
@@ -230,7 +236,7 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
     e_i e_l != 0 for some l in supp(e_j g), that is supp(e_j g) meets nz_i.
     """
     f = alg.field
-    fadd, fmul, zero = f.add, f.mul, f.zero
+    fadd, fmul = f.add, f.mul
     table = alg.table
     # users[l]: the j with l in supp(e_j g_r) for some r
     users: list[set] = [set() for _ in range(alg.dim)]
@@ -251,22 +257,30 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
                 lhs: dict = {}
                 for l, c in ij_terms:
                     for m, t in right[l].items():
-                        s = fadd(lhs.get(m, zero), fmul(c, t))
-                        if s:
-                            lhs[m] = s
+                        old = lhs.get(m)
+                        if old is None:
+                            lhs[m] = fmul(c, t)
                         else:
-                            lhs.pop(m, None)
+                            s = fadd(old, fmul(c, t))
+                            if s:
+                                lhs[m] = s
+                            else:
+                                del lhs[m]
                 rhs: dict = {}
                 for l, c in right[j].items():
                     prod = row_i[l]
                     if not prod:
                         continue
                     for m, t in prod.items():
-                        s = fadd(rhs.get(m, zero), fmul(c, t))
-                        if s:
-                            rhs[m] = s
+                        old = rhs.get(m)
+                        if old is None:
+                            rhs[m] = fmul(c, t)
                         else:
-                            rhs.pop(m, None)
+                            s = fadd(old, fmul(c, t))
+                            if s:
+                                rhs[m] = s
+                            else:
+                                del rhs[m]
                 if lhs != rhs:
                     failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
                     if len(failures) >= max_failures:

@@ -11,7 +11,10 @@ ints. Equal values compare and hash equal across int and the backend type, and
 ``str`` gives the same text for both. Q arithmetic on ints and Fractions runs
 on a kernel here that works on numerators and denominators directly, with the
 stdlib's gcd steps and without Fraction's operator dispatch and
-re-normalisation; see ``RationalField``. gmpy2's mpq keeps its own operators.
+re-normalisation; see ``RationalField``. A sum with 0 and a product with 1
+return the Fraction operand itself, so the accumulate loops, whose first term
+is added to an implicit zero, and the unit scalings build no new Fraction.
+gmpy2's mpq keeps its own operators.
 
 Scalar strings follow one grammar on both rational backends: Q reads
 ``[+-]?digits(/[+-]?digits)?`` and F_p reads ``[+-]?digits``, with ASCII
@@ -230,7 +233,11 @@ class RationalField(Field):
     d/n of a fraction in lowest terms is one too. These int cases are written
     out rather than passed to ``_add`` and ``_mul`` as c/1: they are most of
     the mixed operations, and the extra call and gcd slow the Q benchmark
-    measurably. Any other operand type, gmpy2's mpq in particular, keeps its
+    measurably. 0 + x, x + 0, 1 · x and x · 1 for a Fraction x return x
+    itself, with no ``_fraction`` and no gcd: scalars are immutable and
+    canonical, so sharing the object is safe, and on a Q catalog pass these
+    cases are about two thirds of the Fractions the kernel would otherwise
+    build. Any other operand type, gmpy2's mpq in particular, keeps its
     own operators, which are already C code; ``_q`` turns an integral result
     into an int, so that, for example, 2 * (1/2) is the int 1 on either
     backend. Where gmpy2 is installed no scalar is a Fraction: the module then
@@ -258,11 +265,15 @@ class RationalField(Field):
             if tb is int:
                 return a + b
             if tb is Fraction:
+                if not a:
+                    return b
                 return _fraction(a * b._denominator + b._numerator, b._denominator)
         elif ta is Fraction:
             if tb is Fraction:
                 return _add(a._numerator, a._denominator, b._numerator, b._denominator)
             if tb is int:
+                if not b:
+                    return a
                 return _fraction(a._numerator + b * a._denominator, a._denominator)
         return _q(a + b)
 
@@ -286,11 +297,15 @@ class RationalField(Field):
             if tb is int:
                 return a * b
             if tb is Fraction:
+                if a == 1:
+                    return b
                 return _scale(a, b._numerator, b._denominator)
         elif ta is Fraction:
             if tb is Fraction:
                 return _mul(a._numerator, a._denominator, b._numerator, b._denominator)
             if tb is int:
+                if b == 1:
+                    return a
                 return _scale(b, a._numerator, a._denominator)
         return _q(a * b)
 

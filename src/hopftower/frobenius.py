@@ -551,8 +551,9 @@ def separability_element_field(field, coeffs: list) -> SeparabilityElement:
         one = alg.unit
         tensor = {0: f.one}
         return SeparabilityElement(alg, tensor, one, True)
-    # p'(a) = n a^(n-1) - sum_{j>=1} j c_j a^(j-1)
-    dp = {n - 1: f.from_int(n)}
+    # p'(a) = n a^(n-1) - sum_{j>=1} j c_j a^(j-1); n is 0 in F_p when p divides n
+    dp: dict = {}
+    sparse_add(f, dp, n - 1, f.from_int(n))
     for j in range(1, n):
         sparse_add(f, dp, j - 1, f.neg(f.mul(f.from_int(j), coeffs[j])))
     inv_dp = _invert_element(alg, dp)

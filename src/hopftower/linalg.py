@@ -285,12 +285,26 @@ class SparseSolver:
 
 
 def sparse_add(field: Field, acc: dict, key, val) -> None:
-    """acc[key] += val on a sparse dict, dropping the key when the sum is zero."""
-    v = field.add(acc.get(key, field.zero), val)
+    """acc[key] += val on a sparse dict, dropping the key when the sum is zero.
+
+    val must be a canonical scalar of field, made by its operations or
+    ``parse``: a key that is absent takes val itself (first write), with no
+    addition to zero that would copy it or reduce it, and a zero val is not
+    stored. A present key takes the sum and is deleted when it is zero. Key
+    order, which report witnesses show, is therefore that of
+    ``acc[key] = acc.get(key, 0) + val`` with zeros popped: a new key is
+    appended, and a cancelled key that comes back is appended again.
+    """
+    old = acc.get(key)
+    if old is None:
+        if val:
+            acc[key] = val
+        return
+    v = field.add(old, val)
     if v:
         acc[key] = v
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def sparse_axpy(field: Field, acc: dict, c, v: dict) -> None:

@@ -25,7 +25,7 @@ from hopftower.frobenius import classify, solve_dual_bases
 from hopftower.galois import action_b_on_m1, smash_product
 from hopftower.hopf import sandwich_maps
 from hopftower.fields import PrimeField, RationalField
-from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_vector
+from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_add, sparse_axpy, sparse_vector
 from hopftower.models import (
     cyclic_group,
     generate_example,
@@ -286,6 +286,141 @@ def test_mul_sparse_equals_the_product_over_every_pair(field):
                 assert prod == naive_mul(alg, x, y) and k not in prod, seed
                 cancelled += 1
     assert cancelled > 0
+
+
+# -- key order of the accumulators -------------------------------------------------
+# sparse_add, sparse_axpy, mul_sparse and _assoc_failures store a new key's
+# value directly (first write). Their dicts must list the keys in the order of
+# the plain rule below, which adds every term to an implicit zero and pops a
+# zero sum: a new key is appended, a cancelled key that comes back is appended
+# again. Reports print witnesses in dict order, so == alone does not pin it.
+
+
+class ZeroStartSum:
+    """acc[key] = acc.get(key, 0) + val, popped when zero; counts the keys
+    that cancel and later come back."""
+
+    def __init__(self, field):
+        self.field = field
+        self.acc: dict = {}
+        self.cancelled: set = set()
+        self.returned = 0
+
+    def add(self, key, val):
+        f = self.field
+        v = f.add(self.acc.get(key, f.zero), val)
+        if v:
+            self.returned += key in self.cancelled and key not in self.acc
+            self.acc[key] = v
+        elif self.acc.pop(key, None) is not None:
+            self.cancelled.add(key)
+
+
+def zero_start_product(alg, x, y):
+    """x y summed in mul_sparse's order by ZeroStartSum."""
+    f = alg.field
+    ref = ZeroStartSum(f)
+    for i, xi in x.items():
+        for j, yj in y.items():
+            c = f.mul(xi, yj)
+            for k, t in alg.table[i][j].items():
+                ref.add(k, f.mul(c, t))
+    return ref
+
+
+def cancel_and_return_algebra(field):
+    """A 3-dim table (not associative) and one right factor g, given as
+    [e_l g for every l], where each accumulator cancels a key and brings it
+    back: e_0 (e_0 + e_1 + e_2) cancels e_1 at the second term and restores
+    it at the third; so does the rhs e_0 (e_0 g) of the triple (0, 0, g), and
+    the lhs (e_1 e_0) g of (1, 0, g) does the same with e_0."""
+    t = field.div(field.one, field.from_int(3))
+    table = [[{} for _ in range(3)] for _ in range(3)]
+    table[0][0], table[0][1], table[0][2] = {1: t, 2: t}, {1: field.neg(t)}, {1: field.one}
+    table[1][0], table[1][1] = {0: field.one, 1: field.one, 2: field.one}, {0: field.one}
+    right = [{0: field.one, 1: field.one, 2: field.one}, {0: field.neg(field.one)}, {0: field.one}]
+    return Algebra(field, 3, table, {0: field.one}), right
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_sparse_add_and_axpy_keep_the_zero_start_key_order(field):
+    rng = random.Random(2001)
+    returned = zeros = 0
+    for _ in range(200):
+        acc, axpy_acc = {}, {}
+        ref, axpy_ref = ZeroStartSum(field), ZeroStartSum(field)
+        for _ in range(12):
+            key = rng.randrange(4)
+            roll = rng.random()
+            if roll < 0.15:
+                val = field.zero
+                zeros += 1
+            elif roll < 0.5 and key in acc:
+                val = field.neg(acc[key])  # cancels the key
+            else:
+                val = random_scalar(field, rng)
+            sparse_add(field, acc, key, val)
+            ref.add(key, val)
+            assert list(acc.items()) == list(ref.acc.items())
+            c = rng.choice([field.zero, field.one, random_scalar(field, rng)])
+            v = {k: field.neg(axpy_acc[k]) if k in axpy_acc and rng.random() < 0.5 else random_scalar(field, rng)
+                 for k in rng.sample(range(4), rng.randint(0, 3))}
+            if c:
+                v = {k: field.div(x, c) for k, x in v.items()}
+            sparse_axpy(field, axpy_acc, c, v)
+            for k, x in v.items():
+                axpy_ref.add(k, field.mul(c, x))
+            assert list(axpy_acc.items()) == list(axpy_ref.acc.items())
+        returned += ref.returned + axpy_ref.returned
+    assert returned > 0 and zeros > 0
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_mul_sparse_keeps_the_zero_start_key_order(field):
+    alg, _ = cancel_and_return_algebra(field)
+    x, y = {0: field.one}, {0: field.one, 1: field.one, 2: field.one}
+    ref = zero_start_product(alg, x, y)
+    assert list(alg.mul_sparse(x, y).items()) == list(ref.acc.items())
+    assert list(ref.acc) == [2, 1] and ref.returned == 1
+    returned = 0
+    for seed in range(40):
+        rng, algebras = random_algebras(field, seed)
+        for alg in algebras:
+            for _ in range(4):
+                x, y = random_element(field, alg.dim, rng, 0.6), random_element(field, alg.dim, rng, 0.6)
+                ref = zero_start_product(alg, x, y)
+                assert list(alg.mul_sparse(x, y).items()) == list(ref.acc.items()), seed
+                assert ref.acc == naive_mul(alg, x, y), seed
+                returned += ref.returned
+    assert returned > 0
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
+def test_assoc_failure_witnesses_keep_the_zero_start_key_order(field):
+    """Both witnesses of every failure, summed in _assoc_failures' order by
+    ZeroStartSum, list their keys in the same order."""
+    alg, right = cancel_and_return_algebra(field)
+    cases = [(alg, [right])]
+    rng = random.Random(2002)
+    for seed in range(40):
+        for alg in random_algebras(field, seed)[1]:
+            gens = [random_element(field, alg.dim, rng, 0.6) for _ in range(2)]
+            cases.append((alg, [[alg.mul_sparse({l: field.one}, g) for l in range(alg.dim)] for g in gens]))
+    returned = {"lhs": 0, "rhs": 0}
+    for alg, rights in cases:
+        for failure in _assoc_failures(alg, rights, alg.dim ** 3):
+            i, j, r = failure["triple"]
+            ref = {"lhs": ZeroStartSum(field), "rhs": ZeroStartSum(field)}
+            for l, c in alg.table[i][j].items():
+                for m, t in rights[r][l].items():
+                    ref["lhs"].add(m, field.mul(c, t))
+            for l, c in rights[r][j].items():
+                for m, t in alg.table[i][l].items():
+                    ref["rhs"].add(m, field.mul(c, t))
+            for side in ("lhs", "rhs"):
+                assert list(failure[side].items()) == list(ref[side].acc.items()), (failure, side)
+                returned[side] += ref[side].returned
+    assert returned["lhs"] > 0 and returned["rhs"] > 0
 
 
 def word_closure_generators(alg, seeds=()):

@@ -179,6 +179,11 @@ def _assert_canonical_value(Q, got, want, rat):
 @example(Fraction(1, 5), Fraction(-1, 9))
 @example(Fraction(12, 7), Fraction(-5, 12))
 @example(Fraction(1, 2**100), Fraction(-(3**50), 2**100 + 1))
+# 0 and 1 beside a fraction on either side: the identity shortcuts
+@example(Fraction(0), Fraction(-5, 12))
+@example(Fraction(7, 3), Fraction(0))
+@example(Fraction(1), Fraction(1, 3))
+@example(Fraction(-(3**50), 2**100 + 1), Fraction(1))
 def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
     # every operation agrees with plain Fraction arithmetic, in both operand
     # orders, and returns an int exactly when the value is integral
@@ -197,6 +202,23 @@ def test_rational_ops_match_fraction_in_canonical_form(Q_backend, a, b):
     for got, want in results:
         _assert_canonical_value(Q, got, want, rat)
         assert Q.is_zero(got) == (want == 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/2", "-7/3", f"{10**40 + 1}/{3**50}", f"-{3**50}/{2**100 + 1}"], ids=["1/2", "-7/3", "large", "-large"]
+)
+def test_rational_identities_return_the_fraction_operand(monkeypatch, text):
+    # x + 0, 0 + x, x * 1 and 1 * x give back the Fraction x itself: no new
+    # Fraction and no gcd. Scalars are immutable, so sharing x is safe.
+    monkeypatch.setattr(fields, "Fraction", Fraction)
+    monkeypatch.setattr(fields, "_rat", Fraction)
+    Q = RationalField()
+    x = Q.parse(text)
+    assert type(x) is Fraction and type(Q.zero) is int and type(Q.one) is int
+    assert Q.add(Q.zero, x) is x
+    assert Q.add(x, Q.zero) is x
+    assert Q.mul(Q.one, x) is x
+    assert Q.mul(x, Q.one) is x
 
 
 _CANCELLING = [

@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 from conftest import non_associative, reference_failures
 
 from hopftower import algebra, pipeline, tower
 from hopftower.fields import PrimeField, RationalField
 from hopftower.fileio import canonical_json
+from hopftower.frobenius import ExtensionSpec
+from hopftower.linalg import LinMap, sparse_scale
 from hopftower.models import function_algebra_extension, generate_example
 from hopftower.pipeline import run_pipeline
 
@@ -123,6 +127,44 @@ def test_generators_of_m_are_computed_once(monkeypatch):
     from_scratch = [seeds for alg, seeds in calls if alg is ext.M and not seeds]
     assert len(from_scratch) == 1
     assert [seeds for alg, seeds in calls if alg is ext.n_algebra] == [[]]
+
+
+def _doubled_e(ext):
+    """ext with E replaced by 2E, which normalization must rescale."""
+    f = ext.M.field
+    E = LinMap(f, [sparse_scale(f, f.from_int(2), c) for c in ext.E.columns], ext.E.codomain_dim)
+    return ExtensionSpec(ext.M, ext.N, E=E)
+
+
+@pytest.mark.parametrize(
+    "rescale, n_calls, digest",
+    [
+        (False, 1, "e604f04f79914bee0f924411adc7e6b51fd006f4e13804038e4bcd46ff977d27"),
+        (True, 2, "704c427ca94e7f8e8dba9662c8d34d3ba8afeb0bed1447e5cfaf899e5fd78b5f"),
+    ],
+    ids=["s3/a3", "s3/a3-doubled-E"],
+)
+def test_cond_expectation_runs_again_only_on_a_rescaled_e(monkeypatch, rescale, n_calls, digest):
+    """The Frobenius stage reports the cond-expectation outcome it computed
+    on the supplied E, and checks again only the E that normalization made.
+    The reports are pinned to the ones of the stage that always checked twice."""
+    calls = []
+    real = pipeline.verify_conditional_expectation
+
+    def counting(ext, E, **kwargs):
+        calls.append(E)
+        return real(ext, E, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_conditional_expectation", counting)
+    ext, _ = generate_example("group-pair", {"group": "s3", "subgroup": "a3"})
+    if rescale:
+        ext = _doubled_e(ext)
+    report = run_pipeline(ext)
+    assert len(calls) == n_calls and calls[0] is ext.E
+    res = by_id(report)
+    assert res["cond-expectation"].status == "pass"
+    assert ("normalization" in res) == rescale
+    assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("field", ["rational", "f7"])
