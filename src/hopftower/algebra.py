@@ -2,8 +2,9 @@
 
 Elements are sparse dicts {basis index: nonzero scalar} from the loader to the
 report; scalars are canonical, so two elements are equal exactly when their
-dicts are, and ``Algebra.mul_sparse`` is the one product. Multiplication
-tables are stored the same way (a dict per basis pair), and every linear map
+dicts are, and ``Algebra.mul_sparse`` is the one product. A multiplication
+table keeps only its nonzero products, a row {j: e_i e_j} per basis element,
+and other modules read a product through ``Algebra.cell``; every linear map
 is a linalg ``LinMap`` of sparse columns. Dense lists appear only at the file
 and report boundary (``Algebra.to_dense``). Every subspace keeps its rows in
 sparse RREF in one linalg.SparseSolver, which decides membership and reduces
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .fields import Field
 from .linalg import (
@@ -42,12 +44,14 @@ class AlgebraError(ValueError):
 class Algebra:
     """Associative unital algebra over an exact field.
 
-    table[i][j] is a sparse dict {k: c} with e_i e_j = sum_k c e_k.
+    table[i] is the row {j: {k: c}} of the nonzero products
+    e_i e_j = sum_k c e_k, in ascending j; a zero product has no key.
     """
 
     __slots__ = ("field", "dim", "unit", "table")
+    _ZERO = MappingProxyType({})  # every zero product, shared and read-only
 
-    def __init__(self, field: Field, dim: int, table: list[list[dict]], unit: dict):
+    def __init__(self, field: Field, dim: int, table: list[dict[int, dict]], unit: dict):
         self.field = field
         self.dim = dim
         self.table = table
@@ -57,20 +61,26 @@ class Algebra:
     def from_entries(
         cls, field: Field, dim: int, entries: Iterable[tuple[int, int, int, object]], unit: dict
     ) -> "Algebra":
-        table: list[list[dict]] = [[{} for _ in range(dim)] for _ in range(dim)]
+        rows: list[dict[int, dict]] = [{} for _ in range(dim)]
         for i, j, k, c in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AlgebraError(f"structure constant index out of range: {(i, j, k)}")
-            sparse_add(field, table[i][j], k, c)
+            sparse_add(field, rows[i].setdefault(j, {}), k, c)
+        table = [{j: row[j] for j in sorted(row) if row[j]} for row in rows]
         return cls(field, dim, table, dict(unit))
 
     def entries(self) -> list[tuple[int, int, int, object]]:
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in sorted(self.table[i][j]):
-                    out.append((i, j, k, self.table[i][j][k]))
-        return out
+        return [(i, j, k, cell[k]) for i, row in enumerate(self.table) for j, cell in row.items() for k in sorted(cell)]
+
+    def cell(self, i: int, j: int) -> Mapping:
+        """e_i e_j as a read-only sparse dict, empty when it is zero. A law
+        over all basis pairs (eps, Delta or S (anti-)multiplicative, module
+        axioms, a pairing identity, the full scans of verify_algebra and
+        check_morphism) must visit the zero products too, as 0 is what the law
+        asserts of the other side; only a kernel that sums products may skip
+        them."""
+        row = self.table[i]
+        return row[j] if j in row else self._ZERO
 
     # -- products -------------------------------------------------------
     def mul_sparse(self, x: dict, y: dict) -> dict:
@@ -81,14 +91,13 @@ class Algebra:
         for i, xi in x.items():
             row = table[i]
             for j, yj in y.items():
-                prod = row[j]
-                if not prod:  # e_i e_j = 0: most basis products vanish
+                if j not in row:  # e_i e_j = 0: most basis products vanish
                     continue
                 c = fmul(xi, yj)
                 # sparse_add inlined, first write included: this loop runs
                 # millions of times per pass. c * t is a product of nonzero
                 # scalars, so it is stored untested under a new key.
-                for k, t in prod.items():
+                for k, t in row[j].items():
                     old = out.get(k)
                     if old is None:
                         out[k] = fmul(c, t)
@@ -230,10 +239,10 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
     runs millions of times per pass: c and t are nonzero entries of the table
     and of rights, so their product is stored untested under a new key.
 
-    Only the live j are visited, those in nz_i = {l : e_i e_l != 0} or with
-    supp(e_j g_r) meeting nz_i for some r; every other pair is 0 = 0. The lhs
-    is 0 unless e_i e_j != 0, that is j in nz_i. The rhs is 0 unless
-    e_i e_l != 0 for some l in supp(e_j g), that is supp(e_j g) meets nz_i.
+    Only the live j are visited, the keys nz_i = {l : e_i e_l != 0} of row i
+    and those with supp(e_j g_r) meeting nz_i for some r; every other pair is
+    0 = 0. The lhs is 0 unless e_i e_j != 0, that is j in nz_i. The rhs is 0
+    unless e_i e_l != 0 for some l in supp(e_j g), that is it meets nz_i.
     """
     f = alg.field
     fadd, fmul = f.add, f.mul
@@ -247,12 +256,11 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
     failures = []
     for i in range(alg.dim):
         row_i = table[i]
-        nz_i = [l for l, prod in enumerate(row_i) if prod]
-        live = set(nz_i)
-        for l in nz_i:
+        live = set(row_i)
+        for l in row_i:
             live |= users[l]
         for j in sorted(live):
-            ij_terms = row_i[j].items()
+            ij_terms = row_i[j].items() if j in row_i else ()
             for r, right in enumerate(rights):
                 lhs: dict = {}
                 for l, c in ij_terms:
@@ -268,10 +276,9 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
                                 del lhs[m]
                 rhs: dict = {}
                 for l, c in right[j].items():
-                    prod = row_i[l]
-                    if not prod:
+                    if l not in row_i:
                         continue
-                    for m, t in prod.items():
+                    for m, t in row_i[l].items():
                         old = rhs.get(m)
                         if old is None:
                             rhs[m] = fmul(c, t)
@@ -320,8 +327,8 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
         gens, rights = _generators(alg, seeds)
         if not _assoc_failures(alg, rights, 1):
             return AlgebraReport(True, [], [], gens)
-    # the full scan: right factors e_k, with e_l e_k = table[l][k]
-    columns = [[alg.table[l][k] for l in range(alg.dim)] for k in range(alg.dim)]
+    # the full scan: right factors e_k, with e_l e_k = cell(l, k)
+    columns = [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)]
     assoc_failures = _assoc_failures(alg, columns, max_failures)
     ok = not unit_failures and not assoc_failures
     return AlgebraReport(ok, unit_failures, assoc_failures, gens)
@@ -599,7 +606,7 @@ def module_axioms_ok(field: Field, dim_v: int, action_maps: list, sub_alg: Algeb
         return False
     for i in range(sub_alg.dim):
         for j in range(sub_alg.dim):
-            prod = map_combination(field, dim_v, sub_alg.table[i][j], action_maps)
+            prod = map_combination(field, dim_v, sub_alg.cell(i, j), action_maps)
             if prod != action_maps[j].compose(action_maps[i]):
                 return False
     return True
@@ -698,8 +705,8 @@ def check_morphism(
         if not _mult_failures(f_map, A, B, rights, 1):
             return MorphismReport(True, A.dim == B.dim and rank(f_map) == A.dim, [])
     failures = [] if unit_ok else [{"kind": "unit"}]
-    # the full scan: right factors e_j, with e_i e_j = table[i][j]
-    columns = [(f_map.columns[j], [A.table[i][j] for i in range(A.dim)]) for j in range(A.dim)]
+    # the full scan: right factors e_j, with e_i e_j = cell(i, j)
+    columns = [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)]
     w = A.field.witness
     failures += [
         {"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}

@@ -243,18 +243,13 @@ def hopf_to_dict(H, pairing_matrix: Optional[LinMap] = None, integral: Optional[
 
 def tower_to_dict(t) -> dict:
     f = t.M.field
-    out = {"field": field_to_spec(f), "levels": []}
-    for level in t.levels:
-        alg = level.algebra
-        out["levels"].append(
-            {
-                "dim": alg.dim,
-                "structure": [[i, j, k, scalar_to_str(f, c)] for i, j, k, c in alg.entries()],
-                "unit": vector_to_list(f, alg.to_dense(alg.unit)),
-                "jones_idempotent": vector_to_list(f, alg.to_dense(level.e)),
-                "cond_expectation": matrix_to_rows(f, level.cond_exp),
-                "inclusion": matrix_to_rows(f, level.incl),
-            }
-        )
-    out["lambda_inverse"] = scalar_to_str(f, t.base_sys.lambda_inverse)
-    return out
+    levels = [
+        {
+            **algebra_to_dict(level.algebra),
+            "jones_idempotent": vector_to_list(f, level.algebra.to_dense(level.e)),
+            "cond_expectation": matrix_to_rows(f, level.cond_exp),
+            "inclusion": matrix_to_rows(f, level.incl),
+        }
+        for level in t.levels
+    ]
+    return {"field": field_to_spec(f), "levels": levels, "lambda_inverse": scalar_to_str(f, t.base_sys.lambda_inverse)}

@@ -209,8 +209,8 @@ def _contraction_rows(ext: ExtensionSpec, E: LinMap, tq: TensorQuotient):
     e_m = ext.e_into_m(E)
     cols: list[dict] = [{} for _ in range(tq.dim)]
     for m in range(d):
-        left_of = [e_m.apply(M.table[m][i]) for i in range(d)]  # E(m e_i)
-        right_of = [e_m.apply(M.table[j][m]) for j in range(d)]  # E(e_j m)
+        left_of = [e_m.apply(M.cell(m, i)) for i in range(d)]  # E(m e_i)
+        right_of = [e_m.apply(M.cell(j, m)) for j in range(d)]  # E(e_j m)
         base = 2 * m * d
         for c, (i, j) in enumerate(tq.basis):
             col = cols[c]
@@ -429,7 +429,7 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
             failures.append({"kind": "unit-not-fixed"})
         for i in range(s):
             for j in range(s):
-                lhs = qmap.apply(sub_alg.table[i][j])
+                lhs = qmap.apply(sub_alg.cell(i, j))
                 rhs = sub_alg.mul_sparse(qmap.columns[i], qmap.columns[j])
                 if lhs != rhs:
                     failures.append({"kind": "not-multiplicative", "pair": (i, j)})
@@ -467,7 +467,7 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
     # sanity: ident must carry m_alg onto sys_rm.N as algebras
     for i in range(m_alg.dim):
         for j in range(m_alg.dim):
-            lhs = ident.apply(m_alg.table[i][j])
+            lhs = ident.apply(m_alg.cell(i, j))
             if lhs != R.mul_sparse(ident.columns[i], ident.columns[j]):
                 raise FrobeniusError("identification M -> R is not an algebra map")
     # F: R -> M coords (translate sys_rm.E through the N_RM basis -> m_alg coords)
@@ -586,7 +586,7 @@ def _tensor_multiply_out(alg: Algebra, tensor: dict) -> dict:
     out: dict = {}
     for col, c in tensor.items():
         i, k = divmod(col, alg.dim)
-        sparse_axpy(f, out, c, alg.table[i][k])
+        sparse_axpy(f, out, c, alg.cell(i, k))
     return out
 
 

@@ -68,7 +68,7 @@ def verify_module_algebra(
     # rho(h h') = rho(h) rho(h')
     for i in range(H.dim):
         for j in range(H.dim):
-            if act.rho(H.algebra.table[i][j]) != act.maps[i].compose(act.maps[j]):
+            if act.rho(H.algebra.cell(i, j)) != act.maps[i].compose(act.maps[j]):
                 failures.append({"kind": "action-not-multiplicative", "pair": (i, j)})
                 if len(failures) >= max_failures:
                     return CheckOutcome(False, failures)
@@ -79,8 +79,8 @@ def verify_module_algebra(
         rights = [([X.mul_sparse({x: one}, g) for x in range(X.dim)], [m.apply(g) for m in act.maps])
                   for g in [X.unit, *x_generators]]
         law_holds = not any(_module_law_failures(act, i, rights, 1) for i in range(H.dim))
-    if not law_holds:  # the scan: right factors e_y, with e_x e_y = table[x][y]
-        rights = [([X.table[x][y] for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)]
+    if not law_holds:  # the scan: right factors e_y, with e_x e_y = cell(x, y)
+        rights = [([X.cell(x, y) for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)]
     for i in range(H.dim):
         if not law_holds:
             found = _module_law_failures(act, i, rights, max_failures - len(failures))
@@ -161,24 +161,25 @@ def smash_product(
     f = X.field
     dx, dh = X.dim, H.dim
     dim = dx * dh
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    table = []
     legs_by_h = [H.delta_coords(h) for h in range(dh)]
     cols = [m.columns for m in act.maps]
     for x in range(dx):
         # x (h_u . x2) for every u and x2
         x_acted = [[X.mul_sparse({x: f.one}, col) for col in cols_u] for cols_u in cols]
         for h in range(dh):
-            p = x * dh + h
+            row: dict = {}
             for x2 in range(dx):
-                for h2 in range(dh):
-                    q = x2 * dh + h2
-                    cell: dict = {}
-                    for u, v, c in legs_by_h[h]:
-                        xa = x_acted[u][x2]
-                        for hk, hc in H.algebra.table[v][h2].items():
+                cells: dict = {}  # h2 -> the product at x2 * dh + h2, over the nonzero h_v h2
+                for u, v, c in legs_by_h[h]:
+                    xa = x_acted[u][x2]
+                    for h2, vh2 in H.algebra.table[v].items():
+                        cell = cells.setdefault(h2, {})
+                        for hk, hc in vh2.items():
                             for xk, xc in xa.items():
                                 sparse_add(f, cell, xk * dh + hk, f.mul(c, f.mul(hc, xc)))
-                    table[p][q] = cell
+                row.update((x2 * dh + h2, cells[h2]) for h2 in sorted(cells) if cells[h2])
+            table.append(row)
     h_unit = H.algebra.unit
     unit = {x * dh + h: f.mul(cx, ch) for x, cx in X.unit.items() for h, ch in h_unit.items()}
     alg = Algebra(f, dim, table, unit)
@@ -482,7 +483,7 @@ def cleft_data(
             acc: dict = {}
             for u, v, c in H_A.delta_coords(i):
                 for u2, v2, c2 in H_A.delta_coords(i2):
-                    s_prod = a_embed.apply(s_map.apply(A_alg.table[v][v2]))
+                    s_prod = a_embed.apply(s_map.apply(A_alg.cell(v, v2)))
                     term = M1.mul_sparse(M1.mul_sparse(a_vecs[u], a_vecs[u2]), s_prod)
                     sparse_axpy(f, acc, f.mul(c, c2), term)
             expected = sparse_scale(f, f.mul(H_A.counit_of(i), H_A.counit_of(i2)), M1.unit)

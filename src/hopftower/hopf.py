@@ -80,8 +80,8 @@ def tensor_square_mul(alg: Algebra, v: dict, w: dict) -> dict:
         for rs, cw in w.items():
             r, s = divmod(rs, d)
             c = f.mul(cv, cw)
-            right = alg.table[q][s]
-            for k, ck in alg.table[p][r].items():
+            right = alg.cell(q, s)
+            for k, ck in alg.cell(p, r).items():
                 for l, cl in right.items():
                     sparse_add(f, out, k * d + l, f.mul(c, f.mul(ck, cl)))
     return out
@@ -178,7 +178,7 @@ def build_coalgebra(
         col: dict = {}
         for i in range(da):
             for k in range(da):
-                w = pair_with(A_alg.table[i][k], j)
+                w = pair_with(A_alg.cell(i, k), j)
                 if not w:
                     continue
                 for u, pui in P_inv.columns[i].items():
@@ -199,7 +199,7 @@ def build_coalgebra(
                 for row, c in delta_cols[j].items():
                     u, v = divmod(row, db)
                     lhs = f.add(lhs, f.mul(c, f.mul(pair(i, u), pair(k, v))))
-                if not f.eq(lhs, pair_with(A_alg.table[i][k], j)):
+                if not f.eq(lhs, pair_with(A_alg.cell(i, k), j)):
                     failures.append({"kind": "pairing-identity", "triple": (i, k, j)})
                     if len(failures) >= 3:
                         return delta, eps, CheckOutcome(False, failures)
@@ -220,7 +220,7 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[LinMap, LinMap, C
     # eps multiplicative
     for i in range(db):
         for j in range(db):
-            lhs = H.counit_apply(p.B_alg.table[i][j])
+            lhs = H.counit_apply(p.B_alg.cell(i, j))
             rhs = f.mul(H.counit_of(i), H.counit_of(j))
             if not f.eq(lhs, rhs):
                 failures.append({"kind": "eps-multiplicative", "pair": (i, j)})
@@ -361,7 +361,7 @@ def verify_hopf_axioms(
         note("delta-unital")
     for i in range(d):
         for j in range(d):
-            lhs = delta.apply(alg.table[i][j])
+            lhs = delta.apply(alg.cell(i, j))
             if lhs != tensor_square_mul(alg, delta.columns[i], delta.columns[j]):
                 note("delta-multiplicative", pair=(i, j))
                 if len(failures) >= max_failures:
@@ -371,7 +371,7 @@ def verify_hopf_axioms(
         note("eps-unital")
     for i in range(d):
         for j in range(d):
-            if not f.eq(H.counit_apply(alg.table[i][j]), f.mul(H.counit_of(i), H.counit_of(j))):
+            if not f.eq(H.counit_apply(alg.cell(i, j)), f.mul(H.counit_of(i), H.counit_of(j))):
                 note("eps-multiplicative", pair=(i, j))
 
     if H.antipode is not None:
@@ -391,7 +391,7 @@ def verify_hopf_axioms(
             note("antipode-unit")
         for i in range(d):
             for j in range(d):
-                lhs = S.apply(alg.table[i][j])
+                lhs = S.apply(alg.cell(i, j))
                 if lhs != alg.mul_sparse(s_cols[j], s_cols[i]):
                     note("antipode-anti-multiplicative", pair=(i, j))
         # S is an anti-coalgebra map: Delta S = twist (S (x) S) Delta
@@ -548,7 +548,7 @@ def dualize(p: PairingData, H_B: HopfStructure, t=None, d2=None) -> tuple[HopfSt
         legs = H_A.delta_coords(i)
         for u in range(db):
             for v in range(db):
-                prod = p.B_alg.table[u][v]
+                prod = p.B_alg.cell(u, v)
                 lhs = zero
                 for l, c in prod.items():
                     lhs = f.add(lhs, f.mul(c, p_rows.columns[i].get(l, zero)))

@@ -209,12 +209,7 @@ def translation_action(pair: GroupHopfPair, field: Field) -> ModuleAlgebraAction
 def quadratic_field_algebra(field: Field, d) -> Algebra:
     """k(sqrt(d)) as a 2-dimensional algebra with basis {1, w}, w^2 = d."""
     f = field
-    entries = [
-        (0, 0, 0, f.one),
-        (0, 1, 1, f.one),
-        (1, 0, 1, f.one),
-        (1, 1, 0, d),
-    ]
+    entries = [(0, 0, 0, f.one), (0, 1, 1, f.one), (1, 0, 1, f.one), (1, 1, 0, d)]
     return Algebra.from_entries(f, 2, entries, {0: f.one})
 
 
@@ -428,14 +423,12 @@ def quadratic_field_extension(field: Field, d) -> ExtensionSpec:
 def matrix_units_m2(field: Field) -> Algebra:
     """M_2(k) with basis order e11, e12, e21, e22."""
     f = field
-    entries = []
     units = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    idx = {u: i for i, u in enumerate(units)}
-    for (i, j), p in idx.items():
-        for (k, l), q in idx.items():
-            if j == k:
-                entries.append((p, q, idx[(i, l)], f.one))
-    return Algebra.from_entries(f, 4, entries, {idx[(0, 0)]: f.one, idx[(1, 1)]: f.one})
+    entries = [
+        (p, q, units.index((i, l)), f.one)
+        for p, (i, j) in enumerate(units) for q, (k, l) in enumerate(units) if j == k
+    ]
+    return Algebra.from_entries(f, 4, entries, {0: f.one, 3: f.one})
 
 
 def m2f2_extension() -> ExtensionSpec:

@@ -180,25 +180,27 @@ def basic_construction(
     e_into_m = sys.ext.e_into_m(sys.E)
 
     # multiplication table: [a(x)b][c(x)d] = a E(bc) (x) d, with E(bc) formed
-    # once per basis pair (b, c) of M and u = a E(bc) once per (a, b, c). The
+    # once per nonzero product bc of M and u = a E(bc) once per (a, b, c). The
+    # c ascend in each row of M, so each row here is built in ascending q. The
     # normal form modulo the relations is linear, so project(u (x) e_d) =
     # sum_l u_l project(e_l (x) e_d), and each basis tensor is projected once.
     # project clears the pivot columns after the free ones are in place, so the
     # free e_l (x) e_d are summed first and the key order is project's too.
     n = M.dim
     proj = [[(tq.is_free(l * n + d), tq.project({l * n + d: f.one})) for d in range(n)] for l in range(n)]
-    ebc_of = {(b, c): e_into_m.apply(M.table[b][c]) for b in range(n) for c in range(n)}
+    ebc_of = [{c: e_into_m.apply(bc) for c, bc in cells.items()} for cells in M.table]
     qs_of: list[list] = [[] for _ in range(n)]  # c -> [(q, d) with basis[q] = (c, d)]
     for q, (c, d) in enumerate(tq.basis):
         qs_of[c].append((q, d))
-    table = [[{} for _ in range(dim1)] for _ in range(dim1)]
-    for p, (a, b) in enumerate(tq.basis):
+    table = []
+    for a, b in tq.basis:
         ea = {a: f.one}
-        for c, qs in enumerate(qs_of):
-            u = M.mul_sparse(ea, ebc_of[b, c])
+        row: dict = {}
+        for c, ebc in ebc_of[b].items():
+            u = M.mul_sparse(ea, ebc)
             if not u:
                 continue
-            for q, d in qs:
+            for q, d in qs_of[c]:
                 prod: dict = {}
                 for free_first in (True, False):
                     for l, cv in u.items():
@@ -206,7 +208,8 @@ def basic_construction(
                         if free == free_first:
                             sparse_axpy(f, prod, cv, vec)
                 if prod:
-                    table[p][q] = prod
+                    row[q] = prod
+        table.append(row)
 
     # unit 1_1 = sum x_i (x) y_i
     unit1 = pairs_to_tensor(tq, M, sys.dual_pairs)
@@ -247,7 +250,7 @@ def basic_construction(
     )
 
     # conditional expectation E_M = lam * mu
-    cond_exp = LinMap(f, [sparse_scale(f, lam, M.table[a][b]) for a, b in tq.basis], M.dim)
+    cond_exp = LinMap(f, [sparse_scale(f, lam, M.cell(a, b)) for a, b in tq.basis], M.dim)
 
     n1 = SubspaceBasis(alg1, incl.columns)
     if not (incl_ok or n1.is_unital_subalgebra()):
@@ -355,7 +358,7 @@ def _verify_triple_tensor(t: TowerData, n_generators: Optional[list]) -> list:
     for P, Q in m2_tq.basis:
         a, b = tq1.basis[P]
         c, dd = tq1.basis[Q]
-        acc = {(a * d + mid) * d + dd: cv for mid, cv in M.table[b][c].items()}
+        acc = {(a * d + mid) * d + dd: cv for mid, cv in M.cell(b, c).items()}
         cols.append(triple.project(acc))
     phi = LinMap(f, cols, triple.dim)
     checks = []
@@ -427,7 +430,7 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
     for a, b in tq.basis:
         # m -> a E(b m)
         ea = {a: f.one}
-        g = LinMap(f, [M.mul_sparse(ea, e_into_m.apply(M.table[b][m])) for m in range(M.dim)], M.dim)
+        g = LinMap(f, [M.mul_sparse(ea, e_into_m.apply(M.cell(b, m))) for m in range(M.dim)], M.dim)
         coords = endo.coords(g)
         if coords is None:
             failures.append({"kind": "psi-image-outside-End(M_N)", "pair": (a, b)})

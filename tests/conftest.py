@@ -352,7 +352,7 @@ def naive_mul(alg, x, y):
     for i, xi in x.items():
         for j, yj in y.items():
             c = f.mul(xi, yj)
-            for k, t in alg.table[i][j].items():
+            for k, t in alg.cell(i, j).items():
                 acc[k] = f.add(acc.get(k, f.zero), f.mul(c, t))
     return {k: v for k, v in acc.items() if v}
 
@@ -376,7 +376,7 @@ def reference_failures(alg, limit=5):
         for i in range(alg.dim)
         for j in range(alg.dim)
         for k in range(alg.dim)
-        for lhs, rhs in [(naive_mul(alg, alg.table[i][j], {k: one}), naive_mul(alg, {i: one}, alg.table[j][k]))]
+        for lhs, rhs in [(naive_mul(alg, alg.cell(i, j), {k: one}), naive_mul(alg, {i: one}, alg.cell(j, k)))]
         if lhs != rhs
     )
     return units[:limit], list(islice(triples, limit))

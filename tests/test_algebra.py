@@ -25,6 +25,7 @@ from hopftower.frobenius import classify, solve_dual_bases
 from hopftower.galois import action_b_on_m1, smash_product
 from hopftower.hopf import sandwich_maps
 from hopftower.fields import PrimeField, RationalField
+from hopftower.fileio import algebra_to_dict, canonical_json, parse_algebra
 from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_add, sparse_axpy, sparse_vector
 from hopftower.models import (
     cyclic_group,
@@ -142,6 +143,57 @@ def test_verify_agrees_with_full_scan_on_smash_perturbations(stack_z3_f7):
     assert assert_verify_matches_reference(sm.algebra, seeds, 7) > 0
 
 
+# -- the table layout: rows of nonzero products ------------------------------------
+
+
+def assert_rows_of_nonzero_products(alg):
+    """Every row of alg.table is a dict {j: e_i e_j} in ascending j whose
+    products are all nonzero."""
+    assert len(alg.table) == alg.dim
+    for row in alg.table:
+        assert list(row) == sorted(row) and all(0 <= j < alg.dim and row[j] for j in row)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_from_entries_keeps_no_cancelled_product(field):
+    """Entries that cancel leave no key, and entries listed out of order give
+    rows in ascending j."""
+    one, two = field.one, field.from_int(2)
+    entries = [(0, 1, 1, one), (0, 0, 0, one), (0, 0, 0, field.neg(one)), (1, 1, 1, two), (1, 0, 1, one)]
+    alg = Algebra.from_entries(field, 2, entries, {0: one})
+    assert alg.table == [{1: {1: one}}, {0: {1: one}, 1: {1: two}}]
+    assert list(alg.table[1]) == [0, 1]
+    assert alg.cell(0, 0) == {} and alg.entries() == [(0, 1, 1, one), (1, 0, 1, one), (1, 1, 1, two)]
+
+
+def test_entries_round_trip_through_fileio(stack_z3_f7):
+    """The algebras the tower and the smash product build store only nonzero
+    products, in ascending j, and come back from their file form unchanged."""
+    t, d2, _p, H_B = stack_z3_f7[:4]
+    act, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+    for alg in (t.M, t.M1, t.M2, smash_product(t.M1, H_B, act).algebra):
+        assert_rows_of_nonzero_products(alg)
+        data = algebra_to_dict(alg)
+        back = parse_algebra(alg.field, data)
+        assert back.entries() == alg.entries() and back.unit == alg.unit
+        assert back.table == alg.table and [list(row) for row in back.table] == [list(row) for row in alg.table]
+        assert canonical_json(algebra_to_dict(back)) == canonical_json(data)
+
+
+def test_mutating_a_zero_product_leaves_the_algebra_unchanged():
+    alg = matrix_units_m2(F2)
+    entries = alg.entries()
+    zeros = [(i, j) for i in range(alg.dim) for j in range(alg.dim) if j not in alg.table[i]]
+    assert zeros
+    for i, j in zeros:
+        zero = alg.cell(i, j)
+        assert zero == {}
+        with pytest.raises(TypeError):
+            zero[0] = F2.one
+        assert alg.cell(i, j) == {} and j not in alg.table[i]
+    assert alg.entries() == entries and verify_algebra(alg).ok
+
+
 # -- the sparse table kernels against scans over every pair -------------------------
 
 
@@ -158,16 +210,17 @@ def random_element(field, dim, rng, density):
 
 
 def random_table(field, rng):
-    """An algebra each of whose table cells is nonzero with a probability
-    drawn from 0.1-0.4, with one or two terms: associative only by chance."""
+    """An algebra each of whose basis products is nonzero with a probability
+    drawn from 0.1-0.4, with one or two terms: associative only by chance.
+    Its rows hold the nonzero products alone, in ascending j."""
     dim = rng.randint(2, 7)
     density = rng.uniform(0.1, 0.4)
     table = [
-        [
-            {rng.randrange(dim): random_scalar(field, rng) for _ in range(rng.randint(1, 2))}
-            if rng.random() < density else {}
-            for _ in range(dim)
-        ]
+        {
+            j: {rng.randrange(dim): random_scalar(field, rng) for _ in range(rng.randint(1, 2))}
+            for j in range(dim)
+            if rng.random() < density
+        }
         for _ in range(dim)
     ]
     return Algebra(field, dim, table, {0: field.one})
@@ -221,10 +274,10 @@ def scan_assoc_failures(alg, rights, max_failures):
             for r, right in enumerate(rights):
                 lhs, rhs = [f.zero] * d, [f.zero] * d
                 for l in range(d):
-                    a, b = alg.table[i][j].get(l, f.zero), right[j].get(l, f.zero)
+                    a, b = alg.cell(i, j).get(l, f.zero), right[j].get(l, f.zero)
                     for m in range(d):
                         lhs[m] = f.add(lhs[m], f.mul(a, right[l].get(m, f.zero)))
-                        rhs[m] = f.add(rhs[m], f.mul(b, alg.table[i][l].get(m, f.zero)))
+                        rhs[m] = f.add(rhs[m], f.mul(b, alg.cell(i, l).get(m, f.zero)))
                 lhs, rhs = sparse_vector(lhs), sparse_vector(rhs)
                 if lhs != rhs:
                     failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
@@ -247,13 +300,13 @@ def test_assoc_failures_equal_the_scan_over_every_triple(field):
             one = field.one
             gens = [random_element(field, alg.dim, rng, 0.5) for _ in range(rng.randint(1, 3))]
             by_gens = [[naive_mul(alg, {l: one}, g) for l in range(alg.dim)] for g in gens]
-            columns = [[alg.table[l][k] for l in range(alg.dim)] for k in range(alg.dim)]
+            columns = [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)]
             for rights in (by_gens, columns):
                 for max_failures in (1, 5):
                     got = _assoc_failures(alg, rights, max_failures)
                     assert got == scan_assoc_failures(alg, rights, max_failures), (seed, alg.dim)
                     found += len(got)
-                    rhs_only += sum(not alg.table[fl["triple"][0]][fl["triple"][1]] for fl in got)
+                    rhs_only += sum(not alg.cell(*fl["triple"][:2]) for fl in got)
         assert verify_algebra(algebras[1]).ok, seed
     assert found > 0 and rhs_only > 0
 
@@ -275,12 +328,12 @@ def test_mul_sparse_equals_the_product_over_every_pair(field):
             shared = [
                 (i, i2, j, k)
                 for i in range(d) for i2 in range(i + 1, d) for j in range(d)
-                for k in alg.table[i][j] if k in alg.table[i2][j]
+                for k in alg.cell(i, j) if k in alg.cell(i2, j)
             ]
             if shared:
                 i, i2, j, k = shared[rng.randrange(len(shared))]
                 a = random_scalar(field, rng)
-                b = field.neg(field.div(field.mul(a, alg.table[i][j][k]), alg.table[i2][j][k]))
+                b = field.neg(field.div(field.mul(a, alg.cell(i, j)[k]), alg.cell(i2, j)[k]))
                 x, y = {i: a, i2: b}, {j: field.one}
                 prod = alg.mul_sparse(x, y)
                 assert prod == naive_mul(alg, x, y) and k not in prod, seed
@@ -323,7 +376,7 @@ def zero_start_product(alg, x, y):
     for i, xi in x.items():
         for j, yj in y.items():
             c = f.mul(xi, yj)
-            for k, t in alg.table[i][j].items():
+            for k, t in alg.cell(i, j).items():
                 ref.add(k, f.mul(c, t))
     return ref
 
@@ -335,9 +388,11 @@ def cancel_and_return_algebra(field):
     it at the third; so does the rhs e_0 (e_0 g) of the triple (0, 0, g), and
     the lhs (e_1 e_0) g of (1, 0, g) does the same with e_0."""
     t = field.div(field.one, field.from_int(3))
-    table = [[{} for _ in range(3)] for _ in range(3)]
-    table[0][0], table[0][1], table[0][2] = {1: t, 2: t}, {1: field.neg(t)}, {1: field.one}
-    table[1][0], table[1][1] = {0: field.one, 1: field.one, 2: field.one}, {0: field.one}
+    table = [
+        {0: {1: t, 2: t}, 1: {1: field.neg(t)}, 2: {1: field.one}},
+        {0: {0: field.one, 1: field.one, 2: field.one}, 1: {0: field.one}},
+        {},
+    ]
     right = [{0: field.one, 1: field.one, 2: field.one}, {0: field.neg(field.one)}, {0: field.one}]
     return Algebra(field, 3, table, {0: field.one}), right
 
@@ -411,11 +466,11 @@ def test_assoc_failure_witnesses_keep_the_zero_start_key_order(field):
         for failure in _assoc_failures(alg, rights, alg.dim ** 3):
             i, j, r = failure["triple"]
             ref = {"lhs": ZeroStartSum(field), "rhs": ZeroStartSum(field)}
-            for l, c in alg.table[i][j].items():
+            for l, c in alg.cell(i, j).items():
                 for m, t in rights[r][l].items():
                     ref["lhs"].add(m, field.mul(c, t))
             for l, c in rights[r][j].items():
-                for m, t in alg.table[i][l].items():
+                for m, t in alg.cell(i, l).items():
                     ref["rhs"].add(m, field.mul(c, t))
             for side in ("lhs", "rhs"):
                 assert list(failure[side].items()) == list(ref[side].acc.items()), (failure, side)
@@ -644,7 +699,7 @@ def test_endomorphism_coords_of_matrix(ext_s3_a3):
     for i, a in enumerate(endo.basis):
         assert endo.coords(a) == {i: Q.one}
         for j, b in enumerate(endo.basis):
-            assert endo.coords(a.compose(b)) == E.table[i][j]
+            assert endo.coords(a.compose(b)) == E.cell(i, j)
     # right multiplication by the transposition (01) fails to commute with
     # right multiplication by the 3-cycles of A3
     r01 = rmul(ext.M, {1: Q.one})

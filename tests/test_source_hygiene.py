@@ -362,3 +362,44 @@ def test_scan_sees_a_check_id_literal():
     assert _check_id_literals(tree) == [
         (3, "algebra-axioms"), (4, "condexp-bimodule"), (4, "inclusion-monomorphism"),
     ]
+
+
+# Algebra.table keeps only the nonzero products, a row {j: e_i e_j} per basis
+# element. Only algebra reads a cell out of it; every other module goes
+# through Algebra.cell. No module allocates a grid with a dict per pair.
+def _table_layout_uses(tree) -> list[tuple[int, str]]:
+    """(line, what) of every subscripted table cell, x.table[i][j], and every
+    nested comprehension of empty dicts, [[{} for ...] for ...]."""
+    out = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+            and getattr(node.value.value, "attr", None) == "table"
+        ):
+            out.append((node.lineno, "table cell"))
+        elif (
+            isinstance(node, ast.ListComp) and isinstance(node.elt, ast.ListComp)
+            and isinstance(node.elt.elt, ast.Dict) and not node.elt.elt.keys
+        ):
+            out.append((node.lineno, "grid of empty dicts"))
+    return sorted(out)
+
+
+def test_table_cells_are_read_only_in_algebra():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(
+            f"{path.name}:{line} {what}" for line, what in _table_layout_uses(tree)
+            if path.stem != "algebra" or what != "table cell"
+        )
+    assert found == [], "a table cell subscripted outside algebra, or a dense grid of cells"
+
+
+def test_scan_sees_a_table_layout_use():
+    tree = ast.parse(
+        "def g(M, i, j):\n    c = M.table[i][j]\n    row = M.table[i]\n"
+        "    grid = [[{} for _ in range(3)] for _ in range(3)]\n"
+        "    return c, row, M.cell(i, j), M.algebra.table[j][i].items(), grid, [{} for _ in row]\n"
+    )
+    assert _table_layout_uses(tree) == [(2, "table cell"), (4, "grid of empty dicts"), (5, "table cell")]

@@ -17,6 +17,10 @@ quartiles with the number of pairs the change won, and the full ``results``
 line of the first pair on each side; and, per workload and side, the median
 of each per-layer metric over the traced runs, beside each traced run's
 metrics and ``results`` line.
+
+Each run is started through ``LAUNCHER``, a shell that forks it. A process
+started straight from this one would read this process's resident size as
+its own starting ``ru_maxrss``, and so as its ``peak_rss_mb``.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ SIDES = ("parent", "change")
 PAIRS = 10
 TRACED_RUNS = 3
 SECONDS = 30
+# "$@" is not the last command, so the shell forks it rather than exec it
+LAUNCHER = ("/bin/sh", "-c", '"$@"; exit $?', "sh")
 
 
 def git(*args: str) -> bytes:
@@ -53,11 +59,15 @@ def export(rev: str, into: Path) -> dict:
     }
 
 
+def launch(cmd: list, cwd=None) -> str:
+    """The standard output of cmd, run through LAUNCHER."""
+    return subprocess.run([*LAUNCHER, *cmd], cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
 def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     """One bench/run.py run: its metrics line and its results line, parsed."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    out = launch([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                  "--seconds", str(SECONDS), "--trace", str(trace)], cwd=root)
     lines = out.strip().splitlines()
     if not lines[-2].startswith("results "):
         raise RuntimeError(f"unexpected bench output in {root}: {lines[-2][:80]!r}")
