@@ -25,7 +25,6 @@ ints, so gmpy2 and Fraction parse every string to the same value.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable
 
 try:
     from gmpy2 import mpq as _rat
@@ -139,12 +138,6 @@ class Field:
 
     def eq(self, a, b) -> bool:
         return a == b
-
-    def sum(self, items: Iterable):
-        total = self.zero
-        for x in items:
-            total = self.add(total, x)
-        return total
 
     def to_str(self, a) -> str:
         return str(a)

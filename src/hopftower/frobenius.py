@@ -100,9 +100,6 @@ class CheckOutcome:
     ok: bool
     failures: list
 
-    def summary(self) -> str:
-        return "ok" if self.ok else f"{len(self.failures)} failure(s); first: {self.failures[:1]}"
-
 
 def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
     """verify_algebra as a check outcome: unit then associativity failures,

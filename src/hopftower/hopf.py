@@ -524,11 +524,11 @@ def dualize(p: PairingData, H_B: HopfStructure, t=None, d2=None) -> tuple[HopfSt
     """Hopf structure on A dual to H_B through the pairing.
 
     Delta_A is built by the same dual-basis construction from B's
-    multiplication; S_A is the pairing transpose of S_B. With a tower the
+    multiplication, which re-verifies <a, b b'> = <a_(1), b><a_(2), b'> on
+    all basis triples; S_A is the pairing transpose of S_B. With a tower the
     integral identities of e1 are checked as well.
     """
     f = p.A_alg.field
-    da = p.A_alg.dim
     # swap roles: pairing of B against A is P^T; its column i is <a_i, .>
     p_rows = p.P.transpose()
     delta_a, eps_a, out = build_coalgebra(p.B_alg, p.A_alg, p_rows, p.P_inv.transpose())
@@ -540,24 +540,6 @@ def dualize(p: PairingData, H_B: HopfStructure, t=None, d2=None) -> tuple[HopfSt
     H_A = HopfStructure(p.A_alg, delta_a, eps_a, S_A)
     ax = verify_hopf_axioms(H_A, expect_involutive=False)
     failures.extend(ax.failures)
-
-    # pairing compatibility in the second slot: <a, b b'> = <a_(1), b><a_(2), b'>
-    db = p.B_alg.dim
-    zero = f.zero
-    for i in range(da):
-        legs = H_A.delta_coords(i)
-        for u in range(db):
-            for v in range(db):
-                prod = p.B_alg.cell(u, v)
-                lhs = zero
-                for l, c in prod.items():
-                    lhs = f.add(lhs, f.mul(c, p_rows.columns[i].get(l, zero)))
-                rhs = zero
-                for a1, a2, c in legs:
-                    pair_u = p_rows.columns[a1].get(u, zero)
-                    rhs = f.add(rhs, f.mul(c, f.mul(pair_u, p_rows.columns[a2].get(v, zero))))
-                if not f.eq(lhs, rhs):
-                    failures.append({"kind": "dual-pairing-identity", "triple": (i, u, v)})
 
     if t is not None and d2 is not None:
         e1_A = d2.A.coords(t.e1)

@@ -1,9 +1,16 @@
 """The verification pipeline: Frobenius system, tower, depth 2, Hopf
 reconstruction, Galois and smash checks, with hypothesis gating.
 
-Hypothesis failures (reducible base, no depth 2) skip downstream checks with
-machine-readable reasons instead of failing them; only identity checks that
-actually ran and came out false make the run fail.
+Every stage has the signature stage(rep, state, gate) -> next_gate and
+records each of its checks exactly once. When the gate it is handed is set,
+it skips all of them with that reason; else it runs them and hands the next
+stage the reason its hypotheses or constructions stopped short (an index
+that is not a scalar, a tower built to level 1 only, a Hopf reconstruction
+that did not complete), or None. run_pipeline is a loop over the stages up
+to the last one asked for. Hypothesis failures (reducible base, no depth 2)
+thus skip downstream checks with machine-readable reasons instead of failing
+them; only identity checks that actually ran and came out false make the run
+fail.
 
 A check that decides a "for all x" identity on generators takes that shortcut
 only while every check recorded before it passed (Reporter.all_passed); the
@@ -13,7 +20,7 @@ hold and lists the failures where they do not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .algebra import AlgebraError, SubspaceBasis, generators
@@ -59,9 +66,7 @@ from .hopf import (
 )
 from .report import FAIL, PASS, SKIP, PipelineReport, Reporter
 from .tower import (
-    TowerData,
     TowerError,
-    basic_construction,
     build_tower,
     endo_ring_iso,
     verify_braid_relations,
@@ -71,11 +76,32 @@ from .tower import (
 
 STAGES = ("frobenius", "tower", "depth2", "hopf", "galois")
 NON_ASSOCIATIVE = "M fails algebra-axioms"
+ONE_LEVEL = "tower built to level 1 only (--levels 1)"
+
+# the checks of each stage, in report order; "normalization" is recorded only
+# when it runs
+FROBENIUS_CHECKS = ("algebra-axioms", "subalgebra-unital", "cond-expectation", "dual-bases",
+                    "frobenius-identities", "index-central")
+LEVEL_TWO_CHECKS = ("tower-level-2", "triple-tensor", "braid-relations", "pimsner-popa")
+TOWER_CHECKS = ("tower-level-1", *LEVEL_TWO_CHECKS, "cyclic-span", "endo-ring-iso")
+DEPTH2_CHECKS = ("second-centralizers", "depth2-level-1", "depth2-level-2", "depth2-crosscheck",
+                 "c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations")
+HOPF_CHECKS = ("pairing", "comultiplication", "antipode", "hopf-axioms", "dual-hopf")
+GALOIS_CHECKS = ("action-b-on-m1", "invariants-m1", "smash-theta",
+                 "action-a-on-m", "invariants-m", "cleft-cocycle", "galois-map")
 
 
 @dataclass
 class PipelineState:
+    # the run's inputs
     ext: ExtensionSpec
+    levels: int
+    d2_override: Optional[DepthTwoData]
+    m_generators: list  # one generating set of M
+    n_generators: list  # one of N, in N-coordinates
+    # what the stages found and built
+    dims: dict
+    hypotheses: dict = dc_field(default_factory=dict)
     sys: Optional[object] = None
     tower: Optional[object] = None
     d2: Optional[DepthTwoData] = None
@@ -98,54 +124,28 @@ def run_pipeline(
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     rep = Reporter()
-    state = PipelineState(ext=ext)
-    hypotheses: dict = {}
-    dims = {"m": ext.M.dim, "n": ext.N.dim}
+    state = PipelineState(
+        ext=ext,
+        levels=levels,
+        d2_override=d2_override,
+        m_generators=generators(ext.M),
+        n_generators=generators(ext.n_algebra),
+        dims={"m": ext.M.dim, "n": ext.N.dim},
+    )
+    gate = None
+    for stage in _STAGE_RUNS[: STAGES.index(upto) + 1]:
+        gate = stage(rep, state, gate)
 
-    # one generating set each of M and N, for the checks that run on generators
-    m_generators = generators(ext.M)
-    n_generators = generators(ext.n_algebra)
-    tower_gate = _stage_frobenius(rep, state, hypotheses, m_generators, n_generators)
-    flags = state.sys.flags if state.sys is not None else None
-    stop = STAGES.index(upto)
-
-    if state.sys is None:
-        tower_gate = tower_gate or "no Frobenius system: dual bases could not be solved"
-    elif not flags.strongly_separable:
-        if not flags.index_scalar:
-            tower_gate = "index is not a scalar multiple of 1 (status: index non-scalar)"
-        else:
-            tower_gate = "extension is not strongly separable (E(1) = 0 or index = 0)"
-
-    if stop >= 1:
-        _stage_tower(rep, state, hypotheses, dims, tower_gate, levels, m_generators, n_generators)
-    depth2_gate = tower_gate
-    if depth2_gate is None and levels < 2:
-        depth2_gate = "tower built to level 1 only (--levels 1)"
-    if depth2_gate is None and state.tower is None and stop >= 2:
-        depth2_gate = "tower construction failed"
-    hopf_gate = depth2_gate
-    if stop >= 2:
-        hopf_gate = _stage_depth2(rep, state, hypotheses, dims, depth2_gate, d2_override)
-    if stop >= 3:
-        _stage_hopf(rep, state, hypotheses, hopf_gate)
-    galois_gate = hopf_gate
-    if galois_gate is None and stop >= 4 and state.H_B is None:
-        galois_gate = "Hopf reconstruction did not complete"
-    if stop >= 4:
-        _stage_galois(rep, state, hypotheses, galois_gate, m_generators)
-
-    verdict = _verdict(rep, hypotheses)
     results = rep.results
     if check_filter:
         results = [r for r in results if check_filter in r.check_id]
     return PipelineReport(
         input_digest=digest(extension_to_dict(ext)),
         field=field_to_spec(ext.M.field),
-        hypotheses=hypotheses,
+        hypotheses=state.hypotheses,
         results=results,
-        verdict=verdict,
-        dims=dims,
+        verdict=_verdict(rep, state.hypotheses),
+        dims=state.dims,
         state=state,
     )
 
@@ -155,56 +155,54 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _stage_frobenius(
-    rep: Reporter, state: PipelineState, hypotheses: dict, m_generators: list, n_generators: list
-) -> Optional[str]:
-    """Run the Frobenius checks; return the gate of the stages after it when
-    the classification could not run on a non-associative M, else None."""
+def _stage_frobenius(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+    """Decide the Frobenius system and its flags; gate the tower on strong
+    separability. An exit before the system is complete skips the stage's
+    checks not yet recorded and hands the tower stage the same reason."""
+    if gate is not None:
+        return rep.skip(FROBENIUS_CHECKS, gate)
     ext = state.ext
     f = ext.M.field
-    axioms = algebra_outcome(ext.M, m_generators)
+    hypotheses = state.hypotheses
+
+    def stop(reason: str) -> str:
+        hypotheses["frobenius"] = False
+        recorded = {r.check_id for r in rep.results}
+        return rep.skip([cid for cid in FROBENIUS_CHECKS if cid not in recorded], reason)
+
+    axioms = algebra_outcome(ext.M, state.m_generators)
     rep.outcome("algebra-axioms", axioms)
     state.m_associative = axioms.ok
     sub_ok = ext.N.is_unital_subalgebra()
     rep.add("subalgebra-unital", PASS if sub_ok else FAIL)
     if ext.E is None:
-        rep.add("cond-expectation", FAIL, reason="no conditional expectation supplied")
-        hypotheses["frobenius"] = False
-        return None
+        reason = "no conditional expectation supplied"
+        rep.add("cond-expectation", FAIL, reason=reason)
+        return stop(reason)
     # the bimodule checks run on generators of N while every check so far passed
-    n_gens = n_generators if rep.all_passed() else None
+    n_gens = state.n_generators if rep.all_passed() else None
     ce = verify_conditional_expectation(ext, ext.E, n_generators=n_gens)
     try:
         sys = solve_dual_bases(ext, ext.E)
     except FrobeniusError as exc:
         rep.outcome("cond-expectation", ce)
         rep.add("dual-bases", FAIL, reason=str(exc))
-        hypotheses["frobenius"] = False
-        return None
+        return stop("no Frobenius system: dual bases could not be solved")
     rep.add("dual-bases", PASS, witness={"terms": len(sys.dual_pairs)})
-    if ext.dual_pairs is not None:
-        # a supplied tensor must agree with the solved one in M (x)_N M
-        supplied = pairs_to_tensor(sys.tq, ext.M, ext.dual_pairs)
-        if supplied != sys.dual_tensor:
-            rep.add(
-                "frobenius-identities",
-                FAIL,
-                reason="supplied dual bases disagree with the unique solved tensor",
-            )
-            hypotheses["frobenius"] = False
-            return None
+    # a supplied tensor must agree with the solved one in M (x)_N M
+    if ext.dual_pairs is not None and pairs_to_tensor(sys.tq, ext.M, ext.dual_pairs) != sys.dual_tensor:
+        reason = "supplied dual bases disagree with the unique solved tensor"
+        rep.outcome("cond-expectation", ce)
+        rep.add("frobenius-identities", FAIL, reason=reason)
+        return stop(reason)
     try:
         flags = classify(ext, sys)
     except AlgebraError as exc:
         if axioms.ok:
             raise
         # C_M(N) need not be closed under products once M is not associative
-        gate = f"{NON_ASSOCIATIVE}: {exc}"
         rep.outcome("cond-expectation", ce)
-        for cid in ("frobenius-identities", "index-central"):
-            rep.add(cid, SKIP, reason=gate)
-        hypotheses["frobenius"] = False
-        return gate
+        return stop(f"{NON_ASSOCIATIVE}: {exc}")
     if not flags.normalized:
         try:
             sys = normalize(sys)
@@ -212,8 +210,7 @@ def _stage_frobenius(
             rep.add("normalization", PASS, witness={"rescaled": True})
         except FrobeniusError as exc:
             rep.add("normalization", FAIL, reason=str(exc))
-            hypotheses["frobenius"] = False
-            return None
+            return stop(f"normalization failed: {exc}")
     if sys.E is not ext.E:  # normalization rescaled E: check the new one
         ce = verify_conditional_expectation(ext, sys.E, n_generators=n_gens)
     rep.outcome("cond-expectation", ce)
@@ -230,72 +227,48 @@ def _stage_frobenius(
     hypotheses["strongly_separable"] = bool(flags.strongly_separable)
     hypotheses["irreducible"] = bool(flags.irreducible)
     hypotheses["centralizer_dim"] = flags.centralizer_dim
-    return None
+    if flags.strongly_separable:
+        return None
+    if not flags.index_scalar:
+        return "index is not a scalar multiple of 1 (status: index non-scalar)"
+    return "extension is not strongly separable (E(1) = 0 or index = 0)"
 
 
-def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_generators) -> None:
-    tower_checks = ("tower-level-1", "tower-level-2", "triple-tensor",
-                    "braid-relations", "pimsner-popa", "cyclic-span", "endo-ring-iso")
+def _construction_result(rep: Reporter, check_id: str, checks: list) -> None:
+    """Record one check over the named outcomes of a tower construction,
+    with the failed ones as its witness."""
+    failures = [{"check": name, "failures": out.failures[:2]} for name, out in checks if not out.ok]
+    rep.add(check_id, PASS if not failures else FAIL, witness={"failures": failures} if failures else None)
+
+
+def _stage_tower(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+    """Build the tower to state.levels and check it; gate depth 2 when only
+    level 1 was asked for or the construction failed."""
     if gate is not None:
-        for cid in tower_checks:
-            rep.add(cid, SKIP, reason=gate)
-        return
-
-    def stopped(exc):
+        return rep.skip(TOWER_CHECKS, gate)
+    next_gate = ONE_LEVEL if state.levels < 2 else None
+    try:
+        tower = build_tower(state.sys, state.m_generators, rep.all_passed(), state.n_generators, state.levels)
+    except (TowerError, FrobeniusError) as exc:
         # every step of the construction presumes that M is an algebra: over
         # a non-associative M the FAIL is M's own algebra-axioms
         if state.m_associative:
             rep.add("tower-level-1", FAIL, reason=str(exc))
         else:
             rep.add("tower-level-1", SKIP, reason=f"{NON_ASSOCIATIVE}: {exc}")
-        for cid in tower_checks[1:]:
-            rep.add(cid, SKIP, reason="tower construction failed")
-
-    def level_result(cid, level):
-        failures = [
-            {"check": name, "failures": out.failures[:2]}
-            for name, out in level.checks
-            if not out.ok
-        ]
-        rep.add(cid, PASS if not failures else FAIL,
-                witness={"failures": failures} if failures else None)
-
-    if levels < 2:
-        try:
-            level1 = basic_construction(state.sys, m_generators, rep.all_passed())
-        except (TowerError, FrobeniusError) as exc:
-            stopped(exc)
-            return
-        dims["m1"] = level1.algebra.dim
-        level_result("tower-level-1", level1)
-        only_one = "tower built to level 1 only (--levels 1)"
-        for cid in ("tower-level-2", "triple-tensor", "braid-relations", "pimsner-popa"):
-            rep.add(cid, SKIP, reason=only_one)
-        pseudo = TowerData(base_sys=state.sys, levels=[level1, level1], F=level1.cond_exp, emtwo_checks=[])
-        rep.outcome("cyclic-span", verify_cyclic_span(pseudo))
-        endo = endo_ring_iso(state.sys, level1)
-        rep.add("endo-ring-iso", PASS if endo.ok else FAIL,
-                witness=None if endo.ok else {"failures": endo.failures[:3]})
-        return
-    try:
-        tower = build_tower(state.sys, m_generators, rep.all_passed(), n_generators)
-    except (TowerError, FrobeniusError) as exc:
-        stopped(exc)
-        return
+        failed = rep.skip(TOWER_CHECKS[1:], "tower construction failed")
+        return next_gate or failed
     state.tower = tower
-    dims["m1"] = tower.M1.dim
-    dims["m2"] = tower.M2.dim
-    level_result("tower-level-1", tower.levels[0])
-    level_result("tower-level-2", tower.levels[1])
-    emtwo_failures = [
-        {"check": name, "failures": out.failures[:2]}
-        for name, out in tower.emtwo_checks
-        if not out.ok
-    ]
-    rep.add("triple-tensor", PASS if not emtwo_failures else FAIL,
-            witness={"failures": emtwo_failures} if emtwo_failures else None)
-    rep.outcome("braid-relations", verify_braid_relations(tower))
-    rep.outcome("pimsner-popa", verify_pimsner_popa(tower))
+    state.dims["m1"] = tower.M1.dim
+    for cid, level in zip(("tower-level-1", "tower-level-2"), tower.levels):
+        _construction_result(rep, cid, level.checks)
+    if next_gate is not None:
+        rep.skip(LEVEL_TWO_CHECKS, next_gate)
+    else:
+        state.dims["m2"] = tower.M2.dim
+        _construction_result(rep, "triple-tensor", tower.emtwo_checks)
+        rep.outcome("braid-relations", verify_braid_relations(tower))
+        rep.outcome("pimsner-popa", verify_pimsner_popa(tower))
     rep.outcome("cyclic-span", verify_cyclic_span(tower))
     endo = endo_ring_iso(state.sys, tower.levels[0])
     rep.add(
@@ -303,19 +276,16 @@ def _stage_tower(rep, state, hypotheses, dims, gate, levels, m_generators, n_gen
         PASS if endo.ok else FAIL,
         witness=None if endo.ok else {"failures": endo.failures[:3]},
     )
+    return next_gate
 
 
-def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> Optional[str]:
-    """Run the depth-2 checks; return the gate of the stages after it, or None."""
-    d2_checks = ("second-centralizers", "depth2-level-1", "depth2-level-2", "depth2-crosscheck",
-                 "c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations")
+def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+    """Run the depth-2 checks; gate the Hopf stage on depth 2 and on F being
+    scalar-valued on C."""
     if gate is not None:
-        for cid in d2_checks:
-            rep.add(cid, SKIP, reason=gate)
-        return gate
-    t = state.tower
-    if d2_override is not None:
-        d2 = d2_override
+        return rep.skip(DEPTH2_CHECKS, gate)
+    t, d2 = state.tower, state.d2_override
+    if d2 is not None:
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": d2.A.dim, "B": d2.B.dim, "C": d2.C.dim}, "source": d2.source})
     else:
@@ -323,6 +293,7 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> Optional[s
         d2 = DepthTwoData(A=A, B=B, C=C)
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": A.dim, "B": B.dim, "C": C.dim}})
+    dims = state.dims
     dims["A"] = d2.A.dim
     dims["B"] = d2.B.dim
     dims["C"] = d2.C.dim
@@ -341,16 +312,11 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> Optional[s
                 "level1": {"constructive": d2.level1.passed, "tensor_system": d2.level1.tensor_solvable},
                 "level2": {"constructive": d2.level2.passed, "tensor_system": d2.level2.tensor_solvable},
             })
-    hypotheses["depth_two"] = d2.passed()
-    downstream_gate = None
+    state.hypotheses["depth_two"] = d2.passed()
     if not d2.passed():
-        downstream_gate = "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers"
-    elif not f_scalar_on_c(t, d2):
-        downstream_gate = "F is not scalar-valued on C (base centralizer C_M(N) is larger than k)"
-    if downstream_gate is not None:
-        for cid in ("c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations"):
-            rep.add(cid, SKIP, reason=downstream_gate)
-        return downstream_gate
+        return rep.skip(DEPTH2_CHECKS[4:], "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers")
+    if not f_scalar_on_c(t, d2):
+        return rep.skip(DEPTH2_CHECKS[4:], "F is not scalar-valued on C (base centralizer C_M(N) is larger than k)")
     rep.outcome("c-structure", verify_c_structure(t, d2))
     _, _, ce_out = conditional_expectations(t, d2)
     rep.outcome("cond-exp-ea-eb", ce_out)
@@ -362,19 +328,17 @@ def _stage_depth2(rep, state, hypotheses, dims, gate, d2_override) -> Optional[s
     return None
 
 
-def _stage_hopf(rep, state, hypotheses, gate) -> None:
-    hopf_checks = ("pairing", "comultiplication", "antipode", "hopf-axioms", "dual-hopf")
+def _stage_hopf(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+    """Reconstruct the Hopf pair; gate the Galois stage when it did not complete."""
     if gate is not None:
-        for cid in hopf_checks:
-            rep.add(cid, SKIP, reason=gate)
-        return
+        return rep.skip(HOPF_CHECKS, gate)
+    incomplete = "Hopf reconstruction did not complete"
     t, d2 = state.tower, state.d2
     pairing, p_out = compute_pairing(t, d2)
     rep.outcome("pairing", p_out)
     if pairing is None:
-        for cid in hopf_checks[1:]:
-            rep.add(cid, SKIP, reason="pairing unavailable")
-        return
+        rep.skip(HOPF_CHECKS[1:], "pairing unavailable")
+        return incomplete
     state.pairing = pairing
     delta, eps, c_out = comultiplication(pairing, t, d2)
     rep.outcome("comultiplication", c_out)
@@ -382,9 +346,8 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     S, s_out = antipode(t, d2, pairing, state.sandwiches)
     rep.outcome("antipode", s_out)
     if S is None:
-        for cid in ("hopf-axioms", "dual-hopf"):
-            rep.add(cid, SKIP, reason="no antipode")
-        return
+        rep.skip(("hopf-axioms", "dual-hopf"), "no antipode")
+        return incomplete
     H_B = HopfStructure(pairing.B_alg, delta, eps, S)
     state.H_B = H_B
     q_b = state.naka.q_B if state.naka is not None else None
@@ -394,18 +357,17 @@ def _stage_hopf(rep, state, hypotheses, gate) -> None:
     H_A, d_out = dualize(pairing, H_B, t, d2)
     state.H_A = H_A
     rep.outcome("dual-hopf", d_out)
+    hypotheses = state.hypotheses
     hypotheses["hopf_reconstructed"] = ax.ok and d_out.ok
     hypotheses["dim_A"] = d2.A.dim
     hypotheses["dim_B"] = d2.B.dim
+    return None
 
 
-def _stage_galois(rep, state, hypotheses, gate, m_generators) -> None:
-    galois_checks = ("action-b-on-m1", "invariants-m1", "smash-theta",
-                     "action-a-on-m", "invariants-m", "cleft-cocycle", "galois-map")
+def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+    """The actions, smash products and Galois map of the reconstructed pair."""
     if gate is not None:
-        for cid in galois_checks:
-            rep.add(cid, SKIP, reason=gate)
-        return
+        return rep.skip(GALOIS_CHECKS, gate)
     t, d2 = state.tower, state.d2
     # the module-algebra laws run on generators of the acted-on algebra while
     # every check so far passed
@@ -415,20 +377,23 @@ def _stage_galois(rep, state, hypotheses, gate, m_generators) -> None:
     m_img = SubspaceBasis(t.M1, t.incl1.columns)
     rep.outcome("invariants-m1", verify_invariants(act_b, m_img))
     rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b))
-    m_gens = m_generators if rep.all_passed() else None
+    m_gens = state.m_generators if rep.all_passed() else None
     act_a, out = action_a_on_m(t, d2, state.H_A, m_gens)
     rep.outcome("action-a-on-m", out)
     if act_a is None or not out.ok:
-        for cid in ("invariants-m", "cleft-cocycle", "galois-map"):
-            rep.add(cid, SKIP, reason="A-action unavailable")
-        return
+        return rep.skip(GALOIS_CHECKS[4:], "A-action unavailable")
     ext = state.ext
     n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
-    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b, m_generators))
+    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b,
+                                            state.m_generators))
     gm = galois_map(t.M, ext.N, state.sys.tq, act_a, state.H_A.dim)
     rep.outcome("galois-map", gm)
-    hypotheses["galois_extension"] = gm.ok
+    state.hypotheses["galois_extension"] = gm.ok
+    return None
+
+
+_STAGE_RUNS = (_stage_frobenius, _stage_tower, _stage_depth2, _stage_hopf, _stage_galois)  # in STAGES order
 
 
 # ---------------------------------------------------------------------------

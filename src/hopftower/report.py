@@ -2,12 +2,10 @@
 
 Every check id maps to exactly one statement string describing the identity
 or property it decides. Reports serialize canonically (sorted keys, stable
-ordering by insertion) so repeated runs are byte-identical; wall-clock
-timings are kept on the in-memory objects only and never serialized.
+ordering by insertion) so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -61,7 +59,6 @@ class CheckResult:
     status: str
     witness: Optional[dict] = None
     reason: Optional[str] = None
-    elapsed: float = 0.0  # informational only, never serialized
 
     @property
     def statement(self) -> str:
@@ -100,21 +97,23 @@ class Reporter:
 
     def __init__(self):
         self.results: list[CheckResult] = []
-        self._t0 = time.monotonic()
 
     def add(self, check_id: str, status: str, witness=None, reason=None) -> CheckResult:
         if check_id not in CHECK_STATEMENTS:
             raise KeyError(f"unregistered check id {check_id!r}")
-        now = time.monotonic()
-        res = CheckResult(check_id, status, witness=witness, reason=reason, elapsed=now - self._t0)
-        self._t0 = now
+        res = CheckResult(check_id, status, witness=witness, reason=reason)
         self.results.append(res)
         return res
 
-    def outcome(self, check_id: str, out, skip_reason: Optional[str] = None) -> CheckResult:
+    def skip(self, check_ids, reason: str) -> str:
+        """Record each check as skipped for this reason; return the reason,
+        which gates the checks that depend on these."""
+        for check_id in check_ids:
+            self.add(check_id, SKIP, reason=reason)
+        return reason
+
+    def outcome(self, check_id: str, out) -> CheckResult:
         """Record a CheckOutcome-like object (ok + failures)."""
-        if skip_reason is not None:
-            return self.add(check_id, SKIP, reason=skip_reason)
         if out.ok:
             return self.add(check_id, PASS)
         return self.add(check_id, FAIL, witness={"failures": out.failures[:4]})

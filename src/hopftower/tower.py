@@ -82,8 +82,8 @@ class TowerLevel:
 @dataclass
 class TowerData:
     base_sys: FrobeniusSystem
-    levels: list  # [TowerLevel, TowerLevel]
-    F: LinMap  # M2 -> M coordinates
+    levels: list  # [TowerLevel] or [TowerLevel, TowerLevel]
+    F: Optional[LinMap]  # M2 -> M coordinates; None with one level
     emtwo_checks: list
     n_generators: Optional[list] = None  # generators of N, in N-coordinates
 
@@ -307,8 +307,11 @@ def build_tower(
     below_generators: Optional[list] = None,
     base_verified: bool = False,
     n_generators: Optional[list] = None,
+    levels: int = 2,
 ) -> TowerData:
-    """Two basic constructions plus the composite functional F = E_M o E_M1.
+    """Two basic constructions plus the composite functional F = E_M o E_M1;
+    with levels=1 the first construction alone, with no F and no triple-tensor
+    checks.
 
     below_generators generate M, as in basic_construction; base_verified
     says every check made on M and its system passed. n_generators generate
@@ -318,6 +321,8 @@ def build_tower(
     (TensorQuotient); else on the basis.
     """
     level1 = basic_construction(sys, below_generators, base_verified)
+    if levels < 2:
+        return TowerData(base_sys=sys, levels=[level1], F=None, emtwo_checks=[], n_generators=n_generators)
     sys1 = level1.sys
     assert sys1 is not None
     if sys1.lambda_inverse is None or sys.M.field.is_zero(sys1.lambda_inverse):

@@ -175,6 +175,20 @@ def test_tower_dump(catalog_dir, tmp_path):
         assert {"structure", "jones_idempotent", "cond_expectation", "inclusion"} <= set(lvl)
 
 
+def test_tower_dump_level_one(catalog_dir, tmp_path):
+    """With --levels 1 the dump holds the one level built, as the two-level
+    dump gives it."""
+    dumps = {}
+    for levels in ("1", "2"):
+        dumps[levels] = tmp_path / f"tower{levels}.json"
+        code = main(["tower", str(catalog_dir / "ext3.json"), "--levels", levels, "--dump", str(dumps[levels]),
+                     "--json", "--out", str(tmp_path / "r.json")])
+        assert code == 0
+    one, two = (json.loads(dumps[levels].read_text()) for levels in ("1", "2"))
+    assert one["levels"] == two["levels"][:1]
+    assert one["lambda_inverse"] == two["lambda_inverse"] == "2"
+
+
 def test_depth2_subcommand(catalog_dir, capsys):
     code = main(["depth2", str(catalog_dir / "ext1.json")])
     out = capsys.readouterr().out

@@ -196,3 +196,104 @@ def test_non_associative_m_ends_in_a_report(subgroup, bump, stopped_at, field):
     assert report.hypotheses["frobenius"] is (subgroup == "z2")
     assert report.exit_code() == 1
     assert canonical_json(report.to_dict()) == canonical_json(run_pipeline(ext).to_dict())
+
+
+# ---------------------------------------------------------------------------
+# every stage a run reaches lists each of its checks exactly once
+# ---------------------------------------------------------------------------
+
+# the checks of each stage, written out apart from the pipeline's own lists;
+# "normalization" is listed only when it ran
+STAGE_CHECKS = {
+    "frobenius": ("algebra-axioms", "subalgebra-unital", "cond-expectation", "dual-bases",
+                  "frobenius-identities", "index-central"),
+    "tower": ("tower-level-1", "tower-level-2", "triple-tensor", "braid-relations", "pimsner-popa",
+              "cyclic-span", "endo-ring-iso"),
+    "depth2": ("second-centralizers", "depth2-level-1", "depth2-level-2", "depth2-crosscheck",
+               "c-structure", "cond-exp-ea-eb", "f-faithful", "nakayama-relations"),
+    "hopf": ("pairing", "comultiplication", "antipode", "hopf-axioms", "dual-hopf"),
+    "galois": ("action-b-on-m1", "invariants-m1", "smash-theta", "action-a-on-m", "invariants-m",
+               "cleft-cocycle", "galois-map"),
+}
+
+CATALOG_INPUTS = [
+    (example, dict(params, field=field))
+    for field in ("rational", "f7")
+    for example, params in (
+        ("trivial", {}),
+        ("quadratic-field", {}),
+        ("group-pair", {"group": "s3", "subgroup": "a3"}),
+        ("group-pair", {"group": "s3", "subgroup": "z2"}),
+        ("group-pair", {"group": "z4", "subgroup": "z2"}),
+        ("group-pair", {"group": "z2", "subgroup": "z1"}),
+        ("function-algebra", {"group": "z2"}),
+        ("function-algebra", {"group": "z3"}),
+        ("function-algebra", {"group": "z4"}),
+    )
+] + [("m2f2", {})]
+
+
+def _unlisted_or_repeated(report, upto: str) -> dict:
+    """check id -> times listed, for every check listed other than once among
+    the stages up to `upto`, and for any check from outside them."""
+    stages = list(STAGE_CHECKS)[: pipeline.STAGES.index(upto) + 1]
+    want = [cid for stage in stages for cid in STAGE_CHECKS[stage]]
+    ids = [r.check_id for r in report.results]
+    out = {cid: ids.count(cid) for cid in want if ids.count(cid) != 1}
+    out.update({cid: ids.count(cid) for cid in ids if cid not in want and cid != "normalization"})
+    if ids.count("normalization") > 1:
+        out["normalization"] = ids.count("normalization")
+    return out
+
+
+@pytest.mark.parametrize(
+    "example, params", CATALOG_INPUTS, ids=[f"{e}:{'/'.join(p.values())}" for e, p in CATALOG_INPUTS]
+)
+def test_catalog_reports_list_every_check_once(example, params):
+    ext, _ = generate_example(example, params)
+    for upto in pipeline.STAGES:
+        for levels in (1, 2):
+            assert _unlisted_or_repeated(run_pipeline(ext, upto=upto, levels=levels), upto) == {}, (upto, levels)
+
+
+def _fn_z2(E_entries=None, pairs=True):
+    """k^(Z/2) over k 1 over Q, with E given by its two entries and the
+    model's dual bases (|G| delta_g, delta_g) when pairs is set."""
+    ext = function_algebra_extension(Q, "z2")
+    E = None if E_entries is None else LinMap(Q, [{0: Q.parse(v)} if v != "0" else {} for v in E_entries], 1)
+    return ExtensionSpec(ext.M, ext.N, E=E, dual_pairs=ext.dual_pairs if pairs else None)
+
+
+# one input per early exit of the Frobenius stage, with the reason it hands on
+FROBENIUS_EXITS = {
+    "no-E": (lambda: _fn_z2(None), "no conditional expectation supplied"),
+    "dual-bases-unsolvable": (lambda: _fn_z2(("0", "0"), pairs=False),
+                              "no Frobenius system: dual bases could not be solved"),
+    "supplied-pairs-disagree": (lambda: _fn_z2(("1", "1")),
+                                "supplied dual bases disagree with the unique solved tensor"),
+    "normalization-fails": (lambda: _fn_z2(("1", "-1"), pairs=False),
+                            "normalization failed: E(1) = 0, cannot normalize"),
+    "non-associative": (
+        lambda: non_associative("group-pair", {"group": "s3", "subgroup": "a3"}, (1, 2, 1)),
+        pipeline.NON_ASSOCIATIVE + ": ",
+    ),
+}
+
+
+@pytest.mark.parametrize("exit_name", list(FROBENIUS_EXITS))
+def test_frobenius_exits_list_every_check_once(exit_name):
+    """An exit of the Frobenius stage before its system is complete reports
+    the cond-expectation outcome it computed, skips the stage's checks it did
+    not reach, and hands the tower stage the same reason."""
+    make, reason = FROBENIUS_EXITS[exit_name]
+    ext = make()
+    for upto in pipeline.STAGES:
+        for levels in (1, 2):
+            report = run_pipeline(ext, upto=upto, levels=levels)
+            assert _unlisted_or_repeated(report, upto) == {}, (upto, levels)
+            assert report.hypotheses["frobenius"] is False
+            assert report.exit_code() == 1
+    res = by_id(report)
+    assert ("normalization" in res) == (exit_name == "normalization-fails")
+    assert res["index-central"].status == "skipped" and res["index-central"].reason.startswith(reason)
+    assert res["tower-level-1"].reason == res["index-central"].reason
