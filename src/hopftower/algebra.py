@@ -14,9 +14,9 @@ systems as sparse columns for ``linalg.kernel_basis``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .fields import Field
 from .linalg import (
@@ -229,7 +229,7 @@ def module_generators(up: Algebra, incl: LinMap, side: str, seeds: Iterable[dict
     return gens
 
 
-def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -> list:
+def _assoc_failures(alg: Algebra, rights: list[list[dict]]) -> Iterator[dict]:
     """Basis triples (i, j, r) with (e_i e_j) g_r != e_i (e_j g_r), in that
     loop order, for right factors g_r given by rights[r][l] = e_l g_r.
 
@@ -253,7 +253,6 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
         for j, prod in enumerate(right):
             for l in prod:
                 users[l].add(j)
-    failures = []
     for i in range(alg.dim):
         row_i = table[i]
         live = set(row_i)
@@ -289,13 +288,26 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]], max_failures: int) -
                             else:
                                 del rhs[m]
                 if lhs != rhs:
-                    failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
-                    if len(failures) >= max_failures:
-                        return failures
-    return failures
+                    yield {"triple": (i, j, r), "lhs": lhs, "rhs": rhs}
 
 
-def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = ()) -> AlgebraReport:
+def law_failures(
+    failures: Callable[[list], Iterator], generators: Optional[list], basis: Callable[[], list], max_failures: int
+) -> list:
+    """The one fallback of every law decided on generators.
+
+    failures(factors) yields the law's failures over the given factors, in
+    scan order. When generators is given and failures(generators) yields
+    nothing, the law holds everywhere and the result is []. Otherwise it is
+    the first max_failures failures of failures(basis()), and at least the
+    first one when there is any; basis is called only then.
+    """
+    if generators is not None and next(failures(generators), None) is None:
+        return []
+    return list(islice(failures(basis()), max(max_failures, 1)))
+
+
+def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> AlgebraReport:
     """Check the unit laws on all basis elements, then associativity.
 
     Associativity is decided on a generating set (Light's associativity test;
@@ -307,9 +319,7 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
     exactly when (e_i e_j) g = e_i (e_j g) for every basis pair (i, j) and
     every g in S. This is exact and deterministic.
 
-    When a unit law fails, or the check on S finds a failure, the full scan
-    over all basis triples (i, j, k) runs instead, so the failures listed are
-    always those of the full scan, in its order.
+    When a unit law fails, the check runs on the basis (law_failures).
     """
     f = alg.field
     unit_failures = []
@@ -320,16 +330,15 @@ def verify_algebra(alg: Algebra, max_failures: int = 5, seeds: Iterable[dict] = 
         right = alg.mul_sparse(ei, us)
         if left != ei or right != ei:
             unit_failures.append({"basis": i, "left": left, "right": right})
-            if len(unit_failures) >= max_failures:
+            if len(unit_failures) >= 5:
                 break
-    gens = None
+    gens = rights = None
     if not unit_failures:
         gens, rights = _generators(alg, seeds)
-        if not _assoc_failures(alg, rights, 1):
-            return AlgebraReport(True, [], [], gens)
-    # the full scan: right factors e_k, with e_l e_k = cell(l, k)
-    columns = [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)]
-    assoc_failures = _assoc_failures(alg, columns, max_failures)
+    # the scan: right factors e_k, with e_l e_k = cell(l, k)
+    assoc_failures = law_failures(
+        lambda rs: _assoc_failures(alg, rs), rights,
+        lambda: [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)], 5)
     ok = not unit_failures and not assoc_failures
     return AlgebraReport(ok, unit_failures, assoc_failures, gens)
 
@@ -683,52 +692,44 @@ class MorphismReport:
         return self.is_homomorphism and self.is_isomorphism
 
 
-def check_morphism(
-    f_map: LinMap, A: Algebra, B: Algebra, max_failures: int = 5, domain_generators: Optional[list] = None
-) -> MorphismReport:
+def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Optional[list] = None) -> MorphismReport:
     """Unitality, multiplicativity on all basis pairs, bijectivity via rank.
 
     Given domain_generators, elements whose words with 1 span A (pass them
     only once A and B are both known to be associative with unit),
     multiplicativity is first checked on the pairs (e_i, g) alone. When
     f(1) = 1, the y with f(xy) = f(x)f(y) for all x hold 1 and form a
-    subalgebra, as f(xyz) = f(xy)f(z) = f(x)f(y)f(z) = f(x)f(yz). On any
-    failure there, or when f(1) != 1, the scan over all basis pairs runs, so
-    the failures listed are always its own.
+    subalgebra, as f(xyz) = f(xy)f(z) = f(x)f(y)f(z) = f(x)f(yz). When
+    f(1) != 1, the check runs on the basis (law_failures).
     """
     if f_map.domain_dim != A.dim or f_map.codomain_dim != B.dim:
         raise DimensionError("check_morphism: map shape does not match algebras")
     unit_ok = f_map.apply(A.unit) == B.unit
+    rights = None
     if unit_ok and domain_generators is not None:
         one = A.field.one
         rights = [(f_map.apply(g), [A.mul_sparse({i: one}, g) for i in range(A.dim)]) for g in domain_generators]
-        if not _mult_failures(f_map, A, B, rights, 1):
-            return MorphismReport(True, A.dim == B.dim and rank(f_map) == A.dim, [])
     failures = [] if unit_ok else [{"kind": "unit"}]
-    # the full scan: right factors e_j, with e_i e_j = cell(i, j)
-    columns = [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)]
+    # the scan: right factors e_j, with e_i e_j = cell(i, j)
+    found = law_failures(
+        lambda rs: _mult_failures(f_map, A, B, rs), rights,
+        lambda: [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)], 5 - len(failures))
     w = A.field.witness
-    failures += [
-        {"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
-        for pair, lhs, rhs in _mult_failures(f_map, A, B, columns, max_failures - len(failures))
-    ]
+    failures += [{"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
+                 for pair, lhs, rhs in found]
     is_homo = not failures
     is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
     return MorphismReport(is_homo, is_iso, failures)
 
 
-def _mult_failures(f_map: LinMap, A: Algebra, B: Algebra, rights: list, max_failures: int) -> list:
+def _mult_failures(f_map: LinMap, A: Algebra, B: Algebra, rights: list) -> Iterator[tuple]:
     """((i, r), f(e_i g_r), f(e_i) f(g_r)) where the two differ, in that loop
     order, for right factors given by rights[r] = (f(g_r), [e_l g_r for each
-    basis l]); at most max_failures of them (at least one when any)."""
+    basis l])."""
     images = f_map.columns
-    failures = []
     for i in range(A.dim):
         for r, (f_g, products) in enumerate(rights):
             lhs = f_map.apply(products[i])
             rhs = B.mul_sparse(images[i], f_g)
             if lhs != rhs:
-                failures.append(((i, r), lhs, rhs))
-                if len(failures) >= max_failures:
-                    return failures
-    return failures
+                yield (i, r), lhs, rhs

@@ -55,10 +55,7 @@ class DepthTwoData:
     B: SubspaceBasis  # in M2
     C: SubspaceBasis  # in M2
     source: str = "centralizers"
-    zw: Optional[tuple] = None  # ({z_i}, {w_i}) in M1
     uv: Optional[tuple] = None  # ({u_j}, {v_j}) in M2
-    E_A: Optional[LinMap] = None  # C coords -> M1 coords (image in A)
-    E_B: Optional[LinMap] = None  # C coords -> M2 coords (image in B)
     level1: Optional[DepthTwoLevelVerdict] = None
     level2: Optional[DepthTwoLevelVerdict] = None
 
@@ -152,8 +149,6 @@ def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
 def check_depth_two(t, d2: DepthTwoData) -> DepthTwoData:
     """Fill both level verdicts of d2 (in place) and return it."""
     d2.level1 = _solve_level(1, _level_context(t.levels[0], d2.A))
-    if d2.level1.passed:
-        d2.zw = (d2.level1.z, d2.level1.w)
     d2.level2 = _solve_level(2, _level_context(t.levels[1], d2.B))
     if d2.level2.passed:
         d2.uv = (d2.level2.z, d2.level2.w)
@@ -643,7 +638,6 @@ def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Opt
             failures.append({"kind": "F-o-E_B != F", "basis": i})
             break
 
-    d2.E_A, d2.E_B = E_A, E_B
     return E_A, E_B, CheckOutcome(not failures, failures)
 
 

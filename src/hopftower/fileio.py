@@ -172,14 +172,18 @@ def extension_from_dict(data) -> ExtensionSpec:
         raise InputError(str(exc)) from exc
 
 
-def load_extension(path: str) -> tuple[ExtensionSpec, dict]:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_extension(path: str) -> tuple[ExtensionSpec, dict]:
+    data = _read_json(path)
     return extension_from_dict(data), data
 
 
@@ -210,13 +214,7 @@ def pair_file_from_dict(data) -> tuple:
 
 
 def load_pair_file(path: str) -> tuple:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    data = _read_json(path)
     return pair_file_from_dict(data) + (data,)
 
 

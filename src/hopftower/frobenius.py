@@ -7,7 +7,8 @@ every downstream object (index, Nakayama automorphism, tower) is canonical.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .algebra import (
     Algebra,
@@ -16,6 +17,7 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     centralizer,
+    law_failures,
     verify_algebra,
 )
 from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
@@ -101,16 +103,11 @@ class CheckOutcome:
     failures: list
 
 
-def algebra_outcome(alg: Algebra, seeds: Iterable[dict] = ()) -> CheckOutcome:
-    """verify_algebra as a check outcome: unit then associativity failures,
-    with both sides in report-witness form. The seeds start the generating
-    set the associativity check runs on."""
-    return algebra_check(alg, seeds)[0]
-
-
 def algebra_check(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcome, Optional[list]]:
-    """algebra_outcome together with generators(alg, seeds), the generating
-    set the associativity check ran on; None when a unit law failed first."""
+    """verify_algebra as a check outcome, unit then associativity failures
+    with both sides in report-witness form, together with generators(alg,
+    seeds), the generating set the associativity check ran on (the seeds
+    start it); None when a unit law failed first."""
     rep = verify_algebra(alg, seeds=seeds)
     w = alg.field.witness
     failures = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])}
@@ -125,12 +122,7 @@ def algebra_check(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcom
 # ---------------------------------------------------------------------------
 
 
-def verify_conditional_expectation(
-    ext: ExtensionSpec,
-    E: LinMap,
-    max_failures: int = 5,
-    n_generators: Optional[list] = None,
-) -> CheckOutcome:
+def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, n_generators: Optional[list] = None) -> CheckOutcome:
     """E(nmn') = nE(m)n' on basis triples and E(1) = 1.
 
     The two-sided property is equivalent to the pair of one-sided ones
@@ -143,9 +135,7 @@ def verify_conditional_expectation(
     in them only. {n : E(nm) = nE(m) and E(mn) = E(m)n for all m} is a
     subspace that holds 1 and is closed under products, as
     E(n n' m) = n E(n' m) = n n' E(m) and likewise on the right; so it holds
-    every word in n_generators, which is all of N. When that check fails,
-    the loop over the basis of N runs, so the failures listed are always its
-    own.
+    every word in n_generators, which is all of N.
     """
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
@@ -153,19 +143,16 @@ def verify_conditional_expectation(
     e_unit = E.apply(M.unit)
     if e_unit != n_alg.unit:
         failures.append({"kind": "unit", "value": f.witness(n_alg.to_dense(e_unit))})
-    if n_generators is not None and not _bimodule_failures(ext, E, n_generators, 1):
-        return CheckOutcome(not failures, failures)
-    failures += _bimodule_failures(ext, E, [{a: f.one} for a in range(n_alg.dim)], max_failures - len(failures))
+    failures += law_failures(lambda ns: _bimodule_failures(ext, E, ns), n_generators,
+                             lambda: [{a: f.one} for a in range(n_alg.dim)], 5 - len(failures))
     return CheckOutcome(not failures, failures)
 
 
-def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list, max_failures: int) -> list:
+def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list) -> Iterator[dict]:
     """E(n e_m) != n E(e_m) and E(e_m n) != E(e_m) n for n in ns (N-coordinates)
-    and every basis m, in that loop order, at most max_failures of them (at
-    least one when any)."""
+    and every basis m, in that loop order."""
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
-    failures = []
     # E(e_m) for each basis m is the column E.columns[m]
     e_cols = E.columns
     for a, n in enumerate(ns):
@@ -173,20 +160,15 @@ def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list, max_failures: in
         for m in range(M.dim):
             em = {m: f.one}
             if E.apply(M.mul_sparse(n_in_m, em)) != n_alg.mul_sparse(n, e_cols[m]):
-                failures.append({"kind": "bimodule-left", "pair": (a, m)})
-                if len(failures) >= max_failures:
-                    return failures
+                yield {"kind": "bimodule-left", "pair": (a, m)}
             if E.apply(M.mul_sparse(em, n_in_m)) != n_alg.mul_sparse(e_cols[m], n):
-                failures.append({"kind": "bimodule-right", "pair": (m, a)})
-                if len(failures) >= max_failures:
-                    return failures
-    return failures
+                yield {"kind": "bimodule-right", "pair": (m, a)}
 
 
-def verify_bimodule_map(ext: ExtensionSpec, E: LinMap, max_failures: int = 5) -> CheckOutcome:
+def verify_bimodule_map(ext: ExtensionSpec, E: LinMap) -> CheckOutcome:
     """The bimodule property alone (Frobenius homomorphisms need not be normalized)."""
-    out = verify_conditional_expectation(ext, E, max_failures=max_failures + 1)
-    failures = [fl for fl in out.failures if fl["kind"] != "unit"]
+    one = ext.M.field.one
+    failures = list(islice(_bimodule_failures(ext, E, [{a: one} for a in range(ext.n_algebra.dim)]), 5))
     return CheckOutcome(not failures, failures)
 
 
@@ -284,7 +266,7 @@ def scalar_of(M: Algebra, v: dict):
     return c if sparse_scale(f, c, unit) == v else None
 
 
-def verify_frobenius_identities(sys: FrobeniusSystem, max_failures: int = 3) -> CheckOutcome:
+def verify_frobenius_identities(sys: FrobeniusSystem) -> CheckOutcome:
     """Both identities sum E(m x_i) y_i = m = sum x_i E(y_i m) on every basis m."""
     M, f = sys.M, sys.M.field
     e_m = sys.ext.e_into_m(sys.E)
@@ -299,7 +281,7 @@ def verify_frobenius_identities(sys: FrobeniusSystem, max_failures: int = 3) -> 
         if left != em or right != em:
             failures.append({"basis": m, "left": f.witness(M.to_dense(left)),
                              "right": f.witness(M.to_dense(right))})
-            if len(failures) >= max_failures:
+            if len(failures) >= 3:
                 break
     return CheckOutcome(not failures, failures)
 

@@ -11,7 +11,7 @@ Hopf algebra are verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     Algebra,
@@ -20,6 +20,7 @@ from .algebra import (
     TensorQuotient,
     check_morphism,
     generators,
+    law_failures,
     right_module_endomorphisms,
 )
 from .frobenius import CheckOutcome, FrobeniusSystem, algebra_check
@@ -43,9 +44,7 @@ class ModuleAlgebraAction:
         return map_combination(self.algebra.field, self.algebra.dim, h, self.maps)
 
 
-def verify_module_algebra(
-    act: ModuleAlgebraAction, max_failures: int = 6, x_generators: Optional[list] = None
-) -> CheckOutcome:
+def verify_module_algebra(act: ModuleAlgebraAction, x_generators: Optional[list] = None) -> CheckOutcome:
     """Unit/associativity of the action on all basis pairs of H, the
     module-algebra law h . (xy) = (h1 . x)(h2 . y) and h . 1 = eps(h) 1.
 
@@ -56,8 +55,7 @@ def verify_module_algebra(
     h . (xy) = (h1 . x)(h2 . y) for all h and x form a subalgebra: for such
     y, y', h . (x y y') = (h1 . xy)(h2 . y') = (h11 . x)(h12 . y)(h2 . y'),
     which is (h1 . x)(h2 . y y') by associativity of X and coassociativity of
-    Delta. On any failure there, every basis triple is checked, so the
-    failures listed are always that scan's.
+    Delta.
     """
     H, X = act.hopf, act.algebra
     f = X.field
@@ -70,49 +68,40 @@ def verify_module_algebra(
         for j in range(H.dim):
             if act.rho(H.algebra.cell(i, j)) != act.maps[i].compose(act.maps[j]):
                 failures.append({"kind": "action-not-multiplicative", "pair": (i, j)})
-                if len(failures) >= max_failures:
+                if len(failures) >= 6:
                     return CheckOutcome(False, failures)
-    # module-algebra law
-    law_holds = False
+    # module-algebra law and h . 1 = eps(h) 1
+    rights = None
     if x_generators is not None:
         one = f.one
         rights = [([X.mul_sparse({x: one}, g) for x in range(X.dim)], [m.apply(g) for m in act.maps])
                   for g in [X.unit, *x_generators]]
-        law_holds = not any(_module_law_failures(act, i, rights, 1) for i in range(H.dim))
-    if not law_holds:  # the scan: right factors e_y, with e_x e_y = cell(x, y)
-        rights = [([X.cell(x, y) for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)]
-    for i in range(H.dim):
-        if not law_holds:
-            found = _module_law_failures(act, i, rights, max_failures - len(failures))
-            failures += [{"kind": "module-algebra-law", "triple": (i, x, y)} for x, y in found]
-            if found and len(failures) >= max_failures:
-                return CheckOutcome(False, failures)
-        if act.maps[i].apply(X.unit) != sparse_scale(f, H.counit_of(i), X.unit):
-            failures.append({"kind": "unit-not-scaled-by-eps", "basis": i})
+    # the scan: right factors e_y, with e_x e_y = cell(x, y)
+    failures += law_failures(
+        lambda rs: _module_law_failures(act, rs), rights,
+        lambda: [([X.cell(x, y) for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)],
+        6 - len(failures))
     return CheckOutcome(not failures, failures)
 
 
-def _module_law_failures(act: ModuleAlgebraAction, i: int, rights: list, max_failures: int) -> list:
-    """The (x, r) with h_i . (e_x y_r) != (h1 . e_x)(h2 . y_r), in that loop
-    order, for right factors given by rights[r] = ([e_x y_r for each basis x],
-    [h_u . y_r for each basis u]); at most max_failures of them (at least one
-    when any)."""
-    X = act.algebra
+def _module_law_failures(act: ModuleAlgebraAction, rights: list) -> Iterator[dict]:
+    """For each basis h_i, the (i, x, r) with h_i . (e_x y_r) != (h1 . e_x)(h2 . y_r),
+    in that loop order, then h_i . 1 != eps(h_i) 1; right factors are given
+    by rights[r] = ([e_x y_r for each basis x], [h_u . y_r for each basis u])."""
+    H, X = act.hopf, act.algebra
     f = X.field
     cols = [m.columns for m in act.maps]
-    h_i = act.maps[i]
-    legs = act.hopf.delta_coords(i)
-    failures = []
-    for x in range(X.dim):
-        for r, (products, acted) in enumerate(rights):
-            rhs: dict = {}
-            for u, v, c in legs:
-                sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], acted[v]))
-            if h_i.apply(products[x]) != rhs:
-                failures.append((x, r))
-                if len(failures) >= max_failures:
-                    return failures
-    return failures
+    for i in range(H.dim):
+        h_i, legs = act.maps[i], H.delta_coords(i)
+        for x in range(X.dim):
+            for r, (products, acted) in enumerate(rights):
+                rhs: dict = {}
+                for u, v, c in legs:
+                    sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], acted[v]))
+                if h_i.apply(products[x]) != rhs:
+                    yield {"kind": "module-algebra-law", "triple": (i, x, r)}
+        if h_i.apply(X.unit) != sparse_scale(f, H.counit_of(i), X.unit):
+            yield {"kind": "unit-not-scaled-by-eps", "basis": i}
 
 
 def invariants(act: ModuleAlgebraAction) -> SubspaceBasis:
@@ -429,7 +418,7 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
 
 
 def cleft_data(
-    t, d2, H_A: HopfStructure, H_B: HopfStructure, p: PairingData,
+    t, d2, H_A: HopfStructure, p: PairingData,
     act_a: ModuleAlgebraAction, act_b: ModuleAlgebraAction, m_generators: Optional[list] = None,
 ) -> CheckOutcome:
     """iota: A -> M1 is a comodule map (coaction derived from the B-action act_b),
@@ -505,21 +494,16 @@ def cleft_data(
 # ---------------------------------------------------------------------------
 
 
-def galois_map(
-    X: Algebra,
-    N: SubspaceBasis,
-    tq: TensorQuotient,
-    act: ModuleAlgebraAction,
-    dual_hopf_dim: int,
-) -> CheckOutcome:
+def galois_map(act: ModuleAlgebraAction, tq: TensorQuotient) -> CheckOutcome:
     """beta: X (x)_N X -> X (x) H*, a (x) a' -> a a'_(0) (x) a'_(1), with the
     coaction derived from the action through dual bases; bijectivity via rank.
 
-    dual_hopf_dim is dim H (= dim H*). The H*-coordinates are the functionals
-    dual to the acting basis of H.
+    X is act.algebra and tq its tensor square over N. The H*-coordinates are
+    the functionals dual to the acting basis of H, so dim H* = dim H.
     """
+    X = act.algebra
     f = X.field
-    dh = dual_hopf_dim
+    dh = act.hopf.dim
     target_dim = X.dim * dh
     failures = []
     if target_dim != tq.dim:

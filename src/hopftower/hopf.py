@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, SubspaceBasis
+from .algebra import Algebra, SubspaceBasis, law_failures
 from .frobenius import CheckOutcome, scalar_of
 from .linalg import LinMap, invert, rank, sparse_add, sparse_axpy, sparse_scale
 
@@ -309,7 +309,6 @@ def verify_hopf_axioms(
     q_scope: Optional[LinMap] = None,
     expect_involutive: bool = False,
     tower_ctx: Optional[tuple] = None,
-    max_failures: int = 8,
 ) -> CheckOutcome:
     """All coalgebra/bialgebra/antipode axioms on all basis tuples; with a
     tower context also the exchange relation, both action identities,
@@ -364,7 +363,7 @@ def verify_hopf_axioms(
             lhs = delta.apply(alg.cell(i, j))
             if lhs != tensor_square_mul(alg, delta.columns[i], delta.columns[j]):
                 note("delta-multiplicative", pair=(i, j))
-                if len(failures) >= max_failures:
+                if len(failures) >= 8:
                     return CheckOutcome(False, failures)
     # eps is a unital algebra map
     if not f.eq(H.counit_apply(alg.unit), f.one):
@@ -413,7 +412,7 @@ def verify_hopf_axioms(
     if tower_ctx is not None and H.antipode is not None:
         t, d2, sandwiches = tower_ctx
         y_generators = [t.M1.unit] + t.levels[0].generators if not failures and t.levels[1].verified else None
-        failures.extend(_tower_axioms(H, t, d2, sandwiches, max_failures - len(failures), y_generators))
+        failures.extend(_tower_axioms(H, t, d2, sandwiches, 8 - len(failures), y_generators))
 
     return CheckOutcome(not failures, failures)
 
@@ -431,8 +430,7 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     for all x and h form a subalgebra: for such y, y',
     h . (x y y') = lam^-2 (h_(2)(2) . x)(h_(2)(1) . y)(h_(1) . y'), which is
     lam^-1 (h_(2) . x)(h_(1) . (y y')) by coassociativity; likewise for the
-    other identity. On any failure there, every basis pair (x, y) is
-    checked, so the failures listed are always that scan's.
+    other identity.
     """
     f = t.M.field
     M1, M2 = t.M1, t.M2
@@ -483,14 +481,13 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     def images(yh: dict) -> tuple:
         return yh, [m.apply(yh) for m in left], [m.apply(yh) for m in right]
 
-    on_generators = y_generators is not None and next(
-        action_failures([images(t.incl2.apply(y)) for y in y_generators]), None) is None
-    if not on_generators:
-        basis = [(incl[y], [row[y] for row in left_x], [row[y] for row in right_x]) for y in range(M1.dim)]
-        for failure in action_failures(basis):
-            failures.append(failure)
-            if len(failures) >= budget:
-                return failures
+    found = law_failures(
+        action_failures, None if y_generators is None else [images(t.incl2.apply(y)) for y in y_generators],
+        lambda: [(incl[y], [row[y] for row in left_x], [row[y] for row in right_x]) for y in range(M1.dim)],
+        budget - len(failures))
+    failures += found
+    if found and len(failures) >= budget:
+        return failures
 
     # e2 is a two-sided integral: e2 b = eps(b) e2 = b e2
     b_vecs = d2.B.vectors

@@ -14,9 +14,12 @@ fail.
 
 A check that decides a "for all x" identity on generators takes that shortcut
 only while every check recorded before it passed (Reporter.all_passed); the
-tower keeps the same fact per level as TowerLevel.verified. Otherwise it runs
-its basis scan, which gives the same result wherever the shortcut's premises
-hold and lists the failures where they do not.
+tower keeps the same fact per level as TowerLevel.verified. Otherwise, or
+when the generators show a failure, it runs its basis scan, which gives the
+same result wherever the shortcut's premises hold and lists the failures
+where they do not; algebra.law_failures is that one fallback for the algebra
+axioms, morphisms, conditional expectations, module-algebra laws and the
+Hopf action identities.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .fileio import digest, extension_to_dict
 from .frobenius import (
     ExtensionSpec,
     FrobeniusError,
-    algebra_outcome,
+    algebra_check,
     classify,
     normalize,
     pairs_to_tensor,
@@ -170,7 +173,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, gate: Optional[str]) -
         recorded = {r.check_id for r in rep.results}
         return rep.skip([cid for cid in FROBENIUS_CHECKS if cid not in recorded], reason)
 
-    axioms = algebra_outcome(ext.M, state.m_generators)
+    axioms = algebra_check(ext.M, state.m_generators)[0]
     rep.outcome("algebra-axioms", axioms)
     state.m_associative = axioms.ok
     sub_ok = ext.N.is_unital_subalgebra()
@@ -385,9 +388,8 @@ def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     ext = state.ext
     n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
-    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.H_B, state.pairing, act_a, act_b,
-                                            state.m_generators))
-    gm = galois_map(t.M, ext.N, state.sys.tq, act_a, state.H_A.dim)
+    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.pairing, act_a, act_b, state.m_generators))
+    gm = galois_map(act_a, state.sys.tq)
     rep.outcome("galois-map", gm)
     state.hypotheses["galois_extension"] = gm.ok
     return None

@@ -16,6 +16,7 @@ from hopftower.algebra import (
     check_morphism,
     endomorphism_algebra,
     generators,
+    law_failures,
     span_dim,
     verify_algebra,
 )
@@ -264,7 +265,7 @@ def random_algebras(field, seed):
     return rng, [random_table(field, rng), inc, bad]
 
 
-def scan_assoc_failures(alg, rights, max_failures):
+def scan_assoc_failures(alg, rights):
     """Every (i, j, r) in order, both sides summed over every basis index l:
     (e_i e_j) g_r = sum_l c_ij^l (e_l g_r) and e_i (e_j g_r) = sum_l (e_j g_r)_l e_i e_l."""
     f, d = alg.field, alg.dim
@@ -281,8 +282,6 @@ def scan_assoc_failures(alg, rights, max_failures):
                 lhs, rhs = sparse_vector(lhs), sparse_vector(rhs)
                 if lhs != rhs:
                     failures.append({"triple": (i, j, r), "lhs": lhs, "rhs": rhs})
-                    if len(failures) >= max_failures:
-                        return failures
     return failures
 
 
@@ -302,13 +301,38 @@ def test_assoc_failures_equal_the_scan_over_every_triple(field):
             by_gens = [[naive_mul(alg, {l: one}, g) for l in range(alg.dim)] for g in gens]
             columns = [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)]
             for rights in (by_gens, columns):
-                for max_failures in (1, 5):
-                    got = _assoc_failures(alg, rights, max_failures)
-                    assert got == scan_assoc_failures(alg, rights, max_failures), (seed, alg.dim)
-                    found += len(got)
-                    rhs_only += sum(not alg.cell(*fl["triple"][:2]) for fl in got)
+                got = list(_assoc_failures(alg, rights))
+                assert got == scan_assoc_failures(alg, rights), (seed, alg.dim)
+                found += len(got)
+                rhs_only += sum(not alg.cell(*fl["triple"][:2]) for fl in got)
         assert verify_algebra(algebras[1]).ok, seed
     assert found > 0 and rhs_only > 0
+
+
+def _failures_over(factors):
+    """A failure iterator: the factors that are negative, in order."""
+    return (x for x in factors if x < 0)
+
+
+def test_law_failures_passing_generators_never_build_the_scan():
+    def basis():
+        raise AssertionError("the scan was built")
+
+    assert law_failures(_failures_over, [1, 2], basis, 5) == []
+    assert law_failures(_failures_over, [], basis, 5) == []
+
+
+def test_law_failures_list_the_scan_without_or_with_failing_generators():
+    scan = [3, -1, -2, 4, -3, -4]
+    for gens in (None, [2, -7]):
+        assert law_failures(_failures_over, gens, lambda: scan, 2) == [-1, -2]
+        assert law_failures(_failures_over, gens, lambda: scan, 10) == [-1, -2, -3, -4]
+        assert law_failures(_failures_over, gens, lambda: [1, 2], 5) == []
+
+
+def test_law_failures_list_at_least_one():
+    for cap in (1, 0, -3):
+        assert law_failures(_failures_over, None, lambda: [1, -5, -6], cap) == [-5]
 
 
 @pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "F2", "F7"])
@@ -463,7 +487,7 @@ def test_assoc_failure_witnesses_keep_the_zero_start_key_order(field):
             cases.append((alg, [[alg.mul_sparse({l: field.one}, g) for l in range(alg.dim)] for g in gens]))
     returned = {"lhs": 0, "rhs": 0}
     for alg, rights in cases:
-        for failure in _assoc_failures(alg, rights, alg.dim ** 3):
+        for failure in _assoc_failures(alg, rights):
             i, j, r = failure["triple"]
             ref = {"lhs": ZeroStartSum(field), "rhs": ZeroStartSum(field)}
             for l, c in alg.cell(i, j).items():
@@ -549,10 +573,10 @@ def test_pipeline_generators_span(group, monkeypatch):
     checked = []
     real = frobenius.verify_algebra
 
-    def recording(alg, max_failures=5, seeds=()):
+    def recording(alg, seeds=()):
         seeds = list(seeds)
         checked.append((alg, seeds))
-        return real(alg, max_failures, seeds)
+        return real(alg, seeds)
 
     monkeypatch.setattr(frobenius, "verify_algebra", recording)
     ext, _sidecar = generate_example("function-algebra", {"group": group, "field": "f7"})

@@ -32,3 +32,15 @@ def test_launched_run_does_not_inherit_the_recorder_peak():
 def test_launcher_keeps_the_exit_status():
     code = subprocess.run([*_recorder().LAUNCHER, sys.executable, "-c", "raise SystemExit(3)"]).returncode
     assert code == 3
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    """Every .py file under src/, nested or not, with or without a final
+    newline; other files and files outside src/ are not counted."""
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n", encoding="utf-8")
+    (pkg / "sub" / "b.py").write_text("z = 3\nw = 4", encoding="utf-8")
+    (pkg / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
+    (tmp_path / "setup.py").write_text("outside = True\n", encoding="utf-8")
+    assert _recorder().src_lines(tmp_path) == 5

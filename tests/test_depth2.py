@@ -34,7 +34,7 @@ Q = RationalField()
 def test_trivial_passes_with_unit_bases(d2_trivial):
     d2 = d2_trivial
     assert d2.passed()
-    z, w = d2.zw
+    z, w = d2.level1.z, d2.level1.w
     assert len(z) == 1 and z[0] == {0: Q.one} and w[0] == {0: Q.one}
 
 
@@ -103,7 +103,7 @@ def test_centralizer_image_contained_in_A(tower_s3_a3, d2_s3_a3):
 def test_verified_equations_hold(tower_s3_a3, d2_s3_a3):
     # spot-check the defining equations of the returned bases directly
     t, d2 = tower_s3_a3, d2_s3_a3
-    z, w = d2.zw
+    z, w = d2.level1.z, d2.level1.w
     for x in range(t.M1.dim):
         ex = {x: Q.one}
         acc = {}
@@ -161,7 +161,7 @@ def test_depth_two_separability_element(model_z2, d2_trivial, tower_trivial):
     cases = [(model_z2[0], model_z2[1]), (tower_trivial, d2_trivial)]
     for t, d2 in cases:
         f = t.M.field
-        z, w = d2.zw
+        z, w = d2.level1.z, d2.level1.w
         A_alg, _ = d2.A.induced_algebra()
         lam = t.lam
         za = [d2.A.coords(v) for v in z]

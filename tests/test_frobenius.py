@@ -7,6 +7,7 @@ from hopftower.fields import PrimeField, RationalField
 from hopftower.frobenius import (
     ExtensionSpec,
     FrobeniusError,
+    _bimodule_failures,
     compose,
     nakayama,
     normalize,
@@ -51,9 +52,9 @@ def _level_extension(level):
 
 
 def test_bimodule_check_on_generators_agrees_with_basis_loop(ext_s3_a3, ext_sqrt2, tower_s3_a3):
-    """Given generators of N, the bimodule property is decided on them; any
-    bumped E entry gives the basis loop's failures, cut off at the same
-    max_failures."""
+    """Given generators of N, the bimodule property is decided on them: on
+    any bumped E entry the failure iterator is empty on them exactly when it
+    is on the basis of N, and the check lists the basis loop's failures."""
     t = tower_s3_a3
     cases = [
         (ext_s3_a3, ()),
@@ -64,15 +65,17 @@ def test_bimodule_check_on_generators_agrees_with_basis_loop(ext_s3_a3, ext_sqrt
     for ext, seeds in cases:
         E = ext.E
         n_gens = generators(ext.n_algebra, seeds)
+        basis = [{a: ext.M.field.one} for a in range(ext.n_algebra.dim)]
         assert verify_conditional_expectation(ext, E, n_generators=n_gens) == verify_conditional_expectation(ext, E)
         assert verify_conditional_expectation(ext, E, n_generators=n_gens).ok
         rejected = 0
         for c in range(0, len(E.columns), max(1, len(E.columns) // 6)):
             for r in range(0, E.codomain_dim, max(1, E.codomain_dim // 4)):
                 bad = bumped(E, r, c)
-                for max_failures in (1, 5, 1000):
-                    got = verify_conditional_expectation(ext, bad, max_failures, n_generators=n_gens)
-                    assert got == verify_conditional_expectation(ext, bad, max_failures), (r, c)
+                holds = next(_bimodule_failures(ext, bad, n_gens), None) is None
+                assert holds == (next(_bimodule_failures(ext, bad, basis), None) is None), (r, c)
+                got = verify_conditional_expectation(ext, bad, n_generators=n_gens)
+                assert got == verify_conditional_expectation(ext, bad), (r, c)
                 rejected += not got.ok
         assert rejected > 0
 

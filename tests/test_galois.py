@@ -231,7 +231,7 @@ def test_cleft_data(stack_z2, stack_z3_f7, stack_trivial):
         act_a, out = action_a_on_m(t, d2, H_A)
         assert out.ok
         act_b, _out = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-        res = cleft_data(t, d2, H_A, H_B, p, act_a, act_b)
+        res = cleft_data(t, d2, H_A, p, act_a, act_b)
         assert res.ok, res.failures[:3]
 
 
@@ -245,19 +245,13 @@ def test_galois_map_trivial_case():
     tq = TensorQuotient(X, N)
     H = trivial_hopf(Q)
     act = ModuleAlgebraAction(H, X, [LinMap.identity(Q, 2)])
-    out = galois_map(X, N, tq, act, 1)
+    out = galois_map(act, tq)
     assert out.ok
 
 
 def test_galois_map_quadratic(bundle_sqrt2):
     # Q(sqrt2)/Q with the Z/2 coaction: 4x4, bijective
-    out = galois_map(
-        bundle_sqrt2.X,
-        bundle_sqrt2.sys.ext.N,
-        bundle_sqrt2.sys.tq,
-        bundle_sqrt2.action,
-        2,
-    )
+    out = galois_map(bundle_sqrt2.action, bundle_sqrt2.sys.tq)
     assert out.ok
     assert verify_module_algebra(bundle_sqrt2.action).ok
 
@@ -271,7 +265,7 @@ def test_galois_map_trivial_coaction_fails(bundle_sqrt2):
     # invariants of the trivial action are all of X, so X (x)_X X has dim 2
     N_all = SubspaceBasis(X, [{0: Q.one}, {1: Q.one}])
     tq = TensorQuotient(X, N_all)
-    out = galois_map(X, N_all, tq, triv, 2)
+    out = galois_map(triv, tq)
     assert not out.ok
     assert out.failures[0]["kind"] == "dimension-mismatch"
 
@@ -281,7 +275,7 @@ def test_galois_map_tower(stack_z2, stack_trivial):
         t, d2, p, H_B, H_A = stack[0], stack[1], stack[2], stack[3], stack[4]
         act_a, out = action_a_on_m(t, d2, H_A)
         assert out.ok
-        res = galois_map(t.M, t.base_sys.ext.N, t.base_sys.tq, act_a, H_A.dim)
+        res = galois_map(act_a, t.base_sys.tq)
         assert res.ok, res.failures[:2]
 
 
@@ -482,8 +476,8 @@ def galois_morphisms(monkeypatch):
     calls = []
     real = galois.check_morphism
 
-    def recording(f_map, A, B, max_failures=5, domain_generators=None):
-        out = real(f_map, A, B, max_failures, domain_generators)
+    def recording(f_map, A, B, domain_generators=None):
+        out = real(f_map, A, B, domain_generators)
         calls.append((f_map, A, B, domain_generators, out))
         return out
 
@@ -494,7 +488,7 @@ def galois_morphisms(monkeypatch):
 def _galois_morphism_checks(t, d2, p, H_B, H_A, act_b=None):
     act_a, _ = action_a_on_m(t, d2, H_A)
     act_b = act_b or action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))[0]
-    return verify_smash_iso_theta(t, d2, H_B, act_b), cleft_data(t, d2, H_A, H_B, p, act_a, act_b), act_b
+    return verify_smash_iso_theta(t, d2, H_B, act_b), cleft_data(t, d2, H_A, p, act_a, act_b), act_b
 
 
 def test_galois_morphisms_run_on_smash_generators(stack_z3_f7, galois_morphisms):

@@ -152,13 +152,13 @@ def sites(monkeypatch):
         calls.append(("centralizer", alg.dim, sub_generators, out))
         return out
 
-    def rec_morphism(f_map, A, B, max_failures=5, domain_generators=None):
-        out = real_morphism(f_map, A, B, max_failures, domain_generators)
+    def rec_morphism(f_map, A, B, domain_generators=None):
+        out = real_morphism(f_map, A, B, domain_generators)
         calls.append(("check_morphism", A, domain_generators, (f_map, B, out)))
         return out
 
-    def rec_condexp(ext, E, max_failures=5, n_generators=None):
-        out = real_condexp(ext, E, max_failures, n_generators)
+    def rec_condexp(ext, E, n_generators=None):
+        out = real_condexp(ext, E, n_generators)
         calls.append(("condexp", ext.M.dim, n_generators, out))
         return out
 

@@ -269,10 +269,9 @@ def test_module_algebra_law_same_on_generators(case):
             for row in _spread(X.dim, i):
                 maps = [bumped(m, row, (3 * i + row) % X.dim) if n == i else m for n, m in enumerate(act.maps)]
                 bad = ModuleAlgebraAction(act.hopf, X, maps)
-                for max_failures in (1, 6):
-                    got = verify_module_algebra(bad, max_failures, gens)
-                    assert got == verify_module_algebra(bad, max_failures), (i, row, max_failures)
-                    rejected += any(x["kind"] == "module-algebra-law" for x in got.failures)
+                got = verify_module_algebra(bad, gens)
+                assert got == verify_module_algebra(bad), (i, row)
+                rejected += any(x["kind"] == "module-algebra-law" for x in got.failures)
     assert rejected > 0
 
 
@@ -281,9 +280,9 @@ def module_law_sites(monkeypatch):
     calls = []
     real = galois.verify_module_algebra
 
-    def recording(act, max_failures=6, x_generators=None):
+    def recording(act, x_generators=None):
         calls.append((act.algebra, x_generators))
-        return real(act, max_failures, x_generators)
+        return real(act, x_generators)
 
     monkeypatch.setattr(galois, "verify_module_algebra", recording)
     return calls

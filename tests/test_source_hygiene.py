@@ -403,3 +403,50 @@ def test_scan_sees_a_table_layout_use():
         "    return c, row, M.cell(i, j), M.algebra.table[j][i].items(), grid, [{} for _ in row]\n"
     )
     assert _table_layout_uses(tree) == [(2, "table cell"), (4, "grid of empty dicts"), (5, "table cell")]
+
+
+# Every law checked on generators falls back to its basis scan through
+# algebra.law_failures, and no check takes a failure cap as an option: each
+# keeps its cap as a constant, so max_failures is named only there.
+def _max_failures_uses(tree) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every parameter, name and keyword argument
+    max_failures; strings and docstrings do not count."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (
+            isinstance(node, ast.arg) and node.arg == "max_failures"
+            or isinstance(node, ast.Name) and node.id == "max_failures"
+            or isinstance(node, ast.keyword) and node.arg == "max_failures"
+        ):
+            out.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return sorted(out)
+
+
+def test_max_failures_is_named_only_by_law_failures():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(
+            f"{path.name}:{line} {fn}" for line, fn in _max_failures_uses(tree)
+            if (path.stem, fn) != ("algebra", "law_failures")
+        )
+    assert found == [], "max_failures named outside algebra.law_failures"
+
+
+def test_scan_sees_a_max_failures_use():
+    tree = ast.parse(
+        "def law_failures(failures, generators, basis, max_failures):\n    return max(max_failures, 1)\n"
+        'def check(x, max_failures=5):\n    """Lists at most max_failures."""\n'
+        "    return law_failures(x, None, x, max_failures=max_failures)\n"
+        "cap = max_failures = 3\n"
+    )
+    assert _max_failures_uses(tree) == [
+        (1, "law_failures"), (2, "law_failures"), (3, "check"), (5, "check"), (5, "check"), (6, None),
+    ]

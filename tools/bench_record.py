@@ -11,7 +11,8 @@ from the repository root, for example:
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
         --seed0 801 --out BENCH_6.json
 
-The file names each side's commit and the git tree of its ``src/``. It holds,
+The file names each side's commit, the git tree of its ``src/`` and the line
+count of the Python files under that ``src/``. It holds,
 per workload, every pair's end-to-end metrics, each side's median and
 quartiles with the number of pairs the change won, and the full ``results``
 line of the first pair on each side; and, per workload and side, the median
@@ -47,8 +48,14 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], capture_output=True, check=True).stdout
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the Python files under root/src."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in (root / "src").rglob("*.py"))
+
+
 def export(rev: str, into: Path) -> dict:
-    """Extract the files of rev into a new directory; its commit and src/ tree."""
+    """Extract the files of rev into a new directory; its commit, src/ tree and
+    src/ line count."""
     into.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(into, filter="data")
@@ -56,6 +63,7 @@ def export(rev: str, into: Path) -> dict:
         "rev": rev,
         "commit": git("rev-parse", f"{rev}^{{commit}}").decode().strip(),
         "src_tree": git("rev-parse", f"{rev}:src").decode().strip(),
+        "src_lines": src_lines(into),
     }
 
 
