@@ -594,11 +594,19 @@ class TensorQuotient:
 class EndomorphismAlgebra:
     """The commutant of a right action. The basis maps, flattened row-major
     (entry (a, b) at a * dim + b), are the RREF rows of its span, kept in
-    sparse RREF in ``_space``."""
+    sparse RREF in ``_space``. Its multiplication table, (i, j) -> the
+    coordinates of basis[i] o basis[j], is formed on first use of
+    ``algebra``."""
 
-    algebra: Algebra
+    field: Field
+    dim_v: int  # the dimension of the module acted on
     basis: list  # LinMaps
     _space: SparseSolver
+    _algebra: Optional[Algebra] = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def coords(self, g: LinMap) -> Optional[dict]:
         """Coordinates of an endomorphism in the canonical basis, or None."""
@@ -607,6 +615,23 @@ class EndomorphismAlgebra:
         if self._space.reduce(flat):
             return None
         return {k: flat[p] for k, p in enumerate(sorted(self._space.pivots)) if p in flat}
+
+    @property
+    def algebra(self) -> Algebra:
+        if self._algebra is None:
+            f, maps = self.field, self.basis
+            unit_coords = self.coords(LinMap.identity(f, self.dim_v))
+            if unit_coords is None:
+                raise AlgebraError("identity endomorphism escaped the solved basis")
+            entries = []
+            for i, a in enumerate(maps):
+                for j, b in enumerate(maps):
+                    coords = self.coords(a.compose(b))
+                    if coords is None:
+                        raise AlgebraError("endomorphism product escaped the solved basis")
+                    entries.extend((i, j, k, c) for k, c in coords.items())
+            self._algebra = Algebra.from_entries(f, len(maps), entries, unit_coords)
+        return self._algebra
 
 
 def module_axioms_ok(field: Field, dim_v: int, action_maps: list, sub_alg: Algebra) -> bool:
@@ -653,20 +678,7 @@ def endomorphism_algebra(
             map_cols[b][a] = c
         maps.append(LinMap(field, map_cols, dim_v))
 
-    endo = EndomorphismAlgebra(None, maps, space)  # type: ignore[arg-type]
-
-    entries = []
-    unit_coords = endo.coords(LinMap.identity(field, dim_v))
-    if unit_coords is None:
-        raise AlgebraError("identity endomorphism escaped the solved basis")
-    for i, a in enumerate(maps):
-        for j, b in enumerate(maps):
-            coords = endo.coords(a.compose(b))
-            if coords is None:
-                raise AlgebraError("endomorphism product escaped the solved basis")
-            entries.extend((i, j, k, c) for k, c in coords.items())
-    endo.algebra = Algebra.from_entries(field, len(maps), entries, unit_coords)
-    return endo
+    return EndomorphismAlgebra(field, dim_v, maps, space)
 
 
 def right_module_endomorphisms(M: Algebra, n_alg: Algebra, embed: LinMap) -> EndomorphismAlgebra:
@@ -705,21 +717,27 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Opt
     if f_map.domain_dim != A.dim or f_map.codomain_dim != B.dim:
         raise DimensionError("check_morphism: map shape does not match algebras")
     unit_ok = f_map.apply(A.unit) == B.unit
-    rights = None
-    if unit_ok and domain_generators is not None:
-        one = A.field.one
-        rights = [(f_map.apply(g), [A.mul_sparse({i: one}, g) for i in range(A.dim)]) for g in domain_generators]
     failures = [] if unit_ok else [{"kind": "unit"}]
-    # the scan: right factors e_j, with e_i e_j = cell(i, j)
-    found = law_failures(
-        lambda rs: _mult_failures(f_map, A, B, rs), rights,
-        lambda: [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)], 5 - len(failures))
+    found = mult_failures(f_map, A, B, domain_generators if unit_ok else None, 5 - len(failures))
     w = A.field.witness
     failures += [{"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
                  for pair, lhs, rhs in found]
     is_homo = not failures
     is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
     return MorphismReport(is_homo, is_iso, failures)
+
+
+def mult_failures(f_map: LinMap, A: Algebra, B: Algebra, generators: Optional[list], cap: int) -> list:
+    """law_failures of f(x y) = f(x) f(y), as ((i, j), f(e_i g_j), f(e_i) f(g_j)):
+    on the pairs (e_i, g) for g in generators (pass them only when f(1) = 1
+    and A is associative, as in check_morphism), else on every basis pair."""
+    one = A.field.one
+    rights = None if generators is None else [
+        (f_map.apply(g), [A.mul_sparse({i: one}, g) for i in range(A.dim)]) for g in generators]
+    # the scan: right factors e_j, with e_i e_j = cell(i, j)
+    return law_failures(
+        lambda rs: _mult_failures(f_map, A, B, rs), rights,
+        lambda: [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)], cap)
 
 
 def _mult_failures(f_map: LinMap, A: Algebra, B: Algebra, rights: list) -> Iterator[tuple]:

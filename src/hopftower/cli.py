@@ -8,7 +8,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,10 +17,13 @@ from .fileio import (
     InputError,
     canonical_json,
     digest,
+    extension_from_dict,
     extension_to_dict,
     hopf_to_dict,
     load_extension,
     load_pair_file,
+    pair_file_from_dict,
+    read_json,
     tower_to_dict,
 )
 from .hopf import HopfError, bialgebra_from_abstract_pairing
@@ -123,20 +125,17 @@ def cmd_verify(args, upto: str) -> int:
 
 
 def cmd_hopf(args) -> int:
+    """A pair file (it has a "pairing") or an extension file, read and parsed once."""
     outdir = Path(args.out)
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    if isinstance(raw, dict) and "pairing" in raw:
-        return _hopf_from_pair_file(args, outdir)
-    try:
-        ext, _ = load_extension(args.path)
+        raw = read_json(args.path)
+        pair = pair_file_from_dict(raw) if isinstance(raw, dict) and "pairing" in raw else None
+        ext = extension_from_dict(raw) if pair is None else None
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    if pair is not None:
+        return _hopf_from_pair_file(pair, outdir)
     report = run_pipeline(ext, upto="hopf")
     status = {r.check_id: r.status for r in report.results}
     if status.get("hopf-axioms") != PASS or status.get("dual-hopf") != PASS:
@@ -159,12 +158,8 @@ def cmd_hopf(args) -> int:
     return 0
 
 
-def _hopf_from_pair_file(args, outdir: Path) -> int:
-    try:
-        _, A, B, P, S, _raw = load_pair_file(args.path)
-    except InputError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+def _hopf_from_pair_file(pair: tuple, outdir: Path) -> int:
+    _, A, B, P, S = pair
     try:
         H, out = bialgebra_from_abstract_pairing(A, B, P, antipode_candidate=S)
     except HopfError as exc:

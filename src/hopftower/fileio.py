@@ -172,18 +172,19 @@ def extension_from_dict(data) -> ExtensionSpec:
         raise InputError(str(exc)) from exc
 
 
-def _read_json(path: str):
+def read_json(path: str):
+    """The parsed JSON of a file, read once; InputError names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_extension(path: str) -> tuple[ExtensionSpec, dict]:
-    data = _read_json(path)
+    data = read_json(path)
     return extension_from_dict(data), data
 
 
@@ -214,7 +215,7 @@ def pair_file_from_dict(data) -> tuple:
 
 
 def load_pair_file(path: str) -> tuple:
-    data = _read_json(path)
+    data = read_json(path)
     return pair_file_from_dict(data) + (data,)
 
 

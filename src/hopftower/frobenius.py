@@ -18,6 +18,7 @@ from .algebra import (
     TensorQuotient,
     centralizer,
     law_failures,
+    mult_failures,
     verify_algebra,
 )
 from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
@@ -122,7 +123,9 @@ def algebra_check(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcom
 # ---------------------------------------------------------------------------
 
 
-def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, n_generators: Optional[list] = None) -> CheckOutcome:
+def verify_conditional_expectation(
+    ext: ExtensionSpec, E: LinMap, n_generators: Optional[list] = None, module_generators: Optional[tuple] = None
+) -> CheckOutcome:
     """E(nmn') = nE(m)n' on basis triples and E(1) = 1.
 
     The two-sided property is equivalent to the pair of one-sided ones
@@ -136,6 +139,13 @@ def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, n_generators: 
     subspace that holds 1 and is closed under products, as
     E(n n' m) = n E(n' m) = n n' E(m) and likewise on the right; so it holds
     every word in n_generators, which is all of N.
+
+    Given module_generators (G_L, G_R) with span(N . G_L) = M = span(G_R . N)
+    (pass them only once M is associative and N's embedding multiplicative),
+    the left law is first checked for m in G_L and the right law for m in
+    G_R, n over the basis of N: {m : E(nm) = nE(m) for all n} is a left
+    N-submodule, as E(n n' m) = n E(n' m) = n n' E(m), and likewise on the
+    right.
     """
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
@@ -143,26 +153,34 @@ def verify_conditional_expectation(ext: ExtensionSpec, E: LinMap, n_generators: 
     e_unit = E.apply(M.unit)
     if e_unit != n_alg.unit:
         failures.append({"kind": "unit", "value": f.witness(n_alg.to_dense(e_unit))})
-    failures += law_failures(lambda ns: _bimodule_failures(ext, E, ns), n_generators,
-                             lambda: [{a: f.one} for a in range(n_alg.dim)], 5 - len(failures))
+    basis_n = [{a: f.one} for a in range(n_alg.dim)]
+    if module_generators is not None:
+        factors = (basis_n, *module_generators)
+    else:
+        factors = None if n_generators is None else (n_generators,)
+    failures += law_failures(lambda fs: _bimodule_failures(ext, E, *fs), factors, lambda: (basis_n,),
+                             5 - len(failures))
     return CheckOutcome(not failures, failures)
 
 
-def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list) -> Iterator[dict]:
-    """E(n e_m) != n E(e_m) and E(e_m n) != E(e_m) n for n in ns (N-coordinates)
-    and every basis m, in that loop order."""
+def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list, left_ms: Optional[list] = None,
+                       right_ms: Optional[list] = None) -> Iterator[dict]:
+    """E(n m) != n E(m) for m in left_ms and E(m n) != E(m) n for m in
+    right_ms (both default to the basis of M), n in ns (N-coordinates), with
+    m at position k of its list, in the loop order n, k, left then right."""
     M, f = ext.M, ext.M.field
     n_alg = ext.n_algebra
-    # E(e_m) for each basis m is the column E.columns[m]
-    e_cols = E.columns
+    basis_m = [{m: f.one} for m in range(M.dim)]
+    left_ms = basis_m if left_ms is None else left_ms
+    right_ms = basis_m if right_ms is None else right_ms
+    e_left, e_right = [E.apply(m) for m in left_ms], [E.apply(m) for m in right_ms]
     for a, n in enumerate(ns):
         n_in_m = ext.embed.apply(n)
-        for m in range(M.dim):
-            em = {m: f.one}
-            if E.apply(M.mul_sparse(n_in_m, em)) != n_alg.mul_sparse(n, e_cols[m]):
-                yield {"kind": "bimodule-left", "pair": (a, m)}
-            if E.apply(M.mul_sparse(em, n_in_m)) != n_alg.mul_sparse(e_cols[m], n):
-                yield {"kind": "bimodule-right", "pair": (m, a)}
+        for k in range(max(len(left_ms), len(right_ms))):
+            if k < len(left_ms) and E.apply(M.mul_sparse(n_in_m, left_ms[k])) != n_alg.mul_sparse(n, e_left[k]):
+                yield {"kind": "bimodule-left", "pair": (a, k)}
+            if k < len(right_ms) and E.apply(M.mul_sparse(right_ms[k], n_in_m)) != n_alg.mul_sparse(e_right[k], n):
+                yield {"kind": "bimodule-right", "pair": (k, a)}
 
 
 def verify_bimodule_map(ext: ExtensionSpec, E: LinMap) -> CheckOutcome:
@@ -266,24 +284,40 @@ def scalar_of(M: Algebra, v: dict):
     return c if sparse_scale(f, c, unit) == v else None
 
 
-def verify_frobenius_identities(sys: FrobeniusSystem) -> CheckOutcome:
-    """Both identities sum E(m x_i) y_i = m = sum x_i E(y_i m) on every basis m."""
+def verify_frobenius_identities(sys: FrobeniusSystem, module_generators: Optional[tuple] = None) -> CheckOutcome:
+    """Both identities L(m) = sum E(m x_i) y_i = m = sum x_i E(y_i m) = R(m) on every basis m.
+
+    Given module_generators (G_L, G_R) with span(N . G_L) = M = span(G_R . N)
+    (pass them only once M is associative, N's embedding multiplicative and
+    E a bimodule map), L is first checked on G_L and R on G_R: then
+    L(nm) = nL(m) and R(mn) = R(m)n, so {m : L(m) = m} is a left and
+    {m : R(m) = m} a right N-submodule.
+    """
     M, f = sys.M, sys.M.field
     e_m = sys.ext.e_into_m(sys.E)
-    failures = []
-    for m in range(M.dim):
-        em = {m: f.one}
-        left: dict = {}
-        right: dict = {}
-        for x, y in sys.dual_pairs:
-            sparse_axpy(f, left, f.one, M.mul_sparse(e_m.apply(M.mul_sparse(em, x)), y))
-            sparse_axpy(f, right, f.one, M.mul_sparse(x, e_m.apply(M.mul_sparse(y, em))))
-        if left != em or right != em:
-            failures.append({"basis": m, "left": f.witness(M.to_dense(left)),
-                             "right": f.witness(M.to_dense(right))})
-            if len(failures) >= 3:
-                break
-    return CheckOutcome(not failures, failures)
+
+    def failures(elements: list) -> Iterator[tuple]:
+        """(k, L(m), R(m)) for the k-th (m, sides) where a side named fails;
+        a side not named counts as m."""
+        for k, (m, sides) in enumerate(elements):
+            left = right = m
+            if "left" in sides:
+                left = {}
+                for x, y in sys.dual_pairs:
+                    sparse_axpy(f, left, f.one, M.mul_sparse(e_m.apply(M.mul_sparse(m, x)), y))
+            if "right" in sides:
+                right = {}
+                for x, y in sys.dual_pairs:
+                    sparse_axpy(f, right, f.one, M.mul_sparse(x, e_m.apply(M.mul_sparse(y, m))))
+            if left != m or right != m:
+                yield k, left, right
+
+    gens = None if module_generators is None else (
+        [(m, ("left",)) for m in module_generators[0]] + [(m, ("right",)) for m in module_generators[1]])
+    found = law_failures(failures, gens, lambda: [({m: f.one}, ("left", "right")) for m in range(M.dim)], 3)
+    w = f.witness
+    return CheckOutcome(not found, [{"basis": k, "left": w(M.to_dense(left)), "right": w(M.to_dense(right))}
+                                    for k, left, right in found])
 
 
 def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple[dict, dict]]) -> dict:
@@ -378,11 +412,11 @@ class NakayamaResult:
     failures: list
 
 
-def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
+def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis, generators: Optional[list] = None) -> NakayamaResult:
     """Unique q on scope with E(q(c) m) = E(m c) for all m, checked to be an
-    algebra automorphism of scope."""
+    algebra automorphism of scope (_automorphism_failures, which takes the
+    generators, in scope coordinates)."""
     f = M.field
-    s = scope.dim
     n_dim = E.codomain_dim
     rows = M.dim * n_dim
 
@@ -397,35 +431,60 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis) -> NakayamaResult:
     # all solved in one elimination
     basis = [{m: f.one} for m in range(M.dim)]
     coeff = LinMap(f, [stacked(M.mul_sparse(z, em) for em in basis) for z in scope.vectors], rows)
-    xs, kern = solve(coeff, [stacked(M.mul_sparse(em, c) for em in basis) for c in scope.vectors])
+    rhs = [stacked(M.mul_sparse(em, c) for em in basis) for c in scope.vectors]
+    return _nakayama_solve(coeff, rhs, lambda: scope.induced_algebra()[0], generators)
+
+
+def nakayama_of_functional(alg: Algebra, functional: list, generators: Optional[list] = None) -> NakayamaResult:
+    """Nakayama automorphism of a Frobenius algebra functional phi: alg -> k,
+    the unique q with phi(q(c) m) = phi(m c), on alg itself.
+
+    functional is the coordinate row of phi. Both the coefficient columns
+    phi(e_j e_m) and the right-hand sides phi(e_m e_c) are read from one Gram
+    pass over the products; generators go to _automorphism_failures.
+    """
+    f = alg.field
+    rows = []  # row j: the nonzero phi(e_j e_m), ascending m
+    for j in range(alg.dim):
+        row = {}
+        for m in range(alg.dim):
+            val = f.zero
+            for k, c in alg.cell(j, m).items():
+                val = f.add(val, f.mul(c, functional[k]))
+            if val:
+                row[m] = val
+        rows.append(row)
+    coeff = LinMap(f, rows, alg.dim)
+    rhs = coeff.transpose().columns
+    return _nakayama_solve(coeff, rhs, lambda: alg, generators)
+
+
+def _nakayama_solve(coeff: LinMap, rhs: list, scope_algebra, generators: Optional[list]) -> NakayamaResult:
+    """q from the stacked system coeff q(c) = rhs[c], unique or failed, then
+    checked on scope_algebra() once it is."""
+    xs, kern = solve(coeff, rhs)
     failures = [{"kind": "no-solution" if x is None else "non-unique"} for x in xs if x is None or kern]
-    qmap = LinMap(f, [{} if x is None else x for x in xs], s)
+    qmap = LinMap(coeff.field, [{} if x is None else x for x in xs], len(xs))
     if not failures:
-        # automorphism checks inside scope
-        sub_alg, _ = scope.induced_algebra()
-        unit = sub_alg.unit
-        if qmap.apply(unit) != unit:
-            failures.append({"kind": "unit-not-fixed"})
-        for i in range(s):
-            for j in range(s):
-                lhs = qmap.apply(sub_alg.cell(i, j))
-                rhs = sub_alg.mul_sparse(qmap.columns[i], qmap.columns[j])
-                if lhs != rhs:
-                    failures.append({"kind": "not-multiplicative", "pair": (i, j)})
-        if rank(qmap) != s:
-            failures.append({"kind": "not-bijective"})
+        failures = _automorphism_failures(qmap, scope_algebra(), generators)
     return NakayamaResult(qmap, not failures, failures)
 
 
-def nakayama_of_functional(alg: Algebra, functional: list) -> NakayamaResult:
-    """Nakayama automorphism of a Frobenius algebra functional phi: alg -> k.
+def _automorphism_failures(q: LinMap, alg: Algebra, generators: Optional[list]) -> list:
+    """q(1) = 1, q(e_i e_j) = q(e_i) q(e_j) on every basis pair, q bijective.
 
-    functional is the coordinate row of phi; scope is the whole algebra.
-    """
-    f = alg.field
-    scope = SubspaceBasis(alg, [{i: f.one} for i in range(alg.dim)])
-    E = LinMap(f, [{0: c} if c else {} for c in functional], 1)
-    return nakayama(alg, E, scope)
+    Given generators, elements whose words with 1 span alg (pass them only
+    once alg is associative), multiplicativity is first checked on the pairs
+    (e_i, g): once q(1) = 1 the y with q(xy) = q(x)q(y) for all x form a
+    subalgebra, as q(xyz) = q(xy)q(z) = q(x)q(y)q(z) = q(x)q(yz)."""
+    failures = []
+    if q.apply(alg.unit) != alg.unit:
+        failures.append({"kind": "unit-not-fixed"})
+    found = mult_failures(q, alg, alg, None if failures else generators, alg.dim * alg.dim)
+    failures += [{"kind": "not-multiplicative", "pair": pair} for pair, _, _ in found]
+    if rank(q) != alg.dim:
+        failures.append({"kind": "not-bijective"})
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ one-sided maps b -> E_M1(e2 e1 b) and b -> E_M1(b e1 e2). Every derived
 structure map is re-verified against its defining identity on all basis
 tuples, which also makes the construction basis-independent in practice; the
 two action identities, whose solutions in their second factor form a
-subalgebra of M1, on generators of M1 once the checks they rest on hold.
+subalgebra of M1, on generators of M1, and the exchange relation, whose
+solutions form a right M-submodule of M1, on module generators of M1, once
+the checks they rest on hold.
 
 The tower identities (antipode remark, exchange relation, both action
 identities) and the B-action on M1 are read from the sandwich maps
@@ -316,7 +318,9 @@ def verify_hopf_axioms(
 
     The action identities run their second factor y over 1 and the
     generators of M1 (see _tower_axioms) while nothing above has failed and
-    level 2 of the tower is verified; else over the basis of M1."""
+    level 2 of the tower is verified; else over the basis of M1. Under the
+    same gate, and once B commutes with incl(S_M) (a designated B need not
+    be a centralizer), the exchange relation runs over level 1's G_R."""
     alg = H.algebra
     f = alg.field
     d = alg.dim
@@ -411,17 +415,30 @@ def verify_hopf_axioms(
 
     if tower_ctx is not None and H.antipode is not None:
         t, d2, sandwiches = tower_ctx
-        y_generators = [t.M1.unit] + t.levels[0].generators if not failures and t.levels[1].verified else None
-        failures.extend(_tower_axioms(H, t, d2, sandwiches, 8 - len(failures), y_generators))
+        y_generators = x_generators = None
+        if not failures and t.levels[1].verified:
+            y_generators = [t.M1.unit] + t.levels[0].generators
+            m_in_m2 = [t.incl2.apply(g) for g in t.levels[0].incl_generators]
+            if all(t.M2.commutes(b, m) for b in d2.B.vectors for m in m_in_m2):
+                x_generators = t.levels[0].module_generators()[1]
+        failures.extend(_tower_axioms(H, t, d2, sandwiches, 8 - len(failures), y_generators, x_generators))
 
     return CheckOutcome(not failures, failures)
 
 
-def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_generators: Optional[list] = None) -> list:
+def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_generators: Optional[list] = None,
+                  x_generators: Optional[list] = None) -> list:
     """Exchange relation, both action identities, integrality and centrality.
 
     Every E_M1 sandwich is read from the sandwich maps built once on the basis
     of M2; each left-hand side applies them to the M2 product xh yh itself.
+
+    Given x_generators, elements G_R of M1 with span(G_R . incl1(M)) = M1
+    (pass them only once M1, M2 and both inclusions are verified and B
+    commutes with incl2(incl1(S_M))), the exchange relation is first checked
+    for y in them alone. Its solutions y form a right M-submodule: with B
+    commuting with M and E_M1 an M1-bimodule map, y m b = y b m and
+    E_M1(e2 y m b_(1)) = E_M1(e2 y b_(1)) m.
 
     Given y_generators, elements of M1 holding 1 whose words span M1 (pass
     them only once M1, M2 and incl2 are verified and Delta coassociative),
@@ -446,17 +463,26 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     left_x = [[left[u].apply(xh) for xh in incl] for u in range(db)]
     right_x = [[right[u].apply(xh) for xh in incl] for u in range(db)]
 
-    # exchange relation: y b = lam^-1 b_(2) E_M1(e2 y b_(1))
-    inner = [[t.incl2.apply(v) for v in row] for row in left_x]
-    for x in range(M1.dim):
-        for j in range(db):
-            rhs: dict = {}
-            for u, v, c in delta_legs[j]:
-                sparse_axpy(f, rhs, c, M2.mul_sparse(b_sp[v], inner[u][x]))
-            if M2.mul_sparse(incl[x], b_sp[j]) != rhs:
-                failures.append({"kind": "exchange-relation", "pair": (x, j)})
-                if len(failures) >= budget:
-                    return failures
+    def exchange_failures(ys: list):
+        """The failures of y b = lam^-1 b_(2) incl2(E_M1(e2 y b_(1))), in loop
+        order, for each (incl2(y), [incl2(E_M1(e2 y b_u))]) in ys and every b_j."""
+        for y, (yh, inner) in enumerate(ys):
+            for j in range(db):
+                rhs: dict = {}
+                for u, v, c in delta_legs[j]:
+                    sparse_axpy(f, rhs, c, M2.mul_sparse(b_sp[v], inner[u]))
+                if M2.mul_sparse(yh, b_sp[j]) != rhs:
+                    yield {"kind": "exchange-relation", "pair": (y, j)}
+
+    def exchange_factor(yh: dict) -> tuple:
+        return yh, [t.incl2.apply(m.apply(yh)) for m in left]
+
+    found = law_failures(
+        exchange_failures, None if x_generators is None else [exchange_factor(t.incl2.apply(y)) for y in x_generators],
+        lambda: [(incl[x], [t.incl2.apply(row[x]) for row in left_x]) for x in range(M1.dim)], budget)
+    failures += found
+    if found and len(failures) >= budget:
+        return failures
 
     def action_failures(ys: list):
         """The failures of both identities, in loop order, for every basis x

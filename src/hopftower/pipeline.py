@@ -18,8 +18,9 @@ tower keeps the same fact per level as TowerLevel.verified. Otherwise, or
 when the generators show a failure, it runs its basis scan, which gives the
 same result wherever the shortcut's premises hold and lists the failures
 where they do not; algebra.law_failures is that one fallback for the algebra
-axioms, morphisms, conditional expectations, module-algebra laws and the
-Hopf action identities.
+axioms, morphisms, conditional expectations, Frobenius identities, Nakayama
+automorphisms, module-algebra laws and the Hopf action identities and
+exchange relation.
 """
 from __future__ import annotations
 
@@ -325,7 +326,7 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     rep.outcome("cond-exp-ea-eb", ce_out)
     _, ff_out = verify_f_faithful(t, d2)
     rep.outcome("f-faithful", ff_out)
-    naka = nakayama_relations(t, d2)
+    naka = nakayama_relations(t, d2, rep.all_passed())
     state.naka = naka
     rep.outcome("nakayama-relations", naka.report)
     return None

@@ -34,7 +34,7 @@ from .frobenius import (
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
-from .linalg import rank, sparse_add, sparse_axpy, sparse_scale
+from .linalg import map_combination, rank, sparse_add, sparse_axpy, sparse_scale
 
 
 class TowerError(ValueError):
@@ -55,28 +55,22 @@ class TowerLevel:
     incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
     generators: list  # generators(algebra, incl_generators + [e]): words in them span algebra
     verified: bool  # every check below this level and every check of it passed
-    _module_generators: Optional[tuple] = None  # formed by module_generators() on first use
+    # (G_L, G_R): span(incl(below) . G_L) = algebra = span(G_R . incl(below)), formed
+    # by basic_construction once the inclusion and every check before it passed
+    _module_generators: Optional[tuple] = None
 
     def ok(self) -> bool:
         return all(out.ok for _, out in self.checks)
 
     def module_generators(self) -> Optional[tuple[list, list]]:
-        """(G_L, G_R) with span(incl(below) . G_L) = algebra =
-        span(G_R . incl(below)) while the level is verified, else None: E is
-        then a bimodule map of an associative level over the multiplicative
-        image of the level below, so the solution set of an identity that is
-        one-sided linear over that image is a one-sided submodule. Formed on
-        first use, seeded from the dual bases (X_i, Y_i): x = sum E(x X_i) Y_i
-        puts the level in span(incl(below) . Y), and x = sum X_i E(Y_i x) in
+        """(G_L, G_R) while the level is verified, else None: E is then a
+        bimodule map of an associative level over the multiplicative image of
+        the level below, so the solution set of an identity that is one-sided
+        linear over that image is a one-sided submodule. They are seeded from
+        the dual bases (X_i, Y_i): x = sum E(x X_i) Y_i puts the level in
+        span(incl(below) . Y), and x = sum X_i E(Y_i x) in
         span(X . incl(below))."""
-        if not self.verified:
-            return None
-        if self._module_generators is None:
-            xs = [x for x, _ in self.dual_pairs]
-            ys = [y for _, y in self.dual_pairs]
-            self._module_generators = (module_generators(self.algebra, self.incl, "left", ys),
-                                       module_generators(self.algebra, self.incl, "right", xs))
-        return self._module_generators
+        return self._module_generators if self.verified else None
 
 
 @dataclass
@@ -156,9 +150,12 @@ def basic_construction(
     e1) and the level keeps that set, whose words do span M1, as its
     generators. below_verified says every check made on M and its system
     passed. While it holds and every check of the level before it passed, the
-    multiplicativity check of the inclusion and the bimodule check of the
-    conditional expectation run on below_generators (check_morphism,
-    verify_conditional_expectation). Once the inclusion passed, the extension
+    multiplicativity check of the inclusion runs on below_generators
+    (check_morphism); after the inclusion, the level forms its module
+    generators (G_L, G_R) from its dual bases (TowerLevel.module_generators),
+    and the bimodule law of the conditional expectation and the Frobenius
+    identities run on them (verify_conditional_expectation,
+    verify_frobenius_identities). Once the inclusion passed, the extension
     of M1 over its image takes M and the inclusion as that image's algebra
     and embedding. When the inclusion failed and its image is not a unital
     subalgebra of M1, there is no level extension and TowerError is raised.
@@ -256,15 +253,18 @@ def basic_construction(
     if not (incl_ok or n1.is_unital_subalgebra()):
         raise TowerError("the level below does not embed as a unital subalgebra")
     ext1 = ExtensionSpec(alg1, n1, E=cond_exp, induced=(M, incl) if incl_ok else None)
-    n_gens = below_generators if verified() else None
-    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, n_generators=n_gens)))
-
     # dual bases {lam^-1 x_i (x) 1}, {1 (x) y_i} for E_M
     pairs1 = []
     for x, y in sys.dual_pairs:
         X = tq.project_pure(sparse_scale(f, lam_inv, x), M.unit)
         Y = tq.project_pure(M.unit, y)
         pairs1.append((X, Y))
+    mod_gens = None
+    if verified():
+        mod_gens = (module_generators(alg1, incl, "left", [y for _, y in pairs1]),
+                    module_generators(alg1, incl, "right", [x for x, _ in pairs1]))
+    checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, module_generators=mod_gens)))
+
     sys1 = FrobeniusSystem(
         ext=ext1,
         E=cond_exp,
@@ -276,7 +276,8 @@ def basic_construction(
         flags=FrobeniusFlags(),
     )
     sys1.lambda_inverse = scalar_of(alg1, sys1.index)
-    checks.append(("level-frobenius-identities", verify_frobenius_identities(sys1)))
+    checks.append(("level-frobenius-identities",
+                   verify_frobenius_identities(sys1, mod_gens if verified() else None)))
     lam_ok = sys1.lambda_inverse is not None and f.eq(sys1.lambda_inverse, lam_inv)
     mismatch = [] if lam_ok else [{"kind": "index mismatch", "value": f.witness(alg1.to_dense(sys1.index))}]
     checks.append(("level-index", CheckOutcome(lam_ok, mismatch)))
@@ -294,6 +295,7 @@ def basic_construction(
         incl_generators=incl_gens,
         generators=gens,
         verified=verified(),
+        _module_generators=mod_gens,
     )
 
 
@@ -414,39 +416,69 @@ class EndoIsoResult:
 
 def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
     """f -> sum f(x_i) (x) y_i is an algebra isomorphism End(M_N) -> M1,
-    with inverse m (x) n -> lambda_m E lambda_n; both directions verified."""
+    with inverse psi: m (x) n -> lambda_m E lambda_n; both directions verified.
+
+    Once phi psi = id and psi phi = id, phi is an algebra map exactly when psi
+    is. On a verified level M1 is associative, so the y with
+    psi(x y) = psi(x) psi(y) for every basis x form a subalgebra, as
+    psi(x y y') = psi(x y) psi(y') = psi(x) psi(y) psi(y'), which holds 1 when
+    psi(1) = id; so psi is checked on the level's generators, and End(M_N)'s
+    multiplication table is formed for the scan over basis pairs only when
+    that fails.
+    """
     M, f = sys.M, sys.M.field
     ext = sys.ext
     endo = right_module_endomorphisms(M, ext.n_algebra, ext.embed)
     tq = sys.tq
     assert tq is not None
+    alg1 = level.algebra
     failures = []
 
     cols = []
     for g in endo.basis:
         cols.append(pairs_to_tensor(tq, M, [(g.apply(x), y) for x, y in sys.dual_pairs]))
-    phi = LinMap(f, cols, level.algebra.dim)
-    morph = check_morphism(phi, endo.algebra, level.algebra)
-    if not morph.ok():
-        failures.append({"kind": "phi-not-iso", "detail": morph.failures[:2]})
+    phi = LinMap(f, cols, alg1.dim)
 
-    e_into_m = sys.ext.e_into_m(sys.E)
+    psi_maps = _psi_maps(sys)
     psi_cols = []
-    for a, b in tq.basis:
-        # m -> a E(b m)
-        ea = {a: f.one}
-        g = LinMap(f, [M.mul_sparse(ea, e_into_m.apply(M.cell(b, m))) for m in range(M.dim)], M.dim)
+    for (a, b), g in zip(tq.basis, psi_maps):
         coords = endo.coords(g)
         if coords is None:
             failures.append({"kind": "psi-image-outside-End(M_N)", "pair": (a, b)})
             coords = {}
         psi_cols.append(coords)
-    psi = LinMap(f, psi_cols, endo.algebra.dim)
-    ident1 = phi.compose(psi) == LinMap.identity(f, level.algebra.dim)
-    ident2 = psi.compose(phi) == LinMap.identity(f, endo.algebra.dim)
+    psi = LinMap(f, psi_cols, endo.dim)
+    ident1 = phi.compose(psi) == LinMap.identity(f, alg1.dim)
+    ident2 = psi.compose(phi) == LinMap.identity(f, endo.dim)
     if not (ident1 and ident2):
         failures.append({"kind": "inverse-check-failed"})
-    return EndoIsoResult(not failures, endo.algebra.dim, failures)
+
+    def psi_of(y: dict) -> LinMap:
+        return map_combination(f, M.dim, y, psi_maps)
+
+    def multiplicative_on_generators() -> bool:
+        if psi_of(alg1.unit) != LinMap.identity(f, M.dim):
+            return False
+        for g in level.generators:
+            psi_g = psi_of(g)
+            for x in range(alg1.dim):
+                if psi_of(alg1.mul_sparse({x: f.one}, g)) != psi_maps[x].compose(psi_g):
+                    return False
+        return True
+
+    if failures or not level.verified or not multiplicative_on_generators():
+        morph = check_morphism(phi, endo.algebra, alg1)
+        if not morph.ok():
+            failures.insert(0, {"kind": "phi-not-iso", "detail": morph.failures[:2]})
+    return EndoIsoResult(not failures, endo.dim, failures)
+
+
+def _psi_maps(sys: FrobeniusSystem) -> list:
+    """psi on the basis of M1: the map m -> a E(b m) for each basis tensor a (x) b."""
+    M, f = sys.M, sys.M.field
+    e_into_m = sys.ext.e_into_m(sys.E)
+    return [LinMap(f, [M.mul_sparse({a: f.one}, e_into_m.apply(M.cell(b, m))) for m in range(M.dim)], M.dim)
+            for a, b in sys.tq.basis]
 
 
 # ---------------------------------------------------------------------------

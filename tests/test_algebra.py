@@ -27,7 +27,7 @@ from hopftower.galois import action_b_on_m1, smash_product
 from hopftower.hopf import sandwich_maps
 from hopftower.fields import PrimeField, RationalField
 from hopftower.fileio import algebra_to_dict, canonical_json, parse_algebra
-from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_add, sparse_axpy, sparse_vector
+from hopftower.linalg import Matrix, SparseSolver, rank, rref, sparse_add, sparse_axpy, sparse_scale, sparse_vector
 from hopftower.models import (
     cyclic_group,
     generate_example,
@@ -812,6 +812,26 @@ def test_subspace_coords_on_noncanonical_bases(field, n, data):
         assert not canon.equals(SubspaceBasis(sub.ambient, [sparse_vector(r) for r in moved]))
     with pytest.raises(AlgebraError):
         SubspaceBasis(sub.ambient, vectors + [v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Q, F5]), st.integers(1, 5), st.data())
+def test_equals_is_independent_of_the_given_basis(field, n, data):
+    """equals compares the canonical RREF rows of the spans: a subspace given
+    by shuffled, rescaled independent vectors equals its from_spanning, so
+    no caller needs to canonicalize before comparing."""
+    entry = st.integers(-3, 3).map(field.from_int)
+    vector = st.lists(entry, min_size=n, max_size=n).map(sparse_vector)
+    vectors = data.draw(st.lists(vector, max_size=n))
+    assume(span_dim(field, vectors) == len(vectors))
+    alg = group_algebra(cyclic_group(n), field)
+    scales = data.draw(st.lists(st.integers(1, 4).map(field.from_int), min_size=len(vectors), max_size=len(vectors)))
+    assume(all(scales))
+    given_basis = [sparse_scale(field, c, v) for c, v in zip(scales, vectors)]
+    order = data.draw(st.permutations(range(len(vectors))))
+    sub = SubspaceBasis(alg, [given_basis[i] for i in order])
+    assert sub.equals(SubspaceBasis.from_spanning(alg, sub.vectors))
+    assert SubspaceBasis.from_spanning(alg, vectors).equals(sub)
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])

@@ -44,3 +44,46 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
     (pkg / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
     (tmp_path / "setup.py").write_text("outside = True\n", encoding="utf-8")
     assert _recorder().src_lines(tmp_path) == 5
+
+
+def _pairs(parent: list, change: list, name: str = "verify_s") -> list:
+    return [{"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}} for p, c in zip(parent, change)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.00, inclusive IQR 0.035
+
+
+def test_claim_holds_needs_nine_pairs_and_a_gap_past_the_parent_iqr():
+    summarize = _recorder().summarize
+    lower = {"verify_s": "lower"}
+    bound = {"verify_s": 0.25}
+    faster = [p - 0.10 for p in PARENT]
+    row = summarize(_pairs(PARENT, faster), lower, bound)["verify_s"]
+    assert row["change_better_pairs"] == "10/10" and row["claim_holds"] and row["within_bound"]
+    # two lost pairs: 8/10 is not enough, whatever the gap
+    eight = faster[:8] + [p + 0.5 for p in PARENT[8:]]
+    assert not summarize(_pairs(PARENT, eight), lower, bound)["verify_s"]["claim_holds"]
+    # every pair won, but by less than the parent's interquartile range
+    close = [p - 0.01 for p in PARENT]
+    row = summarize(_pairs(PARENT, close), lower, bound)["verify_s"]
+    assert row["change_better_pairs"] == "10/10" and not row["claim_holds"]
+    # "higher" metrics win the other way
+    higher = summarize(_pairs(PARENT, [p + 0.10 for p in PARENT], "pass_ratio"), {"pass_ratio": "higher"},
+                       {"pass_ratio": 0.05})["pass_ratio"]
+    assert higher["claim_holds"] and higher["within_bound"]
+
+
+def test_within_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
+    summarize = _recorder().summarize
+    lower = {"peak_rss_mb": "lower"}
+    bound = {"peak_rss_mb": 0.1}
+    assert summarize(_pairs(PARENT, [p * 1.09 for p in PARENT], "peak_rss_mb"), lower, bound)["peak_rss_mb"][
+        "within_bound"]
+    worse = summarize(_pairs(PARENT, [p * 1.11 for p in PARENT], "peak_rss_mb"), lower, bound)["peak_rss_mb"]
+    assert not worse["within_bound"] and not worse["claim_holds"]
+    higher = {"pass_ratio": "higher"}
+    ratio = {"pass_ratio": 0.05}
+    assert summarize(_pairs(PARENT, [p * 0.96 for p in PARENT], "pass_ratio"), higher, ratio)["pass_ratio"][
+        "within_bound"]
+    assert not summarize(_pairs(PARENT, [p * 0.94 for p in PARENT], "pass_ratio"), higher, ratio)["pass_ratio"][
+        "within_bound"]

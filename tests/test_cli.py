@@ -240,6 +240,49 @@ def test_hopf_exits_1_when_the_hopf_axioms_fail(catalog_dir, tmp_path, capsys, m
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("kind", ["extension", "pair"])
+def test_hopf_reads_its_input_once(catalog_dir, tmp_path, monkeypatch, kind):
+    """hopf tells a pair file from an extension file on the one parse it makes."""
+    import builtins
+
+    from hopftower.fileio import algebra_to_dict
+    from hopftower.models import GROUPS, function_algebra, group_algebra
+    from hopftower.fields import RationalField
+
+    if kind == "extension":
+        path = catalog_dir / "ext0.json"
+    else:
+        Q, G = RationalField(), GROUPS["z2"]()
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "rational"},
+            "algebra_a": algebra_to_dict(group_algebra(G, Q)),
+            "algebra_b": algebra_to_dict(function_algebra(G, Q)),
+            "pairing": [["1", "0"], ["0", "1"]],
+        }))
+    real_open, opened = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["hopf", str(path), "--out", str(tmp_path / "dump")]) == 0
+    assert opened.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("command", ["hopf", "verify"])
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "bad-json", "not-utf8"])
+def test_input_errors_name_the_path(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    extra = ["--out", str(tmp_path / "dump")] if command == "hopf" else []
+    assert main([command, str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and str(path) in err
+
+
 def test_pair_check_command(tmp_path, capsys):
     from hopftower.fileio import algebra_to_dict, matrix_to_rows
     from hopftower.models import GROUPS, evaluation_pairing, function_algebra, group_algebra, group_hopf

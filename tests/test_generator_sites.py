@@ -157,9 +157,11 @@ def sites(monkeypatch):
         calls.append(("check_morphism", A, domain_generators, (f_map, B, out)))
         return out
 
-    def rec_condexp(ext, E, n_generators=None):
-        out = real_condexp(ext, E, n_generators)
-        calls.append(("condexp", ext.M.dim, n_generators, out))
+    def rec_condexp(ext, E, n_generators=None, module_generators=None):
+        # the tower decides a level's bimodule law on its module generators only
+        assert n_generators is None
+        out = real_condexp(ext, E, n_generators, module_generators)
+        calls.append(("condexp", ext.M.dim, module_generators, out))
         return out
 
     def rec_tq(self, M, N, factors=2, n_generators=None):
@@ -200,8 +202,9 @@ def test_honest_pipeline_takes_every_generator_path(sites, case_id):
     morphisms = [c for c in calls if c[0] == "check_morphism"]
     assert [c[1] for c in morphisms[:2]] == [t.M, t.M1]
     assert morphisms[1][2] is t.levels[0].generators
-    # each level's bimodule check runs on the generators of the level below
-    assert [c[2] for c in calls if c[0] == "condexp"] == [generators(t.M), t.levels[0].generators]
+    # each level's bimodule check runs on the module generators the level keeps
+    assert [c[2] for c in calls if c[0] == "condexp"] == [level.module_generators() for level in t.levels]
+    assert all(level.module_generators() is not None for level in t.levels)
     assert all(word_span_dim(A, gens) == A.dim for _, A, gens, _ in morphisms[:2])
     # each level's extension over the level below is built from the verified inclusion
     for level in t.levels:

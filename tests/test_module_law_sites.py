@@ -1,32 +1,52 @@
 """The module and bimodule laws of the tower, depth-2, Hopf and Galois stages
 decided on generators.
 
-Pimsner-Popa runs on the module generators of each tower level, the E_B and
-E_A bimodule laws on generators of B and A, both action identities of the
-Hopf stage and the module-algebra laws of the Galois stage on 1 and
-generators of the acted-on algebra. Each shortcut holds for a submodule's or
-a subalgebra's worth of elements once it holds on generators (the docstrings
-give the one-line proofs). These tests pin, on the model towers z2, z3 and z4
-over F7 and on the catalog's trivial extension, that each site reports what
-its basis scan reports, on the honest input and on perturbed ones, and that
-once a check failed every later site runs its basis scan.
+Pimsner-Popa, the bimodule law of each level's E and its Frobenius identities
+run on the module generators of each tower level, End(M_N) ~ M1 on level 1's
+generators, the E_B and E_A bimodule laws on generators of B and A, the
+Nakayama automorphisms on generators of C, A and B, the matrix units of C on
+their corners, the exchange relation on level 1's right-module generators,
+both action identities of the Hopf stage and the module-algebra laws of the
+Galois stage on 1 and generators of the acted-on algebra. Each shortcut holds
+for a submodule's or a subalgebra's worth of elements once it holds on
+generators (the docstrings give the one-line proofs). These tests pin, on the
+model towers z2, z3 and z4 over F7 and on the catalog (the tower sites over
+every catalog case over Q), that each site reports what its basis scan
+reports, on the honest input and on perturbed ones, and that once a check
+failed every later site runs its basis scan.
 """
 import functools
 from dataclasses import replace
 
 import pytest
-from conftest import bumped, with_failed_check
+from conftest import bumped, with_failed_check, word_span_dim
 
-from hopftower import depth2, galois, hopf, pipeline
-from hopftower.algebra import SubspaceBasis, generators
-from hopftower.depth2 import DepthTwoData, _bimodule_failures, _subalgebra_generators, conditional_expectations
-from hopftower.frobenius import CheckOutcome
+from hopftower import depth2, galois, hopf, pipeline, tower
+from hopftower.algebra import Algebra, SubspaceBasis, generators
+from hopftower.depth2 import (
+    DepthTwoData,
+    _bimodule_failures,
+    _subalgebra_generators,
+    conditional_expectations,
+    nakayama_relations,
+    verify_c_structure,
+)
+from hopftower.frobenius import (
+    CheckOutcome,
+    _automorphism_failures,
+    nakayama,
+    nakayama_of_functional,
+    scalar_of,
+    verify_conditional_expectation,
+    verify_frobenius_identities,
+)
+from hopftower.fields import RationalField
 from hopftower.galois import ModuleAlgebraAction, action_a_on_m, action_b_on_m1, verify_module_algebra
-from hopftower.hopf import _tower_axioms
-from hopftower.linalg import sparse_add
+from hopftower.hopf import _tower_axioms, sandwich_maps
+from hopftower.linalg import LinMap, sparse_add
 from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
-from hopftower.tower import verify_pimsner_popa
+from hopftower.tower import build_tower, verify_pimsner_popa
 
 CASES = ["f7/model:z2", "f7/model:z3", "f7/model:z4", "q/trivial"]
 
@@ -224,9 +244,9 @@ def tower_axiom_sites(monkeypatch):
     calls = []
     real = hopf._tower_axioms
 
-    def recording(H, t, d2, sandwiches, budget, y_generators=None):
+    def recording(H, t, d2, sandwiches, budget, y_generators=None, x_generators=None):
         calls.append(y_generators)
-        return real(H, t, d2, sandwiches, budget, y_generators)
+        return real(H, t, d2, sandwiches, budget, y_generators, x_generators)
 
     monkeypatch.setattr(hopf, "_tower_axioms", recording)
     return calls
@@ -319,3 +339,309 @@ def test_induced_algebra_is_built_once():
         fresh = SubspaceBasis(sub.ambient, sub.vectors).induced_algebra()
         assert first[0].table == fresh[0].table and first[0].unit == fresh[0].unit
         assert first[1] == fresh[1]
+
+
+# ---------------------------------------------------------------------------
+# the tower-level sites: condexp-bimodule, level-frobenius-identities and
+# endo-ring-iso on the module generators and generators of each level
+# ---------------------------------------------------------------------------
+
+CATALOG_Q = ["q/trivial", "q/quadratic-field", "q/group-pair:s3/a3", "q/group-pair:s3/z2", "q/group-pair:z4/z2",
+             "q/group-pair:z2/z1", "q/function-algebra:z2", "q/function-algebra:z3", "q/function-algebra:z4"]
+TOWER_CASES = CASES[:3] + CATALOG_Q
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(case: str):
+    """The tower of a model case, or of a catalog case over Q."""
+    if case.startswith("f7/model:"):
+        return _state(case).tower
+    example, _, rest = case[2:].partition(":")
+    params = dict(zip(("group", "subgroup"), rest.split("/"))) if rest else {}
+    t = run_pipeline(generate_example(example, dict(params, field="rational"))[0], upto="tower").state.tower
+    assert all(level.verified for level in t.levels)
+    return t
+
+
+@pytest.mark.parametrize("case", TOWER_CASES)
+def test_level_laws_same_on_module_generators(case):
+    """Each level's bimodule law of E and its Frobenius identities give the
+    scan's outcome on the level's module generators, on the honest level, on
+    a bumped E column and on a bumped element of one dual-basis pair."""
+    t = _tower(case)
+    rejected_e = rejected_pairs = 0
+    for k, level in enumerate(t.levels):
+        gens = level.module_generators()
+        sys, E, f = level.sys, level.cond_exp, level.algebra.field
+        ext = sys.ext
+        assert gens is not None
+        assert (verify_conditional_expectation(ext, E, module_generators=gens) == verify_conditional_expectation(ext, E)
+                == CheckOutcome(True, []))
+        assert verify_frobenius_identities(sys, gens) == verify_frobenius_identities(sys) == CheckOutcome(True, [])
+        for col in _spread(E.domain_dim, k):
+            for row in _spread(E.codomain_dim, col):
+                bad = bumped(E, row, col)
+                got = verify_conditional_expectation(ext, bad, module_generators=gens)
+                assert got == verify_conditional_expectation(ext, bad), (k, col, row)
+                rejected_e += not got.ok
+        for i in _spread(len(sys.dual_pairs), k):
+            for side in (0, 1):
+                for row in _spread(level.algebra.dim, i + side):
+                    pair = list(sys.dual_pairs[i])
+                    pair[side] = dict(pair[side])
+                    sparse_add(f, pair[side], row, f.one)
+                    bad_sys = replace(sys, dual_pairs=[tuple(pair) if n == i else p for n, p in enumerate(sys.dual_pairs)])
+                    got = verify_frobenius_identities(bad_sys, gens)
+                    assert got == verify_frobenius_identities(bad_sys), (k, i, side, row)
+                    rejected_pairs += not got.ok
+    assert rejected_e > 0 and rejected_pairs > 0
+
+
+@pytest.fixture
+def endo_tables(monkeypatch):
+    """Record each check_morphism call endo_ring_iso makes: the scan that
+    forms End(M_N)'s multiplication table."""
+    calls = []
+    real = tower.check_morphism
+
+    def recording(f_map, A, B, domain_generators=None):
+        calls.append(A)
+        return real(f_map, A, B, domain_generators)
+
+    monkeypatch.setattr(tower, "check_morphism", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", TOWER_CASES)
+def test_endo_ring_iso_same_on_generators(case, endo_tables, monkeypatch):
+    """psi(1) = id and psi multiplicative on level 1's generators decide
+    End(M_N) ~ M1 without End's multiplication table; an unverified level
+    and a bumped psi map run the scan over basis pairs with its outcome."""
+    t = _tower(case)
+    endo_tables.clear()  # the inclusion checks, when the tower is built here
+    sys, level = t.base_sys, t.levels[0]
+    honest = tower.endo_ring_iso(sys, level)
+    assert honest.ok and endo_tables == []
+    assert tower.endo_ring_iso(sys, replace(level, verified=False)) == honest and len(endo_tables) == 1
+    # M1 with its opposite product, still associative: phi and psi stay mutually
+    # inverse, and psi is multiplicative exactly when M1 is commutative
+    alg = level.algebra
+    op = replace(level, algebra=Algebra.from_entries(alg.field, alg.dim, [(j, i, k, c) for i, j, k, c in alg.entries()],
+                                                     alg.unit))
+    got = tower.endo_ring_iso(sys, op)
+    assert got == tower.endo_ring_iso(sys, replace(op, verified=False))
+    assert got.ok == (op.algebra.table == alg.table)
+    real = tower._psi_maps
+    rejected = 0
+    for q in _spread(level.algebra.dim, 1):
+        for row in _spread(t.M.dim, q):
+            monkeypatch.setattr(tower, "_psi_maps", lambda s, q=q, row=row: [
+                bumped(m, row, (row + q) % t.M.dim) if n == q else m for n, m in enumerate(real(s))])
+            got = tower.endo_ring_iso(sys, level)
+            assert got == tower.endo_ring_iso(sys, replace(level, verified=False)), (q, row)
+            rejected += not got.ok
+    assert rejected > 0
+
+
+@pytest.fixture
+def level_sites(monkeypatch):
+    """Record the module generators each level's bimodule check and
+    Frobenius identities are handed."""
+    calls = []
+    real_condexp, real_identities = tower.verify_conditional_expectation, tower.verify_frobenius_identities
+
+    def rec_condexp(ext, E, n_generators=None, module_generators=None):
+        calls.append(("condexp", module_generators))
+        return real_condexp(ext, E, n_generators, module_generators)
+
+    def rec_identities(sys, module_generators=None):
+        calls.append(("identities", module_generators))
+        return real_identities(sys, module_generators)
+
+    monkeypatch.setattr(tower, "verify_conditional_expectation", rec_condexp)
+    monkeypatch.setattr(tower, "verify_frobenius_identities", rec_identities)
+    return calls
+
+
+def test_level_sites_need_a_verified_level(level_sites, endo_tables):
+    """On a verified base each level hands its module generators to both
+    checks and endo-ring-iso forms no table; on an unverified one every level
+    runs the scans."""
+    sys = _tower("q/group-pair:s3/z2").base_sys
+    honest = build_tower(sys, base_verified=True)
+    assert level_sites == [(site, level.module_generators()) for level in honest.levels
+                           for site in ("condexp", "identities")]
+    level_sites.clear()
+    unverified = build_tower(sys, base_verified=False)
+    assert level_sites == [(site, None) for _ in range(2) for site in ("condexp", "identities")]
+    assert [level.checks for level in unverified.levels] == [level.checks for level in honest.levels]
+    endo_tables.clear()  # the inclusion checks of both builds
+    assert tower.endo_ring_iso(sys, honest.levels[0]).ok and endo_tables == []
+    assert tower.endo_ring_iso(sys, unverified.levels[0]).ok and len(endo_tables) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Hopf-path sites: the Nakayama automorphisms, the exchange relation and
+# the matrix units of C
+# ---------------------------------------------------------------------------
+
+
+def _nakayama_generators(t, d2) -> tuple:
+    """S_A, S_B and incl2(S_A) + S_B in C coordinates, as nakayama_relations forms them."""
+    s_a, s_b = d2.A.induced_generators(), d2.B.induced_generators()
+    a_embed, b_embed = d2.A.induced_algebra()[1], d2.B.induced_algebra()[1]
+    s_c = [d2.C.coords(t.incl2.apply(a_embed.apply(g))) for g in s_a] + [d2.C.coords(b_embed.apply(g)) for g in s_b]
+    return s_a, s_b, s_c
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_nakayama_same_on_generators(case):
+    """q, q_A, q_B and q~ are checked multiplicative on generators with the
+    scan's outcome, on the honest maps and on each bumped q; the Gram-pass
+    Nakayama map of a functional is the one the scope-based solver gives."""
+    state = _state(case)
+    t, d2 = state.tower, state.d2
+    on_gens = nakayama_relations(t, d2, on_generators=True)
+    assert on_gens == nakayama_relations(t, d2) and on_gens.report.ok
+    s_a, s_b, s_c = _nakayama_generators(t, d2)
+    rejected = 0
+    for sub, q, gens, functional in ((d2.C, on_gens.q_C, s_c, t.F), (d2.A, on_gens.q_A, s_a, t.E_M),
+                                     (d2.B, on_gens.q_B, s_b, t.E_M1)):
+        alg = sub.induced_algebra()[0]
+        assert word_span_dim(alg, gens) == alg.dim
+        row = [scalar_of(_values_in(t, functional), functional.apply(v)) for v in sub.vectors]
+        whole = SubspaceBasis(alg, [{i: alg.field.one} for i in range(alg.dim)])
+        phi = LinMap(alg.field, [{0: c} if c else {} for c in row], 1)
+        assert nakayama_of_functional(alg, row, gens) == nakayama_of_functional(alg, row) == nakayama(alg, phi, whole)
+        assert nakayama_of_functional(alg, row).map == q
+        for col in _spread(alg.dim, 0):
+            for r in _spread(alg.dim, col):
+                bad = bumped(q, r, col)
+                got = _automorphism_failures(bad, alg, gens)
+                assert got == _automorphism_failures(bad, alg, None), (col, r)
+                rejected += any(x["kind"] == "not-multiplicative" for x in got)
+    assert rejected > 0
+
+
+def test_automorphism_check_needs_every_generator():
+    """On k[x, y]/(x^2, y^2), with basis 1, x, y, xy and generators x, y, the
+    unital map q(y) = y + 1, q(xy) = xy + x is multiplicative on every pair
+    (e_i, x) but not on (y, y): the check reads every generator."""
+    f = RationalField()
+    one = f.one
+    alg = Algebra.from_entries(f, 4, [(0, j, j, one) for j in range(4)] + [(j, 0, j, one) for j in (1, 2, 3)]
+                               + [(1, 2, 3, one), (2, 1, 3, one)], {0: one})
+    gens = generators(alg)
+    assert gens == [{1: one}, {2: one}]
+    q = LinMap(f, [{0: one}, {1: one}, {2: one, 0: one}, {3: one, 1: one}], 4)
+    got = _automorphism_failures(q, alg, gens)
+    assert got == _automorphism_failures(q, alg, None)
+    assert {"kind": "not-multiplicative", "pair": (2, 2)} in got
+
+
+def _values_in(t, functional):
+    """The algebra a scalar-valued functional of the tower takes values in."""
+    return t.M1 if functional is t.E_M1 else t.M
+
+
+def test_nakayama_gates(monkeypatch):
+    """Every check before nakayama-relations passed: generators; a failed
+    c-structure (C may then not be AB): the scan, with the same relations."""
+    calls = []
+    real = pipeline.nakayama_relations
+
+    def recording(t, d2, on_generators=False):
+        out = real(t, d2, on_generators)
+        calls.append((on_generators, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "nakayama_relations", recording)
+    _run("f7/model:z3")
+    assert calls[-1][0] is True and calls[-1][1].report.ok
+    real_c = pipeline.verify_c_structure
+    monkeypatch.setattr(pipeline, "verify_c_structure",
+                        lambda t, d2: CheckOutcome(False, real_c(t, d2).failures + [{"kind": "failed"}]))
+    _run("f7/model:z3")
+    assert calls[-1][0] is False and calls[-1][1] == calls[0][1]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_exchange_relation_same_on_module_generators(case):
+    """The exchange relation on level 1's G_R gives the scan's failure list,
+    on the honest sandwich maps and with one left sandwich map bumped."""
+    state = _state(case)
+    t, d2, H_B = state.tower, state.d2, state.H_B
+    x_gens = t.levels[0].module_generators()[1]
+    left, right = state.sandwiches
+    assert _tower_axioms(H_B, t, d2, state.sandwiches, 8, None, x_gens) == _tower_axioms(
+        H_B, t, d2, state.sandwiches, 8) == []
+    rejected = 0
+    for j, m in enumerate(left):
+        for row in _spread(m.codomain_dim, j):
+            maps = [bumped(x, row, (5 * j + row) % m.domain_dim) if n == j else x for n, x in enumerate(left)]
+            for budget in (2, 8):
+                got = _tower_axioms(H_B, t, d2, (maps, right), budget, None, x_gens)
+                assert got == _tower_axioms(H_B, t, d2, (maps, right), budget), (j, row, budget)
+                rejected += any(x["kind"] == "exchange-relation" for x in got)
+    assert rejected > 0
+
+
+@pytest.fixture
+def exchange_sites(monkeypatch):
+    calls = []
+    real = hopf._tower_axioms
+
+    def recording(H, t, d2, sandwiches, budget, y_generators=None, x_generators=None):
+        calls.append(x_generators)
+        return real(H, t, d2, sandwiches, budget, y_generators, x_generators)
+
+    monkeypatch.setattr(hopf, "_tower_axioms", recording)
+    return calls
+
+
+def test_exchange_relation_gates(exchange_sites):
+    """G_R is handed on only while level 2 is verified and the designated B
+    commutes with incl(S_M): a B that does not gets the scan."""
+    state = _state("f7/model:z3")
+    t, d2, H_B = state.tower, state.d2, state.H_B
+    honest = hopf.verify_hopf_axioms(H_B, tower_ctx=(t, d2, state.sandwiches))
+    assert honest.ok and exchange_sites[-1] is t.levels[0].module_generators()[1]
+    out = hopf.verify_hopf_axioms(H_B, tower_ctx=(with_failed_check(t, 1, "algebra-axioms"), d2, state.sandwiches))
+    assert out == honest and exchange_sites[-1] is None
+    M2, one = t.M2, t.M2.field.one
+    other = replace(d2, B=SubspaceBasis(M2, [{k: one} for k in range(d2.B.dim)]))
+    m_in_m2 = [t.incl2.apply(g) for g in t.levels[0].incl_generators]
+    assert not all(M2.commutes(b, m) for b in other.B.vectors for m in m_in_m2)
+    sandwiches = sandwich_maps(t, other)
+    out = hopf.verify_hopf_axioms(H_B, tower_ctx=(t, other, sandwiches))
+    assert exchange_sites[-1] is None
+    assert not out.ok and out.failures == hopf._tower_axioms(H_B, t, other, sandwiches, 8)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_matrix_units_same_from_corners(case, monkeypatch):
+    """The matrix-unit relations decided from the corners xi_i0, xi_0j give
+    the n^4 scan's outcome, on the honest units and with one u_i moved inside
+    B; an unverified level 2 runs the scan only."""
+    state = _state(case)
+    t, d2 = state.tower, state.d2
+    unverified = with_failed_check(t, 1, "algebra-axioms")
+    corners = []
+    real = depth2._matrix_units_from_corners
+    monkeypatch.setattr(depth2, "_matrix_units_from_corners", lambda *a: corners.append(a) or real(*a))
+    honest = verify_c_structure(t, d2)
+    assert honest.ok and len(corners) == 1
+    assert verify_c_structure(unverified, d2) == honest and len(corners) == 1
+    u, v = d2.uv
+    f = t.M2.field
+    rejected = 0
+    for i in range(len(u)):
+        for k in _spread(d2.B.dim, i):
+            moved = dict(u[i])
+            for key, c in d2.B.vectors[k].items():
+                sparse_add(f, moved, key, c)
+            bad = replace(d2, uv=([moved if n == i else x for n, x in enumerate(u)], v))
+            got = verify_c_structure(t, bad)
+            assert got == verify_c_structure(unverified, bad), (i, k)
+            rejected += any(x["kind"] == "matrix-unit-relations" for x in got.failures)
+    assert rejected > 0

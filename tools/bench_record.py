@@ -14,7 +14,9 @@ from the repository root, for example:
 The file names each side's commit, the git tree of its ``src/`` and the line
 count of the Python files under that ``src/``. It holds,
 per workload, every pair's end-to-end metrics, each side's median and
-quartiles with the number of pairs the change won, and the full ``results``
+quartiles with the number of pairs the change won and the two verdicts of
+the acceptance rule (``summarize``; the bounds are read from the change's
+``BENCHMARK.json``), and the full ``results``
 line of the first pair on each side; and, per workload and side, the median
 of each per-layer metric over the traced runs, beside each traced run's
 metrics and ``results`` line.
@@ -82,21 +84,28 @@ def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return {"metrics": json.loads(lines[-1]), "results": json.loads(lines[-2][len("results "):])}
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change
-    won (ties count for neither side)."""
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change won
+    (ties count for neither side), and the verdicts of the acceptance rule:
+    - claim_holds: the change won at least 9 in 10 of the pairs, and its
+      median beats the parent's by more than the parent's interquartile range;
+    - within_bound: the change median is no worse than the parent median by
+      more than the metric's bound, a fraction of the parent median.
+    """
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
-        lower = better[name] == "lower"
+        sign = 1 if better[name] == "lower" else -1  # sign * (parent - change) > 0: the change is better
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         row = {}
         for side in SIDES:
             q1, med, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             row[side] = {"median": med, "q1": q1, "q3": q3}
-        wins = sum(
-            (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])
-        )
+        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
         row["change_better_pairs"] = f"{wins}/{len(pairs)}"
+        parent, change = row["parent"], row["change"]
+        gap = sign * (parent["median"] - change["median"])
+        row["claim_holds"] = 10 * wins >= 9 * len(pairs) and gap > parent["q3"] - parent["q1"]
+        row["within_bound"] = -gap <= bounds[name] * abs(parent["median"])
         out[name] = row
     return out
 
@@ -115,6 +124,7 @@ def compare(args, work: Path) -> dict:
     sides = {side: export(getattr(args, side), roots[side]) for side in SIDES}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     record = {"command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
               "sides": sides, "workloads": {}, "trace": {}}
     for workload in WORKLOADS:
@@ -134,7 +144,7 @@ def compare(args, work: Path) -> dict:
             for p in pairs
         ]
         record["workloads"][workload] = {
-            "summary": summarize(flat, better),
+            "summary": summarize(flat, better, bounds),
             "pairs": flat,
             "results_first_pair": {s: pairs[0][s]["results"] for s in SIDES},
         }
