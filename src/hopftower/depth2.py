@@ -17,20 +17,26 @@ B at level 2). Each level takes one route with no tuning knob:
    Frobenius sums on one-sided module generators.
 
 A level passes only on a verified witness, and the two paths agree when the
-verdict equals the solvability of the tensor system. Steps 2 and 4 rest on
-one lemma (proof at _frobenius_sums_hold): once up is associative and E a
-down-bimodule map, both Frobenius sums are one-sided down-module maps, so an
-identity that holds on generators G_L with span(incl(down) . G_L) = up, or
-G_R with span(G_R . incl(down)) = up, holds on all of up. A level that is
-not verified runs both steps on the basis.
+verdict equals the solvability of the tensor system. When step 3 runs out of
+combinations while the tensor system is solvable, the search stopped without
+deciding (DepthTwoLevelVerdict.exhausted). An irreducible depth-2 level
+never gets there: M1 = M (x)_R A with R = C_M(N) (Kadison-Szlachanyi,
+Adv. Math. 179, 2003), so R = k gives dim A = dim M1 / dim M = n0 and the
+level takes the exact gram_route. Steps 2 and 4 rest on one lemma (proof at
+_frobenius_sum_failures): once up is associative and E a down-bimodule map,
+both Frobenius sums are one-sided down-module maps, so an identity that
+holds on generators G_L with span(incl(down) . G_L) = up, or G_R with
+span(G_R . incl(down)) = up, holds on all of up. A level that is not
+verified runs both steps on the basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional
 
-from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer
-from .frobenius import CheckOutcome, nakayama, nakayama_of_functional, scalar_of
+from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer, law_failures
+from .frobenius import CheckOutcome, both_sides, frobenius_failures, nakayama, nakayama_of_functional, scalar_of, sided
 from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
 
 
@@ -47,6 +53,8 @@ class DepthTwoLevelVerdict:
     # dim scope == n0: the free basis is the scope basis itself and w is the
     # inverse Gram solve (report key gram_route)
     gram_route: bool = False
+    # combinations tried when the free-basis search ran out: a stopped search
+    exhausted: Optional[int] = None
 
 
 @dataclass
@@ -122,15 +130,10 @@ class _LevelContext:
     cond_exp: LinMap  # up -> down coords
     down_in_up: LinMap  # down coords -> up
     scope: SubspaceBasis  # A (level 1) or B (level 2), inside up
-    # the elements the Frobenius sums are checked on: span(incl(down) . left_gens)
-    # = up = span(right_gens . incl(down)), or the basis of up
+    # span(incl(down) . left_gens) = up = span(right_gens . incl(down)), or
+    # None: the Frobenius sums are then checked on the basis of up
     left_gens: Optional[list] = None
     right_gens: Optional[list] = None
-
-    def __post_init__(self):
-        basis = [{x: self.up.field.one} for x in range(self.up.dim)]
-        self.left_gens = basis if self.left_gens is None else self.left_gens
-        self.right_gens = basis if self.right_gens is None else self.right_gens
 
 
 def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
@@ -138,8 +141,8 @@ def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
 
     When the level is verified, the Frobenius sums are checked on the
     one-sided module generators the level formed from its dual bases
-    (TowerLevel.module_generators; see _frobenius_sums_hold). Otherwise on the
-    basis.
+    (TowerLevel.module_generators; see _frobenius_sum_failures). Otherwise
+    on the basis.
     """
     left, right = level.module_generators() or (None, None)
     return _LevelContext(up=level.algebra, down=level.below, cond_exp=level.cond_exp,
@@ -186,6 +189,7 @@ def _decide_level(ctx: _LevelContext, verdict: DepthTwoLevelVerdict) -> Optional
     if z is None:
         if s == n0:
             return "the centralizer basis is not a free module basis"
+        verdict.exhausted = s * s
         return f"no free module basis among {s * s} combinations of the centralizer basis"
     w = _dual_w(ctx, z)
     if w is None:
@@ -266,20 +270,6 @@ def _dual_w(ctx: _LevelContext, z: list) -> Optional[list]:
     return [scope.apply(x) for x in xs]
 
 
-def _frobenius_sum(ctx: _LevelContext, z: list, w: list, x: dict, side: str) -> dict:
-    """sum_i incl(E(x z_i)) w_i (side "left") or sum_i z_i incl(E(w_i x)) (side "right")."""
-    f = ctx.up.field
-    up, cond, down_in_up = ctx.up, ctx.cond_exp, ctx.down_in_up
-    acc: dict = {}
-    for zi, wi in zip(z, w):
-        if side == "left":
-            term = up.mul_sparse(down_in_up.apply(cond.apply(up.mul_sparse(x, zi))), wi)
-        else:
-            term = up.mul_sparse(zi, down_in_up.apply(cond.apply(up.mul_sparse(wi, x))))
-        sparse_axpy(f, acc, f.one, term)
-    return acc
-
-
 def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
     """All defining equations, exactly: membership of w in the scope,
     orthogonality E(w_i z_j) = delta_ij 1, and both Frobenius sums."""
@@ -293,32 +283,31 @@ def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
         for j, zj in enumerate(z):
             if cond.apply(up.mul_sparse(wi, zj)) != (down_unit if i == j else {}):
                 return False, f"orthogonality fails at ({i}, {j})"
-    return _frobenius_sums_hold(ctx, z, w)
+    found = _frobenius_sum_failures(ctx, z, w)
+    return (False, f"Frobenius sum fails at basis {found[0][0]}") if found else (True, "")
 
 
-def _frobenius_sums_hold(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
-    """sum_i incl(E(x z_i)) w_i = x = sum_i z_i incl(E(w_i x)) for all x in up.
+def _frobenius_sum_failures(ctx: _LevelContext, z: list, w: list) -> list:
+    """The first basis element where L(x) = sum_i incl(E(x z_i)) w_i = x or
+    R(x) = sum_i z_i incl(E(w_i x)) = x fails, as (x, L(x), R(x)), or []:
+    the Frobenius identities of the pairs (z_i, w_i) (frobenius_failures).
 
     Checked on one-sided module generators. Where _level_context passes them,
     up is associative, E a down-bimodule map and incl multiplicative, so
-    L(x) = sum incl(E(x z_i)) w_i has L(incl(d) x) = incl(d) L(x), and
-    R(x) = sum z_i incl(E(w_i x)) has R(x incl(d)) = R(x) incl(d):
+    L(incl(d) x) = incl(d) L(x) and R(x incl(d)) = R(x) incl(d):
     {x : L(x) = x} is a left and {x : R(x) = x} a right down-submodule of up,
     for any z and w. So L = id on left_gens, with
     span(incl(down) . left_gens) = up, gives L = id on up, and R likewise on
-    right_gens. When either fails, the loop over every basis x runs, so the
-    reason names its first failing basis element.
+    right_gens. Otherwise, or on a failure there, the basis is scanned
+    (law_failures).
     """
-    if all(_frobenius_sum(ctx, z, w, g, "left") == g for g in ctx.left_gens) and all(
-        _frobenius_sum(ctx, z, w, g, "right") == g for g in ctx.right_gens
-    ):
-        return True, ""
-    one = ctx.up.field.one
-    for x in range(ctx.up.dim):
-        ex = {x: one}
-        if _frobenius_sum(ctx, z, w, ex, "left") != ex or _frobenius_sum(ctx, z, w, ex, "right") != ex:
-            return False, f"Frobenius sum fails at basis {x}"
-    return True, ""
+    up, pairs = ctx.up, list(zip(z, w))
+
+    def e_m(x: dict) -> dict:
+        return ctx.down_in_up.apply(ctx.cond_exp.apply(x))
+
+    gens = None if ctx.left_gens is None else sided(ctx.left_gens, ctx.right_gens)
+    return law_failures(lambda els: frobenius_failures(up, e_m, pairs, els), gens, lambda: both_sides(up), 1)
 
 
 def _tensor_membership(ctx: _LevelContext) -> bool:
@@ -330,7 +319,7 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
     For T = sum T_pq s_p (x) s_q, the left contraction
     sum T_pq incl(E(x s_p)) s_q is a left and the right one
     sum T_qp s_q incl(E(s_p x)) a right down-module map (as in
-    _frobenius_sums_hold), so imposing the identities at x in left_gens and
+    _frobenius_sum_failures), so imposing the identities at x in left_gens and
     right_gens keeps exactly the solutions of imposing them at every basis x.
     """
     f = ctx.up.field
@@ -342,8 +331,9 @@ def _tensor_membership(ctx: _LevelContext) -> bool:
     scope_sparse = ctx.scope.vectors
     cond, down_in_up = ctx.cond_exp, ctx.down_in_up
     solver = SparseSolver(f, s * s)
+    basis = [{x: f.one} for x in range(d)]
     for side, gens in (("left", ctx.left_gens), ("right", ctx.right_gens)):
-        for g in gens:
+        for g in basis if gens is None else gens:
             rows: list[dict] = [dict() for _ in range(d)]
             for p in range(s):
                 if side == "left":
@@ -375,9 +365,10 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
     e1 c e1 = e1 E_M1(c), C isomorphic to a full matrix algebra via explicit
     matrix units from B (x) B, char k does not divide n, dim A = dim B.
 
-    While level 2 is verified, so M2 is associative, the n^4 matrix-unit
-    relations are first decided by the 2 n^2 of _matrix_units_from_corners;
-    when those fail, every relation is checked."""
+    The relations xi_ij xi_kl = delta_jk xi_il run on the corner tuples
+    (i, 0, 0, j), (0, j, k, 0) while level 2 is verified, so M2 is
+    associative: xi_ij xi_kl = xi_i0 (xi_0j xi_k0) xi_0l = delta_jk xi_il.
+    Else, or on a failure there, on all n^4 tuples (law_failures)."""
     f = t.M.field
     M2 = t.M2
     failures = []
@@ -443,17 +434,18 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
                 if C.coords(units[i][j]) is None:
                     failures.append({"kind": "matrix-unit-outside-C", "pair": (i, j)})
                     ok = False
-        if ok and not (t.levels[1].verified and _matrix_units_from_corners(M2, units, n)):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            expected = units[i][l] if j == k else {}
-                            if M2.mul_sparse(units[i][j], units[k][l]) != expected:
-                                failures.append(
-                                    {"kind": "matrix-unit-relations", "tuple": (i, j, k, l)}
-                                )
-                                ok = False
+        if ok:
+            def unit_failures(tuples: list) -> Iterator[dict]:
+                for i, j, k, l in tuples:
+                    if M2.mul_sparse(units[i][j], units[k][l]) != (units[i][l] if j == k else {}):
+                        yield {"kind": "matrix-unit-relations", "tuple": (i, j, k, l)}
+
+            corners = [(i, 0, 0, j) for i in range(n) for j in range(n)]
+            corners += [(0, j, k, 0) for j in range(n) for k in range(n)]
+            found = law_failures(unit_failures, corners if t.levels[1].verified else None,
+                                 lambda: product(range(n), repeat=4), n ** 4)
+            failures += found
+            ok = not found
             total: dict = {}
             for i in range(n):
                 sparse_axpy(f, total, f.one, units[i][i])
@@ -462,15 +454,6 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
             if ok and n * n != C.dim:
                 failures.append({"kind": "C-not-matrix-algebra-dimension", "dims": (n * n, C.dim)})
     return CheckOutcome(not failures, failures)
-
-
-def _matrix_units_from_corners(M2: Algebra, units: list, n: int) -> bool:
-    """xi_ij = xi_i0 xi_0j and xi_0j xi_k0 = delta_jk xi_00, which give every
-    relation xi_ij xi_kl = delta_jk xi_il in an associative M2:
-    xi_ij xi_kl = xi_i0 (xi_0j xi_k0) xi_0l = delta_jk (xi_i0 xi_00) xi_0l, and
-    xi_i0 xi_00 = xi_i0, xi_i0 xi_0l = xi_il are the first identity."""
-    return all(M2.mul_sparse(units[i][0], units[0][j]) == units[i][j] for i in range(n) for j in range(n)) and all(
-        M2.mul_sparse(units[0][j], units[k][0]) == (units[0][0] if j == k else {}) for j in range(n) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -490,27 +473,12 @@ def _subalgebra_generators(sub: SubspaceBasis) -> Optional[list]:
     return [embed.apply(g) for g in gens]
 
 
-def _one_sided_laws_hold(C: SubspaceBasis, E: LinMap, below: Algebra, gens: list, into_m2) -> bool:
-    """E(s c) = s E(c) and E(c s) = E(c) s, with s c and c s in C, for every s
-    in gens and every basis c of C."""
-    M2 = C.ambient
-    for s in gens:
-        sh = into_m2(s)
-        for c, e_c in zip(C.vectors, E.columns):
-            for prod, expected in ((M2.mul_sparse(sh, c), below.mul_sparse(s, e_c)),
-                                   (M2.mul_sparse(c, sh), below.mul_sparse(e_c, s))):
-                coords = C.coords(prod)
-                if coords is None or E.apply(coords) != expected:
-                    return False
-    return True
-
-
 def _bimodule_failures(C: SubspaceBasis, E: LinMap, below: Algebra, sub: list, into_m2, label: str,
                        gens: Optional[list] = None) -> list:
     """Failures of the bimodule law E(s c s') = s E(c) s' of E: C -> below
     (C coordinates in, below coordinates out), for s, s' in the basis sub of
     a subalgebra of below acting on M2 through into_m2, and c in the basis of
-    C, with s c s' in C.
+    C, with s c s' in C; at most one per (s, c).
 
     Given gens, elements whose words with 1 span sub (pass them only once M2
     and below are associative and into_m2 a unital homomorphism), the laws
@@ -519,26 +487,37 @@ def _bimodule_failures(C: SubspaceBasis, E: LinMap, below: Algebra, sub: list, i
     form a subalgebra, as (s s')c = s(s'c) and
     E(s s' c) = s E(s'c) = s s' E(c), and likewise on the right; so the laws
     hold for all of sub, and then E(s c s') = s E(c s') = s E(c) s'. On any
-    failure there, every basis triple (s, c, s') is checked, so the failures
-    listed are always that scan's.
+    failure there, every failure of the scan over basis triples (s, c, s') is
+    listed (law_failures).
     """
     M2 = C.ambient
-    if gens is not None and _one_sided_laws_hold(C, E, below, gens, into_m2):
-        return []
-    failures = []
-    sub_in_m2 = [into_m2(s) for s in sub]
-    for s, sh in zip(sub, sub_in_m2):
-        for i, c_vec in enumerate(C.vectors):
-            for s2, s2h in zip(sub, sub_in_m2):
-                coords = C.coords(M2.mul_sparse(M2.mul_sparse(sh, c_vec), s2h))
-                if coords is None:
-                    failures.append({"kind": f"{label}C{label}-product-outside-C"})
-                    break
-                rhs = below.mul_sparse(below.mul_sparse(s, E.columns[i]), s2)
-                if E.apply(coords) != rhs:
-                    failures.append({"kind": f"E_{label}-bimodule", "basis": i})
-                    break
-    return failures
+
+    def failures(factors: list) -> Iterator[dict]:
+        """Over factors [(s, [s', ...])], each s and s' a pair (in below, in M2)
+        or None for 1, which costs no product: E(s c s') != s E(c) s' in loop
+        order s, c, s', the first failure of each (s, c)."""
+        for s, rights in factors:
+            for i, c_vec in enumerate(C.vectors):
+                sc = c_vec if s is None else M2.mul_sparse(s[1], c_vec)
+                s_ec = E.columns[i] if s is None else below.mul_sparse(s[0], E.columns[i])
+                for r in rights:
+                    coords = C.coords(sc if r is None else M2.mul_sparse(sc, r[1]))
+                    if coords is None:
+                        yield {"kind": f"{label}C{label}-product-outside-C"}
+                        break
+                    if E.apply(coords) != (s_ec if r is None else below.mul_sparse(s_ec, r[0])):
+                        yield {"kind": f"E_{label}-bimodule", "basis": i}
+                        break
+
+    def triples() -> list:
+        pairs = [(s, into_m2(s)) for s in sub]
+        return [(s, pairs) for s in pairs]
+
+    one_sided = None
+    if gens is not None:  # E(g c) = g E(c), then E(c g) = E(c) g
+        pairs = [(g, into_m2(g)) for g in gens]
+        one_sided = [(g, [None]) for g in pairs] + [(None, pairs)]
+    return law_failures(failures, one_sided, triples, len(sub) * C.dim)
 
 
 def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Optional[LinMap], CheckOutcome]:

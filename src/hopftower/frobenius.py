@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import (
     Algebra,
@@ -284,6 +284,37 @@ def scalar_of(M: Algebra, v: dict):
     return c if sparse_scale(f, c, unit) == v else None
 
 
+def frobenius_failures(M: Algebra, e_m: Callable[[dict], dict], pairs: list, elements: list) -> Iterator[tuple]:
+    """(k, L(m), R(m)) for the k-th (m, sides) of elements where a side named
+    fails, with L(m) = sum e_m(m x_i) y_i and R(m) = sum x_i e_m(y_i m) over
+    the pairs (x_i, y_i) and e_m an expectation followed by its inclusion; a
+    side not named counts as m. The left side is formed first."""
+    f = M.field
+    for k, (m, sides) in enumerate(elements):
+        left = right = m
+        if "left" in sides:
+            left = {}
+            for x, y in pairs:
+                sparse_axpy(f, left, f.one, M.mul_sparse(e_m(M.mul_sparse(m, x)), y))
+        if "right" in sides:
+            right = {}
+            for x, y in pairs:
+                sparse_axpy(f, right, f.one, M.mul_sparse(x, e_m(M.mul_sparse(y, m))))
+        if left != m or right != m:
+            yield k, left, right
+
+
+def sided(left: list, right: list) -> list:
+    """(m, sides) elements: the left side on each m in left, then the right
+    side on each m in right."""
+    return [(m, ("left",)) for m in left] + [(m, ("right",)) for m in right]
+
+
+def both_sides(M: Algebra) -> list:
+    """(m, sides) elements: both sides on each basis element of M, in order."""
+    return [({m: M.field.one}, ("left", "right")) for m in range(M.dim)]
+
+
 def verify_frobenius_identities(sys: FrobeniusSystem, module_generators: Optional[tuple] = None) -> CheckOutcome:
     """Both identities L(m) = sum E(m x_i) y_i = m = sum x_i E(y_i m) = R(m) on every basis m.
 
@@ -294,27 +325,9 @@ def verify_frobenius_identities(sys: FrobeniusSystem, module_generators: Optiona
     {m : R(m) = m} a right N-submodule.
     """
     M, f = sys.M, sys.M.field
-    e_m = sys.ext.e_into_m(sys.E)
-
-    def failures(elements: list) -> Iterator[tuple]:
-        """(k, L(m), R(m)) for the k-th (m, sides) where a side named fails;
-        a side not named counts as m."""
-        for k, (m, sides) in enumerate(elements):
-            left = right = m
-            if "left" in sides:
-                left = {}
-                for x, y in sys.dual_pairs:
-                    sparse_axpy(f, left, f.one, M.mul_sparse(e_m.apply(M.mul_sparse(m, x)), y))
-            if "right" in sides:
-                right = {}
-                for x, y in sys.dual_pairs:
-                    sparse_axpy(f, right, f.one, M.mul_sparse(x, e_m.apply(M.mul_sparse(y, m))))
-            if left != m or right != m:
-                yield k, left, right
-
-    gens = None if module_generators is None else (
-        [(m, ("left",)) for m in module_generators[0]] + [(m, ("right",)) for m in module_generators[1]])
-    found = law_failures(failures, gens, lambda: [({m: f.one}, ("left", "right")) for m in range(M.dim)], 3)
+    e_m = sys.ext.e_into_m(sys.E).apply
+    gens = None if module_generators is None else sided(*module_generators)
+    found = law_failures(lambda els: frobenius_failures(M, e_m, sys.dual_pairs, els), gens, lambda: both_sides(M), 3)
     w = f.witness
     return CheckOutcome(not found, [{"basis": k, "left": w(M.to_dense(left)), "right": w(M.to_dense(right))}
                                     for k, left, right in found])

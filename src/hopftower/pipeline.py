@@ -18,9 +18,11 @@ tower keeps the same fact per level as TowerLevel.verified. Otherwise, or
 when the generators show a failure, it runs its basis scan, which gives the
 same result wherever the shortcut's premises hold and lists the failures
 where they do not; algebra.law_failures is that one fallback for the algebra
-axioms, morphisms, conditional expectations, Frobenius identities, Nakayama
-automorphisms, module-algebra laws and the Hopf action identities and
-exchange relation.
+axioms, morphisms, conditional expectations, Frobenius identities and the
+depth-2 Frobenius sums, Pimsner-Popa, the E_A and E_B bimodule laws, the
+matrix units of C, Nakayama automorphisms, module-algebra laws and the Hopf
+action identities and exchange relation. endo-ring-iso alone tests psi on
+generators itself, as its basis scan checks phi, a different map.
 """
 from __future__ import annotations
 
@@ -310,12 +312,16 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
             # a failing depth-2 hypothesis is recorded on the hypothesis list,
             # not as a failed identity check
             rep.add(cid, SKIP, reason=f"depth-2 hypothesis fails: {verdict.reason}")
-    agree = bool(d2.level1.paths_agree) and bool(d2.level2.paths_agree)
-    rep.add("depth2-crosscheck", PASS if agree else FAIL,
+    # an exhausted free-basis search decided nothing: SKIP, unless a level disagrees
+    levels = (d2.level1, d2.level2)
+    stopped = [v.exhausted for v in levels if v.exhausted is not None]
+    status = FAIL if any(not v.paths_agree and v.exhausted is None for v in levels) else SKIP if stopped else PASS
+    rep.add("depth2-crosscheck", status,
             witness={
                 "level1": {"constructive": d2.level1.passed, "tensor_system": d2.level1.tensor_solvable},
                 "level2": {"constructive": d2.level2.passed, "tensor_system": d2.level2.tensor_solvable},
-            })
+            },
+            reason=f"tensor system solvable, no free basis among {stopped[0]} combinations" if status == SKIP else None)
     state.hypotheses["depth_two"] = d2.passed()
     if not d2.passed():
         return rep.skip(DEPTH2_CHECKS[4:], "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers")

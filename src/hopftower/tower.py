@@ -8,7 +8,7 @@ inclusion maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     Algebra,
@@ -17,6 +17,7 @@ from .algebra import (
     TensorQuotient,
     check_morphism,
     generators,
+    law_failures,
     module_generators,
     right_module_endomorphisms,
     span_dim,
@@ -28,9 +29,11 @@ from .frobenius import (
     FrobeniusFlags,
     FrobeniusSystem,
     algebra_check,
+    both_sides,
     index_of_pairs,
     pairs_to_tensor,
     scalar_of,
+    sided,
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
@@ -516,8 +519,8 @@ def verify_pimsner_popa(t: TowerData) -> CheckOutcome:
     right submodule over incl(below), as E(e x m) = E(e x) m, and
     {x : lam^-1 E(x e) e = x e} likewise a left one; so each holds on the level
     once it holds on generators whose one-sided module span is the level. A
-    level without them, or with a failure on them, runs the loop over every
-    basis x, so the failures listed are always that loop's.
+    level without them, or with a failure on them, lists every failure of
+    the scan over basis x, left then right (law_failures).
     """
     lam_inv = t.base_sys.lambda_inverse
     failures = []
@@ -530,25 +533,20 @@ def _pimsner_popa_failures(level: TowerLevel, number: int, lam_inv) -> list:
     up, e, incl, cond = level.algebra, level.e, level.incl, level.cond_exp
     f = up.field
 
-    def left_holds(x: dict) -> bool:
-        ex = up.mul_sparse(e, x)
-        return sparse_scale(f, lam_inv, up.mul_sparse(e, incl.apply(cond.apply(ex)))) == ex
-
-    def right_holds(x: dict) -> bool:
-        xe = up.mul_sparse(x, e)
-        return sparse_scale(f, lam_inv, up.mul_sparse(incl.apply(cond.apply(xe)), e)) == xe
+    def failures(elements: list) -> Iterator[dict]:
+        """lam^-1 e E(e x) != e x (left) or lam^-1 E(x e) e != x e (right)."""
+        for k, (x, sides) in enumerate(elements):
+            for side in sides:
+                with_e = up.mul_sparse(e, x) if side == "left" else up.mul_sparse(x, e)
+                back = incl.apply(cond.apply(with_e))
+                back = up.mul_sparse(e, back) if side == "left" else up.mul_sparse(back, e)
+                if sparse_scale(f, lam_inv, back) != with_e:
+                    yield {"level": number, "side": side, "basis": k}
 
     gens = level.module_generators()
-    if gens is not None and all(map(left_holds, gens[1])) and all(map(right_holds, gens[0])):
-        return []
-    failures = []
-    for x in range(up.dim):
-        ex = {x: f.one}
-        if not left_holds(ex):
-            failures.append({"level": number, "side": "left", "basis": x})
-        if not right_holds(ex):
-            failures.append({"level": number, "side": "right", "basis": x})
-    return failures
+    # the left identity on the right-module generators, the right one on the left
+    return law_failures(failures, None if gens is None else sided(gens[1], gens[0]), lambda: both_sides(up),
+                        2 * up.dim)
 
 
 def verify_cyclic_span(t: TowerData) -> CheckOutcome:

@@ -87,3 +87,16 @@ def test_within_bound_reads_the_bound_as_a_fraction_of_the_parent_median():
         "within_bound"]
     assert not summarize(_pairs(PARENT, [p * 0.94 for p in PARENT], "pass_ratio"), higher, ratio)["pass_ratio"][
         "within_bound"]
+
+
+def _traced(values: dict) -> dict:
+    return {"metrics": {"metrics": {name: {"unit": unit, "value": v} for name, (unit, v) in values.items()}}}
+
+
+def test_layer_medians_keep_the_spread_of_the_traced_runs():
+    """A per-layer time reads its median, min and max over the traced runs;
+    a call count repeats, so all three agree."""
+    runs = [_traced({"x.self_s": ("s", t), "x.calls": ("count", 40)}) for t in (0.165, 0.258, 0.165)]
+    layers = _recorder().layer_medians(runs)
+    assert layers["x.self_s"] == {"unit": "s", "value": 0.165, "min": 0.165, "max": 0.258}
+    assert layers["x.calls"] == {"unit": "count", "value": 40, "min": 40, "max": 40}

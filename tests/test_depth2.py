@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 from conftest import bumped, failed_level
 
+from hopftower import depth2
 from hopftower.algebra import SubspaceBasis, module_generators, span_dim
 from hopftower.depth2 import (
     DepthTwoData,
-    _frobenius_sums_hold,
+    _frobenius_sum_failures,
     _level_context,
     _LevelContext,
     _tensor_membership,
@@ -24,6 +25,7 @@ from hopftower.frobenius import ExtensionSpec, verify_conditional_expectation
 from hopftower.linalg import LinMap, invert, sparse_add, sparse_axpy, sparse_scale
 from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
+from hopftower.report import FAIL, SKIP
 
 Q = RationalField()
 
@@ -394,9 +396,10 @@ def test_generator_path_agrees_on_perturbed_witnesses(case):
         f = level.algebra.field
         count = 0
         for z, w in _perturbed_witnesses(f, verdict.z, verdict.w):
-            got = _frobenius_sums_hold(ctx, z, w)
-            assert got[0] is False and got[1].startswith("Frobenius sum fails at basis")
-            assert got == _frobenius_sums_hold(full, z, w) == _reference_frobenius_sums(full, z, w)
+            got = _frobenius_sum_failures(ctx, z, w)
+            assert len(got) == 1
+            assert got == _frobenius_sum_failures(full, z, w)
+            assert (False, f"Frobenius sum fails at basis {got[0][0]}") == _reference_frobenius_sums(full, z, w)
             assert _verify_pair(ctx, z, w) == _verify_pair(full, z, w)
             count += 1
         assert count == 3 * len(verdict.z)
@@ -407,15 +410,18 @@ def test_failed_level_check_gives_basis_generators(tower_s3_a3, d2_s3_a3, check)
     level = tower_s3_a3.levels[1]
     assert len(_level_context(level, d2_s3_a3.B).left_gens) == 2
     ctx = _level_context(failed_level(level, check), d2_s3_a3.B)
-    basis = [{x: Q.one} for x in range(level.algebra.dim)]
-    assert ctx.left_gens == basis and ctx.right_gens == basis
+    assert ctx.left_gens is None and ctx.right_gens is None
 
 
 def test_context_without_generators_uses_the_basis(tower_s3_a3, d2_s3_a3):
     t = tower_s3_a3
     ctx = _LevelContext(up=t.M1, down=t.M, cond_exp=t.E_M, down_in_up=t.incl1, scope=d2_s3_a3.A)
+    assert ctx.left_gens is None and ctx.right_gens is None
+    # no generators: the tensor system is imposed at every basis element
     basis = [{x: Q.one} for x in range(t.M1.dim)]
-    assert ctx.left_gens == basis and ctx.right_gens == basis
+    assert _tensor_membership(ctx) == _tensor_membership(replace(ctx, left_gens=basis, right_gens=basis))
+    z, w = d2_s3_a3.level1.z, d2_s3_a3.level1.w
+    assert _verify_pair(ctx, z, w) == (True, "")
 
 
 def test_bimodule_failure_keeps_the_level_on_the_basis(tower_s3_a3, d2_s3_a3):
@@ -468,3 +474,43 @@ def test_module_generators_fall_back_to_the_basis(tower_s3_a3):
     basis = [{x: Q.one} for x in range(up.dim)]
     for side in ("left", "right"):
         assert module_generators(up, zero, side) == basis
+
+
+# -- the crosscheck on an exhausted witness search ------------------------------
+
+
+def _first_scope_vector_only(ctx, count):
+    """count copies of the first scope vector: after it, no candidate adds rank."""
+    for _ in range(count):
+        yield dict(ctx.scope.vectors[0])
+
+
+def test_exhausted_free_basis_search_skips_the_crosscheck(monkeypatch):
+    """On f7/function-algebra:z3 dim A = dim B = 9 > n0 = 3, so both levels
+    search the 81 scope combinations for a free basis. When they run out
+    while the tensor system is solvable, the search stopped: the crosscheck
+    is SKIPped with its reason and the run exits 0."""
+    monkeypatch.setattr(depth2, "_scope_combinations", _first_scope_vector_only)
+    ext, _ = generate_example("function-algebra", {"field": "f7", "group": "z3"})
+    report = run_pipeline(ext)
+    by_id = {r.check_id: r for r in report.results}
+    d2 = report.state.d2
+    assert (d2.A.dim, d2.B.dim) == (9, 9)
+    for verdict in (d2.level1, d2.level2):
+        assert verdict.tensor_solvable and not verdict.passed and verdict.exhausted == 81
+    assert by_id["depth2-level-2"].status == SKIP
+    assert by_id["depth2-crosscheck"].status == SKIP
+    assert by_id["depth2-crosscheck"].reason == "tensor system solvable, no free basis among 81 combinations"
+    assert all(r.status != FAIL for r in report.results) and report.exit_code() == 0
+
+
+def test_other_disagreement_still_fails_the_crosscheck(monkeypatch):
+    """A free basis whose orthogonality system has no solution, while the
+    tensor system is solvable, is a disagreement of the two paths, not a
+    stopped search: FAIL and exit 1."""
+    monkeypatch.setattr(depth2, "_dual_w", lambda ctx, z: None)
+    ext, _ = generate_example("function-algebra", {"field": "f7", "group": "z3"})
+    report = run_pipeline(ext)
+    by_id = {r.check_id: r for r in report.results}
+    assert report.state.d2.level1.exhausted is None
+    assert by_id["depth2-crosscheck"].status == FAIL and report.exit_code() == 1

@@ -16,17 +16,23 @@ reports, on the honest input and on perturbed ones, and that once a check
 failed every later site runs its basis scan.
 """
 import functools
+import importlib
+import pkgutil
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from conftest import bumped, with_failed_check, word_span_dim
 
-from hopftower import depth2, galois, hopf, pipeline, tower
+import hopftower
+from hopftower import algebra, depth2, frobenius, galois, hopf, pipeline, tower
 from hopftower.algebra import Algebra, SubspaceBasis, generators
 from hopftower.depth2 import (
     DepthTwoData,
     _bimodule_failures,
     _subalgebra_generators,
+    check_depth_two,
     conditional_expectations,
     nakayama_relations,
     verify_c_structure,
@@ -627,11 +633,13 @@ def test_matrix_units_same_from_corners(case, monkeypatch):
     t, d2 = state.tower, state.d2
     unverified = with_failed_check(t, 1, "algebra-axioms")
     corners = []
-    real = depth2._matrix_units_from_corners
-    monkeypatch.setattr(depth2, "_matrix_units_from_corners", lambda *a: corners.append(a) or real(*a))
+    real = depth2.law_failures
+    monkeypatch.setattr(depth2, "law_failures", lambda *a: corners.append(a[1]) or real(*a))
     honest = verify_c_structure(t, d2)
-    assert honest.ok and len(corners) == 1
-    assert verify_c_structure(unverified, d2) == honest and len(corners) == 1
+    n = d2.n
+    assert honest.ok and corners == [[(i, 0, 0, j) for i in range(n) for j in range(n)]
+                                     + [(0, j, k, 0) for j in range(n) for k in range(n)]]
+    assert verify_c_structure(unverified, d2) == honest and corners[1:] == [None]
     u, v = d2.uv
     f = t.M2.field
     rejected = 0
@@ -645,3 +653,65 @@ def test_matrix_units_same_from_corners(case, monkeypatch):
             assert got == verify_c_structure(unverified, bad), (i, k)
             rejected += any(x["kind"] == "matrix-unit-relations" for x in got.failures)
     assert rejected > 0
+
+
+# ---------------------------------------------------------------------------
+# one fallback: every generator site calls algebra.law_failures
+# ---------------------------------------------------------------------------
+
+BINDERS = (algebra, frobenius, tower, depth2, galois, hopf)
+# the tower and depth-2 sites that decide a law on generators, and their calls per run
+SPLIT_SIDE_SITES = {"_pimsner_popa_failures": 2, "_frobenius_sum_failures": 2, "_bimodule_failures": 2,
+                    "verify_c_structure": 1}
+
+
+@pytest.fixture
+def law_failure_calls(monkeypatch):
+    """(calling function, generators passed) of every law_failures call, in
+    every module that binds it."""
+    calls = []
+    real = algebra.law_failures
+
+    def recording(failures, generators, basis, max_failures):
+        calls.append((sys._getframe(1).f_code.co_name, generators))
+        return real(failures, generators, basis, max_failures)
+
+    for module in BINDERS:
+        assert module.law_failures is real
+        monkeypatch.setattr(module, "law_failures", recording)
+    return calls
+
+
+def test_law_failures_is_bound_by_the_wrapped_modules_only():
+    names = [info.name for info in pkgutil.iter_modules(hopftower.__path__)]
+    modules = [importlib.import_module(f"hopftower.{name}") for name in names]
+    assert {m.__name__ for m in modules if hasattr(m, "law_failures")} == {m.__name__ for m in BINDERS}
+
+
+def test_every_generator_site_runs_through_law_failures(law_failure_calls):
+    """On f7/model:z3, where every stage runs, each site is handed its
+    generators, Pimsner-Popa and the depth-2 sums at both levels; only the
+    base Frobenius identities of M over N, which has no module generators,
+    run on the basis."""
+    ext, _sidecar = generate_example("function-algebra", {"group": "z3", "field": "f7"})
+    _t, d2, _rep = model_tower(model_bundle("function-algebra:z3", ext.M.field))
+    law_failure_calls.clear()
+    report = run_pipeline(ext, d2_override=DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model"))
+    assert report.exit_code() == 0
+    on_gens = Counter(site for site, gens in law_failure_calls if gens is not None)
+    assert {site: on_gens[site] for site in SPLIT_SIDE_SITES} == SPLIT_SIDE_SITES
+    assert {"verify_algebra", "mult_failures", "verify_conditional_expectation", "verify_frobenius_identities",
+            "_tower_axioms", "verify_module_algebra"} <= set(on_gens)
+    assert [site for site, gens in law_failure_calls if gens is None] == ["verify_frobenius_identities"]
+
+
+def test_failed_check_hands_the_split_side_sites_no_generators(law_failure_calls):
+    state = _state("f7/model:z3")
+    t, d2 = state.tower, state.d2
+    broken = with_failed_check(t, 0, "algebra-axioms")
+    law_failure_calls.clear()
+    assert verify_pimsner_popa(broken).ok
+    assert check_depth_two(broken, DepthTwoData(A=d2.A, B=d2.B, C=d2.C)).passed()
+    assert conditional_expectations(broken, d2)[2].ok and verify_c_structure(broken, d2).ok
+    assert Counter(site for site, _gens in law_failure_calls) == SPLIT_SIDE_SITES
+    assert all(gens is None for _site, gens in law_failure_calls)

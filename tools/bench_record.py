@@ -17,9 +17,10 @@ per workload, every pair's end-to-end metrics, each side's median and
 quartiles with the number of pairs the change won and the two verdicts of
 the acceptance rule (``summarize``; the bounds are read from the change's
 ``BENCHMARK.json``), and the full ``results``
-line of the first pair on each side; and, per workload and side, the median
-of each per-layer metric over the traced runs, beside each traced run's
-metrics and ``results`` line.
+line of the first pair on each side; and, per workload and side, the median,
+min and max of each per-layer metric over the traced runs, beside each
+traced run's metrics and ``results`` line. Only the call counts among them
+repeat exactly; the per-layer times spread as widely as the machine does.
 
 Each run is started through ``LAUNCHER``, a shell that forks it. A process
 started straight from this one would read this process's resident size as
@@ -111,12 +112,17 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
 
 
 def layer_medians(runs: list) -> dict:
-    """Per metric of the traced runs: its unit and its median value."""
+    """Per metric of the traced runs: its unit, its median value and its min
+    and max over the runs. Only call counts repeat exactly from run to run;
+    a per-layer time of one traced pass carries the machine's whole
+    run-to-run spread, so a time difference inside [min, max] locates
+    nothing."""
     metrics = [run["metrics"]["metrics"] for run in runs]
-    return {
-        name: {"unit": m["unit"], "value": statistics.median(ms[name]["value"] for ms in metrics)}
-        for name, m in metrics[0].items()
-    }
+    out = {}
+    for name, m in metrics[0].items():
+        values = [ms[name]["value"] for ms in metrics]
+        out[name] = {"unit": m["unit"], "value": statistics.median(values), "min": min(values), "max": max(values)}
+    return out
 
 
 def compare(args, work: Path) -> dict:
