@@ -11,7 +11,7 @@ from .algebra import (
     SubspaceBasis,
     centralizer,
     check_morphism,
-    endomorphism_algebra,
+    right_module_endomorphisms,
     verify_algebra,
 )
 from .frobenius import (
@@ -53,7 +53,7 @@ __all__ = [
     "SubspaceBasis",
     "centralizer",
     "check_morphism",
-    "endomorphism_algebra",
+    "right_module_endomorphisms",
     "verify_algebra",
     "ExtensionSpec",
     "FrobeniusError",

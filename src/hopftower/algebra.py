@@ -8,8 +8,10 @@ and other modules read a product through ``Algebra.cell``; every linear map
 is a linalg ``LinMap`` of sparse columns. Dense lists appear only at the file
 and report boundary (``Algebra.to_dense``). Every subspace keeps its rows in
 sparse RREF in one linalg.SparseSolver, which decides membership and reduces
-vectors; centralizers and endomorphism algebras build their constraint
-systems as sparse columns for ``linalg.kernel_basis``.
+vectors; ``centralizer``, the one commutant solver, builds its constraint
+system as sparse columns for ``linalg.kernel_basis``. End(M_N) is the
+centralizer of the right multiplications in ``matrix_algebra``, and A (x) A
+the ``tensor_algebra`` of A, so both are plain Algebras with the one product.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .linalg import (
     SparseSolver,
     invert,
     kernel_basis,
-    map_combination,
     rank,
     sparse_add,
     sparse_apply,
@@ -118,6 +119,45 @@ class Algebra:
 
     def commutes(self, x: dict, y: dict) -> bool:
         return self.mul_sparse(x, y) == self.mul_sparse(y, x)
+
+
+def matrix_algebra(field: Field, n: int) -> Algebra:
+    """End_k(k^n) = M_n(k): the matrix unit e_ab, the map e_b -> e_a, at
+    a * n + b, with e_ab e_bd = e_ad, so the product is composition."""
+    one = field.one
+    table = [{b * n + d: {a * n + d: one} for d in range(n)} for a in range(n) for b in range(n)]
+    return Algebra(field, n * n, table, {a * n + a: one for a in range(n)})
+
+
+def matrix_element(g: LinMap) -> dict:
+    """The element of matrix_algebra(field, n) that is the n x n map g."""
+    n = g.codomain_dim
+    return {a * n + b: c for b, col in enumerate(g.columns) for a, c in col.items()}
+
+
+def matrix_map(field: Field, n: int, x: dict) -> LinMap:
+    """The n x n map that is the element x of matrix_algebra(field, n)."""
+    cols: list[dict] = [{} for _ in range(n)]
+    for k, c in x.items():
+        a, b = divmod(k, n)
+        cols[b][a] = c
+    return LinMap(field, cols, n)
+
+
+def tensor_algebra(alg: Algebra) -> Algebra:
+    """alg (x) alg with the componentwise product: e_p (x) e_q at p * d + q,
+    (e_p (x) e_q)(e_r (x) e_s) = e_p e_r (x) e_q e_s."""
+    f, d = alg.field, alg.dim
+    table = []
+    for row_p in alg.table:
+        for row_q in alg.table:
+            # r and s ascend in their rows, so r * d + s ascends; the keys
+            # k * d + l of a cell are distinct and its entries products of
+            # nonzero scalars, so nothing cancels
+            table.append({r * d + s: {k * d + l: f.mul(ck, cl) for k, ck in pr.items() for l, cl in qs.items()}
+                          for r, pr in row_p.items() for s, qs in row_q.items()})
+    unit = {i * d + j: f.mul(a, b) for i, a in alg.unit.items() for j, b in alg.unit.items()}
+    return Algebra(f, d * d, table, unit)
 
 
 @dataclass
@@ -368,7 +408,8 @@ class SubspaceBasis:
 
     ``coords`` reads v at the pivots, which fixes v in the span as the reduced
     rows are fully reduced: with B the vectors restricted to the pivot columns,
-    coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use, and so
+    coords(v) is (B^T)^-1 v[pivots]. The inverse is cached on first use (for
+    from_spanning, whose B is the identity, it is the identity), and so
     are ``induced_algebra`` and ``induced_generators``: do not mutate
     ``vectors``, the induced algebra or its generators.
     """
@@ -459,6 +500,7 @@ class SubspaceBasis:
         space = _row_space(ambient.field, ambient.dim, vectors)
         out = cls.__new__(cls)
         out._attach(ambient, [dict(space.pivots[p]) for p in sorted(space.pivots)], space)
+        out._coord_map = LinMap.identity(ambient.field, out.dim)
         return out
 
 
@@ -503,6 +545,18 @@ def centralizer(
     if sub_generators is None and not out.is_unital_subalgebra():
         raise AlgebraError("centralizer output failed closure check")
     return out
+
+
+def right_module_endomorphisms(M: Algebra, embed: LinMap) -> SubspaceBasis:
+    """End(M_N): the centralizer in End_k(M) = matrix_algebra(field, dim M)
+    of the right multiplications R_n: m -> m n by the image N of embed
+    (N-coordinates -> M). The R_n are passed as its generators, as
+    End_k(M) is associative; centralizer raises AlgebraError when their span
+    is not a unital subalgebra, as over a non-associative M."""
+    f, d = M.field, M.dim
+    end = matrix_algebra(f, d)
+    rights = [matrix_element(LinMap(f, [M.mul_sparse({b: f.one}, n) for b in range(d)], d)) for n in embed.columns]
+    return centralizer(end, SubspaceBasis.from_spanning(end, rights), sub_generators=rights)
 
 
 # ---------------------------------------------------------------------------
@@ -583,110 +637,6 @@ class TensorQuotient:
 
     def project_pure(self, *xs: dict) -> dict:
         return self.project(self.pure_tensor(*xs))
-
-
-# ---------------------------------------------------------------------------
-# endomorphism algebras of right modules
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EndomorphismAlgebra:
-    """The commutant of a right action. The basis maps, flattened row-major
-    (entry (a, b) at a * dim + b), are the RREF rows of its span, kept in
-    sparse RREF in ``_space``. Its multiplication table, (i, j) -> the
-    coordinates of basis[i] o basis[j], is formed on first use of
-    ``algebra``."""
-
-    field: Field
-    dim_v: int  # the dimension of the module acted on
-    basis: list  # LinMaps
-    _space: SparseSolver
-    _algebra: Optional[Algebra] = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, g: LinMap) -> Optional[dict]:
-        """Coordinates of an endomorphism in the canonical basis, or None."""
-        d = len(g.columns)
-        flat = {a * d + b: c for b, col in enumerate(g.columns) for a, c in col.items()}
-        if self._space.reduce(flat):
-            return None
-        return {k: flat[p] for k, p in enumerate(sorted(self._space.pivots)) if p in flat}
-
-    @property
-    def algebra(self) -> Algebra:
-        if self._algebra is None:
-            f, maps = self.field, self.basis
-            unit_coords = self.coords(LinMap.identity(f, self.dim_v))
-            if unit_coords is None:
-                raise AlgebraError("identity endomorphism escaped the solved basis")
-            entries = []
-            for i, a in enumerate(maps):
-                for j, b in enumerate(maps):
-                    coords = self.coords(a.compose(b))
-                    if coords is None:
-                        raise AlgebraError("endomorphism product escaped the solved basis")
-                    entries.extend((i, j, k, c) for k, c in coords.items())
-            self._algebra = Algebra.from_entries(f, len(maps), entries, unit_coords)
-        return self._algebra
-
-
-def module_axioms_ok(field: Field, dim_v: int, action_maps: list, sub_alg: Algebra) -> bool:
-    """Right-module axioms: R_1 = id and R_{nn'} = R_{n'} R_n on basis pairs."""
-    if map_combination(field, dim_v, sub_alg.unit, action_maps) != LinMap.identity(field, dim_v):
-        return False
-    for i in range(sub_alg.dim):
-        for j in range(sub_alg.dim):
-            prod = map_combination(field, dim_v, sub_alg.cell(i, j), action_maps)
-            if prod != action_maps[j].compose(action_maps[i]):
-                return False
-    return True
-
-
-def endomorphism_algebra(
-    field: Field, dim_v: int, action_maps: list, sub_alg: Algebra
-) -> EndomorphismAlgebra:
-    """Algebra of all endomorphisms commuting with the given right action.
-
-    Raises AlgebraError when the module axioms fail.
-    """
-    if not module_axioms_ok(field, dim_v, action_maps, sub_alg):
-        raise AlgebraError("right-module axioms violated")
-    n2 = dim_v * dim_v
-    # constraint X R = R X per action map R, unknown X flattened row-major:
-    # row (a, b) of block k is sum_c X[a][c] R[c][b] - R[a][c] X[c][b]
-    cols: list[dict] = [{} for _ in range(n2)]
-    for k, r in enumerate(action_maps):
-        base = k * n2
-        r_rows = r.transpose().columns
-        for p in range(dim_v):
-            for q in range(dim_v):
-                col = cols[p * dim_v + q]
-                for b, c in r_rows[q].items():
-                    sparse_add(field, col, base + p * dim_v + b, c)
-                for a, c in r.columns[p].items():
-                    sparse_add(field, col, base + a * dim_v + q, field.neg(c))
-    space = _row_space(field, n2, kernel_basis(LinMap(field, cols, len(action_maps) * n2)))
-    maps = []
-    for p in sorted(space.pivots):
-        map_cols: list[dict] = [{} for _ in range(dim_v)]
-        for k, c in space.pivots[p].items():
-            a, b = divmod(k, dim_v)
-            map_cols[b][a] = c
-        maps.append(LinMap(field, map_cols, dim_v))
-
-    return EndomorphismAlgebra(field, dim_v, maps, space)
-
-
-def right_module_endomorphisms(M: Algebra, n_alg: Algebra, embed: LinMap) -> EndomorphismAlgebra:
-    """End(M_N): the endomorphisms of M commuting with right multiplication by
-    the image of N under embed (N-coordinates -> M)."""
-    basis = [{j: M.field.one} for j in range(M.dim)]
-    action_maps = [LinMap(M.field, [M.mul_sparse(ej, n) for ej in basis], M.dim) for n in embed.columns]
-    return endomorphism_algebra(M.field, M.dim, action_maps, n_alg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .algebra import (
     check_morphism,
     generators,
     law_failures,
+    matrix_element,
+    matrix_map,
     right_module_endomorphisms,
 )
 from .frobenius import CheckOutcome, FrobeniusSystem, algebra_check
@@ -200,14 +202,14 @@ def _psi(sm: SmashProduct, act: ModuleAlgebraAction, sys: FrobeniusSystem) -> tu
     image x (h . -) falls outside End(X_N))."""
     X = sm.X
     f = X.field
-    endo = right_module_endomorphisms(X, sys.ext.n_algebra, sys.ext.embed)
+    endo = right_module_endomorphisms(X, sys.ext.embed)
     cols = []
     outside = []
     for x in range(X.dim):
         ex = {x: f.one}
         for h in range(sm.H.dim):
             x_h = LinMap(f, [X.mul_sparse(ex, c) for c in act.maps[h].columns], X.dim)
-            coords = endo.coords(x_h)
+            coords = endo.coords(matrix_element(x_h))
             if coords is None:
                 outside.append((x, h))
                 coords = {}
@@ -221,7 +223,7 @@ def psi_map(sm: SmashProduct, act: ModuleAlgebraAction, sys: FrobeniusSystem) ->
     psi_inverse_formula."""
     endo, psi, outside = _psi(sm, act, sys)
     failures = [{"kind": "psi-image-outside-End(X_N)", "pair": pair} for pair in outside]
-    morph = check_morphism(psi, sm.algebra, endo.algebra)
+    morph = check_morphism(psi, sm.algebra, endo.induced_algebra()[0])
     if not morph.ok():
         failures.append({"kind": "psi-not-isomorphism", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
@@ -238,7 +240,8 @@ def psi_inverse_formula(
         return CheckOutcome(False, [{"kind": "psi-image-outside-End(X_N)"}])
     t_smash = sm.embed_h.apply(t_vec)
     inv_cols = []
-    for g in endo.basis:
+    for v in endo.vectors:
+        g = matrix_map(f, sm.X.dim, v)
         acc: dict = {}
         for x, y in sys.dual_pairs:
             term = sm.algebra.mul_sparse(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, SubspaceBasis, law_failures
+from .algebra import Algebra, SubspaceBasis, law_failures, tensor_algebra
 from .frobenius import CheckOutcome, scalar_of
 from .linalg import LinMap, invert, rank, sparse_add, sparse_axpy, sparse_scale
 
@@ -65,34 +65,6 @@ class HopfStructure:
 
     def counit_apply(self, v: dict):
         return self.counit.apply(v).get(0, self.algebra.field.zero)
-
-
-# ---------------------------------------------------------------------------
-# tensor-square helpers
-# ---------------------------------------------------------------------------
-
-
-def tensor_square_mul(alg: Algebra, v: dict, w: dict) -> dict:
-    """(x (x) y)(x' (x) y') componentwise in alg (x) alg coordinates."""
-    f = alg.field
-    d = alg.dim
-    out: dict = {}
-    for pq, cv in v.items():
-        p, q = divmod(pq, d)
-        for rs, cw in w.items():
-            r, s = divmod(rs, d)
-            c = f.mul(cv, cw)
-            right = alg.cell(q, s)
-            for k, ck in alg.cell(p, r).items():
-                for l, cl in right.items():
-                    sparse_add(f, out, k * d + l, f.mul(c, f.mul(ck, cl)))
-    return out
-
-
-def tensor_square_unit(alg: Algebra) -> dict:
-    f = alg.field
-    d = alg.dim
-    return {i * d + j: f.mul(a, b) for i, a in alg.unit.items() for j, b in alg.unit.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +189,7 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[LinMap, LinMap, C
     failures = list(out.failures)
     db = p.B_alg.dim
     # Delta(1) = 1 (x) 1
-    if delta.apply(p.B_alg.unit) != tensor_square_unit(p.B_alg):
+    if delta.apply(p.B_alg.unit) != tensor_algebra(p.B_alg).unit:
         failures.append({"kind": "delta-unit"})
     # eps multiplicative
     for i in range(db):
@@ -360,12 +332,13 @@ def verify_hopf_axioms(
     if not holds(along_delta(lambda u, v: {u: H.counit_of(v)}), basis):
         note("counit-right")
     # Delta is a unital algebra map
-    if delta.apply(alg.unit) != tensor_square_unit(alg):
+    square = tensor_algebra(alg)
+    if delta.apply(alg.unit) != square.unit:
         note("delta-unital")
     for i in range(d):
         for j in range(d):
             lhs = delta.apply(alg.cell(i, j))
-            if lhs != tensor_square_mul(alg, delta.columns[i], delta.columns[j]):
+            if lhs != square.mul_sparse(delta.columns[i], delta.columns[j]):
                 note("delta-multiplicative", pair=(i, j))
                 if len(failures) >= 8:
                     return CheckOutcome(False, failures)

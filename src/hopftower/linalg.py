@@ -192,9 +192,9 @@ class SparseSolver:
     """Incremental sparse Gaussian elimination: the one sparse eliminator.
 
     Rows arrive one at a time as sparse dicts {col: scalar}. It serves
-    ``solve``, ``kernel_basis`` and ``invert``, the subspaces and
-    endomorphism algebras in ``algebra``, which keep their spans as its pivot
-    rows, the tensor quotients, whose quotient bases are the non-pivot
+    ``solve``, ``kernel_basis`` and ``invert``, the subspaces in ``algebra``
+    (End(M_N) among them), which keep their spans as its pivot rows, the
+    tensor quotients, whose quotient bases are the non-pivot
     columns, and the depth-2 tensor system A x = b, where inconsistency is
     detected as soon as a row reduces to zero with a nonzero right-hand side.
     Every pivot row is kept free of the other pivot columns (sparse RREF), so

@@ -295,7 +295,13 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": d2.A.dim, "B": d2.B.dim, "C": d2.C.dim}, "source": d2.source})
     else:
-        A, B, C = second_centralizers(t)
+        try:
+            A, B, C = second_centralizers(t)
+        except AlgebraError as exc:
+            if state.m_associative:
+                raise
+            # the relative commutants need not be subalgebras once M is not associative
+            return rep.skip(DEPTH2_CHECKS, f"{NON_ASSOCIATIVE}: {exc}")
         d2 = DepthTwoData(A=A, B=B, C=C)
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": A.dim, "B": B.dim, "C": C.dim}})

@@ -18,6 +18,8 @@ from .algebra import (
     check_morphism,
     generators,
     law_failures,
+    matrix_element,
+    matrix_map,
     module_generators,
     right_module_endomorphisms,
     span_dim,
@@ -160,8 +162,9 @@ def basic_construction(
     identities run on them (verify_conditional_expectation,
     verify_frobenius_identities). Once the inclusion passed, the extension
     of M1 over its image takes M and the inclusion as that image's algebra
-    and embedding. When the inclusion failed and its image is not a unital
-    subalgebra of M1, there is no level extension and TowerError is raised.
+    and embedding. When the inclusion is not injective, or failed and its
+    image is not a unital subalgebra of M1, there is no level extension and
+    TowerError is raised.
     The level is verified when below_verified holds and all its checks pass.
     """
     M, f = sys.M, sys.M.field
@@ -252,6 +255,8 @@ def basic_construction(
     # conditional expectation E_M = lam * mu
     cond_exp = LinMap(f, [sparse_scale(f, lam, M.cell(a, b)) for a, b in tq.basis], M.dim)
 
+    if not mono:
+        raise TowerError("the inclusion of the level below is not injective")
     n1 = SubspaceBasis(alg1, incl.columns)
     if not (incl_ok or n1.is_unital_subalgebra()):
         raise TowerError("the level below does not embed as a unital subalgebra")
@@ -410,14 +415,7 @@ def _verify_triple_tensor(t: TowerData, n_generators: Optional[list]) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EndoIsoResult:
-    ok: bool
-    endo_dim: int
-    failures: list
-
-
-def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
+def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
     """f -> sum f(x_i) (x) y_i is an algebra isomorphism End(M_N) -> M1,
     with inverse psi: m (x) n -> lambda_m E lambda_n; both directions verified.
 
@@ -426,26 +424,26 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
     psi(x y) = psi(x) psi(y) for every basis x form a subalgebra, as
     psi(x y y') = psi(x y) psi(y') = psi(x) psi(y) psi(y'), which holds 1 when
     psi(1) = id; so psi is checked on the level's generators, and End(M_N)'s
-    multiplication table is formed for the scan over basis pairs only when
-    that fails.
+    multiplication table (induced_algebra) is formed for the scan over basis
+    pairs only when that fails.
     """
     M, f = sys.M, sys.M.field
-    ext = sys.ext
-    endo = right_module_endomorphisms(M, ext.n_algebra, ext.embed)
+    endo = right_module_endomorphisms(M, sys.ext.embed)
     tq = sys.tq
     assert tq is not None
     alg1 = level.algebra
     failures = []
 
     cols = []
-    for g in endo.basis:
+    for v in endo.vectors:
+        g = matrix_map(f, M.dim, v)
         cols.append(pairs_to_tensor(tq, M, [(g.apply(x), y) for x, y in sys.dual_pairs]))
     phi = LinMap(f, cols, alg1.dim)
 
     psi_maps = _psi_maps(sys)
     psi_cols = []
     for (a, b), g in zip(tq.basis, psi_maps):
-        coords = endo.coords(g)
+        coords = endo.coords(matrix_element(g))
         if coords is None:
             failures.append({"kind": "psi-image-outside-End(M_N)", "pair": (a, b)})
             coords = {}
@@ -470,10 +468,10 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> EndoIsoResult:
         return True
 
     if failures or not level.verified or not multiplicative_on_generators():
-        morph = check_morphism(phi, endo.algebra, alg1)
+        morph = check_morphism(phi, endo.induced_algebra()[0], alg1)
         if not morph.ok():
             failures.insert(0, {"kind": "phi-not-iso", "detail": morph.failures[:2]})
-    return EndoIsoResult(not failures, endo.dim, failures)
+    return CheckOutcome(not failures, failures)
 
 
 def _psi_maps(sys: FrobeniusSystem) -> list:

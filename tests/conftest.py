@@ -384,7 +384,8 @@ def reference_failures(alg, limit=5):
 
 def non_associative(example, params, bump):
     """The catalog extension with one added to the structure constant
-    c_ij^k of M, bump = (i, j, k): the unit laws hold, associativity does not."""
+    c_ij^k of M, bump = (i, j, k): associativity fails, and so do the unit
+    laws when e_i or e_j is a term of the unit."""
     from hopftower.algebra import Algebra, SubspaceBasis
     from hopftower.frobenius import ExtensionSpec
     from hopftower.models import generate_example

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import naive_mul, reference_failures, rows_map, word_span_dim
+from conftest import naive_mul, non_associative, reference_failures, rows_map, word_span_dim
 from hypothesis import assume, given, settings, strategies as st
 
 from hopftower.algebra import (
@@ -14,10 +14,14 @@ from hopftower.algebra import (
     TensorQuotient,
     centralizer,
     check_morphism,
-    endomorphism_algebra,
     generators,
     law_failures,
+    matrix_algebra,
+    matrix_element,
+    matrix_map,
+    right_module_endomorphisms,
     span_dim,
+    tensor_algebra,
     verify_algebra,
 )
 from hopftower import frobenius
@@ -684,58 +688,135 @@ def test_tensor_quotient_projection_section():
                     assert tq.project(row) == {}
 
 
+def commutant_reference(field, n, maps):
+    """A basis of {X : X R = R X for every R in maps}, X flattened with entry
+    (a, b) at a * n + b: the kernel of the stacked constraints read off the
+    dense rref."""
+    rows = []
+    for R in maps:
+        r = [[R.columns[b].get(a, field.zero) for b in range(n)] for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                # (X R - R X)[a][b] = sum_c X[a][c] r[c][b] - r[a][c] X[c][b]
+                row = [field.zero] * (n * n)
+                for c in range(n):
+                    row[a * n + c] = field.add(row[a * n + c], r[c][b])
+                    row[c * n + b] = field.sub(row[c * n + b], r[a][c])
+                rows.append(row)
+    reduced, pivots = rref(Matrix(field, rows))
+    kernel = []
+    for free in (j for j in range(n * n) if j not in pivots):
+        v = {free: field.one}
+        for i, p in enumerate(pivots):
+            if reduced.data[i][free]:
+                v[p] = field.neg(reduced.data[i][free])
+        kernel.append(v)
+    return kernel
+
+
+def assert_is_commutant(endo, field, n, maps):
+    """endo spans exactly the reference commutant of maps."""
+    ref = commutant_reference(field, n, maps)
+    assert endo.dim == len(ref) == span_dim(field, ref)
+    assert all(endo.contains(v) for v in ref)
+
+
 def test_endomorphism_algebra_trivial():
     field = Q
     unit_alg = Algebra.from_entries(field, 1, [(0, 0, 0, field.one)], {0: field.one})
-    endo = endomorphism_algebra(field, 1, [LinMap.identity(field, 1)], unit_alg)
-    assert endo.algebra.dim == 1
+    endo = right_module_endomorphisms(unit_alg, LinMap.identity(field, 1))
+    assert endo.induced_algebra()[0].dim == 1
+    assert_is_commutant(endo, field, 1, [LinMap.identity(field, 1)])
 
 
 def test_endomorphism_algebra_field_extension():
     # Q(sqrt 2) as a module over Q: all linear maps, End = M_2(Q)
     X = quadratic_field_algebra(Q, Q.from_int(2))
-    unit_alg = Algebra.from_entries(Q, 1, [(0, 0, 0, Q.one)], {0: Q.one})
-    endo = endomorphism_algebra(Q, 2, [LinMap.identity(Q, 2)], unit_alg)
-    assert endo.algebra.dim == 4
-    assert verify_algebra(endo.algebra).ok
+    endo = right_module_endomorphisms(X, LinMap(Q, [X.unit], 2))
+    E = endo.induced_algebra()[0]
+    assert E.dim == 4
+    assert verify_algebra(E).ok
+    assert E.table == matrix_algebra(Q, 2).table
+    assert_is_commutant(endo, Q, 2, [LinMap.identity(Q, 2)])
 
 
 def test_endomorphism_algebra_group_pair(ext_s3_a3):
     ext = ext_s3_a3
-    n_alg = ext.n_algebra
-    mats = [
-        rmul(ext.M, ext.embed.apply({i: Q.one}))
-        for i in range(n_alg.dim)
-    ]
-    endo = endomorphism_algebra(Q, 6, mats, n_alg)
-    assert endo.algebra.dim == 12  # equals dim M (x)_N M
+    endo = right_module_endomorphisms(ext.M, ext.embed)
+    assert endo.dim == 12  # equals dim M (x)_N M
+    assert_is_commutant(endo, Q, 6, [rmul(ext.M, n) for n in ext.embed.columns])
 
 
 def test_endomorphism_coords_of_matrix(ext_s3_a3):
     ext = ext_s3_a3
-    n_alg = ext.n_algebra
-    mats = [
-        rmul(ext.M, ext.embed.apply({i: Q.one}))
-        for i in range(n_alg.dim)
-    ]
-    endo = endomorphism_algebra(Q, 6, mats, n_alg)
-    E = endo.algebra
-    for i, a in enumerate(endo.basis):
+    mats = [rmul(ext.M, n) for n in ext.embed.columns]
+    end = matrix_algebra(Q, 6)
+    endo = right_module_endomorphisms(ext.M, ext.embed)
+    assert endo.equals(centralizer(end, SubspaceBasis.from_spanning(end, [matrix_element(r) for r in mats])))
+    E = endo.induced_algebra()[0]
+    for i, a in enumerate(endo.vectors):
         assert endo.coords(a) == {i: Q.one}
-        for j, b in enumerate(endo.basis):
-            assert endo.coords(a.compose(b)) == E.cell(i, j)
+        for j, b in enumerate(endo.vectors):
+            composed = matrix_element(matrix_map(Q, 6, a).compose(matrix_map(Q, 6, b)))
+            assert end.mul_sparse(a, b) == composed
+            assert endo.coords(composed) == E.cell(i, j)
     # right multiplication by the transposition (01) fails to commute with
     # right multiplication by the 3-cycles of A3
     r01 = rmul(ext.M, {1: Q.one})
     assert any(r01.compose(r) != r.compose(r01) for r in mats)
-    assert endo.coords(r01) is None
+    assert endo.coords(matrix_element(r01)) is None
 
 
 def test_endomorphism_rejects_bad_module():
-    bad_alg = group_algebra(cyclic_group(2), Q)
-    mats = [LinMap.identity(Q, 2), LinMap(Q, [{0: Q.from_int(2)}, {1: Q.from_int(2)}], 2)]
-    with pytest.raises(AlgebraError):
-        endomorphism_algebra(Q, 2, mats, bad_alg)
+    """Over a non-associative M the right multiplications by N need not span
+    a subalgebra of End_k(M); End(M_N) is then not formed."""
+    for field in ("rational", "f7"):
+        ext = non_associative("group-pair", {"group": "s3", "subgroup": "z2", "field": field}, (1, 1, 1))
+        M, f = ext.M, ext.M.field
+        rights = [rmul(M, n) for n in ext.embed.columns]
+        span = [matrix_element(r) for r in rights]
+        assert any(span_dim(f, span + [matrix_element(r.compose(s))]) > span_dim(f, span)
+                   for r in rights for s in rights)
+        with pytest.raises(AlgebraError, match="not a unital subalgebra"):
+            right_module_endomorphisms(M, ext.embed)
+
+
+def tensor_square_reference(alg, v, w):
+    """(x (x) y)(x' (x) y') componentwise, e_p (x) e_q at p * dim + q."""
+    f, d = alg.field, alg.dim
+    out = {}
+    for pq, cv in v.items():
+        p, q = divmod(pq, d)
+        for rs, cw in w.items():
+            r, s = divmod(rs, d)
+            c = f.mul(cv, cw)
+            right = alg.cell(q, s)
+            for k, ck in alg.cell(p, r).items():
+                for l, cl in right.items():
+                    sparse_add(f, out, k * d + l, f.mul(c, f.mul(ck, cl)))
+    return out
+
+
+@pytest.mark.parametrize("alg", [
+    group_algebra(symmetric_group_3(), Q),
+    quadratic_field_algebra(F7, F7.from_int(3)),
+    matrix_units_m2(F2),
+], ids=["q[s3]", "f7(sqrt3)", "m2f2"])
+def test_tensor_algebra_is_the_componentwise_product(alg):
+    f, d = alg.field, alg.dim
+    square = tensor_algebra(alg)
+    assert square.dim == d * d
+    assert square.unit == {i * d + j: f.mul(a, b) for i, a in alg.unit.items() for j, b in alg.unit.items()}
+    for i in range(d * d):
+        for j in range(d * d):
+            assert square.mul_sparse({i: f.one}, {j: f.one}) == tensor_square_reference(alg, {i: f.one}, {j: f.one})
+    rng = random.Random(26)
+    for _ in range(20):
+        v, w = ({k: f.from_int(rng.randint(-2, 2)) for k in rng.sample(range(d * d), 3)} for _ in range(2))
+        v, w = ({k: c for k, c in x.items() if c} for x in (v, w))
+        assert square.mul_sparse(v, w) == tensor_square_reference(alg, v, w)
+    assert all(row == dict(sorted(row.items())) for row in square.table)
+    assert verify_algebra(square).ok
 
 
 def test_check_morphism_identity_iso():

@@ -311,7 +311,7 @@ def test_long_lived_spans_are_frozen(tower_s3_z2):
     ext = t.base_sys.ext
     sub = SubspaceBasis(t.M1, t.incl1.columns)
     canonical = SubspaceBasis.from_spanning(t.M1, t.incl1.columns)
-    endo = right_module_endomorphisms(ext.M, ext.n_algebra, ext.embed)
+    endo = right_module_endomorphisms(ext.M, ext.embed)
     for solver in (sub._space, canonical._space, t.base_sys.tq._relations, t.levels[0].sys.tq._relations, endo._space):
         assert solver.users is None
         with pytest.raises(RuntimeError):

@@ -169,33 +169,66 @@ def test_cond_expectation_runs_again_only_on_a_rescaled_e(monkeypatch, rescale, 
 
 @pytest.mark.parametrize("field", ["rational", "f7"])
 @pytest.mark.parametrize(
-    "subgroup, bump, stopped_at",
-    [("a3", (1, 2, 1), "frobenius-identities"), ("z2", (1, 1, 1), "tower-level-1")],
-    ids=["s3/a3", "s3/z2"],
+    "example, params, bump, stopped_at",
+    [("group-pair", {"group": "s3", "subgroup": "a3"}, (1, 2, 1), "frobenius-identities"),
+     ("group-pair", {"group": "s3", "subgroup": "z2"}, (1, 1, 1), "tower-level-1"),
+     ("quadratic-field", {}, (0, 0, 0), "tower-level-1")],
+    ids=["s3/a3", "s3/z2", "quadratic-field"],
 )
-def test_non_associative_m_ends_in_a_report(subgroup, bump, stopped_at, field):
+def test_non_associative_m_ends_in_a_report(example, params, bump, stopped_at, field):
     """A non-associative M whose classification (s3/a3: C_M(N) is not closed
     under products) or level extension (s3/z2: incl(M) is not a unital
-    subalgebra of M1) cannot be formed ends in a report: algebra-axioms FAILs
-    with the failure list of the scan over every basis triple, and the checks
-    that need M to be an algebra are skipped with the reason."""
-    ext = non_associative("group-pair", {"group": "s3", "subgroup": subgroup, "field": field}, bump)
-    report = run_pipeline(ext)
-    res = by_id(report)
-    w = ext.M.field.witness
-    units, assoc = reference_failures(ext.M)
-    assert not units
-    expected = [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in assoc]
-    assert res["algebra-axioms"].status == "fail"
-    assert res["algebra-axioms"].witness == {"failures": expected[:4]}
-    assert [cid for cid, r in res.items() if r.status == "fail"] == ["algebra-axioms"]
-    assert res[stopped_at].status == "skipped"
-    assert res[stopped_at].reason.startswith(pipeline.NON_ASSOCIATIVE + ": ")
-    statuses = [r.status for r in res.values()]
-    assert set(statuses[list(res).index(stopped_at):]) == {"skipped"}
-    assert report.hypotheses["frobenius"] is (subgroup == "z2")
-    assert report.exit_code() == 1
-    assert canonical_json(report.to_dict()) == canonical_json(run_pipeline(ext).to_dict())
+    subalgebra of M1; quadratic-field, where the bump also breaks the unit
+    law: incl is not injective) cannot be formed ends in a report:
+    algebra-axioms FAILs with the failure list of the scan over every basis
+    element and triple, and the checks that need M to be an algebra are
+    skipped with the reason."""
+    ext = non_associative(example, dict(params, field=field), bump)
+    for levels in (1, 2):
+        report = run_pipeline(ext, levels=levels)
+        res = by_id(report)
+        w = ext.M.field.witness
+        units, assoc = reference_failures(ext.M)
+        assert (units != []) == (example == "quadratic-field")
+        expected = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])} for fl in units]
+        expected += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in assoc]
+        assert res["algebra-axioms"].status == "fail"
+        assert res["algebra-axioms"].witness == {"failures": expected[:4]}
+        assert [cid for cid, r in res.items() if r.status == "fail"] == ["algebra-axioms"]
+        assert res[stopped_at].status == "skipped"
+        assert res[stopped_at].reason.startswith(pipeline.NON_ASSOCIATIVE + ": ")
+        statuses = [r.status for r in res.values()]
+        assert set(statuses[list(res).index(stopped_at):]) == {"skipped"}
+        assert report.hypotheses["frobenius"] is (stopped_at == "tower-level-1")
+        assert report.exit_code() == 1
+        assert canonical_json(report.to_dict()) == canonical_json(run_pipeline(ext, levels=levels).to_dict())
+    if example == "quadratic-field":
+        assert res[stopped_at].reason == pipeline.NON_ASSOCIATIVE + ": the inclusion of the level below is not injective"
+
+
+@pytest.mark.parametrize("field", ["rational", "f7"])
+def test_non_associative_m_without_second_centralizers_ends_in_a_report(field):
+    """z4/z2 with c_31^0 raised: the tower is built and its checks FAIL, and
+    the relative commutants cannot be formed, as the image of M is not a
+    unital subalgebra of M2. The depth-2 stage and every stage after it are
+    skipped with the non-associative reason, at every stage asked for."""
+    ext = non_associative("group-pair", {"group": "z4", "subgroup": "z2", "field": field}, (3, 1, 0))
+    for upto in ("depth2", "galois"):
+        report = run_pipeline(ext, upto=upto)
+        res = by_id(report)
+        assert res["algebra-axioms"].status == "fail"
+        assert {"tower-level-1", "tower-level-2", "endo-ring-iso"} <= {
+            cid for cid, r in res.items() if r.status == "fail"}
+        after = list(res)[list(res).index("second-centralizers"):]
+        assert after[:len(pipeline.DEPTH2_CHECKS)] == list(pipeline.DEPTH2_CHECKS)
+        reason = res["second-centralizers"].reason
+        assert reason == pipeline.NON_ASSOCIATIVE + ": centralizer: given subspace is not a unital subalgebra"
+        assert all(res[cid].status == "skipped" and res[cid].reason == reason for cid in after)
+        assert "depth_two" not in report.hypotheses
+        assert report.exit_code() == 1
+        assert canonical_json(report.to_dict()) == canonical_json(run_pipeline(ext, upto=upto).to_dict())
+    one_level = by_id(run_pipeline(ext, levels=1))
+    assert one_level["second-centralizers"].reason == pipeline.ONE_LEVEL
 
 
 # ---------------------------------------------------------------------------

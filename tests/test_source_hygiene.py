@@ -450,3 +450,91 @@ def test_scan_sees_a_max_failures_use():
     assert _max_failures_uses(tree) == [
         (1, "law_failures"), (2, "law_failures"), (3, "check"), (5, "check"), (5, "check"), (6, None),
     ]
+
+
+# One commutant solver: a subspace of elements commuting with a set is a
+# centralizer (End(M_N) included, as the centralizer of the right
+# multiplications in End_k(M)), and the invariants of a Hopf action are the
+# one other kernel the package solves for.
+_KERNEL_SITES = {("algebra", "centralizer"), ("galois", "invariants")}
+
+
+def _kernel_basis_calls(tree) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every call of kernel_basis, by name or
+    as an attribute."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and "kernel_basis" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            out.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return sorted(out)
+
+
+def test_kernel_basis_is_called_by_centralizer_and_invariants_only():
+    found, sites = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        for line, fn in _kernel_basis_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            sites.add((path.stem, fn))
+            if (path.stem, fn) not in _KERNEL_SITES:
+                found.append(f"{path.name}:{line} {fn}")
+    assert found == [], "kernel_basis called outside algebra.centralizer and galois.invariants"
+    assert sites == _KERNEL_SITES
+
+
+def test_scan_sees_a_kernel_basis_call():
+    tree = ast.parse(
+        "from .linalg import kernel_basis\n"
+        "def endomorphisms(maps):\n    return kernel_basis(maps)\n"
+        "def other(linalg, A):\n    def inner():\n        return linalg.kernel_basis(A)\n    return inner\n"
+        "basis = kernel_basis\n"
+    )
+    assert _kernel_basis_calls(tree) == [(3, "endomorphisms"), (6, "inner")]
+
+
+# One subspace type: a span kept in a SparseSolver is a SubspaceBasis or a
+# TensorQuotient of algebra; other modules may run a solver inside a function
+# but define no class that keeps one.
+_SOLVER_MODULES = {"linalg", "algebra"}
+
+
+def _solver_holding_classes(tree) -> list[tuple[int, str]]:
+    """(line, class) of every class whose body names SparseSolver, in code
+    or in a string annotation."""
+    out = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(node, ast.Name) and node.id == "SparseSolver"
+            or isinstance(node, ast.Attribute) and node.attr == "SparseSolver"
+            or isinstance(node, ast.Constant) and node.value == "SparseSolver"
+            for node in ast.walk(cls)
+        ):
+            out.append((cls.lineno, cls.name))
+    return out
+
+
+def test_only_linalg_and_algebra_define_solver_holding_classes():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.stem not in _SOLVER_MODULES:
+            found.extend(f"{path.name}:{line} {name}"
+                         for line, name in _solver_holding_classes(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == [], "a class outside linalg and algebra keeps a SparseSolver"
+
+
+def test_scan_sees_a_solver_holding_class():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Endo:\n    _space: SparseSolver\n"
+        "class Lazy:\n    def __init__(self, f, n):\n        self.span = linalg.SparseSolver(f, n)\n"
+        "class Quoted:\n    span: 'SparseSolver'\n"
+        "class Plain:\n    span: dict\n"
+        "def solve(f, n):\n    return SparseSolver(f, n)\n"
+    )
+    assert _solver_holding_classes(tree) == [(3, "Endo"), (5, "Lazy"), (8, "Quoted")]

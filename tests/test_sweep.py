@@ -1,0 +1,56 @@
+"""A fixed slice of the byte-identity sweep (tools/sweep.py): the
+quadratic-field and z4/z2 extensions over Q and F7, clean and with every
+single structure-constant bump that builds, end in reports."""
+import importlib.util
+from pathlib import Path
+
+from test_golden_reports import GOLDEN
+from test_pipeline import _unlisted_or_repeated
+
+from hopftower import pipeline
+from hopftower.pipeline import run_pipeline
+from hopftower.report import SKIP
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+SLICE = ["q/quadratic-field", "f7/quadratic-field", "q/group-pair:z4/z2", "f7/group-pair:z4/z2"]
+
+
+def _sweep():
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_slice_ends_in_reports_with_a_reason_on_every_skip():
+    """No input raises, every skipped check names its reason and every check
+    of every stage is listed once. The slice
+    holds the bumps that once raised from the level extension (c_00^0) and
+    from the relative commutants (z4/z2, c_31^0)."""
+    sweep = _sweep()
+    seen = []
+    for input_id, ext, d2 in sweep.inputs(SLICE, models=False):
+        report = run_pipeline(ext, d2_override=d2)
+        assert [r.check_id for r in report.results if r.status == SKIP and not r.reason] == [], input_id
+        assert _unlisted_or_repeated(report, "galois") == {}, input_id
+        seen.append(input_id)
+    # each case clean and with the bumps under which N stays a unital
+    # subalgebra: 7 of the 8 of the quadratic field, 56 of the 64 of z4/z2
+    assert len(seen) == 2 * (1 + 7) + 2 * (1 + 56)
+    assert {"q/quadratic-field@0.0.0", "f7/quadratic-field@0.0.0",
+            "q/group-pair:z4/z2@3.1.0", "f7/group-pair:z4/z2@3.1.0"} <= set(seen)
+
+
+def test_clean_inputs_follow_the_golden_path(monkeypatch):
+    """A clean catalog input's line is its golden digest; a raising run is a
+    line, not the end of the sweep."""
+    sweep = _sweep()
+    lines = {input_id: sweep.line(ext, d2) for input_id, ext, d2 in sweep.inputs(SLICE, models=False)
+             if "@" not in input_id}
+    assert lines == {case_id: GOLDEN[case_id] for case_id in SLICE}
+
+    def raising(ext, d2_override=None):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(pipeline, "run_pipeline", raising)
+    assert sweep.line(None, None) == "raised: ZeroDivisionError"

@@ -1,7 +1,7 @@
 import pytest
 from test_generator_sites import CASES, _state
 
-from hopftower.algebra import TensorQuotient
+from hopftower.algebra import TensorQuotient, right_module_endomorphisms
 from hopftower.fields import RationalField
 from hopftower.frobenius import solve_dual_bases
 from hopftower.linalg import rank, sparse_scale
@@ -80,7 +80,7 @@ def test_endo_ring_iso_all(
     for sys, t, dim in cases:
         res = endo_ring_iso(sys, t.levels[0])
         assert res.ok, res.failures[:1]
-        assert res.endo_dim == dim == t.M1.dim
+        assert right_module_endomorphisms(sys.M, sys.ext.embed).dim == dim == t.M1.dim
 
 
 def test_inclusion_is_monomorphism(tower_s3_a3):
