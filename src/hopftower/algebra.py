@@ -452,9 +452,6 @@ class SubspaceBasis:
     def equals(self, other: "SubspaceBasis") -> bool:
         return self._space.pivots == other._space.pivots
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
-
     def is_unital_subalgebra(self) -> bool:
         alg = self.ambient
         reduce = self._space.reduce

@@ -42,7 +42,6 @@ from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, 
 
 @dataclass
 class DepthTwoLevelVerdict:
-    level: int
     passed: bool
     n0: Optional[int]
     reason: Optional[str]
@@ -151,16 +150,16 @@ def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
 
 def check_depth_two(t, d2: DepthTwoData) -> DepthTwoData:
     """Fill both level verdicts of d2 (in place) and return it."""
-    d2.level1 = _solve_level(1, _level_context(t.levels[0], d2.A))
-    d2.level2 = _solve_level(2, _level_context(t.levels[1], d2.B))
+    d2.level1 = _solve_level(_level_context(t.levels[0], d2.A))
+    d2.level2 = _solve_level(_level_context(t.levels[1], d2.B))
     if d2.level2.passed:
         d2.uv = (d2.level2.z, d2.level2.w)
     return d2
 
 
-def _solve_level(level: int, ctx: _LevelContext) -> DepthTwoLevelVerdict:
+def _solve_level(ctx: _LevelContext) -> DepthTwoLevelVerdict:
     verdict = DepthTwoLevelVerdict(
-        level=level, passed=False, n0=None, reason=None, z=None, w=None,
+        passed=False, n0=None, reason=None, z=None, w=None,
         tensor_solvable=_tensor_membership(ctx), paths_agree=None,
     )
     verdict.reason = _decide_level(ctx, verdict)

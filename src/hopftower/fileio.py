@@ -224,7 +224,7 @@ def load_pair_file(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def hopf_to_dict(H, pairing_matrix: Optional[LinMap] = None, integral: Optional[dict] = None) -> dict:
+def hopf_to_dict(H, pairing_matrix: LinMap, integral: Optional[dict] = None) -> dict:
     f = H.algebra.field
     out = {
         "field": field_to_spec(f),
@@ -232,9 +232,8 @@ def hopf_to_dict(H, pairing_matrix: Optional[LinMap] = None, integral: Optional[
         "comultiplication": matrix_to_rows(f, H.delta),
         "counit": matrix_to_rows(f, H.counit),
         "antipode": matrix_to_rows(f, H.antipode) if H.antipode is not None else None,
+        "pairing": matrix_to_rows(f, pairing_matrix),
     }
-    if pairing_matrix is not None:
-        out["pairing"] = matrix_to_rows(f, pairing_matrix)
     if integral is not None:
         out["integral"] = vector_to_list(f, H.algebra.to_dense(integral))
     return out

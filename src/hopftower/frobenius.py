@@ -61,11 +61,8 @@ class ExtensionSpec:
         """N-coordinates -> M-coordinates."""
         return self._embed
 
-    def e_into_m(self, E: Optional[LinMap] = None) -> LinMap:
+    def e_into_m(self, E: LinMap) -> LinMap:
         """E followed by the embedding, as a map M -> M."""
-        E = E or self.E
-        if E is None:
-            raise FrobeniusError("extension carries no E map")
         return self._embed.compose(E)
 
 
@@ -516,11 +513,8 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
     f = R.field
     m_alg = sys_mn.M
     # sanity: ident must carry m_alg onto sys_rm.N as algebras
-    for i in range(m_alg.dim):
-        for j in range(m_alg.dim):
-            lhs = ident.apply(m_alg.cell(i, j))
-            if lhs != R.mul_sparse(ident.columns[i], ident.columns[j]):
-                raise FrobeniusError("identification M -> R is not an algebra map")
+    if mult_failures(ident, m_alg, R, None, 1):
+        raise FrobeniusError("identification M -> R is not an algebra map")
     # F: R -> M coords (translate sys_rm.E through the N_RM basis -> m_alg coords)
     basis_in_m, _ = solve(ident, sys_rm.ext.N.vectors)
     if None in basis_in_m:

@@ -180,8 +180,8 @@ def build_coalgebra(
     return delta, eps, CheckOutcome(not failures, failures)
 
 
-def comultiplication(p: PairingData, t=None, d2=None) -> tuple[LinMap, LinMap, CheckOutcome]:
-    """Delta and eps on B; with a tower also cross-checks eps(b) = lam^-1 F(b e2),
+def comultiplication(p: PairingData, t, d2) -> tuple[LinMap, LinMap, CheckOutcome]:
+    """Delta and eps on B, cross-checked against the tower t: eps(b) = lam^-1 F(b e2),
     Delta(1) = 1 (x) 1 and multiplicativity of eps."""
     f = p.B_alg.field
     delta, eps, out = build_coalgebra(p.A_alg, p.B_alg, p.P, p.P_inv)
@@ -198,12 +198,11 @@ def comultiplication(p: PairingData, t=None, d2=None) -> tuple[LinMap, LinMap, C
             rhs = f.mul(H.counit_of(i), H.counit_of(j))
             if not f.eq(lhs, rhs):
                 failures.append({"kind": "eps-multiplicative", "pair": (i, j)})
-    if t is not None and d2 is not None:
-        lam_inv = t.base_sys.lambda_inverse
-        for j, b in enumerate(d2.B.vectors):
-            val = scalar_of(t.M, t.F.apply(t.M2.mul_sparse(b, t.e2)))
-            if val is None or not f.eq(f.mul(lam_inv, val), H.counit_of(j)):
-                failures.append({"kind": "eps-vs-F(be2)", "basis": j})
+    lam_inv = t.base_sys.lambda_inverse
+    for j, b in enumerate(d2.B.vectors):
+        val = scalar_of(t.M, t.F.apply(t.M2.mul_sparse(b, t.e2)))
+        if val is None or not f.eq(f.mul(lam_inv, val), H.counit_of(j)):
+            failures.append({"kind": "eps-vs-F(be2)", "basis": j})
     return delta, eps, CheckOutcome(not failures, failures)
 
 
@@ -516,13 +515,13 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
 # ---------------------------------------------------------------------------
 
 
-def dualize(p: PairingData, H_B: HopfStructure, t=None, d2=None) -> tuple[HopfStructure, CheckOutcome]:
+def dualize(p: PairingData, H_B: HopfStructure, t, d2) -> tuple[HopfStructure, CheckOutcome]:
     """Hopf structure on A dual to H_B through the pairing.
 
     Delta_A is built by the same dual-basis construction from B's
     multiplication, which re-verifies <a, b b'> = <a_(1), b><a_(2), b'> on
-    all basis triples; S_A is the pairing transpose of S_B. With a tower the
-    integral identities of e1 are checked as well.
+    all basis triples; S_A is the pairing transpose of S_B. The integral
+    identities of e1 in the tower t are checked as well.
     """
     f = p.A_alg.field
     # swap roles: pairing of B against A is P^T; its column i is <a_i, .>
@@ -537,19 +536,18 @@ def dualize(p: PairingData, H_B: HopfStructure, t=None, d2=None) -> tuple[HopfSt
     ax = verify_hopf_axioms(H_A, expect_involutive=False)
     failures.extend(ax.failures)
 
-    if t is not None and d2 is not None:
-        e1_A = d2.A.coords(t.e1)
-        if e1_A is None:
-            failures.append({"kind": "e1-outside-A"})
-        else:
-            if not f.eq(H_A.counit_apply(e1_A), f.one):
-                failures.append({"kind": "eps_A(e1) != 1"})
-            # e1 a = eps_A(a) e1 = a e1 (integral property in A)
-            M1 = t.M1
-            for i, a in enumerate(d2.A.vectors):
-                expected = sparse_scale(f, H_A.counit_of(i), t.e1)
-                if M1.mul_sparse(t.e1, a) != expected or M1.mul_sparse(a, t.e1) != expected:
-                    failures.append({"kind": "e1-not-integral", "basis": i})
+    e1_A = d2.A.coords(t.e1)
+    if e1_A is None:
+        failures.append({"kind": "e1-outside-A"})
+    else:
+        if not f.eq(H_A.counit_apply(e1_A), f.one):
+            failures.append({"kind": "eps_A(e1) != 1"})
+        # e1 a = eps_A(a) e1 = a e1 (integral property in A)
+        M1 = t.M1
+        for i, a in enumerate(d2.A.vectors):
+            expected = sparse_scale(f, H_A.counit_of(i), t.e1)
+            if M1.mul_sparse(t.e1, a) != expected or M1.mul_sparse(a, t.e1) != expected:
+                failures.append({"kind": "e1-not-integral", "basis": i})
     return H_A, CheckOutcome(not failures, failures)
 
 

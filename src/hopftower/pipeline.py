@@ -20,9 +20,8 @@ same result wherever the shortcut's premises hold and lists the failures
 where they do not; algebra.law_failures is that one fallback for the algebra
 axioms, morphisms, conditional expectations, Frobenius identities and the
 depth-2 Frobenius sums, Pimsner-Popa, the E_A and E_B bimodule laws, the
-matrix units of C, Nakayama automorphisms, module-algebra laws and the Hopf
-action identities and exchange relation. endo-ring-iso alone tests psi on
-generators itself, as its basis scan checks phi, a different map.
+matrix units of C, Nakayama automorphisms, End(M_N) ~ M1 (psi into End_k(M)),
+module-algebra laws and the Hopf action identities and exchange relation.
 """
 from __future__ import annotations
 

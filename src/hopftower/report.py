@@ -14,7 +14,6 @@ FAIL = "fail"
 SKIP = "skipped"
 
 CHECK_STATEMENTS = {
-    "input-parse": "input file parses and validates against the extension schema",
     "algebra-axioms": "associativity and unit laws hold on all basis triples and pairs",
     "subalgebra-unital": "the embedded subalgebra is closed under products and contains 1",
     "cond-expectation": "E(1) = 1 and E(n m n') = n E(m) n' on all basis tuples",

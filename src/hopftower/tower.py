@@ -21,6 +21,7 @@ from .algebra import (
     matrix_element,
     matrix_map,
     module_generators,
+    mult_failures,
     right_module_endomorphisms,
     span_dim,
 )
@@ -39,7 +40,7 @@ from .frobenius import (
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
-from .linalg import map_combination, rank, sparse_add, sparse_axpy, sparse_scale
+from .linalg import rank, sparse_add, sparse_axpy, sparse_scale
 
 
 class TowerError(ValueError):
@@ -53,7 +54,6 @@ class TowerLevel:
     incl: LinMap  # below -> algebra
     e: dict  # Jones idempotent
     cond_exp: LinMap  # algebra -> below coordinates
-    lam_inverse: object  # scalar index of the level below
     dual_pairs: list  # E-dual bases of this level over the one below
     sys: Optional[FrobeniusSystem]  # Frobenius system for algebra / below
     checks: list  # (name, CheckOutcome)
@@ -296,7 +296,6 @@ def basic_construction(
         incl=incl,
         e=e1,
         cond_exp=cond_exp,
-        lam_inverse=lam_inv,
         dual_pairs=pairs1,
         sys=sys1,
         checks=checks,
@@ -339,7 +338,6 @@ def build_tower(
         raise TowerError("level-1 index is not a nonzero scalar")
     m_in_m1 = level1.incl_generators if level1.verified else None
     sys1.tq = TensorQuotient(level1.algebra, sys1.ext.N, n_generators=m_in_m1)
-    sys1.dual_tensor = pairs_to_tensor(sys1.tq, level1.algebra, sys1.dual_pairs)
     level2 = basic_construction(sys1, level1.generators, level1.verified)
     F = level1.cond_exp.compose(level2.cond_exp)
     tower = TowerData(base_sys=sys, levels=[level1, level2], F=F, emtwo_checks=[], n_generators=n_generators)
@@ -419,16 +417,16 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
     """f -> sum f(x_i) (x) y_i is an algebra isomorphism End(M_N) -> M1,
     with inverse psi: m (x) n -> lambda_m E lambda_n; both directions verified.
 
-    Once phi psi = id and psi phi = id, phi is an algebra map exactly when psi
-    is. On a verified level M1 is associative, so the y with
-    psi(x y) = psi(x) psi(y) for every basis x form a subalgebra, as
-    psi(x y y') = psi(x y) psi(y') = psi(x) psi(y) psi(y'), which holds 1 when
-    psi(1) = id; so psi is checked on the level's generators, and End(M_N)'s
-    multiplication table (induced_algebra) is formed for the scan over basis
-    pairs only when that fails.
+    psi is formed as a map M1 -> End_k(M), the ambient matrix algebra of
+    End(M_N). Once phi psi = id and psi phi = id, phi is an algebra map exactly
+    when psi is. On a verified level M1 is associative, so with psi(1) = id,
+    mult_failures into End_k(M) decides psi on the level's generators; an
+    unverified level, or any failure there, runs check_morphism of phi over
+    End(M_N)'s multiplication table (induced_algebra), scanning basis pairs.
     """
     M, f = sys.M, sys.M.field
     endo = right_module_endomorphisms(M, sys.ext.embed)
+    end = endo.ambient
     tq = sys.tq
     assert tq is not None
     alg1 = level.algebra
@@ -440,10 +438,10 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
         cols.append(pairs_to_tensor(tq, M, [(g.apply(x), y) for x, y in sys.dual_pairs]))
     phi = LinMap(f, cols, alg1.dim)
 
-    psi_maps = _psi_maps(sys)
+    psi_elems = LinMap(f, [matrix_element(g) for g in _psi_maps(sys)], end.dim)
     psi_cols = []
-    for (a, b), g in zip(tq.basis, psi_maps):
-        coords = endo.coords(matrix_element(g))
+    for (a, b), elem in zip(tq.basis, psi_elems.columns):
+        coords = endo.coords(elem)
         if coords is None:
             failures.append({"kind": "psi-image-outside-End(M_N)", "pair": (a, b)})
             coords = {}
@@ -454,20 +452,8 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
     if not (ident1 and ident2):
         failures.append({"kind": "inverse-check-failed"})
 
-    def psi_of(y: dict) -> LinMap:
-        return map_combination(f, M.dim, y, psi_maps)
-
-    def multiplicative_on_generators() -> bool:
-        if psi_of(alg1.unit) != LinMap.identity(f, M.dim):
-            return False
-        for g in level.generators:
-            psi_g = psi_of(g)
-            for x in range(alg1.dim):
-                if psi_of(alg1.mul_sparse({x: f.one}, g)) != psi_maps[x].compose(psi_g):
-                    return False
-        return True
-
-    if failures or not level.verified or not multiplicative_on_generators():
+    if (failures or not level.verified or psi_elems.apply(alg1.unit) != end.unit
+            or mult_failures(psi_elems, alg1, end, level.generators, 1)):
         morph = check_morphism(phi, endo.induced_algebra()[0], alg1)
         if not morph.ok():
             failures.insert(0, {"kind": "phi-not-iso", "detail": morph.failures[:2]})

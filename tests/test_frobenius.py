@@ -251,6 +251,13 @@ def test_compose_with_trivial_factor(sys_sqrt2, sys_trivial):
     assert verify_frobenius_identities(comp).ok
 
 
+def test_compose_rejects_an_identification_that_is_not_an_algebra_map(sys_sqrt2, sys_trivial):
+    # 1 -> 2: linear and injective, but 2 * 2 != 2
+    ident = rows_map(Q, [[Q.from_int(2)], [Q.zero]])
+    with pytest.raises(FrobeniusError, match="^identification M -> R is not an algebra map$"):
+        compose(sys_sqrt2, sys_trivial, ident)
+
+
 def test_compose_quartic_lagrange(sys_sqrt2):
     ext_rm = _quartic_tower()
     sys_rm = solve_dual_bases(ext_rm)

@@ -1,5 +1,6 @@
 import pytest
 
+from hopftower import models
 from hopftower.algebra import LinMap, SubspaceBasis
 from hopftower.fields import PrimeField, RationalField
 from hopftower.frobenius import verify_frobenius_identities
@@ -168,6 +169,23 @@ def test_extension_roundtrip_through_files():
     ext2 = extension_from_dict(data)
     assert ext2.M.dim == ext.M.dim
     assert extension_to_dict(ext2) == data
+
+
+def test_model_tower_reports_b_outside_the_centralizer(bundle_z2, monkeypatch):
+    # an action map x -> e1 x puts incl2(e1) into B, and e1 m != m e1 in M2
+    # for m in M outside N; the honest action gives no such failure
+    real = models.dual_action_on_m1
+
+    def with_e1(t, bundle, a_vectors):
+        act = real(t, bundle, a_vectors)
+        e1_left = LinMap(t.M1.field, [t.M1.mul_sparse(t.e1, {q: t.M1.field.one}) for q in range(t.M1.dim)],
+                         t.M1.dim)
+        return ModuleAlgebraAction(act.hopf, act.algebra, act.maps[:-1] + [e1_left])
+
+    monkeypatch.setattr(models, "dual_action_on_m1", with_e1)
+    _t, _d2, rep = models.model_tower(bundle_z2)
+    assert {"kind": "B-not-in-C_M2(M)"} in rep.failures
+    assert {"kind": "A-not-in-C_M1(N)"} not in rep.failures
 
 
 def test_model_tower_verifications(model_z2, model_z3_f7):

@@ -486,6 +486,26 @@ def test_level_sites_need_a_verified_level(level_sites, endo_tables):
     assert tower.endo_ring_iso(sys, unverified.levels[0]).ok and len(endo_tables) == 1
 
 
+@pytest.mark.parametrize("case", TOWER_CASES)
+def test_endo_ring_iso_decides_psi_through_mult_failures(case, monkeypatch):
+    """A verified level hands mult_failures its own generators for psi into
+    End_k(M); an unverified level goes to the scan of phi without calling it."""
+    t = _tower(case)
+    sys, level = t.base_sys, t.levels[0]
+    calls = []
+    real = tower.mult_failures
+
+    def recording(f_map, A, B, generators, cap):
+        calls.append(generators)
+        return real(f_map, A, B, generators, cap)
+
+    monkeypatch.setattr(tower, "mult_failures", recording)
+    assert tower.endo_ring_iso(sys, level).ok
+    assert len(calls) == 1 and calls[0] is level.generators
+    calls.clear()
+    assert tower.endo_ring_iso(sys, replace(level, verified=False)).ok and calls == []
+
+
 # ---------------------------------------------------------------------------
 # the Hopf-path sites: the Nakayama automorphisms, the exchange relation and
 # the matrix units of C

@@ -40,6 +40,27 @@ def _stored_never_loaded(tree) -> list[tuple[str, int, str]]:
     return out
 
 
+def _is_init_var(annotation) -> bool:
+    node = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) == "InitVar"
+
+
+def _fields_never_loaded(defining, reading) -> list[tuple[str, int, str]]:
+    """(class, line, field) of every annotated class field in the defining
+    trees (InitVar excluded) that no reading tree loads as an attribute."""
+    loaded = {
+        node.attr for tree in reading for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (cls.name, node.lineno, node.target.id)
+        for tree in defining for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and not _is_init_var(node.annotation) and node.target.id not in loaded
+    ]
+
+
 def _unused_imports(tree) -> list[tuple[int, str]]:
     """Names a module imports and never reads; a name listed in __all__ is read."""
     imported = []
@@ -67,6 +88,23 @@ def test_scan_sees_a_dead_local():
     )
     # the closure's dead local is reported once, under the closure
     assert _stored_never_loaded(tree) == [("g", 2, "y"), ("h", 5, "w")]
+
+
+def test_every_class_field_is_read():
+    src = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    tests = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert _fields_never_loaded(src, src + tests) == [], "class fields stored but never read"
+
+
+def test_scan_sees_a_dead_field():
+    tree = ast.parse(
+        "from dataclasses import InitVar, dataclass\n@dataclass\nclass C:\n    a: int\n    b: int\n"
+        "    c: InitVar[int]\n    d: dataclasses.InitVar\n    e = 1\n"
+        "    def total(self):\n        self.b = 2\n        return self.a\n"
+    )
+    reader = ast.parse("def g(x):\n    return x.e, C(a=1, b=2)\n")
+    # a store of b and its keyword in a call are not reads
+    assert _fields_never_loaded([tree], [tree, reader]) == [("C", 5, "b")]
 
 
 def test_every_import_is_used():
