@@ -36,8 +36,9 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer, law_failures
-from .frobenius import CheckOutcome, both_sides, frobenius_failures, nakayama, nakayama_of_functional, scalar_of, sided
-from .linalg import SparseSolver, invert, rank, solve, sparse_add, sparse_axpy, sparse_scale
+from .frobenius import (CheckOutcome, both_sides, dual_bases_equations, frobenius_failures, nakayama,
+                        nakayama_of_functional, scalar_of, sided)
+from .linalg import SparseSolver, invert, rank, solve, sparse_axpy, sparse_scale
 
 
 @dataclass
@@ -133,6 +134,10 @@ class _LevelContext:
     # None: the Frobenius sums are then checked on the basis of up
     left_gens: Optional[list] = None
     right_gens: Optional[list] = None
+
+    def e_m(self, x: dict) -> dict:
+        """The conditional expectation followed by the inclusion, up -> up."""
+        return self.down_in_up.apply(self.cond_exp.apply(x))
 
 
 def _level_context(level, scope: SubspaceBasis) -> _LevelContext:
@@ -301,56 +306,35 @@ def _frobenius_sum_failures(ctx: _LevelContext, z: list, w: list) -> list:
     (law_failures).
     """
     up, pairs = ctx.up, list(zip(z, w))
-
-    def e_m(x: dict) -> dict:
-        return ctx.down_in_up.apply(ctx.cond_exp.apply(x))
-
     gens = None if ctx.left_gens is None else sided(ctx.left_gens, ctx.right_gens)
-    return law_failures(lambda els: frobenius_failures(up, e_m, pairs, els), gens, lambda: both_sides(up), 1)
+    return law_failures(lambda els: frobenius_failures(up, ctx.e_m, pairs, els), gens, lambda: both_sides(up), 1)
 
 
 def _tensor_membership(ctx: _LevelContext) -> bool:
     """Independent brute-force path: is there any tensor T in scope (x) scope
-    with both Frobenius contraction identities? Assembled entry by entry from
-    the defining equations and solved from scratch (sparse incremental
-    elimination with early inconsistency detection).
+    with both Frobenius contraction identities? The rows of the defining
+    equations (frobenius.dual_bases_equations, the scope basis as factors)
+    are solved from scratch by sparse incremental elimination, which stops at
+    the first inconsistent row.
 
     For T = sum T_pq s_p (x) s_q, the left contraction
     sum T_pq incl(E(x s_p)) s_q is a left and the right one
-    sum T_qp s_q incl(E(s_p x)) a right down-module map (as in
+    sum T_pq s_p incl(E(s_q x)) a right down-module map (as in
     _frobenius_sum_failures), so imposing the identities at x in left_gens and
     right_gens keeps exactly the solutions of imposing them at every basis x.
     """
     f = ctx.up.field
-    up = ctx.up
-    d = up.dim
     s = ctx.scope.dim
     if s == 0:
         return False
-    scope_sparse = ctx.scope.vectors
-    cond, down_in_up = ctx.cond_exp, ctx.down_in_up
+    basis = [{x: f.one} for x in range(ctx.up.dim)]
+    elements = sided(basis, basis) if ctx.left_gens is None else sided(ctx.left_gens, ctx.right_gens)
     solver = SparseSolver(f, s * s)
-    basis = [{x: f.one} for x in range(d)]
-    for side, gens in (("left", ctx.left_gens), ("right", ctx.right_gens)):
-        for g in basis if gens is None else gens:
-            rows: list[dict] = [dict() for _ in range(d)]
-            for p in range(s):
-                if side == "left":
-                    fac = down_in_up.apply(cond.apply(up.mul_sparse(g, scope_sparse[p])))
-                else:
-                    fac = down_in_up.apply(cond.apply(up.mul_sparse(scope_sparse[p], g)))
-                if not fac:
-                    continue
-                for q in range(s):
-                    if side == "left":
-                        col, prod = p * s + q, up.mul_sparse(fac, scope_sparse[q])
-                    else:  # T_{qp} with the scope element at slot q
-                        col, prod = q * s + p, up.mul_sparse(scope_sparse[q], fac)
-                    for r, val in prod.items():
-                        sparse_add(f, rows[r], col, val)
-            for r in range(d):
-                if not solver.add_row(rows[r], g.get(r, f.zero)):
-                    return False
+    for block in dual_bases_equations(ctx.up, ctx.e_m, ctx.scope.vectors, list(product(range(s), repeat=2)),
+                                      elements):
+        for row, value in block:
+            if not solver.add_row(row, value):
+                return False
     return solver.consistent
 
 

@@ -67,11 +67,17 @@ def integral(x) -> int:
     return int(x)
 
 
+# the primes up to 41, and psi_13, the least odd composite that is a strong
+# probable prime to all of them (Sorenson-Webster, Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin on PRIME_BASES: exact for n < PSI_13."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in PRIME_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -79,7 +85,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -349,6 +355,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= PSI_13:
+            raise FieldError(f"modulus {p} is at least {PSI_13}, beyond the range where primality is certified")
         if not is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
         self.p = p

@@ -88,7 +88,6 @@ class FrobeniusSystem:
     dual_pairs: list[tuple[dict, dict]]  # a representative list in M (x)_k M
     index: dict  # sum x_i y_i as an element of M
     lambda_inverse: Optional[object]
-    flags: FrobeniusFlags
 
     @property
     def M(self) -> Algebra:
@@ -192,27 +191,32 @@ def verify_bimodule_map(ext: ExtensionSpec, E: LinMap) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _contraction_rows(ext: ExtensionSpec, E: LinMap, tq: TensorQuotient):
-    """Linear maps T -> (both Frobenius sums), as columns over the quotient
-    basis: for each basis m of M, sum E(m x_i) y_i stacked over sum x_i E(y_i m).
+def dual_bases_equations(up: Algebra, e_m: Callable[[dict], dict], factors: list, unknowns: list,
+                         elements: list) -> Iterator[list]:
+    """The rows of L_T(m) = m and R_T(m) = m for T = sum_c T_c x_c (x) y_c,
+    c = (i, j) at position c of unknowns, x_c = factors[i], y_c = factors[j],
+    with L_T(m) = sum_c T_c e_m(m x_c) y_c and R_T(m) = sum_c T_c x_c e_m(y_c m)
+    (frobenius_failures) and e_m an expectation followed by its inclusion.
 
-    E(m e_i) is formed once per (m, i) and E(e_j m) once per (j, m), since each
-    depends on one factor of the pair (i, j) only."""
-    M, f = ext.M, ext.M.field
-    d = M.dim
-    e_m = ext.e_into_m(E)
-    cols: list[dict] = [{} for _ in range(tq.dim)]
-    for m in range(d):
-        left_of = [e_m.apply(M.cell(m, i)) for i in range(d)]  # E(m e_i)
-        right_of = [e_m.apply(M.cell(j, m)) for j in range(d)]  # E(e_j m)
-        base = 2 * m * d
-        for c, (i, j) in enumerate(tq.basis):
-            col = cols[c]
-            for k, v in M.mul_sparse(left_of[i], {j: f.one}).items():
-                col[base + k] = v
-            for k, v in M.mul_sparse({i: f.one}, right_of[j]).items():
-                col[base + d + k] = v
-    return LinMap(f, cols, 2 * d * d)
+    Yields one block of up.dim rows (coefficients over the unknowns, right-hand
+    side) per side named by each (m, sides) of elements, in the order sides
+    names them; row k of a block is coordinate k of that side's identity.
+    e_m(m x) and e_m(y m) are formed once per (m, factor), since each depends
+    on one factor of the pair (i, j) only."""
+    zero = up.field.zero
+    for m, sides in elements:
+        for side in sides:
+            if side == "left":
+                e_of = [e_m(up.mul_sparse(m, x)) for x in factors]  # e_m(m x_i)
+                terms = ((c, e_of[i], factors[j]) for c, (i, j) in enumerate(unknowns) if e_of[i])
+            else:
+                e_of = [e_m(up.mul_sparse(y, m)) for y in factors]  # e_m(y_j m)
+                terms = ((c, factors[i], e_of[j]) for c, (i, j) in enumerate(unknowns) if e_of[j])
+            rows: list[dict] = [{} for _ in range(up.dim)]
+            for c, x, y in terms:
+                for k, v in up.mul_sparse(x, y).items():
+                    rows[k][c] = v
+            yield [(row, m.get(k, zero)) for k, row in enumerate(rows)]
 
 
 def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> FrobeniusSystem:
@@ -229,10 +233,13 @@ def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> Frobeniu
     if not bi.ok:
         raise FrobeniusError(f"E is not an N-bimodule map: {bi.failures[:1]}")
     tq = TensorQuotient(M, ext.N)
-    # both sums must give e_m at every basis m (rows 2 m dim + m and 2 m dim + dim + m)
-    d = M.dim
-    rhs = {2 * m * d + side + m: f.one for m in range(d) for side in (0, d)}
-    (tensor,), kern = solve(_contraction_rows(ext, E, tq), [rhs])
+    # both_sides(M) puts the left then the right block of each basis m at rows
+    # 2 m dim + k and 2 m dim + dim + k
+    basis = [{i: f.one} for i in range(M.dim)]
+    rows = [row for block in dual_bases_equations(M, ext.e_into_m(E).apply, basis, tq.basis, both_sides(M))
+            for row in block]
+    system = LinMap(f, [coeffs for coeffs, _ in rows], tq.dim).transpose()
+    (tensor,), kern = solve(system, [{r: value for r, (_, value) in enumerate(rows) if value}])
     if tensor is None:
         raise FrobeniusError("Frobenius equations are inconsistent: E is not a Frobenius homomorphism")
     if kern:
@@ -248,7 +255,6 @@ def solve_dual_bases(ext: ExtensionSpec, E: Optional[LinMap] = None) -> Frobeniu
         dual_pairs=pairs,
         index=index,
         lambda_inverse=lam_inv,
-        flags=FrobeniusFlags(),
     )
 
 
@@ -330,14 +336,21 @@ def verify_frobenius_identities(sys: FrobeniusSystem, module_generators: Optiona
                                     for k, left, right in found])
 
 
-def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple[dict, dict]]) -> dict:
-    """Project a representative pair list into the canonical quotient basis."""
+def pairs_to_tensor(sys_tq: TensorQuotient, M: Algebra, pairs: list[tuple]) -> dict:
+    """Project a representative list of pure tensors, each a tuple of as many
+    elements of M as sys_tq has factors, into the canonical quotient basis."""
     f = M.field
     acc: dict = {}
-    for x, y in pairs:
-        for col, val in sys_tq.pure_tensor(x, y).items():
+    for term in pairs:
+        for col, val in sys_tq.pure_tensor(*term).items():
             sparse_add(f, acc, col, val)
     return sys_tq.project(acc)
+
+
+def map_tensor(sys: FrobeniusSystem, g: Callable[[dict], dict]) -> dict:
+    """sum_i g(x_i) (x) y_i over the dual pairs of sys, in sys.tq's quotient
+    basis: for g in End(M_N), its image in the basic construction."""
+    return pairs_to_tensor(sys.tq, sys.M, [(g(x), y) for x, y in sys.dual_pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +390,6 @@ def classify(ext: ExtensionSpec, sys: FrobeniusSystem) -> FrobeniusFlags:
         and not f.is_zero(lam_inv)
         and bool(e_unit)
     )
-    sys.flags = flags
     return flags
 
 
@@ -406,7 +418,6 @@ def normalize(sys: FrobeniusSystem) -> FrobeniusSystem:
         dual_pairs=new_pairs,
         index=new_index,
         lambda_inverse=scalar_of(M, new_index),
-        flags=FrobeniusFlags(),
     )
 
 
@@ -543,7 +554,6 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
         dual_pairs=pairs,
         index=index,
         lambda_inverse=scalar_of(R, index),
-        flags=FrobeniusFlags(),
     )
     check = verify_frobenius_identities(out)
     if not check.ok:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, SubspaceBasis, law_failures, tensor_algebra
+from .algebra import Algebra, law_failures, tensor_algebra
 from .frobenius import CheckOutcome, scalar_of
 from .linalg import LinMap, invert, rank, sparse_add, sparse_axpy, sparse_scale
 
@@ -34,13 +34,11 @@ class HopfError(ValueError):
 
 @dataclass
 class PairingData:
-    A_basis: SubspaceBasis  # inside M1 (or abstract ambient)
-    B_basis: SubspaceBasis  # inside M2 (or abstract ambient)
     A_alg: Algebra
     B_alg: Algebra
     P: LinMap  # column j is <., b_j> over the basis of A: P.columns[j][i] = <a_i, b_j>
     P_inv: LinMap  # the inverse of P: column i is the b in B with <a_k, b> = [k = i]
-    Phi_inv: LinMap  # inverse of b -> E_M1(e2 e1 b), B -> A in A_basis coordinates
+    Phi_inv: LinMap  # inverse of b -> E_M1(e2 e1 b), B -> A in the coordinates of d2.A
 
 
 @dataclass
@@ -118,7 +116,7 @@ def compute_pairing(t, d2) -> tuple[Optional[PairingData], CheckOutcome]:
 
     A_alg, _ = A.induced_algebra()
     B_alg, _ = B.induced_algebra()
-    return PairingData(A, B, A_alg, B_alg, P, P_inv, phi_inv), CheckOutcome(True, [])
+    return PairingData(A_alg, B_alg, P, P_inv, phi_inv), CheckOutcome(True, [])
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +249,11 @@ def antipode(t, d2, p: PairingData, sandwiches: tuple) -> tuple[Optional[LinMap]
     failures = []
     psi_cols = []
     for j in range(db):
-        coords = p.A_basis.coords(right[j].apply(e1h))
+        coords = d2.A.coords(right[j].apply(e1h))
         if coords is None:
             return None, CheckOutcome(False, [{"kind": "Psi image outside A"}])
         psi_cols.append(coords)
-    S = p.Phi_inv.compose(LinMap(f, psi_cols, p.A_basis.dim))
+    S = p.Phi_inv.compose(LinMap(f, psi_cols, d2.A.dim))
     if rank(S) != db:
         failures.append({"kind": "S not bijective"})
     # remark identity on all basis x in M1
@@ -566,8 +564,11 @@ def bialgebra_from_abstract_pairing(
     """Run the same Delta/eps constructors on abstract (A, B, pairing) data.
 
     Used to validate the reconstruction machinery against closed forms for
-    group algebras and their duals. Raises HopfError when P is singular.
+    group algebras and their duals. Raises HopfError when P is not square or
+    singular.
     """
+    if P.codomain_dim != len(P.columns):
+        raise HopfError("pairing matrix is not square")
     P_inv = invert(P)
     if P_inv is None:
         raise HopfError("pairing matrix is singular")

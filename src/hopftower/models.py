@@ -17,7 +17,7 @@ from .frobenius import (
     CheckOutcome,
     ExtensionSpec,
     FrobeniusSystem,
-    pairs_to_tensor,
+    map_tensor,
     solve_dual_bases,
     verify_frobenius_identities,
 )
@@ -297,16 +297,6 @@ def model_bundle(name: str, field: Field, d=None) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def hopf_image_in_m1(t, act: ModuleAlgebraAction) -> list:
-    """h -> sum_i (h . x_i) (x) y_i, the embedding of the acting Hopf algebra
-    into the basic construction."""
-    sys = t.base_sys
-    return [
-        pairs_to_tensor(sys.tq, t.M, [(g.apply(x), y) for x, y in sys.dual_pairs])
-        for g in act.maps
-    ]
-
-
 def dual_action_on_m1(t, bundle: ModelBundle, a_vectors: list) -> ModuleAlgebraAction:
     """The H*-action on M1 = X # H: phi . (x # h) = x # phi(h_(1)) h_(2),
     transported through the isomorphism X (x) H -> M1, (x, h) -> x iota(h)."""
@@ -337,17 +327,14 @@ def model_tower(bundle: ModelBundle):
     f = bundle.X.field
     t = build_tower(bundle.sys, base_verified=bundle.report.ok and verify_algebra(bundle.X).ok)
     failures = []
-    a_vecs = hopf_image_in_m1(t, bundle.action)
+    # H and H* embed into the basic constructions as h -> sum_i (h . x_i) (x) y_i
+    a_vecs = [map_tensor(t.base_sys, g.apply) for g in bundle.action.maps]
     A = SubspaceBasis(t.M1, a_vecs)
     act_dual = dual_action_on_m1(t, bundle, a_vecs)
     out = verify_module_algebra(act_dual)
     if not out.ok:
         failures.append({"kind": "dual-action-invalid", "detail": out.failures[:1]})
-    sys1 = t.levels[0].sys
-    b_vecs = [
-        pairs_to_tensor(sys1.tq, t.M1, [(phi.apply(x), y) for x, y in sys1.dual_pairs])
-        for phi in act_dual.maps
-    ]
+    b_vecs = [map_tensor(t.levels[0].sys, phi.apply) for phi in act_dual.maps]
     B = SubspaceBasis(t.M2, b_vecs)
 
     # containment in the honest centralizers: A and B commute with the images

@@ -8,6 +8,7 @@ inclusion maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
 from .algebra import (
@@ -29,18 +30,18 @@ from .frobenius import (
     CheckOutcome,
     ExtensionSpec,
     FrobeniusError,
-    FrobeniusFlags,
     FrobeniusSystem,
     algebra_check,
     both_sides,
     index_of_pairs,
+    map_tensor,
     pairs_to_tensor,
     scalar_of,
     sided,
     verify_conditional_expectation,
     verify_frobenius_identities,
 )
-from .linalg import rank, sparse_add, sparse_axpy, sparse_scale
+from .linalg import rank, sparse_axpy, sparse_scale
 
 
 class TowerError(ValueError):
@@ -54,7 +55,6 @@ class TowerLevel:
     incl: LinMap  # below -> algebra
     e: dict  # Jones idempotent
     cond_exp: LinMap  # algebra -> below coordinates
-    dual_pairs: list  # E-dual bases of this level over the one below
     sys: Optional[FrobeniusSystem]  # Frobenius system for algebra / below
     checks: list  # (name, CheckOutcome)
     incl_generators: list  # incl(S) for the generators S of below; they generate incl(below) once incl is multiplicative
@@ -222,12 +222,7 @@ def basic_construction(
     e1 = tq.project_pure(M.unit, M.unit)
 
     # inclusion m -> m . 1_1
-    cols = []
-    for m in range(M.dim):
-        em = {m: f.one}
-        pairs = [(M.mul_sparse(em, x), y) for x, y in sys.dual_pairs]
-        cols.append(pairs_to_tensor(tq, M, pairs))
-    incl = LinMap(f, cols, dim1)
+    incl = LinMap(f, [map_tensor(sys, partial(M.mul_sparse, {m: f.one})) for m in range(M.dim)], dim1)
 
     if below_generators is None:
         below_generators = generators(M)
@@ -273,17 +268,9 @@ def basic_construction(
                     module_generators(alg1, incl, "right", [x for x, _ in pairs1]))
     checks.append(("condexp-bimodule", verify_conditional_expectation(ext1, cond_exp, module_generators=mod_gens)))
 
-    sys1 = FrobeniusSystem(
-        ext=ext1,
-        E=cond_exp,
-        tq=None,
-        dual_tensor=None,
-        dual_pairs=pairs1,
-        index=index_of_pairs(alg1, pairs1),
-        lambda_inverse=None,
-        flags=FrobeniusFlags(),
-    )
-    sys1.lambda_inverse = scalar_of(alg1, sys1.index)
+    index1 = index_of_pairs(alg1, pairs1)
+    sys1 = FrobeniusSystem(ext=ext1, E=cond_exp, tq=None, dual_tensor=None, dual_pairs=pairs1, index=index1,
+                           lambda_inverse=scalar_of(alg1, index1))
     checks.append(("level-frobenius-identities",
                    verify_frobenius_identities(sys1, mod_gens if verified() else None)))
     lam_ok = sys1.lambda_inverse is not None and f.eq(sys1.lambda_inverse, lam_inv)
@@ -296,7 +283,6 @@ def basic_construction(
         incl=incl,
         e=e1,
         cond_exp=cond_exp,
-        dual_pairs=pairs1,
         sys=sys1,
         checks=checks,
         incl_generators=incl_gens,
@@ -388,22 +374,15 @@ def _verify_triple_tensor(t: TowerData, n_generators: Optional[list]) -> list:
     checks.append(("triple-tensor-condexp", CheckOutcome(same, [] if same else [{"kind": "E_M1 mismatch"}])))
 
     # e2 = sum_{i,j} x_i (x) y_i x_j (x) y_j
-    acc: dict = {}
-    for xi, yi in sys.dual_pairs:
-        for xj, yj in sys.dual_pairs:
-            mid = M.mul_sparse(yi, xj)
-            for col, cv in triple.pure_tensor(xi, mid, yj).items():
-                sparse_add(f, acc, col, cv)
-    ok = phi.apply(t.e2) == triple.project(acc)
+    e2 = pairs_to_tensor(triple, M, [(xi, M.mul_sparse(yi, xj), yj) for xi, yi in sys.dual_pairs
+                                     for xj, yj in sys.dual_pairs])
+    ok = phi.apply(t.e2) == e2
     checks.append(("triple-tensor-e2", CheckOutcome(ok, [] if ok else [{"kind": "e2 mismatch"}])))
 
     # 1_2 = sum_i lam^-1 x_i (x) 1 (x) y_i
-    acc = {}
-    lam_inv = sys.lambda_inverse
-    for xi, yi in sys.dual_pairs:
-        for col, cv in triple.pure_tensor(sparse_scale(f, lam_inv, xi), M.unit, yi).items():
-            sparse_add(f, acc, col, cv)
-    ok = phi.apply(level2.algebra.unit) == triple.project(acc)
+    unit2 = pairs_to_tensor(triple, M, [(sparse_scale(f, sys.lambda_inverse, xi), M.unit, yi)
+                                        for xi, yi in sys.dual_pairs])
+    ok = phi.apply(level2.algebra.unit) == unit2
     checks.append(("triple-tensor-unit", CheckOutcome(ok, [] if ok else [{"kind": "1_2 mismatch"}])))
     return checks
 
@@ -432,11 +411,7 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
     alg1 = level.algebra
     failures = []
 
-    cols = []
-    for v in endo.vectors:
-        g = matrix_map(f, M.dim, v)
-        cols.append(pairs_to_tensor(tq, M, [(g.apply(x), y) for x, y in sys.dual_pairs]))
-    phi = LinMap(f, cols, alg1.dim)
+    phi = LinMap(f, [map_tensor(sys, matrix_map(f, M.dim, v).apply) for v in endo.vectors], alg1.dim)
 
     psi_elems = LinMap(f, [matrix_element(g) for g in _psi_maps(sys)], end.dim)
     psi_cols = []

@@ -14,7 +14,6 @@ from hopftower.depth2 import DepthTwoData, check_depth_two, second_centralizers
 from hopftower.fields import PrimeField, RationalField
 from hopftower.frobenius import (
     CheckOutcome,
-    classify,
     solve_dual_bases,
     verify_conditional_expectation,
     verify_frobenius_identities,
@@ -79,35 +78,29 @@ def ext_m2f2():
     return m2f2_extension()
 
 
-def _system(ext):
-    sys = solve_dual_bases(ext)
-    classify(ext, sys)
-    return sys
-
-
 @pytest.fixture(scope="session")
 def sys_trivial(ext_trivial):
-    return _system(ext_trivial)
+    return solve_dual_bases(ext_trivial)
 
 
 @pytest.fixture(scope="session")
 def sys_s3_a3(ext_s3_a3):
-    return _system(ext_s3_a3)
+    return solve_dual_bases(ext_s3_a3)
 
 
 @pytest.fixture(scope="session")
 def sys_s3_z2(ext_s3_z2):
-    return _system(ext_s3_z2)
+    return solve_dual_bases(ext_s3_z2)
 
 
 @pytest.fixture(scope="session")
 def sys_sqrt2(ext_sqrt2):
-    return _system(ext_sqrt2)
+    return solve_dual_bases(ext_sqrt2)
 
 
 @pytest.fixture(scope="session")
 def sys_m2f2(ext_m2f2):
-    return _system(ext_m2f2)
+    return solve_dual_bases(ext_m2f2)
 
 
 # -- towers -----------------------------------------------------------------

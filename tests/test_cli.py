@@ -136,6 +136,17 @@ def test_verify_missing_e(tmp_path, capsys):
     assert main(["verify", str(f)]) == 2
 
 
+def test_verify_rejects_a_strong_pseudoprime_modulus(catalog_dir, tmp_path, capsys):
+    """psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every prime
+    base up to 37; F_psi_12 would be a ring with zero divisors."""
+    data = json.loads((catalog_dir / "ext3.json").read_text())
+    data["field"] = {"kind": "prime", "modulus": 318665857834031151167461}
+    f = tmp_path / "psi12.json"
+    f.write_text(json.dumps(data))
+    assert main(["verify", str(f)]) == 2
+    assert "invalid input: " in capsys.readouterr().err
+
+
 def test_verify_json_deterministic(catalog_dir, tmp_path):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
@@ -310,6 +321,26 @@ def test_pair_check_command(tmp_path, capsys):
     f2 = tmp_path / "pair_bad.json"
     f2.write_text(json.dumps(data))
     assert main(["pair-check", str(f2)]) == 2
+
+
+@pytest.mark.parametrize("command", ["pair-check", "hopf"])
+def test_non_square_pairing_is_invalid_input(tmp_path, capsys, command):
+    from hopftower.fileio import algebra_to_dict
+    from hopftower.models import GROUPS, function_algebra, group_algebra
+    from hopftower.fields import RationalField
+
+    Q = RationalField()
+    data = {
+        "field": {"kind": "rational"},
+        "algebra_a": algebra_to_dict(group_algebra(GROUPS["z2"](), Q)),
+        "algebra_b": algebra_to_dict(function_algebra(GROUPS["z3"](), Q)),
+        "pairing": [["1", "0", "0"], ["0", "1", "0"]],
+    }
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(data))
+    extra = ["--out", str(tmp_path / "dump")] if command == "hopf" else []
+    assert main([command, str(f), *extra]) == 2
+    assert capsys.readouterr().err == "invalid input: pairing matrix is not square\n"
 
 
 def test_hopf_from_pair_file(tmp_path, capsys):

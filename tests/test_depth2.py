@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from conftest import bumped, failed_level
 
-from hopftower import depth2
+from hopftower import depth2, frobenius
 from hopftower.algebra import SubspaceBasis, module_generators, span_dim
 from hopftower.depth2 import (
     DepthTwoData,
@@ -440,6 +440,27 @@ def test_bimodule_failure_keeps_the_level_on_the_basis(tower_s3_a3, d2_s3_a3):
     assert _tensor_membership(on_gens) != _tensor_membership(ctx)
 
 
+def test_base_system_and_depth_two_share_the_dual_bases_equations(monkeypatch):
+    """One builder forms the Frobenius-sum equations: solve_dual_bases over
+    the basis of M, then each depth-2 level over the basis of its scope."""
+    ext, _sidecar = generate_example("group-pair", {"group": "s3", "subgroup": "a3"})
+    calls = []
+    real = frobenius.dual_bases_equations
+
+    def recording(up, e_m, factors, unknowns, elements):
+        calls.append((up, factors))
+        return real(up, e_m, factors, unknowns, elements)
+
+    monkeypatch.setattr(frobenius, "dual_bases_equations", recording)
+    monkeypatch.setattr(depth2, "dual_bases_equations", recording)
+    state = run_pipeline(ext).state
+    t, d2 = state.tower, state.d2
+    assert d2.passed() and len(calls) == 3
+    expected = [(t.M, [{i: Q.one} for i in range(t.M.dim)]), (t.M1, d2.A.vectors), (t.M2, d2.B.vectors)]
+    for (up, factors), (alg, vectors) in zip(calls, expected):
+        assert up is alg and factors == vectors
+
+
 def _module_span_dim(level, side, gens):
     up = level.algebra
     vecs = [up.mul_sparse(d, g) if side == "left" else up.mul_sparse(g, d) for g in gens for d in level.incl.columns]
@@ -452,8 +473,8 @@ def test_module_generators_span_with_n0_elements(case):
     for level in t.levels:
         up = level.algebra
         n0 = up.dim // level.below.dim
-        xs = [x for x, _ in level.dual_pairs]
-        ys = [y for _, y in level.dual_pairs]
+        xs = [x for x, _ in level.sys.dual_pairs]
+        ys = [y for _, y in level.sys.dual_pairs]
         for side, seeds in (("left", ys), ("right", xs)):
             gens = module_generators(up, level.incl, side, seeds)
             assert len(gens) == n0 < up.dim

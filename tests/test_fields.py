@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopftower import fields
 from hopftower.fields import (
+    PSI_13,
     FieldError,
     PrimeField,
     RationalField,
@@ -48,6 +49,20 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
     with pytest.raises(FieldError):
         PrimeField(1)
+
+
+# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every prime
+# base up to 37; psi_13 = 1287836182261 * 2575672364521 to every one up to 41
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def test_prime_field_rejects_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441 and PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    for n in (PSI_12, PSI_13, PSI_13 + 2):
+        with pytest.raises(FieldError):
+            PrimeField(n)
+    assert PrimeField(2**61 - 1).inv(2) == 2**60
 
 
 def test_is_prime_small():

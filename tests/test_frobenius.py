@@ -8,6 +8,7 @@ from hopftower.frobenius import (
     ExtensionSpec,
     FrobeniusError,
     _bimodule_failures,
+    classify,
     compose,
     nakayama,
     normalize,
@@ -124,21 +125,21 @@ def test_non_frobenius_e_rejected(ext_sqrt2):
 
 
 def test_classify_m2f2(ext_m2f2, sys_m2f2):
-    flags = sys_m2f2.flags
+    flags = classify(ext_m2f2, sys_m2f2)
     assert flags.split and flags.separable and flags.strongly_separable
     assert flags.normalized and flags.index_scalar
     assert flags.irreducible is False and flags.centralizer_dim == 4
 
 
-def test_classify_s3_a3(sys_s3_a3):
-    flags = sys_s3_a3.flags
+def test_classify_s3_a3(ext_s3_a3, sys_s3_a3):
+    flags = classify(ext_s3_a3, sys_s3_a3)
     assert str(sys_s3_a3.lambda_inverse) == "2"
     assert flags.split and flags.separable
     assert flags.irreducible is False and flags.centralizer_dim == 4
 
 
-def test_classify_trivial(sys_trivial):
-    flags = sys_trivial.flags
+def test_classify_trivial(ext_trivial, sys_trivial):
+    flags = classify(ext_trivial, sys_trivial)
     assert flags.split and flags.separable and flags.strongly_separable
     assert flags.irreducible and flags.normalized
 

@@ -134,8 +134,8 @@ def test_pairing_of_unit_with_e2(stack_z2):
     # <1_A, e2> = eps(e2) = 1
     t, d2, p = stack_z2[0], stack_z2[1], stack_z2[2]
     f = t.M.field
-    unit_a = p.A_basis.coords(t.M1.unit)
-    e2_b = p.B_basis.coords(t.e2)
+    unit_a = d2.A.coords(t.M1.unit)
+    e2_b = d2.B.coords(t.e2)
     acc = f.zero
     for i, ci in unit_a.items():
         for j, cj in e2_b.items():

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import pytest
 from test_generator_sites import CASES, _state
 
-from hopftower.algebra import TensorQuotient, right_module_endomorphisms
+from hopftower.algebra import Algebra, TensorQuotient, right_module_endomorphisms
 from hopftower.fields import RationalField
 from hopftower.frobenius import solve_dual_bases
-from hopftower.linalg import rank, sparse_scale
+from hopftower.linalg import rank, sparse_add, sparse_scale
 from hopftower.models import generate_example
 from hopftower.tower import (
     TowerError,
+    _verify_triple_tensor,
     basic_construction,
     endo_ring_iso,
     verify_braid_relations,
@@ -144,6 +147,28 @@ def test_f_is_composite(tower_sqrt2):
     for y in range(t.M2.dim):
         ey = {y: Q.one}
         assert t.F.apply(ey) == t.E_M.apply(t.E_M1.apply(ey))
+
+
+def test_triple_tensor_closed_forms_catch_a_bumped_e2_and_unit(tower_s3_a3):
+    """e2 and 1_2 of level 2 are compared with sum x_i (x) y_i x_j (x) y_j and
+    sum lam^-1 x_i (x) 1 (x) y_i in M (x)_N M (x)_N M."""
+    t = tower_s3_a3
+    level2 = t.levels[1]
+    up = level2.algebra
+
+    def bumped_element(v: dict) -> dict:
+        out = dict(v)
+        sparse_add(Q, out, 0, Q.one)
+        return out
+
+    def failures(level) -> dict:
+        checks = _verify_triple_tensor(replace(t, levels=[t.levels[0], level]), None)
+        return {name: out.failures for name, out in checks if not out.ok}
+
+    assert failures(level2) == {}
+    assert failures(replace(level2, e=bumped_element(level2.e))) == {"triple-tensor-e2": [{"kind": "e2 mismatch"}]}
+    bad_unit = Algebra(Q, up.dim, up.table, bumped_element(up.unit))
+    assert failures(replace(level2, algebra=bad_unit)) == {"triple-tensor-unit": [{"kind": "1_2 mismatch"}]}
 
 
 @pytest.mark.parametrize("group, subgroup", [("s3", "a3"), ("z4", "z2")])
