@@ -37,6 +37,14 @@ class AlgebraError(ValueError):
     """Inconsistent algebra, module or subspace data."""
 
 
+@dataclass
+class CheckOutcome:
+    """The answer of one check: ok, and its failures in report-witness form."""
+
+    ok: bool
+    failures: list
+
+
 # ---------------------------------------------------------------------------
 # algebras
 # ---------------------------------------------------------------------------
@@ -158,23 +166,6 @@ def tensor_algebra(alg: Algebra) -> Algebra:
                           for r, pr in row_p.items() for s, qs in row_q.items()})
     unit = {i * d + j: f.mul(a, b) for i, a in alg.unit.items() for j, b in alg.unit.items()}
     return Algebra(f, d * d, table, unit)
-
-
-@dataclass
-class AlgebraReport:
-    ok: bool
-    unit_failures: list
-    assoc_failures: list
-    generators: Optional[list] = None  # generators(alg, seeds), None when a unit law failed
-
-    def summary(self) -> str:
-        if self.ok:
-            return "algebra axioms hold on all basis pairs/triples"
-        return (
-            f"{len(self.unit_failures)} unit failure(s), "
-            f"{len(self.assoc_failures)} associativity failure(s); "
-            f"first: {self.unit_failures[:1] or self.assoc_failures[:1]}"
-        )
 
 
 def generators(alg: Algebra, seeds: Iterable[dict] = ()) -> list[dict]:
@@ -347,8 +338,13 @@ def law_failures(
     return list(islice(failures(basis()), max(max_failures, 1)))
 
 
-def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> AlgebraReport:
+def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcome, Optional[list]]:
     """Check the unit laws on all basis elements, then associativity.
+
+    Returns the outcome, unit then associativity failures with both sides in
+    report-witness form, and generators(alg, seeds), the generating set the
+    associativity check ran on (the seeds start it); None when a unit law
+    failed first.
 
     Associativity is decided on a generating set (Light's associativity test;
     Clifford-Preston, The Algebraic Theory of Semigroups I, AMS 1961, sec. 1.2).
@@ -362,25 +358,26 @@ def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> AlgebraReport:
     When a unit law fails, the check runs on the basis (law_failures).
     """
     f = alg.field
-    unit_failures = []
+    w = f.witness
+    failures = []
     us = alg.unit
     for i in range(alg.dim):
         ei = {i: f.one}
         left = alg.mul_sparse(us, ei)
         right = alg.mul_sparse(ei, us)
         if left != ei or right != ei:
-            unit_failures.append({"basis": i, "left": left, "right": right})
-            if len(unit_failures) >= 5:
+            failures.append({"basis": i, "left": w(left), "right": w(right)})
+            if len(failures) >= 5:
                 break
     gens = rights = None
-    if not unit_failures:
+    if not failures:
         gens, rights = _generators(alg, seeds)
     # the scan: right factors e_k, with e_l e_k = cell(l, k)
-    assoc_failures = law_failures(
+    found = law_failures(
         lambda rs: _assoc_failures(alg, rs), rights,
         lambda: [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)], 5)
-    ok = not unit_failures and not assoc_failures
-    return AlgebraReport(ok, unit_failures, assoc_failures, gens)
+    failures += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in found]
+    return CheckOutcome(not failures, failures), gens
 
 
 # ---------------------------------------------------------------------------
@@ -641,18 +638,11 @@ class TensorQuotient:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MorphismReport:
-    is_homomorphism: bool
-    is_isomorphism: bool
-    failures: list
-
-    def ok(self) -> bool:
-        return self.is_homomorphism and self.is_isomorphism
-
-
-def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Optional[list] = None) -> MorphismReport:
+def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Optional[list] = None) -> CheckOutcome:
     """Unitality, multiplicativity on all basis pairs, bijectivity via rank.
+
+    ok says f_map is an algebra isomorphism; it is an algebra map exactly when
+    the failures are empty.
 
     Given domain_generators, elements whose words with 1 span A (pass them
     only once A and B are both known to be associative with unit),
@@ -669,9 +659,7 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Opt
     w = A.field.witness
     failures += [{"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
                  for pair, lhs, rhs in found]
-    is_homo = not failures
-    is_iso = is_homo and A.dim == B.dim and rank(f_map) == A.dim
-    return MorphismReport(is_homo, is_iso, failures)
+    return CheckOutcome(not failures and A.dim == B.dim and rank(f_map) == A.dim, failures)
 
 
 def mult_failures(f_map: LinMap, A: Algebra, B: Algebra, generators: Optional[list], cap: int) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -80,6 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report, args) -> None:
+    """Write the report, only the checks whose id contains --check when it is
+    given; the exit code still comes from every check."""
+    check = getattr(args, "check", None)
+    if check:
+        report = replace(report, results=[r for r in report.results if check in r.check_id])
     if getattr(args, "json", False) or getattr(args, "out", None):
         text = canonical_json(report.to_dict())
     else:
@@ -98,20 +104,21 @@ def _reason(report, check_prefix: str):
     )
 
 
+def _with_expectation(ext):
+    """ext, or InputError when it carries no conditional expectation: the
+    pipeline has nothing to verify on such a file."""
+    if ext.E is None:
+        raise InputError("file carries no conditional expectation matrix; nothing to verify")
+    return ext
+
+
 def cmd_verify(args, upto: str) -> int:
     try:
-        ext, _ = load_extension(args.path)
-        if ext.E is None:
-            raise InputError("file carries no conditional expectation matrix; nothing to verify")
+        ext = _with_expectation(load_extension(args.path)[0])
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    report = run_pipeline(
-        ext,
-        upto=upto,
-        levels=getattr(args, "levels", 2),
-        check_filter=getattr(args, "check", None),
-    )
+    report = run_pipeline(ext, upto=upto, levels=getattr(args, "levels", 2))
     _emit(report, args)
     dump_path = getattr(args, "dump", None)
     if dump_path:
@@ -130,7 +137,7 @@ def cmd_hopf(args) -> int:
     try:
         raw = read_json(args.path)
         pair = pair_file_from_dict(raw) if isinstance(raw, dict) and "pairing" in raw else None
-        ext = extension_from_dict(raw) if pair is None else None
+        ext = _with_expectation(extension_from_dict(raw)) if pair is None else None
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

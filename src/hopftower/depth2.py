@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .algebra import Algebra, AlgebraError, LinMap, SubspaceBasis, centralizer, law_failures
-from .frobenius import (CheckOutcome, both_sides, dual_bases_equations, frobenius_failures, nakayama,
-                        nakayama_of_functional, scalar_of, sided)
+from .algebra import Algebra, AlgebraError, CheckOutcome, LinMap, SubspaceBasis, centralizer, law_failures
+from .frobenius import (both_sides, dual_bases_equations, frobenius_failures, nakayama, nakayama_of_functional,
+                        scalar_of, sided)
 from .linalg import SparseSolver, invert, rank, solve, sparse_axpy, sparse_scale
 
 
@@ -690,11 +690,11 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
             out.report = CheckOutcome(False, [{"kind": "F-not-scalar-on-C"}])
             return out
         f_row.append(val)
-    res = nakayama_of_functional(C_alg, f_row, s_c)
+    q, res = nakayama_of_functional(C_alg, f_row, s_c)
     if not res.ok:
         out.report = CheckOutcome(False, [{"kind": "q-on-C-failed", "detail": res.failures[:1]}])
         return out
-    out.q_C = res.map
+    out.q_C = q
 
     a_row = []
     for a in d2.A.vectors:
@@ -703,11 +703,11 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
             out.report = CheckOutcome(False, [{"kind": "E_M-not-scalar-on-A"}])
             return out
         a_row.append(val)
-    res_a = nakayama_of_functional(A_alg, a_row, s_a)
+    q_a, res_a = nakayama_of_functional(A_alg, a_row, s_a)
     if not res_a.ok:
         out.report = CheckOutcome(False, [{"kind": "q_A-failed"}])
         return out
-    out.q_A = res_a.map
+    out.q_A = q_a
 
     b_row = []
     for b in d2.B.vectors:
@@ -716,15 +716,15 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
             out.report = CheckOutcome(False, [{"kind": "E_M1-not-scalar-on-B"}])
             return out
         b_row.append(val)
-    res_b = nakayama_of_functional(B_alg, b_row, s_b)
+    q_b, res_b = nakayama_of_functional(B_alg, b_row, s_b)
     if not res_b.ok:
         out.report = CheckOutcome(False, [{"kind": "q_B-failed"}])
         return out
-    out.q_B = res_b.map
+    out.q_B = q_b
 
     def q_of(vec_in_c):
         coords = d2.C.coords(vec_in_c)
-        return None if coords is None else c_embed.apply(res.map.apply(coords))
+        return None if coords is None else c_embed.apply(q.apply(coords))
 
     # q restricted to A equals q_A
     for i, a in enumerate(d2.A.vectors):
@@ -732,7 +732,7 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
         if qa is None:
             failures.append({"kind": "A-outside-C"})
             break
-        if qa != t.incl2.apply(a_embed.apply(res_a.map.columns[i])):
+        if qa != t.incl2.apply(a_embed.apply(q_a.columns[i])):
             failures.append({"kind": "q|_A != q_A", "basis": i})
             break
     # q restricted to B equals q_B
@@ -741,14 +741,14 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
         if qb is None:
             failures.append({"kind": "B-outside-C"})
             break
-        if qb != b_embed.apply(res_b.map.columns[i]):
+        if qb != b_embed.apply(q_b.columns[i]):
             failures.append({"kind": "q|_B != q_B", "basis": i})
             break
     # q~ of the composite Frobenius map F on scope B agrees with q_B
-    res_tilde = nakayama(t.M2, t.F, d2.B, s_b)
+    q_tilde, res_tilde = nakayama(t.M2, t.F, d2.B, s_b)
     if not res_tilde.ok:
         failures.append({"kind": "q-tilde-failed"})
-    elif not res_tilde.map == res_b.map:
+    elif q_tilde != q_b:
         failures.append({"kind": "q-tilde != q_B"})
 
     # E_M1 o q = q_A o E_M1 on C
@@ -758,7 +758,7 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
         if coords is None:
             failures.append({"kind": "E_M1(C)-outside-A"})
             break
-        if lhs != a_embed.apply(res_a.map.apply(coords)):
+        if lhs != a_embed.apply(q_a.apply(coords)):
             failures.append({"kind": "commuting-square", "basis": i})
             break
 

@@ -143,9 +143,9 @@ def extension_from_dict(data) -> ExtensionSpec:
     except (KeyError, FieldError, TypeError) as exc:
         raise InputError(f"bad field spec: {exc}") from exc
     M = parse_algebra(field, data.get("algebra"))
-    rep = verify_algebra(M)
-    if not rep.ok:
-        raise InputError(f"algebra axioms fail: {rep.summary()}")
+    axioms, _ = verify_algebra(M)
+    if not axioms.ok:
+        raise InputError(f"algebra axioms fail: first failure {axioms.failures[0]}")
     sub = data.get("subalgebra")
     if not isinstance(sub, list) or not sub:
         raise InputError("subalgebra embedding rows are required")
@@ -204,9 +204,9 @@ def pair_file_from_dict(data) -> tuple:
     A = parse_algebra(field, data.get("algebra_a"))
     B = parse_algebra(field, data.get("algebra_b"))
     for name, alg in (("algebra_a", A), ("algebra_b", B)):
-        rep = verify_algebra(alg)
-        if not rep.ok:
-            raise InputError(f"{name} axioms fail: {rep.summary()}")
+        axioms, _ = verify_algebra(alg)
+        if not axioms.ok:
+            raise InputError(f"{name} axioms fail: first failure {axioms.failures[0]}")
     P = parse_matrix(field, data.get("pairing"), A.dim, B.dim)
     S = None
     if data.get("antipode_b") is not None:

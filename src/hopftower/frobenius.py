@@ -8,18 +8,18 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import (
     Algebra,
     AlgebraError,
+    CheckOutcome,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
     centralizer,
     law_failures,
     mult_failures,
-    verify_algebra,
 )
 from .linalg import rank, solve, sparse_add, sparse_axpy, sparse_scale, sparse_vector
 
@@ -92,26 +92,6 @@ class FrobeniusSystem:
     @property
     def M(self) -> Algebra:
         return self.ext.M
-
-
-@dataclass
-class CheckOutcome:
-    ok: bool
-    failures: list
-
-
-def algebra_check(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcome, Optional[list]]:
-    """verify_algebra as a check outcome, unit then associativity failures
-    with both sides in report-witness form, together with generators(alg,
-    seeds), the generating set the associativity check ran on (the seeds
-    start it); None when a unit law failed first."""
-    rep = verify_algebra(alg, seeds=seeds)
-    w = alg.field.witness
-    failures = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])}
-                for fl in rep.unit_failures]
-    failures += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])}
-                 for fl in rep.assoc_failures]
-    return CheckOutcome(rep.ok, failures), rep.generators
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +406,12 @@ def normalize(sys: FrobeniusSystem) -> FrobeniusSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NakayamaResult:
-    map: LinMap  # scope coords -> scope coords
-    ok: bool
-    failures: list
-
-
-def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis, generators: Optional[list] = None) -> NakayamaResult:
-    """Unique q on scope with E(q(c) m) = E(m c) for all m, checked to be an
-    algebra automorphism of scope (_automorphism_failures, which takes the
-    generators, in scope coordinates)."""
+def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis,
+             generators: Optional[list] = None) -> tuple[LinMap, CheckOutcome]:
+    """Unique q on scope with E(q(c) m) = E(m c) for all m, as a map of scope
+    coordinates, and the outcome of checking it an algebra automorphism of
+    scope (_automorphism_failures, which takes the generators, in scope
+    coordinates)."""
     f = M.field
     n_dim = E.codomain_dim
     rows = M.dim * n_dim
@@ -456,9 +431,11 @@ def nakayama(M: Algebra, E: LinMap, scope: SubspaceBasis, generators: Optional[l
     return _nakayama_solve(coeff, rhs, lambda: scope.induced_algebra()[0], generators)
 
 
-def nakayama_of_functional(alg: Algebra, functional: list, generators: Optional[list] = None) -> NakayamaResult:
+def nakayama_of_functional(alg: Algebra, functional: list,
+                           generators: Optional[list] = None) -> tuple[LinMap, CheckOutcome]:
     """Nakayama automorphism of a Frobenius algebra functional phi: alg -> k,
-    the unique q with phi(q(c) m) = phi(m c), on alg itself.
+    the unique q with phi(q(c) m) = phi(m c), on alg itself, and its outcome
+    as nakayama returns them.
 
     functional is the coordinate row of phi. Both the coefficient columns
     phi(e_j e_m) and the right-hand sides phi(e_m e_c) are read from one Gram
@@ -480,7 +457,8 @@ def nakayama_of_functional(alg: Algebra, functional: list, generators: Optional[
     return _nakayama_solve(coeff, rhs, lambda: alg, generators)
 
 
-def _nakayama_solve(coeff: LinMap, rhs: list, scope_algebra, generators: Optional[list]) -> NakayamaResult:
+def _nakayama_solve(coeff: LinMap, rhs: list, scope_algebra,
+                    generators: Optional[list]) -> tuple[LinMap, CheckOutcome]:
     """q from the stacked system coeff q(c) = rhs[c], unique or failed, then
     checked on scope_algebra() once it is."""
     xs, kern = solve(coeff, rhs)
@@ -488,7 +466,7 @@ def _nakayama_solve(coeff: LinMap, rhs: list, scope_algebra, generators: Optiona
     qmap = LinMap(coeff.field, [{} if x is None else x for x in xs], len(xs))
     if not failures:
         failures = _automorphism_failures(qmap, scope_algebra(), generators)
-    return NakayamaResult(qmap, not failures, failures)
+    return qmap, CheckOutcome(not failures, failures)
 
 
 def _automorphism_failures(q: LinMap, alg: Algebra, generators: Optional[list]) -> list:

@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from .algebra import (
     Algebra,
+    CheckOutcome,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
@@ -24,8 +25,9 @@ from .algebra import (
     matrix_element,
     matrix_map,
     right_module_endomorphisms,
+    verify_algebra,
 )
-from .frobenius import CheckOutcome, FrobeniusSystem, algebra_check
+from .frobenius import FrobeniusSystem
 from .hopf import HopfStructure, PairingData
 from .linalg import kernel_basis, map_combination, rank, sparse_add, sparse_axpy, sparse_scale
 
@@ -181,7 +183,7 @@ def smash_product(
     if h_generators is None:
         h_generators = generators(H.algebra)
     seeds = [embed_x.apply(g) for g in x_generators] + [embed_h.apply(g) for g in h_generators]
-    return SmashProduct(alg, X, H, embed_x, embed_h, *algebra_check(alg, seeds))
+    return SmashProduct(alg, X, H, embed_x, embed_h, *verify_algebra(alg, seeds))
 
 
 def _smash_morphism(sm: SmashProduct, f_map: LinMap, B: Algebra, b_verified: bool):
@@ -224,7 +226,7 @@ def psi_map(sm: SmashProduct, act: ModuleAlgebraAction, sys: FrobeniusSystem) ->
     endo, psi, outside = _psi(sm, act, sys)
     failures = [{"kind": "psi-image-outside-End(X_N)", "pair": pair} for pair in outside]
     morph = check_morphism(psi, sm.algebra, endo.induced_algebra()[0])
-    if not morph.ok():
+    if not morph.ok:
         failures.append({"kind": "psi-not-isomorphism", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 
@@ -381,7 +383,7 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
         failures.append({"kind": "smash-algebra-invalid", "detail": sm.report.failures[:1]})
     cols = [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors]
     morph = _smash_morphism(sm, LinMap(f, cols, M2.dim), M2, towers_ok)
-    if not morph.ok():
+    if not morph.ok:
         failures.append({"kind": "theta-not-isomorphism", "detail": morph.failures[:2]})
 
     # restriction A # B -> C
@@ -409,7 +411,7 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
                 coords = {}
             cols.append(coords)
     morph = _smash_morphism(sm_ab, LinMap(f, cols, d2.C.dim), C_alg, towers_ok)
-    if not morph.ok():
+    if not morph.ok:
         failures.append({"kind": "A-smash-B-vs-C-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 
@@ -486,7 +488,7 @@ def cleft_data(
         sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
         cols = [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs]
         morph = _smash_morphism(sm, LinMap(f, cols, M1.dim), M1, t.levels[1].verified)
-        if not morph.ok():
+        if not morph.ok:
             failures.append({"kind": "M-smash-A-vs-M1-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, law_failures, tensor_algebra
-from .frobenius import CheckOutcome, scalar_of
+from .algebra import Algebra, CheckOutcome, law_failures, tensor_algebra
+from .frobenius import scalar_of
 from .linalg import LinMap, invert, rank, sparse_add, sparse_axpy, sparse_scale
 
 
@@ -559,13 +559,13 @@ def bialgebra_from_abstract_pairing(
     B_alg: Algebra,
     P: LinMap,
     antipode_candidate: Optional[LinMap] = None,
-    expect_involutive: bool = True,
 ) -> tuple[HopfStructure, CheckOutcome]:
     """Run the same Delta/eps constructors on abstract (A, B, pairing) data.
 
     Used to validate the reconstruction machinery against closed forms for
-    group algebras and their duals. Raises HopfError when P is not square or
-    singular.
+    group algebras and their duals, whose antipodes are involutive: a given
+    antipode_candidate is checked to square to the identity. Raises HopfError
+    when P is not square or singular.
     """
     if P.codomain_dim != len(P.columns):
         raise HopfError("pairing matrix is not square")
@@ -574,7 +574,5 @@ def bialgebra_from_abstract_pairing(
         raise HopfError("pairing matrix is singular")
     delta, eps, out = build_coalgebra(A_alg, B_alg, P, P_inv)
     H = HopfStructure(B_alg, delta, eps, antipode_candidate)
-    ax = verify_hopf_axioms(
-        H, expect_involutive=expect_involutive and antipode_candidate is not None
-    )
+    ax = verify_hopf_axioms(H, expect_involutive=antipode_candidate is not None)
     return H, CheckOutcome(out.ok and ax.ok, out.failures + ax.failures)

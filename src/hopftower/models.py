@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, LinMap, SubspaceBasis, verify_algebra
+from .algebra import Algebra, CheckOutcome, LinMap, SubspaceBasis, verify_algebra
 from .depth2 import DepthTwoData, model_c_from_ab
 from .fields import Field, FieldError, PrimeField, RationalField, digits_token
 from .frobenius import (
-    CheckOutcome,
     ExtensionSpec,
     FrobeniusSystem,
     map_tensor,
@@ -325,7 +324,7 @@ def model_tower(bundle: ModelBundle):
     the bundle's Frobenius identities hold. Returns (tower, DepthTwoData,
     report)."""
     f = bundle.X.field
-    t = build_tower(bundle.sys, base_verified=bundle.report.ok and verify_algebra(bundle.X).ok)
+    t = build_tower(bundle.sys, base_verified=bundle.report.ok and verify_algebra(bundle.X)[0].ok)
     failures = []
     # H and H* embed into the basic constructions as h -> sum_i (h . x_i) (x) y_i
     a_vecs = [map_tensor(t.base_sys, g.apply) for g in bundle.action.maps]

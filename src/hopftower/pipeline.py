@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .algebra import AlgebraError, SubspaceBasis, generators
+from .algebra import AlgebraError, SubspaceBasis, generators, verify_algebra
 from .depth2 import (
     DepthTwoData,
     check_depth_two,
@@ -44,7 +44,6 @@ from .fileio import digest, extension_to_dict
 from .frobenius import (
     ExtensionSpec,
     FrobeniusError,
-    algebra_check,
     classify,
     normalize,
     pairs_to_tensor,
@@ -123,7 +122,6 @@ def run_pipeline(
     upto: str = "galois",
     levels: int = 2,
     d2_override: Optional[DepthTwoData] = None,
-    check_filter: Optional[str] = None,
 ) -> PipelineReport:
     """Run all stages up to `upto` and assemble a deterministic report."""
     if upto not in STAGES:
@@ -141,14 +139,11 @@ def run_pipeline(
     for stage in _STAGE_RUNS[: STAGES.index(upto) + 1]:
         gate = stage(rep, state, gate)
 
-    results = rep.results
-    if check_filter:
-        results = [r for r in results if check_filter in r.check_id]
     return PipelineReport(
         input_digest=digest(extension_to_dict(ext)),
         field=field_to_spec(ext.M.field),
         hypotheses=state.hypotheses,
-        results=results,
+        results=rep.results,
         verdict=_verdict(rep, state.hypotheses),
         dims=state.dims,
         state=state,
@@ -175,7 +170,7 @@ def _stage_frobenius(rep: Reporter, state: PipelineState, gate: Optional[str]) -
         recorded = {r.check_id for r in rep.results}
         return rep.skip([cid for cid in FROBENIUS_CHECKS if cid not in recorded], reason)
 
-    axioms = algebra_check(ext.M, state.m_generators)[0]
+    axioms = verify_algebra(ext.M, state.m_generators)[0]
     rep.outcome("algebra-axioms", axioms)
     state.m_associative = axioms.ok
     sub_ok = ext.N.is_unital_subalgebra()

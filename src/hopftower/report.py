@@ -112,7 +112,7 @@ class Reporter:
         return reason
 
     def outcome(self, check_id: str, out) -> CheckResult:
-        """Record a CheckOutcome-like object (ok + failures)."""
+        """Record a CheckOutcome: PASS, or FAIL with its first four failures."""
         if out.ok:
             return self.add(check_id, PASS)
         return self.add(check_id, FAIL, witness={"failures": out.failures[:4]})

@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 
 from .algebra import (
     Algebra,
+    CheckOutcome,
     LinMap,
     SubspaceBasis,
     TensorQuotient,
@@ -25,13 +26,12 @@ from .algebra import (
     mult_failures,
     right_module_endomorphisms,
     span_dim,
+    verify_algebra,
 )
 from .frobenius import (
-    CheckOutcome,
     ExtensionSpec,
     FrobeniusError,
     FrobeniusSystem,
-    algebra_check,
     both_sides,
     index_of_pairs,
     map_tensor,
@@ -227,7 +227,7 @@ def basic_construction(
     if below_generators is None:
         below_generators = generators(M)
     incl_gens = [incl.apply(g) for g in below_generators]
-    axioms, gens = algebra_check(alg1, incl_gens + [e1])
+    axioms, gens = verify_algebra(alg1, incl_gens + [e1])
     if gens is None:  # a unit law failed before the generating set was formed
         gens = generators(alg1, incl_gens + [e1])
     checks = [("algebra-axioms", axioms)]
@@ -239,13 +239,8 @@ def basic_construction(
 
     mono = rank(incl) == M.dim
     morph = check_morphism(incl, M, alg1, domain_generators=below_generators if verified() else None)
-    incl_ok = mono and morph.is_homomorphism
-    checks.append(
-        (
-            "inclusion-monomorphism",
-            CheckOutcome(incl_ok, morph.failures if not morph.is_homomorphism else []),
-        )
-    )
+    incl_ok = mono and not morph.failures
+    checks.append(("inclusion-monomorphism", CheckOutcome(incl_ok, morph.failures)))
 
     # conditional expectation E_M = lam * mu
     cond_exp = LinMap(f, [sparse_scale(f, lam, M.cell(a, b)) for a, b in tq.basis], M.dim)
@@ -430,7 +425,7 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
     if (failures or not level.verified or psi_elems.apply(alg1.unit) != end.unit
             or mult_failures(psi_elems, alg1, end, level.generators, 1)):
         morph = check_morphism(phi, endo.induced_algebra()[0], alg1)
-        if not morph.ok():
+        if not morph.ok:
             failures.insert(0, {"kind": "phi-not-iso", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 

@@ -111,7 +111,7 @@ def base_verified(sys) -> bool:
     tower pass: M is an algebra, N a unital subalgebra, E a conditional
     expectation and the Frobenius identities hold."""
     ext = sys.ext
-    return (verify_algebra(ext.M).ok and ext.N.is_unital_subalgebra()
+    return (verify_algebra(ext.M)[0].ok and ext.N.is_unital_subalgebra()
             and verify_conditional_expectation(ext, sys.E).ok and verify_frobenius_identities(sys).ok)
 
 
@@ -351,28 +351,29 @@ def naive_mul(alg, x, y):
 
 
 def reference_failures(alg, limit=5):
-    """(unit failures, associativity failures) of the full scan, at most limit
-    of each: the unit laws on every basis element, then both sides as products
-    of sparse elements, (e_i e_j) e_k and e_i (e_j e_k), over the triples
-    (i, j, k) in lexicographic order, all formed with naive_mul."""
+    """The failures of the full scan as verify_algebra lists them, at most
+    limit unit then at most limit associativity failures, both sides in
+    report-witness form: the unit laws on every basis element, then both sides
+    as products of sparse elements, (e_i e_j) e_k and e_i (e_j e_k), over the
+    triples (i, j, k) in lexicographic order, all formed with naive_mul."""
     from itertools import islice
 
-    one = alg.field.one
+    one, w = alg.field.one, alg.field.witness
     units = [
-        {"basis": i, "left": left, "right": right}
+        {"basis": i, "left": w(left), "right": w(right)}
         for i in range(alg.dim)
         for left, right in [(naive_mul(alg, alg.unit, {i: one}), naive_mul(alg, {i: one}, alg.unit))]
         if left != {i: one} or right != {i: one}
     ]
     triples = (
-        {"triple": (i, j, k), "lhs": lhs, "rhs": rhs}
+        {"triple": (i, j, k), "lhs": w(lhs), "rhs": w(rhs)}
         for i in range(alg.dim)
         for j in range(alg.dim)
         for k in range(alg.dim)
         for lhs, rhs in [(naive_mul(alg, alg.cell(i, j), {k: one}), naive_mul(alg, {i: one}, alg.cell(j, k)))]
         if lhs != rhs
     )
-    return units[:limit], list(islice(triples, limit))
+    return units[:limit] + list(islice(triples, limit))
 
 
 def non_associative(example, params, bump):

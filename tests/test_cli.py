@@ -215,6 +215,35 @@ def test_check_filter(catalog_dir, capsys):
     assert "pimsner" not in out
 
 
+def test_check_filter_keeps_the_exit_code_of_every_check(catalog_dir, tmp_path, capsys):
+    """--check filters what is shown, not what decides the exit code: a
+    supplied dual-bases tensor that disagrees with the solved one fails a
+    check outside the filter, and the run still exits 1."""
+    data = json.loads((catalog_dir / "ext1.json").read_text())
+    data["dual_bases"][0][1][0] = "5"
+    path = tmp_path / "bad_dual_bases.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["verify", str(path), "--check", "braid"]) == 1
+    out = capsys.readouterr().out
+    assert "[SKIP] braid-relations" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("command", ["verify", "tower", "depth2", "hopf"])
+def test_null_expectation_is_invalid_input(catalog_dir, tmp_path, capsys, command):
+    """An extension file whose cond_expectation is null gives every pipeline
+    command nothing to verify: invalid input, exit 2, before any stage runs."""
+    data = json.loads((catalog_dir / "ext1.json").read_text())
+    data["cond_expectation"] = None
+    path = tmp_path / "null_e.json"
+    path.write_text(json.dumps(data))
+    extra = ["--out", str(tmp_path / "dump")] if command == "hopf" else []
+    assert main([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: file carries no conditional expectation")
+    assert not (tmp_path / "dump").exists()
+
+
 def test_hopf_dump_trivial(catalog_dir, tmp_path, capsys):
     outdir = tmp_path / "dump"
     code = main(["hopf", str(catalog_dir / "ext0.json"), "--out", str(outdir)])

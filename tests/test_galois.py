@@ -73,7 +73,7 @@ def test_smash_with_trivial_hopf_is_x():
     from hopftower.algebra import check_morphism
 
     rep = check_morphism(sm.embed_x, X, sm.algebra)
-    assert rep.is_homomorphism and rep.is_isomorphism
+    assert rep.ok and not rep.failures
 
 
 def test_sqrt2_smash_is_full_matrix_algebra(bundle_sqrt2):
@@ -530,7 +530,7 @@ def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms, 
         assert (gens is None) == (n in on_basis), n
         assert out == check_morphism(f_map, A, B)
     if failed == "smash":
-        assert not theta.ok and not galois_morphisms[0][4].ok()
+        assert not theta.ok and not galois_morphisms[0][4].ok
 
 
 def test_each_generating_set_is_formed_once_per_run(monkeypatch):

@@ -184,11 +184,8 @@ def test_non_associative_m_ends_in_a_report(example, params, bump, stopped_at, f
     element and triple, and the checks that need M to be an algebra are
     skipped with the reason."""
     ext = non_associative(example, dict(params, field=field), bump)
-    w = ext.M.field.witness
-    units, assoc = reference_failures(ext.M)
-    assert (units != []) == (example == "quadratic-field")
-    expected = [{"basis": fl["basis"], "left": w(fl["left"]), "right": w(fl["right"])} for fl in units]
-    expected += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in assoc]
+    expected = reference_failures(ext.M)
+    assert any("basis" in fl for fl in expected) == (example == "quadratic-field")
     for levels in (1, 2):
         report = run_pipeline(ext, levels=levels)
         res = by_id(report)

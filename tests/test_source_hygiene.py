@@ -576,3 +576,35 @@ def test_scan_sees_a_solver_holding_class():
         "def solve(f, n):\n    return SparseSolver(f, n)\n"
     )
     assert _solver_holding_classes(tree) == [(3, "Endo"), (5, "Lazy"), (8, "Quoted")]
+
+
+# One outcome type: every check answers with algebra.CheckOutcome (ok and its
+# failures), so no other class keeps an annotated ok or failures field.
+_OUTCOME_FIELDS = {"ok", "failures"}
+
+
+def _outcome_classes(tree) -> list[tuple[int, str]]:
+    """(line, class) of every class with an annotated ok or failures field."""
+    return sorted(
+        (cls.lineno, cls.name) for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) in _OUTCOME_FIELDS
+            for node in cls.body)
+    )
+
+
+def test_check_outcome_is_the_one_outcome_type():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend((path.stem, name) for _line, name in _outcome_classes(tree))
+    assert found == [("algebra", "CheckOutcome")], "a check outcome type beside algebra.CheckOutcome"
+
+
+def test_scan_sees_an_outcome_class():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n@dataclass\nclass Report:\n    ok: bool\n    witness: dict\n"
+        "class Result:\n    failures: list = []\n    def ok(self):\n        return not self.failures\n"
+        "class Plain:\n    ok = True\n    value: int\n    def f(self):\n        self.failures: list = []\n"
+    )
+    assert _outcome_classes(tree) == [(3, "Report"), (6, "Result")]

@@ -42,12 +42,17 @@ def test_slice_ends_in_reports_with_a_reason_on_every_skip():
 
 
 def test_clean_inputs_follow_the_golden_path(monkeypatch):
-    """A clean catalog input's line is its golden digest; a raising run is a
-    line, not the end of the sweep."""
+    """A clean catalog input's line is its golden digest, then the digest of
+    its text report and its exit code; a raising run is a line, not the end
+    of the sweep."""
     sweep = _sweep()
-    lines = {input_id: sweep.line(ext, d2) for input_id, ext, d2 in sweep.inputs(SLICE, models=False)
-             if "@" not in input_id}
-    assert lines == {case_id: GOLDEN[case_id] for case_id in SLICE}
+    lines, expected = {}, {}
+    for input_id, ext, d2 in sweep.inputs(SLICE, models=False):
+        if "@" not in input_id:
+            lines[input_id] = sweep.line(ext, d2)
+            text = run_pipeline(ext, d2_override=d2).render_text()
+            expected[input_id] = f"{GOLDEN[input_id]} text={sweep.sha256(text)} exit=0"
+    assert lines == expected and set(lines) == set(SLICE)
 
     def raising(ext, d2_override=None):
         raise ZeroDivisionError

@@ -1,5 +1,7 @@
 """Byte-identity sweep: one line per input of a fixed corpus, the sha256 of
-its canonical JSON report or ``raised: <type>`` when the run raised.
+its canonical JSON report, of its text report (``render_text``) and its exit
+code, as ``<json sha256> text=<sha256> exit=<code>``, or ``raised: <type>``
+when the run raised.
 
 The corpus:
 
@@ -108,16 +110,22 @@ def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tup
         yield f"f7/model:{group}", extension_from_dict(json.loads(text)), DepthTwoData(A=A, B=B, C=C, source="model")
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def line(ext, d2_override) -> str:
-    """The sha256 of the canonical JSON report, or "raised: <type>"."""
+    """The sha256 of the canonical JSON report and of the text report, and
+    the exit code, or "raised: <type>"."""
     from hopftower.fileio import canonical_json
     from hopftower.pipeline import run_pipeline
 
     try:
-        report = run_pipeline(ext, d2_override=d2_override).to_dict()
+        report = run_pipeline(ext, d2_override=d2_override)
+        json_text, text = canonical_json(report.to_dict()), report.render_text()
     except Exception as exc:  # a raising input is a line of the sweep, not its end
         return f"raised: {type(exc).__name__}"
-    return hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
+    return f"{sha256(json_text)} text={sha256(text)} exit={report.exit_code()}"
 
 
 def sweep(root: Path) -> dict:
