@@ -3,10 +3,15 @@
 Coactions are always derived from actions through fixed dual bases, so there
 is exactly one data path from a Hopf action to comodule structures; every
 claimed isomorphism (theta, psi, m # a -> ma, the Galois map beta) is decided
-by rank plus multiplicativity checks, never assumed; those from a smash
-product run on its generators once both sides are verified algebras, and the
-module-algebra law on generators of the acted-on algebra once it and the
-Hopf algebra are verified.
+by rank plus multiplicativity checks, never assumed. The module-algebra law
+runs on generators of the acted-on algebra once it and the Hopf algebra are
+verified. The smash isomorphisms theta: X # H -> T of the tower (M1 # B ->
+M2, A # B -> C, M # A -> M1) are decided on a verified run by theta(1 # 1) =
+1, rank and the exchange relation h x = sum (h_(1) . x) h_(2) in T on
+generators of X (_iso_by_exchange), with no smash table formed; otherwise,
+or when that fails, smash_product builds the table, and theta is checked on
+its generators once both sides are verified algebras. smash_product stays the
+one builder of a smash product as an algebra.
 """
 from __future__ import annotations
 
@@ -360,33 +365,45 @@ def verify_invariants(act: ModuleAlgebraAction, expected: SubspaceBasis) -> Chec
     return CheckOutcome(ok, [] if ok else [{"kind": "invariants-mismatch", "dim": inv.dim, "expected_dim": expected.dim}])
 
 
-def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) -> CheckOutcome:
+def verify_smash_iso_theta(
+    t, d2, H_B: HopfStructure, act: ModuleAlgebraAction, x_generators: Optional[list] = None
+) -> CheckOutcome:
     """theta: x # b -> x b is an algebra isomorphism M1 # B -> M2, and its
     restriction A # B -> C is one as well.
 
-    The smash tables are built from the action columns h . e_x. M1 # B is
-    checked on the generators of M1 its tower level formed, and both smash
-    products on the induced generators of A and B, which
-    conditional_expectations formed on the same subspaces. Once the tower is
-    verified and a smash product passed its own check, its morphism is
-    checked on the generating set that check ran on (see check_morphism);
-    M1 and M2 are then associative, and C is a closed unital subalgebra of M2
-    (induced_algebra would raise otherwise), so it is associative with M2.
-    Else every basis pair is checked.
+    Given x_generators, generators of M1 (pass them only once every check
+    before it passed: the tower, the Hopf stage and action-b-on-m1), each
+    isomorphism is first decided by _iso_by_exchange, M1 # B in M2 on them
+    and A # B in M2 on A's induced generators, once the B-action keeps A and
+    A B lies in C; no smash table is formed then.
+
+    Else, or when that decision fails, the smash tables are built from the
+    action columns h . e_x. M1 # B is checked on the generators of M1 its
+    tower level formed, and both smash products on the induced generators of
+    A and B, which conditional_expectations formed on the same subspaces.
+    Once the tower is verified and a smash product passed its own check, its
+    morphism is checked on the generating set that check ran on (see
+    check_morphism); M1 and M2 are then associative, and C is a closed unital
+    subalgebra of M2 (induced_algebra would raise otherwise), so it is
+    associative with M2. Else every basis pair is checked.
     """
     f = t.M.field
-    M2 = t.M2
+    M1, M2 = t.M1, t.M2
     towers_ok = t.levels[1].verified
+    b_embed = LinMap(f, d2.B.vectors, M2.dim)
     failures = []
-    sm = smash_product(t.M1, H_B, act, t.levels[0].generators, d2.B.induced_generators())
-    if not sm.report.ok:
-        failures.append({"kind": "smash-algebra-invalid", "detail": sm.report.failures[:1]})
-    cols = [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors]
-    morph = _smash_morphism(sm, LinMap(f, cols, M2.dim), M2, towers_ok)
-    if not morph.ok:
-        failures.append({"kind": "theta-not-isomorphism", "detail": morph.failures[:2]})
+    theta = LinMap(f, [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors], M2.dim)
+    if x_generators is None or not _iso_by_exchange(
+            M2, theta, act, t.incl2, b_embed, x_generators, [{x: f.one} for x in range(M1.dim)]):
+        sm = smash_product(M1, H_B, act, t.levels[0].generators, d2.B.induced_generators())
+        if not sm.report.ok:
+            failures.append({"kind": "smash-algebra-invalid", "detail": sm.report.failures[:1]})
+        morph = _smash_morphism(sm, theta, M2, towers_ok)
+        if not morph.ok:
+            failures.append({"kind": "theta-not-isomorphism", "detail": morph.failures[:2]})
 
     # restriction A # B -> C
+    before = len(failures)
     a_maps = []
     for j in range(H_B.dim):
         cols_a = []
@@ -397,10 +414,6 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
                 coords = {}
             cols_a.append(coords)
         a_maps.append(LinMap(f, cols_a, d2.A.dim))
-    A_alg, _ = d2.A.induced_algebra()
-    sm_ab = smash_product(A_alg, H_B, ModuleAlgebraAction(H_B, A_alg, a_maps),
-                          d2.A.induced_generators(), d2.B.induced_generators())
-    C_alg, _ = d2.C.induced_algebra()
     cols = []
     for i in range(d2.A.dim):
         ah = t.incl2.apply(d2.A.vectors[i])
@@ -410,10 +423,89 @@ def verify_smash_iso_theta(t, d2, H_B: HopfStructure, act: ModuleAlgebraAction) 
                 failures.append({"kind": "AB-product-outside-C", "pair": (i, j)})
                 coords = {}
             cols.append(coords)
-    morph = _smash_morphism(sm_ab, LinMap(f, cols, d2.C.dim), C_alg, towers_ok)
+    theta_ab = LinMap(f, cols, d2.C.dim)
+    if x_generators is not None and len(failures) == before:
+        a_embed = LinMap(f, d2.A.vectors, M1.dim)
+        a_generators = [a_embed.apply(g) for g in d2.A.induced_generators()]
+        if _iso_by_exchange(M2, theta_ab, act, t.incl2, b_embed, a_generators, d2.A.vectors):
+            return CheckOutcome(not failures, failures)
+    A_alg, _ = d2.A.induced_algebra()
+    sm_ab = smash_product(A_alg, H_B, ModuleAlgebraAction(H_B, A_alg, a_maps),
+                          d2.A.induced_generators(), d2.B.induced_generators())
+    C_alg, _ = d2.C.induced_algebra()
+    morph = _smash_morphism(sm_ab, theta_ab, C_alg, towers_ok)
     if not morph.ok:
         failures.append({"kind": "A-smash-B-vs-C-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
+
+
+def _iso_by_exchange(
+    T: Algebra, theta: LinMap, act: ModuleAlgebraAction, x_embed: LinMap, h_embed: LinMap,
+    x_generators: list, x_basis: list,
+) -> bool:
+    """Whether theta: X # H -> T', x # h -> i_X(x) i_H(h), is an algebra
+    isomorphism, decided in T without forming the table of X # H.
+
+    H = act.hopf acts on act.algebra, X is a unital subalgebra of act.algebra
+    (all of it, or A inside M1) with basis x_basis and whose words in
+    x_generators with 1 span it, i_X = x_embed and i_H = h_embed map into T,
+    and the columns of theta are the images of the x # h in T', T itself or
+    the coordinates of a closed subalgebra of T (C inside M2). It holds when
+
+    1. theta(1 # 1) = i_X(1) i_H(1) = 1,
+    2. rank theta = dim X dim H = dim T', and
+    3. R(h, x): i_H(h) i_X(x) = sum i_X(h_(1) . x) i_H(h_(2)) in T, for every
+       basis h of H and every x in x_generators, decided through
+       law_failures (on a failure there, over x_basis).
+
+    Proof (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82,
+    4.1; Blattner-Montgomery, J. Algebra 95, 1985). Write x for i_X(x) and h
+    for i_H(h). The x with R(h, x) for every h form a subalgebra holding 1:
+    sum (h_(1) . 1) h_(2) = sum eps(h_(1)) h_(2) = h by h . 1 = eps(h) 1 and
+    the counit law, and for such x, x', since R is linear in h,
+    h x x' = sum (h_(1) . x) h_(2) x' = sum (h_(1) . x)(h_(2)(1) . x') h_(2)(2)
+    = sum (h_(1)(1) . x)(h_(1)(2) . x') h_(2) = sum (h_(1) . x x') h_(2), by
+    coassociativity and the module-algebra law. So R holds on all of X, and
+    theta((x # h)(x' # h')) = x (h_(1) . x') h_(2) h' = x h x' h'
+    = theta(x # h) theta(x' # h'), as T is associative and i_X and i_H are
+    algebra maps. By 2 theta is a bijection onto T', so the product of X # H
+    is theta^-1 of that of T': associative, with unit 1 # 1 by 1, and theta
+    an algebra isomorphism.
+
+    The premises are checks of the report, so pass x_generators only once
+    they passed: T associative and i_X multiplicative are the algebra-axioms
+    of both levels (tower-level-1 and -2 for M1, M2 and the inclusions), the
+    Hopf laws hopf-axioms or dual-hopf, the module-algebra law with
+    h . 1 = eps(h) 1 action-b-on-m1 or action-a-on-m; i_H and the coordinates
+    of T' are algebra maps as H's table and C's are induced_algebra tables,
+    which exist only for closed subspaces. R on x_basis decides 3 without
+    the subalgebra step.
+    """
+    H = act.hopf
+    unit = T.mul_sparse(x_embed.apply(act.algebra.unit), h_embed.apply(H.algebra.unit))
+    if unit != T.unit or not theta.domain_dim == theta.codomain_dim == rank(theta):
+        return False
+    return not law_failures(
+        lambda xs: _exchange_failures(T, act, x_embed, h_embed, xs), x_generators, lambda: x_basis, 1)
+
+
+def _exchange_failures(T: Algebra, act: ModuleAlgebraAction, x_embed: LinMap, h_embed: LinMap,
+                       xs: list) -> Iterator[dict]:
+    """The (r, h) with i_H(h) i_X(x_r) != sum i_X(h_(1) . x_r) i_H(h_(2)) in
+    T, in that loop order, for the elements x_r of act.algebra in xs."""
+    H = act.hopf
+    f = T.field
+    hs = h_embed.columns
+    legs = [H.delta_coords(h) for h in range(H.dim)]
+    for r, x in enumerate(xs):
+        xt = x_embed.apply(x)
+        acted = [x_embed.apply(m.apply(x)) for m in act.maps]
+        for h in range(H.dim):
+            rhs: dict = {}
+            for u, v, c in legs[h]:
+                sparse_axpy(f, rhs, c, T.mul_sparse(acted[u], hs[v]))
+            if T.mul_sparse(hs[h], xt) != rhs:
+                yield {"kind": "exchange-relation", "pair": (r, h)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +519,12 @@ def cleft_data(
 ) -> CheckOutcome:
     """iota: A -> M1 is a comodule map (coaction derived from the B-action act_b),
     its convolution inverse is iota o S_A, the associated cocycle is trivial,
-    and m # a -> m a is an algebra isomorphism M # A -> M1. M # A takes
+    and m # a -> m a is an algebra isomorphism M # A -> M1.
+
+    Given m_generators, generators of M (pass them only once every check
+    before it passed: the tower, the Hopf stage and action-a-on-m), that
+    isomorphism is first decided by _iso_by_exchange in M1 on them, with no
+    smash table. Else, or when that decision fails, M # A is built with
     m_generators (default: generators(M)) and A's induced generators as the
     generators of its factors (smash_product)."""
     f = t.M.field
@@ -485,11 +582,13 @@ def cleft_data(
 
     # m # a -> m iota(a) is an algebra isomorphism M # A -> M1
     if act_a is not None:
-        sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
-        cols = [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs]
-        morph = _smash_morphism(sm, LinMap(f, cols, M1.dim), M1, t.levels[1].verified)
-        if not morph.ok:
-            failures.append({"kind": "M-smash-A-vs-M1-failed", "detail": morph.failures[:2]})
+        theta = LinMap(f, [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs], M1.dim)
+        if m_generators is None or not _iso_by_exchange(
+                M1, theta, act_a, t.incl1, a_embed, m_generators, [{m: f.one} for m in range(t.M.dim)]):
+            sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
+            morph = _smash_morphism(sm, theta, M1, t.levels[1].verified)
+            if not morph.ok:
+                failures.append({"kind": "M-smash-A-vs-M1-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 
 

@@ -21,7 +21,8 @@ where they do not; algebra.law_failures is that one fallback for the algebra
 axioms, morphisms, conditional expectations, Frobenius identities and the
 depth-2 Frobenius sums, Pimsner-Popa, the E_A and E_B bimodule laws, the
 matrix units of C, Nakayama automorphisms, End(M_N) ~ M1 (psi into End_k(M)),
-module-algebra laws and the Hopf action identities and exchange relation.
+module-algebra laws, the Hopf action identities and exchange relation, and
+the exchange relation that decides the smash isomorphisms.
 """
 from __future__ import annotations
 
@@ -286,6 +287,15 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
         return rep.skip(DEPTH2_CHECKS, gate)
     t, d2 = state.tower, state.d2_override
     if d2 is not None:
+        # a designated A, B or C must be a unital subalgebra, as every later
+        # stage reads products through its induced algebra
+        for name, sub in (("A", d2.A), ("B", d2.B), ("C", d2.C)):
+            try:
+                sub.induced_algebra()
+            except AlgebraError as exc:
+                reason = f"designated {name}: {exc}"
+                rep.add("second-centralizers", FAIL, reason=reason)
+                return rep.skip(DEPTH2_CHECKS[1:], reason)
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": d2.A.dim, "B": d2.B.dim, "C": d2.C.dim}, "source": d2.source})
     else:
@@ -386,7 +396,10 @@ def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     rep.outcome("action-b-on-m1", out)
     m_img = SubspaceBasis(t.M1, t.incl1.columns)
     rep.outcome("invariants-m1", verify_invariants(act_b, m_img))
-    rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b))
+    # the smash isomorphisms are decided from the exchange relation on
+    # generators under the same gate, read once their actions are recorded
+    m1_gens = t.levels[0].generators if rep.all_passed() else None
+    rep.outcome("smash-theta", verify_smash_iso_theta(t, d2, state.H_B, act_b, m1_gens))
     m_gens = state.m_generators if rep.all_passed() else None
     act_a, out = action_a_on_m(t, d2, state.H_A, m_gens)
     rep.outcome("action-a-on-m", out)
@@ -395,7 +408,8 @@ def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     ext = state.ext
     n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
-    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.pairing, act_a, act_b, state.m_generators))
+    m_gens = state.m_generators if rep.all_passed() else None
+    rep.outcome("cleft-cocycle", cleft_data(t, d2, state.H_A, state.pairing, act_a, act_b, m_gens))
     gm = galois_map(act_a, state.sys.tq)
     rep.outcome("galois-map", gm)
     state.hypotheses["galois_extension"] = gm.ok

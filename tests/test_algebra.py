@@ -569,10 +569,10 @@ def test_generators_equal_the_word_closure_on_model_levels(model_z3_f7):
 
 @pytest.mark.parametrize("group", ["z2", "z3", "z4"])
 def test_pipeline_generators_span(group, monkeypatch):
-    """Every algebra the model-f7 pipeline checks (M, both tower levels and the
-    smash products) is generated by the set its associativity check uses; on
-    z4 the dim-64 M2 and M1 # B need at most 10, where basis elements alone
-    need 28."""
+    """Every algebra the model-f7 pipeline checks (M and both tower levels;
+    the smash isomorphisms of a verified run form no smash table) is
+    generated by the set its associativity check uses; on z4 the dim-64 M2
+    needs at most 10, where basis elements alone need 28."""
     checked = []
     real = algebra.verify_algebra
 
@@ -589,12 +589,12 @@ def test_pipeline_generators_span(group, monkeypatch):
     checked.clear()
     override = DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model")
     assert run_pipeline(ext, d2_override=override).exit_code() == 0
-    assert len(checked) == 6  # M, M1, M2, M1 # B, M # A, A # B
+    assert len(checked) == 3  # M, M1, M2
     for alg, seeds in checked:
         assert word_span_dim(alg, generators(alg, seeds)) == alg.dim
     if group == "z4":
         sizes = [len(generators(alg, seeds)) for alg, seeds in checked if alg.dim == 64]
-        assert len(sizes) == 2 and max(sizes) <= 10, sizes
+        assert len(sizes) == 1 and max(sizes) <= 10, sizes
         assert len(generators(checked[2][0])) == 28
 
 

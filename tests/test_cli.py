@@ -404,6 +404,14 @@ def test_console_script_entrypoint(catalog_dir):
     assert "galois-map" in proc.stdout
 
 
+def test_python_m_hopftower_runs_the_cli():
+    from hopftower import __version__
+
+    proc = subprocess.run([sys.executable, "-m", "hopftower", "--version"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"hopftower {__version__}"
+
+
 def test_loader_never_crashes_on_fuzzed_input(tmp_path):
     """The extension loader either parses or raises InputError, never
     anything else, over a grid of structurally broken inputs."""

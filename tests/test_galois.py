@@ -2,7 +2,15 @@ import pytest
 from conftest import bumped, with_failed_check, word_span_dim
 
 from hopftower import galois
-from hopftower.algebra import Algebra, LinMap, SubspaceBasis, TensorQuotient, check_morphism
+from hopftower.algebra import (
+    Algebra,
+    CheckOutcome,
+    LinMap,
+    SubspaceBasis,
+    TensorQuotient,
+    check_morphism,
+    generators,
+)
 from hopftower.fields import PrimeField, RationalField
 from hopftower.galois import (
     ModuleAlgebraAction,
@@ -563,3 +571,83 @@ def test_each_generating_set_is_formed_once_per_run(monkeypatch):
     state = report.state
     expected = [ext.M, ext.n_algebra, state.d2.B.induced_algebra()[0], state.d2.A.induced_algebra()[0]]
     assert len(calls) == len(expected) and all(a is b for a, b in zip(calls, expected)), [a.dim for a in calls]
+
+
+# -- the smash isomorphisms from the exchange relation ------------------------------
+
+
+@pytest.fixture
+def smash_tables(monkeypatch):
+    """The first factor X of each smash table galois builds."""
+    calls = []
+    real = galois.smash_product
+
+    def recording(X, H, act, *args):
+        calls.append(X)
+        return real(X, H, act, *args)
+
+    monkeypatch.setattr(galois, "smash_product", recording)
+    return calls
+
+
+@pytest.mark.parametrize("stack", ["stack_trivial", "stack_z3_f7"])
+def test_exchange_route_answers_as_the_tables(stack, request, smash_tables):
+    """Given generators, theta: M1 # B -> M2, A # B -> C and M # A -> M1 are
+    decided with no smash table, and the outcomes are those of the table
+    route, which builds all three."""
+    t, d2, p, H_B, H_A = request.getfixturevalue(stack)[:5]
+    act_b = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))[0]
+    act_a = action_a_on_m(t, d2, H_A)[0]
+    theta = verify_smash_iso_theta(t, d2, H_B, act_b, t.levels[0].generators)
+    cleft = cleft_data(t, d2, H_A, p, act_a, act_b, generators(t.M))
+    assert smash_tables == []
+    assert theta == verify_smash_iso_theta(t, d2, H_B, act_b) == CheckOutcome(True, [])
+    assert cleft == cleft_data(t, d2, H_A, p, act_a, act_b) == CheckOutcome(True, [])
+    assert smash_tables == [t.M1, d2.A.induced_algebra()[0], t.M]
+
+
+def test_exchange_route_falls_back_to_the_tables_on_a_bumped_action(stack_z3_f7, smash_tables):
+    """With the B-action bumped at one entry, generators given, the exchange
+    relation fails and theta reports what the table route reports, failures
+    included."""
+    t, d2, p, H_B = stack_z3_f7[:4]
+    act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+    maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)]
+    bad = ModuleAlgebraAction(H_B, act_b.algebra, maps)
+    gated = verify_smash_iso_theta(t, d2, H_B, bad, t.levels[0].generators)
+    assert smash_tables[0] is t.M1
+    table = verify_smash_iso_theta(t, d2, H_B, bad)
+    assert not gated.ok and gated == table
+    assert gated.failures[0]["kind"] == "smash-algebra-invalid"
+
+
+def _model_z3_run():
+    from hopftower.depth2 import DepthTwoData
+    from hopftower.models import generate_example, model_bundle, model_tower
+    from hopftower.pipeline import run_pipeline
+
+    ext, _sidecar = generate_example("function-algebra", {"group": "z3", "field": "f7"})
+    _tower, d2, rep = model_tower(model_bundle("function-algebra:z3", ext.M.field))
+    assert rep.ok
+    return run_pipeline(ext, d2_override=DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model"))
+
+
+def test_verified_run_forms_no_smash_table(smash_tables):
+    report = _model_z3_run()
+    assert report.exit_code() == 0 and report.hypotheses["galois_extension"] is True
+    assert smash_tables == []
+
+
+def test_closed_gate_builds_the_three_smash_tables(smash_tables, monkeypatch):
+    """With invariants-m1 and invariants-m reported failing, the smash
+    isomorphisms get no generators and are checked through their tables,
+    which still pass."""
+    from hopftower import pipeline
+
+    monkeypatch.setattr(pipeline, "verify_invariants", lambda act, expected: CheckOutcome(False, [{"kind": "forced"}]))
+    report = _model_z3_run()
+    status = {r.check_id: r.status for r in report.results}
+    assert [cid for cid, s in status.items() if s == "fail"] == ["invariants-m1", "invariants-m"]
+    assert status["smash-theta"] == status["cleft-cocycle"] == "pass"
+    state = report.state
+    assert smash_tables == [state.tower.M1, state.d2.A.induced_algebra()[0], state.tower.M]

@@ -73,6 +73,32 @@ def test_full_pipeline_model_f7(model_z3_f7):
     assert all(r.status == "pass" for r in report.results)
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_designated_subspace_not_closed_fails_second_centralizers(model_z3_f7, name):
+    """A designated A, B or C whose vector 0 is bumped at its lowest key is
+    no longer closed under products: second-centralizers FAILs naming it and
+    every later check is skipped with that reason, so no later stage forms
+    (and raises on) its induced algebra."""
+    from hopftower.algebra import SubspaceBasis
+    from hopftower.depth2 import DepthTwoData
+    from hopftower.linalg import sparse_add
+
+    _t, d2_fixture = model_z3_f7
+    f = PrimeField(7)
+    subs = {"A": d2_fixture.A, "B": d2_fixture.B, "C": d2_fixture.C}
+    vecs = [dict(v) for v in subs[name].vectors]
+    sparse_add(f, vecs[0], min(vecs[0]), f.one)
+    subs[name] = SubspaceBasis(subs[name].ambient, vecs)
+    report = run_pipeline(function_algebra_extension(f, "z3"), d2_override=DepthTwoData(**subs, source="model"))
+    reason = f"designated {name}: subspace not closed under multiplication"
+    results = report.results
+    at = [r.check_id for r in results].index("second-centralizers")
+    assert (results[at].status, results[at].reason) == ("fail", reason)
+    assert [r.check_id for r in results if r.status == "fail"] == ["second-centralizers"]
+    assert all((r.status, r.reason) == ("skipped", reason) for r in results[at + 1:])
+    assert _unlisted_or_repeated(report, "galois") == {}
+
+
 def test_verdict_shape(ext_s3_z2):
     report = run_pipeline(ext_s3_z2)
     v = report.verdict

@@ -1,6 +1,7 @@
 """A fixed slice of the byte-identity sweep (tools/sweep.py): the
-quadratic-field and z4/z2 extensions over Q and F7, clean and with every
-single structure-constant bump that builds, end in reports."""
+quadratic-field and z4/z2 extensions over Q and F7, clean, with every
+single structure-constant bump that builds and with every single E bump,
+end in reports."""
 import importlib.util
 from pathlib import Path
 
@@ -34,11 +35,13 @@ def test_slice_ends_in_reports_with_a_reason_on_every_skip():
         assert [r.check_id for r in report.results if r.status == SKIP and not r.reason] == [], input_id
         assert _unlisted_or_repeated(report, "galois") == {}, input_id
         seen.append(input_id)
-    # each case clean and with the bumps under which N stays a unital
-    # subalgebra: 7 of the 8 of the quadratic field, 56 of the 64 of z4/z2
-    assert len(seen) == 2 * (1 + 7) + 2 * (1 + 56)
+    # each case clean, with the bumps under which N stays a unital
+    # subalgebra, 7 of the 8 of the quadratic field and 56 of the 64 of
+    # z4/z2, and with the dim M x dim N bumps of E, 2 and 8
+    assert len(seen) == 2 * (1 + 7 + 2) + 2 * (1 + 56 + 8)
     assert {"q/quadratic-field@0.0.0", "f7/quadratic-field@0.0.0",
-            "q/group-pair:z4/z2@3.1.0", "f7/group-pair:z4/z2@3.1.0"} <= set(seen)
+            "q/group-pair:z4/z2@3.1.0", "f7/group-pair:z4/z2@3.1.0",
+            "q/quadratic-field@E.0.1", "f7/group-pair:z4/z2@E.1.3"} <= set(seen)
 
 
 def test_clean_inputs_follow_the_golden_path(monkeypatch):

@@ -12,6 +12,8 @@ The corpus:
 - each of them with every single structure-constant bump: c_ij^k of M raised
   by one for one (i, j, k), whenever N is still a unital subalgebra of the
   bumped M (else the extension does not build);
+- those with dim M <= 6 with every single E bump: entry (r, m) of E, the
+  N-coordinate r of E(e_m), raised by one (160 inputs);
 - the three model-f7 reports: function-algebra z2, z3 and z4 over F7 with the
   model tower's A, B and C as ``d2_override``, as bench/run.py runs them.
 
@@ -54,6 +56,7 @@ CATALOG = (
 )
 FIELDS = (("rational", "q"), ("f7", "f7"), ("f5", "f5"))
 MODEL_GROUPS = ("z2", "z3", "z4")
+E_BUMP_MAX_DIM = 6  # the cases whose E is bumped entry by entry
 
 
 def catalog() -> dict:
@@ -81,10 +84,23 @@ def bumped(ext, bump: tuple):
         return None
 
 
+def e_bumped(ext, row: int, col: int):
+    """ext with entry (row, col) of E, the N-coordinate row of E(e_col),
+    raised by one. Supplied dual bases are dropped, as for bumped(): the run
+    solves them from the bumped E."""
+    from hopftower.frobenius import ExtensionSpec
+    from hopftower.linalg import LinMap, sparse_add
+
+    f = ext.M.field
+    cols = [dict(c) for c in ext.E.columns]
+    sparse_add(f, cols[col], row, f.one)
+    return ExtensionSpec(ext.M, ext.N, E=LinMap(f, cols, ext.E.codomain_dim))
+
+
 def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tuple]:
     """(input id, extension, d2_override) over the corpus, or over the named
     catalog cases and their bumps; a bumped input's id is the case id with
-    "@i.j.k"."""
+    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E."""
     from hopftower.depth2 import DepthTwoData
     from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
     from hopftower.models import generate_example, model_bundle, model_tower
@@ -98,6 +114,9 @@ def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tup
             bad = bumped(ext, bump)
             if bad is not None:
                 yield f"{case_id}@{'.'.join(map(str, bump))}", bad, None
+        if ext.M.dim <= E_BUMP_MAX_DIM:
+            for row, col in product(range(ext.N.dim), range(ext.M.dim)):
+                yield f"{case_id}@E.{row}.{col}", e_bumped(ext, row, col), None
     if not models:
         return
     for group in MODEL_GROUPS:
