@@ -11,7 +11,7 @@ M2, A # B -> C, M # A -> M1) are decided on a verified run by theta(1 # 1) =
 generators of X (_iso_by_exchange), with no smash table formed; otherwise,
 or when that fails, smash_product builds the table, and theta is checked on
 its generators once both sides are verified algebras. smash_product stays the
-one builder of a smash product as an algebra.
+one construction of a smash product as an algebra.
 """
 from __future__ import annotations
 
@@ -390,7 +390,7 @@ def verify_smash_iso_theta(
     f = t.M.field
     M1, M2 = t.M1, t.M2
     towers_ok = t.levels[1].verified
-    b_embed = LinMap(f, d2.B.vectors, M2.dim)
+    b_embed = d2.B.induced_algebra()[1]
     failures = []
     theta = LinMap(f, [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors], M2.dim)
     if x_generators is None or not _iso_by_exchange(
@@ -425,7 +425,7 @@ def verify_smash_iso_theta(
             cols.append(coords)
     theta_ab = LinMap(f, cols, d2.C.dim)
     if x_generators is not None and len(failures) == before:
-        a_embed = LinMap(f, d2.A.vectors, M1.dim)
+        a_embed = d2.A.induced_algebra()[1]
         a_generators = [a_embed.apply(g) for g in d2.A.induced_generators()]
         if _iso_by_exchange(M2, theta_ab, act, t.incl2, b_embed, a_generators, d2.A.vectors):
             return CheckOutcome(not failures, failures)

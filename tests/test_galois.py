@@ -651,3 +651,33 @@ def test_closed_gate_builds_the_three_smash_tables(smash_tables, monkeypatch):
     assert status["smash-theta"] == status["cleft-cocycle"] == "pass"
     state = report.state
     assert smash_tables == [state.tower.M1, state.d2.A.induced_algebra()[0], state.tower.M]
+
+
+def test_exchange_relation_keeps_the_legs_of_a_noncocommutative_delta():
+    """k^S3 grades kS3, delta_g . h = [g = h] h, a module algebra over a
+    noncocommutative Delta. In X # H itself, theta = id passes the three
+    facts of the exchange route. Each fact decides: with Delta replaced by
+    its opposite the exchange relation fails against the same table, with
+    i_H doubled theta(1 # 1) = 2, and with one column of theta dropped its
+    rank."""
+    from hopftower.models import GROUPS, group_hopf
+
+    pair = group_hopf(GROUPS["s3"](), F7)
+    X, H = pair.H.algebra, pair.H_dual
+    n = pair.G.order
+    act = ModuleAlgebraAction(H, X, [LinMap(F7, [{h: F7.one} if h == g else {} for h in range(n)], n)
+                                     for g in range(n)])
+    assert verify_module_algebra(act).ok
+    sm = smash_product(X, H, act)
+    assert sm.report.ok
+    identity = LinMap.identity(F7, sm.algebra.dim)
+    basis = [{x: F7.one} for x in range(n)]
+    assert galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, sm.embed_h, generators(X), basis)
+    opposite = LinMap(F7, [{k % n * n + k // n: c for k, c in col.items()} for col in H.delta.columns], n * n)
+    assert opposite != H.delta
+    act_op = ModuleAlgebraAction(HopfStructure(H.algebra, opposite, H.counit, H.antipode), X, act.maps)
+    assert not galois._iso_by_exchange(sm.algebra, identity, act_op, sm.embed_x, sm.embed_h, generators(X), basis)
+    doubled = LinMap(F7, [sparse_scale(F7, F7.from_int(2), c) for c in sm.embed_h.columns], sm.algebra.dim)
+    assert not galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, doubled, generators(X), basis)
+    dropped = LinMap(F7, [{} if k == 1 else c for k, c in enumerate(identity.columns)], sm.algebra.dim)
+    assert not galois._iso_by_exchange(sm.algebra, dropped, act, sm.embed_x, sm.embed_h, generators(X), basis)

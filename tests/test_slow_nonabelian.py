@@ -9,7 +9,8 @@ Run with:
 """
 import pytest
 
-from hopftower.algebra import SubspaceBasis
+from hopftower import galois
+from hopftower.algebra import SubspaceBasis, generators
 from hopftower.depth2 import (
     check_depth_two,
     conditional_expectations,
@@ -39,7 +40,7 @@ from hopftower.models import model_bundle, model_tower
 
 
 @pytest.mark.slow
-def test_nonabelian_s3_model_full_program():
+def test_nonabelian_s3_model_full_program(monkeypatch):
     F7 = PrimeField(7)
     b = model_bundle("function-algebra:s3", F7)
     t, d2, rep = model_tower(b)
@@ -83,4 +84,13 @@ def test_nonabelian_s3_model_full_program():
     act_a, aao = action_a_on_m(t, d2, H_A)
     assert aao.ok
     assert cleft_data(t, d2, H_A, p, act_a, act_b).ok
+    # given generators, the exchange relation decides the three smash
+    # isomorphisms with no smash table, the legs of the noncocommutative
+    # Delta in order
+    tables = []
+    real = galois.smash_product
+    monkeypatch.setattr(galois, "smash_product", lambda *args: tables.append(args) or real(*args))
+    assert verify_smash_iso_theta(t, d2, H_B, act_b, t.levels[0].generators).ok
+    assert cleft_data(t, d2, H_A, p, act_a, act_b, generators(t.M)).ok
+    assert tables == []
     assert galois_map(act_a, t.base_sys.tq).ok
