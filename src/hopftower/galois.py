@@ -9,9 +9,9 @@ verified. The smash isomorphisms theta: X # H -> T of the tower (M1 # B ->
 M2, A # B -> C, M # A -> M1) are decided on a verified run by theta(1 # 1) =
 1, rank and the exchange relation h x = sum (h_(1) . x) h_(2) in T on
 generators of X (_iso_by_exchange), with no smash table formed; otherwise,
-or when that fails, smash_product builds the table, and theta is checked on
-its generators once both sides are verified algebras. smash_product stays the
-one construction of a smash product as an algebra.
+or when that fails, smash_product builds the table from the action alone and
+theta is checked on every basis pair. smash_product stays the one
+construction of a smash product as an algebra.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .algebra import (
     SubspaceBasis,
     TensorQuotient,
     check_morphism,
-    generators,
     law_failures,
     matrix_element,
     matrix_map,
@@ -144,18 +143,12 @@ class SmashProduct:
     embed_x: LinMap
     embed_h: LinMap
     report: CheckOutcome
-    generators: Optional[list]  # the set the associativity check ran on, None when a unit law failed
 
 
-def smash_product(
-    X: Algebra, H: HopfStructure, act: ModuleAlgebraAction,
-    x_generators: Optional[list] = None, h_generators: Optional[list] = None,
-) -> SmashProduct:
-    """(x # h)(x' # h') = x (h1 . x') # h2 h', with associativity re-verified
-    on the generators (S_X # 1) and (1 # S_H): x # h = (x # 1)(1 # h), and
-    (x # h)(1 # h') = x # h h'. S_X is x_generators, elements whose words with
-    1 span X, and S_H h_generators, likewise for H.algebra; each defaults to
-    generators() of its algebra."""
+def smash_product(act: ModuleAlgebraAction) -> SmashProduct:
+    """X # H for X = act.algebra and H = act.hopf: (x # h)(x' # h') =
+    x (h1 . x') # h2 h', with associativity re-verified (verify_algebra)."""
+    X, H = act.algebra, act.hopf
     f = X.field
     dx, dh = X.dim, H.dim
     dim = dx * dh
@@ -183,20 +176,7 @@ def smash_product(
     alg = Algebra(f, dim, table, unit)
     embed_x = LinMap(f, [{x * dh + h: ch for h, ch in h_unit.items()} for x in range(dx)], dim)
     embed_h = LinMap(f, [{x * dh + h: cx for x, cx in X.unit.items()} for h in range(dh)], dim)
-    if x_generators is None:
-        x_generators = generators(X)
-    if h_generators is None:
-        h_generators = generators(H.algebra)
-    seeds = [embed_x.apply(g) for g in x_generators] + [embed_h.apply(g) for g in h_generators]
-    return SmashProduct(alg, X, H, embed_x, embed_h, *verify_algebra(alg, seeds))
-
-
-def _smash_morphism(sm: SmashProduct, f_map: LinMap, B: Algebra, b_verified: bool):
-    """check_morphism of f_map: sm -> B, on the generating set of the smash
-    product once it passed its own check and b_verified says B is a verified
-    algebra, else on the basis."""
-    gens = sm.generators if sm.report.ok and b_verified else None
-    return check_morphism(f_map, sm.algebra, B, domain_generators=gens)
+    return SmashProduct(alg, X, H, embed_x, embed_h, verify_algebra(alg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +357,19 @@ def verify_smash_iso_theta(
     and A # B in M2 on A's induced generators, once the B-action keeps A and
     A B lies in C; no smash table is formed then.
 
-    Else, or when that decision fails, the smash tables are built from the
-    action columns h . e_x. M1 # B is checked on the generators of M1 its
-    tower level formed, and both smash products on the induced generators of
-    A and B, which conditional_expectations formed on the same subspaces.
-    Once the tower is verified and a smash product passed its own check, its
-    morphism is checked on the generating set that check ran on (see
-    check_morphism); M1 and M2 are then associative, and C is a closed unital
-    subalgebra of M2 (induced_algebra would raise otherwise), so it is
-    associative with M2. Else every basis pair is checked.
+    Else, or when that decision fails, smash_product builds the table from
+    the action columns h . e_x, and theta is checked on every basis pair.
     """
     f = t.M.field
-    M1, M2 = t.M1, t.M2
-    towers_ok = t.levels[1].verified
+    M2 = t.M2
     b_embed = d2.B.induced_algebra()[1]
     failures = []
     theta = LinMap(f, [M2.mul_sparse(xh, b) for xh in t.incl2.columns for b in d2.B.vectors], M2.dim)
-    if x_generators is None or not _iso_by_exchange(
-            M2, theta, act, t.incl2, b_embed, x_generators, [{x: f.one} for x in range(M1.dim)]):
-        sm = smash_product(M1, H_B, act, t.levels[0].generators, d2.B.induced_generators())
+    if x_generators is None or not _iso_by_exchange(M2, theta, act, t.incl2, b_embed, x_generators):
+        sm = smash_product(act)
         if not sm.report.ok:
             failures.append({"kind": "smash-algebra-invalid", "detail": sm.report.failures[:1]})
-        morph = _smash_morphism(sm, theta, M2, towers_ok)
+        morph = check_morphism(theta, sm.algebra, M2)
         if not morph.ok:
             failures.append({"kind": "theta-not-isomorphism", "detail": morph.failures[:2]})
 
@@ -427,36 +398,31 @@ def verify_smash_iso_theta(
     if x_generators is not None and len(failures) == before:
         a_embed = d2.A.induced_algebra()[1]
         a_generators = [a_embed.apply(g) for g in d2.A.induced_generators()]
-        if _iso_by_exchange(M2, theta_ab, act, t.incl2, b_embed, a_generators, d2.A.vectors):
+        if _iso_by_exchange(M2, theta_ab, act, t.incl2, b_embed, a_generators):
             return CheckOutcome(not failures, failures)
-    A_alg, _ = d2.A.induced_algebra()
-    sm_ab = smash_product(A_alg, H_B, ModuleAlgebraAction(H_B, A_alg, a_maps),
-                          d2.A.induced_generators(), d2.B.induced_generators())
-    C_alg, _ = d2.C.induced_algebra()
-    morph = _smash_morphism(sm_ab, theta_ab, C_alg, towers_ok)
+    sm_ab = smash_product(ModuleAlgebraAction(H_B, d2.A.induced_algebra()[0], a_maps))
+    morph = check_morphism(theta_ab, sm_ab.algebra, d2.C.induced_algebra()[0])
     if not morph.ok:
         failures.append({"kind": "A-smash-B-vs-C-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)
 
 
 def _iso_by_exchange(
-    T: Algebra, theta: LinMap, act: ModuleAlgebraAction, x_embed: LinMap, h_embed: LinMap,
-    x_generators: list, x_basis: list,
+    T: Algebra, theta: LinMap, act: ModuleAlgebraAction, x_embed: LinMap, h_embed: LinMap, x_generators: list
 ) -> bool:
     """Whether theta: X # H -> T', x # h -> i_X(x) i_H(h), is an algebra
     isomorphism, decided in T without forming the table of X # H.
 
     H = act.hopf acts on act.algebra, X is a unital subalgebra of act.algebra
-    (all of it, or A inside M1) with basis x_basis and whose words in
-    x_generators with 1 span it, i_X = x_embed and i_H = h_embed map into T,
-    and the columns of theta are the images of the x # h in T', T itself or
-    the coordinates of a closed subalgebra of T (C inside M2). It holds when
+    (all of it, or A inside M1) whose words in x_generators with 1 span it,
+    i_X = x_embed and i_H = h_embed map into T, and the columns of theta are
+    the images of the x # h in T', T itself or the coordinates of a closed
+    subalgebra of T (C inside M2). It holds when
 
     1. theta(1 # 1) = i_X(1) i_H(1) = 1,
     2. rank theta = dim X dim H = dim T', and
     3. R(h, x): i_H(h) i_X(x) = sum i_X(h_(1) . x) i_H(h_(2)) in T, for every
-       basis h of H and every x in x_generators, decided through
-       law_failures (on a failure there, over x_basis).
+       basis h of H and every x in x_generators.
 
     Proof (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82,
     4.1; Blattner-Montgomery, J. Algebra 95, 1985). Write x for i_X(x) and h
@@ -478,15 +444,15 @@ def _iso_by_exchange(
     Hopf laws hopf-axioms or dual-hopf, the module-algebra law with
     h . 1 = eps(h) 1 action-b-on-m1 or action-a-on-m; i_H and the coordinates
     of T' are algebra maps as H's table and C's are induced_algebra tables,
-    which exist only for closed subspaces. R on x_basis decides 3 without
-    the subalgebra step.
+    which exist only for closed subspaces. No basis scan follows a failure:
+    R(h, x) is linear in x, so a failing generator means some basis element
+    of X fails as well, and the caller builds the table instead.
     """
     H = act.hopf
     unit = T.mul_sparse(x_embed.apply(act.algebra.unit), h_embed.apply(H.algebra.unit))
     if unit != T.unit or not theta.domain_dim == theta.codomain_dim == rank(theta):
         return False
-    return not law_failures(
-        lambda xs: _exchange_failures(T, act, x_embed, h_embed, xs), x_generators, lambda: x_basis, 1)
+    return next(_exchange_failures(T, act, x_embed, h_embed, x_generators), None) is None
 
 
 def _exchange_failures(T: Algebra, act: ModuleAlgebraAction, x_embed: LinMap, h_embed: LinMap,
@@ -524,9 +490,8 @@ def cleft_data(
     Given m_generators, generators of M (pass them only once every check
     before it passed: the tower, the Hopf stage and action-a-on-m), that
     isomorphism is first decided by _iso_by_exchange in M1 on them, with no
-    smash table. Else, or when that decision fails, M # A is built with
-    m_generators (default: generators(M)) and A's induced generators as the
-    generators of its factors (smash_product)."""
+    smash table. Else, or when that decision fails, smash_product builds
+    M # A and the map is checked on every basis pair."""
     f = t.M.field
     M1 = t.M1
     failures = []
@@ -583,10 +548,8 @@ def cleft_data(
     # m # a -> m iota(a) is an algebra isomorphism M # A -> M1
     if act_a is not None:
         theta = LinMap(f, [M1.mul_sparse(mh, a) for mh in t.incl1.columns for a in a_vecs], M1.dim)
-        if m_generators is None or not _iso_by_exchange(
-                M1, theta, act_a, t.incl1, a_embed, m_generators, [{m: f.one} for m in range(t.M.dim)]):
-            sm = smash_product(t.M, H_A, act_a, m_generators, d2.A.induced_generators())
-            morph = _smash_morphism(sm, theta, M1, t.levels[1].verified)
+        if m_generators is None or not _iso_by_exchange(M1, theta, act_a, t.incl1, a_embed, m_generators):
+            morph = check_morphism(theta, smash_product(act_a).algebra, M1)
             if not morph.ok:
                 failures.append({"kind": "M-smash-A-vs-M1-failed", "detail": morph.failures[:2]})
     return CheckOutcome(not failures, failures)

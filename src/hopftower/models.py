@@ -474,23 +474,31 @@ SUBGROUPS = {
 }
 
 
+def _expect(field: Field, lam: int, m: int, rank: int, irreducible: bool, depth_two: Optional[dict]) -> dict:
+    """A catalog sidecar's expected outcomes, written from the formulas:
+    lambda^-1 is lam reduced in k, the extension is separable and strongly
+    separable exactly when lam != 0 in k, and only then is the tower built,
+    with dims m, m rank and m rank^2 and the depth-2 levels of depth_two."""
+    lam_k = field.from_int(lam)
+    built = not field.is_zero(lam_k)
+    expect = {
+        "lambda_inverse": field.to_str(lam_k),
+        "dims": {"m": m, "m1": m * rank, "m2": m * rank * rank} if built else {"m": m},
+        "flags": {"split": True, "separable": built, "strongly_separable": built, "irreducible": irreducible},
+    }
+    if built and depth_two is not None:
+        expect["depth_two"] = depth_two
+    return expect
+
+
 def generate_example(name: str, params: Optional[dict] = None) -> tuple[ExtensionSpec, dict]:
     """Build a named extension plus a sidecar of expected check outcomes."""
     params = dict(params or {})
     if name == "trivial":
         field = _field_param(params, default="rational")
         ext = trivial_extension(field)
-        sidecar = {
-            "name": name,
-            "expect": {
-                "lambda_inverse": "1",
-                "dims": {"m": 1, "m1": 1, "m2": 1},
-                "flags": {"split": True, "separable": True, "strongly_separable": True, "irreducible": True},
-                "depth_two": {"level1": "pass", "level2": "pass"},
-                "hopf": "reconstructed",
-            },
-        }
-        return ext, sidecar
+        expect = _expect(field, 1, 1, 1, True, {"level1": "pass", "level2": "pass"})
+        return ext, {"name": name, "expect": {**expect, "hopf": "reconstructed"}}
     if name == "group-pair":
         field = _field_param(params, default="rational")
         gname = params.get("group", "s3")
@@ -507,24 +515,10 @@ def generate_example(name: str, params: Optional[dict] = None) -> tuple[Extensio
         normal = all(
             G.mul[G.mul[g][h]][G.inverse(g)] in set(sub) for g in range(G.order) for h in sub
         )
-        sidecar = {
-            "name": f"group-pair:{gname}/{hname}",
-            "expect": {
-                "lambda_inverse": str(index),
-                "dims": {
-                    "m": G.order,
-                    "m1": G.order * index,
-                    "m2": G.order * index * index,
-                },
-                "flags": {"split": True, "separable": True, "strongly_separable": True, "irreducible": False},
-                "depth_two": {
-                    "level1": "pass" if normal else "fail",
-                    "level2": "pass" if normal else None,
-                },
-                "hopf": "skipped: base not irreducible",
-            },
-        }
-        return ext, sidecar
+        depth_two = {"level1": "pass" if normal else "fail", "level2": "pass" if normal else None}
+        expect = _expect(field, index, G.order, index, False, depth_two)
+        return ext, {"name": f"group-pair:{gname}/{hname}",
+                     "expect": {**expect, "hopf": "skipped: base not irreducible"}}
     if name == "quadratic-field":
         field = _field_param(params, default="rational")
         try:
@@ -534,46 +528,21 @@ def generate_example(name: str, params: Optional[dict] = None) -> tuple[Extensio
         if field.is_zero(d):
             raise ModelError("d must be nonzero")
         ext = quadratic_field_extension(field, d)
-        sidecar = {
-            "name": f"quadratic-field:d={params.get('d', 2)}",
-            "expect": {
-                "lambda_inverse": "2",
-                "dims": {"m": 2, "m1": 4, "m2": 8},
-                "flags": {"split": True, "separable": True, "strongly_separable": True, "irreducible": False},
-                "depth_two": {"level1": "pass", "level2": "pass"},
-                "hopf": "skipped: base not irreducible",
-            },
-        }
-        return ext, sidecar
+        expect = _expect(field, 2, 2, 2, False, {"level1": "pass", "level2": "pass"})
+        return ext, {"name": f"quadratic-field:d={params.get('d', 2)}",
+                     "expect": {**expect, "hopf": "skipped: base not irreducible"}}
     if name == "m2f2":
         ext = m2f2_extension()
-        sidecar = {
-            "name": "m2f2",
-            "expect": {
-                "lambda_inverse": "1",
-                "dims": {"m": 4, "m1": 16, "m2": 64},
-                "flags": {"split": True, "separable": True, "strongly_separable": True, "irreducible": False},
-                "dual_tensor_terms": 6,
-                "hopf": "skipped: base not irreducible",
-            },
-        }
-        return ext, sidecar
+        expect = _expect(ext.M.field, 1, 4, 4, False, None)
+        return ext, {"name": "m2f2",
+                     "expect": {**expect, "dual_tensor_terms": 6, "hopf": "skipped: base not irreducible"}}
     if name == "function-algebra":
         field = _field_param(params, default="rational")
         gname = params.get("group", "z2")
         ext = function_algebra_extension(field, gname)
         order = GROUPS[gname]().order
-        sidecar = {
-            "name": f"function-algebra:{gname}",
-            "expect": {
-                "lambda_inverse": str(order),
-                "dims": {"m": order, "m1": order * order, "m2": order ** 3},
-                "flags": {"split": True, "separable": True, "strongly_separable": True,
-                          "irreducible": order == 1},
-                "depth_two": {"level1": "pass", "level2": "pass"},
-            },
-        }
-        return ext, sidecar
+        return ext, {"name": f"function-algebra:{gname}",
+                     "expect": _expect(field, order, order, order, order == 1, {"level1": "pass", "level2": "pass"})}
     raise ModelError(f"unknown example {name!r}; catalog: {sorted(CATALOG)}")
 
 

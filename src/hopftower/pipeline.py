@@ -21,8 +21,10 @@ where they do not; algebra.law_failures is that one fallback for the algebra
 axioms, morphisms, conditional expectations, Frobenius identities and the
 depth-2 Frobenius sums, Pimsner-Popa, the E_A and E_B bimodule laws, the
 matrix units of C, Nakayama automorphisms, End(M_N) ~ M1 (psi into End_k(M)),
-module-algebra laws, the Hopf action identities and exchange relation, and
-the exchange relation that decides the smash isomorphisms.
+module-algebra laws, and the Hopf action identities and exchange relation.
+The smash isomorphisms take the exchange relation on generators as their
+shortcut; their fallback is the smash table, with the map checked on every
+basis pair (galois.verify_smash_iso_theta, galois.cleft_data).
 """
 from __future__ import annotations
 

@@ -154,7 +154,7 @@ def test_criterion_6_galois_constructive_direction():
             assert out.ok
             order = f.from_int(b.pair.G.order)
             assert f.eq(b.sys.lambda_inverse, order)  # lambda^-1 = f(1) = |G|
-            sm = smash_product(b.X, b.pair.H, b.action)
+            sm = smash_product(b.action)
             assert sm.report.ok
             assert psi_map(sm, b.action, b.sys).ok
             assert psi_inverse_formula(sm, b.action, b.sys, b.pair.t).ok

@@ -141,7 +141,7 @@ def test_verify_agrees_with_full_scan_on_tower_perturbations(example, params, fi
 def test_verify_agrees_with_full_scan_on_smash_perturbations(stack_z3_f7):
     t, d2, _p, H_B = stack_z3_f7[:4]
     act, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-    sm = smash_product(t.M1, H_B, act)
+    sm = smash_product(act)
     assert sm.report.ok
     seeds = [sm.embed_x.apply(g) for g in generators(t.M1)] + [sm.embed_h.apply(g) for g in generators(H_B.algebra)]
     assert assert_verify_matches_reference(sm.algebra, seeds, 7) > 0
@@ -175,7 +175,7 @@ def test_entries_round_trip_through_fileio(stack_z3_f7):
     products, in ascending j, and come back from their file form unchanged."""
     t, d2, _p, H_B = stack_z3_f7[:4]
     act, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-    for alg in (t.M, t.M1, t.M2, smash_product(t.M1, H_B, act).algebra):
+    for alg in (t.M, t.M1, t.M2, smash_product(act).algebra):
         assert_rows_of_nonzero_products(alg)
         data = algebra_to_dict(alg)
         back = parse_algebra(alg.field, data)

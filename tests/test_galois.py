@@ -1,5 +1,5 @@
 import pytest
-from conftest import bumped, with_failed_check, word_span_dim
+from conftest import bumped
 
 from hopftower import galois
 from hopftower.algebra import (
@@ -74,7 +74,7 @@ def test_smash_with_trivial_hopf_is_x():
     X = quadratic_field_algebra(Q, Q.from_int(2))
     H = trivial_hopf(Q)
     act = ModuleAlgebraAction(H, X, [LinMap.identity(Q, 2)])
-    sm = smash_product(X, H, act)
+    sm = smash_product(act)
     assert sm.report.ok
     assert sm.algebra.dim == X.dim
     # the table is exactly that of X
@@ -85,7 +85,7 @@ def test_smash_with_trivial_hopf_is_x():
 
 
 def test_sqrt2_smash_is_full_matrix_algebra(bundle_sqrt2):
-    sm = smash_product(bundle_sqrt2.X, bundle_sqrt2.pair.H, bundle_sqrt2.action)
+    sm = smash_product(bundle_sqrt2.action)
     assert sm.report.ok and sm.algebra.dim == 4
     out = psi_map(sm, bundle_sqrt2.action, bundle_sqrt2.sys)
     assert out.ok, out.failures[:2]  # End(Q(sqrt2)_Q) = M_2(Q)
@@ -94,7 +94,7 @@ def test_sqrt2_smash_is_full_matrix_algebra(bundle_sqrt2):
 
 def test_function_algebra_smash_matrix_units(bundle_z2):
     # k^G # k[G] = M_|G|(k): exhibit the matrix units delta_x g
-    sm = smash_product(bundle_z2.X, bundle_z2.pair.H, bundle_z2.action)
+    sm = smash_product(bundle_z2.action)
     assert sm.report.ok and sm.algebra.dim == 4
     f = Q
     G = bundle_z2.pair.G
@@ -124,7 +124,7 @@ def test_psi_trivial_hopf():
     X = quadratic_field_algebra(Q, Q.from_int(2))
     H = trivial_hopf(Q)
     act = ModuleAlgebraAction(H, X, [LinMap.identity(Q, 2)])
-    sm = smash_product(X, H, act)
+    sm = smash_product(act)
     N_all = SubspaceBasis(X, [{0: Q.one}, {1: Q.one}])
     ident_e = LinMap.identity(Q, 2)
     ext = ExtensionSpec(X, N_all, E=ident_e)
@@ -135,7 +135,7 @@ def test_psi_trivial_hopf():
 
 def test_psi_for_translation_models(bundle_z2, bundle_z3_f7):
     for b in (bundle_z2, bundle_z3_f7):
-        sm = smash_product(b.X, b.pair.H, b.action)
+        sm = smash_product(b.action)
         assert psi_map(sm, b.action, b.sys).ok
         assert psi_inverse_formula(sm, b.action, b.sys, b.pair.t).ok
         assert _smash_commutation_holds(sm, b.action)
@@ -458,7 +458,7 @@ def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
     if perturb is not None:
         h, r, c = perturb
         mats = [bumped(m, r, c) if i == h else m for i, m in enumerate(mats)]
-    sm = smash_product(t.M1, H_B, ModuleAlgebraAction(H_B, t.M1, mats))
+    sm = smash_product(ModuleAlgebraAction(H_B, t.M1, mats))
     ref = _reference_smash_table(t.M1, H_B, mats)
     assert [[(q, list(cell.items())) for q, cell in row.items()] for row in sm.algebra.table] == [
         [(q, list(cell.items())) for q, cell in row.items()] for row in ref
@@ -474,7 +474,7 @@ def test_smash_and_theta_match_reference(stack_z3_f7, perturb):
     assert bool(morph.failures) == (perturb is not None)
 
 
-# -- the smash-product morphisms on generators -------------------------------------
+# -- the smash-product morphisms on the table route ---------------------------------
 
 
 @pytest.fixture
@@ -499,52 +499,39 @@ def _galois_morphism_checks(t, d2, p, H_B, H_A, act_b=None):
     return verify_smash_iso_theta(t, d2, H_B, act_b), cleft_data(t, d2, H_A, p, act_a, act_b), act_b
 
 
-def test_galois_morphisms_run_on_smash_generators(stack_z3_f7, galois_morphisms):
-    """theta: M1 # B -> M2, A # B -> C and M # A -> M1 are checked on the
-    generating set of their smash product's associativity check, M1 # B's
-    seeded with level 1's generators, and report what the scan over basis
-    pairs reports."""
+def test_galois_morphisms_run_once_on_basis_pairs(stack_z3_f7, galois_morphisms):
+    """With no generators given, theta: M1 # B -> M2, A # B -> C and
+    M # A -> M1 are each checked once, on every basis pair of the table
+    smash_product builds from the action alone."""
     t, d2, p, H_B, H_A = stack_z3_f7[:5]
     theta, cleft, act_b = _galois_morphism_checks(t, d2, p, H_B, H_A)
     assert theta.ok and cleft.ok
-    assert len(galois_morphisms) == 3
-    sm = smash_product(t.M1, H_B, act_b, t.levels[0].generators)
-    assert galois_morphisms[0][1].table == sm.algebra.table
-    assert galois_morphisms[0][3] == sm.generators
-    assert len(sm.generators) < len(smash_product(t.M1, H_B, act_b).generators)
-    for f_map, A, B, gens, out in galois_morphisms:
-        assert gens is not None and word_span_dim(A, gens) == A.dim
-        assert out == check_morphism(f_map, A, B)
+    assert [(A.dim, B.dim) for _f, A, B, _gens, _out in galois_morphisms] == [
+        (t.M2.dim, t.M2.dim), (d2.C.dim, d2.C.dim), (t.M1.dim, t.M1.dim)]
+    assert galois_morphisms[0][1].table == smash_product(act_b).algebra.table
+    assert all(gens is None and out.ok for _f, _A, _B, gens, out in galois_morphisms)
 
 
-@pytest.mark.parametrize("failed", ["m1-axioms", "m2-axioms", "smash"])
-def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms, failed):
-    """With M1 or M2 reported failing algebra-axioms the tower is no longer
-    verified and every smash morphism runs the scan over basis pairs; with a
-    bumped B-action, M1 # B fails its own check and theta runs that scan and
-    reports its failures."""
+def test_galois_morphisms_fall_back_to_the_basis(stack_z3_f7, galois_morphisms):
+    """With a bumped B-action, M1 # B fails its own check, and theta runs the
+    scan over basis pairs and reports its failures."""
     t, d2, p, H_B, H_A = stack_z3_f7[:5]
-    act_b = None
-    if failed == "smash":
-        act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
-        maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)]
-        act_b = ModuleAlgebraAction(H_B, act_b.algebra, maps)
-        assert not smash_product(t.M1, H_B, act_b, t.levels[0].generators).report.ok
-    else:
-        t = with_failed_check(t, 0 if failed == "m1-axioms" else 1, "algebra-axioms")
+    act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+    maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)]
+    act_b = ModuleAlgebraAction(H_B, act_b.algebra, maps)
+    assert not smash_product(act_b).report.ok
     theta, _cleft, _act = _galois_morphism_checks(t, d2, p, H_B, H_A, act_b)
-    on_basis = [0] if failed == "smash" else [0, 1, 2]
-    for n, (f_map, A, B, gens, out) in enumerate(galois_morphisms):
-        assert (gens is None) == (n in on_basis), n
-        assert out == check_morphism(f_map, A, B)
-    if failed == "smash":
-        assert not theta.ok and not galois_morphisms[0][4].ok
+    for f_map, A, B, gens, out in galois_morphisms:
+        assert gens is None and out == check_morphism(f_map, A, B)
+    assert not theta.ok and not galois_morphisms[0][4].ok
+    assert theta.failures[0]["kind"] == "smash-algebra-invalid"
 
 
 def test_each_generating_set_is_formed_once_per_run(monkeypatch):
     """One f7/model:z4 pipeline run forms generators() once on each algebra
     whose set it needs outside an associativity check: M, N and the induced
-    algebras of A and B. The smash products take the sets already formed."""
+    algebras of A and B. The smash isomorphisms form none: the exchange
+    relation runs on the generators of M1, M and A already formed."""
     import sys
 
     from hopftower import algebra
@@ -582,9 +569,9 @@ def smash_tables(monkeypatch):
     calls = []
     real = galois.smash_product
 
-    def recording(X, H, act, *args):
-        calls.append(X)
-        return real(X, H, act, *args)
+    def recording(act):
+        calls.append(act.algebra)
+        return real(act)
 
     monkeypatch.setattr(galois, "smash_product", recording)
     return calls
@@ -619,6 +606,28 @@ def test_exchange_route_falls_back_to_the_tables_on_a_bumped_action(stack_z3_f7,
     table = verify_smash_iso_theta(t, d2, H_B, bad)
     assert not gated.ok and gated == table
     assert gated.failures[0]["kind"] == "smash-algebra-invalid"
+
+
+def test_bumped_action_scans_the_exchange_relation_on_generators_only(stack_z3_f7, smash_tables, monkeypatch):
+    """With the B-action bumped at one entry, generators given, the exchange
+    relation of M1 # B -> M2 runs once, on the generators of M1 alone, and
+    fails; M1 # B is then built as a table, with no scan over the basis of
+    M1 in between."""
+    t, d2, _p, H_B = stack_z3_f7[:4]
+    act_b, _ = action_b_on_m1(t, d2, H_B, sandwich_maps(t, d2))
+    maps = [bumped(m, 0, 0) if i == 1 else m for i, m in enumerate(act_b.maps)]
+    bad = ModuleAlgebraAction(H_B, act_b.algebra, maps)
+    scans = []
+    real = galois._exchange_failures
+
+    def recording(T, act, x_embed, h_embed, xs):
+        scans.append((act.algebra, xs))
+        return real(T, act, x_embed, h_embed, xs)
+
+    monkeypatch.setattr(galois, "_exchange_failures", recording)
+    assert not verify_smash_iso_theta(t, d2, H_B, bad, t.levels[0].generators).ok
+    assert len(scans) == 1 and scans[0][0] is t.M1 and scans[0][1] is t.levels[0].generators
+    assert smash_tables[0] is t.M1
 
 
 def _model_z3_run():
@@ -668,16 +677,15 @@ def test_exchange_relation_keeps_the_legs_of_a_noncocommutative_delta():
     act = ModuleAlgebraAction(H, X, [LinMap(F7, [{h: F7.one} if h == g else {} for h in range(n)], n)
                                      for g in range(n)])
     assert verify_module_algebra(act).ok
-    sm = smash_product(X, H, act)
+    sm = smash_product(act)
     assert sm.report.ok
     identity = LinMap.identity(F7, sm.algebra.dim)
-    basis = [{x: F7.one} for x in range(n)]
-    assert galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, sm.embed_h, generators(X), basis)
+    assert galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, sm.embed_h, generators(X))
     opposite = LinMap(F7, [{k % n * n + k // n: c for k, c in col.items()} for col in H.delta.columns], n * n)
     assert opposite != H.delta
     act_op = ModuleAlgebraAction(HopfStructure(H.algebra, opposite, H.counit, H.antipode), X, act.maps)
-    assert not galois._iso_by_exchange(sm.algebra, identity, act_op, sm.embed_x, sm.embed_h, generators(X), basis)
+    assert not galois._iso_by_exchange(sm.algebra, identity, act_op, sm.embed_x, sm.embed_h, generators(X))
     doubled = LinMap(F7, [sparse_scale(F7, F7.from_int(2), c) for c in sm.embed_h.columns], sm.algebra.dim)
-    assert not galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, doubled, generators(X), basis)
+    assert not galois._iso_by_exchange(sm.algebra, identity, act, sm.embed_x, doubled, generators(X))
     dropped = LinMap(F7, [{} if k == 1 else c for k, c in enumerate(identity.columns)], sm.algebra.dim)
-    assert not galois._iso_by_exchange(sm.algebra, dropped, act, sm.embed_x, sm.embed_h, generators(X), basis)
+    assert not galois._iso_by_exchange(sm.algebra, dropped, act, sm.embed_x, sm.embed_h, generators(X))

@@ -11,8 +11,13 @@ one witness solve: function-algebra z3 and z4 (over Q and F7) now pass both
 depth-2 levels, and group-pair s3/z2 names the inconsistent tensor system.
 
 Every report is also held to its generate_example sidecar (lambda_inverse,
-dims, flags, the depth-2 levels the sidecar names), with no check FAIL; the
-catalog over F5 is checked against its sidecars only.
+dims, flags, the depth-2 levels the sidecar names), with no check FAIL. The
+catalog over F5, F3 and F2 is checked against its sidecars only, with
+function-algebra s3 over F5 and quadratic-field d=1 over F2 beside it; there
+char k divides the index of some cases (F3: group-pair s3/z2; F2: group-pair
+s3/a3, z4/z2 and z2/z1, quadratic-field d=1), which are then neither
+separable nor given a tower. The cases generate_example refuses (char k
+divides |G|, or d = 0 in k) are left out.
 
 Coverage gap: no catalog example but the 1-dim ``trivial`` one is
 irreducible, so the honest Hopf and Galois stages run end to end only there.
@@ -33,7 +38,7 @@ from conftest import non_associative
 
 from hopftower.depth2 import DepthTwoData
 from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
-from hopftower.models import generate_example, model_bundle, model_tower
+from hopftower.models import ModelError, generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
 from hopftower.report import Reporter
 
@@ -50,20 +55,31 @@ CATALOG = (
 )
 
 
+def _accepted(example: str, params: dict) -> bool:
+    try:
+        generate_example(example, params)
+    except ModelError:
+        return False
+    return True
+
+
 def _cases() -> dict:
     """case id -> (example name, generate_example params), ids as in bench/run.py."""
     out = {}
-    for field, tag in (("rational", "q"), ("f7", "f7"), ("f5", "f5")):
+    for field, tag in (("rational", "q"), ("f7", "f7"), ("f5", "f5"), ("f3", "f3"), ("f2", "f2")):
         for example, params in CATALOG:
             label = "/".join(v for k, v in params if k in ("group", "subgroup"))
             case_id = f"{tag}/{example}" + (f":{label}" if label else "")
-            out[case_id] = (example, dict(params + (("field", field),)))
+            if _accepted(example, dict(params, field=field)):
+                out[case_id] = (example, dict(params + (("field", field),)))
+    out["f5/function-algebra:s3"] = ("function-algebra", {"group": "s3", "field": "f5"})
+    out["f2/quadratic-field:d=1"] = ("quadratic-field", {"d": 1, "field": "f2"})
     out["f2/m2f2"] = ("m2f2", {})
     return out
 
 
 CASES = _cases()
-DIGEST_CASES = [case_id for case_id in CASES if not case_id.startswith("f5/")]
+DIGEST_CASES = [case_id for case_id in CASES if case_id.startswith(("q/", "f7/")) or case_id == "f2/m2f2"]
 
 
 GOLDEN = {

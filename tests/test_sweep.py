@@ -1,7 +1,7 @@
 """A fixed slice of the byte-identity sweep (tools/sweep.py): the
-quadratic-field and z4/z2 extensions over Q and F7, clean, with every
-single structure-constant bump that builds and with every single E bump,
-end in reports."""
+quadratic-field and z4/z2 extensions over Q and F7, and z2/z1 over F2, which
+is not strongly separable, clean, with every single structure-constant bump
+that builds and with every single E bump, end in reports."""
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +13,8 @@ from hopftower.pipeline import run_pipeline
 from hopftower.report import SKIP
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
-SLICE = ["q/quadratic-field", "f7/quadratic-field", "q/group-pair:z4/z2", "f7/group-pair:z4/z2"]
+SLICE = ["q/quadratic-field", "f7/quadratic-field", "q/group-pair:z4/z2", "f7/group-pair:z4/z2",
+         "f2/group-pair:z2/z1"]
 
 
 def _sweep():
@@ -36,26 +37,27 @@ def test_slice_ends_in_reports_with_a_reason_on_every_skip():
         assert _unlisted_or_repeated(report, "galois") == {}, input_id
         seen.append(input_id)
     # each case clean, with the bumps under which N stays a unital
-    # subalgebra, 7 of the 8 of the quadratic field and 56 of the 64 of
-    # z4/z2, and with the dim M x dim N bumps of E, 2 and 8
-    assert len(seen) == 2 * (1 + 7 + 2) + 2 * (1 + 56 + 8)
+    # subalgebra, 7 of the 8 of the quadratic field and of z2/z1 and 56 of
+    # the 64 of z4/z2, and with the dim M x dim N bumps of E, 2, 8 and 2
+    assert len(seen) == 2 * (1 + 7 + 2) + 2 * (1 + 56 + 8) + (1 + 7 + 2)
     assert {"q/quadratic-field@0.0.0", "f7/quadratic-field@0.0.0",
             "q/group-pair:z4/z2@3.1.0", "f7/group-pair:z4/z2@3.1.0",
             "q/quadratic-field@E.0.1", "f7/group-pair:z4/z2@E.1.3"} <= set(seen)
 
 
 def test_clean_inputs_follow_the_golden_path(monkeypatch):
-    """A clean catalog input's line is its golden digest, then the digest of
-    its text report and its exit code; a raising run is a line, not the end
-    of the sweep."""
+    """A clean catalog input with a golden digest has that digest as its
+    line, then the digest of its text report and its exit code; a raising run
+    is a line, not the end of the sweep."""
     sweep = _sweep()
     lines, expected = {}, {}
-    for input_id, ext, d2 in sweep.inputs(SLICE, models=False):
+    golden = [case_id for case_id in SLICE if case_id in GOLDEN]
+    for input_id, ext, d2 in sweep.inputs(golden, models=False):
         if "@" not in input_id:
             lines[input_id] = sweep.line(ext, d2)
             text = run_pipeline(ext, d2_override=d2).render_text()
             expected[input_id] = f"{GOLDEN[input_id]} text={sweep.sha256(text)} exit=0"
-    assert lines == expected and set(lines) == set(SLICE)
+    assert lines == expected and set(lines) == set(golden) and len(golden) == 4
 
     def raising(ext, d2_override=None):
         raise ZeroDivisionError

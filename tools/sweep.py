@@ -5,15 +5,17 @@ when the run raised.
 
 The corpus:
 
-- the 9 catalog examples over Q, F7 and F5, plus m2f2 over F2, through the
+- the 9 catalog examples over Q, F7, F5, F3 and F2, but those
+  generate_example refuses (function-algebra z3 over F3, function-algebra z2
+  and z4 and quadratic-field d=2 over F2), plus m2f2 over F2, through the
   user path of tests/test_golden_reports.py (generate_example ->
   canonical_json of extension_to_dict -> extension_from_dict ->
-  run_pipeline), so their digests are the golden ones;
+  run_pipeline), so the digests over Q and F7 are the golden ones;
 - each of them with every single structure-constant bump: c_ij^k of M raised
   by one for one (i, j, k), whenever N is still a unital subalgebra of the
   bumped M (else the extension does not build);
 - those with dim M <= 6 with every single E bump: entry (r, m) of E, the
-  N-coordinate r of E(e_m), raised by one (160 inputs);
+  N-coordinate r of E(e_m), raised by one (253 inputs);
 - the three model-f7 reports: function-algebra z2, z3 and z4 over F7 with the
   model tower's A, B and C as ``d2_override``, as bench/run.py runs them.
 
@@ -54,7 +56,7 @@ CATALOG = (
     ("function-algebra", (("group", "z3"),)),
     ("function-algebra", (("group", "z4"),)),
 )
-FIELDS = (("rational", "q"), ("f7", "f7"), ("f5", "f5"))
+FIELDS = (("rational", "q"), ("f7", "f7"), ("f5", "f5"), ("f3", "f3"), ("f2", "f2"))
 MODEL_GROUPS = ("z2", "z3", "z4")
 E_BUMP_MAX_DIM = 6  # the cases whose E is bumped entry by entry
 
@@ -100,15 +102,19 @@ def e_bumped(ext, row: int, col: int):
 def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tuple]:
     """(input id, extension, d2_override) over the corpus, or over the named
     catalog cases and their bumps; a bumped input's id is the case id with
-    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E."""
+    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E. A case
+    generate_example refuses yields nothing."""
     from hopftower.depth2 import DepthTwoData
     from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
-    from hopftower.models import generate_example, model_bundle, model_tower
+    from hopftower.models import ModelError, generate_example, model_bundle, model_tower
 
     cases = catalog()
     for case_id in cases if case_ids is None else case_ids:
         example, params = cases[case_id]
-        ext, _sidecar = generate_example(example, params)
+        try:
+            ext, _sidecar = generate_example(example, params)
+        except ModelError:
+            continue
         yield case_id, extension_from_dict(json.loads(canonical_json(extension_to_dict(ext)))), None
         for bump in product(range(ext.M.dim), repeat=3):
             bad = bumped(ext, bump)
