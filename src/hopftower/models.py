@@ -465,6 +465,9 @@ CATALOG = {
     "m2f2": "M_2(F_2) over F_2 with the six-term dual-bases tensor",
     "function-algebra": "k^G over k with the averaging expectation; params: group, field",
 }
+# the parameters each catalog entry accepts
+PARAMS = {"trivial": ("field",), "group-pair": ("group", "subgroup", "field"), "quadratic-field": ("d", "field"),
+          "m2f2": (), "function-algebra": ("group", "field")}
 
 SUBGROUPS = {
     ("s3", "a3"): [0, 4, 5],
@@ -494,6 +497,11 @@ def _expect(field: Field, lam: int, m: int, rank: int, irreducible: bool, depth_
 def generate_example(name: str, params: Optional[dict] = None) -> tuple[ExtensionSpec, dict]:
     """Build a named extension plus a sidecar of expected check outcomes."""
     params = dict(params or {})
+    if name not in PARAMS:
+        raise ModelError(f"unknown example {name!r}; catalog: {sorted(CATALOG)}")
+    unknown = sorted(set(params) - set(PARAMS[name]))
+    if unknown:
+        raise ModelError(f"{name} takes no parameter {unknown[0]!r}; accepted: {', '.join(PARAMS[name]) or 'none'}")
     if name == "trivial":
         field = _field_param(params, default="rational")
         ext = trivial_extension(field)
@@ -536,14 +544,13 @@ def generate_example(name: str, params: Optional[dict] = None) -> tuple[Extensio
         expect = _expect(ext.M.field, 1, 4, 4, False, None)
         return ext, {"name": "m2f2",
                      "expect": {**expect, "dual_tensor_terms": 6, "hopf": "skipped: base not irreducible"}}
-    if name == "function-algebra":
-        field = _field_param(params, default="rational")
-        gname = params.get("group", "z2")
-        ext = function_algebra_extension(field, gname)
-        order = GROUPS[gname]().order
-        return ext, {"name": f"function-algebra:{gname}",
-                     "expect": _expect(field, order, order, order, order == 1, {"level1": "pass", "level2": "pass"})}
-    raise ModelError(f"unknown example {name!r}; catalog: {sorted(CATALOG)}")
+    # function-algebra
+    field = _field_param(params, default="rational")
+    gname = params.get("group", "z2")
+    ext = function_algebra_extension(field, gname)
+    order = GROUPS[gname]().order
+    return ext, {"name": f"function-algebra:{gname}",
+                 "expect": _expect(field, order, order, order, order == 1, {"level1": "pass", "level2": "pass"})}
 
 
 def _field_param(params: dict, default: str) -> Field:

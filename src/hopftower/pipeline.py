@@ -1,16 +1,17 @@
 """The verification pipeline: Frobenius system, tower, depth 2, Hopf
 reconstruction, Galois and smash checks, with hypothesis gating.
 
-Every stage has the signature stage(rep, state, gate) -> next_gate and
-records each of its checks exactly once. When the gate it is handed is set,
-it skips all of them with that reason; else it runs them and hands the next
-stage the reason its hypotheses or constructions stopped short (an index
-that is not a scalar, a tower built to level 1 only, a Hopf reconstruction
-that did not complete), or None. run_pipeline is a loop over the stages up
-to the last one asked for. Hypothesis failures (reducible base, no depth 2)
-thus skip downstream checks with machine-readable reasons instead of failing
-them; only identity checks that actually ran and came out false make the run
-fail.
+Every stage has the signature stage(rep, state) -> next_gate: it records
+each of its checks exactly once and returns the reason its hypotheses or
+constructions stopped short (an index that is not a scalar, a tower built to
+level 1 only, a Hopf reconstruction that did not complete), or None; an early
+exit hands its whole check tuple to Reporter.skip, which records only the
+checks not yet recorded. run_pipeline loops over the stages up to the last
+one asked for and is the one place that reads a gate: once a stage returns a
+reason, every check of each later stage is skipped with it. Hypothesis
+failures (reducible base, no depth 2) thus skip downstream checks with
+machine-readable reasons instead of failing them; only identity checks that
+actually ran and came out false make the run fail.
 
 A check that decides a "for all x" identity on generators takes that shortcut
 only while every check recorded before it passed (Reporter.all_passed); the
@@ -139,8 +140,8 @@ def run_pipeline(
         dims={"m": ext.M.dim, "n": ext.N.dim},
     )
     gate = None
-    for stage in _STAGE_RUNS[: STAGES.index(upto) + 1]:
-        gate = stage(rep, state, gate)
+    for stage, checks in _STAGE_RUNS[: STAGES.index(upto) + 1]:
+        gate = stage(rep, state) if gate is None else rep.skip(checks, gate)
 
     return PipelineReport(
         input_digest=digest(extension_to_dict(ext)),
@@ -158,20 +159,17 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _stage_frobenius(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+def _stage_frobenius(rep: Reporter, state: PipelineState) -> Optional[str]:
     """Decide the Frobenius system and its flags; gate the tower on strong
     separability. An exit before the system is complete skips the stage's
     checks not yet recorded and hands the tower stage the same reason."""
-    if gate is not None:
-        return rep.skip(FROBENIUS_CHECKS, gate)
     ext = state.ext
     f = ext.M.field
     hypotheses = state.hypotheses
 
     def stop(reason: str) -> str:
         hypotheses["frobenius"] = False
-        recorded = {r.check_id for r in rep.results}
-        return rep.skip([cid for cid in FROBENIUS_CHECKS if cid not in recorded], reason)
+        return rep.skip(FROBENIUS_CHECKS, reason)
 
     axioms = verify_algebra(ext.M, state.m_generators)[0]
     rep.outcome("algebra-axioms", axioms)
@@ -244,11 +242,9 @@ def _construction_result(rep: Reporter, check_id: str, checks: list) -> None:
     rep.add(check_id, PASS if not failures else FAIL, witness={"failures": failures} if failures else None)
 
 
-def _stage_tower(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+def _stage_tower(rep: Reporter, state: PipelineState) -> Optional[str]:
     """Build the tower to state.levels and check it; gate depth 2 when only
     level 1 was asked for or the construction failed."""
-    if gate is not None:
-        return rep.skip(TOWER_CHECKS, gate)
     next_gate = ONE_LEVEL if state.levels < 2 else None
     try:
         tower = build_tower(state.sys, state.m_generators, rep.all_passed(), state.n_generators, state.levels)
@@ -259,7 +255,7 @@ def _stage_tower(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Op
             rep.add("tower-level-1", FAIL, reason=str(exc))
         else:
             rep.add("tower-level-1", SKIP, reason=f"{NON_ASSOCIATIVE}: {exc}")
-        failed = rep.skip(TOWER_CHECKS[1:], "tower construction failed")
+        failed = rep.skip(TOWER_CHECKS, "tower construction failed")
         return next_gate or failed
     state.tower = tower
     state.dims["m1"] = tower.M1.dim
@@ -282,11 +278,9 @@ def _stage_tower(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Op
     return next_gate
 
 
-def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+def _stage_depth2(rep: Reporter, state: PipelineState) -> Optional[str]:
     """Run the depth-2 checks; gate the Hopf stage on depth 2 and on F being
     scalar-valued on C."""
-    if gate is not None:
-        return rep.skip(DEPTH2_CHECKS, gate)
     t, d2 = state.tower, state.d2_override
     if d2 is not None:
         # a designated A, B or C must be a unital subalgebra, as every later
@@ -297,7 +291,7 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
             except AlgebraError as exc:
                 reason = f"designated {name}: {exc}"
                 rep.add("second-centralizers", FAIL, reason=reason)
-                return rep.skip(DEPTH2_CHECKS[1:], reason)
+                return rep.skip(DEPTH2_CHECKS, reason)
         rep.add("second-centralizers", PASS,
                 witness={"dims": {"A": d2.A.dim, "B": d2.B.dim, "C": d2.C.dim}, "source": d2.source})
     else:
@@ -336,9 +330,9 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
             reason=f"tensor system solvable, no free basis among {stopped[0]} combinations" if status == SKIP else None)
     state.hypotheses["depth_two"] = d2.passed()
     if not d2.passed():
-        return rep.skip(DEPTH2_CHECKS[4:], "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers")
+        return rep.skip(DEPTH2_CHECKS, "depth-2 hypothesis fails: no orthogonal dual bases in the centralizers")
     if not f_scalar_on_c(t, d2):
-        return rep.skip(DEPTH2_CHECKS[4:], "F is not scalar-valued on C (base centralizer C_M(N) is larger than k)")
+        return rep.skip(DEPTH2_CHECKS, "F is not scalar-valued on C (base centralizer C_M(N) is larger than k)")
     rep.outcome("c-structure", verify_c_structure(t, d2))
     _, _, ce_out = conditional_expectations(t, d2)
     rep.outcome("cond-exp-ea-eb", ce_out)
@@ -350,16 +344,14 @@ def _stage_depth2(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     return None
 
 
-def _stage_hopf(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+def _stage_hopf(rep: Reporter, state: PipelineState) -> Optional[str]:
     """Reconstruct the Hopf pair; gate the Galois stage when it did not complete."""
-    if gate is not None:
-        return rep.skip(HOPF_CHECKS, gate)
     incomplete = "Hopf reconstruction did not complete"
     t, d2 = state.tower, state.d2
     pairing, p_out = compute_pairing(t, d2)
     rep.outcome("pairing", p_out)
     if pairing is None:
-        rep.skip(HOPF_CHECKS[1:], "pairing unavailable")
+        rep.skip(HOPF_CHECKS, "pairing unavailable")
         return incomplete
     state.pairing = pairing
     delta, eps, c_out = comultiplication(pairing, t, d2)
@@ -368,7 +360,7 @@ def _stage_hopf(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Opt
     S, s_out = antipode(t, d2, pairing, state.sandwiches)
     rep.outcome("antipode", s_out)
     if S is None:
-        rep.skip(("hopf-axioms", "dual-hopf"), "no antipode")
+        rep.skip(HOPF_CHECKS, "no antipode")
         return incomplete
     H_B = HopfStructure(pairing.B_alg, delta, eps, S)
     state.H_B = H_B
@@ -386,10 +378,8 @@ def _stage_hopf(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Opt
     return None
 
 
-def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> Optional[str]:
+def _stage_galois(rep: Reporter, state: PipelineState) -> Optional[str]:
     """The actions, smash products and Galois map of the reconstructed pair."""
-    if gate is not None:
-        return rep.skip(GALOIS_CHECKS, gate)
     t, d2 = state.tower, state.d2
     # the module-algebra laws run on generators of the acted-on algebra while
     # every check so far passed
@@ -406,7 +396,7 @@ def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     act_a, out = action_a_on_m(t, d2, state.H_A, m_gens)
     rep.outcome("action-a-on-m", out)
     if act_a is None or not out.ok:
-        return rep.skip(GALOIS_CHECKS[4:], "A-action unavailable")
+        return rep.skip(GALOIS_CHECKS, "A-action unavailable")
     ext = state.ext
     n_img = SubspaceBasis(t.M, ext.embed.columns)
     rep.outcome("invariants-m", verify_invariants(act_a, n_img))
@@ -418,7 +408,8 @@ def _stage_galois(rep: Reporter, state: PipelineState, gate: Optional[str]) -> O
     return None
 
 
-_STAGE_RUNS = (_stage_frobenius, _stage_tower, _stage_depth2, _stage_hopf, _stage_galois)  # in STAGES order
+_STAGE_RUNS = ((_stage_frobenius, FROBENIUS_CHECKS), (_stage_tower, TOWER_CHECKS), (_stage_depth2, DEPTH2_CHECKS),
+               (_stage_hopf, HOPF_CHECKS), (_stage_galois, GALOIS_CHECKS))  # in STAGES order
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +434,9 @@ def _verdict(rep: Reporter, hypotheses: dict) -> dict:
         "smash_products": certified("smash-theta", "cleft-cocycle"),
         "galois_extension": certified("galois-map"),
     }
-    held = [
-        k
-        for k in ("strongly_separable", "irreducible", "depth_two")
-        if hypotheses.get(k)
-    ]
-    failed_hyp = [
-        k
-        for k in ("strongly_separable", "irreducible", "depth_two")
-        if hypotheses.get(k) is False
-    ]
+    names = ("strongly_separable", "irreducible", "depth_two")
+    held = [k for k in names if hypotheses.get(k)]
+    failed_hyp = [k for k in names if hypotheses.get(k) is False]
     counts = rep.counts()
     if counts[FAIL]:
         summary = "some verified identities FAILED; the input is inconsistent with the claimed structure"

@@ -105,10 +105,12 @@ class Reporter:
         return res
 
     def skip(self, check_ids, reason: str) -> str:
-        """Record each check as skipped for this reason; return the reason,
-        which gates the checks that depend on these."""
+        """Record each check not yet recorded as skipped for this reason, in the
+        given order; return the reason, which gates the checks that depend on these."""
+        recorded = {r.check_id for r in self.results}
         for check_id in check_ids:
-            self.add(check_id, SKIP, reason=reason)
+            if check_id not in recorded:
+                self.add(check_id, SKIP, reason=reason)
         return reason
 
     def outcome(self, check_id: str, out) -> CheckResult:

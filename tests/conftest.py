@@ -5,7 +5,10 @@ expensive part of the suite; everything downstream reuses them.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +391,14 @@ def non_associative(example, params, bump):
     M = ext.M
     bad = Algebra.from_entries(M.field, M.dim, M.entries() + [bump + (M.field.one,)], M.unit)
     return ExtensionSpec(bad, SubspaceBasis(bad, ext.N.vectors), E=ext.E)
+
+
+@functools.cache
+def sweep_tool():
+    """tools/sweep.py as a module: its catalog() is the one list of catalog
+    cases the tests run."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

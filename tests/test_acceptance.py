@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import rows_map
-from hopftower.algebra import LinMap, SubspaceBasis
+from hopftower.algebra import LinMap, SubspaceBasis, verify_algebra
 from hopftower.depth2 import DepthTwoData, check_depth_two, second_centralizers
 from hopftower.fields import PrimeField, RationalField
 from hopftower.frobenius import (
@@ -155,7 +155,7 @@ def test_criterion_6_galois_constructive_direction():
             order = f.from_int(b.pair.G.order)
             assert f.eq(b.sys.lambda_inverse, order)  # lambda^-1 = f(1) = |G|
             sm = smash_product(b.action)
-            assert sm.report.ok
+            assert verify_algebra(sm.algebra)[0].ok
             assert psi_map(sm, b.action, b.sys).ok
             assert psi_inverse_formula(sm, b.action, b.sys, b.pair.t).ok
 

@@ -58,6 +58,16 @@ def test_examples_malformed_scalar_param(tmp_path, capsys, param):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, param", [("group-pair", "subgrup=z2"), ("m2f2", "field=f3")])
+def test_examples_unknown_param(tmp_path, capsys, name, param):
+    """A parameter the example does not take is invalid input, not ignored."""
+    out = tmp_path / "x.json"
+    assert main(["examples", name, "--param", param, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and repr(param.split("=")[0]) in err
+    assert not out.exists()
+
+
 def test_examples_listing(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out

@@ -16,8 +16,9 @@ catalog over F5, F3 and F2 is checked against its sidecars only, with
 function-algebra s3 over F5 and quadratic-field d=1 over F2 beside it; there
 char k divides the index of some cases (F3: group-pair s3/z2; F2: group-pair
 s3/a3, z4/z2 and z2/z1, quadratic-field d=1), which are then neither
-separable nor given a tower. The cases generate_example refuses (char k
-divides |G|, or d = 0 in k) are left out.
+separable nor given a tower. The case list is catalog() of tools/sweep.py,
+which leaves out the cases generate_example refuses (char k divides |G|, or
+d = 0 in k).
 
 Coverage gap: no catalog example but the 1-dim ``trivial`` one is
 irreducible, so the honest Hopf and Galois stages run end to end only there.
@@ -34,51 +35,20 @@ import hashlib
 import json
 
 import pytest
-from conftest import non_associative
+from conftest import non_associative, sweep_tool
 
 from hopftower.depth2 import DepthTwoData
 from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
-from hopftower.models import ModelError, generate_example, model_bundle, model_tower
+from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
 from hopftower.report import Reporter
 
-CATALOG = (
-    ("trivial", ()),
-    ("quadratic-field", ()),
-    ("group-pair", (("group", "s3"), ("subgroup", "a3"))),
-    ("group-pair", (("group", "s3"), ("subgroup", "z2"))),
-    ("group-pair", (("group", "z4"), ("subgroup", "z2"))),
-    ("group-pair", (("group", "z2"), ("subgroup", "z1"))),
-    ("function-algebra", (("group", "z2"),)),
-    ("function-algebra", (("group", "z3"),)),
-    ("function-algebra", (("group", "z4"),)),
-)
-
-
-def _accepted(example: str, params: dict) -> bool:
-    try:
-        generate_example(example, params)
-    except ModelError:
-        return False
-    return True
-
-
-def _cases() -> dict:
-    """case id -> (example name, generate_example params), ids as in bench/run.py."""
-    out = {}
-    for field, tag in (("rational", "q"), ("f7", "f7"), ("f5", "f5"), ("f3", "f3"), ("f2", "f2")):
-        for example, params in CATALOG:
-            label = "/".join(v for k, v in params if k in ("group", "subgroup"))
-            case_id = f"{tag}/{example}" + (f":{label}" if label else "")
-            if _accepted(example, dict(params, field=field)):
-                out[case_id] = (example, dict(params + (("field", field),)))
-    out["f5/function-algebra:s3"] = ("function-algebra", {"group": "s3", "field": "f5"})
-    out["f2/quadratic-field:d=1"] = ("quadratic-field", {"d": 1, "field": "f2"})
-    out["f2/m2f2"] = ("m2f2", {})
-    return out
-
-
-CASES = _cases()
+# the catalog as tools/sweep.py lists it, with the sidecar-only cases beside it
+CASES = {
+    **sweep_tool().catalog(),
+    "f5/function-algebra:s3": ("function-algebra", {"group": "s3", "field": "f5"}),
+    "f2/quadratic-field:d=1": ("quadratic-field", {"d": 1, "field": "f2"}),
+}
 DIGEST_CASES = [case_id for case_id in CASES if case_id.startswith(("q/", "f7/")) or case_id == "f2/m2f2"]
 
 

@@ -139,6 +139,25 @@ def test_generate_unknown_name():
         generate_example("no-such-example")
 
 
+@pytest.mark.parametrize(
+    "name, params, accepted",
+    [
+        ("group-pair", {"group": "s3", "subgrup": "z2"}, "group, subgroup, field"),
+        ("m2f2", {"field": "f3"}, "none"),
+        ("trivial", {"d": "2"}, "field"),
+        ("quadratic-field", {"group": "z2"}, "d, field"),
+        ("function-algebra", {"subgroup": "z1", "field": "f7"}, "group, field"),
+    ],
+    ids=["group-pair", "m2f2", "trivial", "quadratic-field", "function-algebra"],
+)
+def test_generate_refuses_unknown_params(name, params, accepted):
+    """Each catalog entry accepts a fixed set of parameter names; any other
+    name is refused with the accepted ones listed, never ignored."""
+    with pytest.raises(ModelError, match=f"accepted: {accepted}$"):
+        generate_example(name, params)
+    assert set(models.PARAMS) == set(models.CATALOG)
+
+
 def test_generate_bad_params():
     with pytest.raises(ModelError):
         generate_example("group-pair", {"group": "s3", "subgroup": "z9"})

@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from conftest import non_associative, reference_failures
+from conftest import non_associative, reference_failures, sweep_tool
 
 from hopftower import algebra, pipeline, tower
 from hopftower.fields import PrimeField, RationalField
@@ -10,6 +10,7 @@ from hopftower.frobenius import ExtensionSpec
 from hopftower.linalg import LinMap, sparse_scale
 from hopftower.models import function_algebra_extension, generate_example
 from hopftower.pipeline import run_pipeline
+from hopftower.report import FAIL, PASS, SKIP, Reporter
 
 Q = RationalField()
 
@@ -272,21 +273,9 @@ STAGE_CHECKS = {
                "cleft-cocycle", "galois-map"),
 }
 
-CATALOG_INPUTS = [
-    (example, dict(params, field=field))
-    for field in ("rational", "f7")
-    for example, params in (
-        ("trivial", {}),
-        ("quadratic-field", {}),
-        ("group-pair", {"group": "s3", "subgroup": "a3"}),
-        ("group-pair", {"group": "s3", "subgroup": "z2"}),
-        ("group-pair", {"group": "z4", "subgroup": "z2"}),
-        ("group-pair", {"group": "z2", "subgroup": "z1"}),
-        ("function-algebra", {"group": "z2"}),
-        ("function-algebra", {"group": "z3"}),
-        ("function-algebra", {"group": "z4"}),
-    )
-] + [("m2f2", {})]
+# the catalog cases of tools/sweep.py over Q and F7, and m2f2 over F2
+CATALOG_INPUTS = [case for case_id, case in sweep_tool().catalog().items()
+                  if case_id.startswith(("q/", "f7/")) or case_id == "f2/m2f2"]
 
 
 def _unlisted_or_repeated(report, upto: str) -> dict:
@@ -353,3 +342,54 @@ def test_frobenius_exits_list_every_check_once(exit_name):
     assert ("normalization" in res) == (exit_name == "normalization-fails")
     assert res["index-central"].status == "skipped" and res["index-central"].reason.startswith(reason)
     assert res["tower-level-1"].reason == res["index-central"].reason
+
+
+# one early exit per construction of the Hopf and Galois stages that can come
+# back empty: the patched function, the check it records, the reason its stage
+# skips the rest of its checks with, and the gate it hands the next stage
+HOPF_GALOIS_EXITS = {
+    "no-pairing": ("compute_pairing", "pairing", "pairing unavailable", "Hopf reconstruction did not complete"),
+    "no-antipode": ("antipode", "antipode", "no antipode", "Hopf reconstruction did not complete"),
+    "no-action": ("action_a_on_m", "action-a-on-m", "A-action unavailable", None),
+}
+
+
+@pytest.mark.parametrize("exit_name", list(HOPF_GALOIS_EXITS))
+def test_hopf_and_galois_exits_list_every_check_once(monkeypatch, exit_name):
+    """On the trivial extension, where every check passes, a construction
+    patched to return its own outcome but no object ends its stage: the rest
+    of the stage is skipped with the stage's reason, in order, and every check
+    of the later stages with the gate it hands on."""
+    name, check_id, reason, gate = HOPF_GALOIS_EXITS[exit_name]
+    real = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *args: (None, real(*args)[1]))
+    ext, _sidecar = generate_example("trivial")
+    stage = next(s for s, checks in STAGE_CHECKS.items() if check_id in checks)
+    for upto in pipeline.STAGES[pipeline.STAGES.index(stage):]:
+        report = run_pipeline(ext, upto=upto)
+        assert _unlisted_or_repeated(report, upto) == {}, upto
+        assert [r.check_id for r in report.results if r.status == SKIP and not r.reason] == [], upto
+        assert report.exit_code() == 0
+    res = by_id(report)
+    assert res[check_id].status == PASS
+    rest = list(STAGE_CHECKS[stage][STAGE_CHECKS[stage].index(check_id) + 1:])
+    later = [cid for s in list(STAGE_CHECKS)[pipeline.STAGES.index(stage) + 1:] for cid in STAGE_CHECKS[s]]
+    assert list(res)[list(res).index(check_id) + 1:] == rest + later
+    assert [(res[cid].status, res[cid].reason) for cid in rest] == [(SKIP, reason)] * len(rest)
+    assert [(res[cid].status, res[cid].reason) for cid in later] == [(SKIP, gate)] * len(later)
+
+
+def test_skip_records_only_the_checks_not_yet_recorded():
+    """Reporter.skip leaves a recorded check as it is and skips the others in
+    the order given, so an early exit passes its stage's whole tuple."""
+    rep = Reporter()
+    rep.add("pairing", PASS)
+    rep.add("antipode", FAIL)
+    assert rep.skip(pipeline.HOPF_CHECKS, "no antipode") == "no antipode"
+    assert [(r.check_id, r.status, r.reason) for r in rep.results] == [
+        ("pairing", PASS, None),
+        ("antipode", FAIL, None),
+        ("comultiplication", SKIP, "no antipode"),
+        ("hopf-axioms", SKIP, "no antipode"),
+        ("dual-hopf", SKIP, "no antipode"),
+    ]

@@ -2,9 +2,7 @@
 quadratic-field and z4/z2 extensions over Q and F7, and z2/z1 over F2, which
 is not strongly separable, clean, with every single structure-constant bump
 that builds and with every single E bump, end in reports."""
-import importlib.util
-from pathlib import Path
-
+from conftest import sweep_tool
 from test_golden_reports import GOLDEN
 from test_pipeline import _unlisted_or_repeated
 
@@ -12,16 +10,8 @@ from hopftower import pipeline
 from hopftower.pipeline import run_pipeline
 from hopftower.report import SKIP
 
-SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
 SLICE = ["q/quadratic-field", "f7/quadratic-field", "q/group-pair:z4/z2", "f7/group-pair:z4/z2",
          "f2/group-pair:z2/z1"]
-
-
-def _sweep():
-    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_slice_ends_in_reports_with_a_reason_on_every_skip():
@@ -29,7 +19,7 @@ def test_slice_ends_in_reports_with_a_reason_on_every_skip():
     of every stage is listed once. The slice
     holds the bumps that once raised from the level extension (c_00^0) and
     from the relative commutants (z4/z2, c_31^0)."""
-    sweep = _sweep()
+    sweep = sweep_tool()
     seen = []
     for input_id, ext, d2 in sweep.inputs(SLICE, models=False):
         report = run_pipeline(ext, d2_override=d2)
@@ -49,7 +39,7 @@ def test_clean_inputs_follow_the_golden_path(monkeypatch):
     """A clean catalog input with a golden digest has that digest as its
     line, then the digest of its text report and its exit code; a raising run
     is a line, not the end of the sweep."""
-    sweep = _sweep()
+    sweep = sweep_tool()
     lines, expected = {}, {}
     golden = [case_id for case_id in SLICE if case_id in GOLDEN]
     for input_id, ext, d2 in sweep.inputs(golden, models=False):

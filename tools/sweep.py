@@ -45,6 +45,8 @@ from typing import Iterator, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the one list of catalog cases: tests/test_golden_reports.py and
+# tests/test_pipeline.py read it through catalog(); bench/run.py keeps a copy
 CATALOG = (
     ("trivial", ()),
     ("quadratic-field", ()),
@@ -62,12 +64,21 @@ E_BUMP_MAX_DIM = 6  # the cases whose E is bumped entry by entry
 
 
 def catalog() -> dict:
-    """case id -> (example name, generate_example params), ids as in bench/run.py."""
+    """case id -> (example name, generate_example params) for every case of
+    CATALOG over FIELDS that generate_example accepts, and m2f2 over F2; ids
+    as in bench/run.py."""
+    from hopftower.models import ModelError, generate_example
+
     out = {}
     for field, tag in FIELDS:
         for example, params in CATALOG:
+            case = (example, dict(params, field=field))
+            try:
+                generate_example(*case)
+            except ModelError:  # char k divides |G|, or d = 0 in k
+                continue
             label = "/".join(v for k, v in params if k in ("group", "subgroup"))
-            out[f"{tag}/{example}" + (f":{label}" if label else "")] = (example, dict(params, field=field))
+            out[f"{tag}/{example}" + (f":{label}" if label else "")] = case
     out["f2/m2f2"] = ("m2f2", {})
     return out
 
@@ -102,19 +113,14 @@ def e_bumped(ext, row: int, col: int):
 def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tuple]:
     """(input id, extension, d2_override) over the corpus, or over the named
     catalog cases and their bumps; a bumped input's id is the case id with
-    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E. A case
-    generate_example refuses yields nothing."""
+    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E."""
     from hopftower.depth2 import DepthTwoData
     from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
-    from hopftower.models import ModelError, generate_example, model_bundle, model_tower
+    from hopftower.models import generate_example, model_bundle, model_tower
 
     cases = catalog()
     for case_id in cases if case_ids is None else case_ids:
-        example, params = cases[case_id]
-        try:
-            ext, _sidecar = generate_example(example, params)
-        except ModelError:
-            continue
+        ext, _sidecar = generate_example(*cases[case_id])
         yield case_id, extension_from_dict(json.loads(canonical_json(extension_to_dict(ext)))), None
         for bump in product(range(ext.M.dim), repeat=3):
             bad = bumped(ext, bump)
