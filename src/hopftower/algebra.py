@@ -37,6 +37,11 @@ class AlgebraError(ValueError):
     """Inconsistent algebra, module or subspace data."""
 
 
+# the number of failures a report witness shows (report.Reporter.outcome):
+# every check stops each of its failure lists there
+WITNESS_FAILURES = 4
+
+
 @dataclass
 class CheckOutcome:
     """The answer of one check: ok, and its failures in report-witness form."""
@@ -322,20 +327,18 @@ def _assoc_failures(alg: Algebra, rights: list[list[dict]]) -> Iterator[dict]:
                     yield {"triple": (i, j, r), "lhs": lhs, "rhs": rhs}
 
 
-def law_failures(
-    failures: Callable[[list], Iterator], generators: Optional[list], basis: Callable[[], list], max_failures: int
-) -> list:
+def law_failures(failures: Callable[[list], Iterator], generators: Optional[list], basis: Callable[[], list]) -> list:
     """The one fallback of every law decided on generators.
 
     failures(factors) yields the law's failures over the given factors, in
     scan order. When generators is given and failures(generators) yields
     nothing, the law holds everywhere and the result is []. Otherwise it is
-    the first max_failures failures of failures(basis()), and at least the
-    first one when there is any; basis is called only then.
+    the first WITNESS_FAILURES failures of failures(basis()); basis is called
+    only then.
     """
     if generators is not None and next(failures(generators), None) is None:
         return []
-    return list(islice(failures(basis()), max(max_failures, 1)))
+    return list(islice(failures(basis()), WITNESS_FAILURES))
 
 
 def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutcome, Optional[list]]:
@@ -367,7 +370,7 @@ def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutco
         right = alg.mul_sparse(ei, us)
         if left != ei or right != ei:
             failures.append({"basis": i, "left": w(left), "right": w(right)})
-            if len(failures) >= 5:
+            if len(failures) >= WITNESS_FAILURES:
                 break
     gens = rights = None
     if not failures:
@@ -375,7 +378,7 @@ def verify_algebra(alg: Algebra, seeds: Iterable[dict] = ()) -> tuple[CheckOutco
     # the scan: right factors e_k, with e_l e_k = cell(l, k)
     found = law_failures(
         lambda rs: _assoc_failures(alg, rs), rights,
-        lambda: [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)], 5)
+        lambda: [[alg.cell(l, k) for l in range(alg.dim)] for k in range(alg.dim)])
     failures += [{"triple": fl["triple"], "lhs": w(fl["lhs"]), "rhs": w(fl["rhs"])} for fl in found]
     return CheckOutcome(not failures, failures), gens
 
@@ -655,14 +658,14 @@ def check_morphism(f_map: LinMap, A: Algebra, B: Algebra, domain_generators: Opt
         raise DimensionError("check_morphism: map shape does not match algebras")
     unit_ok = f_map.apply(A.unit) == B.unit
     failures = [] if unit_ok else [{"kind": "unit"}]
-    found = mult_failures(f_map, A, B, domain_generators if unit_ok else None, 5 - len(failures))
+    found = mult_failures(f_map, A, B, domain_generators if unit_ok else None)
     w = A.field.witness
     failures += [{"kind": "mult", "pair": pair, "lhs": w(B.to_dense(lhs)), "rhs": w(B.to_dense(rhs))}
                  for pair, lhs, rhs in found]
     return CheckOutcome(not failures and A.dim == B.dim and rank(f_map) == A.dim, failures)
 
 
-def mult_failures(f_map: LinMap, A: Algebra, B: Algebra, generators: Optional[list], cap: int) -> list:
+def mult_failures(f_map: LinMap, A: Algebra, B: Algebra, generators: Optional[list]) -> list:
     """law_failures of f(x y) = f(x) f(y), as ((i, j), f(e_i g_j), f(e_i) f(g_j)):
     on the pairs (e_i, g) for g in generators (pass them only when f(1) = 1
     and A is associative, as in check_morphism), else on every basis pair."""
@@ -672,7 +675,7 @@ def mult_failures(f_map: LinMap, A: Algebra, B: Algebra, generators: Optional[li
     # the scan: right factors e_j, with e_i e_j = cell(i, j)
     return law_failures(
         lambda rs: _mult_failures(f_map, A, B, rs), rights,
-        lambda: [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)], cap)
+        lambda: [(f_map.columns[j], [A.cell(i, j) for i in range(A.dim)]) for j in range(A.dim)])
 
 
 def _mult_failures(f_map: LinMap, A: Algebra, B: Algebra, rights: list) -> Iterator[tuple]:

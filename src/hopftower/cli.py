@@ -197,7 +197,6 @@ def cmd_examples(args) -> int:
         ext, sidecar = generate_example(args.name, params)
     except ModelError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        print(f"catalog: {', '.join(sorted(CATALOG))}", file=sys.stderr)
         return 2
     data = extension_to_dict(ext)
     out = args.out or f"{args.name}.json"

@@ -292,7 +292,7 @@ def _verify_pair(ctx: _LevelContext, z: list, w: list) -> tuple[bool, str]:
 
 
 def _frobenius_sum_failures(ctx: _LevelContext, z: list, w: list) -> list:
-    """The first basis element where L(x) = sum_i incl(E(x z_i)) w_i = x or
+    """The basis elements where L(x) = sum_i incl(E(x z_i)) w_i = x or
     R(x) = sum_i z_i incl(E(w_i x)) = x fails, as (x, L(x), R(x)), or []:
     the Frobenius identities of the pairs (z_i, w_i) (frobenius_failures).
 
@@ -307,7 +307,7 @@ def _frobenius_sum_failures(ctx: _LevelContext, z: list, w: list) -> list:
     """
     up, pairs = ctx.up, list(zip(z, w))
     gens = None if ctx.left_gens is None else sided(ctx.left_gens, ctx.right_gens)
-    return law_failures(lambda els: frobenius_failures(up, ctx.e_m, pairs, els), gens, lambda: both_sides(up), 1)
+    return law_failures(lambda els: frobenius_failures(up, ctx.e_m, pairs, els), gens, lambda: both_sides(up))
 
 
 def _tensor_membership(ctx: _LevelContext) -> bool:
@@ -426,7 +426,7 @@ def verify_c_structure(t, d2: DepthTwoData) -> CheckOutcome:
             corners = [(i, 0, 0, j) for i in range(n) for j in range(n)]
             corners += [(0, j, k, 0) for j in range(n) for k in range(n)]
             found = law_failures(unit_failures, corners if t.levels[1].verified else None,
-                                 lambda: product(range(n), repeat=4), n ** 4)
+                                 lambda: product(range(n), repeat=4))
             failures += found
             ok = not found
             total: dict = {}
@@ -470,8 +470,8 @@ def _bimodule_failures(C: SubspaceBasis, E: LinMap, below: Algebra, sub: list, i
     form a subalgebra, as (s s')c = s(s'c) and
     E(s s' c) = s E(s'c) = s s' E(c), and likewise on the right; so the laws
     hold for all of sub, and then E(s c s') = s E(c s') = s E(c) s'. On any
-    failure there, every failure of the scan over basis triples (s, c, s') is
-    listed (law_failures).
+    failure there, the first failures of the scan over basis triples
+    (s, c, s') are listed (law_failures).
     """
     M2 = C.ambient
 
@@ -500,7 +500,7 @@ def _bimodule_failures(C: SubspaceBasis, E: LinMap, below: Algebra, sub: list, i
     if gens is not None:  # E(g c) = g E(c), then E(c g) = E(c) g
         pairs = [(g, into_m2(g)) for g in gens]
         one_sided = [(g, [None]) for g in pairs] + [(None, pairs)]
-    return law_failures(failures, one_sided, triples, len(sub) * C.dim)
+    return law_failures(failures, one_sided, triples)
 
 
 def conditional_expectations(t, d2: DepthTwoData) -> tuple[Optional[LinMap], Optional[LinMap], CheckOutcome]:

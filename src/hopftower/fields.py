@@ -61,8 +61,8 @@ def _int_token(tok: str) -> int:
 
 
 def integral(x) -> int:
-    """``int(x)``, but ValueError for a bool (JSON true/false) or a non-integral float."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    """``int(x)``, but ValueError for a string, a bool (JSON true/false) or a non-integral float."""
+    if isinstance(x, (str, bool)) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
 

@@ -159,13 +159,13 @@ def extension_from_dict(data) -> ExtensionSpec:
         E = parse_matrix(field, data["cond_expectation"], len(vectors), M.dim)
     pairs = None
     if data.get("dual_bases") is not None:
+        if not isinstance(data["dual_bases"], list):
+            raise InputError("dual_bases must be a list of [x, y] vector pairs")
         pairs = []
         for item in data["dual_bases"]:
             if not isinstance(item, list) or len(item) != 2:
                 raise InputError("dual_bases entries must be [x, y] vector pairs")
-            pairs.append(
-                (parse_element(field, item[0], M.dim), parse_element(field, item[1], M.dim))
-            )
+            pairs.append((parse_element(field, item[0], M.dim), parse_element(field, item[1], M.dim)))
     try:
         return ExtensionSpec(M, N, E=E, dual_pairs=pairs)
     except AlgebraError as exc:

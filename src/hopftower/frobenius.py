@@ -11,6 +11,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .algebra import (
+    WITNESS_FAILURES,
     Algebra,
     AlgebraError,
     CheckOutcome,
@@ -134,8 +135,7 @@ def verify_conditional_expectation(
         factors = (basis_n, *module_generators)
     else:
         factors = None if n_generators is None else (n_generators,)
-    failures += law_failures(lambda fs: _bimodule_failures(ext, E, *fs), factors, lambda: (basis_n,),
-                             5 - len(failures))
+    failures += law_failures(lambda fs: _bimodule_failures(ext, E, *fs), factors, lambda: (basis_n,))
     return CheckOutcome(not failures, failures)
 
 
@@ -162,7 +162,7 @@ def _bimodule_failures(ext: ExtensionSpec, E: LinMap, ns: list, left_ms: Optiona
 def verify_bimodule_map(ext: ExtensionSpec, E: LinMap) -> CheckOutcome:
     """The bimodule property alone (Frobenius homomorphisms need not be normalized)."""
     one = ext.M.field.one
-    failures = list(islice(_bimodule_failures(ext, E, [{a: one} for a in range(ext.n_algebra.dim)]), 5))
+    failures = list(islice(_bimodule_failures(ext, E, [{a: one} for a in range(ext.n_algebra.dim)]), WITNESS_FAILURES))
     return CheckOutcome(not failures, failures)
 
 
@@ -310,7 +310,7 @@ def verify_frobenius_identities(sys: FrobeniusSystem, module_generators: Optiona
     M, f = sys.M, sys.M.field
     e_m = sys.ext.e_into_m(sys.E).apply
     gens = None if module_generators is None else sided(*module_generators)
-    found = law_failures(lambda els: frobenius_failures(M, e_m, sys.dual_pairs, els), gens, lambda: both_sides(M), 3)
+    found = law_failures(lambda els: frobenius_failures(M, e_m, sys.dual_pairs, els), gens, lambda: both_sides(M))
     w = f.witness
     return CheckOutcome(not found, [{"basis": k, "left": w(M.to_dense(left)), "right": w(M.to_dense(right))}
                                     for k, left, right in found])
@@ -479,7 +479,7 @@ def _automorphism_failures(q: LinMap, alg: Algebra, generators: Optional[list]) 
     failures = []
     if q.apply(alg.unit) != alg.unit:
         failures.append({"kind": "unit-not-fixed"})
-    found = mult_failures(q, alg, alg, None if failures else generators, alg.dim * alg.dim)
+    found = mult_failures(q, alg, alg, None if failures else generators)
     failures += [{"kind": "not-multiplicative", "pair": pair} for pair, _, _ in found]
     if rank(q) != alg.dim:
         failures.append({"kind": "not-bijective"})
@@ -502,7 +502,7 @@ def compose(sys_rm: FrobeniusSystem, sys_mn: FrobeniusSystem, ident: LinMap) -> 
     f = R.field
     m_alg = sys_mn.M
     # sanity: ident must carry m_alg onto sys_rm.N as algebras
-    if mult_failures(ident, m_alg, R, None, 1):
+    if mult_failures(ident, m_alg, R, None):
         raise FrobeniusError("identification M -> R is not an algebra map")
     # F: R -> M coords (translate sys_rm.E through the N_RM basis -> m_alg coords)
     basis_in_m, _ = solve(ident, sys_rm.ext.N.vectors)

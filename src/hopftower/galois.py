@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebra import (
+    WITNESS_FAILURES,
     Algebra,
     CheckOutcome,
     LinMap,
@@ -76,7 +77,7 @@ def verify_module_algebra(act: ModuleAlgebraAction, x_generators: Optional[list]
         for j in range(H.dim):
             if act.rho(H.algebra.cell(i, j)) != act.maps[i].compose(act.maps[j]):
                 failures.append({"kind": "action-not-multiplicative", "pair": (i, j)})
-                if len(failures) >= 6:
+                if len(failures) >= WITNESS_FAILURES:
                     return CheckOutcome(False, failures)
     # module-algebra law and h . 1 = eps(h) 1
     rights = None
@@ -87,8 +88,7 @@ def verify_module_algebra(act: ModuleAlgebraAction, x_generators: Optional[list]
     # the scan: right factors e_y, with e_x e_y = cell(x, y)
     failures += law_failures(
         lambda rs: _module_law_failures(act, rs), rights,
-        lambda: [([X.cell(x, y) for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)],
-        6 - len(failures))
+        lambda: [([X.cell(x, y) for x in range(X.dim)], [m.columns[y] for m in act.maps]) for y in range(X.dim)])
     return CheckOutcome(not failures, failures)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, CheckOutcome, law_failures, tensor_algebra
+from .algebra import WITNESS_FAILURES, Algebra, CheckOutcome, law_failures, tensor_algebra
 from .frobenius import scalar_of
 from .linalg import LinMap, invert, rank, sparse_add, sparse_axpy, sparse_scale
 
@@ -173,7 +173,7 @@ def build_coalgebra(
                     lhs = f.add(lhs, f.mul(c, f.mul(pair(i, u), pair(k, v))))
                 if not f.eq(lhs, pair_with(A_alg.cell(i, k), j)):
                     failures.append({"kind": "pairing-identity", "triple": (i, k, j)})
-                    if len(failures) >= 3:
+                    if len(failures) >= WITNESS_FAILURES:
                         return delta, eps, CheckOutcome(False, failures)
     return delta, eps, CheckOutcome(not failures, failures)
 
@@ -265,7 +265,7 @@ def antipode(t, d2, p: PairingData, sandwiches: tuple) -> tuple[Optional[LinMap]
                 sparse_axpy(f, rhs, c, left_x[u][x])
             if right[j].apply(incl[x]) != rhs:
                 failures.append({"kind": "remark-identity", "pair": (x, j)})
-                if len(failures) >= 3:
+                if len(failures) >= WITNESS_FAILURES:
                     return S, CheckOutcome(False, failures)
     return S, CheckOutcome(not failures, failures)
 
@@ -337,7 +337,7 @@ def verify_hopf_axioms(
             lhs = delta.apply(alg.cell(i, j))
             if lhs != square.mul_sparse(delta.columns[i], delta.columns[j]):
                 note("delta-multiplicative", pair=(i, j))
-                if len(failures) >= 8:
+                if len(failures) >= WITNESS_FAILURES:
                     return CheckOutcome(False, failures)
     # eps is a unital algebra map
     if not f.eq(H.counit_apply(alg.unit), f.one):
@@ -391,12 +391,12 @@ def verify_hopf_axioms(
             m_in_m2 = [t.incl2.apply(g) for g in t.levels[0].incl_generators]
             if all(t.M2.commutes(b, m) for b in d2.B.vectors for m in m_in_m2):
                 x_generators = t.levels[0].module_generators()[1]
-        failures.extend(_tower_axioms(H, t, d2, sandwiches, 8 - len(failures), y_generators, x_generators))
+        failures.extend(_tower_axioms(H, t, d2, sandwiches, y_generators, x_generators))
 
     return CheckOutcome(not failures, failures)
 
 
-def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_generators: Optional[list] = None,
+def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, y_generators: Optional[list] = None,
                   x_generators: Optional[list] = None) -> list:
     """Exchange relation, both action identities, integrality and centrality.
 
@@ -422,7 +422,6 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     f = t.M.field
     M1, M2 = t.M1, t.M2
     lam_inv = t.base_sys.lambda_inverse
-    failures = []
     db = H.dim
     b_sp = d2.B.vectors
     # legs of Delta(b_j) with lam^-1 folded into the coefficient
@@ -447,11 +446,10 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     def exchange_factor(yh: dict) -> tuple:
         return yh, [t.incl2.apply(m.apply(yh)) for m in left]
 
-    found = law_failures(
+    failures = law_failures(
         exchange_failures, None if x_generators is None else [exchange_factor(t.incl2.apply(y)) for y in x_generators],
-        lambda: [(incl[x], [t.incl2.apply(row[x]) for row in left_x]) for x in range(M1.dim)], budget)
-    failures += found
-    if found and len(failures) >= budget:
+        lambda: [(incl[x], [t.incl2.apply(row[x]) for row in left_x]) for x in range(M1.dim)])
+    if len(failures) >= WITNESS_FAILURES:
         return failures
 
     def action_failures(ys: list):
@@ -477,12 +475,10 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, budget: int, y_gen
     def images(yh: dict) -> tuple:
         return yh, [m.apply(yh) for m in left], [m.apply(yh) for m in right]
 
-    found = law_failures(
+    failures += law_failures(
         action_failures, None if y_generators is None else [images(t.incl2.apply(y)) for y in y_generators],
-        lambda: [(incl[y], [row[y] for row in left_x], [row[y] for row in right_x]) for y in range(M1.dim)],
-        budget - len(failures))
-    failures += found
-    if found and len(failures) >= budget:
+        lambda: [(incl[y], [row[y] for row in left_x], [row[y] for row in right_x]) for y in range(M1.dim)])
+    if len(failures) >= WITNESS_FAILURES:
         return failures
 
     # e2 is a two-sided integral: e2 b = eps(b) e2 = b e2

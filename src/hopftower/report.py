@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from .algebra import WITNESS_FAILURES
+
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
@@ -114,10 +116,10 @@ class Reporter:
         return reason
 
     def outcome(self, check_id: str, out) -> CheckResult:
-        """Record a CheckOutcome: PASS, or FAIL with its first four failures."""
+        """Record a CheckOutcome: PASS, or FAIL with its first WITNESS_FAILURES failures."""
         if out.ok:
             return self.add(check_id, PASS)
-        return self.add(check_id, FAIL, witness={"failures": out.failures[:4]})
+        return self.add(check_id, FAIL, witness={"failures": out.failures[:WITNESS_FAILURES]})
 
     def all_passed(self) -> bool:
         return all(r.status != FAIL for r in self.results)

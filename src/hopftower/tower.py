@@ -423,7 +423,7 @@ def endo_ring_iso(sys: FrobeniusSystem, level: TowerLevel) -> CheckOutcome:
         failures.append({"kind": "inverse-check-failed"})
 
     if (failures or not level.verified or psi_elems.apply(alg1.unit) != end.unit
-            or mult_failures(psi_elems, alg1, end, level.generators, 1)):
+            or mult_failures(psi_elems, alg1, end, level.generators)):
         morph = check_morphism(phi, endo.induced_algebra()[0], alg1)
         if not morph.ok:
             failures.insert(0, {"kind": "phi-not-iso", "detail": morph.failures[:2]})
@@ -473,8 +473,8 @@ def verify_pimsner_popa(t: TowerData) -> CheckOutcome:
     right submodule over incl(below), as E(e x m) = E(e x) m, and
     {x : lam^-1 E(x e) e = x e} likewise a left one; so each holds on the level
     once it holds on generators whose one-sided module span is the level. A
-    level without them, or with a failure on them, lists every failure of
-    the scan over basis x, left then right (law_failures).
+    level without them, or with a failure on them, lists the first failures
+    of the scan over basis x, left then right (law_failures).
     """
     lam_inv = t.base_sys.lambda_inverse
     failures = []
@@ -499,8 +499,7 @@ def _pimsner_popa_failures(level: TowerLevel, number: int, lam_inv) -> list:
 
     gens = level.module_generators()
     # the left identity on the right-module generators, the right one on the left
-    return law_failures(failures, None if gens is None else sided(gens[1], gens[0]), lambda: both_sides(up),
-                        2 * up.dim)
+    return law_failures(failures, None if gens is None else sided(gens[1], gens[0]), lambda: both_sides(up))
 
 
 def verify_cyclic_span(t: TowerData) -> CheckOutcome:

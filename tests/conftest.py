@@ -353,7 +353,7 @@ def naive_mul(alg, x, y):
     return {k: v for k, v in acc.items() if v}
 
 
-def reference_failures(alg, limit=5):
+def reference_failures(alg, limit=4):
     """The failures of the full scan as verify_algebra lists them, at most
     limit unit then at most limit associativity failures, both sides in
     report-witness form: the unit laws on every basis element, then both sides

@@ -65,6 +65,7 @@ def test_examples_unknown_param(tmp_path, capsys, name, param):
     assert main(["examples", name, "--param", param, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and repr(param.split("=")[0]) in err
+    assert "catalog" not in err
     assert not out.exists()
 
 
@@ -452,6 +453,8 @@ def test_loader_never_crashes_on_fuzzed_input(tmp_path):
         {**base, "cond_expectation": [["1", "2"]]},
         {**base, "dual_bases": [["1"]]},
         {**base, "dual_bases": [[["1"], ["1"], ["1"]]]},
+        {**base, "dual_bases": 5},
+        {**base, "dual_bases": True},
         # JSON booleans are ints in Python, and int() truncates floats: both
         # must be refused where the format wants a scalar or an integer
         {**base, "algebra": {"dim": 1, "unit": [True], "structure": [[0, 0, 0, "1"]]}},
@@ -466,6 +469,11 @@ def test_loader_never_crashes_on_fuzzed_input(tmp_path):
         {**base, "algebra": {"dim": 1, "unit": ["1"], "structure": [[0, 0, float("nan"), "1"]]}},
         {**base, "field": {"kind": "prime", "modulus": 7.5}},
         {**base, "field": {"kind": "prime", "modulus": True}},
+        # and a string, though int() reads " 7 " as 7 and the Arabic-Indic
+        # seven as 7 too
+        {**base, "field": {"kind": "prime", "modulus": " 7 "}},
+        {**base, "field": {"kind": "prime", "modulus": "\u0667"}},
+        {**base, "algebra": {"dim": "1", "unit": ["1"], "structure": [["0", 0, 0, "1"]]}},
     ]
     parsed = 0
     for data in mutations:

@@ -5,7 +5,7 @@ import pytest
 from conftest import bumped, failed_level
 
 from hopftower import depth2, frobenius
-from hopftower.algebra import SubspaceBasis, module_generators, span_dim
+from hopftower.algebra import WITNESS_FAILURES, CheckOutcome, SubspaceBasis, module_generators, span_dim
 from hopftower.depth2 import (
     DepthTwoData,
     _frobenius_sum_failures,
@@ -25,7 +25,7 @@ from hopftower.frobenius import ExtensionSpec, verify_conditional_expectation
 from hopftower.linalg import LinMap, invert, sparse_add, sparse_axpy, sparse_scale
 from hopftower.models import generate_example, model_bundle, model_tower
 from hopftower.pipeline import run_pipeline
-from hopftower.report import FAIL, SKIP
+from hopftower.report import FAIL, SKIP, Reporter
 
 Q = RationalField()
 
@@ -389,7 +389,8 @@ def _perturbed_witnesses(f, z, w):
 @pytest.mark.parametrize("case", ["q/group-pair:z4/z2", "f7/function-algebra:z3", "f7/model:z3"])
 def test_generator_path_agrees_on_perturbed_witnesses(case):
     # every perturbation breaks a Frobenius sum; the generator check must see
-    # it and name the same first failing basis element as the full loop
+    # it and list the same failures as the full loop, whose first failing
+    # basis element _verify_pair names
     for level, scope, verdict in _levels(case):
         ctx = _level_context(level, scope)
         full = _on_basis(ctx)
@@ -397,7 +398,7 @@ def test_generator_path_agrees_on_perturbed_witnesses(case):
         count = 0
         for z, w in _perturbed_witnesses(f, verdict.z, verdict.w):
             got = _frobenius_sum_failures(ctx, z, w)
-            assert len(got) == 1
+            assert 0 < len(got) <= WITNESS_FAILURES
             assert got == _frobenius_sum_failures(full, z, w)
             assert (False, f"Frobenius sum fails at basis {got[0][0]}") == _reference_frobenius_sums(full, z, w)
             assert _verify_pair(ctx, z, w) == _verify_pair(full, z, w)
@@ -535,3 +536,63 @@ def test_other_disagreement_still_fails_the_crosscheck(monkeypatch):
     by_id = {r.check_id: r for r in report.results}
     assert report.state.d2.level1.exhausted is None
     assert by_id["depth2-crosscheck"].status == FAIL and report.exit_code() == 1
+
+
+# -- the failing branches of c-structure, cond-exp-ea-eb and nakayama-relations
+
+
+@functools.lru_cache(maxsize=None)
+def _model_z3_run():
+    """Tower and depth-2 data of the f7/model:z3 pipeline run, where every
+    depth-2 check passes."""
+    ext, _ = generate_example("function-algebra", {"group": "z3", "field": "f7"})
+    _t, d2, _rep = model_tower(model_bundle("function-algebra:z3", ext.M.field))
+    report = run_pipeline(ext, d2_override=DepthTwoData(A=d2.A, B=d2.B, C=d2.C, source="model"))
+    assert report.exit_code() == 0
+    return report.state.tower, report.state.d2
+
+
+def test_c_structure_fails_on_rotated_matrix_units():
+    """u rotated by one: the units u_i e1 v_j still lie in C, but fail
+    xi_ij xi_kl = delta_jk xi_il at the corners, so the n^4 scan lists its
+    first WITNESS_FAILURES failures; the units no longer sum to 1."""
+    t, d2 = _model_z3_run()
+    u, v = d2.uv
+    out = verify_c_structure(t, replace(d2, uv=(u[1:] + u[:1], v)))
+    tuples = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 2, 0)]
+    assert len(tuples) == WITNESS_FAILURES
+    assert out == CheckOutcome(False, [{"kind": "matrix-unit-relations", "tuple": x} for x in tuples]
+                               + [{"kind": "matrix-units-do-not-sum-to-1"}])
+    rep = Reporter()
+    assert rep.outcome("c-structure", out).witness == {"failures": out.failures[:WITNESS_FAILURES]}
+
+
+def test_cond_exp_fails_on_a_doubled_f():
+    """F doubled doubles E_B(c) = sum_j F(c u_j) v_j: it is not the identity
+    on B, breaks E_B(b e1 b') = lam b b' for each b and E_B(e1) = lam 1, and
+    F o E_B != F; E_A and its laws do not read F."""
+    t, d2 = _model_z3_run()
+    f = t.M.field
+    doubled = LinMap(f, [sparse_scale(f, f.from_int(2), c) for c in t.F.columns], t.F.codomain_dim)
+    _E_A, _E_B, out = conditional_expectations(replace(t, F=doubled), d2)
+    assert out == CheckOutcome(False, [{"kind": "E_B-not-identity-on-B"}] + [{"kind": "E_B(be1b')-identity"}] * 3
+                               + [{"kind": "E_B(e1) != lam 1"}, {"kind": "F-o-E_B != F", "basis": 0}])
+
+
+@pytest.mark.parametrize("on_generators", [True, False])
+@pytest.mark.parametrize("column, failures", [
+    (0, [{"kind": "q-on-C-failed", "detail": [{"kind": "non-unique"}]}]),
+    (1, [{"kind": "q|_A != q_A", "basis": 1}, {"kind": "q|_B != q_B", "basis": 0}, {"kind": "q-tilde-failed"},
+         {"kind": "commuting-square", "basis": 0}, {"kind": "q(e1) != e1"}, {"kind": "q(e2) != e2"}]),
+])
+def test_nakayama_relations_fail_on_a_moved_f(on_generators, column, failures):
+    """F(e_column) moved by 1 in M leaves F scalar-valued on C, but its
+    Nakayama map q on C is no longer unique (column 0), or no longer
+    restricts to q_A and q_B, commutes with E_M1 or fixes e1 and e2."""
+    t, d2 = _model_z3_run()
+    f = t.M.field
+    cols = [dict(c) for c in t.F.columns]
+    sparse_axpy(f, cols[column], f.one, t.M.unit)
+    moved = replace(t, F=LinMap(f, cols, t.F.codomain_dim))
+    assert f_scalar_on_c(moved, d2)
+    assert nakayama_relations(moved, d2, on_generators).report == CheckOutcome(False, failures)

@@ -286,3 +286,13 @@ def test_prime_parse_integer_tokens(text, expected):
 def test_prime_parse_rejects_outside_grammar(text):
     with pytest.raises(FieldError):
         PrimeField(7).parse(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0667", "7"])
+def test_format_integers_refuse_strings(text):
+    """dim, the structure indices and a prime modulus are JSON integers; int()
+    alone would read "1_0" as 10 and the Arabic-Indic seven as 7."""
+    with pytest.raises(ValueError):
+        fields.integral(text)
+    with pytest.raises(FieldError):
+        field_from_spec({"kind": "prime", "modulus": text})

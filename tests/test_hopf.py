@@ -247,10 +247,13 @@ def test_dualize_pairing_compatibility(stack_z3_f7):
 # The tower identities are read from precomputed sandwich maps. The loops they
 # replaced, which form every product and E_M1 value at each basis tuple, are
 # kept here as references: on perturbed data both must report exactly the
-# same failures, in the same order, up to the same budget.
+# same failures, in the same order, each law stopped at the same count.
 
 
-def _reference_tower_axioms(H, t, d2, budget):
+def _reference_tower_axioms(H, t, d2, limit=4):
+    """Up to limit exchange failures, then up to limit failures of the two
+    action identities; the integral and centrality checks only when fewer
+    than limit failures came before them."""
     f = t.M.field
     M1, M2 = t.M1, t.M2
     lam_inv = t.base_sys.lambda_inverse
@@ -269,8 +272,9 @@ def _reference_tower_axioms(H, t, d2, budget):
                 sparse_axpy(f, rhs, f.mul(lam_inv, c), term)
             if lhs != rhs:
                 failures.append({"kind": "exchange-relation", "pair": (x, j)})
-                if len(failures) >= budget:
+                if len(failures) >= limit:
                     return failures
+    actions = []
     for x in range(M1.dim):
         xh = t.incl2.apply({x: f.one})
         for y in range(M1.dim):
@@ -285,9 +289,9 @@ def _reference_tower_axioms(H, t, d2, budget):
                     term = M1.mul_sparse(t1, t2)
                     sparse_axpy(f, rhs, f.mul(lam_inv, c), term)
                 if lhs != rhs:
-                    failures.append({"kind": "action-identity", "triple": (x, y, j)})
-                    if len(failures) >= budget:
-                        return failures
+                    actions.append({"kind": "action-identity", "triple": (x, y, j)})
+                    if len(actions) >= limit:
+                        return failures + actions
                 lhs = t.E_M1.apply(M2.mul_sparse(M2.mul_sparse(b_vecs[j], xy), t.e2))
                 rhs = {}
                 for u, v, c in delta_legs[j]:
@@ -296,9 +300,12 @@ def _reference_tower_axioms(H, t, d2, budget):
                     term = M1.mul_sparse(t1, t2)
                     sparse_axpy(f, rhs, f.mul(lam_inv, c), term)
                 if lhs != rhs:
-                    failures.append({"kind": "left-action-identity", "triple": (x, y, j)})
-                    if len(failures) >= budget:
-                        return failures
+                    actions.append({"kind": "left-action-identity", "triple": (x, y, j)})
+                    if len(actions) >= limit:
+                        return failures + actions
+    failures += actions
+    if len(failures) >= limit:
+        return failures
     e2_B = d2.B.coords(t.e2)
     if e2_B is None:
         failures.append({"kind": "e2-outside-B"})
@@ -335,21 +342,20 @@ def _reference_remark_identity(t, d2, S):
             rhs = t.E_M1.apply(M2.mul_sparse(M2.mul_sparse(t.e2, xh), sb))
             if lhs != rhs:
                 failures.append({"kind": "remark-identity", "pair": (x, j)})
-                if len(failures) >= 3:
+                if len(failures) >= 4:
                     return failures
     return failures
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (4, 1), (8, 2)])
-@pytest.mark.parametrize("budget", [2, 5, 10**6])
-def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry, budget):
+def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry):
     t, d2, p, H_B = stack_z3_f7[:4]
     sandwiches = sandwich_maps(t, d2)
-    assert _tower_axioms(H_B, t, d2, sandwiches, budget) == _reference_tower_axioms(H_B, t, d2, budget) == []
+    assert _tower_axioms(H_B, t, d2, sandwiches) == _reference_tower_axioms(H_B, t, d2) == []
     bad = HopfStructure(H_B.algebra, bumped(H_B.delta, *entry), H_B.counit, H_B.antipode)
-    got = _tower_axioms(bad, t, d2, sandwiches, budget)
+    got = _tower_axioms(bad, t, d2, sandwiches)
     assert got, "the perturbed Delta must be seen"
-    assert got == _reference_tower_axioms(bad, t, d2, budget)
+    assert got == _reference_tower_axioms(bad, t, d2)
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (2, 0)])

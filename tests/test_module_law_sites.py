@@ -229,7 +229,7 @@ def test_action_identities_same_on_generators(case):
     state = _state(case)
     t, d2, H_B = state.tower, state.d2, state.H_B
     y_gens = [t.M1.unit] + t.levels[0].generators
-    assert _tower_axioms(H_B, t, d2, state.sandwiches, 8, y_gens) == _tower_axioms(H_B, t, d2, state.sandwiches, 8) == []
+    assert _tower_axioms(H_B, t, d2, state.sandwiches, y_gens) == _tower_axioms(H_B, t, d2, state.sandwiches) == []
     # any sandwich maps get the scan's failure list, one entry bumped
     left, right = state.sandwiches
     rejected = 0
@@ -238,10 +238,9 @@ def test_action_identities_same_on_generators(case):
             for row in _spread(m.codomain_dim, j):
                 maps = [bumped(x, row, (7 * j) % m.domain_dim) if n == j else x for n, x in enumerate((left, right)[side])]
                 sandwiches = (maps, right) if side == 0 else (left, maps)
-                for budget in (2, 8):
-                    got = _tower_axioms(H_B, t, d2, sandwiches, budget, y_gens)
-                    assert got == _tower_axioms(H_B, t, d2, sandwiches, budget), (side, j, row, budget)
-                    rejected += any("action-identity" in x["kind"] for x in got)
+                got = _tower_axioms(H_B, t, d2, sandwiches, y_gens)
+                assert got == _tower_axioms(H_B, t, d2, sandwiches), (side, j, row)
+                rejected += any("action-identity" in x["kind"] for x in got)
     assert rejected > 0
 
 
@@ -250,9 +249,9 @@ def tower_axiom_sites(monkeypatch):
     calls = []
     real = hopf._tower_axioms
 
-    def recording(H, t, d2, sandwiches, budget, y_generators=None, x_generators=None):
+    def recording(H, t, d2, sandwiches, y_generators=None, x_generators=None):
         calls.append(y_generators)
-        return real(H, t, d2, sandwiches, budget, y_generators, x_generators)
+        return real(H, t, d2, sandwiches, y_generators, x_generators)
 
     monkeypatch.setattr(hopf, "_tower_axioms", recording)
     return calls
@@ -495,9 +494,9 @@ def test_endo_ring_iso_decides_psi_through_mult_failures(case, monkeypatch):
     calls = []
     real = tower.mult_failures
 
-    def recording(f_map, A, B, generators, cap):
+    def recording(f_map, A, B, generators):
         calls.append(generators)
-        return real(f_map, A, B, generators, cap)
+        return real(f_map, A, B, generators)
 
     monkeypatch.setattr(tower, "mult_failures", recording)
     assert tower.endo_ring_iso(sys, level).ok
@@ -599,16 +598,15 @@ def test_exchange_relation_same_on_module_generators(case):
     t, d2, H_B = state.tower, state.d2, state.H_B
     x_gens = t.levels[0].module_generators()[1]
     left, right = state.sandwiches
-    assert _tower_axioms(H_B, t, d2, state.sandwiches, 8, None, x_gens) == _tower_axioms(
-        H_B, t, d2, state.sandwiches, 8) == []
+    assert _tower_axioms(H_B, t, d2, state.sandwiches, None, x_gens) == _tower_axioms(
+        H_B, t, d2, state.sandwiches) == []
     rejected = 0
     for j, m in enumerate(left):
         for row in _spread(m.codomain_dim, j):
             maps = [bumped(x, row, (5 * j + row) % m.domain_dim) if n == j else x for n, x in enumerate(left)]
-            for budget in (2, 8):
-                got = _tower_axioms(H_B, t, d2, (maps, right), budget, None, x_gens)
-                assert got == _tower_axioms(H_B, t, d2, (maps, right), budget), (j, row, budget)
-                rejected += any(x["kind"] == "exchange-relation" for x in got)
+            got = _tower_axioms(H_B, t, d2, (maps, right), None, x_gens)
+            assert got == _tower_axioms(H_B, t, d2, (maps, right)), (j, row)
+            rejected += any(x["kind"] == "exchange-relation" for x in got)
     assert rejected > 0
 
 
@@ -617,9 +615,9 @@ def exchange_sites(monkeypatch):
     calls = []
     real = hopf._tower_axioms
 
-    def recording(H, t, d2, sandwiches, budget, y_generators=None, x_generators=None):
+    def recording(H, t, d2, sandwiches, y_generators=None, x_generators=None):
         calls.append(x_generators)
-        return real(H, t, d2, sandwiches, budget, y_generators, x_generators)
+        return real(H, t, d2, sandwiches, y_generators, x_generators)
 
     monkeypatch.setattr(hopf, "_tower_axioms", recording)
     return calls
@@ -641,7 +639,7 @@ def test_exchange_relation_gates(exchange_sites):
     sandwiches = sandwich_maps(t, other)
     out = hopf.verify_hopf_axioms(H_B, tower_ctx=(t, other, sandwiches))
     assert exchange_sites[-1] is None
-    assert not out.ok and out.failures == hopf._tower_axioms(H_B, t, other, sandwiches, 8)
+    assert not out.ok and out.failures == hopf._tower_axioms(H_B, t, other, sandwiches)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -692,9 +690,9 @@ def law_failure_calls(monkeypatch):
     calls = []
     real = algebra.law_failures
 
-    def recording(failures, generators, basis, max_failures):
+    def recording(failures, generators, basis):
         calls.append((sys._getframe(1).f_code.co_name, generators))
-        return real(failures, generators, basis, max_failures)
+        return real(failures, generators, basis)
 
     for module in BINDERS:
         assert module.law_failures is real

@@ -444,49 +444,56 @@ def test_scan_sees_a_table_layout_use():
 
 
 # Every law checked on generators falls back to its basis scan through
-# algebra.law_failures, and no check takes a failure cap as an option: each
-# keeps its cap as a constant, so max_failures is named only there.
-def _max_failures_uses(tree) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every parameter, name and keyword argument
-    max_failures; strings and docstrings do not count."""
+# algebra.law_failures, and no check takes a failure cap as an option: every
+# check stops each of its failure lists at algebra.WITNESS_FAILURES, the
+# number of failures a report witness shows (Reporter.outcome), so no
+# parameter is a cap and no failure list stops at a count of its own.
+CAP_PARAMETERS = ("max_failures", "cap", "budget")
+
+
+def _is_int(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _failure_caps(tree) -> list[tuple[int, str]]:
+    """(line, what) of every parameter named in CAP_PARAMETERS (of a def or
+    a lambda), every len(failures) >= <int> and every islice(..., <int>)."""
     out = []
-
-    def visit(node, fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = node.name
-        if (
-            isinstance(node, ast.arg) and node.arg == "max_failures"
-            or isinstance(node, ast.Name) and node.id == "max_failures"
-            or isinstance(node, ast.keyword) and node.arg == "max_failures"
-        ):
-            out.append((node.lineno, fn))
-        for child in ast.iter_child_nodes(node):
-            visit(child, fn)
-
-    visit(tree, None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg in CAP_PARAMETERS:
+            out.append((node.lineno, f"parameter {node.arg}"))
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.GtE)
+              and ast.unparse(node.left) == "len(failures)" and _is_int(node.comparators[0])):
+            out.append((node.lineno, "len(failures) >= int"))
+        elif (isinstance(node, ast.Call) and "islice" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+              and len(node.args) == 2 and _is_int(node.args[1])):
+            out.append((node.lineno, "islice(..., int)"))
     return sorted(out)
 
 
-def test_max_failures_is_named_only_by_law_failures():
+def test_no_check_takes_a_failure_cap():
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found.extend(
-            f"{path.name}:{line} {fn}" for line, fn in _max_failures_uses(tree)
-            if (path.stem, fn) != ("algebra", "law_failures")
-        )
-    assert found == [], "max_failures named outside algebra.law_failures"
+        found.extend(f"{path.name}:{line} {what}" for line, what in _failure_caps(tree))
+    assert found == [], "a failure cap other than algebra.WITNESS_FAILURES"
 
 
 def test_scan_sees_a_max_failures_use():
+    """The scan sees every kind of cap: a max_failures, cap or budget
+    parameter, a literal count in len(failures) >= and in islice."""
     tree = ast.parse(
-        "def law_failures(failures, generators, basis, max_failures):\n    return max(max_failures, 1)\n"
-        'def check(x, max_failures=5):\n    """Lists at most max_failures."""\n'
-        "    return law_failures(x, None, x, max_failures=max_failures)\n"
-        "cap = max_failures = 3\n"
+        "def law_failures(failures, generators, basis, max_failures):\n"
+        "    return list(islice(failures(basis()), max(max_failures, 1)))\n"
+        "def check(x, cap=5, *, budget):\n"
+        "    failures = list(itertools.islice(x, 5))\n"
+        "    if len(failures) >= 3 or len(failures) >= WITNESS_FAILURES or len(x) >= 3:\n"
+        "        return lambda budget: failures\n"
+        "    return list(islice(x, WITNESS_FAILURES))\n"
     )
-    assert _max_failures_uses(tree) == [
-        (1, "law_failures"), (2, "law_failures"), (3, "check"), (5, "check"), (5, "check"), (6, None),
+    assert _failure_caps(tree) == [
+        (1, "parameter max_failures"), (3, "parameter budget"), (3, "parameter cap"), (4, "islice(..., int)"),
+        (5, "len(failures) >= int"), (6, "parameter budget"),
     ]
 
 

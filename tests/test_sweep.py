@@ -1,7 +1,8 @@
 """A fixed slice of the byte-identity sweep (tools/sweep.py): the
 quadratic-field and z4/z2 extensions over Q and F7, and z2/z1 over F2, which
-is not strongly separable, clean, with every single structure-constant bump
-that builds and with every single E bump, end in reports."""
+is not strongly separable, clean and under each early stop, with every single
+structure-constant bump that builds and with every single E bump, end in
+reports."""
 from conftest import sweep_tool
 from test_golden_reports import GOLDEN
 from test_pipeline import _unlisted_or_repeated
@@ -21,18 +22,21 @@ def test_slice_ends_in_reports_with_a_reason_on_every_skip():
     from the relative commutants (z4/z2, c_31^0)."""
     sweep = sweep_tool()
     seen = []
-    for input_id, ext, d2 in sweep.inputs(SLICE, models=False):
-        report = run_pipeline(ext, d2_override=d2)
+    for input_id, ext, d2, run in sweep.inputs(SLICE, models=False):
+        report = run_pipeline(ext, d2_override=d2, **run)
         assert [r.check_id for r in report.results if r.status == SKIP and not r.reason] == [], input_id
-        assert _unlisted_or_repeated(report, "galois") == {}, input_id
+        assert _unlisted_or_repeated(report, run.get("upto", "galois")) == {}, input_id
         seen.append(input_id)
-    # each case clean, with the bumps under which N stays a unital
-    # subalgebra, 7 of the 8 of the quadratic field and of z2/z1 and 56 of
-    # the 64 of z4/z2, and with the dim M x dim N bumps of E, 2, 8 and 2
-    assert len(seen) == 2 * (1 + 7 + 2) + 2 * (1 + 56 + 8) + (1 + 7 + 2)
+    # each case clean on the full run and the 5 RUNS, with the bumps under
+    # which N stays a unital subalgebra, 7 of the 8 of the quadratic field
+    # and of z2/z1 and 56 of the 64 of z4/z2, and with the dim M x dim N
+    # bumps of E, 2, 8 and 2
+    assert len(seen) == 2 * (6 + 7 + 2) + 2 * (6 + 56 + 8) + (6 + 7 + 2)
     assert {"q/quadratic-field@0.0.0", "f7/quadratic-field@0.0.0",
             "q/group-pair:z4/z2@3.1.0", "f7/group-pair:z4/z2@3.1.0",
-            "q/quadratic-field@E.0.1", "f7/group-pair:z4/z2@E.1.3"} <= set(seen)
+            "q/quadratic-field@E.0.1", "f7/group-pair:z4/z2@E.1.3",
+            "q/quadratic-field~upto=frobenius", "f7/group-pair:z4/z2~upto=hopf",
+            "f2/group-pair:z2/z1~levels=1"} <= set(seen)
 
 
 def test_clean_inputs_follow_the_golden_path(monkeypatch):
@@ -42,15 +46,15 @@ def test_clean_inputs_follow_the_golden_path(monkeypatch):
     sweep = sweep_tool()
     lines, expected = {}, {}
     golden = [case_id for case_id in SLICE if case_id in GOLDEN]
-    for input_id, ext, d2 in sweep.inputs(golden, models=False):
-        if "@" not in input_id:
-            lines[input_id] = sweep.line(ext, d2)
+    for input_id, ext, d2, run in sweep.inputs(golden, models=False):
+        if not run and "@" not in input_id:
+            lines[input_id] = sweep.line(ext, d2, run)
             text = run_pipeline(ext, d2_override=d2).render_text()
             expected[input_id] = f"{GOLDEN[input_id]} text={sweep.sha256(text)} exit=0"
     assert lines == expected and set(lines) == set(golden) and len(golden) == 4
 
-    def raising(ext, d2_override=None):
+    def raising(ext, d2_override=None, **run):
         raise ZeroDivisionError
 
     monkeypatch.setattr(pipeline, "run_pipeline", raising)
-    assert sweep.line(None, None) == "raised: ZeroDivisionError"
+    assert sweep.line(None, None, {}) == "raised: ZeroDivisionError"

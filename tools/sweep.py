@@ -17,7 +17,10 @@ The corpus:
 - those with dim M <= 6 with every single E bump: entry (r, m) of E, the
   N-coordinate r of E(e_m), raised by one (253 inputs);
 - the three model-f7 reports: function-algebra z2, z3 and z4 over F7 with the
-  model tower's A, B and C as ``d2_override``, as bench/run.py runs them.
+  model tower's A, B and C as ``d2_override``, as bench/run.py runs them;
+- each clean catalog case and model report also under every ``upto`` before
+  galois and under ``levels=1`` (RUNS), so each stage's skip path is swept;
+  the id ends in "~upto=<stage>" or "~levels=1".
 
 Run from the repository root:
 
@@ -61,6 +64,8 @@ CATALOG = (
 FIELDS = (("rational", "q"), ("f7", "f7"), ("f5", "f5"), ("f3", "f3"), ("f2", "f2"))
 MODEL_GROUPS = ("z2", "z3", "z4")
 E_BUMP_MAX_DIM = 6  # the cases whose E is bumped entry by entry
+# the run_pipeline options each clean input is also run under
+RUNS = ({"upto": "frobenius"}, {"upto": "tower"}, {"upto": "depth2"}, {"upto": "hopf"}, {"levels": 1})
 
 
 def catalog() -> dict:
@@ -111,9 +116,10 @@ def e_bumped(ext, row: int, col: int):
 
 
 def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tuple]:
-    """(input id, extension, d2_override) over the corpus, or over the named
-    catalog cases and their bumps; a bumped input's id is the case id with
-    "@i.j.k" for c_ij^k, and with "@E.r.m" for entry (r, m) of E."""
+    """(input id, extension, d2_override, run_pipeline options) over the
+    corpus, or over the named catalog cases and their bumps; a bumped input's
+    id is the case id with "@i.j.k" for c_ij^k, and with "@E.r.m" for entry
+    (r, m) of E."""
     from hopftower.depth2 import DepthTwoData
     from hopftower.fileio import canonical_json, extension_from_dict, extension_to_dict
     from hopftower.models import generate_example, model_bundle, model_tower
@@ -121,14 +127,15 @@ def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tup
     cases = catalog()
     for case_id in cases if case_ids is None else case_ids:
         ext, _sidecar = generate_example(*cases[case_id])
-        yield case_id, extension_from_dict(json.loads(canonical_json(extension_to_dict(ext)))), None
+        text = canonical_json(extension_to_dict(ext))
+        yield from _runs(case_id, lambda: (extension_from_dict(json.loads(text)), None))
         for bump in product(range(ext.M.dim), repeat=3):
             bad = bumped(ext, bump)
             if bad is not None:
-                yield f"{case_id}@{'.'.join(map(str, bump))}", bad, None
+                yield f"{case_id}@{'.'.join(map(str, bump))}", bad, None, {}
         if ext.M.dim <= E_BUMP_MAX_DIM:
             for row, col in product(range(ext.N.dim), range(ext.M.dim)):
-                yield f"{case_id}@E.{row}.{col}", e_bumped(ext, row, col), None
+                yield f"{case_id}@E.{row}.{col}", e_bumped(ext, row, col), None, {}
     if not models:
         return
     for group in MODEL_GROUPS:
@@ -137,22 +144,30 @@ def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tup
         _tower, d2, rep = model_tower(model_bundle(f"function-algebra:{group}", ext.M.field))
         if not rep.ok:
             raise RuntimeError(f"model tower z{group} fails its own checks: {rep.failures[:1]}")
-        A, B, C = copy.deepcopy((d2.A, d2.B, d2.C))
-        yield f"f7/model:{group}", extension_from_dict(json.loads(text)), DepthTwoData(A=A, B=B, C=C, source="model")
+        yield from _runs(f"f7/model:{group}", lambda: (
+            extension_from_dict(json.loads(text)),
+            DepthTwoData(*copy.deepcopy((d2.A, d2.B, d2.C)), source="model")))
+
+
+def _runs(input_id: str, fresh) -> Iterator[tuple]:
+    """input_id on the full run, then under each of RUNS, each on its own
+    (extension, d2_override) from fresh()."""
+    for run in ({}, *RUNS):
+        yield (input_id + "".join(f"~{k}={v}" for k, v in run.items()), *fresh(), run)
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def line(ext, d2_override) -> str:
+def line(ext, d2_override, run: dict) -> str:
     """The sha256 of the canonical JSON report and of the text report, and
-    the exit code, or "raised: <type>"."""
+    the exit code, or "raised: <type>", of run_pipeline with the options run."""
     from hopftower.fileio import canonical_json
     from hopftower.pipeline import run_pipeline
 
     try:
-        report = run_pipeline(ext, d2_override=d2_override)
+        report = run_pipeline(ext, d2_override=d2_override, **run)
         json_text, text = canonical_json(report.to_dict()), report.render_text()
     except Exception as exc:  # a raising input is a line of the sweep, not its end
         return f"raised: {type(exc).__name__}"
@@ -173,8 +188,8 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        for input_id, ext, d2 in inputs():
-            print(input_id, line(ext, d2), flush=True)
+        for input_id, ext, d2, run in inputs():
+            print(input_id, line(ext, d2, run), flush=True)
         return 0
     change = sweep(ROOT)
     raised = sum(v.startswith("raised") for v in change.values())
