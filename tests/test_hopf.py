@@ -4,7 +4,7 @@ import pytest
 from conftest import bumped
 
 from hopftower import hopf
-from hopftower.algebra import SubspaceBasis
+from hopftower.algebra import WITNESS_FAILURES, SubspaceBasis
 from hopftower.fields import PrimeField, RationalField
 from hopftower.hopf import (
     HopfError,
@@ -250,7 +250,7 @@ def test_dualize_pairing_compatibility(stack_z3_f7):
 # same failures, in the same order, each law stopped at the same count.
 
 
-def _reference_tower_axioms(H, t, d2, limit=4):
+def _reference_tower_axioms(H, t, d2, limit=WITNESS_FAILURES):
     """Up to limit exchange failures, then up to limit failures of the two
     action identities; the integral and centrality checks only when fewer
     than limit failures came before them."""
@@ -348,14 +348,20 @@ def _reference_remark_identity(t, d2, S):
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (4, 1), (8, 2)])
-def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry):
+@pytest.mark.parametrize("budget", [2, 5, 10**6])
+def test_tower_axioms_match_reference_on_perturbed_delta(stack_z3_f7, entry, budget):
+    # budget is the reference's own stopping count: whatever it is, the
+    # failures a report shows lead the reference's list
     t, d2, p, H_B = stack_z3_f7[:4]
     sandwiches = sandwich_maps(t, d2)
     assert _tower_axioms(H_B, t, d2, sandwiches) == _reference_tower_axioms(H_B, t, d2) == []
+    assert _reference_tower_axioms(H_B, t, d2, budget) == []
     bad = HopfStructure(H_B.algebra, bumped(H_B.delta, *entry), H_B.counit, H_B.antipode)
     got = _tower_axioms(bad, t, d2, sandwiches)
     assert got, "the perturbed Delta must be seen"
     assert got == _reference_tower_axioms(bad, t, d2)
+    shown = min(budget, WITNESS_FAILURES)
+    assert got[:shown] == _reference_tower_axioms(bad, t, d2, budget)[:shown]
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (2, 0)])
