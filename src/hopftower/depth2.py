@@ -642,11 +642,20 @@ def verify_f_faithful(t, d2: DepthTwoData) -> tuple[Optional[LinMap], CheckOutco
     return gram, CheckOutcome(True, [])
 
 
+def _scalar_row(alg: Algebra, functional: LinMap, vectors: list) -> Optional[list]:
+    """The c with functional(v) = c 1 in alg for each v in vectors, or None
+    at the first value that is not a scalar."""
+    row = []
+    for v in vectors:
+        val = scalar_of(alg, functional.apply(v))
+        if val is None:
+            return None
+        row.append(val)
+    return row
+
+
 def f_scalar_on_c(t, d2: DepthTwoData) -> bool:
-    for ci in d2.C.vectors:
-        if scalar_of(t.M, t.F.apply(ci)) is None:
-            return False
-    return True
+    return _scalar_row(t.M, t.F, d2.C.vectors) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -683,44 +692,21 @@ def nakayama_relations(t, d2: DepthTwoData, on_generators: bool = False) -> Naka
         s_c = [d2.C.coords(t.incl2.apply(a_embed.apply(g))) for g in s_a] + [
             d2.C.coords(b_embed.apply(g)) for g in s_b]
 
-    f_row = []
-    for c_vec in d2.C.vectors:
-        val = scalar_of(t.M, t.F.apply(c_vec))
-        if val is None:
-            out.report = CheckOutcome(False, [{"kind": "F-not-scalar-on-C"}])
+    for attr, scope_alg, gens, values_in, functional, vectors, not_scalar, failed in (
+            ("q_C", C_alg, s_c, t.M, t.F, d2.C.vectors, "F-not-scalar-on-C", "q-on-C-failed"),
+            ("q_A", A_alg, s_a, t.M, t.E_M, d2.A.vectors, "E_M-not-scalar-on-A", "q_A-failed"),
+            ("q_B", B_alg, s_b, t.M1, t.E_M1, d2.B.vectors, "E_M1-not-scalar-on-B", "q_B-failed")):
+        row = _scalar_row(values_in, functional, vectors)
+        if row is None:
+            out.report = CheckOutcome(False, [{"kind": not_scalar}])
             return out
-        f_row.append(val)
-    q, res = nakayama_of_functional(C_alg, f_row, s_c)
-    if not res.ok:
-        out.report = CheckOutcome(False, [{"kind": "q-on-C-failed", "detail": res.failures[:1]}])
-        return out
-    out.q_C = q
-
-    a_row = []
-    for a in d2.A.vectors:
-        val = scalar_of(t.M, t.E_M.apply(a))
-        if val is None:
-            out.report = CheckOutcome(False, [{"kind": "E_M-not-scalar-on-A"}])
+        q, res = nakayama_of_functional(scope_alg, row, gens)
+        if not res.ok:
+            detail = {"detail": res.failures[:1]} if attr == "q_C" else {}
+            out.report = CheckOutcome(False, [{"kind": failed, **detail}])
             return out
-        a_row.append(val)
-    q_a, res_a = nakayama_of_functional(A_alg, a_row, s_a)
-    if not res_a.ok:
-        out.report = CheckOutcome(False, [{"kind": "q_A-failed"}])
-        return out
-    out.q_A = q_a
-
-    b_row = []
-    for b in d2.B.vectors:
-        val = scalar_of(t.M1, t.E_M1.apply(b))
-        if val is None:
-            out.report = CheckOutcome(False, [{"kind": "E_M1-not-scalar-on-B"}])
-            return out
-        b_row.append(val)
-    q_b, res_b = nakayama_of_functional(B_alg, b_row, s_b)
-    if not res_b.ok:
-        out.report = CheckOutcome(False, [{"kind": "q_B-failed"}])
-        return out
-    out.q_B = q_b
+        setattr(out, attr, q)
+    q, q_a, q_b = out.q_C, out.q_A, out.q_B
 
     def q_of(vec_in_c):
         coords = d2.C.coords(vec_in_c)

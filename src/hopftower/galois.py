@@ -12,6 +12,11 @@ generators of X (_iso_by_exchange), with no smash table formed; otherwise,
 or when that fails, smash_product builds the table from the action alone and
 theta is checked on every basis pair. smash_product stays the one
 construction of a smash product as an algebra.
+
+Every coproduct sum here (the module-algebra law, the exchange relation, the
+rows of a smash table, the adjoint action h_(1) x S(h_(2)) of _adjoint and
+the comodule, convolution-inverse and cocycle sums of cleft_data) is a
+Sweedler sum formed by HopfStructure.sweedler.
 """
 from __future__ import annotations
 
@@ -100,13 +105,10 @@ def _module_law_failures(act: ModuleAlgebraAction, rights: list) -> Iterator[dic
     f = X.field
     cols = [m.columns for m in act.maps]
     for i in range(H.dim):
-        h_i, legs = act.maps[i], H.delta_coords(i)
+        h_i = act.maps[i]
         for x in range(X.dim):
             for r, (products, acted) in enumerate(rights):
-                rhs: dict = {}
-                for u, v, c in legs:
-                    sparse_axpy(f, rhs, c, X.mul_sparse(cols[u][x], acted[v]))
-                if h_i.apply(products[x]) != rhs:
+                if h_i.apply(products[x]) != H.sweedler(i, lambda u, v: X.mul_sparse(cols[u][x], acted[v])):
                     yield {"kind": "module-algebra-law", "triple": (i, x, r)}
         if h_i.apply(X.unit) != sparse_scale(f, H.counit_of(i), X.unit):
             yield {"kind": "unit-not-scaled-by-eps", "basis": i}
@@ -152,7 +154,6 @@ def smash_product(act: ModuleAlgebraAction) -> SmashProduct:
     dx, dh = X.dim, H.dim
     dim = dx * dh
     table = []
-    legs_by_h = [H.delta_coords(h) for h in range(dh)]
     cols = [m.columns for m in act.maps]
     for x in range(dx):
         # x (h_u . x2) for every u and x2
@@ -160,15 +161,13 @@ def smash_product(act: ModuleAlgebraAction) -> SmashProduct:
         for h in range(dh):
             row: dict = {}
             for x2 in range(dx):
-                cells: dict = {}  # h2 -> the product at x2 * dh + h2, over the nonzero h_v h2
-                for u, v, c in legs_by_h[h]:
-                    xa = x_acted[u][x2]
-                    for h2, vh2 in H.algebra.table[v].items():
-                        cell = cells.setdefault(h2, {})
-                        for hk, hc in vh2.items():
-                            for xk, xc in xa.items():
-                                sparse_add(f, cell, xk * dh + hk, f.mul(c, f.mul(hc, xc)))
-                row.update((x2 * dh + h2, cells[h2]) for h2 in sorted(cells) if cells[h2])
+                for h2 in range(dh):
+                    # (x # h)(x2 # h2) = sum x (h_(1) . x2) # h_(2) h2
+                    cell = H.sweedler(h, lambda u, v: {
+                        xk * dh + hk: f.mul(hc, xc)
+                        for hk, hc in H.algebra.cell(v, h2).items() for xk, xc in x_acted[u][x2].items()})
+                    if cell:
+                        row[x2 * dh + h2] = cell
             table.append(row)
     h_unit = H.algebra.unit
     unit = {x * dh + h: f.mul(cx, ch) for x, cx in X.unit.items() for h, ch in h_unit.items()}
@@ -271,12 +270,8 @@ def action_b_on_m1(
         # S(b_v) in M2
         s_b = [LinMap(f, d2.B.vectors, M2.dim).apply(c) for c in H_B.antipode.columns]
         for j in range(H_B.dim):
-            legs = H_B.delta_coords(j)
             for x in range(M1.dim):
-                rhs: dict = {}
-                for u, v, c in legs:
-                    sparse_axpy(f, rhs, c, M2.mul_sparse(M2.mul_sparse(d2.B.vectors[u], incl[x]), s_b[v]))
-                if t.incl2.apply(act.maps[j].columns[x]) != rhs:
+                if t.incl2.apply(act.maps[j].columns[x]) != _adjoint(M2, H_B, j, d2.B.vectors, s_b, incl[x]):
                     failures.append({"kind": "outer-action-formula", "pair": (j, x)})
                     break
 
@@ -308,13 +303,9 @@ def action_a_on_m(
     s_a = [LinMap(f, a_vecs, M1.dim).apply(c) for c in H_A.antipode.columns]
     maps = []
     for i in range(H_A.dim):
-        legs = H_A.delta_coords(i)
         cols = []
         for m, mh in enumerate(t.incl1.columns):
-            acc: dict = {}
-            for u, v, c in legs:
-                sparse_axpy(f, acc, c, M1.mul_sparse(M1.mul_sparse(a_vecs[u], mh), s_a[v]))
-            coords = m_image.coords(acc)
+            coords = m_image.coords(_adjoint(M1, H_A, i, a_vecs, s_a, mh))
             if coords is None:
                 failures.append({"kind": "action-leaves-M", "pair": (i, m)})
                 coords = {}
@@ -336,6 +327,12 @@ def action_a_on_m(
                 failures.append({"kind": "e1-action-vs-E", "basis": x})
                 break
     return act, CheckOutcome(not failures, failures)
+
+
+def _adjoint(T: Algebra, H: HopfStructure, j: int, h_vecs: list, s_vecs: list, x: dict) -> dict:
+    """The adjoint action h_j(1) x S(h_j(2)) in T, with h_vecs[u] the image of
+    h_u in T and s_vecs[v] that of S(h_v)."""
+    return H.sweedler(j, lambda u, v: T.mul_sparse(T.mul_sparse(h_vecs[u], x), s_vecs[v]))
 
 
 def verify_invariants(act: ModuleAlgebraAction, expected: SubspaceBasis) -> CheckOutcome:
@@ -461,17 +458,12 @@ def _exchange_failures(T: Algebra, act: ModuleAlgebraAction, x_embed: LinMap, h_
     """The (r, h) with i_H(h) i_X(x_r) != sum i_X(h_(1) . x_r) i_H(h_(2)) in
     T, in that loop order, for the elements x_r of act.algebra in xs."""
     H = act.hopf
-    f = T.field
     hs = h_embed.columns
-    legs = [H.delta_coords(h) for h in range(H.dim)]
     for r, x in enumerate(xs):
         xt = x_embed.apply(x)
         acted = [x_embed.apply(m.apply(x)) for m in act.maps]
         for h in range(H.dim):
-            rhs: dict = {}
-            for u, v, c in legs[h]:
-                sparse_axpy(f, rhs, c, T.mul_sparse(acted[u], hs[v]))
-            if T.mul_sparse(hs[h], xt) != rhs:
+            if T.mul_sparse(hs[h], xt) != H.sweedler(h, lambda u, v: T.mul_sparse(acted[u], hs[v])):
                 yield {"kind": "exchange-relation", "pair": (r, h)}
 
 
@@ -514,34 +506,22 @@ def cleft_data(
             for r, cr in act_b.maps[j].apply(a_vecs[i]).items():
                 for s, cs in pj.items():
                     sparse_add(f, lhs, r * da + s, f.mul(cr, cs))
-        rhs: dict = {}
-        for u, v, c in H_A.delta_coords(i):
-            for r, cr in a_vecs[u].items():
-                sparse_add(f, rhs, r * da + v, f.mul(c, cr))
-        if lhs != rhs:
+        if lhs != H_A.sweedler(i, lambda u, v: {r * da + v: cr for r, cr in a_vecs[u].items()}):
             failures.append({"kind": "iota-not-comodule-map", "basis": i})
 
     # convolution inverse: mu (iota (x) iota S_A) Delta_A = unit eps_A (both orders)
     for i in range(da):
-        acc1: dict = {}
-        acc2: dict = {}
-        for u, v, c in H_A.delta_coords(i):
-            sparse_axpy(f, acc1, c, M1.mul_sparse(a_vecs[u], s_a[v]))
-            sparse_axpy(f, acc2, c, M1.mul_sparse(s_a[u], a_vecs[v]))
         expected = sparse_scale(f, H_A.counit_of(i), M1.unit)
-        if acc1 != expected or acc2 != expected:
+        if (H_A.sweedler(i, lambda u, v: M1.mul_sparse(a_vecs[u], s_a[v])) != expected
+                or H_A.sweedler(i, lambda u, v: M1.mul_sparse(s_a[u], a_vecs[v])) != expected):
             failures.append({"kind": "convolution-inverse", "basis": i})
 
     # cocycle sigma(a, a') = iota(a1) iota(a'1) iota(S_A(a2 a'2)) = eps(a) eps(a') 1
     A_alg = p.A_alg
     for i in range(da):
         for i2 in range(da):
-            acc: dict = {}
-            for u, v, c in H_A.delta_coords(i):
-                for u2, v2, c2 in H_A.delta_coords(i2):
-                    s_prod = a_embed.apply(s_map.apply(A_alg.cell(v, v2)))
-                    term = M1.mul_sparse(M1.mul_sparse(a_vecs[u], a_vecs[u2]), s_prod)
-                    sparse_axpy(f, acc, f.mul(c, c2), term)
+            acc = H_A.sweedler(i, lambda u, v: H_A.sweedler(i2, lambda u2, v2: M1.mul_sparse(
+                M1.mul_sparse(a_vecs[u], a_vecs[u2]), a_embed.apply(s_map.apply(A_alg.cell(v, v2))))))
             expected = sparse_scale(f, f.mul(H_A.counit_of(i), H_A.counit_of(i2)), M1.unit)
             if acc != expected:
                 failures.append({"kind": "cocycle-not-trivial", "pair": (i, i2)})

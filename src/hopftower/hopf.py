@@ -17,11 +17,16 @@ maps on the basis of M2 (sandwich_maps) and applied to each element where it
 is needed: the image of M1 under incl2, e1, or a product in M2. This is
 exact: the product is bilinear in the structure constants and E_M1 is
 linear, so each value equals the one formed by multiplying at that point.
+
+Every law written with the coproduct is a Sweedler sum
+sum term(h_(1), h_(2)) over the legs of Delta(b_j) (Montgomery, Hopf Algebras
+and Their Actions on Rings, CBMS 82, ch. 1): HopfStructure.sweedler forms it,
+here and in galois, and is the one reader of delta_coords.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .algebra import WITNESS_FAILURES, Algebra, CheckOutcome, law_failures, tensor_algebra
 from .frobenius import scalar_of
@@ -47,6 +52,7 @@ class HopfStructure:
     delta: LinMap  # column j is Delta(b_j), b_u (x) b_v at u * dim + v
     counit: LinMap  # to a 1-dimensional space: column j is {0: eps(b_j)}
     antipode: Optional[LinMap]  # column j is S(b_j)
+    _legs: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -56,6 +62,17 @@ class HopfStructure:
         """Sparse legs (u, v, coefficient) of Delta(e_j)."""
         d = self.dim
         return [(row // d, row % d, c) for row, c in self.delta.columns[j].items()]
+
+    def sweedler(self, j: int, term: Callable[[int, int], dict]) -> dict:
+        """The Sweedler sum sum c term(u, v) over the legs (u, v, c) of
+        Delta(b_j), for term(u, v) a sparse vector; the legs are read once."""
+        if self._legs is None:
+            self._legs = [self.delta_coords(i) for i in range(self.dim)]
+        f = self.algebra.field
+        out: dict = {}
+        for u, v, c in self._legs[j]:
+            sparse_axpy(f, out, c, term(u, v))
+        return out
 
     def counit_of(self, j: int):
         """eps(b_j)."""
@@ -300,33 +317,22 @@ def verify_hopf_axioms(
 
     one = f.one
     delta = H.delta
-    legs = [H.delta_coords(i) for i in range(d)]
 
-    def along_delta(term):
-        """b_i -> sum of c term(u, v) over the legs (u, v, c) of Delta(b_i)."""
-        def image(i: int) -> dict:
-            out: dict = {}
-            for u, v, c in legs[i]:
-                for key, val in term(u, v).items():
-                    sparse_add(f, out, key, f.mul(c, val))
-            return out
-        return image
-
-    def holds(lhs, rhs) -> bool:
-        """lhs(b_i) = rhs(b_i) on every basis element."""
-        return all(lhs(i) == rhs(i) for i in range(d))
+    def holds(term, rhs) -> bool:
+        """sum term(b_i(1), b_i(2)) = rhs(b_i) on every basis element."""
+        return all(H.sweedler(i, term) == rhs(i) for i in range(d))
 
     def basis(i: int) -> dict:
         return {i: one}
 
     # coassociativity, b_x (x) b_y (x) b_z at (x dim + y) dim + z
-    if not holds(along_delta(lambda u, v: {(x * d + y) * d + v: c for x, y, c in legs[u]}),
-                 along_delta(lambda u, v: {(u * d + x) * d + y: c for x, y, c in legs[v]})):
+    if not holds(lambda u, v: {row * d + v: c for row, c in delta.columns[u].items()},
+                 lambda i: H.sweedler(i, lambda u, v: {u * d * d + row: c for row, c in delta.columns[v].items()})):
         note("coassociativity")
     # counit laws
-    if not holds(along_delta(lambda u, v: {v: H.counit_of(u)}), basis):
+    if not holds(lambda u, v: {v: H.counit_of(u)}, basis):
         note("counit-left")
-    if not holds(along_delta(lambda u, v: {u: H.counit_of(v)}), basis):
+    if not holds(lambda u, v: {u: H.counit_of(v)}, basis):
         note("counit-right")
     # Delta is a unital algebra map
     square = tensor_algebra(alg)
@@ -346,6 +352,8 @@ def verify_hopf_axioms(
         for j in range(d):
             if not f.eq(H.counit_apply(alg.cell(i, j)), f.mul(H.counit_of(i), H.counit_of(j))):
                 note("eps-multiplicative", pair=(i, j))
+                if len(failures) >= WITNESS_FAILURES:
+                    return CheckOutcome(False, failures)
 
     if H.antipode is not None:
         S = H.antipode
@@ -355,9 +363,9 @@ def verify_hopf_axioms(
             return sparse_scale(f, H.counit_of(i), alg.unit)
 
         # both convolution identities S * id = eps 1 = id * S
-        if not holds(along_delta(lambda u, v: alg.mul_sparse(s_cols[u], {v: one})), unit_eps):
+        if not holds(lambda u, v: alg.mul_sparse(s_cols[u], {v: one}), unit_eps):
             note("antipode-left")
-        if not holds(along_delta(lambda u, v: alg.mul_sparse({u: one}, s_cols[v])), unit_eps):
+        if not holds(lambda u, v: alg.mul_sparse({u: one}, s_cols[v]), unit_eps):
             note("antipode-right")
         # S is an anti-algebra map
         if S.apply(alg.unit) != alg.unit:
@@ -367,11 +375,11 @@ def verify_hopf_axioms(
                 lhs = S.apply(alg.cell(i, j))
                 if lhs != alg.mul_sparse(s_cols[j], s_cols[i]):
                     note("antipode-anti-multiplicative", pair=(i, j))
+                    if len(failures) >= WITNESS_FAILURES:
+                        return CheckOutcome(False, failures)
         # S is an anti-coalgebra map: Delta S = twist (S (x) S) Delta
-        twisted = along_delta(lambda u, v: {
-            x * d + y: f.mul(a, b) for x, a in s_cols[v].items() for y, b in s_cols[u].items()
-        })
-        if not holds(lambda i: delta.apply(s_cols[i]), twisted):
+        if not holds(lambda u, v: {x * d + y: f.mul(a, b) for x, a in s_cols[v].items() for y, b in s_cols[u].items()},
+                     lambda i: delta.apply(s_cols[i])):
             note("antipode-anti-comultiplicative")
         if rank(S) != d:
             note("antipode-not-bijective")
@@ -383,7 +391,7 @@ def verify_hopf_axioms(
         if expect_involutive and S2 != LinMap.identity(f, d):
             note("antipode-squared-not-identity")
 
-    if tower_ctx is not None and H.antipode is not None:
+    if tower_ctx is not None and H.antipode is not None and len(failures) < WITNESS_FAILURES:
         t, d2, sandwiches = tower_ctx
         y_generators = x_generators = None
         if not failures and t.levels[1].verified:
@@ -424,8 +432,6 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, y_generators: Opti
     lam_inv = t.base_sys.lambda_inverse
     db = H.dim
     b_sp = d2.B.vectors
-    # legs of Delta(b_j) with lam^-1 folded into the coefficient
-    delta_legs = [[(u, v, f.mul(lam_inv, c)) for u, v, c in H.delta_coords(j)] for j in range(db)]
     incl = t.incl2.columns
     left, right = sandwiches
     # on the image of M1: left_x[u][x] = E_M1(e2 x b_u), right_x[u][x] = E_M1(b_u x e2)
@@ -437,9 +443,7 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, y_generators: Opti
         order, for each (incl2(y), [incl2(E_M1(e2 y b_u))]) in ys and every b_j."""
         for y, (yh, inner) in enumerate(ys):
             for j in range(db):
-                rhs: dict = {}
-                for u, v, c in delta_legs[j]:
-                    sparse_axpy(f, rhs, c, M2.mul_sparse(b_sp[v], inner[u]))
+                rhs = sparse_scale(f, lam_inv, H.sweedler(j, lambda u, v: M2.mul_sparse(b_sp[v], inner[u])))
                 if M2.mul_sparse(yh, b_sp[j]) != rhs:
                     yield {"kind": "exchange-relation", "pair": (y, j)}
 
@@ -460,15 +464,11 @@ def _tower_axioms(H: HopfStructure, t, d2, sandwiches: tuple, y_generators: Opti
                 xy = M2.mul_sparse(incl[x], yh)
                 for j in range(db):
                     # E_M1(e2 x y b) = lam^-1 E_M1(e2 x b_(2)) E_M1(e2 y b_(1))
-                    rhs: dict = {}
-                    for u, v, c in delta_legs[j]:
-                        sparse_axpy(f, rhs, c, M1.mul_sparse(left_x[v][x], left_y[u]))
+                    rhs = sparse_scale(f, lam_inv, H.sweedler(j, lambda u, v: M1.mul_sparse(left_x[v][x], left_y[u])))
                     if left[j].apply(xy) != rhs:
                         yield {"kind": "action-identity", "triple": (x, y, j)}
                     # left version: E_M1(b x y e2) = lam^-1 E_M1(b_(1) x e2) E_M1(b_(2) y e2)
-                    rhs = {}
-                    for u, v, c in delta_legs[j]:
-                        sparse_axpy(f, rhs, c, M1.mul_sparse(right_x[u][x], right_y[v]))
+                    rhs = sparse_scale(f, lam_inv, H.sweedler(j, lambda u, v: M1.mul_sparse(right_x[u][x], right_y[v])))
                     if right[j].apply(xy) != rhs:
                         yield {"kind": "left-action-identity", "triple": (x, y, j)}
 

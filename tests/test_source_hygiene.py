@@ -543,6 +543,45 @@ def test_scan_sees_a_kernel_basis_call():
     assert _kernel_basis_calls(tree) == [(3, "endomorphisms"), (6, "inner")]
 
 
+# One Sweedler sum: every law written with the coproduct sums over the legs
+# of Delta through HopfStructure.sweedler, the one reader of delta_coords in
+# the package (the tests keep delta_coords as their reference).
+def _delta_coords_calls(tree) -> list[tuple[int, str]]:
+    """(line, class.function or function) of every call of delta_coords, by
+    name or as an attribute."""
+    out = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn, cls = f"{cls}.{node.name}" if cls else node.name, None
+        if isinstance(node, ast.Call) and "delta_coords" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            out.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return sorted(out)
+
+
+def test_delta_coords_is_read_only_by_sweedler():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found.extend((path.stem, fn) for _line, fn in _delta_coords_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == [("hopf", "HopfStructure.sweedler")], "Delta's legs read outside HopfStructure.sweedler"
+
+
+def test_scan_sees_a_delta_coords_call():
+    tree = ast.parse(
+        "class H:\n    def sweedler(self, j):\n        return self.delta_coords(j)\n"
+        "def law(H):\n    def inner(j):\n        return H.delta_coords(j)\n    return inner\n"
+        "legs = delta_coords(0)\n"
+    )
+    assert _delta_coords_calls(tree) == [(3, "H.sweedler"), (6, "inner"), (8, None)]
+
+
 # One subspace type: a span kept in a SparseSolver is a SubspaceBasis or a
 # TensorQuotient of algebra; other modules may run a solver inside a function
 # but define no class that keeps one.

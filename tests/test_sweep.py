@@ -7,9 +7,9 @@ from conftest import sweep_tool
 from test_golden_reports import GOLDEN
 from test_pipeline import _unlisted_or_repeated
 
-from hopftower import pipeline
+from hopftower import galois, pipeline
 from hopftower.pipeline import run_pipeline
-from hopftower.report import SKIP
+from hopftower.report import FAIL, SKIP
 
 SLICE = ["q/quadratic-field", "f7/quadratic-field", "q/group-pair:z4/z2", "f7/group-pair:z4/z2",
          "f2/group-pair:z2/z1"]
@@ -58,3 +58,32 @@ def test_clean_inputs_follow_the_golden_path(monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_pipeline", raising)
     assert sweep.line(None, None, {}) == "raised: ZeroDivisionError"
+
+
+def test_c_as_b_inputs_reach_the_closed_gate_galois_path(monkeypatch):
+    """The model reports with B also designated as C fail c-structure, so the
+    Galois stage forms its smash tables with smash_product and runs the
+    module-algebra law of both actions over the basis."""
+    sweep = sweep_tool()
+    tables, scans = [], []
+    real_smash, real_law = galois.smash_product, galois.law_failures
+
+    def smash(act):
+        tables.append(act.algebra.dim)
+        return real_smash(act)
+
+    def law(failures, generators, basis):
+        return real_law(failures, generators, lambda: scans.append(generators) or basis())
+
+    monkeypatch.setattr(galois, "smash_product", smash)
+    monkeypatch.setattr(galois, "law_failures", law)
+    runs = {}
+    for input_id, ext, d2, run in sweep.inputs([], models=True):
+        if input_id.endswith("~c=b"):
+            tables.clear()
+            scans.clear()
+            report = run_pipeline(ext, d2_override=d2, **run)
+            failed = [r.check_id for r in report.results if r.status == FAIL]
+            runs[input_id] = (failed, len(tables), len(scans))
+    assert runs == {f"f7/model:{g}~c=b": (["c-structure", "cond-exp-ea-eb", "nakayama-relations", "smash-theta"], 3, 2)
+                    for g in ("z2", "z3", "z4")}

@@ -20,7 +20,11 @@ The corpus:
   model tower's A, B and C as ``d2_override``, as bench/run.py runs them;
 - each clean catalog case and model report also under every ``upto`` before
   galois and under ``levels=1`` (RUNS), so each stage's skip path is swept;
-  the id ends in "~upto=<stage>" or "~levels=1".
+  the id ends in "~upto=<stage>" or "~levels=1";
+- the three model reports with the model's B also designated as C (ids
+  "f7/model:<g>~c=b"): c-structure fails, so the Galois stage runs its
+  closed-gate path, the smash tables of smash_product and the module-algebra
+  basis scans, which no other input reaches.
 
 Run from the repository root:
 
@@ -147,6 +151,8 @@ def inputs(case_ids: Optional[list] = None, models: bool = True) -> Iterator[tup
         yield from _runs(f"f7/model:{group}", lambda: (
             extension_from_dict(json.loads(text)),
             DepthTwoData(*copy.deepcopy((d2.A, d2.B, d2.C)), source="model")))
+        yield (f"f7/model:{group}~c=b", extension_from_dict(json.loads(text)),
+               DepthTwoData(*copy.deepcopy((d2.A, d2.B, d2.B)), source="model"), {})
 
 
 def _runs(input_id: str, fresh) -> Iterator[tuple]:
