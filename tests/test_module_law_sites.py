@@ -272,7 +272,6 @@ def test_action_identity_gates(tower_axiom_sites):
     assert not out.ok and tower_axiom_sites[-1] is None
 
 
-
 def test_hopf_axioms_stop_at_the_failures_a_report_shows(tower_axiom_sites):
     """With eps(b_1) raised by one, the counit laws, eps(1) = 1 and the first
     eps-multiplicative pair fail: the four failures a report shows, returned
@@ -284,6 +283,7 @@ def test_hopf_axioms_stop_at_the_failures_a_report_shows(tower_axiom_sites):
     out = hopf.verify_hopf_axioms(bad, tower_ctx=(t, d2, state.sandwiches))
     assert [x["kind"] for x in out.failures] == ["counit-left", "counit-right", "eps-unital", "eps-multiplicative"]
     assert len(tower_axiom_sites) == calls
+
 
 # ---------------------------------------------------------------------------
 # the module-algebra laws of the Galois stage on generators
